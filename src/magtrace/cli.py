@@ -475,6 +475,18 @@ _COMMANDS = {
 }
 
 
+def _thread_count(flag):
+    """--threads if given, else MAGTRACE_THREADS, else 1."""
+    if flag is not None:
+        return flag
+    env = os.environ.get("MAGTRACE_THREADS", "1")
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(
+            f"MAGTRACE_THREADS must be an integer, got {env!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="magtrace",
@@ -485,13 +497,13 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("MAGTRACE_THREADS", "1")))
+        p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
+        threads = _thread_count(args.threads)
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.format, args.threads)
+        return _COMMANDS[args.command](cfg, args.out, args.format, threads)
     except MagtraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 
 from .errors import (ChartError, IntegratorError, ResonanceError,
                      ValidationError)
@@ -301,6 +300,10 @@ def integrate(geo: GeometrySpec, s0: PhaseState, E: float, t: float,
     leaves (0.1, pi - 0.1); the deformed sphere's chart has no isometric
     rotation, so its trajectories must keep clear of the poles.
     """
+    # imported here: scipy.integrate costs about a second at start-up and
+    # only the ODE paths need it
+    from scipy.integrate import solve_ivp
+
     y0 = s0.as_array()
     chart = s0.chart if s0.chart != "default" else ("z" if geo.kind == "sphere" else "default")
     _check_chart(geo, y0, s0.chart)
@@ -681,6 +684,8 @@ def katok_monodromy_numeric(eps: float, E: float, orientation: str,
     the returned 2x2 block is its restriction to the invariant
     (Theta, P_theta) plane.
     """
+    from scipy.integrate import solve_ivp  # lazily, as in integrate
+
     geo = GeometrySpec.katok(eps)
     state, T = canonical_orbit_state(geo, E, orientation)
     y0 = np.concatenate([state.as_array(), np.eye(4).ravel()])

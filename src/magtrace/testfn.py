@@ -15,7 +15,11 @@ Three families are provided:
 ``fourier_bump``
     phi_hat is the standard smooth bump exp(-1/(1-t^2)), t = (xi-tau0)/w,
     identically zero outside [tau0-w, tau0+w]; phi is recovered by a fixed
-    Gauss-Legendre rule on the support.  Complex-valued for tau0 != 0.
+    Gauss-Legendre rule on the support.  The rule is symmetric and the bump
+    even, so the rule's sine half cancels exactly and phi is evaluated in its
+    real cosine form phi(x) = exp(i tau0 x) g(w x), with g a sum of cosines
+    over the positive nodes.  The node table is built once per process, on
+    the first bump.  Complex-valued for tau0 != 0.
 
 Every instance also carries *certified decay envelopes* on both sides of
 the transform.  These envelopes are what the spectral-window truncation
@@ -25,12 +29,13 @@ and the Poisson-summation self-test use to bound everything they omit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import threading
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc
 
 from .errors import QuadratureError, ValidationError
 
@@ -46,13 +51,18 @@ _BUMP_D2 = 3.258
 _BUMP_D4 = 1098.0
 
 # Fixed Gauss-Legendre rule for the bump's inverse transform.  The rule
-# resolves e^{i xi x} while the node count exceeds w*|x|/2 plus a margin
-# for the bump itself; 1024 nodes keep full precision out to w*|x| ~ 1600,
-# past which the bump's phi is below double-precision resolution anyway.
+# resolves cos(t*w*x) on [-1, 1] while the node count exceeds w*|x|/2 plus a
+# margin for the bump itself; 1024 nodes keep full precision out to
+# w*|x| ~ 1600, past which the bump's phi is below double-precision
+# resolution anyway.
 _BUMP_GL_NODES = 1024
 
 # Dyadic radius search for the bump is capped at w*|x| = 1600 accordingly.
 _BUMP_U_CAP = 1600.0
+
+# Points per block of the bump's cosine sum: bounds the (block x 512)
+# temporary to 8 MB.
+_BUMP_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +100,7 @@ class GaussianEnvelope:
     def halfline_moment(self, a: float, c0: float, c1: float) -> float:
         """Exact integral_a^inf (c0 + c1*x) env(x) dx  (a > 0)."""
         s = self.scale
-        gauss_tail = s * math.sqrt(math.pi / 2.0) * erfc(a / (s * math.sqrt(2.0)))
+        gauss_tail = s * math.sqrt(math.pi / 2.0) * math.erfc(a / (s * math.sqrt(2.0)))
         exp_term = s * s * math.exp(-a * a / (2.0 * s * s))
         return self.amp * (c0 * gauss_tail + c1 * exp_term)
 
@@ -337,25 +347,59 @@ def _bump_psi(t):
     return out
 
 
+@functools.cache
+def _bump_cosine_table():
+    """Positive Gauss-Legendre nodes t_m and unit cosine coefficients c_m.
+
+    ``leggauss`` returns a rule that is exactly symmetric about 0 and psi is
+    even, so the inverse transform of the bump of half-width w collapses to
+
+        (w/2pi) sum_m W_m psi(t_m) exp(i (tau0 + w t_m) x)
+            = exp(i tau0 x) * w * sum_{t_m > 0} c_m cos(t_m w x),
+
+    c_m = 2 W_m psi(t_m) / 2pi.  Built on the first bump, shared by all of
+    them; the arrays are read-only because every caller gets the same ones.
+    """
+    nodes, weights = leggauss(_BUMP_GL_NODES)
+    pos = nodes > 0.0
+    t = nodes[pos]
+    c = 2.0 * weights[pos] * _bump_psi(t) / TWO_PI
+    t.flags.writeable = False
+    c.flags.writeable = False
+    return t, c
+
+
+def _bump_cosine_sum(u, coeff):
+    """g(u) = sum_m coeff_m cos(t_m u) over the shared positive nodes, u 1-D."""
+    t, _ = _bump_cosine_table()
+    out = np.empty(u.shape)
+    for i in range(0, u.size, _BUMP_BLOCK):
+        arg = np.multiply.outer(u[i:i + _BUMP_BLOCK], t)
+        np.cos(arg, out=arg)
+        arg *= coeff
+        out[i:i + _BUMP_BLOCK] = arg.sum(axis=1)
+    return out
+
+
 def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     """Bump on the transform side: phi_hat(xi) = exp(-1/(1-t^2)), t = (xi-tau0)/w.
 
     phi_hat vanishes identically outside [tau0-w, tau0+w], so only the
     flow periods inside that interval can contribute to any k-sum built
-    on it.  phi itself is evaluated by a fixed ``_BUMP_GL_NODES``-point
-    Gauss-Legendre rule on the support (the integrand is smooth there);
-    phi is complex-valued whenever tau0 != 0.
+    on it.  phi itself is the fixed ``_BUMP_GL_NODES``-point Gauss-Legendre
+    rule on the support (the integrand is smooth there), evaluated in its
+    exact cosine form phi(x) = exp(i tau0 x) g(w x) with 512 real cosines
+    per point from the shared table of ``_bump_cosine_table``; phi is
+    complex-valued whenever tau0 != 0.  |phi| = |g(w x)| does not depend on
+    tau0, so neither does ``radius``, which each instance memoizes per
+    ``tol`` (instances never share radii).
     """
     if not (w > 0.0 and math.isfinite(w)):
         raise ValidationError(f"bump half-width w must be positive, got {w}")
     if not math.isfinite(tau0):
         raise ValidationError(f"bump center must be finite, got {tau0}")
 
-    nodes, weights = leggauss(_BUMP_GL_NODES)
-    psi_nodes = _bump_psi(nodes)
-    xi_nodes = tau0 + w * nodes
-    # (w/2pi) sum_m weights_m psi(t_m) exp(i xi_m x)
-    coeff = (w / TWO_PI) * weights * psi_nodes
+    coeff = w * _bump_cosine_table()[1]
     real_valued = (tau0 == 0.0)
 
     def phi(x):
@@ -365,14 +409,9 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         # past the rule's resolution the true |phi| is below 1e-16; report 0
         # there rather than quadrature aliasing noise
         ok = np.flatnonzero(np.abs(flat) * w <= _BUMP_U_CAP)
-        step = 2048
-        for i in range(0, ok.size, step):
-            sel = ok[i:i + step]
-            blk = flat[sel, None]
-            if real_valued:
-                out[sel] = (coeff * np.cos(xi_nodes * blk)).sum(axis=1)
-            else:
-                out[sel] = (coeff * np.exp(1j * xi_nodes * blk)).sum(axis=1)
+        xs = flat[ok]
+        g = _bump_cosine_sum(w * xs, coeff)
+        out[ok] = g if real_valued else np.exp(1j * tau0 * xs) * g
         return out.reshape(np.shape(x)) if np.ndim(x) else out[0]
 
     def phi_hat(xi):
@@ -406,14 +445,12 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     )
 
     def _probe_max(u):
-        # dense probe of [u, min(2u, cap)], clipped where evaluation is exact
+        # dense probe of [u, min(2u, cap)] on u = w*|x|, where |phi| = |g(u)|
         top = min(2.0 * u, _BUMP_U_CAP)
         n_probe = int(min(4096, max(64, 2.0 * (top - u) + 64)))
-        xs = np.linspace(u, top, n_probe) / w
-        return float(np.max(np.abs(phi(xs))))
+        return float(np.max(np.abs(_bump_cosine_sum(np.linspace(u, top, n_probe), coeff))))
 
-    def radius(tol):
-        # dyadic search on u = w*|x|; |phi| depends on x only through u.
+    def search(tol):
         u = 1.0
         while u < _BUMP_U_CAP:
             if _probe_max(u) <= tol:
@@ -429,6 +466,15 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
             else:
                 lo = mid
         return hi / w
+
+    radii = {}
+    radii_lock = threading.Lock()  # sweeps call radius from worker threads
+
+    def radius(tol):
+        with radii_lock:
+            if tol not in radii:
+                radii[tol] = search(tol)
+            return radii[tol]
 
     def hat_radius(tol):
         # exact compact support around tau0, independent of the tolerance

@@ -200,6 +200,17 @@ def test_threads_env_fallback(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys):
+    path = _write_cfg(tmp_path, "cfg.json", _base_cfg())
+    out = tmp_path / "out"
+    monkeypatch.setenv("MAGTRACE_THREADS", "abc")
+    assert main(["trace", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MAGTRACE_THREADS" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_json_format_output(tmp_path):
     cfg = _base_cfg(N={"value": 5})
     path = _write_cfg(tmp_path, "cfg.json", cfg)

@@ -1,17 +1,24 @@
 """Transform-pair correctness, decay contracts, and Poisson summation."""
 
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from magtrace import (ValidationError, linear_combination, make_fourier_bump,
                       make_gaussian, make_gaussian_modulated, poisson_check,
                       validate_pair)
+from magtrace import testfn
 from magtrace.testfn import TestFunction
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# period of the Katok equator that the isolated-orbit bump is centred on
+KATOK_TSHARP = 2.0 * math.pi * math.sqrt(2.0) / (1.0 - 1.0 / 5.0)
 
 # oracle values, frozen from adaptive quadrature before the build:
 #   (1/2pi) int_{-1}^{1} exp(-1/(1-t^2)) dt
@@ -93,6 +100,82 @@ def test_bump_inverse_value_at_zero():
     val, _ = quad(lambda t: math.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0,
                   epsabs=1e-15, epsrel=1e-13)
     assert val / (2.0 * math.pi) == pytest.approx(BUMP_PHI0, abs=1e-13)
+
+
+@pytest.fixture(scope="module")
+def mp_bump_rule():
+    """The 1024-node rule in its exponential form, evaluated to 40 digits.
+
+    phi(x) = (w/2pi) sum_m W_m psi(t_m) exp(i (tau0 + w t_m) x) over the
+    double nodes and weights, with no use of the rule's symmetry.
+    """
+    nodes, weights = leggauss(1024)
+    with mpmath.workdps(40):
+        ts = [mpmath.mpf(float(t)) for t in nodes]
+        cs = [mpmath.mpf(float(W)) * mpmath.exp(-1 / (1 - t * t))
+              for t, W in zip(ts, weights)]
+
+    def value(tau0, w, x):
+        with mpmath.workdps(40):
+            tau0, w, x = mpmath.mpf(tau0), mpmath.mpf(w), mpmath.mpf(x)
+            s = mpmath.fsum(c * mpmath.expj((tau0 + w * t) * x) for c, t in zip(cs, ts))
+            return complex(s * w / (2 * mpmath.pi))
+    return value
+
+
+@pytest.mark.parametrize("tau0,w", [(0.0, 1.0), (2.0, 0.5), (KATOK_TSHARP, 1.0)])
+def test_bump_phi_matches_40_digit_rule(mp_bump_rule, tau0, w):
+    f = make_fourier_bump(tau0, w)
+    us = [0.0, 0.37, 3.1, -3.1, 25.0, 180.5, 700.0, 955.25, -1234.5, 1600.0]
+    for u in us:
+        x = u / w
+        assert abs(complex(f.phi(x)) - mp_bump_rule(tau0, w, x)) <= 5e-16, u
+
+
+def test_bump_radius_does_not_depend_on_tau0():
+    # |phi(x)| = |g(w x)| for every tau0
+    tol = 1e-14
+    r = make_fourier_bump(2.0, 0.5).radius(tol)
+    assert make_fourier_bump(4.0, 0.5).radius(tol) == r
+    assert make_fourier_bump(math.pi, 0.5).radius(tol) == r
+    # the Katok bump's phi falls below tol well inside the search cap
+    r1 = make_fourier_bump(0.0, 1.0).radius(tol)
+    assert make_fourier_bump(KATOK_TSHARP, 1.0).radius(tol) == r1 < testfn._BUMP_U_CAP
+
+
+def test_bump_radius_is_memoized_per_instance(monkeypatch):
+    calls = []
+    probe = testfn._bump_cosine_sum
+
+    def counting(u, coeff):
+        calls.append(u.size)
+        return probe(u, coeff)
+    monkeypatch.setattr(testfn, "_bump_cosine_sum", counting)
+    f = make_fourier_bump(2.0, 0.5)
+    r = f.radius(1e-10)
+    assert calls
+    calls.clear()
+    assert f.radius(1e-10) == r
+    assert not calls
+    # a fresh instance with the same parameters searches again
+    assert make_fourier_bump(2.0, 0.5).radius(1e-10) == r
+    assert calls
+
+
+def test_bump_phi_dtype():
+    xs = np.linspace(-40.0, 40.0, 9)
+    real = make_fourier_bump(0.0, 1.0)
+    assert real.phi(xs).dtype == np.float64
+    assert isinstance(real.phi(1.5), np.float64)
+    assert make_fourier_bump(2.0, 0.5).phi(xs).dtype == np.complex128
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, magtrace; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bump_pair_double_quadrature():
