@@ -32,9 +32,15 @@ _GEOMETRY_KEYS = {"torus": {"kind"}, "sphere": {"kind", "R"},
                   "hyperbolic": {"kind", "R", "genus"}, "katok": {"kind", "eps"}}
 _TOL_DEFAULTS = {"tail_tol": 1e-14, "ode_tol": 1e-11, "k_max": None,
                  "resonance_margin": 1e-6, "support_tol": 1e-12}
+# caps on a dynamics run, checked before anything is allocated or integrated
+_MAX_PERIODS = 1_000
+_MAX_ORBIT_SAMPLES = 1_000_000
+_MAX_MC_SAMPLES = 10_000_000
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return format(x, ".17g")
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -63,7 +69,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, undecodable bytes or an over-long integer
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
@@ -73,6 +79,25 @@ def _load_config(path: str) -> dict:
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     return cfg
+
+
+def _number(value, name, *, integer=False, positive=False, cap=None):
+    """A config number: finite, >= 0 (> 0 if positive), integral if asked, <= cap.
+
+    Bools and strings are not numbers; an integral float is taken as an int.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    if integer and isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise ValidationError(
+            f"{name} must be {'positive' if positive else 'nonnegative'}, got {value!r}")
+    if cap is not None and value > cap:
+        raise ValidationError(f"{name} must be at most {cap:,}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _geometry(cfg: dict) -> dynamics.GeometrySpec:
@@ -89,10 +114,11 @@ def _geometry(cfg: dict) -> dynamics.GeometrySpec:
     if kind == "torus":
         return dynamics.GeometrySpec.torus()
     if kind == "sphere":
-        return dynamics.GeometrySpec.sphere(float(geo["R"]))
+        return dynamics.GeometrySpec.sphere(_number(geo["R"], "R"))
     if kind == "hyperbolic":
-        return dynamics.GeometrySpec.hyperbolic(float(geo["R"]), int(geo["genus"]))
-    return dynamics.GeometrySpec.katok(float(geo["eps"]))
+        return dynamics.GeometrySpec.hyperbolic(
+            _number(geo["R"], "R"), _number(geo["genus"], "genus", integer=True))
+    return dynamics.GeometrySpec.katok(_number(geo["eps"], "eps"))
 
 
 def _spectral_model(geo: dynamics.GeometrySpec):
@@ -109,13 +135,13 @@ def _spectral_model(geo: dynamics.GeometrySpec):
 
 def _energy(cfg: dict, geo) -> spectra.EnergyLevel:
     if geo.kind == "katok":
-        E = cfg.get("E", math.sqrt(2.0))
+        E = _number(cfg.get("E", math.sqrt(2.0)), "E")
         if abs(E - math.sqrt(2.0)) > 1e-12:
             raise ValidationError("the deformed-sphere example is stated at E = sqrt(2)")
         return spectra.EnergyLevel.from_E(math.sqrt(2.0))
     if "E" not in cfg:
         raise ValidationError("config needs an energy E")
-    return spectra.EnergyLevel.from_E(float(cfg["E"]))
+    return spectra.EnergyLevel.from_E(_number(cfg["E"], "E"))
 
 
 def _test_function(cfg: dict) -> testfn.TestFunction:
@@ -134,10 +160,12 @@ def _N_list(cfg: dict) -> list:
     elif keys == {"list"}:
         lst = list(spec["list"])
     elif keys == {"start", "stop", "step"}:
-        lst = list(range(int(spec["start"]), int(spec["stop"]) + 1, int(spec["step"])))
+        lst = list(range(_number(spec["start"], "N start", integer=True),
+                         _number(spec["stop"], "N stop", integer=True) + 1,
+                         _number(spec["step"], "N step", integer=True, positive=True)))
     else:
         raise ValidationError(f"N object takes {{value}}, {{list}} or {{start,stop,step}}, got {sorted(keys)}")
-    if not lst or any(not isinstance(n, int) or n < 1 for n in lst):
+    if not lst or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in lst):
         raise ValidationError("N values must be positive integers")
     if any(b <= a for a, b in zip(lst, lst[1:])):
         raise ValidationError("N values must be strictly ascending")
@@ -156,8 +184,8 @@ def _tolerances(cfg: dict) -> dict:
     for key in ("tail_tol", "ode_tol", "resonance_margin", "support_tol"):
         if not (isinstance(tol[key], (int, float)) and 0 < tol[key] < 1):
             raise ValidationError(f"tolerance {key} must lie in (0,1), got {tol[key]}")
-    if tol["k_max"] is not None and (not isinstance(tol["k_max"], int) or tol["k_max"] < 0):
-        raise ValidationError(f"k_max must be null or a nonnegative integer, got {tol['k_max']}")
+    if tol["k_max"] is not None:
+        tol["k_max"] = _number(tol["k_max"], "k_max", integer=True)
     return tol
 
 
@@ -312,12 +340,15 @@ def cmd_dynamics(cfg, out_dir, fmt, threads):
     orientation = cfg.get("orientation", "+")
     if orientation not in ("+", "-"):
         raise ValidationError(f"orientation must be '+' or '-', got {orientation!r}")
-    t_periods = float(cfg.get("t_periods", 1.0))
-    if not (t_periods > 0):
-        raise ValidationError("t_periods must be positive")
-    n_samples = int(cfg.get("orbit_samples", 1024))
-    mc_samples = int(cfg.get("mc_samples", 0))
-    seed = int(cfg.get("seed", 0))
+    t_periods = _number(cfg.get("t_periods", 1.0), "t_periods", positive=True,
+                        cap=_MAX_PERIODS)
+    n_samples = _number(cfg.get("orbit_samples", 1024), "orbit_samples", integer=True,
+                        cap=_MAX_ORBIT_SAMPLES)
+    mc_samples = _number(cfg.get("mc_samples", 0), "mc_samples", integer=True,
+                         cap=_MAX_MC_SAMPLES)
+    if mc_samples == 1:  # a standard error needs two points
+        raise ValidationError("mc_samples must be 0 or at least 2, got 1")
+    seed = _number(cfg.get("seed", 0), "seed", integer=True)
 
     orbit_set = dynamics.closed_orbit_invariants(geo, level.E)
     report = {
@@ -350,14 +381,11 @@ def cmd_dynamics(cfg, out_dir, fmt, threads):
             numeric["action_identity_residual"] = dynamics.circle_distance(
                 inv.S, inv.L * c + hol_num)
         report["numeric"] = numeric
-        ts, ys, charts = flow.sample(n_samples)
-        katok = geo.kind == "katok"
-        for i, t in enumerate(ts):
-            row = [t, ys[0, i], ys[1, i], ys[2, i], ys[3, i],
-                   dynamics._hamiltonian_array(geo, ys[:, i])]
-            if katok:
-                row.append(dynamics.katok_first_integral(geo.eps, ys[:, i]))
-            rows.append(row)
+        ts, ys, _ = flow.sample(n_samples)
+        columns = [ts, *ys, dynamics._hamiltonian_array(geo, ys)]
+        if geo.kind == "katok":
+            columns.append(dynamics.katok_first_integral(geo.eps, ys))
+        rows = list(zip(*(col.tolist() for col in columns)))
     if mc_samples > 0:
         mc = dynamics.mc_liouville_volume(geo, level.E, mc_samples, seed)
         report["liouville_volume"] = {

@@ -114,32 +114,34 @@ def _check_chart(geo: GeometrySpec, y, chart: str) -> None:
 # Hamiltonian and flow field
 # ---------------------------------------------------------------------------
 
-def _hamiltonian_array(geo: GeometrySpec, y) -> float:
+def _hamiltonian_array(geo: GeometrySpec, y):
+    """H of one state y = (q1, q2, p1, p2), or of each column of a (4, n) batch."""
     q1, q2, p1, p2 = y
     if geo.kind == "torus":
         k = p1 * p1 + p2 * p2
     elif geo.kind == "sphere":
         R2 = geo.R * geo.R
-        s = math.sin(q1)
+        s = np.sin(q1)
         k = (p1 * p1 + p2 * p2 / (s * s)) / R2
     elif geo.kind == "hyperbolic":
         k = (q2 * q2 / (geo.R * geo.R)) * (p1 * p1 + p2 * p2)
     elif geo.kind == "katok":
-        s2 = math.sin(q1) ** 2
+        s2 = np.sin(q1) ** 2
         D = 1.0 - geo.eps**2 * s2
         k = D * p1 * p1 + (D * D / s2) * p2 * p2
     else:
         raise ValidationError(f"unknown geometry {geo.kind!r}")
-    return math.sqrt(k + 1.0)
+    return np.sqrt(k + 1.0)
 
 
 def hamiltonian(geo: GeometrySpec, s: PhaseState) -> float:
     """Energy H = sqrt(g^{-1}(p,p) + 1) >= 1, with equality only at p = 0."""
     _check_chart(geo, s.as_array(), s.chart)
-    return _hamiltonian_array(geo, s.as_array())
+    return float(_hamiltonian_array(geo, s.as_array()))
 
 
 def _rhs(geo: GeometrySpec, y) -> np.ndarray:
+    """Flow field at one state (4,) or at each column of a (4, n) batch."""
     q1, q2, p1, p2 = y
     H = _hamiltonian_array(geo, y)
     if geo.kind == "torus":
@@ -148,7 +150,7 @@ def _rhs(geo: GeometrySpec, y) -> np.ndarray:
     if geo.kind == "sphere":
         R2 = geo.R * geo.R
         B = 0.5
-        s, c = math.sin(q1), math.cos(q1)
+        s, c = np.sin(q1), np.cos(q1)
         return np.array([
             p1 / (R2 * H),
             p2 / (R2 * s * s * H),
@@ -166,7 +168,7 @@ def _rhs(geo: GeometrySpec, y) -> np.ndarray:
         ])
     if geo.kind == "katok":
         e = geo.eps
-        s, c = math.sin(q1), math.cos(q1)
+        s, c = np.sin(q1), np.cos(q1)
         D = 1.0 - e * e * s * s
         return np.array([
             D * p1 / H,
@@ -174,7 +176,7 @@ def _rhs(geo: GeometrySpec, y) -> np.ndarray:
             (e * e * s * c * p1 * p1
              + (c / s**3 - e**4 * s * c) * p2 * p2
              + 2.0 * e * (c / s) * p2) / H,
-            -(e * math.sin(2.0 * q1) / D) * p1 / H,
+            -(e * np.sin(2.0 * q1) / D) * p1 / H,
         ])
     raise ValidationError(f"unknown geometry {geo.kind!r}")
 
@@ -186,16 +188,16 @@ def flow_rhs(geo: GeometrySpec, s: PhaseState, E: float) -> tuple:
     """
     y = s.as_array()
     _check_chart(geo, y, s.chart)
-    H = _hamiltonian_array(geo, y)
+    H = float(_hamiltonian_array(geo, y))
     if abs(H - E) > 1e-10 * max(1.0, abs(E)):
         raise ValidationError(f"state is off-shell: H={H!r} but E={E!r}")
     d = _rhs(geo, y)
     return (d[0], d[1]), (d[2], d[3])
 
 
-def katok_first_integral(eps: float, y) -> float:
+def katok_first_integral(eps: float, y):
     """Conserved quantity P = p_phi + eps sin^2(theta)/(1 - eps^2 sin^2(theta))."""
-    s2 = math.sin(y[0]) ** 2
+    s2 = np.sin(y[0]) ** 2
     return y[3] + eps * s2 / (1.0 - eps * eps * s2)
 
 
@@ -279,15 +281,14 @@ class FlowResult:
         """n states at uniform times: (t, y[4, n], charts list)."""
         ts = np.linspace(0.0, self.t_final, n)
         ys = np.empty((4, n))
-        charts = []
-        k = 0
-        for t_i, i in zip(ts, range(n)):
-            while k + 1 < len(self.segments) and t_i > self.segments[k].t1:
-                k += 1
-            seg = self.segments[k]
-            ys[:, i] = seg.sol(min(max(t_i, seg.t0), seg.t1))
-            charts.append(seg.chart)
-        return ts, ys, charts
+        # each time belongs to the first segment that ends at or after it
+        which = np.minimum(np.searchsorted([seg.t1 for seg in self.segments], ts),
+                           len(self.segments) - 1)
+        for k, seg in enumerate(self.segments):
+            at = which == k
+            if at.any():
+                ys[:, at] = seg.sol(np.clip(ts[at], seg.t0, seg.t1))
+        return ts, ys, [self.segments[k].chart for k in which]
 
 
 def integrate(geo: GeometrySpec, s0: PhaseState, E: float, t: float,
@@ -307,7 +308,7 @@ def integrate(geo: GeometrySpec, s0: PhaseState, E: float, t: float,
     y0 = s0.as_array()
     chart = s0.chart if s0.chart != "default" else ("z" if geo.kind == "sphere" else "default")
     _check_chart(geo, y0, s0.chart)
-    H0 = _hamiltonian_array(geo, y0)
+    H0 = float(_hamiltonian_array(geo, y0))
     if abs(H0 - E) > 1e-10 * max(1.0, abs(E)):
         raise ValidationError(f"initial state off-shell: H={H0!r}, E={E!r}")
     if t == 0.0:
@@ -367,12 +368,11 @@ def integrate(geo: GeometrySpec, s0: PhaseState, E: float, t: float,
     fdrift = 0.0 if geo.kind == "katok" else None
     P0 = katok_first_integral(geo.eps, y0) if geo.kind == "katok" else None
     for seg in segments:
-        ts = np.linspace(seg.t0, seg.t1, max(2, int(n_mon * (seg.t1 - seg.t0) / t)))
-        for ti in ts:
-            yi = seg.sol(ti)
-            drift = max(drift, abs(_hamiltonian_array(geo, yi) - E))
-            if P0 is not None:
-                fdrift = max(fdrift, abs(katok_first_integral(geo.eps, yi) - P0))
+        ys = seg.sol(np.linspace(seg.t0, seg.t1,
+                                 max(2, int(n_mon * (seg.t1 - seg.t0) / t))))
+        drift = max(drift, float(np.max(np.abs(_hamiltonian_array(geo, ys) - E))))
+        if P0 is not None:
+            fdrift = max(fdrift, float(np.max(np.abs(katok_first_integral(geo.eps, ys) - P0))))
     budget = 100.0 * tol
     if drift > budget:
         raise IntegratorError(f"energy drift {drift:.3e} exceeds budget {budget:.3e}")
@@ -538,23 +538,23 @@ def canonical_orbit_state(geo: GeometrySpec, E: float,
 # holonomy quadrature along integrated paths
 # ---------------------------------------------------------------------------
 
-def _vector_potential_pullback(geo: GeometrySpec, y) -> float:
+def _vector_potential_pullback(geo: GeometrySpec, y):
     """A(q) . dq/dt along the flow, in the trivializations the closed forms use.
 
     torus: A = B x dy on the universal cover; sphere: A = B (1-cos theta)
     dphi over the upper hemisphere; hyperbolic: A = (B/y) dx; deformed
     sphere: A = eps sin^2/(1-eps^2 sin^2) dphi (sign fixed by the branch
-    pairing of the orbit actions).
+    pairing of the orbit actions).  y is one state or a (4, n) batch.
     """
     d = _rhs(geo, y)
     if geo.kind == "torus":
         return TWO_PI * y[0] * d[1]
     if geo.kind == "sphere":
-        return 0.5 * (1.0 - math.cos(y[0])) * d[1]
+        return 0.5 * (1.0 - np.cos(y[0])) * d[1]
     if geo.kind == "hyperbolic":
         return (1.0 / y[1]) * d[0]
     if geo.kind == "katok":
-        s2 = math.sin(y[0]) ** 2
+        s2 = np.sin(y[0]) ** 2
         return geo.eps * s2 / (1.0 - geo.eps**2 * s2) * d[1]
     raise ValidationError(f"unknown geometry {geo.kind!r}")
 
@@ -598,15 +598,14 @@ def numeric_holonomy(geo: GeometrySpec, flow: FlowResult,
         edges = np.linspace(seg.t0, seg.t1, n_panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        for m, h in zip(mid, half):
-            ts = m + h * nodes
-            states = [seg.sol(ti) for ti in ts]
-            if geo.kind == "sphere" and any(y[0] >= math.pi / 2.0 for y in states):
-                raise ValidationError(
-                    "orbit leaves the upper hemisphere; the hemispheric "
-                    "trivialization does not cover it")
-            vals = np.array([_vector_potential_pullback(geo, y) for y in states])
-            total.append(h * float(np.dot(weights, vals)))
+        states = seg.sol((mid[:, None] + half[:, None] * nodes).ravel())
+        if geo.kind == "sphere" and np.any(states[0] >= math.pi / 2.0):
+            raise ValidationError(
+                "orbit leaves the upper hemisphere; the hemispheric "
+                "trivialization does not cover it")
+        vals = _vector_potential_pullback(geo, states).reshape(n_panels, len(nodes))
+        # one dot per panel: a single vals @ weights product sums in another order
+        total += [h * float(np.dot(weights, v)) for h, v in zip(half, vals)]
     return math.fsum(total)
 
 

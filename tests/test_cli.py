@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from magtrace.cli import main
+from magtrace import ValidationError, cli, katok_first_integral
+from magtrace.cli import _number, main
+from magtrace.dynamics import _hamiltonian_array
 
 SQRT2 = math.sqrt(2.0)
 
@@ -219,3 +222,101 @@ def test_json_format_output(tmp_path):
                  "--format", "json"]) == 0
     rows = json.loads((out / "trace.json").read_text())
     assert rows[0]["N"] == 5 and "re_y" in rows[0]
+
+
+@pytest.mark.parametrize("geometry,E", [
+    ({"kind": "katok", "eps": 1.0 / math.sqrt(5.0)}, SQRT2),
+    ({"kind": "sphere", "R": 0.5}, SQRT2),
+    ({"kind": "hyperbolic", "R": 1.0, "genus": 2}, 1.2),
+])
+def test_dynamics_orbit_csv_matches_per_row_formulas(tmp_path, geometry, E):
+    cfg = {"schema": "magtrace/1", "geometry": geometry, "E": E,
+           "orientation": "-", "orbit_samples": 300}
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", path, "--out", str(out)]) == 0
+    lines = (out / "orbit.csv").read_text().splitlines()
+    katok = geometry["kind"] == "katok"
+    assert lines[0] == "t,q1,q2,p1,p2,H" + (",P" if katok else "") and len(lines) == 301
+    geo = cli._geometry(cfg)
+    for line in lines[1:]:
+        # 17 significant digits read back to the sampled double exactly
+        t, *y = (float(v) for v in line.split(",")[:5])
+        y = np.array(y)
+        row = [t, *y, _hamiltonian_array(geo, y)]
+        if katok:
+            row.append(katok_first_integral(geo.eps, y))
+        assert line == ",".join(format(float(v), ".17g") for v in row)
+
+
+_SPHERE = {"kind": "sphere", "R": 0.5}
+
+
+@pytest.mark.parametrize("geometry,extra", [
+    (_SPHERE, {"orbit_samples": -3}),
+    (_SPHERE, {"seed": -1, "mc_samples": 1000}),
+    (_SPHERE, {"mc_samples": -5}),
+    (_SPHERE, {"mc_samples": 1}),
+    (_SPHERE, {"orbit_samples": True}),
+    (_SPHERE, {"orbit_samples": 2.7}),
+    ({"kind": "sphere", "R": "abc"}, {}),
+    ({"kind": "katok", "eps": 0.3}, {"E": "x"}),
+    (_SPHERE, {"t_periods": 1e300}),
+    (_SPHERE, {"t_periods": float("inf")}),
+    (_SPHERE, {"orbit_samples": 1e12}),
+    (_SPHERE, {"mc_samples": 10**9}),
+    ({"kind": "hyperbolic", "R": 1.0, "genus": 2.5}, {"E": 1.2}),
+    (_SPHERE, {"tolerances": {"k_max": True}}),
+], ids=["orbit_samples_negative", "seed_negative", "mc_samples_negative",
+        "mc_samples_one", "orbit_samples_bool", "orbit_samples_fraction",
+        "sphere_R_string", "katok_E_string", "t_periods_huge", "t_periods_inf",
+        "orbit_samples_huge", "mc_samples_huge", "genus_fraction", "k_max_bool"])
+def test_dynamics_bad_number_exits_2(tmp_path, capsys, geometry, extra):
+    cfg = {"schema": "magtrace/1", "geometry": geometry}
+    if geometry["kind"] != "katok":
+        cfg["E"] = SQRT2
+    cfg.update(extra)
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("N", [{"value": True}, {"start": 10, "stop": 60, "step": 0},
+                               {"start": "10", "stop": 60, "step": 10}])
+def test_bad_N_exits_2(tmp_path, capsys, N):
+    path = _write_cfg(tmp_path, "cfg.json", _base_cfg(N=N))
+    out = tmp_path / "out"
+    assert main(["trace", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (out / "trace.csv").exists()
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["trace", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: config ")
+
+
+@pytest.mark.parametrize("value,kwargs,expect", [
+    (3000.0, {"integer": True}, 3000),
+    (7, {}, 7.0),
+    (1000, {"positive": True, "cap": 1000}, 1000.0),
+    (0, {"integer": True}, 0),
+])
+def test_config_number_accepts(value, kwargs, expect):
+    got = _number(value, "x", **kwargs)
+    assert got == expect and type(got) is type(expect)
+
+
+@pytest.mark.parametrize("value,kwargs", [
+    (False, {}), ("1", {}), (None, {}), (float("nan"), {}), (-float("inf"), {}),
+    (10**400, {}), (-1e-300, {}), (0.0, {"positive": True}),
+    (2.5, {"integer": True}), (1001, {"cap": 1000}),
+])
+def test_config_number_rejects(value, kwargs):
+    with pytest.raises(ValidationError):
+        _number(value, "x", **kwargs)

@@ -8,13 +8,23 @@ import pytest
 from magtrace import (ChartError, GeometrySpec, IntegratorError, PhaseState,
                       ResonanceError, ValidationError, canonical_orbit_state,
                       circle_distance, closed_orbit_invariants, flow_rhs,
-                      hamiltonian, integrate, katok_monodromy_numeric,
-                      katok_poincare_analytic, liouville_volume, maslov_katok,
-                      mc_liouville_volume, metric_area, numeric_holonomy)
+                      hamiltonian, integrate, katok_first_integral,
+                      katok_monodromy_numeric, katok_poincare_analytic,
+                      liouville_volume, maslov_katok, mc_liouville_volume,
+                      metric_area, numeric_holonomy)
+from magtrace.dynamics import (_hamiltonian_array, _sphere_switch_chart,
+                               _vector_potential_pullback)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 EPS5 = 1.0 / math.sqrt(5.0)
+# the canonical one-period orbit of each geometry, at its benchmark energy
+CANONICAL = [
+    (GeometrySpec.torus(), 2.0),
+    (GeometrySpec.sphere(0.5), SQRT2),
+    (GeometrySpec.hyperbolic(1.0, 2), 1.2),
+    (GeometrySpec.katok(EPS5), SQRT2),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +158,63 @@ def test_sphere_chart_switching_over_pole():
     assert final_H == pytest.approx(E, abs=1e-8)
 
 
+def test_sample_across_chart_switch_matches_per_point():
+    geo = GeometrySpec.sphere(1.0)
+    st = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0), chart="z")
+    res = integrate(geo, st, hamiltonian(geo, st), 4.0, tol=1e-10)
+    assert [seg.chart for seg in res.segments] == ["z", "x"]
+    n = 401
+    ts, ys, charts = res.sample(n)
+    # per-point reference: each time in the first segment that ends at or
+    # after it, clipped into that segment, one dense-output call per time
+    ref = np.empty((4, n))
+    ref_charts = []
+    k = 0
+    for i, t in enumerate(ts):
+        while k + 1 < len(res.segments) and t > res.segments[k].t1:
+            k += 1
+        seg = res.segments[k]
+        ref[:, i] = seg.sol(min(max(t, seg.t0), seg.t1))
+        ref_charts.append(seg.chart)
+    assert np.array_equal(ts, np.linspace(0.0, 4.0, n))
+    assert np.array_equal(ys, ref)
+    assert charts == ref_charts
+    assert charts[0] == "z" and charts[-1] == "x"
+
+
+@pytest.mark.parametrize("geo,E", CANONICAL)
+def test_drift_monitors_match_per_point(geo, E):
+    st, T = canonical_orbit_state(geo, E, "+")
+    res = integrate(geo, st, E, T, tol=1e-11)
+    katok = geo.kind == "katok"
+    P0 = katok_first_integral(geo.eps, st.as_array()) if katok else None
+    drift, fdrift = 0.0, 0.0
+    for seg in res.segments:
+        for t in np.linspace(seg.t0, seg.t1, max(2, int(256 * (seg.t1 - seg.t0) / T))):
+            y = seg.sol(t)
+            drift = max(drift, abs(_hamiltonian_array(geo, y) - E))
+            if katok:
+                fdrift = max(fdrift, abs(katok_first_integral(geo.eps, y) - P0))
+    assert res.energy_drift == drift
+    assert res.first_integral_drift == (fdrift if katok else None)
+
+
+@pytest.mark.parametrize("geo,E", CANONICAL)
+def test_holonomy_matches_per_point(geo, E):
+    st, T = canonical_orbit_state(geo, E, "+")
+    res = integrate(geo, st, E, T, tol=1e-11)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    terms = []
+    for seg in res.segments:
+        edges = np.linspace(seg.t0, seg.t1, max(64, math.ceil(8.0 * (seg.t1 - seg.t0))) + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            m, h = 0.5 * (a + b), 0.5 * (b - a)
+            vals = np.array([_vector_potential_pullback(geo, seg.sol(t))
+                             for t in m + h * nodes])
+            terms.append(h * float(np.dot(weights, vals)))
+    assert numeric_holonomy(geo, res) == math.fsum(terms)
+
+
 def test_katok_pole_guard():
     geo = GeometrySpec.katok(0.3)
     # P = 0 polar-ish orbit heads into the pole region
@@ -247,6 +314,22 @@ def test_holonomy_open_path_rejected():
     st, T = canonical_orbit_state(geo, SQRT2, "+")
     res = integrate(geo, st, SQRT2, 0.5 * T, tol=1e-11)
     with pytest.raises(ValidationError):
+        numeric_holonomy(geo, res)
+
+
+def test_holonomy_rejects_path_leaving_upper_hemisphere():
+    # the canonical latitude circle theta = pi/4, seen from chart "x", spans
+    # theta in [pi/4, 3pi/4] and keeps clear of that chart's poles
+    geo = GeometrySpec.sphere(0.5)
+    st, T = canonical_orbit_state(geo, SQRT2)
+    y, chart = _sphere_switch_chart(st.as_array(), st.chart, geo.R)
+    assert chart == "x"
+    res = integrate(geo, PhaseState(q=tuple(y[:2]), p=tuple(y[2:]), chart=chart),
+                    SQRT2, T, tol=1e-11)
+    assert res.chart_switches == 0
+    _, ys, _ = res.sample(400)
+    assert ys[0].min() < math.pi / 4.0 + 1e-3 and ys[0].max() > 3.0 * math.pi / 4.0 - 1e-3
+    with pytest.raises(ValidationError, match="upper hemisphere"):
         numeric_holonomy(geo, res)
 
 
