@@ -51,10 +51,15 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
+    # an all-float row takes one format call; "{:.17g}" is _fmt's float format
+    line = ",".join(["{:.17g}"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if len(row) == len(header) and all(type(v) is float for v in row):
+                fh.write(line.format(*row))
+            else:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_json(path, obj):

@@ -24,6 +24,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import ode
 from .errors import (ChartError, IntegratorError, ResonanceError,
                      ValidationError)
 
@@ -255,7 +256,7 @@ class FlowSegment:
     chart: str
     t0: float
     t1: float
-    sol: object  # scipy OdeSolution over [t0, t1]
+    sol: ode.DenseSolution  # dense output over [t0, t1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -301,10 +302,6 @@ def integrate(geo: GeometrySpec, s0: PhaseState, E: float, t: float,
     leaves (0.1, pi - 0.1); the deformed sphere's chart has no isometric
     rotation, so its trajectories must keep clear of the poles.
     """
-    # imported here: scipy.integrate costs about a second at start-up and
-    # only the ODE paths need it
-    from scipy.integrate import solve_ivp
-
     y0 = s0.as_array()
     chart = s0.chart if s0.chart != "default" else ("z" if geo.kind == "sphere" else "default")
     _check_chart(geo, y0, s0.chart)
@@ -318,40 +315,23 @@ def integrate(geo: GeometrySpec, s0: PhaseState, E: float, t: float,
     if t < 0.0:
         raise ValidationError("integration time must be nonnegative")
 
-    events = None
-    if geo.kind == "sphere":
-        def pole_lo(tt, y):
-            return y[0] - _THETA_MARGIN
-
-        def pole_hi(tt, y):
-            return y[0] - (math.pi - _THETA_MARGIN)
-        pole_lo.terminal = True
-        pole_hi.terminal = True
-        events = (pole_lo, pole_hi)
-    elif geo.kind == "katok":
-        def pole_lo(tt, y):
-            return y[0] - _KATOK_THETA_MARGIN
-
-        def pole_hi(tt, y):
-            return y[0] - (math.pi - _KATOK_THETA_MARGIN)
-        pole_lo.terminal = True
-        pole_hi.terminal = True
-        events = (pole_lo, pole_hi)
+    events = ()
+    if geo.kind in ("sphere", "katok"):
+        margin = _THETA_MARGIN if geo.kind == "sphere" else _KATOK_THETA_MARGIN
+        events = (lambda tt, y: y[0] - margin,
+                  lambda tt, y: y[0] - (math.pi - margin))
 
     segments = []
     switches = 0
     t_cur, y_cur = 0.0, y0
     while t_cur < t:
-        sol = solve_ivp(lambda tt, y: _rhs(geo, y), (t_cur, t), y_cur,
-                        method="DOP853", rtol=tol, atol=tol,
-                        dense_output=True, events=events)
-        if not sol.success:
-            raise IntegratorError(f"integration failed at t={sol.t[-1]:.6g}: {sol.message}")
-        segments.append(FlowSegment(chart=chart, t0=t_cur, t1=float(sol.t[-1]),
-                                    sol=sol.sol))
-        t_cur = float(sol.t[-1])
-        y_cur = sol.y[:, -1]
-        if sol.status == 1:  # hit a pole guard
+        t_end, y_cur, sol, status = ode.dop853(lambda tt, y: _rhs(geo, y), t_cur, y_cur, t,
+                                               tol, events)
+        if status < 0:
+            raise IntegratorError(f"integration failed at t={t_end:.6g}: {ode.STEP_COLLAPSE}")
+        segments.append(FlowSegment(chart=chart, t0=t_cur, t1=float(t_end), sol=sol))
+        t_cur = float(t_end)
+        if status == 1:  # hit a pole guard
             if geo.kind == "katok":
                 raise IntegratorError(
                     f"trajectory approached a coordinate pole (theta={y_cur[0]:.4g}) "
@@ -683,8 +663,6 @@ def katok_monodromy_numeric(eps: float, E: float, orientation: str,
     the returned 2x2 block is its restriction to the invariant
     (Theta, P_theta) plane.
     """
-    from scipy.integrate import solve_ivp  # lazily, as in integrate
-
     geo = GeometrySpec.katok(eps)
     state, T = canonical_orbit_state(geo, E, orientation)
     y0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
@@ -694,10 +672,10 @@ def katok_monodromy_numeric(eps: float, E: float, orientation: str,
         M = z[4:].reshape(4, 4)
         return np.concatenate([_rhs(geo, y), (_katok_jacobian(eps, E, y) @ M).ravel()])
 
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=tol, atol=tol)
-    if not sol.success:
-        raise IntegratorError(f"variational integration failed: {sol.message}")
-    M = sol.y[4:, -1].reshape(4, 4)
+    _, z, _, status = ode.dop853(rhs, 0.0, y0, T, tol, dense_output=False)
+    if status < 0:
+        raise IntegratorError(f"variational integration failed: {ode.STEP_COLLAPSE}")
+    M = z[4:].reshape(4, 4)
     return M[np.ix_([0, 2], [0, 2])]
 
 

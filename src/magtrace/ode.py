@@ -1,0 +1,277 @@
+"""Adaptive DOP853 integration with dense output and terminal events.
+
+The explicit Runge-Kutta method of order 8(5,3) of Hairer, Norsett and
+Wanner (Solving Ordinary Differential Equations I, Sec. II.5), run the way
+SciPy's ``solve_ivp(method="DOP853")`` runs it: the same tableau, initial
+step, two-norm error estimate, step control, degree-7 dense output and
+Brent root search for events, operation for operation.  Both take the same
+steps and return the same floats.  Integration runs forward in time only,
+with ``rtol = atol = tol``.  Imports only numpy.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+EPS = np.finfo(float).eps
+STEP_COLLAPSE = "Required step size is less than spacing between numbers."
+# step control: safety factor, largest cut and largest growth of a step, and
+# the exponent -1/(order of the error estimator + 1)
+SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 8
+N_STAGES = 12
+
+# the tableau: stages 0-11 make a step, stage 12 is f at its end, 13-15
+# feed the dense output
+C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+              0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+              0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778])
+_A_ROWS = (
+    [0.05260015195876773], [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
+)
+A = np.zeros((16, 16))
+for _i, _row in enumerate(_A_ROWS, start=1):
+    A[_i, :len(_row)] = _row
+B = A[N_STAGES, :N_STAGES]
+# the order-5 and order-3 error estimators
+E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+               1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+               -0.022355307863886294, 0])
+E3 = np.append(B, 0.0)
+E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+# dense output coefficients of the powers 3-6; the first three come from the step
+D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
+
+
+class StepInterpolant:
+    """Degree-7 dense output over one step [t_old, t]."""
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old, self.h, self.y_old, self.F = t_old, t - t_old, y_old, F
+
+    def __call__(self, t):
+        x = (t - self.t_old) / self.h
+        if np.ndim(t) == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)))
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old
+        return y.T
+
+
+class DenseSolution:
+    """The step interpolants of one run; ``interpolants[k]`` covers [ts[k], ts[k+1]].
+
+    Callable on a scalar time, giving a state, or on an array of times,
+    giving one state per column.
+    """
+
+    def __init__(self, ts, interpolants):
+        self.ts = np.array(ts)
+        self.interpolants = interpolants
+
+    def _step(self, t):
+        return np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.interpolants) - 1)
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim == 0:
+            return self.interpolants[self._step(t)](t)
+        # sort, then call each step's interpolant once on its run of times
+        order = np.argsort(t)
+        t_sorted = t[order]
+        steps = self._step(t_sorted)
+        ys = np.empty((len(self.interpolants[0].y_old), len(t)))
+        cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1), len(t)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            ys[:, order[lo:hi]] = self.interpolants[steps[lo]](t_sorted[lo:hi])
+        return ys
+
+
+def _norm(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
+    length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _norm(y0 / scale), _norm(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
+    return min(100 * h0, h1, length)
+
+
+def _rk_step(fun, t, y, f, h, K):
+    K[0] = f
+    for s in range(1, N_STAGES):
+        dy = np.dot(K[:s].T, A[s, :s]) * h
+        K[s] = fun(t + C[s] * h, y + dy)
+    y_new = y + h * np.dot(K[:-1].T, B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
+def _interpolant(fun, t_old, y_old, t, y, f, h, K_ext):
+    for s in range(N_STAGES + 1, 16):
+        dy = np.dot(K_ext[:s].T, A[s, :s]) * h
+        K_ext[s] = fun(t_old + C[s] * h, y_old + dy)
+    F = np.empty((7, len(y)))
+    f_old = K_ext[0]
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f + f_old)
+    F[3:] = h * np.dot(D, K_ext)
+    return StepInterpolant(t_old, t, y_old, F)
+
+
+def brentq(f, xa, xb):
+    """A root of f in [xa, xb], as SciPy's C ``brentq`` finds it with
+    ``xtol = rtol = 4 eps`` and at most 100 iterations."""
+    xtol = rtol = 4 * EPS
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
+def dop853(fun, t0, y0, t_bound, tol, events=(), dense_output=True):
+    """Integrate y' = fun(t, y) from t0 towards t_bound > t0.
+
+    Returns (t, y, sol, status): the time and state where the run stopped,
+    its DenseSolution (None without ``dense_output``) and a status, 0 at
+    t_bound, 1 on an event, -1 when the step size collapsed (t and y are
+    then those of the last step).  Each event g(t, y) is terminal: the run
+    stops at the first root of any of them, found on the dense output (so
+    events need ``dense_output``).
+    """
+    y = np.asarray(y0, dtype=float)
+    rtol, atol = max(tol, 100 * EPS), tol
+    t, f = t0, fun(t0, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
+    K_ext = np.empty((16, len(y)))
+    K = K_ext[:N_STAGES + 1]
+    ts, interpolants = [t0], []
+    g = [event(t, y) for event in events]
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return t, y, DenseSolution(ts, interpolants) if dense_output else None, -1
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = _rk_step(fun, t, y, f, h, K)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
+            e3 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
+            error_norm = (0.0 if e5 == 0 and e3 == 0
+                          else np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)))
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0
+                          else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        status = 0 if t - t_bound >= 0 else None
+        if dense_output:
+            interpolants.append(_interpolant(fun, t_old, y_old, t, y, f, h, K_ext))
+        if events:
+            g_new = [event(t, y) for event in events]
+            active = [k for k, (a, b) in enumerate(zip(g, g_new))
+                      if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
+            if active:
+                sol = interpolants[-1]
+                t = min(brentq(lambda tt: events[k](tt, sol(tt)), t_old, t) for k in active)
+                y, status = sol(t), 1
+            g = g_new
+        if ts[-1] == t and len(ts) > 1:  # an event root at the step's start
+            interpolants.pop()
+        else:
+            ts.append(t)
+        if status is not None:
+            return t, y, DenseSolution(ts, interpolants) if dense_output else None, status

@@ -320,3 +320,20 @@ def test_config_number_accepts(value, kwargs, expect):
 def test_config_number_rejects(value, kwargs):
     with pytest.raises(ValidationError):
         _number(value, "x", **kwargs)
+
+
+def test_write_csv_float_rows_match_per_value_format(tmp_path):
+    tiny = 5e-324  # the smallest subnormal
+    rows = [
+        (float("nan"), float("inf"), float("-inf"), -0.0),
+        (0.0, tiny, -tiny, 2.2250738585072014e-308 / 3.0),
+        (1.0 / 3.0, -1e300, 123456789.0, 0.1),
+        (3, "x", True, 2.5),   # mixed: the per-value path
+        (False, -7, np.float64(0.2), np.int64(4)),
+    ]
+    header = ["a", "b", "c", "d"]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, header, rows)
+    expected = "a,b,c,d\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+    assert path.read_text().splitlines()[1] == "nan,inf,-inf,-0"

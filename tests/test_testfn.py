@@ -1,8 +1,11 @@
 """Transform-pair correctness, decay contracts, and Poisson summation."""
 
+import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -170,12 +173,39 @@ def test_bump_phi_dtype():
     assert make_fourier_bump(2.0, 0.5).phi(xs).dtype == np.complex128
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_leaves_scipy_unloaded(tmp_path):
     code = ("import sys, magtrace; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+    # nor do the commands that integrate the flow, in a fresh process
+    katok = {"kind": "katok", "eps": 1.0 / math.sqrt(5.0)}
+    configs = {
+        "dynamics": {"schema": "magtrace/1", "geometry": {"kind": "sphere", "R": 0.5},
+                     "E": math.sqrt(2.0), "orbit_samples": 16},
+        "katok": {"schema": "magtrace/1", "geometry": katok, "E": math.sqrt(2.0),
+                  "N": {"value": 3}},
+    }
+    argvs = []
+    for sub, cfg in configs.items():
+        path = tmp_path / f"{sub}.json"
+        path.write_text(json.dumps(cfg))
+        argvs.append([sub, "--config", str(path), "--out", str(tmp_path / sub)])
+    code = ("import sys; from magtrace import cli; "
+            f"codes = [cli.main(a) for a in {argvs!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] []"
+    assert (tmp_path / "dynamics" / "orbit.csv").exists()
+    assert (tmp_path / "katok" / "katok_report.json").exists()
+
+
+def test_src_never_imports_scipy():
+    src = Path(testfn.__file__).parent
+    imports = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    assert [p.name for p in sorted(src.rglob("*.py")) if imports.search(p.read_text())] == []
 
 
 def test_bump_pair_double_quadrature():
