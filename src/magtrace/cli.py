@@ -12,7 +12,6 @@ independent of --threads.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -217,6 +216,8 @@ def _k_control(geo, level, f, tol) -> asymptotics.KSumControl:
 def _parallel_map(fn, items, threads):
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    import concurrent.futures  # only a threaded run pays for the import
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

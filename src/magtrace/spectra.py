@@ -28,6 +28,12 @@ from .testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
 
+# Most ladder rungs one window, or one of its finite tail sweeps, may span,
+# checked before any array is built: a sweep takes about 56 bytes a rung, so
+# 0.56 GB at the cap.  A hyperbolic ladder has N rungs, so N <= 1e7 always
+# fits; a gaussian s=1 window at N = 1e7 needs 2.4e6 on the torus at E=2.
+MAX_WINDOW_RUNGS = 10_000_000
+
 
 # ---------------------------------------------------------------------------
 # energy bookkeeping and models
@@ -43,9 +49,9 @@ class EnergyLevel:
 
     @classmethod
     def from_E(cls, E: float) -> "EnergyLevel":
-        if not (E > 1.0 and math.isfinite(E)):
-            raise ValidationError(f"energy E must exceed 1, got {E}")
         c2 = E * E - 1.0
+        if not (E > 1.0 and math.isfinite(c2)):
+            raise ValidationError(f"energy E must exceed 1 and have a finite square, got {E}")
         return cls(E=E, calE=c2 / 2.0, c=math.sqrt(c2))
 
 
@@ -146,12 +152,7 @@ def hyperbolic_levels(model: HyperbolicModel, N: int, j: int) -> SpectrumEntry:
             f"j={j} is outside the integrable range 0 <= j < N - 1/2 for N={N}; "
             "the requested eigenvalue belongs to the chaotic part of the spectrum"
         )
-    R2 = model.R * model.R
-    nu = (0.25 + N * N - (j + 0.5 - N) ** 2) / R2
-    alt = ((2 * j + 1.0) * N - j * (j + 1.0)) / R2
-    # the two displayed forms are algebraically identical; guard transcription
-    if abs(nu - alt) > 1e-9 * max(1.0, abs(nu)):
-        raise AssertionError("hyperbolic eigenvalue forms disagree")
+    nu = (0.25 + N * N - (j + 0.5 - N) ** 2) / (model.R * model.R)
     mult = (model.genus - 1) * (2 * N - 2 * j - 1)
     return SpectrumEntry(N=int(N), j=int(j), nu=nu,
                          lam=math.sqrt(nu + N * N), mult=int(mult))
@@ -311,6 +312,36 @@ def _hyperbolic_chaotic_bound(model, N, E, env):
     return boundary + 2.0 * W * env.halfline_moment(x0, E * N, 1.0)
 
 
+def _window_indices(model, N, E, radius):
+    """Index block [j_first, j_last] covering |lam - E N| <= radius.
+
+    Raises ValidationError, before anything is allocated, when the block's
+    bounds are not finite or when the window or one of its finite tail
+    sweeps would span more than ``MAX_WINDOW_RUNGS`` rungs.
+    """
+    lam_lo = E * N - radius
+    lam_hi = E * N + radius
+    j_cap = _j_max(model, N)
+    if lam_hi <= 0.0:
+        return 0, -1  # empty window
+    lo_real = _j_from_lambda(model, N, max(lam_lo, 0.0)) if lam_lo > 0 else 0.0
+    hi_real = _j_from_lambda(model, N, lam_hi)
+    where = f"the window E*N +- {radius:.6g} at N={N}, E={E:.6g}"
+    if not (math.isfinite(lo_real) and math.isfinite(hi_real)):
+        raise ValidationError(f"{where} has no finite ladder index bounds")
+    j_first = max(0, int(math.floor(lo_real)) - 2)
+    j_last = int(math.ceil(hi_real)) + 2
+    if j_cap is not None:
+        j_last = min(j_last, j_cap)
+    # the window and the lower sweep stay within rungs 0..j_last; the upper
+    # sweep of a finite ladder starts at or after j_first
+    rungs = max(j_last + 1, 0 if j_cap is None else j_cap - j_first + 1)
+    if rungs > MAX_WINDOW_RUNGS:
+        raise ValidationError(f"{where} needs {rungs:.3g} ladder rungs, over the "
+                              f"budget of {MAX_WINDOW_RUNGS:.3g}")
+    return j_first, j_last
+
+
 def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
                      tail_tol: float) -> Window:
     """Eigenvalues with |lam - E N| <= f.radius(tail_tol), tails certified.
@@ -325,20 +356,8 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
         model.check_energy(E)
     radius = f.radius(tail_tol)
     env = f.time_env
-
-    lam_lo = E * N - radius
-    lam_hi = E * N + radius
     j_cap = _j_max(model, N)
-
-    if lam_hi <= 0.0:
-        j_first, j_last = 0, -1  # empty window
-    else:
-        lo_real = _j_from_lambda(model, N, max(lam_lo, 0.0)) if lam_lo > 0 else 0.0
-        hi_real = _j_from_lambda(model, N, lam_hi)
-        j_first = max(0, int(math.floor(lo_real)) - 2)
-        j_last = int(math.ceil(hi_real)) + 2
-        if j_cap is not None:
-            j_last = min(j_last, j_cap)
+    j_first, j_last = _window_indices(model, N, E, radius)
 
     if j_last >= j_first:
         j = np.arange(j_first, j_last + 1, dtype=float)

@@ -18,8 +18,10 @@ Three families are provided:
     Gauss-Legendre rule on the support.  The rule is symmetric and the bump
     even, so the rule's sine half cancels exactly and phi is evaluated in its
     real cosine form phi(x) = exp(i tau0 x) g(w x), with g a sum of cosines
-    over the positive nodes.  The node table is built once per process, on
-    the first bump.  Complex-valued for tau0 != 0.
+    over the positive nodes.  Those nodes and their weights ship as data
+    (``_legendre1024``, bit-identical to ``leggauss(1024)``); the cosine
+    table is built from them once per process, on the first bump.
+    Complex-valued for tau0 != 0.
 
 Every instance also carries *certified decay envelopes* on both sides of
 the transform.  These envelopes are what the spectral-window truncation
@@ -50,19 +52,21 @@ _BUMP_D0 = 0.4441
 _BUMP_D2 = 3.258
 _BUMP_D4 = 1098.0
 
-# Fixed Gauss-Legendre rule for the bump's inverse transform.  The rule
+# Fixed Gauss-Legendre rule for the bump's inverse transform, shipped as the
+# positive half of ``leggauss(1024)`` in ``_legendre1024``.  The rule
 # resolves cos(t*w*x) on [-1, 1] while the node count exceeds w*|x|/2 plus a
 # margin for the bump itself; 1024 nodes keep full precision out to
 # w*|x| ~ 1600, past which the bump's phi is below double-precision
-# resolution anyway.
-_BUMP_GL_NODES = 1024
-
-# Dyadic radius search for the bump is capped at w*|x| = 1600 accordingly.
+# resolution anyway.  The dyadic radius search is capped there accordingly.
 _BUMP_U_CAP = 1600.0
 
 # Points per block of the bump's cosine sum: bounds the (block x 512)
 # temporary to 8 MB.
 _BUMP_BLOCK = 2048
+
+# Points in the first block of a radius probe: a probe that fails is loud
+# near its start, so most probes stop after this block.
+_BUMP_PROBE_HEAD = 64
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +355,9 @@ def _bump_psi(t):
 def _bump_cosine_table():
     """Positive Gauss-Legendre nodes t_m and unit cosine coefficients c_m.
 
-    ``leggauss`` returns a rule that is exactly symmetric about 0 and psi is
-    even, so the inverse transform of the bump of half-width w collapses to
+    The shipped rule (``leggauss(1024)``, bit for bit) is exactly symmetric
+    about 0 and psi is even, so the inverse transform of the bump of
+    half-width w collapses to
 
         (w/2pi) sum_m W_m psi(t_m) exp(i (tau0 + w t_m) x)
             = exp(i tau0 x) * w * sum_{t_m > 0} c_m cos(t_m w x),
@@ -360,11 +365,10 @@ def _bump_cosine_table():
     c_m = 2 W_m psi(t_m) / 2pi.  Built on the first bump, shared by all of
     them; the arrays are read-only because every caller gets the same ones.
     """
-    nodes, weights = leggauss(_BUMP_GL_NODES)
-    pos = nodes > 0.0
-    t = nodes[pos]
-    c = 2.0 * weights[pos] * _bump_psi(t) / TWO_PI
-    t.flags.writeable = False
+    from ._legendre1024 import positive_half
+
+    t, weights = positive_half()  # read-only views of the shipped bytes
+    c = 2.0 * weights * _bump_psi(t) / TWO_PI
     c.flags.writeable = False
     return t, c
 
@@ -386,13 +390,16 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
 
     phi_hat vanishes identically outside [tau0-w, tau0+w], so only the
     flow periods inside that interval can contribute to any k-sum built
-    on it.  phi itself is the fixed ``_BUMP_GL_NODES``-point Gauss-Legendre
-    rule on the support (the integrand is smooth there), evaluated in its
-    exact cosine form phi(x) = exp(i tau0 x) g(w x) with 512 real cosines
-    per point from the shared table of ``_bump_cosine_table``; phi is
+    on it.  phi itself is the fixed 1024-point Gauss-Legendre rule on the
+    support (the integrand is smooth there), evaluated in its exact cosine
+    form phi(x) = exp(i tau0 x) g(w x) with 512 real cosines per point from
+    the shared table of ``_bump_cosine_table``, which is built once per
+    process, on the first bump, from the shipped nodes and weights; phi is
     complex-valued whenever tau0 != 0.  |phi| = |g(w x)| does not depend on
     tau0, so neither does ``radius``, which each instance memoizes per
-    ``tol`` (instances never share radii).
+    ``tol`` (instances never share radii).  The radius search probes
+    [u, 2u] at dyadic u, then bisects 10 times; each probe stops at its
+    first block of points where |g| exceeds ``tol``.
     """
     if not (w > 0.0 and math.isfinite(w)):
         raise ValidationError(f"bump half-width w must be positive, got {w}")
@@ -444,16 +451,23 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         c4=_BUMP_D4 / (TWO_PI * w**3),
     )
 
-    def _probe_max(u):
-        # dense probe of [u, min(2u, cap)] on u = w*|x|, where |phi| = |g(u)|
+    def _probe_quiet(u, tol):
+        # dense probe of [u, min(2u, cap)] on u = w*|x|, where |phi| = |g(u)|:
+        # is max |g| <= tol?  g is summed row by row, so a block's values are
+        # those of one call on all the points; the first loud block decides.
         top = min(2.0 * u, _BUMP_U_CAP)
         n_probe = int(min(4096, max(64, 2.0 * (top - u) + 64)))
-        return float(np.max(np.abs(_bump_cosine_sum(np.linspace(u, top, n_probe), coeff))))
+        pts = np.linspace(u, top, n_probe)
+        edges = [0, *range(_BUMP_PROBE_HEAD, n_probe, _BUMP_BLOCK), n_probe]
+        for lo, hi in zip(edges, edges[1:]):
+            if not np.max(np.abs(_bump_cosine_sum(pts[lo:hi], coeff))) <= tol:
+                return False
+        return True
 
     def search(tol):
         u = 1.0
         while u < _BUMP_U_CAP:
-            if _probe_max(u) <= tol:
+            if _probe_quiet(u, tol):
                 break
             u *= 2.0
         else:
@@ -461,7 +475,7 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         lo, hi = u / 2.0, u
         for _ in range(10):
             mid = 0.5 * (lo + hi)
-            if _probe_max(mid) <= tol:
+            if _probe_quiet(mid, tol):
                 hi = mid
             else:
                 lo = mid

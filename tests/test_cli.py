@@ -294,6 +294,16 @@ def test_bad_N_exits_2(tmp_path, capsys, N):
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "trace", "predict", "residual"])
+def test_energy_with_overflowing_square_exits_2(tmp_path, capsys, sub):
+    path = _write_cfg(tmp_path, "cfg.json", _base_cfg(E=1e200, N={"value": 400}))
+    out = tmp_path / "out"
+    assert main([sub, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: energy E") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_undecodable_config_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(b"\xff\xfe{}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from magtrace import spectra
 from magtrace import (EnergyLevel, HyperbolicModel, ManeLevelError, SphereModel,
                       TorusModel, ValidationError, enumerate_window,
                       hyperbolic_levels, make_fourier_bump, make_gaussian,
@@ -47,6 +48,17 @@ def test_hyperbolic_level_values_and_range():
     assert e.mult == 1
     with pytest.raises(ValidationError):
         hyperbolic_levels(m, 2, 2)
+
+
+@pytest.mark.parametrize("R", [0.3, 1.0, 2.5])
+def test_hyperbolic_displayed_forms_agree(R):
+    # nu = [1/4 + N^2 - (j+1/2-N)^2]/R^2 = [(2j+1) N - j(j+1)]/R^2
+    m = HyperbolicModel(R=R, genus=3)
+    for N in (1, 2, 7, 40, 1_000, 123_457, 10**7):
+        for j in sorted({0, min(1, N - 1), N // 3, N // 2, N - 1}):
+            nu = hyperbolic_levels(m, N, j).nu
+            alt = ((2 * j + 1.0) * N - j * (j + 1.0)) / (R * R)
+            assert abs(nu - alt) <= 1e-15 * max(1.0, abs(nu)), (N, j)
 
 
 def test_model_validation():
@@ -174,3 +186,37 @@ def test_window_entries_ascending_and_consistent():
     for e in win.entries():
         assert e.lam == pytest.approx(math.sqrt(e.nu + e.N**2), rel=1e-15)
         assert e.mult >= 1
+
+
+# the benchmark's three ladders and energies
+_LADDERS = [(TorusModel(), 2.0), (SphereModel(R=0.5), math.sqrt(2.0)),
+            (HyperbolicModel(R=1.0, genus=2), 1.2)]
+
+
+@pytest.mark.parametrize("model,E", _LADDERS, ids=["torus", "sphere", "hyperbolic"])
+def test_window_budget_admits_N_1e7(model, E):
+    radius = make_gaussian(1.0).radius(1e-14)
+    N = 10**7
+    j_first, j_last = spectra._window_indices(model, N, E, radius)
+    assert 0 < j_first <= j_last < spectra.MAX_WINDOW_RUNGS
+    if isinstance(model, HyperbolicModel):
+        assert N - j_first <= spectra.MAX_WINDOW_RUNGS
+
+
+def test_window_budget_refuses_before_allocating(monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("a refused window allocated its ladder")
+    monkeypatch.setattr(spectra.np, "arange", no_arrays)
+    wide = make_gaussian(1e6)  # radius 8e6: about 1.3e10 torus rungs at N=400
+    with pytest.raises(ValidationError, match="ladder rungs, over the budget"):
+        enumerate_window(TorusModel(), 400, EnergyLevel.from_E(2.0), wide, 1e-14)
+    # N itself bounds the hyperbolic ladder
+    with pytest.raises(ValidationError, match="over the budget"):
+        enumerate_window(HyperbolicModel(R=1.0, genus=2), 10**9,
+                         EnergyLevel.from_E(1.2), make_gaussian(1.0), 1e-14)
+    # E*N is finite but lam^2 overflows
+    with pytest.raises(ValidationError, match="no finite ladder index bounds"):
+        enumerate_window(TorusModel(), 400, EnergyLevel.from_E(1e154),
+                         make_gaussian(1.0), 1e-14)
+    with pytest.raises(ValidationError, match="finite square"):
+        EnergyLevel.from_E(1e200)

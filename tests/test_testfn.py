@@ -165,6 +165,91 @@ def test_bump_radius_is_memoized_per_instance(monkeypatch):
     assert calls
 
 
+def test_shipped_legendre_table_is_leggauss_bit_for_bit():
+    from magtrace._legendre1024 import positive_half
+
+    nodes, weights = leggauss(1024)
+    # the full rule is exactly symmetric, which the cosine form relies on
+    assert np.array_equal(nodes[:512], -nodes[::-1][:512])
+    assert np.array_equal(weights[:512], weights[::-1][:512])
+    t, w = positive_half()
+    assert t.dtype == w.dtype == np.float64
+    assert np.array_equal(t, nodes[512:]) and np.array_equal(w, weights[512:])
+    table_t, table_c = testfn._bump_cosine_table()
+    assert np.array_equal(table_t, nodes[nodes > 0.0])
+    psi = np.exp(-1.0 / (1.0 - table_t * table_t))
+    assert np.array_equal(table_c, 2.0 * weights[nodes > 0.0] * psi / (2.0 * math.pi))
+    assert not table_t.flags.writeable and not table_c.flags.writeable
+
+
+def test_bump_trace_never_builds_the_1024_rule(tmp_path):
+    cfg = {"schema": "magtrace/1", "geometry": {"kind": "torus"}, "E": 2.0,
+           "test_function": {"kind": "fourier_bump", "tau0": 2.0, "w": 0.5},
+           "N": {"list": [200, 300]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["trace", "--config", str(path), "--out", str(tmp_path / "out")]
+    code = ("import numpy.polynomial.legendre as L\n"
+            "real = L.leggauss\n"
+            "def guarded(deg):\n"
+            "    if deg > 64:\n"
+            "        raise RuntimeError(f'leggauss({deg}) called')\n"
+            "    return real(deg)\n"
+            "L.leggauss = guarded\n"
+            "from magtrace import cli\n"
+            f"print(cli.main({argv!r}))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+    assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 3
+
+
+def _full_probe_radius(w, tol):
+    """The radius search with every probe evaluated in full, then compared to tol."""
+    coeff = w * testfn._bump_cosine_table()[1]
+
+    def probe_max(u):
+        top = min(2.0 * u, testfn._BUMP_U_CAP)
+        n_probe = int(min(4096, max(64, 2.0 * (top - u) + 64)))
+        pts = np.linspace(u, top, n_probe)
+        return float(np.max(np.abs(testfn._bump_cosine_sum(pts, coeff))))
+
+    u = 1.0
+    while u < testfn._BUMP_U_CAP:
+        if probe_max(u) <= tol:
+            break
+        u *= 2.0
+    else:
+        return testfn._BUMP_U_CAP / w
+    lo, hi = u / 2.0, u
+    for _ in range(10):
+        mid = 0.5 * (lo + hi)
+        if probe_max(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi / w
+
+
+def _radius_cases():
+    # the benchmark's four bumps, then a seeded grid of (w, tol)
+    cases = [(2.0, 0.5, 1e-14), (4.0, 0.5, 1e-14), (math.pi, 0.5, 1e-14),
+             (KATOK_TSHARP, 1.0, 1e-14)]
+    rng = np.random.default_rng(20261018)
+    for w, e in zip(rng.uniform(0.05, 3.0, 40), rng.uniform(-16.5, -4.0, 40)):
+        cases.append((0.0, float(w), float(10.0 ** e)))
+    return cases + [(0.0, 1.0, 1e-18)]  # below phi's rounding noise: the cap
+
+
+def test_bump_radius_equals_full_probe_search():
+    capped = 0
+    for tau0, w, tol in _radius_cases():
+        r = make_fourier_bump(tau0, w).radius(tol)
+        assert r == _full_probe_radius(w, tol), (tau0, w, tol)
+        capped += (r == testfn._BUMP_U_CAP / w)
+    assert capped >= 1
+
+
 def test_bump_phi_dtype():
     xs = np.linspace(-40.0, 40.0, 9)
     real = make_fourier_bump(0.0, 1.0)
