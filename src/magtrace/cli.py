@@ -154,7 +154,8 @@ def _test_function(cfg: dict) -> testfn.TestFunction:
     return testfn.from_config(cfg["test_function"])
 
 
-def _N_list(cfg: dict) -> list:
+def _N_list(cfg: dict, level: spectra.EnergyLevel) -> list:
+    """The ascending N grid, refused up front if (E N)^2 overflows at its top."""
     spec = cfg.get("N")
     if not isinstance(spec, dict):
         raise ValidationError("config needs an N object ({value}, {list} or {start,stop,step})")
@@ -173,6 +174,7 @@ def _N_list(cfg: dict) -> list:
         raise ValidationError("N values must be positive integers")
     if any(b <= a for a, b in zip(lst, lst[1:])):
         raise ValidationError("N values must be strictly ascending")
+    level.check_N(lst[-1])
     return lst
 
 
@@ -243,7 +245,7 @@ def cmd_spectrum(cfg, out_dir, fmt, threads):
     level = _energy(cfg, geo)
     f = _test_function(cfg)
     tol = _tolerances(cfg)
-    Ns = _N_list(cfg)
+    Ns = _N_list(cfg, level)
     windows = _parallel_map(
         lambda N: spectra.enumerate_window(model, N, level, f, tol["tail_tol"]),
         Ns, threads)
@@ -266,7 +268,7 @@ def cmd_trace(cfg, out_dir, fmt, threads):
     level = _energy(cfg, geo)
     f = _test_function(cfg)
     tol = _tolerances(cfg)
-    Ns = _N_list(cfg)
+    Ns = _N_list(cfg, level)
     traces = _parallel_map(
         lambda N: tracesum.y_n(model, N, level, f, tol["tail_tol"]), Ns, threads)
     header = ["N", "re_y", "im_y", "tail_bound"]
@@ -284,7 +286,7 @@ def cmd_predict(cfg, out_dir, fmt, threads):
     level = _energy(cfg, geo)
     f = _test_function(cfg)
     tol = _tolerances(cfg)
-    Ns = _N_list(cfg)
+    Ns = _N_list(cfg, level)
     ctl = _k_control(geo, level, f, tol)
     preds = _parallel_map(lambda N: _predict_one(geo, level, f, ctl, tol, N),
                           Ns, threads)
@@ -305,7 +307,7 @@ def cmd_residual(cfg, out_dir, fmt, threads):
     level = _energy(cfg, geo)
     f = _test_function(cfg)
     tol = _tolerances(cfg)
-    Ns = _N_list(cfg)
+    Ns = _N_list(cfg, level)
     ctl = _k_control(geo, level, f, tol)
 
     def one(N):
@@ -420,7 +422,7 @@ def cmd_katok(cfg, out_dir, fmt, threads):
     level = _energy(cfg, geo)
     tol = _tolerances(cfg)
     eps = geo.eps
-    N = _N_list(cfg)[0] if "N" in cfg else 1
+    N = _N_list(cfg, level)[0] if "N" in cfg else 1
     k_list = cfg.get("k_list", [1, 2, 3, -1, -2, -3])
     if (not isinstance(k_list, list) or not k_list
             or any(not isinstance(k, int) or k == 0 for k in k_list)):

@@ -14,6 +14,17 @@ the returned tail bound dominates the absolute contribution of all
 eigenvalues outside the window (including, for the hyperbolic surface,
 a Weyl-type majorant for the non-integrable part of the spectrum, whose
 lambdas all sit above the Mane level and contribute O(N^-infinity)).
+
+The tails are bounded in closed form, at a cost independent of N, from the
+exact measure identity  mult(j) dj = c lam dlam  along each ladder:
+
+* torus:       c = 1/(2 pi);
+* sphere:      c = 2 R^2         (u = j + (N+1)/2, mult = 2u);
+* hyperbolic:  c = 2 (g-1) R^2   (u = N - j - 1/2, mult = 2(g-1)u,
+                                  R^2 dnu = -2u du).
+
+Each tail's terms mult_j env(|x_j|) are monotone in j, so a sum over rungs
+compares with the integral of the envelope against c lam dlam.
 """
 
 from __future__ import annotations
@@ -28,10 +39,14 @@ from .testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
 
-# Most ladder rungs one window, or one of its finite tail sweeps, may span,
-# checked before any array is built: a sweep takes about 56 bytes a rung, so
-# 0.56 GB at the cap.  A hyperbolic ladder has N rungs, so N <= 1e7 always
-# fits; a gaussian s=1 window at N = 1e7 needs 2.4e6 on the torus at E=2.
+# Largest ladder index range a window query may touch, checked before any
+# array is built: rungs 0..j_last, or j_first..N-1 on the finite hyperbolic
+# ladder.  Only the window's own rungs are built and each tail bound costs
+# O(1), so the cap no longer guards memory; it keeps queries where the
+# offsets lam - E N, rounded to about eps E N, have been checked, until they
+# are formed in compensated arithmetic.  A hyperbolic ladder has N rungs, so
+# N <= 1e7 always fits; a gaussian s=1 window at N = 1e7 reaches index 2.4e6
+# on the torus at E=2.
 MAX_WINDOW_RUNGS = 10_000_000
 
 
@@ -53,6 +68,20 @@ class EnergyLevel:
         if not (E > 1.0 and math.isfinite(c2)):
             raise ValidationError(f"energy E must exceed 1 and have a finite square, got {E}")
         return cls(E=E, calE=c2 / 2.0, c=math.sqrt(c2))
+
+    def check_N(self, N: int) -> None:
+        """Refuse an N whose (E N)^2 overflows a double.
+
+        Windows square lam ~ E N and the k-sums multiply E^2 N, so such an N
+        only yields overflow warnings and a late failure.
+        """
+        try:
+            EN = self.E * N
+        except OverflowError:  # an integer N past the float range
+            EN = math.inf
+        if not math.isfinite(EN * EN):
+            raise ValidationError(
+                f"N={N} is too large at E={self.E:.6g}: (E*N)^2 overflows a double")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,28 +270,40 @@ def _j_max(model, N):
 
 
 def _measure_coeff(model):
-    """c_geo with   mult(j) dj <= c_geo (x + E N) dx   along the ladder.
+    """c with   mult(j) dj = c lam dlam   along the ladder (an exact identity).
 
-    Exact identities: on the torus mult dj = lam dlam / (2 pi); on the
-    sphere mult dj = 2 R^2 lam dlam (u-substitution u = j + (N+1)/2).
+    Torus: c = 1/(2 pi).  Sphere: c = 2 R^2 (u = j + (N+1)/2).  Hyperbolic:
+    c = 2 (g-1) R^2 (u = N - j - 1/2, mult = 2(g-1)u, R^2 dnu = -2u du).
     """
     if isinstance(model, TorusModel):
         return 1.0 / TWO_PI
     if isinstance(model, SphereModel):
         return 2.0 * model.R * model.R
-    raise ValidationError("measure coefficient is only defined for infinite ladders")
+    if isinstance(model, HyperbolicModel):
+        return 2.0 * (model.genus - 1) * model.R * model.R
+    raise ValidationError(f"unknown model {model!r}")
 
 
 def _upper_tail_bound(model, N, E, env, j_start):
-    """Certified bound on sum_{j >= j_start} mult_j env(|x_j|) (infinite ladders).
+    """Certified bound on sum_{j >= j_start} mult_j env(|x_j|), for x_{j_start} > 0.
 
-    Walks forward until the envelope term sequence is decreasing (the
-    log-terms have monotone increments, so one confirmed decrease is
-    permanent), then closes with the measure-comparison integral.
+    On the hyperbolic ladder mult falls with j, so the terms decrease from
+    J = j_start on and, with mult dj = c lam dlam, the sum up to rung N-1 is
+    at most  t_J + c int_{x_J}^inf (x + E N) env(x) dx.  On the infinite
+    ladders mult grows: walks forward until the envelope term sequence is
+    decreasing (the log-terms have monotone increments, so one confirmed
+    decrease is permanent), then closes with the same integral.
     """
     if j_start < 0:
         j_start = 0
     c_geo = _measure_coeff(model)
+    j_cap = _j_max(model, N)
+    if j_cap is not None:
+        if j_start > j_cap:
+            return 0.0
+        nu, mult = _arrays(model, N, np.array([j_start], dtype=float))
+        x = math.sqrt(nu[0] + N * N) - E * N
+        return float(mult[0] * float(env(x)) + c_geo * env.halfline_moment(x, E * N, 1.0))
     total = 0.0
     j = j_start
     for _ in range(10_000_000):
@@ -278,15 +319,27 @@ def _upper_tail_bound(model, N, E, env, j_start):
     raise AssertionError("upper tail bound failed to reach the decreasing regime")
 
 
-def _finite_tail_bound(model, N, E, env, j_lo, j_hi):
-    """Exact envelope sum over the finite index block [j_lo, j_hi]."""
-    if j_hi < j_lo:
+def _lower_tail_bound(model, N, E, env, j_end):
+    """Certified bound on sum_{0 <= j <= j_end} mult_j env(|x_j|), for x_{j_end} < 0.
+
+    With J = j_end and a = -x_J: below E N the envelope grows with j, so a
+    rung's env is at most its mean over [j, j+1], and there mult, affine in
+    j, exceeds its value by at most d = max(0, mult_J - mult_{J+1}).  With
+    mult dj = c lam dlam, lam <= lam_J, and mult >= mult_J wherever d > 0,
+
+        sum_{j<J} mult_j env_j <= int_0^J (mult + d) env dj
+                               <= (1 + d/mult_J) c lam_J int_a^inf env(u) du.
+
+    d is 0 on the torus and the sphere and 2(g-1) on the hyperbolic ladder.
+    """
+    if j_end < 0:
         return 0.0
-    j = np.arange(j_lo, j_hi + 1, dtype=float)
-    nu, mult = _arrays(model, N, j)
-    lam = np.sqrt(nu + N * N)
-    t = mult * np.asarray(env(np.abs(lam - E * N)), dtype=float)
-    return float(np.sum(t))
+    nu, mult = _arrays(model, N, np.array([j_end, j_end + 1], dtype=float))
+    lam = math.sqrt(nu[0] + N * N)
+    a = E * N - lam
+    drop = max(0.0, mult[0] - mult[1])
+    moment = _measure_coeff(model) * env.halfline_moment(a, lam, 0.0)
+    return float(mult[0] * float(env(a)) + (1.0 + drop / mult[0]) * moment)
 
 
 def _hyperbolic_chaotic_bound(model, N, E, env):
@@ -316,8 +369,9 @@ def _window_indices(model, N, E, radius):
     """Index block [j_first, j_last] covering |lam - E N| <= radius.
 
     Raises ValidationError, before anything is allocated, when the block's
-    bounds are not finite or when the window or one of its finite tail
-    sweeps would span more than ``MAX_WINDOW_RUNGS`` rungs.
+    bounds are not finite or when the index range the query touches (rungs
+    0..j_last, or j_first..N-1 on the hyperbolic ladder) spans more than
+    ``MAX_WINDOW_RUNGS`` rungs.
     """
     lam_lo = E * N - radius
     lam_hi = E * N + radius
@@ -333,8 +387,6 @@ def _window_indices(model, N, E, radius):
     j_last = int(math.ceil(hi_real)) + 2
     if j_cap is not None:
         j_last = min(j_last, j_cap)
-    # the window and the lower sweep stay within rungs 0..j_last; the upper
-    # sweep of a finite ladder starts at or after j_first
     rungs = max(j_last + 1, 0 if j_cap is None else j_cap - j_first + 1)
     if rungs > MAX_WINDOW_RUNGS:
         raise ValidationError(f"{where} needs {rungs:.3g} ladder rungs, over the "
@@ -348,7 +400,9 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
 
     The returned ``tail_bound`` is a rigorous upper bound (through the test
     function's decay envelope) on the omitted eigenvalues' total
-    contribution sum mult * |phi(lam - E N)|.
+    contribution sum mult * |phi(lam - E N)|.  Only the window's rungs are
+    built: rungs below it go to ``_lower_tail_bound`` and rungs above it to
+    ``_upper_tail_bound``, at a cost that does not grow with N.
     """
     _check_Nj(N, 0)
     E = level.E
@@ -356,42 +410,26 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
         model.check_energy(E)
     radius = f.radius(tail_tol)
     env = f.time_env
-    j_cap = _j_max(model, N)
     j_first, j_last = _window_indices(model, N, E, radius)
 
-    if j_last >= j_first:
-        j = np.arange(j_first, j_last + 1, dtype=float)
-        nu, mult = _arrays(model, N, j)
-        lam = np.sqrt(nu + N * N)
-        keep = np.abs(lam - E * N) <= radius * (1.0 + 1e-15)
+    j = np.arange(j_first, j_last + 1, dtype=float)
+    nu, mult = _arrays(model, N, j)
+    lam = np.sqrt(nu + N * N)
+    x = lam - E * N
+    kept = np.flatnonzero(np.abs(x) <= radius * (1.0 + 1e-15))
+    if kept.size:
+        sel = slice(int(kept[0]), int(kept[-1]) + 1)
     else:
-        j = np.empty(0)
-        keep = np.empty(0, dtype=bool)
+        # empty window: rungs with lam < E N go to the lower tail, the rest
+        # (lam > E N, since none is kept) to the upper one
+        below = int(np.count_nonzero(x < 0.0))
+        sel = slice(below, below)
+    first_kept, last_kept = j_first + sel.start, j_first + sel.stop - 1
 
-    if keep.any():
-        idx = np.flatnonzero(keep)
-        first_kept = j_first + int(idx[0])
-        last_kept = j_first + int(idx[-1])
-        sel = slice(int(idx[0]), int(idx[-1]) + 1)
-        jj = j[sel].astype(np.int64)
-        nu_k, mult_k, lam_k = nu[sel], mult[sel], lam[sel]
-    else:
-        # empty window: split the ladder at the index closest to E N
-        split = max(0, int(round(_j_from_lambda(model, N, E * N))))
-        if j_cap is not None:
-            split = min(split, j_cap)
-        first_kept, last_kept = split + 1, split
-        jj = np.empty(0, dtype=np.int64)
-        nu_k = np.empty(0)
-        mult_k = np.empty(0)
-        lam_k = np.empty(0)
-
-    tail = _finite_tail_bound(model, N, E, env, 0, first_kept - 1)
-    if j_cap is None:
-        tail += _upper_tail_bound(model, N, E, env, last_kept + 1)
-    else:
-        tail += _finite_tail_bound(model, N, E, env, last_kept + 1, j_cap)
+    tail = (_lower_tail_bound(model, N, E, env, first_kept - 1)
+            + _upper_tail_bound(model, N, E, env, last_kept + 1))
+    if isinstance(model, HyperbolicModel):
         tail += _hyperbolic_chaotic_bound(model, N, E, env)
 
-    return Window(N=int(N), E=E, radius=radius, j=jj, nu=nu_k, lam=lam_k,
-                  mult=mult_k, tail_bound=float(tail))
+    return Window(N=int(N), E=E, radius=radius, j=j[sel].astype(np.int64),
+                  nu=nu[sel], lam=lam[sel], mult=mult[sel], tail_bound=float(tail))

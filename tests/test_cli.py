@@ -304,6 +304,20 @@ def test_energy_with_overflowing_square_exits_2(tmp_path, capsys, sub):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "trace", "predict", "residual"])
+@pytest.mark.parametrize("E,N", [(1e154, {"list": [40, 400]}), (2.0, {"value": 10**400})],
+                         ids=["E_N_overflows", "N_past_float_range"])
+def test_N_whose_energy_scale_overflows_exits_2(tmp_path, capsys, sub, E, N):
+    # E^2 is finite but (E N)^2 is not: refused before any window or k-sum
+    path = _write_cfg(tmp_path, "cfg.json", _base_cfg(E=E, N=N))
+    out = tmp_path / "out"
+    assert main([sub, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: N=") and "(E*N)^2 overflows" in err
+    assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_undecodable_config_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(b"\xff\xfe{}")

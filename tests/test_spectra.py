@@ -220,3 +220,112 @@ def test_window_budget_refuses_before_allocating(monkeypatch):
                          make_gaussian(1.0), 1e-14)
     with pytest.raises(ValidationError, match="finite square"):
         EnergyLevel.from_E(1e200)
+
+
+# ---------------------------------------------------------------------------
+# closed-form tail bounds against brute-force ladder sums
+# ---------------------------------------------------------------------------
+
+def _rungs(model, N, j_hi):
+    """lam and mult of rungs 0..j_hi, from the displayed level formulas."""
+    j = np.arange(0, j_hi + 1, dtype=float)
+    if isinstance(model, TorusModel):
+        nu, mult = TWO_PI * N * (2.0 * j + 1.0), np.full(j.shape, float(N))
+    elif isinstance(model, SphereModel):
+        nu = (j * (j + 1.0) + 0.5 * N * (2.0 * j + 1.0)) / model.R**2
+        mult = N + 2.0 * j + 1.0
+    else:
+        nu = ((2.0 * j + 1.0) * N - j * (j + 1.0)) / model.R**2
+        mult = (model.genus - 1) * (2.0 * N - 2.0 * j - 1.0)
+    return np.sqrt(nu + N * N), mult
+
+
+def _brute_omitted(model, N, E, f, win, reach):
+    """fsum of mult * env(|x|) over every rung outside the window.
+
+    env >= |phi|, so this dominates the omitted part of Y_N.  An infinite
+    ladder is summed out to x = reach past E N.
+    """
+    if isinstance(model, HyperbolicModel):
+        j_hi = N - 1
+    else:
+        j_hi = int(math.ceil(spectra._j_from_lambda(model, N, E * N + reach)))
+    lam, mult = _rungs(model, N, j_hi)
+    t = mult * np.asarray(f.time_env(np.abs(lam - E * N)), dtype=float)
+    if win.j.size:
+        t[win.j[0]:win.j[-1] + 1] = 0.0
+    return math.fsum(t)
+
+
+def _sweep_reference(model, N, E, f, win):
+    """The O(N) bound the closed forms replaced, inlined as the reference.
+
+    An exact fsum over every rung below the window (and, on the hyperbolic
+    ladder, above it), the unchanged upper walk on infinite ladders, and the
+    hyperbolic non-integrable majorant.
+    """
+    env = f.time_env
+    if isinstance(model, HyperbolicModel):
+        j_hi = N - 1
+    else:
+        j_hi = int(math.ceil(spectra._j_from_lambda(model, N, E * N))) + 2
+    lam, mult = _rungs(model, N, j_hi)
+    t = mult * np.asarray(env(np.abs(lam - E * N)), dtype=float)
+    if win.j.size:
+        first, last = int(win.j[0]), int(win.j[-1])
+    else:
+        first = int(np.count_nonzero(lam < E * N))
+        last = first - 1
+    below = math.fsum(t[:first])
+    if isinstance(model, HyperbolicModel):
+        return (below + math.fsum(t[last + 1:])
+                + spectra._hyperbolic_chaotic_bound(model, N, E, env))
+    return below + spectra._upper_tail_bound(model, N, E, env, last + 1)
+
+
+_FUNCTIONS = {"gauss_0.5": lambda: make_gaussian(0.5),
+              "gauss_1": lambda: make_gaussian(1.0),
+              "bump": lambda: make_fourier_bump(2.0, 0.5)}
+
+
+@pytest.mark.parametrize("N", [3, 40, 400, 10_000])
+@pytest.mark.parametrize("fname", sorted(_FUNCTIONS))
+@pytest.mark.parametrize("model,E", _LADDERS, ids=["torus", "sphere", "hyperbolic"])
+def test_closed_form_tail_dominates_brute_force(model, E, fname, N):
+    f = _FUNCTIONS[fname]()
+    win = enumerate_window(model, N, EnergyLevel.from_E(E), f, 1e-14)
+    if isinstance(model, HyperbolicModel) and N >= 400 and fname != "bump":
+        assert 0 < win.j[0] and win.j[-1] < N - 1  # rungs omitted on both sides
+    # the bump's 1/x^4 envelope is summed out to 2e6 torus rungs at N=3
+    reach = 60.0 if fname != "bump" else 1e4
+    brute = _brute_omitted(model, N, E, f, win, reach)
+    assert brute <= win.tail_bound * (1.0 + 1e-12)
+    reference = _sweep_reference(model, N, E, f, win)
+    assert win.tail_bound <= 2.0 * reference
+
+
+@pytest.mark.parametrize("N", [39, 40])
+@pytest.mark.parametrize("model,E", _LADDERS, ids=["torus", "sphere", "hyperbolic"])
+def test_empty_window_tails_split_at_E_N(model, E, N):
+    # E N falls between two rungs, nearer the upper one in four of the six
+    # cases, where rounding j(E N) would put a rung above E N in the lower tail
+    f = make_gaussian(0.01)
+    win = enumerate_window(model, N, EnergyLevel.from_E(E), f, 1e-14)
+    assert win.j.size == 0
+    brute = _brute_omitted(model, N, E, f, win, reach=1.0)
+    assert brute <= win.tail_bound * (1.0 + 1e-12)
+    assert win.tail_bound <= 2.0 * _sweep_reference(model, N, E, f, win)
+
+
+@pytest.mark.parametrize("model,E", _LADDERS, ids=["torus", "sphere", "hyperbolic"])
+def test_window_cost_is_independent_of_N(model, E, monkeypatch):
+    arange = np.arange
+
+    def window_sized(start, stop, *args, **kwargs):
+        if stop - start > 10_000:
+            raise AssertionError(f"an array of {stop - start} rungs was built")
+        return arange(start, stop, *args, **kwargs)
+    monkeypatch.setattr(spectra.np, "arange", window_sized)
+    win = enumerate_window(model, 10**7, EnergyLevel.from_E(E), make_gaussian(1.0), 1e-14)
+    assert 0 < win.j.size < 100
+    assert 0.0 < win.tail_bound < 1e-6
