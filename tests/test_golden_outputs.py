@@ -1,0 +1,83 @@
+"""Byte-identity of the benchmark commands' outputs against stored digests.
+
+Every command of the three ``perfbench/workloads.py`` workloads (seed 1),
+plus one ``spectrum`` run on each closed-form ladder, runs in-process
+through ``cli.main``; each exit code and the sha256 of each output file
+must match ``golden_outputs.json``.  The digests hold for the numpy version
+recorded there; another version may move the last bits of some floats, so
+the comparison is skipped under one.
+
+    python tests/test_golden_outputs.py --write   # recapture the digests
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from magtrace import cli  # noqa: E402
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+SEED = 1
+
+
+def _commands() -> dict:
+    """name -> (subcommand, config), in a fixed order."""
+    out = {}
+    for workload, build in workloads.WORKLOADS.items():
+        for cmd in build(SEED):
+            out[f"{workload}/{cmd.name}"] = (cmd.sub, cmd.config)
+    for ladder, (geo, E, _) in workloads.LADDERS.items():
+        out[f"spectrum/{ladder}"] = ("spectrum", {
+            "schema": workloads.SCHEMA, "geometry": geo, "E": E,
+            "test_function": workloads.GAUSSIAN, "N": {"list": [40, 400]},
+            "tolerances": dict(workloads.TOL)})
+    return out
+
+
+def _run(name, sub, config, tmp: Path) -> dict:
+    d = tmp / name.replace("/", "_")
+    d.mkdir(parents=True)
+    cfg = d / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = d / "out"
+    code = cli.main([sub, "--config", str(cfg), "--out", str(out)])
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return {"exit": code, "files": files}
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", list(_commands()))
+def test_output_digests(name, tmp_path):
+    golden = _golden()
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"digests come from numpy {golden['numpy']}, this is {np.__version__}")
+    sub, config = _commands()[name]
+    assert _run(name, sub, config, tmp_path) == golden["commands"][name]
+
+
+def test_golden_covers_every_command():
+    assert set(_golden()["commands"]) == set(_commands())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        result = {name: _run(name, sub, cfg, Path(tmp))
+                  for name, (sub, cfg) in _commands().items()}
+    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "seed": SEED,
+                                  "commands": result}, indent=1) + "\n")
