@@ -13,6 +13,7 @@ from .errors import (ChartError, DegenerateOrbitError, IntegratorError,
 from .testfn import (PairValidation, PoissonReport, TestFunction,
                      linear_combination, make_fourier_bump, make_gaussian,
                      make_gaussian_modulated, poisson_check, validate_pair)
+from .geometry import Geometry, Hyperbolic, Katok, Sphere, Torus
 from .spectra import (EnergyLevel, HyperbolicModel, SphereModel, SpectrumEntry,
                       TorusModel, Window, enumerate_window, hyperbolic_levels,
                       sphere_levels, torus_levels)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import (DegenerateOrbitError, MixedSupportError, ResonanceError,
                      ValidationError)
-from .spectra import EnergyLevel, HyperbolicModel, SphereModel, torus_levels
+from .geometry import Katok, Torus
+from .spectra import EnergyLevel, torus_levels
 from .testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
@@ -115,108 +116,55 @@ def _k_tail_bound(bound_at, k_start: int, max_terms: int = 200_000) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-geometry coefficient sums
+# coefficient sums of the closed-form ladders
 # ---------------------------------------------------------------------------
 
-def torus_c01(N: int, level: EnergyLevel, f: TestFunction,
-              ctl: KSumControl) -> CoefficientPrediction:
-    """Torus coefficients at B = 2pi.
+def poisson_c01(N: int, model, level: EnergyLevel, f: TestFunction,
+                ctl: KSumControl) -> CoefficientPrediction:
+    """c0 and c1 of a closed-form ladder at one N: its Poisson image.
 
-    c0 = (E/2pi) sum_k fhat(kE) e^{i k pi} e^{-i k (E^2-1) N/2}; c1 as in
-    the module docstring (corrected transcription).
+    Sums fhat, fhat', fhat'' at k * freq, k = 0, +-1, ..., +-k_max, with the
+    summands, phases and per-k bounds of ``model.poisson_image``.  Refused
+    before any evaluation: a sum whose largest squared k * freq (the tail
+    walk's first two steps included), phase argument or coefficient is not
+    finite, and a hyperbolic energy at or above the Mane level.
     """
     E = level.E
-    ks = np.array(list(_k_order(ctl.k_max)))
-    xi = ks * E
-    phase = np.exp(1j * math.pi * ks) * np.exp(-1j * ks * (E * E - 1.0) * N / 2.0)
-    h0 = np.asarray(f.phi_hat(xi), dtype=complex)
-    h1 = np.asarray(f.phi_hat_d1(xi), dtype=complex)
-    h2 = np.asarray(f.phi_hat_d2(xi), dtype=complex)
-    c0 = _fsum_complex((E / TWO_PI) * h0 * phase)
-    c1 = _fsum_complex(((1j / TWO_PI) * h1 + (1j * ks * E / (4.0 * math.pi)) * h2)
-                       * phase)
-
-    def bound_at(k):
-        out = 0.0
-        for kk in (k, -k):
-            u = abs(kk * E - f.hat_center)
-            out += ((E / TWO_PI) * f.hat_abs_bound(0, u)
-                    + (1.0 / TWO_PI) * f.hat_abs_bound(1, u)
-                    + (abs(kk) * E / (4.0 * math.pi)) * f.hat_abs_bound(2, u))
-        return out
-
-    tail = _k_tail_bound(bound_at, ctl.k_max + 1)
-    return CoefficientPrediction(N=int(N), c0=c0, c1=c1, d=1.0, k_tail=tail)
-
-
-def sphere_c01(N: int, model: SphereModel, level: EnergyLevel, f: TestFunction,
-               ctl: KSumControl) -> CoefficientPrediction:
-    """Sphere coefficients at B = 1/2, arbitrary radius R.
-
-    Frequency 2 pi E R k / sqrt(E^2-1+1/(4R^2)) with phases
-    e^{i pi k (N+1)} e^{-2 pi i k R sqrt(E^2-1+1/(4R^2)) N}.
-    """
-    E, R = level.E, model.R
-    beta = math.sqrt((E * E - 1.0) * R * R + 0.25)  # R*sqrt(E^2-1+1/(4R^2))
-    freq = TWO_PI * E * R * R / beta
+    freq = model.k_frequency(E)
+    try:
+        phase_scale, terms, bound = model.poisson_image(N, E)
+        top = (ctl.k_max + 2) * freq
+        finite = math.isfinite(top * top) and math.isfinite(ctl.k_max * phase_scale)
+    except OverflowError:  # a coefficient power such as the sphere's beta**3
+        finite = False
+    if not finite:
+        raise ValidationError(f"the k-sum at N={N}, E={E:.6g} leaves the double range")
     ks = np.array(list(_k_order(ctl.k_max)))
     xi = ks * freq
-    phase = np.exp(1j * math.pi * ks * (N + 1.0)) * np.exp(-2j * math.pi * ks * beta * N)
-    h0 = np.asarray(f.phi_hat(xi), dtype=complex)
-    h1 = np.asarray(f.phi_hat_d1(xi), dtype=complex)
-    h2 = np.asarray(f.phi_hat_d2(xi), dtype=complex)
-    a2 = math.pi * E * R**4 * (4.0 * R * R - 1.0) / (2.0 * beta**3)
-    a0 = math.pi * E * R * R / (2.0 * beta)
-    c0 = _fsum_complex(2.0 * E * R * R * h0 * phase)
-    c1 = _fsum_complex((2j * R * R * h1 - 1j * a2 * ks * h2 - 1j * a0 * ks * h0)
-                       * phase)
+    c0_terms, c1_terms = terms(ks, *(np.asarray(h(xi), dtype=complex)
+                                     for h in (f.phi_hat, f.phi_hat_d1, f.phi_hat_d2)))
 
     def bound_at(k):
         out = 0.0
         for kk in (k, -k):
             u = abs(kk * freq - f.hat_center)
-            out += (2.0 * E * R * R * f.hat_abs_bound(0, u)
-                    + 2.0 * R * R * f.hat_abs_bound(1, u)
-                    + abs(a2 * kk) * f.hat_abs_bound(2, u)
-                    + abs(a0 * kk) * f.hat_abs_bound(0, u))
+            out += bound(kk, *(f.hat_abs_bound(order, u) for order in range(3)))
         return out
 
-    tail = _k_tail_bound(bound_at, ctl.k_max + 1)
-    return CoefficientPrediction(N=int(N), c0=c0, c1=c1, d=1.0, k_tail=tail)
+    return CoefficientPrediction(N=int(N), c0=_fsum_complex(c0_terms),
+                                 c1=_fsum_complex(c1_terms), d=1.0,
+                                 k_tail=_k_tail_bound(bound_at, ctl.k_max + 1))
 
 
-def hyperbolic_c01(N: int, model: HyperbolicModel, level: EnergyLevel,
-                   f: TestFunction, ctl: KSumControl) -> CoefficientPrediction:
-    """Hyperbolic coefficients at B = 1, below the Mane level only."""
-    E, R = level.E, model.R
-    model.check_energy(E)
-    g2 = 2.0 * model.genus - 2.0
-    q = math.sqrt(1.0 / (R * R) + 1.0 - E * E)
-    freq = TWO_PI * E * R / q
-    ks = np.array(list(_k_order(ctl.k_max)))
-    xi = ks * freq
-    phase = np.exp(1j * math.pi * ks) * np.exp(2j * math.pi * ks * R * q * N)
-    h0 = np.asarray(f.phi_hat(xi), dtype=complex)
-    h1 = np.asarray(f.phi_hat_d1(xi), dtype=complex)
-    h2 = np.asarray(f.phi_hat_d2(xi), dtype=complex)
-    b0 = math.pi * E * R / (4.0 * q)
-    b2 = math.pi * E * (R * R + 1.0) * R / q**3
-    c0 = _fsum_complex(g2 * E * R * R * h0 * phase)
-    c1 = _fsum_complex(g2 * (1j * R * R * h1 + 1j * b0 * ks * h0 + 1j * b2 * ks * h2)
-                       * phase)
+def torus_c01(N, level, f, ctl):
+    return poisson_c01(N, Torus(), level, f, ctl)
 
-    def bound_at(k):
-        out = 0.0
-        for kk in (k, -k):
-            u = abs(kk * freq - f.hat_center)
-            out += g2 * (E * R * R * f.hat_abs_bound(0, u)
-                         + R * R * f.hat_abs_bound(1, u)
-                         + b0 * abs(kk) * f.hat_abs_bound(0, u)
-                         + b2 * abs(kk) * f.hat_abs_bound(2, u))
-        return out
 
-    tail = _k_tail_bound(bound_at, ctl.k_max + 1)
-    return CoefficientPrediction(N=int(N), c0=c0, c1=c1, d=1.0, k_tail=tail)
+def sphere_c01(N, model, level, f, ctl):
+    return poisson_c01(N, model, level, f, ctl)
+
+
+hyperbolic_c01 = sphere_c01
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +267,9 @@ def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
 
     Windows containing both the zero and a nonzero period are rejected.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValidationError(f"deformation parameter must lie in (0,1), got {eps}")
+    Tsharp = Katok(eps).k_frequency(SQRT2)  # refuses eps outside (0, 1)
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValidationError(f"N must be a positive integer, got {N}")
-    Tsharp = TWO_PI * SQRT2 / (1.0 - eps * eps)
     lo, hi = f.hat_support_interval(support_tol)
     zero_in = lo <= 0.0 <= hi
     k_in = [k for k in range(int(math.floor(lo / Tsharp)) - 1,

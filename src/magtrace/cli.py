@@ -5,8 +5,7 @@ Every run is driven by a JSON config (schema "magtrace/1"); unknown keys
 are rejected so archived configs replay byte-identically.  All outputs are
 computed in memory first and written at the end, so a failing run leaves
 no partial files; floats are rendered with 17 significant digits and LF
-line endings so identical configs produce byte-identical outputs,
-independent of --threads.
+line endings so identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, dynamics, spectra, testfn, tracesum
+from . import asymptotics, dynamics, geometry, spectra, testfn, tracesum
 from .errors import MagtraceError, ValidationError
 
 SCHEMA = "magtrace/1"
@@ -27,8 +26,6 @@ SCHEMA = "magtrace/1"
 _TOP_KEYS = {"schema", "geometry", "E", "test_function", "N", "tolerances",
              "seed", "orientation", "t_periods", "k_list", "mc_samples",
              "orbit_samples"}
-_GEOMETRY_KEYS = {"torus": {"kind"}, "sphere": {"kind", "R"},
-                  "hyperbolic": {"kind", "R", "genus"}, "katok": {"kind", "eps"}}
 _TOL_DEFAULTS = {"tail_tol": 1e-14, "ode_tol": 1e-11, "k_max": None,
                  "resonance_margin": 1e-6, "support_tol": 1e-12}
 # caps on a dynamics run, checked before anything is allocated or integrated
@@ -65,6 +62,15 @@ def _write_json(path, obj):
     with open(path, "w", newline="") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def _write_table(out_dir, name, fmt, header, rows):
+    """name.csv, or name.json as a list of one object per row."""
+    if fmt == "csv":
+        _write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)
+    else:
+        _write_json(os.path.join(out_dir, f"{name}.json"),
+                    [dict(zip(header, r)) for r in rows])
 
 
 def _load_config(path: str) -> dict:
@@ -104,48 +110,33 @@ def _number(value, name, *, integer=False, positive=False, cap=None):
     return int(value) if integer else float(value)
 
 
-def _geometry(cfg: dict) -> dynamics.GeometrySpec:
+def _geometry(cfg: dict) -> geometry.Geometry:
     geo = cfg.get("geometry")
     if not isinstance(geo, dict) or "kind" not in geo:
         raise ValidationError("config needs a geometry object with a 'kind'")
     kind = geo["kind"]
-    if kind not in _GEOMETRY_KEYS:
+    if not isinstance(kind, str) or kind not in geometry.KINDS:
         raise ValidationError(f"unknown geometry kind {kind!r}")
-    if set(geo) != _GEOMETRY_KEYS[kind]:
+    cls = geometry.KINDS[kind]
+    keys = {"kind", *cls.params}
+    if set(geo) != keys:
         raise ValidationError(
-            f"geometry {kind!r} takes exactly keys {sorted(_GEOMETRY_KEYS[kind])}, "
-            f"got {sorted(geo)}")
-    if kind == "torus":
-        return dynamics.GeometrySpec.torus()
-    if kind == "sphere":
-        return dynamics.GeometrySpec.sphere(_number(geo["R"], "R"))
-    if kind == "hyperbolic":
-        return dynamics.GeometrySpec.hyperbolic(
-            _number(geo["R"], "R"), _number(geo["genus"], "genus", integer=True))
-    return dynamics.GeometrySpec.katok(_number(geo["eps"], "eps"))
-
-
-def _spectral_model(geo: dynamics.GeometrySpec):
-    if geo.kind == "torus":
-        return spectra.TorusModel()
-    if geo.kind == "sphere":
-        return spectra.SphereModel(R=geo.R)
-    if geo.kind == "hyperbolic":
-        return spectra.HyperbolicModel(R=geo.R, genus=geo.genus)
-    raise ValidationError(
-        "the deformed sphere has no closed-form spectrum; spectral commands "
-        "support torus, sphere and hyperbolic geometries only")
+            f"geometry {kind!r} takes exactly keys {sorted(keys)}, got {sorted(geo)}")
+    return cls(**{key: _number(geo[key], key, integer=(typ is int))
+                  for key, typ in cls.params.items()})
 
 
 def _energy(cfg: dict, geo) -> spectra.EnergyLevel:
-    if geo.kind == "katok":
-        E = _number(cfg.get("E", math.sqrt(2.0)), "E")
-        if abs(E - math.sqrt(2.0)) > 1e-12:
-            raise ValidationError("the deformed-sphere example is stated at E = sqrt(2)")
-        return spectra.EnergyLevel.from_E(math.sqrt(2.0))
-    if "E" not in cfg:
+    stated = geo.stated_E
+    if stated is None and "E" not in cfg:
         raise ValidationError("config needs an energy E")
-    return spectra.EnergyLevel.from_E(_number(cfg["E"], "E"))
+    E = _number(cfg.get("E", stated), "E")
+    if stated is not None:
+        if abs(E - stated) > 1e-12:
+            raise ValidationError(
+                f"geometry {type(geo).__name__} is stated at E = {stated:.12g} only")
+        E = stated
+    return spectra.EnergyLevel.from_E(E)
 
 
 def _test_function(cfg: dict) -> testfn.TestFunction:
@@ -195,129 +186,70 @@ def _tolerances(cfg: dict) -> dict:
     return tol
 
 
+def _ladder_run(cfg: dict, spectral: bool) -> tuple:
+    """Geometry, energy level, test function, tolerances and N grid of a run
+    over a ladder; ``spectral`` runs refuse a geometry without a spectrum."""
+    geo = _geometry(cfg)
+    if spectral:
+        geo.check_spectrum()
+    level = _energy(cfg, geo)
+    f = _test_function(cfg)
+    tol = _tolerances(cfg)
+    return geo, level, f, tol, _N_list(cfg, level)
+
+
 def _k_control(geo, level, f, tol) -> asymptotics.KSumControl:
     if tol["k_max"] is not None:
         return asymptotics.KSumControl(k_max=tol["k_max"],
                                        resonance_margin=tol["resonance_margin"])
-    E = level.E
-    if geo.kind == "torus":
-        freq = E
-    elif geo.kind == "sphere":
-        beta = math.sqrt((E * E - 1.0) * geo.R**2 + 0.25)
-        freq = 2.0 * math.pi * E * geo.R**2 / beta
-    elif geo.kind == "hyperbolic":
-        q = math.sqrt(1.0 / geo.R**2 + 1.0 - E * E)
-        freq = 2.0 * math.pi * E * geo.R / q
-    else:
-        freq = 2.0 * math.pi * math.sqrt(2.0) / (1.0 - geo.eps**2)
     return asymptotics.KSumControl.for_function(
-        f, freq, tail_tol=min(tol["tail_tol"], 1e-15),
+        f, geo.k_frequency(level.E), tail_tol=min(tol["tail_tol"], 1e-15),
         resonance_margin=tol["resonance_margin"])
-
-
-def _parallel_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    import concurrent.futures  # only a threaded run pays for the import
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _predict_one(geo, level, f, ctl, tol, N):
-    if geo.kind == "torus":
-        return asymptotics.torus_c01(N, level, f, ctl)
-    if geo.kind == "sphere":
-        return asymptotics.sphere_c01(N, spectra.SphereModel(R=geo.R), level, f, ctl)
-    if geo.kind == "hyperbolic":
-        return asymptotics.hyperbolic_c01(
-            N, spectra.HyperbolicModel(R=geo.R, genus=geo.genus), level, f, ctl)
-    return asymptotics.katok_c0(N, geo.eps, f, ctl, support_tol=tol["support_tol"])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(cfg, out_dir, fmt, threads):
-    geo = _geometry(cfg)
-    model = _spectral_model(geo)
-    level = _energy(cfg, geo)
-    f = _test_function(cfg)
-    tol = _tolerances(cfg)
-    Ns = _N_list(cfg, level)
-    windows = _parallel_map(
-        lambda N: spectra.enumerate_window(model, N, level, f, tol["tail_tol"]),
-        Ns, threads)
+def cmd_spectrum(cfg, out_dir, fmt):
+    geo, level, f, tol, Ns = _ladder_run(cfg, spectral=True)
+    windows = [spectra.enumerate_window(geo, N, level, f, tol["tail_tol"]) for N in Ns]
     header = ["N", "j", "nu", "lambda", "mult", "tail_bound"]
     rows = []
     for win in windows:
         for e in win.entries():
             rows.append([e.N, e.j, e.nu, e.lam, e.mult, win.tail_bound])
-    if fmt == "csv":
-        _write_csv(os.path.join(out_dir, "spectrum.csv"), header, rows)
-    else:
-        _write_json(os.path.join(out_dir, "spectrum.json"),
-                    [dict(zip(header, r)) for r in rows])
+    _write_table(out_dir, "spectrum", fmt, header, rows)
     return 0
 
 
-def cmd_trace(cfg, out_dir, fmt, threads):
-    geo = _geometry(cfg)
-    model = _spectral_model(geo)
-    level = _energy(cfg, geo)
-    f = _test_function(cfg)
-    tol = _tolerances(cfg)
-    Ns = _N_list(cfg, level)
-    traces = _parallel_map(
-        lambda N: tracesum.y_n(model, N, level, f, tol["tail_tol"]), Ns, threads)
+def cmd_trace(cfg, out_dir, fmt):
+    geo, level, f, tol, Ns = _ladder_run(cfg, spectral=True)
+    traces = [tracesum.y_n(geo, N, level, f, tol["tail_tol"]) for N in Ns]
     header = ["N", "re_y", "im_y", "tail_bound"]
     rows = [[t.N, t.value.real, t.value.imag, t.tail_bound] for t in traces]
-    if fmt == "csv":
-        _write_csv(os.path.join(out_dir, "trace.csv"), header, rows)
-    else:
-        _write_json(os.path.join(out_dir, "trace.json"),
-                    [dict(zip(header, r)) for r in rows])
+    _write_table(out_dir, "trace", fmt, header, rows)
     return 0
 
 
-def cmd_predict(cfg, out_dir, fmt, threads):
-    geo = _geometry(cfg)
-    level = _energy(cfg, geo)
-    f = _test_function(cfg)
-    tol = _tolerances(cfg)
-    Ns = _N_list(cfg, level)
+def cmd_predict(cfg, out_dir, fmt):
+    geo, level, f, tol, Ns = _ladder_run(cfg, spectral=False)
     ctl = _k_control(geo, level, f, tol)
-    preds = _parallel_map(lambda N: _predict_one(geo, level, f, ctl, tol, N),
-                          Ns, threads)
+    preds = [geo.predict(N, level, f, ctl, tol["support_tol"]) for N in Ns]
     header = ["N", "re_c0", "im_c0", "re_c1", "im_c1", "d", "k_tail"]
     rows = [[p.N, p.c0.real, p.c0.imag, p.c1.real, p.c1.imag, p.d, p.k_tail]
             for p in preds]
-    if fmt == "csv":
-        _write_csv(os.path.join(out_dir, "predict.csv"), header, rows)
-    else:
-        _write_json(os.path.join(out_dir, "predict.json"),
-                    [dict(zip(header, r)) for r in rows])
+    _write_table(out_dir, "predict", fmt, header, rows)
     return 0
 
 
-def cmd_residual(cfg, out_dir, fmt, threads):
-    geo = _geometry(cfg)
-    model = _spectral_model(geo)
-    level = _energy(cfg, geo)
-    f = _test_function(cfg)
-    tol = _tolerances(cfg)
-    Ns = _N_list(cfg, level)
+def cmd_residual(cfg, out_dir, fmt):
+    geo, level, f, tol, Ns = _ladder_run(cfg, spectral=True)
     ctl = _k_control(geo, level, f, tol)
-
-    def one(N):
-        t = tracesum.y_n(model, N, level, f, tol["tail_tol"])
-        p = _predict_one(geo, level, f, ctl, tol, N)
-        return t, p
-
-    pairs = _parallel_map(one, Ns, threads)
-    traces = [t for t, _ in pairs]
-    preds = [p for _, p in pairs]
+    traces, preds = [], []
+    for N in Ns:
+        traces.append(tracesum.y_n(geo, N, level, f, tol["tail_tol"]))
+        preds.append(geo.predict(N, level, f, ctl, tol["support_tol"]))
     report = asymptotics.residual_report(traces, preds)
     header = ["N", "re_c0", "im_c0", "re_c1", "im_c1", "re_r", "im_r",
               "scaled_residual", "noise_floor"]
@@ -341,7 +273,7 @@ def cmd_residual(cfg, out_dir, fmt, threads):
     return 0 if report.passed else 1
 
 
-def cmd_dynamics(cfg, out_dir, fmt, threads):
+def cmd_dynamics(cfg, out_dir, fmt):
     geo = _geometry(cfg)
     level = _energy(cfg, geo)
     tol = _tolerances(cfg)
@@ -390,9 +322,12 @@ def cmd_dynamics(cfg, out_dir, fmt, threads):
                 inv.S, inv.L * c + hol_num)
         report["numeric"] = numeric
         ts, ys, _ = flow.sample(n_samples)
-        columns = [ts, *ys, dynamics._hamiltonian_array(geo, ys)]
-        if geo.kind == "katok":
-            columns.append(dynamics.katok_first_integral(geo.eps, ys))
+        columns = [ts, *ys, geo.hamiltonian(ys)]
+        header = ["t", "q1", "q2", "p1", "p2", "H"]
+        P = geo.first_integral(ys)
+        if P is not None:
+            columns.append(P)
+            header.append("P")
         rows = list(zip(*(col.tolist() for col in columns)))
     if mc_samples > 0:
         mc = dynamics.mc_liouville_volume(geo, level.E, mc_samples, seed)
@@ -404,20 +339,15 @@ def cmd_dynamics(cfg, out_dir, fmt, threads):
         report["liouville_volume"] = {
             "closed_form": dynamics.liouville_volume(geo, level.E)}
 
-    header = ["t", "q1", "q2", "p1", "p2", "H"] + (["P"] if geo.kind == "katok" else [])
     if rows:
-        if fmt == "csv":
-            _write_csv(os.path.join(out_dir, "orbit.csv"), header, rows)
-        else:
-            _write_json(os.path.join(out_dir, "orbit.json"),
-                        [dict(zip(header, r)) for r in rows])
+        _write_table(out_dir, "orbit", fmt, header, rows)
     _write_json(os.path.join(out_dir, "invariants.json"), report)
     return 0
 
 
-def cmd_katok(cfg, out_dir, fmt, threads):
+def cmd_katok(cfg, out_dir, fmt):
     geo = _geometry(cfg)
-    if geo.kind != "katok":
+    if not isinstance(geo, geometry.Katok):
         raise ValidationError("the katok command needs geometry kind 'katok'")
     level = _energy(cfg, geo)
     tol = _tolerances(cfg)
@@ -428,10 +358,10 @@ def cmd_katok(cfg, out_dir, fmt, threads):
             or any(not isinstance(k, int) or k == 0 for k in k_list)):
         raise ValidationError("k_list must be a nonempty list of nonzero integers")
 
-    monodromy = {}
+    monodromy, analytic = {}, {}
     max_mono_dev = 0.0
     for label in ("+", "-"):
-        ana = dynamics.katok_poincare_analytic(eps, level.E, label)
+        ana = analytic[label] = dynamics.katok_poincare_analytic(eps, level.E, label)
         num = dynamics.katok_monodromy_numeric(eps, level.E, label, tol["ode_tol"])
         dev = float(np.max(np.abs(num - ana.matrix)))
         max_mono_dev = max(max_mono_dev, dev)
@@ -455,9 +385,8 @@ def cmd_katok(cfg, out_dir, fmt, threads):
                                 "kappa": ms.kappa, "sgn_r": ms.sgn_r})
             closed = asymptotics.katok_term_closed(N, eps, k, branch, 1.0,
                                                    tol["resonance_margin"])
-            ana = dynamics.katok_poincare_analytic(eps, level.E, label)
             det_k = float(np.linalg.det(
-                np.eye(2) - np.linalg.matrix_power(ana.matrix, k)))
+                np.eye(2) - np.linalg.matrix_power(analytic[label].matrix, k)))
             assembled = asymptotics.general_c0_nondegenerate(
                 Tsharp=inv[label].Tsharp, m=ms.m, S=k * inv[label].S,
                 detIminusP=abs(det_k), Tgamma=k * inv[label].Tsharp,
@@ -482,9 +411,7 @@ def cmd_katok(cfg, out_dir, fmt, threads):
         "max_assembly_rel_dev": max_assembly_dev,
         "passed": passed,
     }
-    if fmt == "json":
-        _write_json(os.path.join(out_dir, "katok_report.json"), report)
-    else:
+    if fmt == "csv":
         header = ["k", "branch", "m", "kappa", "sgn_r", "re_closed", "im_closed",
                   "re_assembled", "im_assembled", "rel_dev"]
         rows = []
@@ -497,7 +424,7 @@ def cmd_katok(cfg, out_dir, fmt, threads):
         rows.append(["max_assembly_rel_dev", "", "", "", "", "", "", "", "",
                      max_assembly_dev])
         _write_csv(os.path.join(out_dir, "katok_report.csv"), header, rows)
-        _write_json(os.path.join(out_dir, "katok_report.json"), report)
+    _write_json(os.path.join(out_dir, "katok_report.json"), report)
     return 0 if passed else 1
 
 
@@ -511,18 +438,6 @@ _COMMANDS = {
 }
 
 
-def _thread_count(flag):
-    """--threads if given, else MAGTRACE_THREADS, else 1."""
-    if flag is not None:
-        return flag
-    env = os.environ.get("MAGTRACE_THREADS", "1")
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(
-            f"MAGTRACE_THREADS must be an integer, got {env!r}") from None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="magtrace",
@@ -533,13 +448,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        threads = _thread_count(args.threads)
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.format, threads)
+        return _COMMANDS[args.command](cfg, args.out, args.format)
     except MagtraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

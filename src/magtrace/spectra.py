@@ -1,7 +1,8 @@
-"""Closed-form eigenvalue ladders of the magnetic Laplacians.
+"""Eigenvalue windows on the closed-form ladders of the magnetic Laplacians.
 
 Three exactly solvable geometries are covered, each at the quantized
-field strength its closed-form spectrum requires:
+field strength its closed-form spectrum requires (the ladders are methods
+of the ``geometry`` classes):
 
 * flat torus, B = 2pi:      nu_{N,j} = 2 pi N (2j+1),              mult N
 * round sphere, B = 1/2:    nu_{N,j} = [j(j+1) + (N/2)(2j+1)]/R^2, mult N+2j+1
@@ -34,10 +35,9 @@ import math
 
 import numpy as np
 
-from .errors import ManeLevelError, ValidationError
+from .errors import ValidationError
+from .geometry import Hyperbolic, Sphere, Torus
 from .testfn import TestFunction
-
-TWO_PI = 2.0 * math.pi
 
 # Largest ladder index range a window query may touch, checked before any
 # array is built: rungs 0..j_last, or j_first..N-1 on the finite hyperbolic
@@ -84,55 +84,8 @@ class EnergyLevel:
                 f"N={N} is too large at E={self.E:.6g}: (E*N)^2 overflows a double")
 
 
-@dataclasses.dataclass(frozen=True)
-class TorusModel:
-    """Flat torus R^2/Z^2; only the quantized field B = 2pi is implemented."""
-
-    B: float = TWO_PI
-
-    def __post_init__(self):
-        if self.B != TWO_PI:
-            raise ValidationError("TorusModel implements the quantized case B = 2pi only")
-
-
-@dataclasses.dataclass(frozen=True)
-class SphereModel:
-    """Round sphere of radius R; field strength frozen to B = 1/2."""
-
-    R: float
-    B: float = 0.5
-
-    def __post_init__(self):
-        if not (self.R > 0.0 and math.isfinite(self.R)):
-            raise ValidationError(f"sphere radius must be positive, got {self.R}")
-        if self.B != 0.5:
-            raise ValidationError("SphereModel implements the quantized case B = 1/2 only")
-
-
-@dataclasses.dataclass(frozen=True)
-class HyperbolicModel:
-    """Compact hyperbolic surface of genus g >= 2, curvature -1/R^2, B = 1."""
-
-    R: float
-    genus: int
-    B: float = 1.0
-
-    def __post_init__(self):
-        if not (self.R > 0.0 and math.isfinite(self.R)):
-            raise ValidationError(f"curvature scale must be positive, got {self.R}")
-        if not (isinstance(self.genus, int) and self.genus >= 2):
-            raise ValidationError(f"genus must be an integer >= 2, got {self.genus}")
-        if self.B != 1.0:
-            raise ValidationError("HyperbolicModel implements the quantized case B = 1 only")
-
-    @property
-    def mane_E(self) -> float:
-        """Upper limit of serviceable energies, sqrt(1/R^2 + 1)."""
-        return math.sqrt(1.0 / (self.R * self.R) + 1.0)
-
-    def check_energy(self, E: float) -> None:
-        if not E < self.mane_E:
-            raise ManeLevelError(E, self.mane_E)
+# the closed-form ladders are the geometries that carry one
+TorusModel, SphereModel, HyperbolicModel = Torus, Sphere, Hyperbolic
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,38 +106,30 @@ def _check_Nj(N, j):
         raise ValidationError(f"j must be a nonnegative integer, got {j}")
 
 
-def torus_levels(N: int, j: int) -> SpectrumEntry:
-    """Landau level nu = 2 pi N (2j+1) on the torus, multiplicity N."""
-    _check_Nj(N, j)
-    nu = TWO_PI * N * (2 * j + 1)
-    return SpectrumEntry(N=int(N), j=int(j), nu=nu,
-                         lam=math.sqrt(nu + N * N), mult=int(N))
+def levels(model, N: int, j: int) -> SpectrumEntry:
+    """Rung j of the ladder at N, with lam = sqrt(nu + N^2).
 
-
-def sphere_levels(model: SphereModel, N: int, j: int) -> SpectrumEntry:
-    """Spherical Landau level nu = [j(j+1) + (N/2)(2j+1)]/R^2, mult N+2j+1."""
-    _check_Nj(N, j)
-    nu = (j * (j + 1.0) + 0.5 * N * (2 * j + 1.0)) / (model.R * model.R)
-    return SpectrumEntry(N=int(N), j=int(j), nu=nu,
-                         lam=math.sqrt(nu + N * N), mult=int(N + 2 * j + 1))
-
-
-def hyperbolic_levels(model: HyperbolicModel, N: int, j: int) -> SpectrumEntry:
-    """Hyperbolic Landau level on the integrable branch 0 <= j < N - 1/2.
-
-    Raises a range error outside that branch: those indices belong to the
-    non-integrable part of the spectrum, which this module does not model.
+    Raises a range error past the hyperbolic ladder's integrable branch
+    0 <= j < N - 1/2: those indices belong to the non-integrable part of the
+    spectrum, which this module does not model.
     """
     _check_Nj(N, j)
-    if not j < N - 0.5:
+    cap = model.j_cap(N)
+    if cap is not None and j > cap:
         raise ValidationError(
             f"j={j} is outside the integrable range 0 <= j < N - 1/2 for N={N}; "
             "the requested eigenvalue belongs to the chaotic part of the spectrum"
         )
-    nu = (0.25 + N * N - (j + 0.5 - N) ** 2) / (model.R * model.R)
-    mult = (model.genus - 1) * (2 * N - 2 * j - 1)
-    return SpectrumEntry(N=int(N), j=int(j), nu=nu,
+    nu, mult = model.ladder(N, float(j))
+    return SpectrumEntry(N=int(N), j=int(j), nu=float(nu),
                          lam=math.sqrt(nu + N * N), mult=int(mult))
+
+
+def torus_levels(N: int, j: int) -> SpectrumEntry:
+    return levels(Torus(), N, j)
+
+
+sphere_levels = hyperbolic_levels = levels
 
 
 # ---------------------------------------------------------------------------
@@ -219,71 +164,6 @@ class Window:
                 for j, nu, lam, m in zip(self.j, self.nu, self.lam, self.mult)]
 
 
-def _torus_arrays(model, N, j):
-    nu = TWO_PI * N * (2.0 * j + 1.0)
-    mult = np.full(j.shape, float(N))
-    return nu, mult
-
-
-def _sphere_arrays(model, N, j):
-    nu = (j * (j + 1.0) + 0.5 * N * (2.0 * j + 1.0)) / (model.R * model.R)
-    mult = N + 2.0 * j + 1.0
-    return nu, mult
-
-
-def _hyperbolic_arrays(model, N, j):
-    nu = (0.25 + N * N - (j + 0.5 - N) ** 2) / (model.R * model.R)
-    mult = (model.genus - 1) * (2.0 * N - 2.0 * j - 1.0)
-    return nu, mult
-
-
-def _arrays(model, N, j):
-    if isinstance(model, TorusModel):
-        return _torus_arrays(model, N, j)
-    if isinstance(model, SphereModel):
-        return _sphere_arrays(model, N, j)
-    if isinstance(model, HyperbolicModel):
-        return _hyperbolic_arrays(model, N, j)
-    raise ValidationError(f"unknown model {model!r}")
-
-
-def _j_from_lambda(model, N, lam):
-    """Real-valued index solving lambda(j) = lam (clipped below at 0)."""
-    if isinstance(model, TorusModel):
-        return (lam * lam - N * N - TWO_PI * N) / (4.0 * math.pi * N)
-    if isinstance(model, SphereModel):
-        R2 = model.R * model.R
-        u2 = R2 * (lam * lam - N * N) + (N * N + 1.0) / 4.0
-        return math.sqrt(max(u2, 0.0)) - (N + 1.0) / 2.0
-    if isinstance(model, HyperbolicModel):
-        R2 = model.R * model.R
-        arg = 0.25 + N * N - R2 * (lam * lam - N * N)
-        return N - 0.5 - math.sqrt(max(arg, 0.0))
-    raise ValidationError(f"unknown model {model!r}")
-
-
-def _j_max(model, N):
-    """Largest admissible index (inclusive), or None when unbounded."""
-    if isinstance(model, HyperbolicModel):
-        return N - 1  # integer part of the open bound N - 1/2
-    return None
-
-
-def _measure_coeff(model):
-    """c with   mult(j) dj = c lam dlam   along the ladder (an exact identity).
-
-    Torus: c = 1/(2 pi).  Sphere: c = 2 R^2 (u = j + (N+1)/2).  Hyperbolic:
-    c = 2 (g-1) R^2 (u = N - j - 1/2, mult = 2(g-1)u, R^2 dnu = -2u du).
-    """
-    if isinstance(model, TorusModel):
-        return 1.0 / TWO_PI
-    if isinstance(model, SphereModel):
-        return 2.0 * model.R * model.R
-    if isinstance(model, HyperbolicModel):
-        return 2.0 * (model.genus - 1) * model.R * model.R
-    raise ValidationError(f"unknown model {model!r}")
-
-
 def _upper_tail_bound(model, N, E, env, j_start):
     """Certified bound on sum_{j >= j_start} mult_j env(|x_j|), for x_{j_start} > 0.
 
@@ -296,19 +176,19 @@ def _upper_tail_bound(model, N, E, env, j_start):
     """
     if j_start < 0:
         j_start = 0
-    c_geo = _measure_coeff(model)
-    j_cap = _j_max(model, N)
+    c_geo = model.measure_coeff
+    j_cap = model.j_cap(N)
     if j_cap is not None:
         if j_start > j_cap:
             return 0.0
-        nu, mult = _arrays(model, N, np.array([j_start], dtype=float))
+        nu, mult = model.ladder(N, np.array([j_start], dtype=float))
         x = math.sqrt(nu[0] + N * N) - E * N
         return float(mult[0] * float(env(x)) + c_geo * env.halfline_moment(x, E * N, 1.0))
     total = 0.0
     j = j_start
     for _ in range(10_000_000):
         jj = np.array([j, j + 1, j + 2], dtype=float)
-        nu, mult = _arrays(model, N, jj)
+        nu, mult = model.ladder(N, jj)
         lam = np.sqrt(nu + N * N)
         x = lam - E * N
         t = mult * np.asarray(env(np.abs(x)), dtype=float)
@@ -334,35 +214,12 @@ def _lower_tail_bound(model, N, E, env, j_end):
     """
     if j_end < 0:
         return 0.0
-    nu, mult = _arrays(model, N, np.array([j_end, j_end + 1], dtype=float))
+    nu, mult = model.ladder(N, np.array([j_end, j_end + 1], dtype=float))
     lam = math.sqrt(nu[0] + N * N)
     a = E * N - lam
     drop = max(0.0, mult[0] - mult[1])
-    moment = _measure_coeff(model) * env.halfline_moment(a, lam, 0.0)
+    moment = model.measure_coeff * env.halfline_moment(a, lam, 0.0)
     return float(mult[0] * float(env(a)) + (1.0 + drop / mult[0]) * moment)
-
-
-def _hyperbolic_chaotic_bound(model, N, E, env):
-    """Weyl-majorant bound for the non-integrable spectral branch.
-
-    Every such eigenvalue has lam >= Lambda_0 = sqrt(N^2 + (N^2+1/4)/R^2),
-    i.e. sits at least (mane_E - E) N above the window center.  The counting
-    function is majorized by four times the Weyl density of the Bochner
-    Laplacian, count(nu <= V) <= W V with W = Vol(M)/pi and
-    Vol(M) = 2 pi R^2 (2g-2); the layer-cake bound for a nonincreasing
-    envelope g then gives
-
-        sum g(lam_i) <= W (Lambda_0^2 - N^2) g(x_0) +
-                        2 W integral_{x_0}^inf (x + E N) g(x) dx.
-    """
-    R2 = model.R * model.R
-    W = 2.0 * R2 * (2 * model.genus - 2)
-    lam0 = math.sqrt(N * N + (N * N + 0.25) / R2)
-    x0 = lam0 - E * N
-    if x0 <= 0.0:
-        raise ManeLevelError(E, model.mane_E)
-    boundary = W * ((N * N + 0.25) / R2) * float(env(x0))
-    return boundary + 2.0 * W * env.halfline_moment(x0, E * N, 1.0)
 
 
 def _window_indices(model, N, E, radius):
@@ -375,11 +232,11 @@ def _window_indices(model, N, E, radius):
     """
     lam_lo = E * N - radius
     lam_hi = E * N + radius
-    j_cap = _j_max(model, N)
+    j_cap = model.j_cap(N)
     if lam_hi <= 0.0:
         return 0, -1  # empty window
-    lo_real = _j_from_lambda(model, N, max(lam_lo, 0.0)) if lam_lo > 0 else 0.0
-    hi_real = _j_from_lambda(model, N, lam_hi)
+    lo_real = model.j_of_lam(N, max(lam_lo, 0.0)) if lam_lo > 0 else 0.0
+    hi_real = model.j_of_lam(N, lam_hi)
     where = f"the window E*N +- {radius:.6g} at N={N}, E={E:.6g}"
     if not (math.isfinite(lo_real) and math.isfinite(hi_real)):
         raise ValidationError(f"{where} has no finite ladder index bounds")
@@ -406,14 +263,13 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     """
     _check_Nj(N, 0)
     E = level.E
-    if isinstance(model, HyperbolicModel):
-        model.check_energy(E)
+    model.check_energy(E)
     radius = f.radius(tail_tol)
     env = f.time_env
     j_first, j_last = _window_indices(model, N, E, radius)
 
     j = np.arange(j_first, j_last + 1, dtype=float)
-    nu, mult = _arrays(model, N, j)
+    nu, mult = model.ladder(N, j)
     lam = np.sqrt(nu + N * N)
     x = lam - E * N
     kept = np.flatnonzero(np.abs(x) <= radius * (1.0 + 1e-15))
@@ -427,9 +283,8 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     first_kept, last_kept = j_first + sel.start, j_first + sel.stop - 1
 
     tail = (_lower_tail_bound(model, N, E, env, first_kept - 1)
-            + _upper_tail_bound(model, N, E, env, last_kept + 1))
-    if isinstance(model, HyperbolicModel):
-        tail += _hyperbolic_chaotic_bound(model, N, E, env)
+            + _upper_tail_bound(model, N, E, env, last_kept + 1)
+            + model.chaotic_tail(N, E, env))
 
     return Window(N=int(N), E=E, radius=radius, j=j[sel].astype(np.int64),
                   nu=nu[sel], lam=lam[sel], mult=mult[sel], tail_bound=float(tail))

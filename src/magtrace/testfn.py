@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import threading
 from typing import Callable
 
 import numpy as np
@@ -243,55 +242,19 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 def make_gaussian(s: float) -> TestFunction:
-    """Gaussian pair phi(x) = exp(-x^2/(2 s^2)), phi_hat = s*sqrt(2pi)*exp(-s^2 xi^2/2)."""
-    if not (s > 0.0 and math.isfinite(s)):
-        raise ValidationError(f"gaussian width s must be positive, got {s}")
-    amp = s * math.sqrt(TWO_PI)
+    """Gaussian pair phi(x) = exp(-x^2/(2 s^2)), phi_hat = s*sqrt(2pi)*exp(-s^2 xi^2/2).
 
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-np.square(x) / (2.0 * s * s))
-
-    def phi_hat(xi):
-        xi = np.asarray(xi, dtype=float)
-        return amp * np.exp(-s * s * np.square(xi) / 2.0)
-
-    def phi_hat_d1(xi):
-        xi = np.asarray(xi, dtype=float)
-        return -s * s * xi * phi_hat(xi)
-
-    def phi_hat_d2(xi):
-        xi = np.asarray(xi, dtype=float)
-        return (s**4 * np.square(xi) - s * s) * phi_hat(xi)
-
-    def radius(tol):
-        return s * math.sqrt(2.0 * math.log(1.0 / tol))
-
-    def hat_radius(tol):
-        if tol >= amp:
-            return 0.0
-        return math.sqrt(2.0 * math.log(amp / tol)) / s
-
-    hat_env = GaussianEnvelope(amp, 1.0 / s)
-
-    def hat_abs(order, u):
-        e = hat_env(u)
-        if order == 0:
-            return e
-        if order == 1:
-            return s * s * np.abs(u) * e
-        return (s**4 * np.square(u) + s * s) * e
-
-    return TestFunction(
-        kind="gaussian", complex_valued=False, params={"s": s},
-        phi=phi, phi_hat=phi_hat, phi_hat_d1=phi_hat_d1, phi_hat_d2=phi_hat_d2,
-        time_env=GaussianEnvelope(1.0, s), hat_env=hat_env,
-        _radius_fn=radius, _hat_radius_fn=hat_radius, _hat_abs_fn=hat_abs,
-    )
+    The b = 0 case of ``make_gaussian_modulated``, under its own kind.
+    """
+    return dataclasses.replace(make_gaussian_modulated(s, 0.0), kind="gaussian",
+                               params={"s": s})
 
 
 def make_gaussian_modulated(s: float, b: float) -> TestFunction:
-    """Modulated gaussian exp(-x^2/(2 s^2)) exp(i b x); phi_hat recentred at b."""
+    """Modulated gaussian exp(-x^2/(2 s^2)) exp(i b x); phi_hat recentred at b.
+
+    phi is real-valued at b = 0, where the modulation is exactly 1.
+    """
     if not (s > 0.0 and math.isfinite(s)):
         raise ValidationError(f"gaussian width s must be positive, got {s}")
     if not math.isfinite(b):
@@ -300,7 +263,8 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
 
     def phi(x):
         x = np.asarray(x, dtype=float)
-        return np.exp(-np.square(x) / (2.0 * s * s)) * np.exp(1j * b * x)
+        g = np.exp(-np.square(x) / (2.0 * s * s))
+        return g * np.exp(1j * b * x) if b != 0.0 else g
 
     def phi_hat(xi):
         u = np.asarray(xi, dtype=float) - b
@@ -482,13 +446,11 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         return hi / w
 
     radii = {}
-    radii_lock = threading.Lock()  # sweeps call radius from worker threads
 
     def radius(tol):
-        with radii_lock:
-            if tol not in radii:
-                radii[tol] = search(tol)
-            return radii[tol]
+        if tol not in radii:
+            radii[tol] = search(tol)
+        return radii[tol]
 
     def hat_radius(tol):
         # exact compact support around tau0, independent of the tolerance

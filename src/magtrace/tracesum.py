@@ -3,9 +3,8 @@
 Sums run over a certified eigenvalue window (see ``spectra``) and are
 accumulated with Shewchuk exact summation (``math.fsum``), which returns
 the correctly rounded value of the underlying real sum.  The result is
-therefore reproducible bit-for-bit regardless of summation order or
-parallel chunking, which is stronger than the compensated-accumulation
-requirement it discharges.
+therefore reproducible bit-for-bit regardless of summation order, which
+is stronger than the compensated-accumulation requirement it discharges.
 """
 
 from __future__ import annotations

@@ -298,6 +298,18 @@ def test_maslov_rotation_counting_consistency():
                 assert d.m == d.sgn_r + 2 * d.kappa
 
 
+@pytest.mark.parametrize("eps", np.linspace(0.013, 0.947, 48).tolist())
+def test_maslov_rotation_count_equals_closed_form(eps):
+    # m = sgn R + 2 kappa by rotation counting is the closed form
+    # 2 floor(2k/(1 -+ eps)) + 2 sign(k) + 1 on both branches
+    for k in [*range(1, 13), *range(-12, 0)]:
+        for orientation, sg in (("+", 1), ("-", -1)):
+            x = 2.0 * k / (1.0 - sg * eps)
+            assert abs(x - round(2.0 * x) / 2.0) > 1e-4  # the grid is non-resonant
+            m = maslov_katok(k, eps, orientation).m
+            assert m == 2 * math.floor(x) + 2 * (1 if k > 0 else -1) + 1
+
+
 def test_katok_zero_period_window():
     eps = 1.0 / math.sqrt(5.0)
     f = make_gaussian(1.0)  # effective hat support well inside (-T#, T#)

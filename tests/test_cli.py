@@ -5,13 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from magtrace import ValidationError, cli, katok_first_integral
 from magtrace.cli import _number, main
-from magtrace.dynamics import _hamiltonian_array
 
 SQRT2 = math.sqrt(2.0)
 
@@ -172,45 +172,29 @@ def test_dynamics_command_hyperbolic_above_mane(tmp_path):
     assert not (out / "orbit.csv").exists()
 
 
-def _run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def _run_cli(args):
     return subprocess.run([sys.executable, "-m", "magtrace", *args],
-                          capture_output=True, env=env, text=True)
+                          capture_output=True, env=dict(os.environ), text=True)
 
 
-def test_byte_identical_reruns_and_threads(tmp_path):
+def test_byte_identical_reruns(tmp_path):
     cfg = _base_cfg(N={"start": 10, "stop": 60, "step": 10})
     path = _write_cfg(tmp_path, "cfg.json", cfg)
-    outs = [tmp_path / f"out{i}" for i in range(3)]
-    r1 = _run_cli(["trace", "--config", path, "--out", str(outs[0]), "--threads", "1"])
-    r2 = _run_cli(["trace", "--config", path, "--out", str(outs[1]), "--threads", "1"])
-    r8 = _run_cli(["trace", "--config", path, "--out", str(outs[2]), "--threads", "8"])
-    assert r1.returncode == r2.returncode == r8.returncode == 0
-    b1 = (outs[0] / "trace.csv").read_bytes()
-    assert b1 == (outs[1] / "trace.csv").read_bytes()
-    assert b1 == (outs[2] / "trace.csv").read_bytes()
+    outs = [tmp_path / f"out{i}" for i in range(2)]
+    r1 = _run_cli(["trace", "--config", path, "--out", str(outs[0])])
+    r2 = _run_cli(["trace", "--config", path, "--out", str(outs[1])])
+    assert r1.returncode == r2.returncode == 0
+    assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
 
 
-def test_threads_env_fallback(tmp_path):
-    cfg = _base_cfg(N={"list": [5, 10]})
-    path = _write_cfg(tmp_path, "cfg.json", cfg)
-    out = tmp_path / "env_out"
-    r = _run_cli(["trace", "--config", path, "--out", str(out)],
-                 env_extra={"MAGTRACE_THREADS": "4"})
-    assert r.returncode == 0
-    assert (out / "trace.csv").exists()
-
-
-def test_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys):
+def test_threads_flag_is_gone(tmp_path, capsys):
+    # commands run in one thread; the former --threads option is a usage error
     path = _write_cfg(tmp_path, "cfg.json", _base_cfg())
     out = tmp_path / "out"
-    monkeypatch.setenv("MAGTRACE_THREADS", "abc")
-    assert main(["trace", "--config", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "MAGTRACE_THREADS" in err
-    assert err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--config", path, "--out", str(out), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -243,7 +227,7 @@ def test_dynamics_orbit_csv_matches_per_row_formulas(tmp_path, geometry, E):
         # 17 significant digits read back to the sampled double exactly
         t, *y = (float(v) for v in line.split(",")[:5])
         y = np.array(y)
-        row = [t, *y, _hamiltonian_array(geo, y)]
+        row = [t, *y, geo.hamiltonian(y)]
         if katok:
             row.append(katok_first_integral(geo.eps, y))
         assert line == ",".join(format(float(v), ".17g") for v in row)
@@ -267,10 +251,12 @@ _SPHERE = {"kind": "sphere", "R": 0.5}
     (_SPHERE, {"mc_samples": 10**9}),
     ({"kind": "hyperbolic", "R": 1.0, "genus": 2.5}, {"E": 1.2}),
     (_SPHERE, {"tolerances": {"k_max": True}}),
+    ({"kind": ["sphere"], "R": 0.5}, {}),
 ], ids=["orbit_samples_negative", "seed_negative", "mc_samples_negative",
         "mc_samples_one", "orbit_samples_bool", "orbit_samples_fraction",
         "sphere_R_string", "katok_E_string", "t_periods_huge", "t_periods_inf",
-        "orbit_samples_huge", "mc_samples_huge", "genus_fraction", "k_max_bool"])
+        "orbit_samples_huge", "mc_samples_huge", "genus_fraction", "k_max_bool",
+        "kind_not_a_string"])
 def test_dynamics_bad_number_exits_2(tmp_path, capsys, geometry, extra):
     cfg = {"schema": "magtrace/1", "geometry": geometry}
     if geometry["kind"] != "katok":
@@ -315,6 +301,45 @@ def test_N_whose_energy_scale_overflows_exits_2(tmp_path, capsys, sub, E, N):
     err = capsys.readouterr().err
     assert err.startswith("error: N=") and "(E*N)^2 overflows" in err
     assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("geometry", [{"kind": "torus"}, {"kind": "sphere", "R": 0.5}],
+                         ids=["torus", "sphere"])
+def test_predict_k_sum_past_double_range_exits_2(tmp_path, capsys, geometry):
+    # (E N)^2 is finite at N=1, but the torus k-sum squares (k E)^2 and the
+    # sphere's c1 coefficient cubes beta ~ E R: refused before any evaluation
+    path = _write_cfg(tmp_path, "cfg.json", _base_cfg(geometry=geometry, E=1e154))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["predict", "--config", path, "--out", str(out)])
+    assert code == 2 and not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: the k-sum") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sub", ["predict", "residual"])
+def test_k_sum_above_mane_level_exits_3(tmp_path, capsys, sub):
+    cfg = _base_cfg(geometry={"kind": "hyperbolic", "R": 1.0, "genus": 2}, E=1.5,
+                    N={"start": 10, "stop": 50, "step": 10})
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main([sub, "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Mane level" in err and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "trace", "residual"])
+def test_spectral_commands_refuse_the_deformed_sphere(tmp_path, capsys, sub):
+    cfg = _base_cfg(geometry={"kind": "katok", "eps": 0.3}, E=SQRT2)
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main([sub, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no closed-form spectrum" in err and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -12,8 +12,6 @@ from magtrace import (ChartError, GeometrySpec, IntegratorError, PhaseState,
                       katok_monodromy_numeric, katok_poincare_analytic,
                       liouville_volume, maslov_katok, mc_liouville_volume,
                       metric_area, numeric_holonomy)
-from magtrace.dynamics import (_hamiltonian_array, _sphere_switch_chart,
-                               _vector_potential_pullback)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -192,7 +190,7 @@ def test_drift_monitors_match_per_point(geo, E):
     for seg in res.segments:
         for t in np.linspace(seg.t0, seg.t1, max(2, int(256 * (seg.t1 - seg.t0) / T))):
             y = seg.sol(t)
-            drift = max(drift, abs(_hamiltonian_array(geo, y) - E))
+            drift = max(drift, abs(geo.hamiltonian(y) - E))
             if katok:
                 fdrift = max(fdrift, abs(katok_first_integral(geo.eps, y) - P0))
     assert res.energy_drift == drift
@@ -209,7 +207,7 @@ def test_holonomy_matches_per_point(geo, E):
         edges = np.linspace(seg.t0, seg.t1, max(64, math.ceil(8.0 * (seg.t1 - seg.t0))) + 1)
         for a, b in zip(edges[:-1], edges[1:]):
             m, h = 0.5 * (a + b), 0.5 * (b - a)
-            vals = np.array([_vector_potential_pullback(geo, seg.sol(t))
+            vals = np.array([geo.connection(seg.sol(t))
                              for t in m + h * nodes])
             terms.append(h * float(np.dot(weights, vals)))
     assert numeric_holonomy(geo, res) == math.fsum(terms)
@@ -322,7 +320,7 @@ def test_holonomy_rejects_path_leaving_upper_hemisphere():
     # theta in [pi/4, 3pi/4] and keeps clear of that chart's poles
     geo = GeometrySpec.sphere(0.5)
     st, T = canonical_orbit_state(geo, SQRT2)
-    y, chart = _sphere_switch_chart(st.as_array(), st.chart, geo.R)
+    y, chart = geo.switch_chart(st.as_array(), st.chart)
     assert chart == "x"
     res = integrate(geo, PhaseState(q=tuple(y[:2]), p=tuple(y[2:]), chart=chart),
                     SQRT2, T, tol=1e-11)

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from magtrace import ode
-from magtrace.dynamics import (_KATOK_THETA_MARGIN, _THETA_MARGIN, GeometrySpec,
-                               PhaseState, _katok_jacobian, _rhs,
+from magtrace.dynamics import (GeometrySpec, PhaseState, _katok_jacobian,
                                canonical_orbit_state, hamiltonian, integrate,
                                katok_monodromy_numeric)
 
@@ -56,7 +55,7 @@ def test_canonical_orbits_bit_identical(geo, E, orientation, periods):
     state, T = canonical_orbit_state(geo, E, orientation)
 
     def fun(tt, y):
-        return _rhs(geo, y)
+        return geo.flow(y)
 
     ref = _solve_ivp(fun, periods * T, state.as_array(), TOL, dense_output=True)
     t_end, y_end, sol, status = ode.dop853(fun, 0.0, state.as_array(), periods * T, TOL)
@@ -80,9 +79,9 @@ def test_sphere_pole_guard_bit_identical():
     state = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0), chart="z")
 
     def fun(tt, y):
-        return _rhs(geo, y)
+        return geo.flow(y)
 
-    guards = _pole_guards(_THETA_MARGIN)
+    guards = _pole_guards(geo.pole_margin)
     ref = _solve_ivp(fun, 4.0, state.as_array(), 1e-10, dense_output=True, events=guards)
     t_end, y_end, sol, status = ode.dop853(fun, 0.0, state.as_array(), 4.0, 1e-10, guards)
     assert status == ref.status == 1
@@ -103,9 +102,9 @@ def test_katok_pole_guard_matches_scipy_event():
     state = PhaseState(q=(0.6, 0.0), p=(-2.0, -0.3 * s2 / (1.0 - 0.09 * s2)))
 
     def fun(tt, y):
-        return _rhs(geo, y)
+        return geo.flow(y)
 
-    guards = _pole_guards(_KATOK_THETA_MARGIN)
+    guards = _pole_guards(geo.pole_margin)
     ref = _solve_ivp(fun, 6.0, state.as_array(), 1e-9, dense_output=True, events=guards)
     t_end, y_end, sol, status = ode.dop853(fun, 0.0, state.as_array(), 6.0, 1e-9, guards)
     assert status == ref.status == 1
@@ -120,7 +119,7 @@ def test_katok_variational_bit_identical(orientation):
 
     def rhs(tt, z):
         y, M = z[:4], z[4:].reshape(4, 4)
-        return np.concatenate([_rhs(geo, y), (_katok_jacobian(EPS_K, SQRT2, y) @ M).ravel()])
+        return np.concatenate([geo.flow(y), (_katok_jacobian(EPS_K, SQRT2, y) @ M).ravel()])
 
     z0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
     ref = _solve_ivp(rhs, T, z0, TOL)

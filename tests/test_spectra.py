@@ -249,7 +249,7 @@ def _brute_omitted(model, N, E, f, win, reach):
     if isinstance(model, HyperbolicModel):
         j_hi = N - 1
     else:
-        j_hi = int(math.ceil(spectra._j_from_lambda(model, N, E * N + reach)))
+        j_hi = int(math.ceil(model.j_of_lam(N, E * N + reach)))
     lam, mult = _rungs(model, N, j_hi)
     t = mult * np.asarray(f.time_env(np.abs(lam - E * N)), dtype=float)
     if win.j.size:
@@ -268,7 +268,7 @@ def _sweep_reference(model, N, E, f, win):
     if isinstance(model, HyperbolicModel):
         j_hi = N - 1
     else:
-        j_hi = int(math.ceil(spectra._j_from_lambda(model, N, E * N))) + 2
+        j_hi = int(math.ceil(model.j_of_lam(N, E * N))) + 2
     lam, mult = _rungs(model, N, j_hi)
     t = mult * np.asarray(env(np.abs(lam - E * N)), dtype=float)
     if win.j.size:
@@ -279,7 +279,7 @@ def _sweep_reference(model, N, E, f, win):
     below = math.fsum(t[:first])
     if isinstance(model, HyperbolicModel):
         return (below + math.fsum(t[last + 1:])
-                + spectra._hyperbolic_chaotic_bound(model, N, E, env))
+                + model.chaotic_tail(N, E, env))
     return below + spectra._upper_tail_bound(model, N, E, env, last + 1)
 
 
