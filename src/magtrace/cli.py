@@ -186,12 +186,10 @@ def _tolerances(cfg: dict) -> dict:
     return tol
 
 
-def _ladder_run(cfg: dict, spectral: bool) -> tuple:
-    """Geometry, energy level, test function, tolerances and N grid of a run
-    over a ladder; ``spectral`` runs refuse a geometry without a spectrum."""
+def _ladder_run(cfg: dict) -> tuple:
+    """Geometry, energy level, test function, tolerances and N grid of a
+    spectral or predict run."""
     geo = _geometry(cfg)
-    if spectral:
-        geo.check_spectrum()
     level = _energy(cfg, geo)
     f = _test_function(cfg)
     tol = _tolerances(cfg)
@@ -212,7 +210,7 @@ def _k_control(geo, level, f, tol) -> asymptotics.KSumControl:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(cfg, out_dir, fmt):
-    geo, level, f, tol, Ns = _ladder_run(cfg, spectral=True)
+    geo, level, f, tol, Ns = _ladder_run(cfg)
     windows = [spectra.enumerate_window(geo, N, level, f, tol["tail_tol"]) for N in Ns]
     header = ["N", "j", "nu", "lambda", "mult", "tail_bound"]
     rows = []
@@ -224,7 +222,7 @@ def cmd_spectrum(cfg, out_dir, fmt):
 
 
 def cmd_trace(cfg, out_dir, fmt):
-    geo, level, f, tol, Ns = _ladder_run(cfg, spectral=True)
+    geo, level, f, tol, Ns = _ladder_run(cfg)
     traces = [tracesum.y_n(geo, N, level, f, tol["tail_tol"]) for N in Ns]
     header = ["N", "re_y", "im_y", "tail_bound"]
     rows = [[t.N, t.value.real, t.value.imag, t.tail_bound] for t in traces]
@@ -233,7 +231,7 @@ def cmd_trace(cfg, out_dir, fmt):
 
 
 def cmd_predict(cfg, out_dir, fmt):
-    geo, level, f, tol, Ns = _ladder_run(cfg, spectral=False)
+    geo, level, f, tol, Ns = _ladder_run(cfg)
     ctl = _k_control(geo, level, f, tol)
     preds = [geo.predict(N, level, f, ctl, tol["support_tol"]) for N in Ns]
     header = ["N", "re_c0", "im_c0", "re_c1", "im_c1", "d", "k_tail"]
@@ -244,7 +242,7 @@ def cmd_predict(cfg, out_dir, fmt):
 
 
 def cmd_residual(cfg, out_dir, fmt):
-    geo, level, f, tol, Ns = _ladder_run(cfg, spectral=True)
+    geo, level, f, tol, Ns = _ladder_run(cfg)
     ctl = _k_control(geo, level, f, tol)
     traces, preds = [], []
     for N in Ns:

@@ -172,6 +172,12 @@ class Torus(Geometry):
         return E
 
     def poisson_image(self, N, E):
+        """(bound on |phase argument|/|k|, terms, bound) of the k-sum at N, E.
+
+        terms(ks, h0, h1, h2) gives the c0 and c1 summands from phi_hat and
+        its two derivatives at ks * k_frequency(E); bound(k, h0, h1, h2)
+        bounds |summand k| from bounds on them.  Likewise on every ladder.
+        """
         def terms(ks, h0, h1, h2):
             phase = np.exp(1j * math.pi * ks) * np.exp(-1j * ks * (E * E - 1.0) * N / 2.0)
             return ((E / TWO_PI) * h0 * phase,

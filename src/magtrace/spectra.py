@@ -261,6 +261,7 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     built: rungs below it go to ``_lower_tail_bound`` and rungs above it to
     ``_upper_tail_bound``, at a cost that does not grow with N.
     """
+    model.check_spectrum()
     _check_Nj(N, 0)
     E = level.E
     model.check_energy(E)
