@@ -27,12 +27,15 @@ import numpy as np
 
 from .errors import (DegenerateOrbitError, MixedSupportError, ResonanceError,
                      ValidationError)
-from .geometry import Katok, Torus
+from .geometry import Katok, Torus, half_lattice_distance, katok_maslov_closed
 from .spectra import EnergyLevel, torus_levels
 from .testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
+
+# Largest k_max of a k-sum (2 k_max + 1 terms, about 0.15 s and 26 MB at the cap)
+MAX_K_MAX = 100_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,8 +46,9 @@ class KSumControl:
     resonance_margin: float = 1e-6
 
     def __post_init__(self):
-        if not (isinstance(self.k_max, int) and self.k_max >= 0):
-            raise ValidationError(f"k_max must be a nonnegative integer, got {self.k_max}")
+        if not (isinstance(self.k_max, int) and 0 <= self.k_max <= MAX_K_MAX):
+            raise ValidationError(f"k_max must be an integer in [0, {MAX_K_MAX:,}] "
+                                  f"(capped), got {self.k_max}")
         if not (self.resonance_margin > 0.0):
             raise ValidationError("resonance_margin must be positive")
 
@@ -55,6 +59,10 @@ class KSumControl:
         if freq <= 0:
             raise ValidationError("frequency scale must be positive")
         reach = abs(f.hat_center) + f.hat_radius(tail_tol)
+        if not reach / freq < MAX_K_MAX:  # refuses an infinite quotient too
+            raise ValidationError(
+                f"the k-sum needs k_max > {reach / freq:.6g} to reach |phi_hat| <= "
+                f"{tail_tol:g}; k_max is capped at {MAX_K_MAX:,}")
         return cls(k_max=int(math.ceil(reach / freq)) + 1,
                    resonance_margin=resonance_margin)
 
@@ -90,7 +98,7 @@ def _k_order(k_max: int):
         yield -k
 
 
-def _k_tail_bound(bound_at, k_start: int, max_terms: int = 200_000) -> float:
+def _k_tail_bound(bound_at, k_start: int) -> float:
     """Certified bound on sum_{|k| > k_start - 1} |term_k|.
 
     ``bound_at(k)`` must dominate |term_k| + |term_{-k}|.  The per-k bounds
@@ -102,7 +110,7 @@ def _k_tail_bound(bound_at, k_start: int, max_terms: int = 200_000) -> float:
     k = k_start
     prev = float(bound_at(k))
     halvings = 0
-    for _ in range(max_terms):
+    for _ in range(200_000):
         total += prev
         if prev == 0.0:
             return total
@@ -203,17 +211,11 @@ def general_c0_nondegenerate(Tsharp: float, m: int, S: float, detIminusP: float,
             * complex(phi_hat_at_Tgamma))
 
 
-def _katok_maslov_closed(k: int, branch: int, eps: float) -> int:
-    """Closed-form Maslov index 2*floor(2k/(1 -+ eps)) + 2*sign(k) + 1."""
-    x = 2.0 * k / (1.0 - branch * eps)
-    return 2 * int(math.floor(x)) + 2 * (1 if k > 0 else -1) + 1
-
-
 def _katok_resonance_guard(k: int, branch: int, eps: float, margin: float):
     x = 2.0 * k / (1.0 - branch * eps)
     s = abs(math.sin(math.pi * k / (1.0 - branch * eps)))
     # distance to the half-integer lattice covers both floor discontinuities
-    d = abs(x - round(2.0 * x) / 2.0)
+    d = half_lattice_distance(x)
     if s <= margin or 2.0 * d <= margin:
         sign = "+" if branch > 0 else "-"
         raise ResonanceError(
@@ -238,7 +240,7 @@ def katok_term_closed(N: int, eps: float, k: int, branch: int,
     if k == 0:
         raise ValidationError("closed-form orbit terms need k != 0")
     _katok_resonance_guard(k, branch, eps, resonance_margin)
-    m = _katok_maslov_closed(k, branch, eps)
+    m = katok_maslov_closed(k, branch, eps)
     amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
     denom = abs(math.sin(math.pi * k / (1.0 - branch * eps)))
     phase = (complex(math.cos(math.pi * m / 4.0), math.sin(math.pi * m / 4.0))

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, dynamics, geometry, spectra, testfn, tracesum
-from .errors import MagtraceError, ValidationError
+from .errors import MagtraceError, ValidationError, number as _number, read_kind
 
 SCHEMA = "magtrace/1"
 
@@ -28,8 +28,10 @@ _TOP_KEYS = {"schema", "geometry", "E", "test_function", "N", "tolerances",
              "orbit_samples"}
 _TOL_DEFAULTS = {"tail_tol": 1e-14, "ode_tol": 1e-11, "k_max": None,
                  "resonance_margin": 1e-6, "support_tol": 1e-12}
-# caps on a dynamics run, checked before anything is allocated or integrated
-_MAX_PERIODS = 1_000
+# caps on an N grid and on a dynamics run, checked before anything is
+# allocated or integrated
+_MAX_N_VALUES = 10_000
+_MAX_PERIODS = 1_000  # also the largest |k| of a katok k_list
 _MAX_ORBIT_SAMPLES = 1_000_000
 _MAX_MC_SAMPLES = 10_000_000
 
@@ -91,39 +93,8 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _number(value, name, *, integer=False, positive=False, cap=None):
-    """A config number: finite, >= 0 (> 0 if positive), integral if asked, <= cap.
-
-    Bools and strings are not numbers; an integral float is taken as an int.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    if integer and isinstance(value, float) and not value.is_integer():
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < 0 or (positive and value == 0):
-        raise ValidationError(
-            f"{name} must be {'positive' if positive else 'nonnegative'}, got {value!r}")
-    if cap is not None and value > cap:
-        raise ValidationError(f"{name} must be at most {cap:,}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
 def _geometry(cfg: dict) -> geometry.Geometry:
-    geo = cfg.get("geometry")
-    if not isinstance(geo, dict) or "kind" not in geo:
-        raise ValidationError("config needs a geometry object with a 'kind'")
-    kind = geo["kind"]
-    if not isinstance(kind, str) or kind not in geometry.KINDS:
-        raise ValidationError(f"unknown geometry kind {kind!r}")
-    cls = geometry.KINDS[kind]
-    keys = {"kind", *cls.params}
-    if set(geo) != keys:
-        raise ValidationError(
-            f"geometry {kind!r} takes exactly keys {sorted(keys)}, got {sorted(geo)}")
-    return cls(**{key: _number(geo[key], key, integer=(typ is int))
-                  for key, typ in cls.params.items()})
+    return read_kind(cfg.get("geometry"), "geometry", geometry.KINDS)
 
 
 def _energy(cfg: dict, geo) -> spectra.EnergyLevel:
@@ -139,34 +110,26 @@ def _energy(cfg: dict, geo) -> spectra.EnergyLevel:
     return spectra.EnergyLevel.from_E(E)
 
 
-def _test_function(cfg: dict) -> testfn.TestFunction:
-    if "test_function" not in cfg:
-        raise ValidationError("config needs a test_function object")
-    return testfn.from_config(cfg["test_function"])
-
-
 def _N_list(cfg: dict, level: spectra.EnergyLevel) -> list:
-    """The ascending N grid, refused up front if (E N)^2 overflows at its top."""
+    """The ascending N grid, refused up front if it is too long or (E N)^2
+    overflows at its top."""
     spec = cfg.get("N")
-    if not isinstance(spec, dict):
-        raise ValidationError("config needs an N object ({value}, {list} or {start,stop,step})")
-    keys = set(spec)
-    if keys == {"value"}:
-        lst = [spec["value"]]
-    elif keys == {"list"}:
-        lst = list(spec["list"])
-    elif keys == {"start", "stop", "step"}:
-        lst = list(range(_number(spec["start"], "N start", integer=True),
-                         _number(spec["stop"], "N stop", integer=True) + 1,
-                         _number(spec["step"], "N step", integer=True, positive=True)))
+    keys = set(spec) if isinstance(spec, dict) else None
+    if keys == {"start", "stop", "step"}:
+        lst = range(_number(spec["start"], "N start", integer=True, positive=True),
+                    _number(spec["stop"], "N stop", integer=True) + 1,
+                    _number(spec["step"], "N step", integer=True, positive=True))
+    elif keys == {"value"} or (keys == {"list"} and isinstance(spec["list"], list)):
+        lst = [_number(n, "N", integer=True, positive=True)
+               for n in spec.get("list", [spec.get("value")])]
     else:
-        raise ValidationError(f"N object takes {{value}}, {{list}} or {{start,stop,step}}, got {sorted(keys)}")
-    if not lst or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in lst):
-        raise ValidationError("N values must be positive integers")
-    if any(b <= a for a, b in zip(lst, lst[1:])):
-        raise ValidationError("N values must be strictly ascending")
+        raise ValidationError("config needs an N object ({value}, {list} or {start,stop,step})")
+    # a slice of a range, since len() of a long one overflows
+    if not lst or lst[_MAX_N_VALUES:] or any(b <= a for a, b in zip(lst, lst[1:])):
+        raise ValidationError("N values must form a nonempty, strictly ascending grid "
+                              f"of at most {_MAX_N_VALUES:,} values")
     level.check_N(lst[-1])
-    return lst
+    return list(lst)
 
 
 def _tolerances(cfg: dict) -> dict:
@@ -179,7 +142,8 @@ def _tolerances(cfg: dict) -> dict:
         raise ValidationError(f"unknown tolerance keys: {sorted(unknown)}")
     tol.update(user)
     for key in ("tail_tol", "ode_tol", "resonance_margin", "support_tol"):
-        if not (isinstance(tol[key], (int, float)) and 0 < tol[key] < 1):
+        tol[key] = _number(tol[key], f"tolerance {key}", signed=True)
+        if not 0 < tol[key] < 1:
             raise ValidationError(f"tolerance {key} must lie in (0,1), got {tol[key]}")
     if tol["k_max"] is not None:
         tol["k_max"] = _number(tol["k_max"], "k_max", integer=True)
@@ -191,7 +155,7 @@ def _ladder_run(cfg: dict) -> tuple:
     spectral or predict run."""
     geo = _geometry(cfg)
     level = _energy(cfg, geo)
-    f = _test_function(cfg)
+    f = testfn.from_config(cfg.get("test_function"))
     tol = _tolerances(cfg)
     return geo, level, f, tol, _N_list(cfg, level)
 
@@ -352,9 +316,10 @@ def cmd_katok(cfg, out_dir, fmt):
     eps = geo.eps
     N = _N_list(cfg, level)[0] if "N" in cfg else 1
     k_list = cfg.get("k_list", [1, 2, 3, -1, -2, -3])
-    if (not isinstance(k_list, list) or not k_list
-            or any(not isinstance(k, int) or k == 0 for k in k_list)):
+    if not isinstance(k_list, list) or not k_list or 0 in k_list:
         raise ValidationError("k_list must be a nonempty list of nonzero integers")
+    k_list = [_number(k, "k_list entry", integer=True, signed=True, cap=_MAX_PERIODS)
+              for k in k_list]
 
     monodromy, analytic = {}, {}
     max_mono_dev = 0.0
@@ -410,17 +375,11 @@ def cmd_katok(cfg, out_dir, fmt):
         "passed": passed,
     }
     if fmt == "csv":
-        header = ["k", "branch", "m", "kappa", "sgn_r", "re_closed", "im_closed",
-                  "re_assembled", "im_assembled", "rel_dev"]
-        rows = []
-        for mrow, arow in zip(maslov_rows, assembly_rows):
-            rows.append([mrow["k"], mrow["branch"], mrow["m"], mrow["kappa"],
-                         mrow["sgn_r"], arow["re_closed"], arow["im_closed"],
-                         arow["re_assembled"], arow["im_assembled"], arow["rel_dev"]])
-        rows.append(["max_monodromy_dev", "", "", "", "", "", "", "", "",
-                     max_mono_dev])
-        rows.append(["max_assembly_rel_dev", "", "", "", "", "", "", "", "",
-                     max_assembly_dev])
+        # one row per (k, branch): its maslov row, then its assembly row past k, branch
+        header = [*maslov_rows[0], *list(assembly_rows[0])[2:]]
+        rows = [[*m.values(), *list(a.values())[2:]] for m, a in zip(maslov_rows, assembly_rows)]
+        rows += [[key, *[""] * 8, report[key]]
+                 for key in ("max_monodromy_dev", "max_assembly_rel_dev")]
         _write_csv(os.path.join(out_dir, "katok_report.csv"), header, rows)
     _write_json(os.path.join(out_dir, "katok_report.json"), report)
     return 0 if passed else 1

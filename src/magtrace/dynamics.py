@@ -32,7 +32,8 @@ from . import ode
 from .errors import IntegratorError, ResonanceError, ValidationError
 from .geometry import (ClosedOrbitSet, Geometry, GeometrySpec, KatokMonodromy,  # noqa: F401
                        Katok, OrbitInvariants, PhaseState, branch_sign,
-                       katok_first_integral, katok_poincare_analytic)
+                       half_lattice_distance, katok_first_integral,
+                       katok_poincare_analytic)
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,14 +104,15 @@ class FlowResult:
 
 
 def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
-              tol: float = 1e-11, max_chart_switches: int = 64) -> FlowResult:
+              tol: float = 1e-11) -> FlowResult:
     """Integrate the flow for time t with adaptive 8th-order Runge-Kutta.
 
     Local tolerance ``tol`` drives both rtol and atol; energy drift (and,
     for the deformed sphere, first-integral drift) above 100*tol raises.
     The round sphere switches between its two polar charts when theta
-    leaves (0.1, pi - 0.1); the deformed sphere's chart has no isometric
-    rotation, so its trajectories must keep clear of the poles.
+    leaves (0.1, pi - 0.1), at most 64 times; the deformed sphere's chart
+    has no isometric rotation, so its trajectories must keep clear of the
+    poles.
     """
     y0 = s0.as_array()
     chart = s0.chart if s0.chart != "default" else geo.default_chart
@@ -146,7 +148,7 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
         if status == 1:  # hit a pole guard
             y_cur, chart = geo.switch_chart(y_cur, chart)
             switches += 1
-            if switches > max_chart_switches:
+            if switches > 64:
                 raise IntegratorError("too many chart switches; step-size collapse suspected")
 
     # conservation monitors over dense samples
@@ -206,15 +208,14 @@ def canonical_orbit_state(geo: Geometry, E: float,
 # holonomy quadrature along integrated paths
 # ---------------------------------------------------------------------------
 
-def numeric_holonomy(geo: Geometry, flow: FlowResult,
-                     closure_tol: float = 1e-7) -> float:
+def numeric_holonomy(geo: Geometry, flow: FlowResult) -> float:
     """Line integral of the connection form along a closed integrated orbit.
 
     The connection form A(q) . dq/dt is the geometry's, in the
     trivialization its closed forms use (``connection``).  Composite
     16-point Gauss-Legendre quadrature over the dense solution; the value
     is canonically defined modulo 2 pi and returned unreduced.  Paths that
-    fail to close within ``closure_tol`` are rejected, as are sphere paths
+    fail to close within 1e-7 are rejected, as are sphere paths
     leaving the upper hemisphere (the sphere's trivialization is only the
     hemispheric one) and paths that switched charts.
     """
@@ -225,9 +226,8 @@ def numeric_holonomy(geo: Geometry, flow: FlowResult,
     y_start = flow.segments[0].sol(flow.segments[0].t0)
     y_end = flow.segments[-1].sol(flow.segments[-1].t1)
     gap = geo.closure_gap(y_start, y_end)
-    if gap > closure_tol:
-        raise ValidationError(
-            f"path is not closed: endpoint gap {gap:.3e} > {closure_tol:.1e}")
+    if gap > 1e-7:
+        raise ValidationError(f"path is not closed: endpoint gap {gap:.3e} > 1.0e-07")
 
     nodes, weights = leggauss(16)
     total = []
@@ -320,8 +320,7 @@ def maslov_katok(k: int, eps: float, orientation: str,
         raise ValidationError(f"deformation parameter must lie in (0,1), got {eps}")
     sg = branch_sign(orientation)
     x = 2.0 * k / (1.0 - sg * eps)  # rotation angle in units of pi
-    d_half_lattice = abs(x - round(2.0 * x) / 2.0)
-    if 2.0 * d_half_lattice <= resonance_margin:
+    if 2.0 * half_lattice_distance(x) <= resonance_margin:
         raise ResonanceError(
             f"k={k}, branch {orientation}: 2k/(1{'-' if sg > 0 else '+'}eps)={x:.9g} "
             "is too close to the half-integer lattice; the index is ill-defined there")
@@ -348,8 +347,7 @@ def liouville_volume(geo: Geometry, E: float) -> float:
     modulo eps^2; the exact area 4 pi/(1-eps^2) is used here (the Monte
     Carlo cross-check agrees with this value, not the display).
     """
-    if not (E > 1.0 and math.isfinite(E)):
-        raise ValidationError(f"energy must exceed 1, got {E}")
+    _speed(E)  # refuses E <= 1
     return TWO_PI * E * metric_area(geo)
 
 

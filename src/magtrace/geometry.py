@@ -17,7 +17,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ChartError, IntegratorError, ManeLevelError, ValidationError
+from .errors import (ChartError, IntegratorError, ManeLevelError, ValidationError,
+                     refuse_past_double_range)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -234,6 +235,8 @@ class Sphere(Geometry):
     def __post_init__(self):
         if not (self.R > 0.0 and math.isfinite(self.R)):
             raise ValidationError(f"sphere radius must be positive, got {self.R}")
+        refuse_past_double_range(f"sphere radius R={self.R:g} and R^2",
+                                 lambda: (self.R * self.R, 1.0 / (self.R * self.R)))
         if self.B != 0.5:
             raise ValidationError("SphereModel implements the quantized case B = 1/2 only")
 
@@ -377,6 +380,9 @@ class Hyperbolic(Geometry):
             raise ValidationError(f"curvature scale must be positive, got {self.R}")
         if not (isinstance(self.genus, int) and self.genus >= 2):
             raise ValidationError(f"genus must be an integer >= 2, got {self.genus}")
+        refuse_past_double_range(  # 1/R^2, and R^2 within the measure coefficient 2(g-1)R^2
+            f"hyperbolic parameters R={self.R:g}, genus={self.genus}",
+            lambda: (1.0 / (self.R * self.R), 2.0 * (self.genus - 1) * self.R * self.R))
         if self.B != 1.0:
             raise ValidationError("HyperbolicModel implements the quantized case B = 1 only")
 
@@ -524,6 +530,17 @@ class KatokMonodromy:
     det_i_minus_p: float
 
 
+def half_lattice_distance(x: float) -> float:
+    """Distance from x to the half-integer lattice Z/2."""
+    return abs(x - round(2.0 * x) / 2.0)
+
+
+def katok_maslov_closed(k: int, branch: int, eps: float) -> int:
+    """Closed-form Maslov index 2*floor(2k/(1 -+ eps)) + 2*sign(k) + 1, branch +-1."""
+    x = 2.0 * k / (1.0 - branch * eps)
+    return 2 * int(math.floor(x)) + 2 * (1 if k > 0 else -1) + 1
+
+
 def branch_sign(orientation: str) -> int:
     if orientation not in ("+", "-"):
         raise ValidationError(f"orientation must be '+' or '-', got {orientation!r}")
@@ -628,17 +645,11 @@ class Katok(Geometry):
         for branch, label in ((+1, "+"), (-1, "-")):
             hol = branch * TWO_PI * e / (1.0 - e * e)
             kat = katok_poincare_analytic(e, E, label)
-            if at_sqrt2:
-                x = 2.0 / (1.0 - branch * e)
-                if abs(x - round(2.0 * x) / 2.0) <= 1e-9:
-                    maslov = None
-                    note = "index ill-defined at this resonant deformation"
-                else:
-                    maslov = 2 * int(math.floor(x)) + 3
-                    note = ""
-            else:
-                maslov = None
-                note = "index formula stated only at E = sqrt(2)"
+            maslov, note = None, "index formula stated only at E = sqrt(2)"
+            if at_sqrt2 and half_lattice_distance(2.0 / (1.0 - branch * e)) <= 1e-9:
+                note = "index ill-defined at this resonant deformation"
+            elif at_sqrt2:
+                maslov, note = katok_maslov_closed(1, branch, e), ""
             orbits.append(OrbitInvariants(
                 geometry=self.kind, orientation=label, E=E, L=L, T=T, Tsharp=T,
                 S=L * c + hol, hol=hol, maslov=maslov, maslov_note=note,
@@ -662,7 +673,8 @@ class Katok(Geometry):
         return np.sin(th) / (1.0 - self.eps**2 * s2) ** 1.5, math.pi * TWO_PI
 
 
-KINDS = {cls.kind: cls for cls in (Torus, Sphere, Hyperbolic, Katok)}
+# config kind -> (class, param -> type), as testfn.KINDS
+KINDS = {cls.kind: (cls, cls.params) for cls in (Torus, Sphere, Hyperbolic, Katok)}
 
 
 class GeometrySpec:

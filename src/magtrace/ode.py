@@ -6,7 +6,8 @@ SciPy's ``solve_ivp(method="DOP853")`` runs it: the same tableau, initial
 step, two-norm error estimate, step control, degree-7 dense output and
 Brent root search for events, operation for operation.  Both take the same
 steps and return the same floats.  Integration runs forward in time only,
-with ``rtol = atol = tol``.  Imports only numpy.
+with ``rtol = atol = tol``, both at least 100 eps: SciPy floors rtol there,
+and a far smaller atol overflows the error norm.  Imports only numpy.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def dop853(fun, t0, y0, t_bound, tol, events=(), dense_output=True):
     events need ``dense_output``).
     """
     y = np.asarray(y0, dtype=float)
-    rtol, atol = max(tol, 100 * EPS), tol
+    rtol = atol = max(tol, 100 * EPS)
     t, f = t0, fun(t0, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     K_ext = np.empty((16, len(y)))

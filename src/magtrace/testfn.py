@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureError, ValidationError
+from .errors import QuadratureError, ValidationError, read_kind, refuse_past_double_range
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,12 +83,11 @@ class GaussianEnvelope:
         u = np.asarray(u, dtype=float)
         return self.amp * np.exp(-np.square(u) / (2.0 * self.scale**2))
 
-    def lattice_sum(self, start: float, step: float,
-                    w0: float = 1.0, w1: float = 0.0, w2: float = 0.0) -> float:
-        """Certified bound on sum_{m>=0} (w0+w1*m+w2*m^2) env(start+m*step).
+    def lattice_sum(self, start: float, step: float) -> float:
+        """Certified bound on sum_{m>=0} env(start+m*step).
 
         Uses (start+m*step)^2 >= start^2 + 2*start*step*m, which turns the
-        tail into a weighted geometric series.
+        tail into a geometric series.
         """
         if start <= 0.0 or step <= 0.0:
             raise ValidationError("lattice_sum needs start > 0 and step > 0")
@@ -96,9 +95,7 @@ class GaussianEnvelope:
         r = math.exp(-start * step / self.scale**2)
         if r >= 1.0:
             raise ValidationError("lattice_sum ratio >= 1; start too small")
-        g1 = r / (1.0 - r) ** 2
-        g2 = r * (1.0 + r) / (1.0 - r) ** 3
-        return t0 * (w0 / (1.0 - r) + w1 * g1 + w2 * g2)
+        return t0 * (1.0 / (1.0 - r))
 
     def halfline_moment(self, a: float, c0: float, c1: float) -> float:
         """Exact integral_a^inf (c0 + c1*x) env(x) dx  (a > 0)."""
@@ -123,16 +120,13 @@ class PowerEnvelope:
             v4 = np.where(u > 0, self.c4 / np.square(np.square(u)), np.inf)
         return np.minimum(self.cap, np.minimum(v2, v4))
 
-    def lattice_sum(self, start: float, step: float,
-                    w0: float = 1.0, w1: float = 0.0, w2: float = 0.0) -> float:
-        if w1 or w2:
-            raise ValidationError("PowerEnvelope supports unweighted lattice sums only")
+    def lattice_sum(self, start: float, step: float) -> float:
         if start <= 0.0 or step <= 0.0:
             raise ValidationError("lattice_sum needs start > 0 and step > 0")
         # first term + integral comparison with the monotone envelope
         head = float(self(start))
         tail = self.c4 / (3.0 * step * start**3)
-        return w0 * (head + tail)
+        return head + tail
 
     def halfline_moment(self, a: float, c0: float, c1: float) -> float:
         """Bound on integral_a^inf (c0 + c1*x) env(x) dx using the 1/u^4 leg."""
@@ -153,9 +147,8 @@ class SumEnvelope:
             out = out + c * env(u)
         return out
 
-    def lattice_sum(self, start, step, w0=1.0, w1=0.0, w2=0.0):
-        return sum(c * env.lattice_sum(start, step, w0, w1, w2)
-                   for c, env in self.terms)
+    def lattice_sum(self, start, step):
+        return sum(c * env.lattice_sum(start, step) for c, env in self.terms)
 
     def halfline_moment(self, a, c0, c1):
         return sum(c * env.halfline_moment(a, c0, c1) for c, env in self.terms)
@@ -241,6 +234,7 @@ class TestFunction:
 # factories
 # ---------------------------------------------------------------------------
 
+
 def make_gaussian(s: float) -> TestFunction:
     """Gaussian pair phi(x) = exp(-x^2/(2 s^2)), phi_hat = s*sqrt(2pi)*exp(-s^2 xi^2/2).
 
@@ -257,8 +251,9 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise ValidationError(f"gaussian width s must be positive, got {s}")
-    if not math.isfinite(b):
-        raise ValidationError(f"modulation frequency must be finite, got {b}")
+    # s^4 of phi_hat'', 1/s^2 of the envelopes, the exponent (s b)^2 of phi_hat(0)
+    refuse_past_double_range(f"gaussian parameters s={s:g}, b={b:g}",
+                             lambda: (s**4, 1.0 / (s * s), s * s * (b * b)))
     amp = s * math.sqrt(TWO_PI)
 
     def phi(x):
@@ -306,12 +301,15 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
     )
 
 
-def _bump_psi(t):
+def _bump_psi(t, form=lambda e, t, om: e):
+    """form(psi(t), t, 1 - t^2) inside |t| < 1, for the unit bump
+    psi(t) = exp(-1/(1-t^2)) (psi itself by default); exactly 0 outside."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
+    om = 1.0 - ti * ti
+    out[inside] = form(np.exp(-1.0 / om), ti, om)
     return out
 
 
@@ -367,8 +365,9 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     """
     if not (w > 0.0 and math.isfinite(w)):
         raise ValidationError(f"bump half-width w must be positive, got {w}")
-    if not math.isfinite(tau0):
-        raise ValidationError(f"bump center must be finite, got {tau0}")
+    # w^3 and 1/w^3 of the envelope, the largest phase tau0 x of phi
+    refuse_past_double_range(f"bump parameters tau0={tau0:g}, w={w:g}",
+                             lambda: (w**3, 1.0 / w**3, tau0 * _BUMP_U_CAP / w))
 
     coeff = w * _bump_cosine_table()[1]
     real_valued = (tau0 == 0.0)
@@ -390,24 +389,12 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         return _bump_psi((xi - tau0) / w)
 
     def phi_hat_d1(xi):
-        xi = np.asarray(xi, dtype=float)
-        t = (xi - tau0) / w
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
-        ti = t[inside]
-        om = 1.0 - ti * ti
-        out[inside] = np.exp(-1.0 / om) * (-2.0 * ti) / (w * om * om)
-        return out
+        return _bump_psi((np.asarray(xi, dtype=float) - tau0) / w,
+                         lambda e, t, om: e * (-2.0 * t) / (w * om * om))
 
     def phi_hat_d2(xi):
-        xi = np.asarray(xi, dtype=float)
-        t = (xi - tau0) / w
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
-        ti = t[inside]
-        om = 1.0 - ti * ti
-        out[inside] = np.exp(-1.0 / om) * 2.0 * (3.0 * ti**4 - 1.0) / (w * w * om**4)
-        return out
+        return _bump_psi((np.asarray(xi, dtype=float) - tau0) / w,
+                         lambda e, t, om: e * 2.0 * (3.0 * t**4 - 1.0) / (w * w * om**4))
 
     env = PowerEnvelope(
         cap=w * _BUMP_D0 / TWO_PI,
@@ -541,25 +528,17 @@ def linear_combination(coeffs, fns) -> TestFunction:
     )
 
 
+# config kind -> (factory, param -> type), read like geometry.KINDS
+KINDS = {
+    "gaussian": (make_gaussian, {"s": float}),
+    "gaussian_modulated": (make_gaussian_modulated, {"s": float, "b": float}),
+    "fourier_bump": (make_fourier_bump, {"tau0": float, "w": float}),
+}
+
+
 def from_config(spec: dict) -> TestFunction:
     """Build a TestFunction from its CLI/JSON description."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValidationError("test_function spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    keys = set(spec) - {"kind"}
-    if kind == "gaussian":
-        if keys != {"s"}:
-            raise ValidationError(f"gaussian takes exactly 's', got {sorted(keys)}")
-        return make_gaussian(float(spec["s"]))
-    if kind == "gaussian_modulated":
-        if keys != {"s", "b"}:
-            raise ValidationError(f"gaussian_modulated takes 's' and 'b', got {sorted(keys)}")
-        return make_gaussian_modulated(float(spec["s"]), float(spec["b"]))
-    if kind == "fourier_bump":
-        if keys != {"tau0", "w"}:
-            raise ValidationError(f"fourier_bump takes 'tau0' and 'w', got {sorted(keys)}")
-        return make_fourier_bump(float(spec["tau0"]), float(spec["w"]))
-    raise ValidationError(f"unknown test function kind {kind!r}")
+    return read_kind(spec, "test_function", KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -652,18 +631,18 @@ class PoissonReport:
         return abs(self.lhs - self.rhs)
 
 
-def poisson_check(f: TestFunction, P: float, t: float,
-                  term_tol: float = 1e-22) -> PoissonReport:
+def poisson_check(f: TestFunction, P: float, t: float) -> PoissonReport:
     """Evaluate sum_n phi(n P + t) against sum_k (1/P) phi_hat(2pi k/P) e^{2pi i k t/P}.
 
     Both sides are truncated where the respective envelope falls below
-    ``term_tol`` and the omitted lattice tails are bounded by the
-    envelopes' closed forms.
+    1e-22 and the omitted lattice tails are bounded by the envelopes'
+    closed forms.
     """
+    term_tol = 1e-22
     if P <= 0:
         raise ValidationError("Poisson period P must be positive")
     # left side: lattice n*P + t
-    R = f.radius(term_tol) if term_tol < 1.0 else 1.0
+    R = f.radius(term_tol)
     n_lo = int(math.floor((-R - t) / P)) - 1
     n_hi = int(math.ceil((R - t) / P)) + 1
     xs = t + P * np.arange(n_lo, n_hi + 1)

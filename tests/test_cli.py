@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from magtrace import ValidationError, cli, katok_first_integral
+from magtrace import ValidationError, asymptotics, cli, katok_first_integral
 from magtrace.cli import _number, main
 
 SQRT2 = math.sqrt(2.0)
@@ -278,6 +278,95 @@ def test_bad_N_exits_2(tmp_path, capsys, N):
     assert main(["trace", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
     assert not (out / "trace.csv").exists()
+
+
+def _exits_2_cleanly(tmp_path, capsys, cfg, sub):
+    """Run sub on cfg: exit 2, one error line, no output and no warning."""
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([sub, "--config", path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not caught
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+    return err
+
+
+_KATOK_CFG = {"schema": "magtrace/1", "geometry": {"kind": "katok", "eps": 0.3},
+              "N": {"value": 3}}
+
+
+@pytest.mark.parametrize("cfg,sub", [
+    (_base_cfg(N={"value": 40}, test_function={"kind": "gaussian", "s": "abc"}), "trace"),
+    (_base_cfg(N={"value": 40}, test_function={"kind": "gaussian", "s": True}), "trace"),
+    (dict(_KATOK_CFG, k_list=[1, 10**400]), "katok"),
+    (dict(_KATOK_CFG, k_list=[True]), "katok"),
+    (dict(_KATOK_CFG, k_list=[1, -1001]), "katok"),
+    (_base_cfg(N={"value": 40}, test_function={"kind": "gaussian", "s": 1.0, "b": 0.0}),
+     "trace"),
+    (_base_cfg(N={"value": 40}, test_function={"kind": ["gaussian"], "s": 1.0}), "trace"),
+    (_base_cfg(test_function=None), "trace"),
+    (_base_cfg(tolerances={"tail_tol": "1e-14"}), "trace"),
+    (_base_cfg(N={"list": 40}), "trace"),
+], ids=["s_string", "s_bool", "k_huge", "k_bool", "k_past_cap", "extra_key",
+        "kind_not_a_string", "no_test_function", "tolerance_string", "N_list_not_a_list"])
+def test_bad_config_input_exits_2(tmp_path, capsys, cfg, sub):
+    _exits_2_cleanly(tmp_path, capsys, cfg, sub)
+
+
+@pytest.mark.parametrize("sub", ["trace", "predict"])
+@pytest.mark.parametrize("test_function", [
+    {"kind": "gaussian", "s": 1e-200},
+    {"kind": "gaussian", "s": 1e100},
+    {"kind": "fourier_bump", "tau0": 2.0, "w": 1e-200},
+    {"kind": "fourier_bump", "tau0": 2.0, "w": 1e300},
+    {"kind": "gaussian_modulated", "s": 1.0, "b": -1e308},
+    {"kind": "fourier_bump", "tau0": 1e308, "w": 0.5},
+], ids=["s_tiny", "s_huge", "w_tiny", "w_huge", "b_huge", "tau0_huge"])
+def test_test_function_past_double_range_exits_2(tmp_path, capsys, test_function, sub):
+    # finite parameters whose powers, reciprocals or phases are not doubles
+    cfg = _base_cfg(N={"value": 40}, test_function=test_function)
+    assert "leave the double range" in _exits_2_cleanly(tmp_path, capsys, cfg, sub)
+
+
+@pytest.mark.parametrize("sub,key,as_int,as_float", [
+    ("trace", "N", {"value": 40}, {"value": 40.0}),
+    ("trace", "N", {"list": [40, 41]}, {"list": [40.0, 41.0]}),
+    ("katok", "k_list", [1, -2], [1.0, -2.0]),
+], ids=["N_value", "N_list", "k_list"])
+def test_integral_floats_read_as_integers(tmp_path, sub, key, as_int, as_float):
+    base = _base_cfg() if sub == "trace" else dict(_KATOK_CFG)
+    outs = []
+    for i, value in enumerate((as_int, as_float)):
+        path = _write_cfg(tmp_path, f"cfg{i}.json", dict(base, **{key: value}))
+        outs.append(tmp_path / f"out{i}")
+        assert main([sub, "--config", path, "--out", str(outs[-1])]) == 0
+    assert ([p.read_bytes() for p in sorted(outs[0].iterdir())]
+            == [p.read_bytes() for p in sorted(outs[1].iterdir())])
+
+
+def _no_k_sum(k_max):
+    raise AssertionError("the k-sum was built")
+
+
+@pytest.mark.parametrize("cfg", [
+    _base_cfg(tolerances={"k_max": asymptotics.MAX_K_MAX + 1}),
+    _base_cfg(tolerances={"k_max": 10**400}),
+    _base_cfg(geometry={"kind": "sphere", "R": 1e-6}, E=SQRT2),
+    _base_cfg(geometry={"kind": "hyperbolic", "R": 1e-6, "genus": 2}, E=1.2),
+], ids=["tolerance", "tolerance_huge", "sphere_small_R", "hyperbolic_small_R"])
+def test_k_max_over_cap_exits_2_before_allocating(tmp_path, capsys, monkeypatch, cfg):
+    # a missing check would reach the patched term order, not allocate
+    monkeypatch.setattr(asymptotics, "_k_order", _no_k_sum)
+    assert "capped" in _exits_2_cleanly(tmp_path, capsys, cfg, "predict")
+
+
+def test_k_max_at_cap_is_accepted():
+    assert asymptotics.KSumControl(k_max=asymptotics.MAX_K_MAX).k_max == asymptotics.MAX_K_MAX
+    with pytest.raises(ValidationError, match="capped"):
+        asymptotics.KSumControl(k_max=asymptotics.MAX_K_MAX + 1)
 
 
 @pytest.mark.parametrize("sub", ["spectrum", "trace", "predict", "residual"])
