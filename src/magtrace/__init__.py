@@ -13,22 +13,20 @@ from .errors import (ChartError, DegenerateOrbitError, IntegratorError,
 from .testfn import (PairValidation, PoissonReport, TestFunction,
                      linear_combination, make_fourier_bump, make_gaussian,
                      make_gaussian_modulated, poisson_check, validate_pair)
-from .geometry import Geometry, Hyperbolic, Katok, Sphere, Torus
+# GeometrySpec and the *Model names are kept for perfbench/setup_probe.py and reference.py
+from .geometry import (ClosedOrbitSet, Geometry, GeometrySpec, Hyperbolic, Katok,
+                       KatokMonodromy, OrbitInvariants, PhaseState, Sphere, Torus,
+                       katok_first_integral, katok_poincare_analytic)
 from .spectra import (EnergyLevel, HyperbolicModel, SphereModel, SpectrumEntry,
-                      TorusModel, Window, enumerate_window, hyperbolic_levels,
-                      sphere_levels, torus_levels)
-from .tracesum import TraceValue, y_n, y_sequence
+                      TorusModel, Window, enumerate_window, levels)
+from .tracesum import TraceValue, y_n
 from .asymptotics import (ClusterCheck, CoefficientPrediction, KSumControl,
                           ResidualReport, general_c0_nondegenerate,
-                          general_c0_volume, hyperbolic_c01, katok_c0,
-                          katok_term_closed, residual_report, sphere_c01,
-                          torus_c01, torus_cluster_check)
-from .dynamics import (ClosedOrbitSet, FlowResult, GeometrySpec, KatokMonodromy,
-                       MaslovData, MCVolume, OrbitInvariants, PhaseState,
-                       canonical_orbit_state, circle_distance,
-                       closed_orbit_invariants, flow_rhs, hamiltonian,
-                       integrate, katok_first_integral, katok_monodromy_numeric,
-                       katok_poincare_analytic, liouville_volume, maslov_katok,
-                       mc_liouville_volume, metric_area, numeric_holonomy)
+                          general_c0_volume, katok_c0, katok_term_closed,
+                          poisson_c01, residual_report, torus_cluster_check)
+from .dynamics import (FlowResult, MaslovData, MCVolume, canonical_orbit_state,
+                       circle_distance, integrate, katok_monodromy_numeric,
+                       liouville_volume, maslov_katok, mc_liouville_volume,
+                       numeric_holonomy)
 
 __version__ = "0.1.0"

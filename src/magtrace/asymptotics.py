@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (DegenerateOrbitError, MixedSupportError, ResonanceError,
                      ValidationError)
 from .geometry import Katok, Torus, half_lattice_distance, katok_maslov_closed
-from .spectra import EnergyLevel, torus_levels
+from .spectra import EnergyLevel, levels
 from .testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
@@ -162,17 +162,6 @@ def poisson_c01(N: int, model, level: EnergyLevel, f: TestFunction,
     return CoefficientPrediction(N=int(N), c0=_fsum_complex(c0_terms),
                                  c1=_fsum_complex(c1_terms), d=1.0,
                                  k_tail=_k_tail_bound(bound_at, ctl.k_max + 1))
-
-
-def torus_c01(N, level, f, ctl):
-    return poisson_c01(N, Torus(), level, f, ctl)
-
-
-def sphere_c01(N, model, level, f, ctl):
-    return poisson_c01(N, model, level, f, ctl)
-
-
-hyperbolic_c01 = sphere_c01
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +422,7 @@ def torus_cluster_check(level: EnergyLevel, N_list) -> ClusterCheck:
     Ns, js, lams, devs, gaps = [], [], [], [], []
     for N in N_list:
         j_star = m * N
-        entry = torus_levels(N, j_star)
+        entry = levels(Torus(), N, j_star)
         lam_formula = math.sqrt(E * E * N * N + TWO_PI * N)
         Ns.append(N)
         js.append(j_star)

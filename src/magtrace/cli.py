@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -64,15 +63,6 @@ def _write_json(path, obj):
     with open(path, "w", newline="") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-
-
-def _write_table(out_dir, name, fmt, header, rows):
-    """name.csv, or name.json as a list of one object per row."""
-    if fmt == "csv":
-        _write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)
-    else:
-        _write_json(os.path.join(out_dir, f"{name}.json"),
-                    [dict(zip(header, r)) for r in rows])
 
 
 def _load_config(path: str) -> dict:
@@ -173,39 +163,39 @@ def _k_control(geo, level, f, tol) -> asymptotics.KSumControl:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(cfg, out_dir, fmt):
+def cmd_spectrum(cfg, out_dir):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     windows = [spectra.enumerate_window(geo, N, level, f, tol["tail_tol"]) for N in Ns]
     header = ["N", "j", "nu", "lambda", "mult", "tail_bound"]
-    rows = []
-    for win in windows:
-        for e in win.entries():
-            rows.append([e.N, e.j, e.nu, e.lam, e.mult, win.tail_bound])
-    _write_table(out_dir, "spectrum", fmt, header, rows)
+    # int(m), not astype(np.int64): a huge multiplicity stays exact, unwarned
+    rows = [[win.N, int(j), float(nu), float(lam), int(m), win.tail_bound]
+            for win in windows
+            for j, nu, lam, m in zip(win.j, win.nu, win.lam, win.mult)]
+    _write_csv(os.path.join(out_dir, "spectrum.csv"), header, rows)
     return 0
 
 
-def cmd_trace(cfg, out_dir, fmt):
+def cmd_trace(cfg, out_dir):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     traces = [tracesum.y_n(geo, N, level, f, tol["tail_tol"]) for N in Ns]
     header = ["N", "re_y", "im_y", "tail_bound"]
     rows = [[t.N, t.value.real, t.value.imag, t.tail_bound] for t in traces]
-    _write_table(out_dir, "trace", fmt, header, rows)
+    _write_csv(os.path.join(out_dir, "trace.csv"), header, rows)
     return 0
 
 
-def cmd_predict(cfg, out_dir, fmt):
+def cmd_predict(cfg, out_dir):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     ctl = _k_control(geo, level, f, tol)
     preds = [geo.predict(N, level, f, ctl, tol["support_tol"]) for N in Ns]
     header = ["N", "re_c0", "im_c0", "re_c1", "im_c1", "d", "k_tail"]
     rows = [[p.N, p.c0.real, p.c0.imag, p.c1.real, p.c1.imag, p.d, p.k_tail]
             for p in preds]
-    _write_table(out_dir, "predict", fmt, header, rows)
+    _write_csv(os.path.join(out_dir, "predict.csv"), header, rows)
     return 0
 
 
-def cmd_residual(cfg, out_dir, fmt):
+def cmd_residual(cfg, out_dir):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     ctl = _k_control(geo, level, f, tol)
     traces, preds = [], []
@@ -223,25 +213,16 @@ def cmd_residual(cfg, out_dir, fmt):
     trailer = ["slope",
                report.slope if report.slope is not None else "converged_below_tolerance",
                "", "", "", "", "", report.max_scaled, report.median_scaled]
-    if fmt == "csv":
-        _write_csv(os.path.join(out_dir, "residual.csv"), header, rows + [trailer])
-    else:
-        _write_json(os.path.join(out_dir, "residual.json"), {
-            "rows": [dict(zip(header, r)) for r in rows],
-            "slope": report.slope, "converged": report.converged,
-            "max_scaled": report.max_scaled, "median_scaled": report.median_scaled,
-            "passed": report.passed,
-        })
+    _write_csv(os.path.join(out_dir, "residual.csv"), header, rows + [trailer])
     return 0 if report.passed else 1
 
 
-def cmd_dynamics(cfg, out_dir, fmt):
+def cmd_dynamics(cfg, out_dir):
     geo = _geometry(cfg)
     level = _energy(cfg, geo)
     tol = _tolerances(cfg)
     orientation = cfg.get("orientation", "+")
-    if orientation not in ("+", "-"):
-        raise ValidationError(f"orientation must be '+' or '-', got {orientation!r}")
+    geometry.branch_sign(orientation)  # refuses all but "+" and "-"
     t_periods = _number(cfg.get("t_periods", 1.0), "t_periods", positive=True,
                         cap=_MAX_PERIODS)
     n_samples = _number(cfg.get("orbit_samples", 1024), "orbit_samples", integer=True,
@@ -252,7 +233,7 @@ def cmd_dynamics(cfg, out_dir, fmt):
         raise ValidationError("mc_samples must be 0 or at least 2, got 1")
     seed = _number(cfg.get("seed", 0), "seed", integer=True)
 
-    orbit_set = dynamics.closed_orbit_invariants(geo, level.E)
+    orbit_set = geo.closed_orbits(level.E, level.c)
     report = {
         "geometry": geo.kind,
         "E": level.E,
@@ -279,9 +260,8 @@ def cmd_dynamics(cfg, out_dir, fmt):
             "numeric_holonomy": hol_num,
         }
         if hol_num is not None:
-            c = math.sqrt(level.E**2 - 1.0)
             numeric["action_identity_residual"] = dynamics.circle_distance(
-                inv.S, inv.L * c + hol_num)
+                inv.S, inv.L * level.c + hol_num)
         report["numeric"] = numeric
         ts, ys, _ = flow.sample(n_samples)
         columns = [ts, *ys, geo.hamiltonian(ys)]
@@ -302,12 +282,12 @@ def cmd_dynamics(cfg, out_dir, fmt):
             "closed_form": dynamics.liouville_volume(geo, level.E)}
 
     if rows:
-        _write_table(out_dir, "orbit", fmt, header, rows)
+        _write_csv(os.path.join(out_dir, "orbit.csv"), header, rows)
     _write_json(os.path.join(out_dir, "invariants.json"), report)
     return 0
 
 
-def cmd_katok(cfg, out_dir, fmt):
+def cmd_katok(cfg, out_dir):
     geo = _geometry(cfg)
     if not isinstance(geo, geometry.Katok):
         raise ValidationError("the katok command needs geometry kind 'katok'")
@@ -324,7 +304,7 @@ def cmd_katok(cfg, out_dir, fmt):
     monodromy, analytic = {}, {}
     max_mono_dev = 0.0
     for label in ("+", "-"):
-        ana = analytic[label] = dynamics.katok_poincare_analytic(eps, level.E, label)
+        ana = analytic[label] = geometry.katok_poincare_analytic(eps, level.E, label)
         num = dynamics.katok_monodromy_numeric(eps, level.E, label, tol["ode_tol"])
         dev = float(np.max(np.abs(num - ana.matrix)))
         max_mono_dev = max(max_mono_dev, dev)
@@ -336,8 +316,7 @@ def cmd_katok(cfg, out_dir, fmt):
             "det_numeric": float(np.linalg.det(np.eye(2) - num)),
         }
 
-    orbit_set = dynamics.closed_orbit_invariants(geo, level.E)
-    inv = {o.orientation: o for o in orbit_set.orbits}
+    inv = {o.orientation: o for o in geo.closed_orbits(level.E, level.c).orbits}
     maslov_rows = []
     assembly_rows = []
     max_assembly_dev = 0.0
@@ -374,13 +353,12 @@ def cmd_katok(cfg, out_dir, fmt):
         "max_assembly_rel_dev": max_assembly_dev,
         "passed": passed,
     }
-    if fmt == "csv":
-        # one row per (k, branch): its maslov row, then its assembly row past k, branch
-        header = [*maslov_rows[0], *list(assembly_rows[0])[2:]]
-        rows = [[*m.values(), *list(a.values())[2:]] for m, a in zip(maslov_rows, assembly_rows)]
-        rows += [[key, *[""] * 8, report[key]]
-                 for key in ("max_monodromy_dev", "max_assembly_rel_dev")]
-        _write_csv(os.path.join(out_dir, "katok_report.csv"), header, rows)
+    # one row per (k, branch): its maslov row, then its assembly row past k, branch
+    header = [*maslov_rows[0], *list(assembly_rows[0])[2:]]
+    rows = [[*m.values(), *list(a.values())[2:]] for m, a in zip(maslov_rows, assembly_rows)]
+    rows += [[key, *[""] * 8, report[key]]
+             for key in ("max_monodromy_dev", "max_assembly_rel_dev")]
+    _write_csv(os.path.join(out_dir, "katok_report.csv"), header, rows)
     _write_json(os.path.join(out_dir, "katok_report.json"), report)
     return 0 if passed else 1
 
@@ -404,12 +382,14 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.format)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ValidationError(f"cannot use --out {args.out} as a directory: {exc}") from exc
+        return _COMMANDS[args.command](cfg, args.out)
     except MagtraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -30,32 +30,11 @@ from numpy.polynomial.legendre import leggauss
 
 from . import ode
 from .errors import IntegratorError, ResonanceError, ValidationError
-from .geometry import (ClosedOrbitSet, Geometry, GeometrySpec, KatokMonodromy,  # noqa: F401
-                       Katok, OrbitInvariants, PhaseState, branch_sign,
-                       half_lattice_distance, katok_first_integral,
-                       katok_poincare_analytic)
+from .geometry import Geometry, Katok, PhaseState, branch_sign, half_lattice_distance
+# dynamics.GeometrySpec is read by perfbench/reference.py
+from .geometry import GeometrySpec  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
-
-
-def hamiltonian(geo: Geometry, s: PhaseState) -> float:
-    """Energy H = sqrt(g^{-1}(p,p) + 1) >= 1, with equality only at p = 0."""
-    geo.check_chart(s.as_array(), s.chart)
-    return float(geo.hamiltonian(s.as_array()))
-
-
-def flow_rhs(geo: Geometry, s: PhaseState, E: float) -> tuple:
-    """Right-hand side of the reduced flow at an on-shell state.
-
-    Returns ((dq1, dq2), (dp1, dp2)); the state must satisfy H = E to 1e-10.
-    """
-    y = s.as_array()
-    geo.check_chart(y, s.chart)
-    H = float(geo.hamiltonian(y))
-    if abs(H - E) > 1e-10 * max(1.0, abs(E)):
-        raise ValidationError(f"state is off-shell: H={H!r} but E={E!r}")
-    d = geo.flow(y)
-    return (d[0], d[1]), (d[2], d[3])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +154,7 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
 
 
 # ---------------------------------------------------------------------------
-# canonical closed orbits and their invariants
+# the canonical closed orbit
 # ---------------------------------------------------------------------------
 
 def _speed(E: float) -> float:
@@ -184,15 +163,7 @@ def _speed(E: float) -> float:
     return math.sqrt(E * E - 1.0)
 
 
-def closed_orbit_invariants(geo: Geometry, E: float) -> ClosedOrbitSet:
-    """Closed-form orbit data for each geometry at energy E > 1.
-
-    Above (or at) the Mane level the hyperbolic flow has no closed
-    trajectories and an empty result is returned rather than an error.
-    """
-    return geo.closed_orbits(E, _speed(E))
-
-
+# also called by perfbench/reference.py
 def canonical_orbit_state(geo: Geometry, E: float,
                           orientation: str = "+") -> tuple:
     """An on-shell initial state on the canonical closed orbit, with its period.
@@ -316,8 +287,7 @@ def maslov_katok(k: int, eps: float, orientation: str,
     """
     if not (isinstance(k, (int, np.integer)) and k != 0):
         raise ValidationError(f"iterate index k must be a nonzero integer, got {k}")
-    if not (0.0 < eps < 1.0):
-        raise ValidationError(f"deformation parameter must lie in (0,1), got {eps}")
+    Katok(eps)  # refuses eps outside (0, 1)
     sg = branch_sign(orientation)
     x = 2.0 * k / (1.0 - sg * eps)  # rotation angle in units of pi
     if 2.0 * half_lattice_distance(x) <= resonance_margin:
@@ -335,11 +305,6 @@ def maslov_katok(k: int, eps: float, orientation: str,
 # phase-space volumes
 # ---------------------------------------------------------------------------
 
-def metric_area(geo: Geometry) -> float:
-    """Riemannian area of the configuration manifold."""
-    return geo.area
-
-
 def liouville_volume(geo: Geometry, E: float) -> float:
     """Liouville volume of the energy shell, Vol(X_E) = 2 pi E Area(M).
 
@@ -348,7 +313,7 @@ def liouville_volume(geo: Geometry, E: float) -> float:
     Carlo cross-check agrees with this value, not the display).
     """
     _speed(E)  # refuses E <= 1
-    return TWO_PI * E * metric_area(geo)
+    return TWO_PI * E * geo.area
 
 
 @dataclasses.dataclass(frozen=True)

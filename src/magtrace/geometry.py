@@ -556,8 +556,7 @@ def katok_poincare_analytic(eps: float, E: float, orientation: str) -> KatokMono
     [[cos a, (1-e^2)/a sin a], [-a/(1-e^2) sin a, cos a]] (angle alpha),
     and |I - P| = 4 sin^2(alpha/2).
     """
-    if not (0.0 < eps < 1.0):
-        raise ValidationError(f"deformation parameter must lie in (0,1), got {eps}")
+    Katok(eps)  # refuses eps outside (0, 1)
     if not E > 1.0:
         raise ValidationError(f"energy must exceed 1, got {E}")
     sg = branch_sign(orientation)

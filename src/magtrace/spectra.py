@@ -56,10 +56,9 @@ MAX_WINDOW_RUNGS = 10_000_000
 
 @dataclasses.dataclass(frozen=True)
 class EnergyLevel:
-    """Energy triple (E, calE, c) with c^2 = E^2 - 1 and calE = c^2/2."""
+    """Energy pair (E, c) with c^2 = E^2 - 1."""
 
     E: float
-    calE: float
     c: float
 
     @classmethod
@@ -67,7 +66,7 @@ class EnergyLevel:
         c2 = E * E - 1.0
         if not (E > 1.0 and math.isfinite(c2)):
             raise ValidationError(f"energy E must exceed 1 and have a finite square, got {E}")
-        return cls(E=E, calE=c2 / 2.0, c=math.sqrt(c2))
+        return cls(E=E, c=math.sqrt(c2))
 
     def check_N(self, N: int) -> None:
         """Refuse an N whose (E N)^2 overflows a double.
@@ -84,7 +83,7 @@ class EnergyLevel:
                 f"N={N} is too large at E={self.E:.6g}: (E*N)^2 overflows a double")
 
 
-# the closed-form ladders are the geometries that carry one
+# the closed-form ladders' old names, kept for perfbench/setup_probe.py and reference.py
 TorusModel, SphereModel, HyperbolicModel = Torus, Sphere, Hyperbolic
 
 
@@ -125,13 +124,6 @@ def levels(model, N: int, j: int) -> SpectrumEntry:
                          lam=math.sqrt(nu + N * N), mult=int(mult))
 
 
-def torus_levels(N: int, j: int) -> SpectrumEntry:
-    return levels(Torus(), N, j)
-
-
-sphere_levels = hyperbolic_levels = levels
-
-
 # ---------------------------------------------------------------------------
 # window enumeration with certified truncation
 # ---------------------------------------------------------------------------
@@ -157,11 +149,6 @@ class Window:
     def x(self) -> np.ndarray:
         """Window offsets lam - E*N."""
         return self.lam - self.E * self.N
-
-    def entries(self) -> list:
-        return [SpectrumEntry(N=self.N, j=int(j), nu=float(nu), lam=float(lam),
-                              mult=int(m))
-                for j, nu, lam, m in zip(self.j, self.nu, self.lam, self.mult)]
 
 
 def _upper_tail_bound(model, N, E, env, j_start):

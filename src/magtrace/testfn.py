@@ -59,6 +59,19 @@ _BUMP_D4 = 1098.0
 # resolution anyway.  The dyadic radius search is capped there accordingly.
 _BUMP_U_CAP = 1600.0
 
+# Largest offset of a gaussian's phi: its radius at the smallest positive
+# double, s*sqrt(2 ln(1/5e-324)) ~ 38.6 s (a bump's is _BUMP_U_CAP/w).
+_GAUSS_MAX_OFFSET = math.sqrt(-2.0 * math.log(5e-324))
+
+
+def _refuse_lost_phase(what: str, phase: float) -> None:
+    """Refuse a modulation whose largest phase reaches 2^53, past which
+    exp(1j*phase) keeps no phase information."""
+    if not abs(phase) < 2.0**53:
+        raise ValidationError(f"{what}: the largest phase of phi, {abs(phase):.3g}, "
+                              "reaches 2^53, where exp(i*phase) keeps no phase information")
+
+
 # Points per block of the bump's cosine sum: bounds the (block x 512)
 # temporary to 8 MB.
 _BUMP_BLOCK = 2048
@@ -235,6 +248,7 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 
+# also wrapped by perfbench/tracer.py and called by perfbench/reference.py
 def make_gaussian(s: float) -> TestFunction:
     """Gaussian pair phi(x) = exp(-x^2/(2 s^2)), phi_hat = s*sqrt(2pi)*exp(-s^2 xi^2/2).
 
@@ -254,6 +268,7 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
     # s^4 of phi_hat'', 1/s^2 of the envelopes, the exponent (s b)^2 of phi_hat(0)
     refuse_past_double_range(f"gaussian parameters s={s:g}, b={b:g}",
                              lambda: (s**4, 1.0 / (s * s), s * s * (b * b)))
+    _refuse_lost_phase(f"gaussian parameters s={s:g}, b={b:g}", b * _GAUSS_MAX_OFFSET * s)
     amp = s * math.sqrt(TWO_PI)
 
     def phi(x):
@@ -368,6 +383,7 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     # w^3 and 1/w^3 of the envelope, the largest phase tau0 x of phi
     refuse_past_double_range(f"bump parameters tau0={tau0:g}, w={w:g}",
                              lambda: (w**3, 1.0 / w**3, tau0 * _BUMP_U_CAP / w))
+    _refuse_lost_phase(f"bump parameters tau0={tau0:g}, w={w:g}", tau0 * _BUMP_U_CAP / w)
 
     coeff = w * _bump_cosine_table()[1]
     real_valued = (tau0 == 0.0)
@@ -536,6 +552,7 @@ KINDS = {
 }
 
 
+# the name cli calls; perfbench/tracer.py wraps it and perfbench/setup_probe.py calls it
 def from_config(spec: dict) -> TestFunction:
     """Build a TestFunction from its CLI/JSON description."""
     return read_kind(spec, "test_function", KINDS)

@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
+# the module-level name enumerate_window is also read by perfbench/test_checks.py
 from .spectra import EnergyLevel, Window, enumerate_window
 from .testfn import TestFunction
-from .errors import ValidationError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,12 +37,8 @@ def _window_sum(window: Window, f: TestFunction) -> tuple:
     vals = f.phi(window.x)
     weighted = window.mult * np.asarray(vals)
     abs_sum = math.fsum(np.abs(weighted)) if weighted.size else 0.0
-    if f.complex_valued:
-        value = complex(math.fsum(weighted.real), math.fsum(weighted.imag))
-    else:
-        # real evaluators keep the imaginary part identically zero
-        value = complex(math.fsum(np.asarray(weighted, dtype=float)), 0.0)
-    return value, abs_sum
+    # a real array's .imag is zeros, whose fsum is 0.0
+    return complex(math.fsum(weighted.real), math.fsum(weighted.imag)), abs_sum
 
 
 def y_n(model, N: int, level: EnergyLevel, f: TestFunction,
@@ -53,19 +49,3 @@ def y_n(model, N: int, level: EnergyLevel, f: TestFunction,
     return TraceValue(N=int(N), value=value, tail_bound=window.tail_bound,
                       abs_sum=abs_sum)
 
-
-def y_sequence(model, level: EnergyLevel, f: TestFunction, N_list,
-               tail_tol: float = 1e-14) -> list:
-    """Elementwise ``y_n`` over an ascending list of positive integers.
-
-    Results equal independent ``y_n`` calls bitwise; the sequence order is
-    part of the output contract.
-    """
-    N_list = list(N_list)
-    if not N_list:
-        raise ValidationError("N_list must be nonempty")
-    if any(not (isinstance(n, (int, np.integer)) and n >= 1) for n in N_list):
-        raise ValidationError("N_list entries must be positive integers")
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValidationError("N_list must be strictly ascending")
-    return [y_n(model, int(N), level, f, tail_tol) for N in N_list]

@@ -13,15 +13,13 @@ import time
 
 import numpy as np
 
-from magtrace import (EnergyLevel, GeometrySpec, HyperbolicModel, KSumControl,
-                      ManeLevelError, SphereModel, TorusModel,
+from magtrace import (EnergyLevel, Hyperbolic, Katok, KSumControl,
+                      ManeLevelError, Sphere, Torus,
                       canonical_orbit_state, circle_distance,
-                      closed_orbit_invariants, general_c0_nondegenerate,
-                      hyperbolic_c01, integrate, katok_monodromy_numeric,
+                      general_c0_nondegenerate, integrate, katok_monodromy_numeric,
                       katok_poincare_analytic, katok_term_closed, make_gaussian,
-                      maslov_katok, numeric_holonomy, poisson_check,
-                      residual_report, sphere_c01, torus_c01,
-                      torus_cluster_check, y_n, y_sequence)
+                      maslov_katok, numeric_holonomy, poisson_c01, poisson_check,
+                      residual_report, torus_cluster_check, y_n)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -37,7 +35,7 @@ def _report(num, ok, detail):
 def _sweep_residuals(model, geo_pred, E, f=None):
     lev = EnergyLevel.from_E(E)
     f = f or make_gaussian(1.0)
-    traces = y_sequence(model, lev, f, SWEEP, tail_tol=1e-14)
+    traces = [y_n(model, N, lev, f, tail_tol=1e-14) for N in SWEEP]
     preds = [geo_pred(N, lev, f) for N in SWEEP]
     return residual_report(traces, preds)
 
@@ -45,7 +43,7 @@ def _sweep_residuals(model, geo_pred, E, f=None):
 def test_criterion_1_torus_trace_formula():
     t0 = time.perf_counter()
     ctl = KSumControl(12)
-    rep = _sweep_residuals(TorusModel(), lambda N, lev, f: torus_c01(N, lev, f, ctl),
+    rep = _sweep_residuals(Torus(), lambda N, lev, f: poisson_c01(N, Torus(), lev, f, ctl),
                            2.0)
     elapsed = time.perf_counter() - t0
     slope_ok = rep.converged or (-1.6 <= rep.slope <= -0.6)
@@ -56,10 +54,10 @@ def test_criterion_1_torus_trace_formula():
 
 
 def test_criterion_2_sphere_trace_formula():
-    model = SphereModel(R=0.5)
+    model = Sphere(R=0.5)
     ctl = KSumControl(12)
     rep = _sweep_residuals(model,
-                           lambda N, lev, f: sphere_c01(N, model, lev, f, ctl),
+                           lambda N, lev, f: poisson_c01(N, model, lev, f, ctl),
                            SQRT2)
     slope_ok = rep.converged or (-1.6 <= rep.slope <= -0.6)
     ratio = rep.max_scaled / rep.median_scaled
@@ -69,7 +67,7 @@ def test_criterion_2_sphere_trace_formula():
     f = make_gaussian(1.0)
     max_dev = 0.0
     for N in SWEEP:
-        p = sphere_c01(N, model, lev, f, ctl)
+        p = poisson_c01(N, model, lev, f, ctl)
         ks = np.arange(-ctl.k_max, ctl.k_max + 1)
         phase = (np.exp(1j * math.pi * ks * (N + 1))
                  * np.exp(-1j * math.pi * ks * lev.E * N))
@@ -84,10 +82,10 @@ def test_criterion_2_sphere_trace_formula():
 
 
 def test_criterion_3_hyperbolic_trace_formula():
-    model = HyperbolicModel(R=1.0, genus=2)
+    model = Hyperbolic(R=1.0, genus=2)
     ctl = KSumControl(12)
     rep = _sweep_residuals(model,
-                           lambda N, lev, f: hyperbolic_c01(N, model, lev, f, ctl),
+                           lambda N, lev, f: poisson_c01(N, model, lev, f, ctl),
                            1.2)
     slope_ok = rep.converged or (-1.6 <= rep.slope <= -0.6)
     ratio = rep.max_scaled / rep.median_scaled if not rep.converged else 1.0
@@ -98,13 +96,13 @@ def test_criterion_3_hyperbolic_trace_formula():
     f = make_gaussian(1.0)
     from magtrace import make_fourier_bump
     f0 = make_fourier_bump(0.0, 1.0)
-    p0 = hyperbolic_c01(3, model, lev, f0, ctl)
+    p0 = poisson_c01(3, model, lev, f0, ctl)
     vol_term = complex(f0.phi_hat(0.0)) / TWO_PI**2 * (
         TWO_PI**2 * (2 * model.genus - 2) * lev.E * model.R**2)
     k0_ok = abs(p0.c0 - vol_term) <= 1e-13 * abs(vol_term)
 
     try:
-        hyperbolic_c01(3, model, EnergyLevel.from_E(SQRT2), f, ctl)
+        poisson_c01(3, model, EnergyLevel.from_E(SQRT2), f, ctl)
         mane_ok = False
     except ManeLevelError:
         mane_ok = True
@@ -117,7 +115,7 @@ def test_criterion_3_hyperbolic_trace_formula():
 
 def test_criterion_4_katok_dynamics():
     t0 = time.perf_counter()
-    geo = GeometrySpec.katok(EPS5)
+    geo = Katok(EPS5)
     closure_ok = drift_ok = mono_ok = det_ok = True
     worst = {"closure": 0.0, "drift": 0.0, "mono": 0.0, "det": 0.0}
     for orientation, sign in (("+", 1.0), ("-", -1.0)):
@@ -150,8 +148,9 @@ def test_criterion_4_katok_dynamics():
 
 def test_criterion_5_katok_assembly():
     N = 3
-    geo = GeometrySpec.katok(EPS5)
-    inv = {o.orientation: o for o in closed_orbit_invariants(geo, SQRT2).orbits}
+    geo = Katok(EPS5)
+    lev = EnergyLevel.from_E(SQRT2)
+    inv = {o.orientation: o for o in geo.closed_orbits(lev.E, lev.c).orbits}
     max_dev = 0.0
     maslov_ok = True
     for k in (1, 2, 3, -1, -2, -3):
@@ -176,12 +175,12 @@ def test_criterion_5_katok_assembly():
 
 def test_criterion_6_holonomy_and_action():
     cases = [
-        (GeometrySpec.torus(), 2.0, -(2.0**2 - 1.0) / 2.0),
-        (GeometrySpec.sphere(0.5), SQRT2,
+        (Torus(), 2.0, -(2.0**2 - 1.0) / 2.0),
+        (Sphere(0.5), SQRT2,
          -math.pi * (1.0 - 1.0 / math.sqrt(1.0 + 1.0))),
-        (GeometrySpec.hyperbolic(1.0, 2), math.sqrt(1.25),
+        (Hyperbolic(1.0, 2), math.sqrt(1.25),
          -TWO_PI * (1.0 / math.sqrt(1.0 - 0.25) - 1.0)),
-        (GeometrySpec.katok(EPS5), SQRT2,
+        (Katok(EPS5), SQRT2,
          TWO_PI * EPS5 / (1.0 - EPS5**2)),
     ]
     max_hol_dev = 0.0
@@ -191,10 +190,10 @@ def test_criterion_6_holonomy_and_action():
         res = integrate(geo, st, E, T, tol=1e-12)
         hol = numeric_holonomy(geo, res)
         max_hol_dev = max(max_hol_dev, abs(hol - hol_closed))
-        out = closed_orbit_invariants(geo, E)
+        c = math.sqrt(E * E - 1.0)
+        out = geo.closed_orbits(E, c)
         inv = next(o for o in out.orbits
                    if o.orientation == "+" or len(out.orbits) == 1)
-        c = math.sqrt(E * E - 1.0)
         max_act_dev = max(max_act_dev, circle_distance(inv.S, inv.L * c + hol))
     ok = max_hol_dev < 1e-6 and max_act_dev < 1e-8
     _report(6, ok, f"holonomy dev={max_hol_dev:.1e}, "
@@ -220,11 +219,11 @@ def test_criterion_8_torus_cluster():
 
 
 def _brute_force(model, N, E, f):
-    if isinstance(model, TorusModel):
+    if isinstance(model, Torus):
         j = np.arange(0, 1_000_000, dtype=float)
         lam = np.sqrt(N * N + TWO_PI * N * (2.0 * j + 1.0))
         mult = np.full(j.shape, float(N))
-    elif isinstance(model, SphereModel):
+    elif isinstance(model, Sphere):
         j = np.arange(0, 1_000_000, dtype=float)
         lam = np.sqrt(N * N + (j * (j + 1.0) + 0.5 * N * (2.0 * j + 1.0)) / model.R**2)
         mult = N + 2.0 * j + 1.0
@@ -242,18 +241,18 @@ def test_criterion_9_oracle_equivalence():
     for _ in range(5):
         # torus
         N, E = int(rng.integers(5, 60)), float(rng.uniform(1.3, 3.0))
-        model = TorusModel()
+        model = Torus()
         t = y_n(model, N, EnergyLevel.from_E(E), f, tail_tol=1e-15)
         b = _brute_force(model, N, E, f)
         max_rel = max(max_rel, abs(t.value.real - b) / max(abs(b), 1e-300))
         # sphere
         N, E = int(rng.integers(5, 60)), float(rng.uniform(1.3, 3.0))
-        model = SphereModel(R=float(rng.choice([0.5, 1.0, 2.0])))
+        model = Sphere(R=float(rng.choice([0.5, 1.0, 2.0])))
         t = y_n(model, N, EnergyLevel.from_E(E), f, tail_tol=1e-15)
         b = _brute_force(model, N, E, f)
         max_rel = max(max_rel, abs(t.value.real - b) / max(abs(b), 1e-300))
         # hyperbolic (full integrable range)
-        model = HyperbolicModel(R=1.0, genus=int(rng.integers(2, 4)))
+        model = Hyperbolic(R=1.0, genus=int(rng.integers(2, 4)))
         N = int(rng.integers(5, 60))
         E = float(rng.uniform(1.05, model.mane_E - 0.05))
         t = y_n(model, N, EnergyLevel.from_E(E), f, tail_tol=1e-15)

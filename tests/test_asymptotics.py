@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from magtrace import (CoefficientPrediction, DegenerateOrbitError, EnergyLevel,
-                      HyperbolicModel, KSumControl, ManeLevelError,
-                      MixedSupportError, ResonanceError, SphereModel,
+                      Hyperbolic, Katok, KSumControl, ManeLevelError,
+                      MixedSupportError, ResonanceError, Sphere, Torus,
                       TraceValue, ValidationError, general_c0_nondegenerate,
-                      general_c0_volume, hyperbolic_c01, katok_c0,
-                      katok_term_closed, make_fourier_bump, make_gaussian,
-                      make_gaussian_modulated, maslov_katok, residual_report,
-                      sphere_c01, torus_c01, torus_cluster_check)
+                      general_c0_volume, katok_c0, katok_term_closed,
+                      make_fourier_bump, make_gaussian, make_gaussian_modulated,
+                      maslov_katok, poisson_c01, residual_report,
+                      torus_cluster_check)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -28,7 +28,7 @@ def test_torus_single_term_window():
     E = 2.0
     lev = EnergyLevel.from_E(E)
     f = make_fourier_bump(0.0, min(E, math.pi) / 2.0)
-    p = torus_c01(7, lev, f, KSumControl(8))
+    p = poisson_c01(7, Torus(), lev, f, KSumControl(8))
     assert p.c0 == pytest.approx((E / TWO_PI) * complex(f.phi_hat(0.0)), rel=1e-15)
     # phi_hat is even here, so its derivative vanishes at 0 and c1 = 0
     assert p.c1 == 0.0
@@ -42,7 +42,7 @@ def test_torus_single_term_asymmetric_window():
     E = 2.0
     lev = EnergyLevel.from_E(E)
     f = make_fourier_bump(0.3, 0.4)
-    p = torus_c01(5, lev, f, KSumControl(8))
+    p = poisson_c01(5, Torus(), lev, f, KSumControl(8))
     assert p.c0 == pytest.approx((E / TWO_PI) * complex(f.phi_hat(0.0)), rel=1e-15)
     assert p.c1 == pytest.approx((1j / TWO_PI) * complex(f.phi_hat_d1(0.0)), rel=1e-14)
 
@@ -51,7 +51,7 @@ def test_torus_wide_k_oracle():
     E, N = 2.0, 7
     lev = EnergyLevel.from_E(E)
     f = make_gaussian(1.0)
-    p = torus_c01(N, lev, f, KSumControl(8))
+    p = poisson_c01(N, Torus(), lev, f, KSumControl(8))
     ks = np.arange(-50, 51)
     phase = np.exp(1j * math.pi * ks) * np.exp(-1j * ks * (E * E - 1.0) * N / 2.0)
     c0 = np.sum((E / TWO_PI) * f.phi_hat(ks * E) * phase)
@@ -66,14 +66,14 @@ def test_torus_c1_correction_is_forced_by_residuals():
     # display -sum_k[(i/2piE^2)fhat' + (ik/4piE)fhat'']e^{-ik(E^2-1)N/2}
     # leaves an O(1) residual.  An off-center transform makes c1 complex
     # and exercises both formula pieces.
-    from magtrace import TorusModel, y_n
+    from magtrace import y_n
     E = 2.0
     lev = EnergyLevel.from_E(E)
     f = make_gaussian_modulated(1.0, 0.5)
     ctl = KSumControl(20)
     for N in (200, 400, 800):
-        y = y_n(TorusModel(), N, lev, f, tail_tol=1e-15).value
-        p = torus_c01(N, lev, f, ctl)
+        y = y_n(Torus(), N, lev, f, tail_tol=1e-15).value
+        p = poisson_c01(N, Torus(), lev, f, ctl)
         assert N * abs(y - p.c0 * N - p.c1) < 1.0
         ks = np.arange(-20, 21)
         published = -np.sum(
@@ -86,8 +86,8 @@ def test_torus_c1_correction_is_forced_by_residuals():
 def test_torus_k_truncation_soundness():
     lev = EnergyLevel.from_E(2.0)
     f = make_gaussian(1.0)
-    p1 = torus_c01(9, lev, f, KSumControl(6))
-    p2 = torus_c01(9, lev, f, KSumControl(12))
+    p1 = poisson_c01(9, Torus(), lev, f, KSumControl(6))
+    p2 = poisson_c01(9, Torus(), lev, f, KSumControl(12))
     assert abs(p2.c0 - p1.c0) <= p1.k_tail
     assert abs(p2.c1 - p1.c1) <= p1.k_tail
 
@@ -96,7 +96,7 @@ def test_torus_bohr_sommerfeld_phase_is_N_independent():
     E = math.sqrt(1.0 + 4.0 * math.pi)  # (E^2-1)/2 = 2 pi
     lev = EnergyLevel.from_E(E)
     f = make_gaussian(1.0)
-    preds = [torus_c01(N, lev, f, KSumControl(10)) for N in (3, 17, 64)]
+    preds = [poisson_c01(N, Torus(), lev, f, KSumControl(10)) for N in (3, 17, 64)]
     for p in preds[1:]:
         assert p.c0 == pytest.approx(preds[0].c0, rel=1e-14)
         assert p.c1 == pytest.approx(preds[0].c1, rel=1e-14)
@@ -106,7 +106,7 @@ def test_real_test_function_gives_real_c0():
     lev = EnergyLevel.from_E(2.0)
     f = make_gaussian(1.0)
     for N in (1, 5, 23, 111):
-        p = torus_c01(N, lev, f, KSumControl(10))
+        p = poisson_c01(N, Torus(), lev, f, KSumControl(10))
         assert abs(p.c0.imag) <= 1e-13 * max(1.0, abs(p.c0))
         assert abs(p.c1.imag) <= 1e-13 * max(1.0, abs(p.c1))
 
@@ -119,7 +119,7 @@ def test_coefficient_boundedness_over_sweep():
         np.sum(np.abs(f.phi_hat(np.arange(-10, 11) * lev.E))))
     vals = []
     for N in range(1, 501, 7):
-        p = torus_c01(N, lev, f, ctl)
+        p = poisson_c01(N, Torus(), lev, f, ctl)
         vals.append(abs(p.c0))
         assert abs(p.c0) <= abs_bound + p.k_tail + 1e-12
     assert max(vals) < 10.0 * abs_bound
@@ -140,21 +140,21 @@ def _sphere_specialized_half(N, E, f, k_max):
 
 
 def test_sphere_specialization_agreement():
-    model = SphereModel(R=0.5)
+    model = Sphere(R=0.5)
     lev = EnergyLevel.from_E(SQRT2)
     f = make_gaussian(1.0)
     for N in (1, 4, 9, 40):
-        p = sphere_c01(N, model, lev, f, KSumControl(12))
+        p = poisson_c01(N, model, lev, f, KSumControl(12))
         c0, c1 = _sphere_specialized_half(N, lev.E, f, 12)
         assert abs(p.c0 - c0) <= 1e-14 * abs(c0)
         assert abs(p.c1 - c1) <= 1e-14 * max(abs(c1), 1e-3)
 
 
 def test_sphere_wide_k_oracle():
-    model = SphereModel(R=0.5)
+    model = Sphere(R=0.5)
     lev = EnergyLevel.from_E(SQRT2)
     f = make_gaussian(1.0)
-    p = sphere_c01(4, model, lev, f, KSumControl(10))
+    p = poisson_c01(4, model, lev, f, KSumControl(10))
     c0, c1 = _sphere_specialized_half(4, lev.E, f, 50)
     assert abs(p.c0 - c0) <= 1e-14 * abs(c0)
     assert abs(p.c1 - c1) <= 1e-14 * max(abs(c1), 1e-3)
@@ -163,24 +163,24 @@ def test_sphere_wide_k_oracle():
 def test_sphere_general_radius_residual_bounded():
     # the general-R display verified off the specialization point: R = 1,
     # E = 1.5, with a wide transform so the k = +-1 terms carry weight
-    from magtrace import SphereModel as SM, y_n
+    from magtrace import Sphere as SM, y_n
     model = SM(R=1.0)
     lev = EnergyLevel.from_E(1.5)
     f = make_gaussian(0.25)
     ctl = KSumControl(20)
     for N in (200, 400, 800):
         y = y_n(model, N, lev, f, tail_tol=1e-15).value
-        p = sphere_c01(N, model, lev, f, ctl)
+        p = poisson_c01(N, model, lev, f, ctl)
         assert N * abs(y - p.c0 * N - p.c1) < 1.0
 
 
 def test_sphere_volume_term():
     # k = 0 coefficient equals the phase-space volume term exactly
-    model = SphereModel(R=0.75)
+    model = Sphere(R=0.75)
     E = 1.9
     lev = EnergyLevel.from_E(E)
     f = make_fourier_bump(0.0, 0.5)  # only k = 0 in the support
-    p = sphere_c01(3, model, lev, f, KSumControl(6))
+    p = poisson_c01(3, model, lev, f, KSumControl(6))
     vol = 8.0 * math.pi**2 * E * model.R**2
     assert p.c0 == pytest.approx(general_c0_volume(complex(f.phi_hat(0.0)), vol, 2),
                                  rel=1e-15)
@@ -191,26 +191,26 @@ def test_sphere_volume_term():
 # ---------------------------------------------------------------------------
 
 def test_hyperbolic_volume_term_and_guard():
-    model = HyperbolicModel(R=1.0, genus=2)
+    model = Hyperbolic(R=1.0, genus=2)
     lev = EnergyLevel.from_E(1.2)
     f = make_fourier_bump(0.0, 1.0)
-    p = hyperbolic_c01(6, model, lev, f, KSumControl(6))
+    p = poisson_c01(6, model, lev, f, KSumControl(6))
     vol = TWO_PI**2 * (2 * model.genus - 2) * lev.E * model.R**2
     assert p.c0 == pytest.approx(general_c0_volume(complex(f.phi_hat(0.0)), vol, 2),
                                  rel=1e-13)
     # boundary guard: 1.41 passes, sqrt(2) does not
-    hyperbolic_c01(6, model, EnergyLevel.from_E(1.41), f, KSumControl(6))
+    poisson_c01(6, model, EnergyLevel.from_E(1.41), f, KSumControl(6))
     with pytest.raises(ManeLevelError) as exc:
-        hyperbolic_c01(6, model, EnergyLevel.from_E(SQRT2), f, KSumControl(6))
+        poisson_c01(6, model, EnergyLevel.from_E(SQRT2), f, KSumControl(6))
     assert exc.value.boundary == pytest.approx(SQRT2, rel=1e-15)
 
 
 def test_hyperbolic_wide_k_oracle():
-    model = HyperbolicModel(R=1.0, genus=2)
+    model = Hyperbolic(R=1.0, genus=2)
     E = 1.2
     lev = EnergyLevel.from_E(E)
     f = make_gaussian(0.25)  # wide transform so k = +-1 terms matter
-    p = hyperbolic_c01(6, model, lev, f, KSumControl(10))
+    p = poisson_c01(6, model, lev, f, KSumControl(10))
     q = math.sqrt(1.0 / model.R**2 + 1.0 - E * E)
     g2 = 2.0 * model.genus - 2.0
     ks = np.arange(-50, 51)
@@ -246,7 +246,7 @@ def test_torus_k0_term_equals_volume_route():
     E = 2.0
     lev = EnergyLevel.from_E(E)
     f = make_fourier_bump(0.0, 0.5)  # only k = 0 in the support
-    p = torus_c01(4, lev, f, KSumControl(4))
+    p = poisson_c01(4, Torus(), lev, f, KSumControl(4))
     assert p.c0 == pytest.approx(
         general_c0_volume(complex(f.phi_hat(0.0)), TWO_PI * E, 2), rel=1e-15)
 
@@ -322,16 +322,15 @@ def test_katok_zero_period_window():
 
 
 def test_katok_isolated_orbit_window_matches_assembly():
-    from magtrace import (GeometrySpec, closed_orbit_invariants,
-                          katok_poincare_analytic)
+    from magtrace import katok_poincare_analytic
     eps = 1.0 / math.sqrt(5.0)
     Tsharp = TWO_PI * SQRT2 / (1.0 - eps * eps)
     f = make_fourier_bump(Tsharp, 0.4)  # isolates k = 1 for both branches
     N = 4
     p = katok_c0(N, eps, f, KSumControl(4))
     assert p.d == 0.0
-    inv = {o.orientation: o
-           for o in closed_orbit_invariants(GeometrySpec.katok(eps), SQRT2).orbits}
+    lev = EnergyLevel.from_E(SQRT2)
+    inv = {o.orientation: o for o in Katok(eps).closed_orbits(lev.E, lev.c).orbits}
     total = 0.0 + 0.0j
     hat = complex(f.phi_hat(Tsharp))
     for label in ("+", "-"):

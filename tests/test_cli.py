@@ -120,7 +120,7 @@ def test_katok_command_passes(tmp_path):
     }
     path = _write_cfg(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
-    assert main(["katok", "--config", path, "--out", str(out), "--format", "json"]) == 0
+    assert main(["katok", "--config", path, "--out", str(out)]) == 0
     rep = json.loads((out / "katok_report.json").read_text())
     assert rep["max_assembly_rel_dev"] < 1e-12
     assert rep["max_monodromy_dev"] < 1e-6
@@ -198,14 +198,29 @@ def test_threads_flag_is_gone(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_json_format_output(tmp_path):
-    cfg = _base_cfg(N={"value": 5})
-    path = _write_cfg(tmp_path, "cfg.json", cfg)
+def test_format_flag_is_gone(tmp_path, capsys):
+    # CSV is the one table format; the former --format option is a usage error
+    path = _write_cfg(tmp_path, "cfg.json", _base_cfg())
     out = tmp_path / "out"
-    assert main(["trace", "--config", path, "--out", str(out),
-                 "--format", "json"]) == 0
-    rows = json.loads((out / "trace.json").read_text())
-    assert rows[0]["N"] == 5 and "re_y" in rows[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--config", path, "--out", str(out), "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["trace", "dynamics"])
+def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, sub):
+    cfg = _base_cfg(geometry={"kind": "sphere", "R": 0.5}, E=SQRT2)
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    blocker = tmp_path / "out"
+    blocker.write_text("a file\n")
+    for out in (blocker, blocker / "sub"):
+        assert main([sub, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert blocker.read_text() == "a file\n" and sorted(tmp_path.iterdir()) == [
+        tmp_path / "cfg.json", blocker]
 
 
 @pytest.mark.parametrize("geometry,E", [
@@ -271,7 +286,10 @@ def test_dynamics_bad_number_exits_2(tmp_path, capsys, geometry, extra):
 
 
 @pytest.mark.parametrize("N", [{"value": True}, {"start": 10, "stop": 60, "step": 0},
-                               {"start": "10", "stop": 60, "step": 10}])
+                               {"start": "10", "stop": 60, "step": 10},
+                               # an empty, repeated, descending and zero-based grid
+                               {"list": []}, {"list": [10, 10]}, {"list": [10, 5]},
+                               {"list": [0, 5]}])
 def test_bad_N_exits_2(tmp_path, capsys, N):
     path = _write_cfg(tmp_path, "cfg.json", _base_cfg(N=N))
     out = tmp_path / "out"
@@ -329,6 +347,31 @@ def test_test_function_past_double_range_exits_2(tmp_path, capsys, test_function
     # finite parameters whose powers, reciprocals or phases are not doubles
     cfg = _base_cfg(N={"value": 40}, test_function=test_function)
     assert "leave the double range" in _exits_2_cleanly(tmp_path, capsys, cfg, sub)
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "trace", "predict"])
+@pytest.mark.parametrize("test_function", [
+    {"kind": "gaussian_modulated", "s": 1.0, "b": 1e150},
+    {"kind": "gaussian_modulated", "s": 1e-3, "b": -1e18},
+    {"kind": "fourier_bump", "tau0": 1e300, "w": 1.0},
+    {"kind": "fourier_bump", "tau0": 2.0, "w": 1e-13},
+], ids=["b_1e150", "sb_1e15", "tau0_1e300", "w_1e-13"])
+def test_phase_past_2_53_exits_2(tmp_path, capsys, test_function, sub):
+    # exp(1j*phase) keeps no phase information once the phase reaches 2^53
+    cfg = _base_cfg(N={"value": 40}, test_function=test_function)
+    assert "reaches 2^53" in _exits_2_cleanly(tmp_path, capsys, cfg, sub)
+
+
+@pytest.mark.parametrize("test_function", [
+    {"kind": "gaussian_modulated", "s": 1.0, "b": 1e3},
+    {"kind": "fourier_bump", "tau0": 1e3, "w": 1.0},
+], ids=["b_1e3", "tau0_1e3"])
+def test_modest_phase_runs(tmp_path, test_function):
+    cfg = _base_cfg(N={"value": 40}, test_function=test_function)
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["trace", "--config", path, "--out", str(out)]) == 0
+    assert len((out / "trace.csv").read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("sub,key,as_int,as_float", [

@@ -5,23 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from magtrace import (ChartError, GeometrySpec, IntegratorError, PhaseState,
-                      ResonanceError, ValidationError, canonical_orbit_state,
-                      circle_distance, closed_orbit_invariants, flow_rhs,
-                      hamiltonian, integrate, katok_first_integral,
-                      katok_monodromy_numeric, katok_poincare_analytic,
-                      liouville_volume, maslov_katok, mc_liouville_volume,
-                      metric_area, numeric_holonomy)
+from magtrace import (ChartError, EnergyLevel, Hyperbolic, IntegratorError, Katok,
+                      PhaseState, ResonanceError, Sphere, Torus, ValidationError,
+                      canonical_orbit_state, circle_distance, integrate,
+                      katok_first_integral, katok_monodromy_numeric,
+                      katok_poincare_analytic, liouville_volume, maslov_katok,
+                      mc_liouville_volume, numeric_holonomy)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 EPS5 = 1.0 / math.sqrt(5.0)
 # the canonical one-period orbit of each geometry, at its benchmark energy
 CANONICAL = [
-    (GeometrySpec.torus(), 2.0),
-    (GeometrySpec.sphere(0.5), SQRT2),
-    (GeometrySpec.hyperbolic(1.0, 2), 1.2),
-    (GeometrySpec.katok(EPS5), SQRT2),
+    (Torus(), 2.0),
+    (Sphere(0.5), SQRT2),
+    (Hyperbolic(1.0, 2), 1.2),
+    (Katok(EPS5), SQRT2),
 ]
 
 
@@ -30,34 +29,32 @@ CANONICAL = [
 # ---------------------------------------------------------------------------
 
 def test_hamiltonian_rest_states():
-    for geo, q in ((GeometrySpec.torus(), (0.3, 0.4)),
-                   (GeometrySpec.sphere(1.0), (1.0, 0.5)),
-                   (GeometrySpec.hyperbolic(1.0, 2), (0.1, 2.0)),
-                   (GeometrySpec.katok(0.3), (1.2, 0.0))):
-        assert hamiltonian(geo, PhaseState(q=q, p=(0.0, 0.0))) == 1.0
+    for geo, q in ((Torus(), (0.3, 0.4)),
+                   (Sphere(1.0), (1.0, 0.5)),
+                   (Hyperbolic(1.0, 2), (0.1, 2.0)),
+                   (Katok(0.3), (1.2, 0.0))):
+        assert geo.hamiltonian(PhaseState(q=q, p=(0.0, 0.0)).as_array()) == 1.0
 
 
 def test_hamiltonian_values():
-    assert hamiltonian(GeometrySpec.torus(),
-                       PhaseState(q=(0.0, 0.0), p=(1.0, 1.0))) == pytest.approx(
+    assert Torus().hamiltonian(np.array([0.0, 0.0, 1.0, 1.0])) == pytest.approx(
         math.sqrt(3.0), rel=1e-15)
     eps = 0.3
     p_phi = 1.0 / (1.0 - eps * eps)  # c = 1 at E = sqrt(2)
     st = PhaseState(q=(math.pi / 2.0, 0.0), p=(0.0, p_phi))
-    assert hamiltonian(GeometrySpec.katok(eps), st) == pytest.approx(SQRT2, rel=1e-15)
+    assert Katok(eps).hamiltonian(st.as_array()) == pytest.approx(SQRT2, rel=1e-15)
 
 
 def test_chart_violations():
     with pytest.raises(ChartError):
-        hamiltonian(GeometrySpec.sphere(1.0), PhaseState(q=(0.0, 0.0), p=(0.0, 0.0)))
+        Sphere(1.0).check_chart(np.array([0.0, 0.0, 0.0, 0.0]), "default")
     with pytest.raises(ChartError):
-        hamiltonian(GeometrySpec.hyperbolic(1.0, 2),
-                    PhaseState(q=(0.0, -1.0), p=(0.0, 0.0)))
+        Hyperbolic(1.0, 2).check_chart(np.array([0.0, -1.0, 0.0, 0.0]), "default")
 
 
 def test_flow_rhs_torus_example():
     st = PhaseState(q=(0.0, 0.0), p=(math.sqrt(3.0), 0.0))
-    (dx, dy), (dpx, dpy) = flow_rhs(GeometrySpec.torus(), st, 2.0)
+    dx, dy, dpx, dpy = Torus().flow(st.as_array())
     assert dx == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-15)
     assert dy == 0.0
     assert dpx == 0.0
@@ -68,7 +65,7 @@ def test_flow_rhs_katok_equator():
     eps = 0.3
     for sign in (1.0, -1.0):
         st = PhaseState(q=(math.pi / 2.0, 0.1), p=(0.0, sign / (1.0 - eps * eps)))
-        (dth, dph), (dpth, dpph) = flow_rhs(GeometrySpec.katok(eps), st, SQRT2)
+        dth, dph, dpth, dpph = Katok(eps).flow(st.as_array())
         assert dth == 0.0
         assert dph == pytest.approx(sign * (1.0 / SQRT2) * (1.0 - eps * eps), rel=1e-14)
         assert abs(dpth) < 1e-15  # cos(pi/2) is machine-zero, not exact zero
@@ -76,19 +73,17 @@ def test_flow_rhs_katok_equator():
 
 
 def test_flow_rhs_sphere_chart_regularity():
-    geo = GeometrySpec.sphere(1.0)
+    geo = Sphere(1.0)
     for th in np.linspace(0.1, math.pi - 0.1, 9):
         p_phi = 0.4 * math.sin(th)
         st = PhaseState(q=(float(th), 0.0), p=(0.3, p_phi))
-        E = hamiltonian(geo, st)
-        (a, b), (c, d) = flow_rhs(geo, st, E)
-        assert all(map(math.isfinite, (a, b, c, d)))
+        assert np.all(np.isfinite(geo.flow(st.as_array())))
 
 
-def test_flow_rhs_off_shell_rejected():
-    st = PhaseState(q=(0.0, 0.0), p=(1.0, 0.0))
-    with pytest.raises(ValidationError):
-        flow_rhs(GeometrySpec.torus(), st, 3.0)
+def test_integrate_off_shell_rejected():
+    st = PhaseState(q=(0.0, 0.0), p=(1.0, 0.0))  # H = sqrt(2)
+    with pytest.raises(ValidationError, match="off-shell"):
+        integrate(Torus(), st, 3.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +91,14 @@ def test_flow_rhs_off_shell_rejected():
 # ---------------------------------------------------------------------------
 
 def test_integrate_time_zero_is_identity():
-    geo = GeometrySpec.katok(EPS5)
+    geo = Katok(EPS5)
     st, _ = canonical_orbit_state(geo, SQRT2, "+")
     res = integrate(geo, st, SQRT2, 0.0)
     assert res.final.q == st.q and res.final.p == st.p
 
 
 def test_katok_equator_closes_after_one_period():
-    geo = GeometrySpec.katok(EPS5)
+    geo = Katok(EPS5)
     for orientation, sign in (("+", 1.0), ("-", -1.0)):
         st, T = canonical_orbit_state(geo, SQRT2, orientation)
         assert T == pytest.approx(TWO_PI * SQRT2 / (1.0 - EPS5**2), rel=1e-15)
@@ -117,7 +112,7 @@ def test_katok_equator_closes_after_one_period():
 
 
 def test_hyperbolic_orbit_stays_on_circle():
-    geo = GeometrySpec.hyperbolic(1.0, 2)
+    geo = Hyperbolic(1.0, 2)
     E = 1.2
     st, T = canonical_orbit_state(geo, E, "+")
     res = integrate(geo, st, E, T, tol=1e-11)
@@ -132,7 +127,7 @@ def test_hyperbolic_orbit_stays_on_circle():
 
 
 def test_torus_and_sphere_orbits_close():
-    for geo, E in ((GeometrySpec.torus(), 2.0), (GeometrySpec.sphere(0.5), SQRT2)):
+    for geo, E in ((Torus(), 2.0), (Sphere(0.5), SQRT2)):
         st, T = canonical_orbit_state(geo, E, "+")
         res = integrate(geo, st, E, T, tol=1e-11)
         y0, y1 = st.as_array(), res.final.as_array()
@@ -145,21 +140,21 @@ def test_torus_and_sphere_orbits_close():
 
 
 def test_sphere_chart_switching_over_pole():
-    geo = GeometrySpec.sphere(1.0)
+    geo = Sphere(1.0)
     # aim straight at the north pole: a great-circle-ish magnetic orbit
     st = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0), chart="z")
-    E = hamiltonian(geo, st)
+    E = geo.hamiltonian(st.as_array())
     res = integrate(geo, st, E, 4.0, tol=1e-10)
     assert res.chart_switches >= 1
     assert res.energy_drift < 1e-8
-    final_H = hamiltonian(geo, res.final)
+    final_H = geo.hamiltonian(res.final.as_array())
     assert final_H == pytest.approx(E, abs=1e-8)
 
 
 def test_sample_across_chart_switch_matches_per_point():
-    geo = GeometrySpec.sphere(1.0)
+    geo = Sphere(1.0)
     st = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0), chart="z")
-    res = integrate(geo, st, hamiltonian(geo, st), 4.0, tol=1e-10)
+    res = integrate(geo, st, geo.hamiltonian(st.as_array()), 4.0, tol=1e-10)
     assert [seg.chart for seg in res.segments] == ["z", "x"]
     n = 401
     ts, ys, charts = res.sample(n)
@@ -214,14 +209,14 @@ def test_holonomy_matches_per_point(geo, E):
 
 
 def test_katok_pole_guard():
-    geo = GeometrySpec.katok(0.3)
+    geo = Katok(0.3)
     # P = 0 polar-ish orbit heads into the pole region
     th0 = 0.6
     s2 = math.sin(th0) ** 2
     D = 1.0 - 0.09 * s2
     p_phi = -0.3 * s2 / D  # makes the first integral vanish
     st = PhaseState(q=(th0, 0.0), p=(-2.0, p_phi))
-    E = hamiltonian(geo, st)
+    E = geo.hamiltonian(st.as_array())
     with pytest.raises(IntegratorError):
         integrate(geo, st, E, 6.0, tol=1e-9)
 
@@ -231,7 +226,7 @@ def test_katok_pole_guard():
 # ---------------------------------------------------------------------------
 
 def test_torus_invariants_closed_forms():
-    out = closed_orbit_invariants(GeometrySpec.torus(), 3.0)
+    out = Torus().closed_orbits(3.0, math.sqrt(8.0))
     (o,) = out.orbits
     assert o.S == pytest.approx(4.0, rel=1e-14)
     assert o.T == pytest.approx(3.0, rel=1e-15)
@@ -241,7 +236,8 @@ def test_torus_invariants_closed_forms():
 
 
 def test_sphere_invariants_closed_forms():
-    out = closed_orbit_invariants(GeometrySpec.sphere(0.5), SQRT2)
+    lev = EnergyLevel.from_E(SQRT2)
+    out = Sphere(0.5).closed_orbits(lev.E, lev.c)
     (o,) = out.orbits
     assert o.S == pytest.approx(-math.pi + math.pi * SQRT2, abs=1e-13)
     assert o.maslov is None and "no stated index" in o.maslov_note
@@ -249,20 +245,21 @@ def test_sphere_invariants_closed_forms():
 
 def test_hyperbolic_invariants_and_trichotomy():
     E = math.sqrt(1.25)  # c = 1/2 at R = 1
-    out = closed_orbit_invariants(GeometrySpec.hyperbolic(1.0, 2), E)
+    out = Hyperbolic(1.0, 2).closed_orbits(E, math.sqrt(E * E - 1.0))
     (o,) = out.orbits
     assert o.S == pytest.approx(TWO_PI * (1.0 - math.sqrt(3.0) / 2.0), abs=1e-13)
     assert o.L == pytest.approx(TWO_PI * 0.5 / math.sqrt(0.75), rel=1e-13)
     # at and above the Mane level: no closed orbits, reported not raised
     for E_hi in (SQRT2, 1.8):
-        res = closed_orbit_invariants(GeometrySpec.hyperbolic(1.0, 2), E_hi)
+        res = Hyperbolic(1.0, 2).closed_orbits(E_hi, math.sqrt(E_hi * E_hi - 1.0))
         assert not res.has_orbits
         assert "no periodic trajectories" in res.note
 
 
 def test_katok_invariants_closed_forms():
     eps = 0.3
-    out = closed_orbit_invariants(GeometrySpec.katok(eps), SQRT2)
+    lev = EnergyLevel.from_E(SQRT2)
+    out = Katok(eps).closed_orbits(lev.E, lev.c)
     by_label = {o.orientation: o for o in out.orbits}
     for label, branch in (("+", 1.0), ("-", -1.0)):
         o = by_label[label]
@@ -276,17 +273,17 @@ def test_katok_invariants_closed_forms():
 
 
 @pytest.mark.parametrize("geo,E", [
-    (GeometrySpec.torus(), 2.0),
-    (GeometrySpec.sphere(0.5), SQRT2),
-    (GeometrySpec.hyperbolic(1.0, 2), math.sqrt(1.25)),
-    (GeometrySpec.katok(0.3), SQRT2),
+    (Torus(), 2.0),
+    (Sphere(0.5), SQRT2),
+    (Hyperbolic(1.0, 2), math.sqrt(1.25)),
+    (Katok(0.3), SQRT2),
 ])
 def test_holonomy_and_action_identity(geo, E):
     orientation = "+"
     st, T = canonical_orbit_state(geo, E, orientation)
     res = integrate(geo, st, E, T, tol=1e-12)
     hol = numeric_holonomy(geo, res)
-    out = closed_orbit_invariants(geo, E)
+    out = geo.closed_orbits(E, math.sqrt(E * E - 1.0))
     inv = next(o for o in out.orbits
                if o.orientation == orientation or len(out.orbits) == 1)
     assert hol == pytest.approx(inv.hol, abs=1e-6)
@@ -296,11 +293,11 @@ def test_holonomy_and_action_identity(geo, E):
 
 def test_holonomy_closed_form_values():
     # torus at E = 2: -(pi/2pi)(E^2-1) = -3/2
-    st, T = canonical_orbit_state(GeometrySpec.torus(), 2.0, "+")
-    res = integrate(GeometrySpec.torus(), st, 2.0, T, tol=1e-12)
-    assert numeric_holonomy(GeometrySpec.torus(), res) == pytest.approx(-1.5, abs=1e-6)
+    st, T = canonical_orbit_state(Torus(), 2.0, "+")
+    res = integrate(Torus(), st, 2.0, T, tol=1e-12)
+    assert numeric_holonomy(Torus(), res) == pytest.approx(-1.5, abs=1e-6)
     # deformed sphere at eps = 0.3, "+": +2 pi eps/(1-eps^2)
-    geo = GeometrySpec.katok(0.3)
+    geo = Katok(0.3)
     st, T = canonical_orbit_state(geo, SQRT2, "+")
     res = integrate(geo, st, SQRT2, T, tol=1e-12)
     expect = TWO_PI * 0.3 / (1.0 - 0.09)
@@ -308,7 +305,7 @@ def test_holonomy_closed_form_values():
 
 
 def test_holonomy_open_path_rejected():
-    geo = GeometrySpec.katok(0.3)
+    geo = Katok(0.3)
     st, T = canonical_orbit_state(geo, SQRT2, "+")
     res = integrate(geo, st, SQRT2, 0.5 * T, tol=1e-11)
     with pytest.raises(ValidationError):
@@ -318,7 +315,7 @@ def test_holonomy_open_path_rejected():
 def test_holonomy_rejects_path_leaving_upper_hemisphere():
     # the canonical latitude circle theta = pi/4, seen from chart "x", spans
     # theta in [pi/4, 3pi/4] and keeps clear of that chart's poles
-    geo = GeometrySpec.sphere(0.5)
+    geo = Sphere(0.5)
     st, T = canonical_orbit_state(geo, SQRT2)
     y, chart = geo.switch_chart(st.as_array(), st.chart)
     assert chart == "x"
@@ -332,7 +329,7 @@ def test_holonomy_rejects_path_leaving_upper_hemisphere():
 
 
 def test_holonomy_zero_length_path():
-    geo = GeometrySpec.katok(0.3)
+    geo = Katok(0.3)
     st, _ = canonical_orbit_state(geo, SQRT2, "+")
     res = integrate(geo, st, SQRT2, 0.0)
     assert numeric_holonomy(geo, res) == 0.0
@@ -346,13 +343,13 @@ def test_hyperbolic_general_radius_orbit():
     # closure after T = 2 pi E R^2/sqrt(1-c^2 R^2) checks the R^2 factor
     # that the published prose drops (it quotes the R = 1 values)
     for R, E in ((2.0, 1.1), (0.5, SQRT2)):
-        geo = GeometrySpec.hyperbolic(R, 2)
+        geo = Hyperbolic(R, 2)
         st, T = canonical_orbit_state(geo, E, "+")
         res = integrate(geo, st, E, T, tol=1e-12)
         gap = np.max(np.abs(res.final.as_array() - st.as_array()))
         assert gap < 1e-8
         hol = numeric_holonomy(geo, res)
-        (inv,) = closed_orbit_invariants(geo, E).orbits
+        (inv,) = geo.closed_orbits(E, math.sqrt(E * E - 1.0)).orbits
         c = math.sqrt(E * E - 1.0)
         assert hol == pytest.approx(inv.hol, abs=1e-6)
         assert circle_distance(inv.S, inv.L * c + hol) < 1e-8
@@ -362,7 +359,7 @@ def test_katok_general_energy_orbit():
     # orbit data away from E = sqrt(2): period, return map and action
     # identity all follow the general-E formulas
     eps, E = 0.3, 1.8
-    geo = GeometrySpec.katok(eps)
+    geo = Katok(eps)
     c = math.sqrt(E * E - 1.0)
     for orientation, sign in (("+", 1.0), ("-", -1.0)):
         st, T = canonical_orbit_state(geo, E, orientation)
@@ -376,7 +373,7 @@ def test_katok_general_energy_orbit():
         ana = katok_poincare_analytic(eps, E, orientation)
         assert np.max(np.abs(num - ana.matrix)) < 1e-6
         hol = numeric_holonomy(geo, res)
-        inv = next(o for o in closed_orbit_invariants(geo, E).orbits
+        inv = next(o for o in geo.closed_orbits(E, math.sqrt(E * E - 1.0)).orbits
                    if o.orientation == orientation)
         assert inv.maslov is None and "sqrt(2)" in inv.maslov_note
         assert circle_distance(inv.S, inv.L * c + hol) < 1e-8
@@ -419,16 +416,16 @@ def test_maslov_resonance_guard():
 
 
 def test_metric_areas_and_volumes():
-    assert liouville_volume(GeometrySpec.torus(), 2.0) == pytest.approx(
+    assert liouville_volume(Torus(), 2.0) == pytest.approx(
         4.0 * math.pi, rel=1e-15)
-    assert liouville_volume(GeometrySpec.sphere(0.5), SQRT2) == pytest.approx(
+    assert liouville_volume(Sphere(0.5), SQRT2) == pytest.approx(
         2.0 * math.pi**2 * SQRT2, rel=1e-14)
-    assert liouville_volume(GeometrySpec.hyperbolic(1.0, 2), 1.2) == pytest.approx(
+    assert liouville_volume(Hyperbolic(1.0, 2), 1.2) == pytest.approx(
         TWO_PI**2 * 2.0 * 1.2, rel=1e-14)
     # deformed sphere: exact area 4 pi/(1-eps^2)
     eps = EPS5
-    geo = GeometrySpec.katok(eps)
-    assert metric_area(geo) == pytest.approx(4.0 * math.pi / (1.0 - eps * eps),
+    geo = Katok(eps)
+    assert geo.area == pytest.approx(4.0 * math.pi / (1.0 - eps * eps),
                                              rel=1e-14)
     vol = liouville_volume(geo, SQRT2)
     assert vol / TWO_PI**2 == pytest.approx(2.0 * SQRT2 / (1.0 - eps * eps),
@@ -440,21 +437,21 @@ def test_katok_area_integral_oracle():
     eps = 0.37
     val, _ = quad(lambda th: math.sin(th) / (1.0 - eps**2 * math.sin(th) ** 2) ** 1.5,
                   0.0, math.pi, epsabs=1e-13)
-    assert TWO_PI * val == pytest.approx(metric_area(GeometrySpec.katok(eps)),
+    assert TWO_PI * val == pytest.approx(Katok(eps).area,
                                          rel=1e-11)
 
 
 def test_mc_volume_cross_check():
-    for geo, E in ((GeometrySpec.sphere(0.5), SQRT2),
-                   (GeometrySpec.katok(EPS5), SQRT2),
-                   (GeometrySpec.torus(), 2.0)):
+    for geo, E in ((Sphere(0.5), SQRT2),
+                   (Katok(EPS5), SQRT2),
+                   (Torus(), 2.0)):
         mc = mc_liouville_volume(geo, E, n_samples=200_000, seed=0)
         assert mc.rel_dev < 0.01
-    hyp = mc_liouville_volume(GeometrySpec.hyperbolic(1.0, 2), 1.2)
+    hyp = mc_liouville_volume(Hyperbolic(1.0, 2), 1.2)
     assert hyp.estimate is None and hyp.note
 
 
 def test_mc_volume_deterministic_under_seed():
-    a = mc_liouville_volume(GeometrySpec.katok(0.3), SQRT2, 50_000, seed=3)
-    b = mc_liouville_volume(GeometrySpec.katok(0.3), SQRT2, 50_000, seed=3)
+    a = mc_liouville_volume(Katok(0.3), SQRT2, 50_000, seed=3)
+    b = mc_liouville_volume(Katok(0.3), SQRT2, 50_000, seed=3)
     assert a.estimate == b.estimate

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from magtrace import ode
-from magtrace.dynamics import (GeometrySpec, PhaseState, _katok_jacobian,
-                               canonical_orbit_state, hamiltonian, integrate,
+from magtrace.dynamics import (_katok_jacobian, canonical_orbit_state, integrate,
                                katok_monodromy_numeric)
+from magtrace.geometry import Hyperbolic, Katok, PhaseState, Sphere, Torus
 
 pytest.importorskip("scipy")
 
@@ -22,11 +22,11 @@ SQRT2 = math.sqrt(2.0)
 EPS_K = 1.0 / math.sqrt(5.0)
 TOL = 1e-11
 ORBITS = [
-    (GeometrySpec.torus(), 2.0, "+"),
-    (GeometrySpec.sphere(0.5), SQRT2, "+"),
-    (GeometrySpec.hyperbolic(1.0, 2), 1.2, "+"),
-    (GeometrySpec.katok(EPS_K), SQRT2, "+"),
-    (GeometrySpec.katok(EPS_K), SQRT2, "-"),
+    (Torus(), 2.0, "+"),
+    (Sphere(0.5), SQRT2, "+"),
+    (Hyperbolic(1.0, 2), 1.2, "+"),
+    (Katok(EPS_K), SQRT2, "+"),
+    (Katok(EPS_K), SQRT2, "-"),
 ]
 
 
@@ -75,7 +75,7 @@ def test_canonical_orbits_bit_identical(geo, E, orientation, periods):
 
 def test_sphere_pole_guard_bit_identical():
     # an off-equator start that runs into the pole guard of chart z
-    geo = GeometrySpec.sphere(1.0)
+    geo = Sphere(1.0)
     state = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0), chart="z")
 
     def fun(tt, y):
@@ -91,13 +91,13 @@ def test_sphere_pole_guard_bit_identical():
     ts = np.linspace(0.0, t_end, 501)
     assert np.array_equal(sol(ts), ref.sol(ts))
     # integrate switches charts at that very state
-    flow = integrate(geo, state, hamiltonian(geo, state), 4.0, tol=1e-10)
+    flow = integrate(geo, state, geo.hamiltonian(state.as_array()), 4.0, tol=1e-10)
     assert flow.segments[0].t1 == t_end
     assert np.array_equal(flow.segments[0].sol(t_end), y_end)
 
 
 def test_katok_pole_guard_matches_scipy_event():
-    geo = GeometrySpec.katok(0.3)
+    geo = Katok(0.3)
     s2 = math.sin(0.6) ** 2
     state = PhaseState(q=(0.6, 0.0), p=(-2.0, -0.3 * s2 / (1.0 - 0.09 * s2)))
 
@@ -114,7 +114,7 @@ def test_katok_pole_guard_matches_scipy_event():
 
 @pytest.mark.parametrize("orientation", ["+", "-"])
 def test_katok_variational_bit_identical(orientation):
-    geo = GeometrySpec.katok(EPS_K)
+    geo = Katok(EPS_K)
     state, T = canonical_orbit_state(geo, SQRT2, orientation)
 
     def rhs(tt, z):

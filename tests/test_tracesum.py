@@ -3,11 +3,10 @@
 import math
 
 import numpy as np
-import pytest
 
-from magtrace import (EnergyLevel, SphereModel, TorusModel, ValidationError,
-                      linear_combination, make_fourier_bump, make_gaussian,
-                      make_gaussian_modulated, y_n, y_sequence)
+from magtrace import (EnergyLevel, Sphere, Torus, linear_combination,
+                      make_fourier_bump, make_gaussian, make_gaussian_modulated,
+                      y_n)
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,20 +22,20 @@ def _torus_brute(N, E, f, j_max=1_000_000):
 
 def test_zero_function_gives_exact_zero():
     f = linear_combination([0.0], [make_gaussian(1.0)])
-    t = y_n(TorusModel(), 10, EnergyLevel.from_E(2.0), f)
+    t = y_n(Torus(), 10, EnergyLevel.from_E(2.0), f)
     assert t.value == 0.0 + 0.0j
 
 
 def test_torus_matches_brute_force():
     f = make_gaussian(1.0)
-    t = y_n(TorusModel(), 20, EnergyLevel.from_E(2.0), f, tail_tol=1e-14)
+    t = y_n(Torus(), 20, EnergyLevel.from_E(2.0), f, tail_tol=1e-14)
     brute = _torus_brute(20, 2.0, f)
     assert abs(t.value - brute) <= 1e-12 * abs(brute)
 
 
 def test_sphere_matches_brute_force():
     f = make_gaussian(1.0)
-    model = SphereModel(R=0.5)
+    model = Sphere(R=0.5)
     E = math.sqrt(2.0)
     t = y_n(model, 15, EnergyLevel.from_E(E), f, tail_tol=1e-14)
     j = np.arange(0, 1_000_000, dtype=float)
@@ -47,13 +46,13 @@ def test_sphere_matches_brute_force():
 
 def test_real_input_real_output_exactly():
     f = make_gaussian(1.0)
-    t = y_n(TorusModel(), 33, EnergyLevel.from_E(1.7), f)
+    t = y_n(Torus(), 33, EnergyLevel.from_E(1.7), f)
     assert t.value.imag == 0.0
 
 
 def test_complex_test_function_complex_trace():
     f = make_gaussian_modulated(1.0, 1.0)
-    t = y_n(TorusModel(), 20, EnergyLevel.from_E(2.0), f)
+    t = y_n(Torus(), 20, EnergyLevel.from_E(2.0), f)
     assert t.value.imag != 0.0
     brute = _torus_brute(20, 2.0, f)
     assert abs(t.value - brute) <= 1e-12 * abs(brute)
@@ -65,9 +64,9 @@ def test_linearity():
     a, b = 1.75, -0.4
     combo = linear_combination([a, b], [f1, f2])
     lev = EnergyLevel.from_E(2.0)
-    t1 = y_n(TorusModel(), 30, lev, f1)
-    t2 = y_n(TorusModel(), 30, lev, f2)
-    tc = y_n(TorusModel(), 30, lev, combo)
+    t1 = y_n(Torus(), 30, lev, f1)
+    t2 = y_n(Torus(), 30, lev, f2)
+    tc = y_n(Torus(), 30, lev, combo)
     expect = a * t1.value + b * t2.value
     assert abs(tc.value - expect) <= 1e-13 * max(1.0, abs(expect))
 
@@ -75,9 +74,9 @@ def test_linearity():
 def test_truncation_soundness():
     f = make_gaussian(1.0)
     lev = EnergyLevel.from_E(2.0)
-    t_small = y_n(TorusModel(), 40, lev, f, tail_tol=1e-8)
+    t_small = y_n(Torus(), 40, lev, f, tail_tol=1e-8)
     # quadrupling log(1/tol) doubles the gaussian window radius
-    t_big = y_n(TorusModel(), 40, lev, f, tail_tol=1e-32)
+    t_big = y_n(Torus(), 40, lev, f, tail_tol=1e-32)
     assert abs(t_small.value - t_big.value) <= t_small.tail_bound
 
 
@@ -85,32 +84,7 @@ def test_summation_order_independence():
     # exact summation: ascending and descending accumulation agree bitwise
     f = make_gaussian(1.0)
     from magtrace import enumerate_window
-    win = enumerate_window(TorusModel(), 50, EnergyLevel.from_E(2.0), f, 1e-14)
+    win = enumerate_window(Torus(), 50, EnergyLevel.from_E(2.0), f, 1e-14)
     terms = win.mult * np.asarray(f.phi(win.x), dtype=float)
     assert math.fsum(terms) == math.fsum(terms[::-1])
 
-
-def test_sequence_matches_independent_calls_bitwise():
-    f = make_gaussian(1.0)
-    lev = EnergyLevel.from_E(2.0)
-    Ns = [10, 20, 40]
-    seq = y_sequence(TorusModel(), lev, f, Ns)
-    for N, t in zip(Ns, seq):
-        one = y_n(TorusModel(), N, lev, f)
-        assert t.value == one.value
-        assert t.tail_bound == one.tail_bound
-    single = y_sequence(TorusModel(), lev, f, [10])
-    assert single[0].value == seq[0].value
-
-
-def test_sequence_validation():
-    f = make_gaussian(1.0)
-    lev = EnergyLevel.from_E(2.0)
-    with pytest.raises(ValidationError):
-        y_sequence(TorusModel(), lev, f, [])
-    with pytest.raises(ValidationError):
-        y_sequence(TorusModel(), lev, f, [10, 10])
-    with pytest.raises(ValidationError):
-        y_sequence(TorusModel(), lev, f, [10, 5])
-    with pytest.raises(ValidationError):
-        y_sequence(TorusModel(), lev, f, [0, 5])
