@@ -16,6 +16,11 @@ N * r_N, the published displays leave an O(1) residual):
 
 The sphere display needs no correction and doubles as a cross-check of
 the derivation route (its published coefficients are reproduced exactly).
+Both corrected forms, and the sphere's, are what the one constant-curvature
+formula (``geometry.ConstantCurvature.poisson_image``) gives at its three
+parameter sets (b, K): with c = A/2pi and Q = sqrt(b^2 + K(E^2-1)),
+c1 = c sum_k i [fhat' + pi k E (b^2-K)/Q^3 fhat'' - pi k K E/(4Q) fhat] at
+k 2pi E/Q, times exp(-2 pi i k j0), j0 = (E^2-1) N/(Q+b) - 1/2.
 """
 
 from __future__ import annotations
@@ -85,8 +90,6 @@ class CoefficientPrediction:
 
 def _fsum_complex(terms) -> complex:
     arr = np.asarray(list(terms), dtype=complex)
-    if arr.size == 0:
-        return 0.0 + 0.0j
     return complex(math.fsum(arr.real), math.fsum(arr.imag))
 
 
@@ -143,7 +146,7 @@ def poisson_c01(N: int, model, level: EnergyLevel, f: TestFunction,
         phase_scale, terms, bound = model.poisson_image(N, E)
         top = (ctl.k_max + 2) * freq
         finite = math.isfinite(top * top) and math.isfinite(ctl.k_max * phase_scale)
-    except OverflowError:  # a coefficient power such as the sphere's beta**3
+    except OverflowError:  # a coefficient power such as Q**3
         finite = False
     if not finite:
         raise ValidationError(f"the k-sum at N={N}, E={E:.6g} leaves the double range")

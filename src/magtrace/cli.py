@@ -2,10 +2,11 @@
 
 Subcommands: spectrum | trace | predict | residual | dynamics | katok.
 Every run is driven by a JSON config (schema "magtrace/1"); unknown keys
-are rejected so archived configs replay byte-identically.  All outputs are
-computed in memory first and written at the end, so a failing run leaves
-no partial files; floats are rendered with 17 significant digits and LF
-line endings so identical configs produce byte-identical outputs.
+are rejected so archived configs replay byte-identically.  A command renders
+its outputs in memory; they are written at the end, once no directory takes
+an output's name, so only a failing write can leave output behind.  Floats
+are rendered with 17 significant digits and LF line endings so identical
+configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -47,22 +48,12 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, rows):
+def _csv(header, rows) -> str:
     # an all-float row takes one format call; "{:.17g}" is _fmt's float format
-    line = ",".join(["{:.17g}"] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row) == len(header) and all(type(v) is float for v in row):
-                fh.write(line.format(*row))
-            else:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_json(path, obj):
-    with open(path, "w", newline="") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    line = ",".join(["{:.17g}"] * len(header))
+    return "".join([",".join(header) + "\n"] + [
+        (line.format(*row) if len(row) == len(header) and all(type(v) is float for v in row)
+         else ",".join(_fmt(v) for v in row)) + "\n" for row in rows])
 
 
 def _load_config(path: str) -> dict:
@@ -163,7 +154,7 @@ def _k_control(geo, level, f, tol) -> asymptotics.KSumControl:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(cfg, out_dir):
+def cmd_spectrum(cfg):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     windows = [spectra.enumerate_window(geo, N, level, f, tol["tail_tol"]) for N in Ns]
     header = ["N", "j", "nu", "lambda", "mult", "tail_bound"]
@@ -171,31 +162,28 @@ def cmd_spectrum(cfg, out_dir):
     rows = [[win.N, int(j), float(nu), float(lam), int(m), win.tail_bound]
             for win in windows
             for j, nu, lam, m in zip(win.j, win.nu, win.lam, win.mult)]
-    _write_csv(os.path.join(out_dir, "spectrum.csv"), header, rows)
-    return 0
+    return 0, {"spectrum.csv": _csv(header, rows)}
 
 
-def cmd_trace(cfg, out_dir):
+def cmd_trace(cfg):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     traces = [tracesum.y_n(geo, N, level, f, tol["tail_tol"]) for N in Ns]
     header = ["N", "re_y", "im_y", "tail_bound"]
     rows = [[t.N, t.value.real, t.value.imag, t.tail_bound] for t in traces]
-    _write_csv(os.path.join(out_dir, "trace.csv"), header, rows)
-    return 0
+    return 0, {"trace.csv": _csv(header, rows)}
 
 
-def cmd_predict(cfg, out_dir):
+def cmd_predict(cfg):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     ctl = _k_control(geo, level, f, tol)
     preds = [geo.predict(N, level, f, ctl, tol["support_tol"]) for N in Ns]
     header = ["N", "re_c0", "im_c0", "re_c1", "im_c1", "d", "k_tail"]
     rows = [[p.N, p.c0.real, p.c0.imag, p.c1.real, p.c1.imag, p.d, p.k_tail]
             for p in preds]
-    _write_csv(os.path.join(out_dir, "predict.csv"), header, rows)
-    return 0
+    return 0, {"predict.csv": _csv(header, rows)}
 
 
-def cmd_residual(cfg, out_dir):
+def cmd_residual(cfg):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     ctl = _k_control(geo, level, f, tol)
     traces, preds = [], []
@@ -213,11 +201,10 @@ def cmd_residual(cfg, out_dir):
     trailer = ["slope",
                report.slope if report.slope is not None else "converged_below_tolerance",
                "", "", "", "", "", report.max_scaled, report.median_scaled]
-    _write_csv(os.path.join(out_dir, "residual.csv"), header, rows + [trailer])
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), {"residual.csv": _csv(header, rows + [trailer])}
 
 
-def cmd_dynamics(cfg, out_dir):
+def cmd_dynamics(cfg):
     geo = _geometry(cfg)
     level = _energy(cfg, geo)
     tol = _tolerances(cfg)
@@ -281,13 +268,12 @@ def cmd_dynamics(cfg, out_dir):
         report["liouville_volume"] = {
             "closed_form": dynamics.liouville_volume(geo, level.E)}
 
-    if rows:
-        _write_csv(os.path.join(out_dir, "orbit.csv"), header, rows)
-    _write_json(os.path.join(out_dir, "invariants.json"), report)
-    return 0
+    outputs = {"orbit.csv": _csv(header, rows)} if rows else {}
+    outputs["invariants.json"] = json.dumps(report, indent=2) + "\n"
+    return 0, outputs
 
 
-def cmd_katok(cfg, out_dir):
+def cmd_katok(cfg):
     geo = _geometry(cfg)
     if not isinstance(geo, geometry.Katok):
         raise ValidationError("the katok command needs geometry kind 'katok'")
@@ -358,9 +344,8 @@ def cmd_katok(cfg, out_dir):
     rows = [[*m.values(), *list(a.values())[2:]] for m, a in zip(maslov_rows, assembly_rows)]
     rows += [[key, *[""] * 8, report[key]]
              for key in ("max_monodromy_dev", "max_assembly_rel_dev")]
-    _write_csv(os.path.join(out_dir, "katok_report.csv"), header, rows)
-    _write_json(os.path.join(out_dir, "katok_report.json"), report)
-    return 0 if passed else 1
+    return (0 if passed else 1), {"katok_report.csv": _csv(header, rows),
+                                  "katok_report.json": json.dumps(report, indent=2) + "\n"}
 
 
 _COMMANDS = {
@@ -389,7 +374,17 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission
             raise ValidationError(f"cannot use --out {args.out} as a directory: {exc}") from exc
-        return _COMMANDS[args.command](cfg, args.out)
+        code, outputs = _COMMANDS[args.command](cfg)
+        for path in (os.path.join(args.out, name) for name in outputs):
+            if os.path.isdir(path):
+                raise ValidationError(f"cannot write {path}: a directory is in the way")
+        try:
+            for name, text in outputs.items():
+                with open(os.path.join(args.out, name), "w", newline="") as fh:
+                    fh.write(text)
+        except OSError as exc:  # no space or no permission
+            raise ValidationError(f"cannot write the outputs to {args.out}: {exc}") from exc
+        return code
     except MagtraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -350,9 +350,4 @@ def mc_liouville_volume(geo: Geometry, E: float, n_samples: int = 200_000,
 
 def circle_distance(a: float, b: float) -> float:
     """Distance between angles modulo 2 pi."""
-    d = math.fmod(a - b, TWO_PI)
-    if d < -math.pi:
-        d += TWO_PI
-    elif d > math.pi:
-        d -= TWO_PI
-    return abs(d)
+    return abs(math.remainder(a - b, TWO_PI))

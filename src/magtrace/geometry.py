@@ -1,12 +1,15 @@
 """The four example geometries, one frozen class each.
 
-``Torus()``, ``Sphere(R)``, ``Hyperbolic(R, genus)`` and ``Katok(eps)`` (the
-deformed sphere) own what differs between the examples: the Landau ladder of
-the closed-form spectra (``spectra``), its Poisson image (``k_frequency``,
-``poisson_image``, summed by ``asymptotics.poisson_c01``) and the magnetic
-flow with its charts and closed orbits (``dynamics``).  Each field strength
-is the quantized one its closed forms need: B = 2pi on the torus, 1/2 on the
-sphere, 1 on the hyperbolic surface.
+``Torus()``, ``Sphere(R)`` and ``Hyperbolic(R, genus)`` are closed surfaces of
+constant Gaussian curvature K carrying a constant magnetic field b; they share
+one Landau ladder and its Poisson image (``ConstantCurvature``: ``ladder``,
+``j_of_lam``, ``k_frequency``, ``poisson_image``, summed by
+``asymptotics.poisson_c01``) and state only b, K and their area.
+``Katok(eps)`` is the deformed sphere, which has no closed-form spectrum.
+Each class owns its magnetic flow with its charts and closed orbits
+(``dynamics``).  Each field is the quantized one its closed forms need: the
+chart constant B is 2pi on the torus, 1/2 on the sphere and 1 on the
+hyperbolic surface, so b = B/R^2 off the flat torus.
 """
 
 from __future__ import annotations
@@ -104,25 +107,6 @@ class Geometry:
     default_chart: ClassVar[str] = "default"
     loop_periods: ClassVar[tuple] = (None, None)  # coordinate periods of a closed loop
 
-    def check_spectrum(self):
-        """Refuse a geometry without a closed-form spectrum (the ladders have one)."""
-
-    def predict(self, N, level, f, ctl, support_tol):
-        """c0, c1 at one N: the Poisson k-sum of the ladder."""
-        from .asymptotics import poisson_c01  # asymptotics builds on this module
-        return poisson_c01(N, self, level, f, ctl)
-
-    def check_energy(self, E):
-        """Refuse energies the ladder's predictions do not cover (none by default)."""
-
-    def j_cap(self, N):
-        """Largest admissible ladder index (inclusive), or None when unbounded."""
-        return None
-
-    def chaotic_tail(self, N, E, env) -> float:
-        """Bound on the eigenvalues off the ladder; only the hyperbolic surface has any."""
-        return 0.0
-
     def check_chart(self, y, chart: str) -> None:
         if self.pole_margin is not None and not 0.0 < y[0] < math.pi:
             raise ChartError(f"polar angle theta={y[0]:.6g} outside (0, pi)")
@@ -148,46 +132,104 @@ class Geometry:
         return float(max(np.max(np.abs(dq)), np.max(np.abs(dp))))
 
 
+class ConstantCurvature(Geometry):
+    """A closed surface of constant curvature K and area A in the constant
+    field b, with c = A/2pi: rung j of its Landau ladder at tensor power N has
+    nu = b N (2j+1) + K j(j+1) and mult = c (b N + K (j + 1/2)), so
+    dnu/dj = 2 mult/c (Guillemin and Uribe, Invent. Math. 96 (1989)).
+    Subclasses state ``field`` b, ``curvature`` K and ``area`` A."""
+
+    def predict(self, N, level, f, ctl, support_tol):
+        """c0, c1 at one N: the Poisson k-sum of the ladder."""
+        from .asymptotics import poisson_c01  # asymptotics builds on this module
+        return poisson_c01(N, self, level, f, ctl)
+
+    def check_energy(self, E):
+        """Refuse energies the ladder's predictions do not cover (none by default)."""
+
+    def j_cap(self, N):
+        """Largest admissible ladder index (inclusive), or None when unbounded."""
+        return None
+
+    def chaotic_tail(self, N, E, env) -> float:
+        """Bound on the eigenvalues off the ladder; only the hyperbolic surface has any."""
+        return 0.0
+
+    @property
+    def measure_coeff(self):
+        return self.area / TWO_PI
+
+    def ladder(self, N, j):
+        # c b (the flux per unit N) and c K (the Euler characteristic) are
+        # integers, so mult is exact while c b N < 2^53
+        b, K, c = self.field, self.curvature, self.measure_coeff
+        return (b * N * (2.0 * j + 1.0) + K * j * (j + 1.0),
+                round(c * b) * N + round(c * K) * (j + 0.5))
+
+    def j_of_lam(self, N, lam):
+        """The root u of K u^2 + 2bN u + N^2 - K/4 - lam^2 = 0 that is regular at
+        K = 0, less 1/2; scaled by bN, so no (bN)^2 is formed."""
+        bN, K = self.field * N, self.curvature
+        t = (N * N - K / 4.0 - lam * lam) / bN
+        return -t / (1.0 + math.sqrt(max(1.0 - K * t / bN, 0.0))) - 0.5
+
+    def _circle_rate(self, E):
+        """(w, s) = ((E^2-1)/b, Q/b), Q = sqrt(b^2 + K(E^2-1)): the flow's circles
+        close after time 2pi E/Q.  Scaled by b, so no b^2 is formed."""
+        self.check_energy(E)
+        w = (E - 1.0) * (E + 1.0) / self.field  # (E-1)(E+1) rounds less than E*E-1
+        s2 = 1.0 + self.curvature / self.field * w
+        if not 0.0 < s2 < math.inf:
+            raise ValidationError(f"the k-sum at E={E:.6g} needs a finite positive "
+                                  f"Q^2 = b^2 + K(E^2-1); Q^2/b^2 is {s2:.3g}")
+        return w, math.sqrt(s2)
+
+    def k_frequency(self, E):
+        return TWO_PI / (self.field * self._circle_rate(E)[1]) * E
+
+    def poisson_image(self, N, E):
+        """(bound on |phase argument|/|k|, terms, bound) of the k-sum at N, E.
+
+        terms(ks, h0, h1, h2) gives the c0 and c1 summands from phi_hat and its
+        two derivatives at ks * k_frequency(E), with the phase exp(-2pi i k j0),
+        j0 = (E^2-1) N/(Q+b) - 1/2; bound(k, h0, h1, h2) bounds |summand k|
+        from bounds on them.
+        """
+        b, K, c = self.field, self.curvature, self.measure_coeff
+        w, s = self._circle_rate(E)
+        # the phase is exp(i pi k half_turns) exp(-i k theta), theta = 2pi (j0 + 1/2)
+        # = 2pi N (Q-b)/K; where 2N b/K is an integer, these half turns may go
+        # to the first factor, leaving 2pi N Q/K, the smaller where Q < b/2
+        half_turns, theta = 1.0, TWO_PI / (1.0 + s) * w * N
+        if 2.0 * s < 1.0 and (2.0 * N * (b / K)).is_integer():
+            half_turns = (1.0 + 2.0 * N * (b / K)) % 2.0
+            theta = TWO_PI * N * (b / K) * s
+        a2 = math.pi * E * (1.0 - K / b / b) / (b * s**3)  # pi E (b^2 - K)/Q^3
+        a0 = math.pi * K / b * E / (4.0 * s)  # pi K E/(4Q)
+
+        def terms(ks, h0, h1, h2):
+            phase = np.exp(1j * math.pi * half_turns * ks) * np.exp(-1j * ks * theta)
+            return c * E * h0 * phase, c * 1j * (h1 + a2 * ks * h2 - a0 * ks * h0) * phase
+
+        def bound(kk, h0, h1, h2):
+            return c * (E * h0 + h1 + abs(a2 * kk) * h2 + abs(a0 * kk) * h0)
+        return math.pi * half_turns + abs(theta), terms, bound
+
+
 @dataclasses.dataclass(frozen=True)
-class Torus(Geometry):
+class Torus(ConstantCurvature):
     """Flat torus R^2/Z^2 at the quantized field B = 2pi."""
 
     B: float = TWO_PI
 
     kind: ClassVar[str] = "torus"
-    measure_coeff: ClassVar[float] = 1.0 / TWO_PI
+    curvature: ClassVar[float] = 0.0
+    field: ClassVar[float] = TWO_PI  # B, which no other value may take
     loop_periods: ClassVar[tuple] = (1.0, 1.0)  # the projected loop closes modulo the lattice
 
     def __post_init__(self):
         if self.B != TWO_PI:
             raise ValidationError("TorusModel implements the quantized case B = 2pi only")
-
-    # ladder nu = 2 pi N (2j+1), mult N
-    def ladder(self, N, j):
-        return TWO_PI * N * (2.0 * j + 1.0), np.full(np.shape(j), float(N))
-
-    def j_of_lam(self, N, lam):
-        return (lam * lam - N * N - TWO_PI * N) / (4.0 * math.pi * N)
-
-    def k_frequency(self, E):
-        return E
-
-    def poisson_image(self, N, E):
-        """(bound on |phase argument|/|k|, terms, bound) of the k-sum at N, E.
-
-        terms(ks, h0, h1, h2) gives the c0 and c1 summands from phi_hat and
-        its two derivatives at ks * k_frequency(E); bound(k, h0, h1, h2)
-        bounds |summand k| from bounds on them.  Likewise on every ladder.
-        """
-        def terms(ks, h0, h1, h2):
-            phase = np.exp(1j * math.pi * ks) * np.exp(-1j * ks * (E * E - 1.0) * N / 2.0)
-            return ((E / TWO_PI) * h0 * phase,
-                    ((1j / TWO_PI) * h1 + (1j * ks * E / (4.0 * math.pi)) * h2) * phase)
-
-        def bound(kk, h0, h1, h2):
-            return ((E / TWO_PI) * h0 + (1.0 / TWO_PI) * h1
-                    + (abs(kk) * E / (4.0 * math.pi)) * h2)
-        return math.pi + (E * E - 1.0) * N, terms, bound
 
     # flow
     def hamiltonian(self, y):
@@ -219,7 +261,7 @@ class Torus(Geometry):
 
 
 @dataclasses.dataclass(frozen=True)
-class Sphere(Geometry):
+class Sphere(ConstantCurvature):
     """Round sphere of radius R at the quantized field B = 1/2."""
 
     R: float
@@ -235,46 +277,13 @@ class Sphere(Geometry):
     def __post_init__(self):
         if not (self.R > 0.0 and math.isfinite(self.R)):
             raise ValidationError(f"sphere radius must be positive, got {self.R}")
-        refuse_past_double_range(f"sphere radius R={self.R:g} and R^2",
-                                 lambda: (self.R * self.R, 1.0 / (self.R * self.R)))
+        refuse_past_double_range(f"sphere radius R={self.R:g}, its R^2 and area",
+                                 lambda: (1.0 / (self.R * self.R), self.area))
         if self.B != 0.5:
             raise ValidationError("SphereModel implements the quantized case B = 1/2 only")
 
-    # ladder nu = [j(j+1) + (N/2)(2j+1)]/R^2, mult N+2j+1; u = j + (N+1)/2
-    def ladder(self, N, j):
-        nu = (j * (j + 1.0) + 0.5 * N * (2.0 * j + 1.0)) / (self.R * self.R)
-        return nu, N + 2.0 * j + 1.0
-
-    def j_of_lam(self, N, lam):
-        R2 = self.R * self.R
-        u2 = R2 * (lam * lam - N * N) + (N * N + 1.0) / 4.0
-        return math.sqrt(max(u2, 0.0)) - (N + 1.0) / 2.0
-
-    @property
-    def measure_coeff(self):
-        return 2.0 * self.R * self.R
-
-    def _beta(self, E):
-        return math.sqrt((E * E - 1.0) * self.R * self.R + 0.25)  # R*sqrt(E^2-1+1/(4R^2))
-
-    def k_frequency(self, E):
-        return TWO_PI * E * self.R * self.R / self._beta(E)
-
-    def poisson_image(self, N, E):
-        R, beta = self.R, self._beta(E)
-        a2 = math.pi * E * R**4 * (4.0 * R * R - 1.0) / (2.0 * beta**3)
-        a0 = math.pi * E * R * R / (2.0 * beta)
-
-        def terms(ks, h0, h1, h2):
-            phase = (np.exp(1j * math.pi * ks * (N + 1.0))
-                     * np.exp(-2j * math.pi * ks * beta * N))
-            return (2.0 * E * R * R * h0 * phase,
-                    (2j * R * R * h1 - 1j * a2 * ks * h2 - 1j * a0 * ks * h0) * phase)
-
-        def bound(kk, h0, h1, h2):
-            return (2.0 * E * R * R * h0 + 2.0 * R * R * h1
-                    + abs(a2 * kk) * h2 + abs(a0 * kk) * h0)
-        return math.pi * (N + 1.0) + TWO_PI * beta * N, terms, bound
+    field = property(lambda self: self.B / (self.R * self.R))
+    curvature = property(lambda self: 1.0 / (self.R * self.R))
 
     # flow
     def hamiltonian(self, y):
@@ -349,11 +358,9 @@ class Sphere(Geometry):
                              hol=-TWO_PI * B * (1.0 - (B / R) / w))
 
     def orbit_state(self, E, c, orientation):
-        B, R = self.B, self.R
-        w = math.sqrt(c * c + B * B / (R * R))
-        theta0 = math.atan2(c * R, B)  # northern latitude circle
-        return (PhaseState(q=(theta0, 0.0), p=(0.0, -c * R * math.sin(theta0)), chart="z"),
-                TWO_PI * E * R / w)
+        theta0 = math.atan2(c * self.R, self.B)  # northern latitude circle
+        return (PhaseState(q=(theta0, 0.0), p=(0.0, -c * self.R * math.sin(theta0)), chart="z"),
+                self.closed_orbits(E, c).orbits[0].T)
 
     @property
     def area(self):
@@ -365,7 +372,7 @@ class Sphere(Geometry):
 
 
 @dataclasses.dataclass(frozen=True)
-class Hyperbolic(Geometry):
+class Hyperbolic(ConstantCurvature):
     """Compact hyperbolic surface of genus g >= 2, curvature -1/R^2, at B = 1."""
 
     R: float
@@ -380,9 +387,9 @@ class Hyperbolic(Geometry):
             raise ValidationError(f"curvature scale must be positive, got {self.R}")
         if not (isinstance(self.genus, int) and self.genus >= 2):
             raise ValidationError(f"genus must be an integer >= 2, got {self.genus}")
-        refuse_past_double_range(  # 1/R^2, and R^2 within the measure coefficient 2(g-1)R^2
+        refuse_past_double_range(  # b = 1/R^2, the area and the flux c b = 2g - 2
             f"hyperbolic parameters R={self.R:g}, genus={self.genus}",
-            lambda: (1.0 / (self.R * self.R), 2.0 * (self.genus - 1) * self.R * self.R))
+            lambda: (1.0 / (self.R * self.R), self.area, self.measure_coeff * self.field))
         if self.B != 1.0:
             raise ValidationError("HyperbolicModel implements the quantized case B = 1 only")
 
@@ -395,23 +402,11 @@ class Hyperbolic(Geometry):
         if not E < self.mane_E:
             raise ManeLevelError(E, self.mane_E)
 
-    # integrable branch 0 <= j < N - 1/2: nu = [1/4 + N^2 - (j+1/2-N)^2]/R^2,
-    # mult (g-1)(2N-2j-1); u = N - j - 1/2
-    def ladder(self, N, j):
-        nu = (0.25 + N * N - (j + 0.5 - N) ** 2) / (self.R * self.R)
-        return nu, (self.genus - 1) * (2.0 * N - 2.0 * j - 1.0)
-
-    def j_of_lam(self, N, lam):
-        R2 = self.R * self.R
-        arg = 0.25 + N * N - R2 * (lam * lam - N * N)
-        return N - 0.5 - math.sqrt(max(arg, 0.0))
+    field = property(lambda self: self.B / (self.R * self.R))
+    curvature = property(lambda self: -1.0 / (self.R * self.R))
 
     def j_cap(self, N):
         return N - 1  # integer part of the open bound N - 1/2
-
-    @property
-    def measure_coeff(self):
-        return 2.0 * (self.genus - 1) * self.R * self.R  # mult = 2(g-1)u, R^2 dnu = -2u du
 
     def chaotic_tail(self, N, E, env):
         """Weyl-majorant bound for the non-integrable spectral branch.
@@ -434,29 +429,6 @@ class Hyperbolic(Geometry):
             raise ManeLevelError(E, self.mane_E)
         boundary = W * ((N * N + 0.25) / R2) * float(env(x0))
         return boundary + 2.0 * W * env.halfline_moment(x0, E * N, 1.0)
-
-    def _q(self, E):
-        self.check_energy(E)
-        return math.sqrt(1.0 / (self.R * self.R) + 1.0 - E * E)
-
-    def k_frequency(self, E):
-        return TWO_PI * E * self.R / self._q(E)
-
-    def poisson_image(self, N, E):
-        R, q = self.R, self._q(E)
-        g2 = 2.0 * self.genus - 2.0
-        b0 = math.pi * E * R / (4.0 * q)
-        b2 = math.pi * E * (R * R + 1.0) * R / q**3
-
-        def terms(ks, h0, h1, h2):
-            phase = np.exp(1j * math.pi * ks) * np.exp(2j * math.pi * ks * R * q * N)
-            return (g2 * E * R * R * h0 * phase,
-                    g2 * (1j * R * R * h1 + 1j * b0 * ks * h0 + 1j * b2 * ks * h2) * phase)
-
-        def bound(kk, h0, h1, h2):
-            return g2 * (E * R * R * h0 + R * R * h1
-                         + b0 * abs(kk) * h0 + b2 * abs(kk) * h2)
-        return math.pi + TWO_PI * R * q * N, terms, bound
 
     # flow
     def hamiltonian(self, y):
@@ -499,11 +471,9 @@ class Hyperbolic(Geometry):
         if c * R >= 1.0:
             raise ValidationError(
                 f"cR = {c * R:.6g} >= 1: no closed hyperbolic orbit to start on")
-        root = math.sqrt(1.0 - c * c * R * R)
-        r = math.atanh(c * R)  # normalized radius, tanh r = cR
-        y_bottom = math.exp(-r)  # circle about (0, 1): lowest point
+        y_bottom = math.exp(-math.atanh(c * R))  # lowest point of the circle about (0, 1)
         return (PhaseState(q=(0.0, y_bottom), p=(-c * R / y_bottom, 0.0)),
-                TWO_PI * E * R * R / root)
+                self.closed_orbits(E, c).orbits[0].T)
 
     @property
     def area(self):
@@ -587,11 +557,6 @@ class Katok(Geometry):
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValidationError(f"deformation parameter must lie in (0,1), got {self.eps}")
-
-    def check_spectrum(self):
-        raise ValidationError(
-            "the deformed sphere has no closed-form spectrum; spectral commands "
-            "support torus, sphere and hyperbolic geometries only")
 
     def predict(self, N, level, f, ctl, support_tol):
         from .asymptotics import katok_c0

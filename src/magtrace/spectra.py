@@ -1,13 +1,19 @@
 """Eigenvalue windows on the closed-form ladders of the magnetic Laplacians.
 
-Three exactly solvable geometries are covered, each at the quantized
-field strength its closed-form spectrum requires (the ladders are methods
-of the ``geometry`` classes):
+The three exactly solvable geometries are closed surfaces of constant
+curvature K and area A in a constant field b, each at the quantized field
+its closed-form spectrum requires; one Landau ladder serves all three
+(``geometry.ConstantCurvature``).  With c = A/2pi,
 
-* flat torus, B = 2pi:      nu_{N,j} = 2 pi N (2j+1),              mult N
-* round sphere, B = 1/2:    nu_{N,j} = [j(j+1) + (N/2)(2j+1)]/R^2, mult N+2j+1
-* hyperbolic surface, B = 1 (integrable branch, 0 <= j < N-1/2):
-      nu_{N,j} = [1/4 + N^2 - (j+1/2-N)^2]/R^2,  mult (g-1)(2N-2j-1)
+    nu_{N,j} = b N (2j+1) + K j(j+1),    mult_{N,j} = c (b N + K (j + 1/2)):
+
+    geometry                   b          K         A                c
+    flat torus                 2 pi       0         1                1/(2 pi)
+    round sphere, radius R     1/(2R^2)   1/R^2     4 pi R^2         2 R^2
+    hyperbolic, genus g        1/R^2      -1/R^2    4 pi (g-1) R^2   2 (g-1) R^2
+
+On the hyperbolic surface only the integrable branch 0 <= j < N - 1/2
+belongs to the ladder.
 
 Throughout, lambda_{N,j} = sqrt(nu_{N,j} + N^2) and window queries are
 made around E*N.  ``enumerate_window`` certifies everything it omits:
@@ -17,15 +23,10 @@ a Weyl-type majorant for the non-integrable part of the spectrum, whose
 lambdas all sit above the Mane level and contribute O(N^-infinity)).
 
 The tails are bounded in closed form, at a cost independent of N, from the
-exact measure identity  mult(j) dj = c lam dlam  along each ladder:
-
-* torus:       c = 1/(2 pi);
-* sphere:      c = 2 R^2         (u = j + (N+1)/2, mult = 2u);
-* hyperbolic:  c = 2 (g-1) R^2   (u = N - j - 1/2, mult = 2(g-1)u,
-                                  R^2 dnu = -2u du).
-
-Each tail's terms mult_j env(|x_j|) are monotone in j, so a sum over rungs
-compares with the integral of the envelope against c lam dlam.
+exact measure identity  mult(j) dj = c lam dlam  along each ladder (that is,
+dnu/dj = 2 mult/c).  Each tail's terms mult_j env(|x_j|) are monotone in j,
+so a sum over rungs compares with the integral of the envelope against
+c lam dlam.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Hyperbolic, Sphere, Torus
+from .geometry import ConstantCurvature, Hyperbolic, Sphere, Torus
 from .testfn import TestFunction
 
 # Largest ladder index range a window query may touch, checked before any
@@ -248,7 +249,9 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     built: rungs below it go to ``_lower_tail_bound`` and rungs above it to
     ``_upper_tail_bound``, at a cost that does not grow with N.
     """
-    model.check_spectrum()
+    if not isinstance(model, ConstantCurvature):
+        raise ValidationError(f"geometry {model.kind} has no closed-form spectrum; spectral "
+                              "commands support torus, sphere and hyperbolic geometries only")
     _check_Nj(N, 0)
     E = level.E
     model.check_energy(E)

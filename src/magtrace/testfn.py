@@ -504,18 +504,14 @@ def linear_combination(coeffs, fns) -> TestFunction:
     time_env = SumEnvelope(tuple((abs(c), f.time_env) for c, f in active))
     hat_env = SumEnvelope(tuple((abs(c), f.hat_env) for c, f in active))
 
+    # each active member gets an equal share of the tolerance
     def radius(tol):
-        if not active:
-            return 1.0
-        n = len(active)
-        return max(f.radius(min(0.5, tol / (n * abs(c)))) for c, f in active)
+        return max((f.radius(min(0.5, tol / (len(active) * abs(c)))) for c, f in active),
+                   default=1.0)
 
     def hat_radius(tol):
-        if not active:
-            return 1.0
-        n = len(active)
-        return max(abs(f.hat_center) + f.hat_radius(min(0.5, tol / (n * abs(c))))
-                   for c, f in active)
+        return max((abs(f.hat_center) + f.hat_radius(min(0.5, tol / (len(active) * abs(c))))
+                    for c, f in active), default=1.0)
 
     supports = [f.hat_support for f in fns]
     if all(s is not None for s in supports):

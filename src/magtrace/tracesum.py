@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 # the module-level name enumerate_window is also read by perfbench/test_checks.py
-from .spectra import EnergyLevel, Window, enumerate_window
+from .spectra import EnergyLevel, enumerate_window
 from .testfn import TestFunction
 
 
@@ -33,19 +33,12 @@ class TraceValue:
     abs_sum: float
 
 
-def _window_sum(window: Window, f: TestFunction) -> tuple:
-    vals = f.phi(window.x)
-    weighted = window.mult * np.asarray(vals)
-    abs_sum = math.fsum(np.abs(weighted)) if weighted.size else 0.0
-    # a real array's .imag is zeros, whose fsum is 0.0
-    return complex(math.fsum(weighted.real), math.fsum(weighted.imag)), abs_sum
-
-
 def y_n(model, N: int, level: EnergyLevel, f: TestFunction,
         tail_tol: float = 1e-14) -> TraceValue:
     """Evaluate Y_N(phi) over the certified window around E*N."""
     window = enumerate_window(model, N, level, f, tail_tol)
-    value, abs_sum = _window_sum(window, f)
-    return TraceValue(N=int(N), value=value, tail_bound=window.tail_bound,
-                      abs_sum=abs_sum)
+    weighted = window.mult * np.asarray(f.phi(window.x))
+    # a real array's .imag is zeros, whose fsum is 0.0, as is an empty one's
+    return TraceValue(N=int(N), value=complex(math.fsum(weighted.real), math.fsum(weighted.imag)),
+                      tail_bound=window.tail_bound, abs_sum=math.fsum(np.abs(weighted)))
 

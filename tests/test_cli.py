@@ -314,6 +314,28 @@ def _exits_2_cleanly(tmp_path, capsys, cfg, sub):
 
 _KATOK_CFG = {"schema": "magtrace/1", "geometry": {"kind": "katok", "eps": 0.3},
               "N": {"value": 3}}
+_TORUS_DYNAMICS_CFG = {"schema": "magtrace/1", "geometry": {"kind": "torus"}, "E": 2.0,
+                       "orbit_samples": 16}
+
+
+@pytest.mark.parametrize("sub,cfg,blocked", [
+    ("trace", _base_cfg(N={"value": 40}), "trace.csv"),
+    ("dynamics", _TORUS_DYNAMICS_CFG, "orbit.csv"),
+    ("dynamics", _TORUS_DYNAMICS_CFG, "invariants.json"),  # the second of two files
+    ("katok", _KATOK_CFG, "katok_report.csv"),
+    ("katok", _KATOK_CFG, "katok_report.json"),
+])
+def test_directory_in_the_way_of_an_output_exits_2(tmp_path, capsys, sub, cfg, blocked):
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([sub, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and blocked in err and err.count("\n") == 1
+    # no output file, and the blocking directory untouched
+    assert [p.name for p in out.iterdir()] == [blocked]
+    assert not any((out / blocked).iterdir())
+
 
 
 @pytest.mark.parametrize("cfg,sub", [
@@ -452,6 +474,20 @@ def test_predict_k_sum_past_double_range_exits_2(tmp_path, capsys, geometry):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "trace", "predict", "residual"])
+def test_hyperbolic_area_past_double_range_exits_2(tmp_path, capsys, sub):
+    # 2(g-1) R^2 is finite, the area 2 pi R^2 (2g-2) the ladder is built on is not
+    cfg = _base_cfg(geometry={"kind": "hyperbolic", "R": 1.0, "genus": 5 * 10**307}, E=1.2)
+    assert "leave the double range" in _exits_2_cleanly(tmp_path, capsys, cfg, sub)
+
+
+def test_predict_without_a_circle_rate_exits_2(tmp_path, capsys):
+    # the largest E below the Mane level, where 1 + K(E^2-1)/b^2 rounds to 0
+    cfg = _base_cfg(geometry={"kind": "hyperbolic", "R": 0.9741785401533375, "genus": 2},
+                    E=1.4330786169778382, tolerances={"k_max": 12})
+    assert "needs a finite positive Q^2" in _exits_2_cleanly(tmp_path, capsys, cfg, "predict")
+
+
 @pytest.mark.parametrize("sub", ["predict", "residual"])
 def test_k_sum_above_mane_level_exits_3(tmp_path, capsys, sub):
     cfg = _base_cfg(geometry={"kind": "hyperbolic", "R": 1.0, "genus": 2}, E=1.5,
@@ -503,7 +539,7 @@ def test_config_number_rejects(value, kwargs):
         _number(value, "x", **kwargs)
 
 
-def test_write_csv_float_rows_match_per_value_format(tmp_path):
+def test_write_csv_float_rows_match_per_value_format():
     tiny = 5e-324  # the smallest subnormal
     rows = [
         (float("nan"), float("inf"), float("-inf"), -0.0),
@@ -513,8 +549,7 @@ def test_write_csv_float_rows_match_per_value_format(tmp_path):
         (False, -7, np.float64(0.2), np.int64(4)),
     ]
     header = ["a", "b", "c", "d"]
-    path = tmp_path / "t.csv"
-    cli._write_csv(path, header, rows)
+    text = cli._csv(header, rows)
     expected = "a,b,c,d\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
-    assert path.read_bytes() == expected.encode()
-    assert path.read_text().splitlines()[1] == "nan,inf,-inf,-0"
+    assert text == expected
+    assert text.splitlines()[1] == "nan,inf,-inf,-0"

@@ -8,6 +8,9 @@ recorded there; another version may move the last bits of some floats, so
 the comparison is skipped under one.
 
     python tests/test_golden_outputs.py --write   # recapture the digests
+
+``--write`` prints each command whose exit code or digests changed, with the
+files that changed.
 """
 
 import hashlib
@@ -79,5 +82,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         result = {name: _run(name, sub, cfg, Path(tmp))
                   for name, (sub, cfg) in _commands().items()}
+    before = _golden()["commands"] if GOLDEN.exists() else {}
+    for name, now in result.items():
+        was = before.get(name, {"exit": None, "files": {}})
+        moved = sorted(f for f in {*was["files"], *now["files"]}
+                       if was["files"].get(f) != now["files"].get(f))
+        if moved or was["exit"] != now["exit"]:
+            print(f"changed: {name} (exit {was['exit']} -> {now['exit']}) {' '.join(moved)}")
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "seed": SEED,
                                   "commands": result}, indent=1) + "\n")

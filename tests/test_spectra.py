@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -327,3 +328,199 @@ def test_window_cost_is_independent_of_N(model, E, monkeypatch):
     win = enumerate_window(model, 10**7, EnergyLevel.from_E(E), make_gaussian(1.0), 1e-14)
     assert 0 < win.j.size < 100
     assert 0.0 < win.tail_bound < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the one constant-curvature family against the three hand-written ladders
+# ---------------------------------------------------------------------------
+
+class _TorusDisplay:
+    """The flat torus's ladder and Poisson image as first written out: the
+    reference the family must reproduce."""
+
+    def ladder(self, N, j):
+        return TWO_PI * N * (2.0 * j + 1.0), np.full(np.shape(j), float(N))
+
+    def j_of_lam(self, N, lam):
+        return (lam * lam - N * N - TWO_PI * N) / (4.0 * math.pi * N)
+
+    measure_coeff = 1.0 / TWO_PI
+
+    def k_frequency(self, E):
+        return E
+
+    def poisson_image(self, N, E):
+        def terms(ks, h0, h1, h2):
+            phase = np.exp(1j * math.pi * ks) * np.exp(-1j * ks * (E * E - 1.0) * N / 2.0)
+            return ((E / TWO_PI) * h0 * phase,
+                    ((1j / TWO_PI) * h1 + (1j * ks * E / (4.0 * math.pi)) * h2) * phase)
+
+        def bound(kk, h0, h1, h2):
+            return ((E / TWO_PI) * h0 + (1.0 / TWO_PI) * h1
+                    + (abs(kk) * E / (4.0 * math.pi)) * h2)
+        return math.pi + (E * E - 1.0) * N, terms, bound
+
+
+class _SphereDisplay:
+    def __init__(self, R):
+        self.R = R
+        self.measure_coeff = 2.0 * R * R
+
+    def ladder(self, N, j):
+        nu = (j * (j + 1.0) + 0.5 * N * (2.0 * j + 1.0)) / (self.R * self.R)
+        return nu, N + 2.0 * j + 1.0
+
+    def j_of_lam(self, N, lam):
+        u2 = self.R * self.R * (lam * lam - N * N) + (N * N + 1.0) / 4.0
+        return math.sqrt(max(u2, 0.0)) - (N + 1.0) / 2.0
+
+    def _beta(self, E):
+        return math.sqrt((E * E - 1.0) * self.R * self.R + 0.25)
+
+    def k_frequency(self, E):
+        return TWO_PI * E * self.R * self.R / self._beta(E)
+
+    def poisson_image(self, N, E):
+        R, beta = self.R, self._beta(E)
+        a2 = math.pi * E * R**4 * (4.0 * R * R - 1.0) / (2.0 * beta**3)
+        a0 = math.pi * E * R * R / (2.0 * beta)
+
+        def terms(ks, h0, h1, h2):
+            phase = (np.exp(1j * math.pi * ks * (N + 1.0))
+                     * np.exp(-2j * math.pi * ks * beta * N))
+            return (2.0 * E * R * R * h0 * phase,
+                    (2j * R * R * h1 - 1j * a2 * ks * h2 - 1j * a0 * ks * h0) * phase)
+
+        def bound(kk, h0, h1, h2):
+            return (2.0 * E * R * R * h0 + 2.0 * R * R * h1
+                    + abs(a2 * kk) * h2 + abs(a0 * kk) * h0)
+        return math.pi * (N + 1.0) + TWO_PI * beta * N, terms, bound
+
+
+class _HyperbolicDisplay:
+    def __init__(self, R, genus):
+        self.R, self.genus = R, genus
+        self.measure_coeff = 2.0 * (genus - 1) * R * R
+
+    def ladder(self, N, j):
+        nu = (0.25 + N * N - (j + 0.5 - N) ** 2) / (self.R * self.R)
+        return nu, (self.genus - 1) * (2.0 * N - 2.0 * j - 1.0)
+
+    def j_of_lam(self, N, lam):
+        arg = 0.25 + N * N - self.R * self.R * (lam * lam - N * N)
+        return N - 0.5 - math.sqrt(max(arg, 0.0))
+
+    def _q(self, E):
+        return math.sqrt(1.0 / (self.R * self.R) + 1.0 - E * E)
+
+    def k_frequency(self, E):
+        return TWO_PI * E * self.R / self._q(E)
+
+    def poisson_image(self, N, E):
+        R, q = self.R, self._q(E)
+        g2 = 2.0 * self.genus - 2.0
+        b0 = math.pi * E * R / (4.0 * q)
+        b2 = math.pi * E * (R * R + 1.0) * R / q**3
+
+        def terms(ks, h0, h1, h2):
+            phase = np.exp(1j * math.pi * ks) * np.exp(2j * math.pi * ks * R * q * N)
+            return (g2 * E * R * R * h0 * phase,
+                    g2 * (1j * R * R * h1 + 1j * b0 * ks * h0 + 1j * b2 * ks * h2) * phase)
+
+        def bound(kk, h0, h1, h2):
+            return g2 * (E * R * R * h0 + R * R * h1
+                         + b0 * abs(kk) * h0 + b2 * abs(kk) * h2)
+        return math.pi + TWO_PI * R * q * N, terms, bound
+
+
+_FAMILY = [(Torus(), _TorusDisplay()),
+           (Sphere(R=0.7), _SphereDisplay(0.7)), (Sphere(R=1.3), _SphereDisplay(1.3)),
+           (Hyperbolic(R=0.5, genus=3), _HyperbolicDisplay(0.5, 3)),
+           (Hyperbolic(R=0.55, genus=2), _HyperbolicDisplay(0.55, 2))]
+_FAMILY_IDS = ["torus", "sphere_0.7", "sphere_1.3", "hyperbolic_g3", "hyperbolic_g2"]
+EPS = 2.0 ** -52
+
+
+def _family_rungs(geo, N):
+    top = N - 1 if isinstance(geo, Hyperbolic) else 3 * N
+    return np.unique(np.linspace(0, top, 41).round()).astype(float)
+
+
+@pytest.mark.parametrize("N", [7, 60, 400])
+@pytest.mark.parametrize("geo,ref", _FAMILY, ids=_FAMILY_IDS)
+def test_family_ladder_matches_the_displays(geo, ref, N):
+    j = _family_rungs(geo, N)
+    nu, mult = geo.ladder(N, j)
+    nu_ref, mult_ref = ref.ladder(N, j)
+    np.testing.assert_allclose(nu, nu_ref, rtol=4 * EPS, atol=0)
+    assert np.array_equal(mult, mult_ref)  # integers, formed exactly
+    assert geo.measure_coeff == pytest.approx(ref.measure_coeff, rel=4 * EPS)
+    # the measure identity: nu is quadratic in j, so its central difference
+    # is dnu/dj up to the rounding of nu, and dnu/dj = 2 mult / c
+    dnu = (geo.ladder(N, j + 1.0)[0] - geo.ladder(N, j - 1.0)[0]) / 2.0
+    np.testing.assert_allclose(dnu, 2.0 * mult / geo.measure_coeff, rtol=8 * EPS,
+                               atol=8 * EPS * float(np.max(nu)))
+    # below the top of the ladder, rungs and the points between them invert alike
+    for jj in np.concatenate([j, j[:-1] + 0.5]):
+        lam = math.sqrt(geo.ladder(N, jj)[0] + N * N)
+        assert abs(geo.j_of_lam(N, lam) - ref.j_of_lam(N, lam)) <= 1e-12 * (1 + N) ** 2
+        assert abs(geo.j_of_lam(N, lam) - jj) <= 1e-12 * (1 + N) ** 2
+
+
+@pytest.mark.parametrize("N", [7, 60, 400])
+@pytest.mark.parametrize("E", [1.05, 1.2, 2.0])
+@pytest.mark.parametrize("geo,ref", _FAMILY, ids=_FAMILY_IDS)
+def test_family_poisson_image_matches_the_displays(geo, ref, E, N):
+    assert geo.k_frequency(E) == pytest.approx(ref.k_frequency(E), rel=8 * EPS)
+    scale, terms, bound = geo.poisson_image(N, E)
+    scale_ref, terms_ref, bound_ref = ref.poisson_image(N, E)
+    assert scale <= scale_ref * (1 + 4 * EPS)  # the phase argument only shrinks
+    ks = np.arange(-12, 13)
+    rng = np.random.default_rng(N)
+    h = [rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size) for _ in range(3)]
+    # both phases round arguments up to |k| times their scale: allow a few
+    # eps of that, and a few eps of each coefficient
+    allow = 8 * EPS * (1.0 + np.abs(ks) * max(scale, scale_ref))
+    for got, want in zip(terms(ks, *h), terms_ref(ks, *h)):
+        assert np.all(np.abs(got - want) <= allow * np.maximum(np.abs(want), 1e-300)
+                      + 8 * EPS * np.abs(want))
+    for k in ks:
+        habs = [abs(x[0]) for x in h]
+        assert bound(k, *habs) == pytest.approx(bound_ref(k, *habs), rel=8 * EPS)
+
+
+def test_family_phase_near_the_mane_level_against_40_digits():
+    # Near the Mane level s = Q/b -> 0, and s^2 = 1 - R^2 (E^2-1) cancels, so a
+    # c0 summand's phase is off by about |k| (phase scale + pi N/s) eps.  Over
+    # energies log-spread toward the level the family stays within that and,
+    # taking the smaller phase representative, is no worse than the display.
+    R, N = 0.55, 400
+    geo, ref = Hyperbolic(R=R, genus=2), _HyperbolicDisplay(R, 2)
+    ks = np.arange(1, 13)
+    one = np.ones(ks.size)
+    errs, errs_ref = [], []
+    for E in geo.mane_E * (1.0 - 10.0 ** np.random.default_rng(0).uniform(-8, -1, 100)):
+        with mpmath.workdps(40):
+            Em, Rm = mpmath.mpf(E), mpmath.mpf(R)
+            s = Rm * mpmath.sqrt(1 / Rm**2 + 1 - Em**2)
+            # the c0 summand c E exp(-2 pi i k j0) at fhat = 1, j0 = -s N - 1/2
+            exact = np.array([2 * Em * Rm**2 * mpmath.expj(mpmath.pi * k * (1 + 2 * N * s))
+                              for k in ks], dtype=complex)
+        scale, terms, _ = geo.poisson_image(N, E)
+        err = np.abs(terms(ks, one, one, one)[0] - exact) / np.abs(exact)
+        assert np.all(err <= 8 * EPS * (1 + ks * (scale + math.pi * N / float(s)))), E
+        errs.append(err.max())
+        errs_ref.append(np.max(np.abs(ref.poisson_image(N, E)[1](ks, one, one, one)[0] - exact)
+                               / np.abs(exact)))
+    assert np.median(errs) <= np.median(errs_ref)
+
+
+@pytest.mark.parametrize("R", [1e-78, 1e-150])
+def test_family_scales_by_the_field(R):
+    # b = 1/(2R^2) is finite, b^2 is not: the k-sum's frequency and
+    # coefficients are formed from Q/b, so they stay finite
+    geo = Sphere(R=R)
+    assert 0.0 < geo.k_frequency(2.0) < math.inf
+    scale, terms, bound = geo.poisson_image(10, 2.0)
+    assert math.isfinite(scale) and math.isfinite(bound(3, 1.0, 1.0, 1.0))
+    assert all(np.all(np.isfinite(t)) for t in terms(np.arange(-3, 4), *[np.ones(7)] * 3))
