@@ -264,7 +264,17 @@ def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
     Tsharp = Katok(eps).k_frequency(SQRT2)  # refuses eps outside (0, 1)
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValidationError(f"N must be a positive integer, got {N}")
+    amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
+    margin = ctl.resonance_margin
     lo, hi = f.hat_support_interval(support_tol)
+    # the periods to scan: the support, and every period whose term, capped
+    # by the margin, can pass the resonance guard's 1e-25
+    reach = f.hat_radius(1e-25 * margin / amp)
+    k_lo = min(lo, f.hat_center - reach) / Tsharp
+    k_hi = max(hi, f.hat_center + reach) / Tsharp
+    if not max(-k_lo, k_hi) < MAX_K_MAX:  # refuses an infinite quotient too
+        raise ValidationError(f"the k-sum must scan periods up to k={max(-k_lo, k_hi):.6g}"
+                              f"*T#; k is capped at {MAX_K_MAX:,}")
     zero_in = lo <= 0.0 <= hi
     k_in = [k for k in range(int(math.floor(lo / Tsharp)) - 1,
                              int(math.ceil(hi / Tsharp)) + 2)
@@ -276,30 +286,26 @@ def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
             "window isolating one"
         )
 
-    amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
-
     def excluded_bound(k):
-        # |phi_hat| envelope at the dropped periods, both branches.  Near a
-        # resonance the guard only fires when the capped contribution is
-        # non-negligible; astronomically small envelope terms are simply
-        # bounded with the margin in the denominator.
-        u = abs(k * Tsharp - f.hat_center)
-        h = float(f.hat_abs_bound(0, u))
-        if h == 0.0:
-            return 0.0
+        # |phi_hat| envelope at a dropped period, both branches, with the
+        # margin in the denominator; the guard fires near a resonance whose
+        # capped term passes 1e-25
+        h = float(f.hat_abs_bound(0, abs(k * Tsharp - f.hat_center)))
         total = 0.0
         for branch in (+1, -1):
             s = abs(math.sin(math.pi * k / (1.0 - branch * eps)))
-            if s <= ctl.resonance_margin and amp * h / ctl.resonance_margin > 1e-25:
-                _katok_resonance_guard(k, branch, eps, ctl.resonance_margin)
-            total += amp * h / max(s, ctl.resonance_margin)
+            if s <= margin and amp * h / margin > 1e-25:
+                _katok_resonance_guard(k, branch, eps, margin)
+            total += amp * h / max(s, margin)
         return total
 
-    # everything beyond the scanned range is excluded by construction
-    k_tail = _k_tail_bound(
-        lambda k: excluded_bound(k) + excluded_bound(-k),
-        max(ctl.k_max, max((abs(k) for k in k_in), default=0)) + 1,
-    )
+    # everything beyond the scanned range is excluded by construction; the
+    # guard sees every excluded k, not only those the tail walk reaches
+    k_start = max(ctl.k_max, max((abs(k) for k in k_in), default=0)) + 1
+    for k in sorted(range(math.ceil(k_lo), math.floor(k_hi) + 1), key=lambda k: (abs(k), -k)):
+        if abs(k) >= k_start:  # in the walk's order: k, -k, k + 1, ...
+            excluded_bound(k)
+    k_tail = _k_tail_bound(lambda k: excluded_bound(k) + excluded_bound(-k), k_start)
 
     if zero_in or not k_in:
         # exact energy-shell volume 2 pi E * 4 pi/(1-eps^2); the published

@@ -24,9 +24,10 @@ lambdas all sit above the Mane level and contribute O(N^-infinity)).
 
 The tails are bounded in closed form, at a cost independent of N, from the
 exact measure identity  mult(j) dj = c lam dlam  along each ladder (that is,
-dnu/dj = 2 mult/c).  Each tail's terms mult_j env(|x_j|) are monotone in j,
-so a sum over rungs compares with the integral of the envelope against
-c lam dlam.
+dnu/dj = 2 mult/c).  One rule serves both sides of a window on every
+ladder: a rung's envelope is at most its mean over the unit step towards the
+window, so each tail compares with the integral of the envelope against
+c lam dlam, widened by the step of mult away from E N.
 """
 
 from __future__ import annotations
@@ -152,62 +153,31 @@ class Window:
         return self.lam - self.E * self.N
 
 
-def _upper_tail_bound(model, N, E, env, j_start):
-    """Certified bound on sum_{j >= j_start} mult_j env(|x_j|), for x_{j_start} > 0.
+def _tail_bound(model, N, E, env, J, up):
+    """Certified bound on sum mult_j env(|x_j|) over rung J and every rung above
+    it (``up``) or below it, for a rung J on that side of E N.
 
-    On the hyperbolic ladder mult falls with j, so the terms decrease from
-    J = j_start on and, with mult dj = c lam dlam, the sum up to rung N-1 is
-    at most  t_J + c int_{x_J}^inf (x + E N) env(x) dx.  On the infinite
-    ladders mult grows: walks forward until the envelope term sequence is
-    decreasing (the log-terms have monotone increments, so one confirmed
-    decrease is permanent), then closes with the same integral.
+    Away from E N the envelope falls, so a rung's env is at most its mean over
+    the unit step towards x_J, and there mult, affine in j, exceeds the rung's
+    own value by at most d = max(0, mult_{J+-1} - mult_J), the step of mult away
+    from E N (0 on the torus, c K above E N on the sphere, 2(g-1) below it on
+    the hyperbolic surface).  Where d > 0, mult >= mult_J on the tail, so with
+    mult dj = c lam dlam the tail is at most
+
+        t_J + (1 + d/mult_J) c M,   t_J = mult_J env(|x_J|),
+
+    with M = int_{x_J}^inf (x + E N) env(x) dx above E N and, as lam <= lam_J
+    below it, M = lam_J int_{|x_J|}^inf env(u) du.
     """
-    if j_start < 0:
-        j_start = 0
-    c_geo = model.measure_coeff
     j_cap = model.j_cap(N)
-    if j_cap is not None:
-        if j_start > j_cap:
-            return 0.0
-        nu, mult = model.ladder(N, np.array([j_start], dtype=float))
-        x = math.sqrt(nu[0] + N * N) - E * N
-        return float(mult[0] * float(env(x)) + c_geo * env.halfline_moment(x, E * N, 1.0))
-    total = 0.0
-    j = j_start
-    for _ in range(10_000_000):
-        jj = np.array([j, j + 1, j + 2], dtype=float)
-        nu, mult = model.ladder(N, jj)
-        lam = np.sqrt(nu + N * N)
-        x = lam - E * N
-        t = mult * np.asarray(env(np.abs(x)), dtype=float)
-        if x[0] > 0.0 and t[1] <= t[0] and t[2] <= t[1]:
-            return total + t[0] + c_geo * env.halfline_moment(x[0], E * N, 1.0)
-        total += t[0]
-        j += 1
-    raise AssertionError("upper tail bound failed to reach the decreasing regime")
-
-
-def _lower_tail_bound(model, N, E, env, j_end):
-    """Certified bound on sum_{0 <= j <= j_end} mult_j env(|x_j|), for x_{j_end} < 0.
-
-    With J = j_end and a = -x_J: below E N the envelope grows with j, so a
-    rung's env is at most its mean over [j, j+1], and there mult, affine in
-    j, exceeds its value by at most d = max(0, mult_J - mult_{J+1}).  With
-    mult dj = c lam dlam, lam <= lam_J, and mult >= mult_J wherever d > 0,
-
-        sum_{j<J} mult_j env_j <= int_0^J (mult + d) env dj
-                               <= (1 + d/mult_J) c lam_J int_a^inf env(u) du.
-
-    d is 0 on the torus and the sphere and 2(g-1) on the hyperbolic ladder.
-    """
-    if j_end < 0:
+    if J < 0 or (up and j_cap is not None and J > j_cap):
         return 0.0
-    nu, mult = model.ladder(N, np.array([j_end, j_end + 1], dtype=float))
+    nu, mult = model.ladder(N, np.array([J, J + 1 if up else J - 1], dtype=float))
     lam = math.sqrt(nu[0] + N * N)
-    a = E * N - lam
-    drop = max(0.0, mult[0] - mult[1])
-    moment = model.measure_coeff * env.halfline_moment(a, lam, 0.0)
-    return float(mult[0] * float(env(a)) + (1.0 + drop / mult[0]) * moment)
+    a = abs(lam - E * N)
+    d = max(0.0, mult[1] - mult[0])
+    moment = env.halfline_moment(a, E * N, 1.0) if up else env.halfline_moment(a, lam, 0.0)
+    return float(mult[0] * float(env(a)) + (1.0 + d / mult[0]) * (model.measure_coeff * moment))
 
 
 def _window_indices(model, N, E, radius):
@@ -246,8 +216,8 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     The returned ``tail_bound`` is a rigorous upper bound (through the test
     function's decay envelope) on the omitted eigenvalues' total
     contribution sum mult * |phi(lam - E N)|.  Only the window's rungs are
-    built: rungs below it go to ``_lower_tail_bound`` and rungs above it to
-    ``_upper_tail_bound``, at a cost that does not grow with N.
+    built: the rungs below it and the rungs above it each go to one
+    ``_tail_bound``, at a cost that does not grow with N.
     """
     if not isinstance(model, ConstantCurvature):
         raise ValidationError(f"geometry {model.kind} has no closed-form spectrum; spectral "
@@ -273,8 +243,8 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
         sel = slice(below, below)
     first_kept, last_kept = j_first + sel.start, j_first + sel.stop - 1
 
-    tail = (_lower_tail_bound(model, N, E, env, first_kept - 1)
-            + _upper_tail_bound(model, N, E, env, last_kept + 1)
+    tail = (_tail_bound(model, N, E, env, first_kept - 1, up=False)
+            + _tail_bound(model, N, E, env, last_kept + 1, up=True)
             + model.chaotic_tail(N, E, env))
 
     return Window(N=int(N), E=E, radius=radius, j=j[sel].astype(np.int64),

@@ -142,10 +142,16 @@ class PowerEnvelope:
         return head + tail
 
     def halfline_moment(self, a: float, c0: float, c1: float) -> float:
-        """Bound on integral_a^inf (c0 + c1*x) env(x) dx using the 1/u^4 leg."""
+        """integral_a^inf (c0 + c1*x) env(x) dx, leg by leg: cap up to
+        sqrt(c2/cap), c2/u^2 up to sqrt(c4/c2), then c4/u^4 (exact when the
+        legs meet in that order; each leg dominates env, so a bound always)."""
         if a <= 0.0:
             raise ValidationError("halfline_moment needs a > 0")
-        return self.c4 * (c1 / (2.0 * a * a) + c0 / (3.0 * a**3))
+        p = max(a, math.sqrt(self.c2 / self.cap))
+        q = max(p, math.sqrt(self.c4 / self.c2))
+        return (self.cap * (c0 * (p - a) + c1 * (p - a) * (p + a) / 2.0)
+                + self.c2 * (c0 * (1.0 / p - 1.0 / q) + c1 * math.log(q / p))
+                + self.c4 * (c1 / (2.0 * q * q) + c0 / (3.0 * q**3)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -358,6 +358,14 @@ def test_katok_mixed_support_rejected():
         katok_c0(2, eps, f, KSumControl(4))
 
 
+def test_katok_scan_past_the_k_cap_is_refused():
+    # the support reaches k = 1.8e5 periods, past MAX_K_MAX; the refusal comes
+    # before the support is scanned, so no width makes that scan run long
+    f = make_fourier_bump(1.5e6, 0.5e6)
+    with pytest.raises(ValidationError, match="k is capped"):
+        katok_c0(4, 1.0 / math.sqrt(5.0), f, KSumControl(4))
+
+
 def test_katok_resonance_detection():
     # eps = 1/2: sin(pi k/(1-eps)) = sin(2 pi k) = 0 at k = 1
     with pytest.raises(ResonanceError):

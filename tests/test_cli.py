@@ -111,6 +111,17 @@ def test_residual_torus_sweep_passes(tmp_path):
     assert -1.6 <= slope <= -0.6
 
 
+def test_katok_predict_guards_resonances_past_the_tail_walk(tmp_path):
+    # k=9 is exactly resonant, 2k/(1-eps) = 20, and its margin-capped term
+    # passes the guard's 1e-25; the k-tail walk from k_max=4 stops before it
+    cfg = _base_cfg(geometry={"kind": "katok", "eps": 0.1}, E=SQRT2, N={"value": 40},
+                    test_function={"kind": "gaussian_modulated", "s": 0.2,
+                                   "b": 26.926563261565853},
+                    tolerances={"k_max": 4, "support_tol": 1e-3})
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    assert main(["predict", "--config", path, "--out", str(tmp_path / "out")]) == 4
+
+
 def test_katok_command_passes(tmp_path):
     cfg = {
         "schema": "magtrace/1",

@@ -3,14 +3,17 @@
 Every command of the three ``perfbench/workloads.py`` workloads (seed 1),
 plus one ``spectrum`` run on each closed-form ladder, runs in-process
 through ``cli.main``; each exit code and the sha256 of each output file
-must match ``golden_outputs.json``.  The digests hold for the numpy version
+must match ``golden_outputs.json``.  Beside each CSV file's digest the file
+stores a sha256 per column, so a recapture can name the columns that moved;
+the test compares the whole-file digests.  The digests hold for the numpy version
 recorded there; another version may move the last bits of some floats, so
 the comparison is skipped under one.
 
     python tests/test_golden_outputs.py --write   # recapture the digests
 
 ``--write`` prints each command whose exit code or digests changed, with the
-files that changed.
+files that changed and, in a CSV file, the columns that changed, e.g.
+``changed: spectrum/sphere (exit 0 -> 0) spectrum.csv: tail_bound``.
 """
 
 import hashlib
@@ -52,9 +55,23 @@ def _run(name, sub, config, tmp: Path) -> dict:
     cfg.write_text(json.dumps(config))
     out = d / "out"
     code = cli.main([sub, "--config", str(cfg), "--out", str(out)])
-    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-             for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return {"exit": code, "files": files}
+    paths = sorted(out.iterdir()) if out.is_dir() else []
+    return {"exit": code,
+            "files": {p.name: _sha256(p.read_bytes()) for p in paths},
+            "columns": {p.name: _column_digests(p.read_text())
+                        for p in paths if p.suffix == ".csv"}}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _column_digests(text: str) -> dict:
+    """header name -> sha256 of that column's values, one per line."""
+    header, *rows = text.splitlines()
+    names = header.split(",")
+    columns = zip(*(row.split(",") for row in rows)) if rows else [()] * len(names)
+    return {name: _sha256("\n".join(col).encode()) for name, col in zip(names, columns)}
 
 
 def _golden() -> dict:
@@ -67,7 +84,8 @@ def test_output_digests(name, tmp_path):
     if golden["numpy"] != np.__version__:
         pytest.skip(f"digests come from numpy {golden['numpy']}, this is {np.__version__}")
     sub, config = _commands()[name]
-    assert _run(name, sub, config, tmp_path) == golden["commands"][name]
+    run, want = _run(name, sub, config, tmp_path), golden["commands"][name]
+    assert (run["exit"], run["files"]) == (want["exit"], want["files"])
 
 
 def test_golden_covers_every_command():
@@ -85,9 +103,16 @@ if __name__ == "__main__":
     before = _golden()["commands"] if GOLDEN.exists() else {}
     for name, now in result.items():
         was = before.get(name, {"exit": None, "files": {}})
-        moved = sorted(f for f in {*was["files"], *now["files"]}
-                       if was["files"].get(f) != now["files"].get(f))
+        moved = []
+        for f in sorted({*was["files"], *now["files"]}):
+            if was["files"].get(f) == now["files"].get(f):
+                continue
+            old_cols = was.get("columns", {}).get(f, {})
+            new_cols = now["columns"].get(f, {})
+            cols = [c for c in dict.fromkeys([*old_cols, *new_cols])
+                    if old_cols.get(c) != new_cols.get(c)]
+            moved.append(f"{f}: {' '.join(cols)}" if old_cols and new_cols else f)
         if moved or was["exit"] != now["exit"]:
-            print(f"changed: {name} (exit {was['exit']} -> {now['exit']}) {' '.join(moved)}")
+            print(f"changed: {name} (exit {was['exit']} -> {now['exit']}) {'; '.join(moved)}")
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "seed": SEED,
                                   "commands": result}, indent=1) + "\n")

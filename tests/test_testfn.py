@@ -391,6 +391,22 @@ def test_bump_envelope_constants_are_upper_bounds():
     assert D4 <= _BUMP_D4 <= 1.05 * D4
 
 
+@pytest.mark.parametrize("a", [2.0, 20.0, 60.0])
+@pytest.mark.parametrize("c0,c1", [(1.0, 0.0), (0.0, 1.0), (50.0, 2.0)])
+def test_power_envelope_halfline_moment_is_exact(a, c0, c1):
+    # the w=0.5 bump's legs meet at u1 = sqrt(c2/cap) ~ 5.4 and
+    # u2 = sqrt(c4/c2) ~ 36.7: a = 2, 20, 60 start on each leg in turn
+    env = make_fourier_bump(2.0, 0.5).time_env
+    u1, u2 = math.sqrt(env.c2 / env.cap), math.sqrt(env.c4 / env.c2)
+    assert u1 < 20.0 < u2 < 60.0
+
+    def integrand(x):
+        return (c0 + c1 * x) * min(env.cap, env.c2 / x**2, env.c4 / x**4)
+    with mpmath.workdps(30):
+        exact = mpmath.quad(integrand, [a, *(u for u in (u1, u2) if u > a), mpmath.inf])
+    assert env.halfline_moment(a, c0, c1) == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_parameter_validation():
     with pytest.raises(ValidationError):
         make_gaussian(0.0)
