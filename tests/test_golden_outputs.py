@@ -1,13 +1,14 @@
 """Byte-identity of the benchmark commands' outputs against stored digests.
 
 Every command of the three ``perfbench/workloads.py`` workloads (seed 1),
-plus one ``spectrum`` run on each closed-form ladder, runs in-process
-through ``cli.main``; each exit code and the sha256 of each output file
-must match ``golden_outputs.json``.  Beside each CSV file's digest the file
-stores a sha256 per column, so a recapture can name the columns that moved;
-the test compares the whole-file digests.  The digests hold for the numpy version
-recorded there; another version may move the last bits of some floats, so
-the comparison is skipped under one.
+plus one ``spectrum`` and one gaussian ``predict`` run on each closed-form
+ladder and a Katok ``predict`` that leaves periods inside ``k_max`` out of
+its sum, runs in-process through ``cli.main``; each exit code and the sha256
+of each output file must match ``golden_outputs.json``.  Beside each CSV
+file's digest the file stores a sha256 per column, so a recapture can name
+the columns that moved; the test compares the whole-file digests.  The
+digests hold for the numpy version recorded there; another version may move
+the last bits of some floats, so the comparison is skipped under one.
 
     python tests/test_golden_outputs.py --write   # recapture the digests
 
@@ -41,10 +42,18 @@ def _commands() -> dict:
         for cmd in build(SEED):
             out[f"{workload}/{cmd.name}"] = (cmd.sub, cmd.config)
     for ladder, (geo, E, _) in workloads.LADDERS.items():
-        out[f"spectrum/{ladder}"] = ("spectrum", {
-            "schema": workloads.SCHEMA, "geometry": geo, "E": E,
-            "test_function": workloads.GAUSSIAN, "N": {"list": [40, 400]},
-            "tolerances": dict(workloads.TOL)})
+        for sub in ("spectrum", "predict"):
+            out[f"{sub}/{ladder}"] = (sub, {
+                "schema": workloads.SCHEMA, "geometry": geo, "E": E,
+                "test_function": workloads.GAUSSIAN, "N": {"list": [40, 400]},
+                "tolerances": dict(workloads.TOL)})
+    # the modulated hat's support holds k = 2..4 of T#; k = 1 and 5 carry
+    # |phi_hat| 8e-4 but lie outside it, inside k_max
+    out["predict/katok-modulated"] = ("predict", {
+        "schema": workloads.SCHEMA, "geometry": {"kind": "katok", "eps": 0.1001},
+        "E": workloads.SQRT2, "N": {"list": [40, 400]},
+        "test_function": {"kind": "gaussian_modulated", "s": 0.2, "b": 26.926563261565853},
+        "tolerances": {**workloads.TOL, "k_max": 9, "support_tol": 1e-3}})
     return out
 
 
