@@ -21,6 +21,14 @@ formula (``geometry.ConstantCurvature.poisson_image``) gives at its three
 parameter sets (b, K): with c = A/2pi and Q = sqrt(b^2 + K(E^2-1)),
 c1 = c sum_k i [fhat' + pi k E (b^2-K)/Q^3 fhat'' - pi k K E/(4Q) fhat] at
 k 2pi E/Q, times exp(-2 pi i k j0), j0 = (E^2-1) N/(Q+b) - 1/2.
+
+Each ``k_tail`` bounds every period its k-sum leaves out, with no walk: the
+per-k bounds are summed at each omitted period out to the hat's reach at
+_HAT_FLOOR (``_k_reach``), and the first period past the reach counts once
+for every period up to twice its own, as the bounds fall with |k| there.
+Past that a compact hat is 0 and a Gaussian one below _HAT_FLOOR^4/amp^3,
+under 1e-700 for any width ``make_gaussian`` accepts; that remainder is
+left out as lying below double underflow.
 """
 
 from __future__ import annotations
@@ -39,13 +47,19 @@ from .testfn import TestFunction
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
-# Largest k_max of a k-sum (2 k_max + 1 terms, about 0.15 s and 26 MB at the cap)
+# Largest k_max of a k-sum (2 k_max + 1 terms, about 0.15 s and 26 MB at the
+# cap), and largest reach of a k-tail
 MAX_K_MAX = 100_000
+_HAT_FLOOR = 1e-300  # the k-tails sum term by term out to the reach at this level
 
 
 @dataclasses.dataclass(frozen=True)
 class KSumControl:
-    """Truncation and resonance policy for the coefficient k-sums."""
+    """Truncation and resonance policy for the coefficient k-sums.
+
+    ``poisson_c01`` sums |k| <= k_max; ``katok_c0`` sums the periods in the
+    hat's support and ignores k_max.  ``k_tail`` bounds every period left out.
+    """
 
     k_max: int
     resonance_margin: float = 1e-6
@@ -63,12 +77,7 @@ class KSumControl:
         """Pick k_max so |phi_hat| at the first dropped node is below tail_tol."""
         if freq <= 0:
             raise ValidationError("frequency scale must be positive")
-        reach = abs(f.hat_center) + f.hat_radius(tail_tol)
-        if not reach / freq < MAX_K_MAX:  # refuses an infinite quotient too
-            raise ValidationError(
-                f"the k-sum needs k_max > {reach / freq:.6g} to reach |phi_hat| <= "
-                f"{tail_tol:g}; k_max is capped at {MAX_K_MAX:,}")
-        return cls(k_max=int(math.ceil(reach / freq)) + 1,
+        return cls(k_max=int(math.ceil(_k_reach(f, freq, tail_tol))) + 1,
                    resonance_margin=resonance_margin)
 
 
@@ -93,37 +102,28 @@ def _fsum_complex(terms) -> complex:
     return complex(math.fsum(arr.real), math.fsum(arr.imag))
 
 
-def _k_order(k_max: int):
-    """Fixed summation order 0, +1, -1, +2, -2, ..."""
-    yield 0
-    for k in range(1, k_max + 1):
-        yield k
-        yield -k
+def _k_order(k_lo: int, k_hi: int):
+    """The periods k_lo, -k_lo, k_lo + 1, ..., k_hi, -k_hi: the fixed order
+    of every k-sum and k-tail."""
+    return np.outer(np.arange(k_lo, k_hi + 1), [1, -1]).ravel()
 
 
-def _k_tail_bound(bound_at, k_start: int) -> float:
-    """Certified bound on sum_{|k| > k_start - 1} |term_k|.
+def _k_reach(f: TestFunction, freq: float, tol: float) -> float:
+    """(|hat_center| + hat_radius(tol)) / freq: the largest |k| whose period
+    k * freq the hat reaches above tol, refused past MAX_K_MAX."""
+    k = (abs(f.hat_center) + f.hat_radius(tol)) / freq
+    if not k < MAX_K_MAX:  # refuses an infinite quotient too
+        raise ValidationError(f"the k-sum must reach k={k:.6g} periods to bring |phi_hat| "
+                              f"below {tol:g}; k is capped at {MAX_K_MAX:,}")
+    return k
 
-    ``bound_at(k)`` must dominate |term_k| + |term_{-k}|.  The per-k bounds
-    here are (polynomial) x (nonincreasing envelope) sequences, whose term
-    ratios are eventually decreasing; after two consecutive halvings the
-    rest is dominated by a geometric series with ratio 1/2.
-    """
-    total = 0.0
-    k = k_start
-    prev = float(bound_at(k))
-    halvings = 0
-    for _ in range(200_000):
-        total += prev
-        if prev == 0.0:
-            return total
-        nxt = float(bound_at(k + 1))
-        halvings = halvings + 1 if nxt <= 0.5 * prev else 0
-        if halvings >= 2:
-            return total + 2.0 * nxt
-        prev = nxt
-        k += 1
-    raise ValidationError("k-sum tail bound failed to enter the geometric regime")
+
+def _tail_periods(k_lo: int, k_reach: float):
+    """The periods from k_lo out to k_top, the first past the reach, and the
+    weight of each: 1, but k_top at +-k_top (the module docstring's rule)."""
+    k_top = max(k_lo - 1, int(k_reach)) + 1
+    ks = _k_order(k_lo, k_top)
+    return ks, np.where(np.abs(ks) == k_top, float(k_top), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,36 +135,31 @@ def poisson_c01(N: int, model, level: EnergyLevel, f: TestFunction,
     """c0 and c1 of a closed-form ladder at one N: its Poisson image.
 
     Sums fhat, fhat', fhat'' at k * freq, k = 0, +-1, ..., +-k_max, with the
-    summands, phases and per-k bounds of ``model.poisson_image``.  Refused
-    before any evaluation: a sum whose largest squared k * freq (the tail
-    walk's first two steps included), phase argument or coefficient is not
-    finite, and a hyperbolic energy at or above the Mane level.
+    summands, phases and per-k bounds of ``model.poisson_image``.  Refused before any evaluation: a hat whose reach passes MAX_K_MAX
+    periods, a sum whose largest squared k * freq (the tail's included),
+    phase argument or coefficient is not finite, and a hyperbolic energy at
+    or above the Mane level.
     """
     E = level.E
     freq = model.k_frequency(E)
+    tail_ks, weight = _tail_periods(ctl.k_max + 1, _k_reach(f, freq, _HAT_FLOOR))
     try:
         phase_scale, terms, bound = model.poisson_image(N, E)
-        top = (ctl.k_max + 2) * freq
+        top = abs(int(tail_ks[-1])) * freq
         finite = math.isfinite(top * top) and math.isfinite(ctl.k_max * phase_scale)
     except OverflowError:  # a coefficient power such as Q**3
         finite = False
     if not finite:
         raise ValidationError(f"the k-sum at N={N}, E={E:.6g} leaves the double range")
-    ks = np.array(list(_k_order(ctl.k_max)))
+    ks = np.concatenate(([0], _k_order(1, ctl.k_max)))
     xi = ks * freq
     c0_terms, c1_terms = terms(ks, *(np.asarray(h(xi), dtype=complex)
                                      for h in (f.phi_hat, f.phi_hat_d1, f.phi_hat_d2)))
-
-    def bound_at(k):
-        out = 0.0
-        for kk in (k, -k):
-            u = abs(kk * freq - f.hat_center)
-            out += bound(kk, *(f.hat_abs_bound(order, u) for order in range(3)))
-        return out
-
+    u = np.abs(tail_ks * freq - f.hat_center)
+    tail = bound(tail_ks, *(f.hat_abs_bound(order, u) for order in range(3)))
     return CoefficientPrediction(N=int(N), c0=_fsum_complex(c0_terms),
                                  c1=_fsum_complex(c1_terms), d=1.0,
-                                 k_tail=_k_tail_bound(bound_at, ctl.k_max + 1))
+                                 k_tail=math.fsum(weight * tail))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +255,9 @@ def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
       equators' closed-form invariants.)
 
     Windows containing both the zero and a nonzero period are rejected.
+    ``k_tail`` bounds each nonzero period outside the support by amp |fhat|
+    / max(|sin|, margin) per branch; the resonance guard sees each whose
+    bound passes 1e-25.
     """
     Tsharp = Katok(eps).k_frequency(SQRT2)  # refuses eps outside (0, 1)
     if not (isinstance(N, (int, np.integer)) and N >= 1):
@@ -267,45 +265,26 @@ def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
     amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
     margin = ctl.resonance_margin
     lo, hi = f.hat_support_interval(support_tol)
-    # the periods to scan: the support, and every period whose term, capped
-    # by the margin, can pass the resonance guard's 1e-25
-    reach = f.hat_radius(1e-25 * margin / amp)
-    k_lo = min(lo, f.hat_center - reach) / Tsharp
-    k_hi = max(hi, f.hat_center + reach) / Tsharp
-    if not max(-k_lo, k_hi) < MAX_K_MAX:  # refuses an infinite quotient too
-        raise ValidationError(f"the k-sum must scan periods up to k={max(-k_lo, k_hi):.6g}"
-                              f"*T#; k is capped at {MAX_K_MAX:,}")
     zero_in = lo <= 0.0 <= hi
-    k_in = [k for k in range(int(math.floor(lo / Tsharp)) - 1,
-                             int(math.ceil(hi / Tsharp)) + 2)
-            if k != 0 and lo <= k * Tsharp <= hi]
-    if zero_in and k_in:
+    if zero_in and (hi >= Tsharp or lo <= -Tsharp):
+        k_lo, k_hi = math.ceil(lo / Tsharp), math.floor(hi / Tsharp)
         raise MixedSupportError(
-            "phi_hat support contains the zero period and the nonzero period(s) "
-            f"{sorted(k_in)}*T#; the two asymptotic regimes are disjoint, use a "
-            "window isolating one"
-        )
-
-    def excluded_bound(k):
-        # |phi_hat| envelope at a dropped period, both branches, with the
-        # margin in the denominator; the guard fires near a resonance whose
-        # capped term passes 1e-25
-        h = float(f.hat_abs_bound(0, abs(k * Tsharp - f.hat_center)))
-        total = 0.0
-        for branch in (+1, -1):
-            s = abs(math.sin(math.pi * k / (1.0 - branch * eps)))
-            if s <= margin and amp * h / margin > 1e-25:
-                _katok_resonance_guard(k, branch, eps, margin)
-            total += amp * h / max(s, margin)
-        return total
-
-    # everything beyond the scanned range is excluded by construction; the
-    # guard sees every excluded k, not only those the tail walk reaches
-    k_start = max(ctl.k_max, max((abs(k) for k in k_in), default=0)) + 1
-    for k in sorted(range(math.ceil(k_lo), math.floor(k_hi) + 1), key=lambda k: (abs(k), -k)):
-        if abs(k) >= k_start:  # in the walk's order: k, -k, k + 1, ...
-            excluded_bound(k)
-    k_tail = _k_tail_bound(lambda k: excluded_bound(k) + excluded_bound(-k), k_start)
+            f"phi_hat support contains the zero period and {k_hi - k_lo} nonzero "
+            f"period(s) k*T#, k from {k_lo} to {k_hi}; the two asymptotic regimes are "
+            "disjoint, use a window isolating one")
+    # reach past the support and every period whose capped term can pass 1e-25
+    ks, weight = _tail_periods(1, _k_reach(f, Tsharp, min(_HAT_FLOOR, support_tol,
+                                                            1e-25 * margin / amp)))
+    in_support = (lo <= ks * Tsharp) & (ks * Tsharp <= hi)
+    k_in = ks[in_support].tolist()
+    # one column per branch: the guard takes the first hit in ks's order, + first
+    h = f.hat_abs_bound(0, np.abs(ks * Tsharp - f.hat_center))[:, None]
+    sin = np.abs(np.sin(np.pi * ks[:, None] / (1.0 - np.array([1.0, -1.0]) * eps)))
+    omitted = ~in_support[:, None]
+    hits = np.argwhere(omitted & (sin <= margin) & (amp * h / margin > 1e-25))
+    if hits.size:
+        _katok_resonance_guard(int(ks[hits[0, 0]]), (1, -1)[hits[0, 1]], eps, margin)
+    k_tail = math.fsum((omitted * weight[:, None] * amp * h / np.maximum(sin, margin)).ravel())
 
     if zero_in or not k_in:
         # exact energy-shell volume 2 pi E * 4 pi/(1-eps^2); the published
@@ -316,12 +295,8 @@ def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
         return CoefficientPrediction(N=int(N), c0=c0, c1=0.0 + 0.0j, d=1.0 if zero_in else 0.0,
                                      k_tail=k_tail)
 
-    terms = []
-    for k in sorted(k_in, key=abs):
-        hval = complex(f.phi_hat(k * Tsharp))
-        for branch in (+1, -1):
-            terms.append(katok_term_closed(N, eps, k, branch, hval,
-                                           ctl.resonance_margin))
+    terms = [katok_term_closed(N, eps, k, branch, complex(f.phi_hat(k * Tsharp)), margin)
+             for k in k_in for branch in (+1, -1)]
     return CoefficientPrediction(N=int(N), c0=_fsum_complex(terms),
                                  c1=0.0 + 0.0j, d=0.0, k_tail=k_tail)
 

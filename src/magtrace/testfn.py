@@ -294,13 +294,14 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
         u = np.asarray(xi, dtype=float) - b
         return (s**4 * np.square(u) - s * s) * phi_hat(xi)
 
+    # -log(tol), not log(1/tol): 1/tol overflows for tol below 1/DBL_MAX
     def radius(tol):
-        return s * math.sqrt(2.0 * math.log(1.0 / tol))
+        return s * math.sqrt(-2.0 * math.log(tol))
 
     def hat_radius(tol):
         if tol >= amp:
             return 0.0
-        return math.sqrt(2.0 * math.log(amp / tol)) / s
+        return math.sqrt(2.0 * (math.log(amp) - math.log(tol))) / s
 
     hat_env = GaussianEnvelope(amp, 1.0 / s)
 

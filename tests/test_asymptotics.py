@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,9 +12,9 @@ from magtrace import (CoefficientPrediction, DegenerateOrbitError, EnergyLevel,
                       MixedSupportError, ResonanceError, Sphere, Torus,
                       TraceValue, ValidationError, general_c0_nondegenerate,
                       general_c0_volume, katok_c0, katok_term_closed,
-                      make_fourier_bump, make_gaussian, make_gaussian_modulated,
-                      maslov_katok, poisson_c01, residual_report,
-                      torus_cluster_check)
+                      linear_combination, make_fourier_bump, make_gaussian,
+                      make_gaussian_modulated, maslov_katok, poisson_c01,
+                      residual_report, torus_cluster_check)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -358,6 +359,36 @@ def test_katok_mixed_support_rejected():
         katok_c0(2, eps, f, KSumControl(4))
 
 
+def test_katok_mixed_support_message_is_one_short_line():
+    # the support holds about 54,000 nonzero periods; the message names
+    # their number and the first and last
+    f = make_gaussian(2e-5)
+    with pytest.raises(MixedSupportError) as exc:
+        katok_c0(3, 1.0 / math.sqrt(5.0), f, KSumControl(4))
+    msg = str(exc.value)
+    assert len(msg) < 300 and "\n" not in msg
+    assert "53612 nonzero period(s)" in msg and "-26806 to 26806" in msg
+
+
+def test_katok_k_tail_covers_the_periods_k_max_leaves_out():
+    # the support holds k = 2..4; k = 1 and k = 5 lie outside it, inside k_max
+    eps, f = 0.1001, make_gaussian_modulated(0.2, 26.926563261565853)
+    Tsharp = TWO_PI * SQRT2 / (1.0 - eps * eps)
+    amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
+    omitted = sum(amp * float(f.phi_hat(k * Tsharp)) / abs(math.sin(math.pi * k / (1.0 - b * eps)))
+                  for k in (1, 5) for b in (1, -1))
+    tails = {katok_c0(40, eps, f, KSumControl(k_max), support_tol=1e-3).k_tail
+             for k_max in (4, 9, 12)}
+    assert len(tails) == 1 and tails.pop() >= omitted > 2e-3
+
+
+def test_katok_tiny_resonance_margin_is_accepted():
+    # the guard's reach is taken at 1e-25 * margin / amp, below 1/DBL_MAX here
+    eps, f = 1.0 / math.sqrt(5.0), make_gaussian(1.0)
+    p = katok_c0(3, eps, f, KSumControl(4, resonance_margin=1e-290))
+    assert p.k_tail == pytest.approx(katok_c0(3, eps, f, KSumControl(4)).k_tail, rel=1e-12)
+
+
 def test_katok_scan_past_the_k_cap_is_refused():
     # the support reaches k = 1.8e5 periods, past MAX_K_MAX; the refusal comes
     # before the support is scanned, so no width makes that scan run long
@@ -378,6 +409,83 @@ def test_katok_resonance_detection():
     # a generic irrational-like eps is clean on both branches
     for branch in (+1, -1):
         assert abs(katok_term_closed(1, 0.3, 1, branch, 1.0)) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# k-tails against 40-digit sums of what they leave out
+# ---------------------------------------------------------------------------
+
+def _mp_hat(members, xi):
+    """phi_hat and its first two derivatives at xi, 40 digits, for the sum
+    of (coeff, kind, a, b) members: gaussian width a, centre b; bump centre
+    a, half-width b."""
+    out = [mpmath.mpc(0)] * 3
+    for coeff, kind, a, b in members:
+        if kind == "gaussian":
+            u = xi - b
+            h = a * mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(-a * a * u * u / 2)
+            hs = (h, -a * a * u * h, (a**4 * u * u - a * a) * h)
+        else:
+            t = (xi - a) / b
+            om = 1 - t * t
+            e = mpmath.exp(-1 / om) if om > 0 else mpmath.mpf(0)
+            hs = (e, e * -2 * t / (b * om**2), e * 2 * (3 * t**4 - 1) / (b * b * om**4))
+        out = [o + coeff * h for o, h in zip(out, hs)]
+    return out
+
+
+def _build(members):
+    fns = [make_gaussian_modulated(a, b) if kind == "gaussian" else make_fourier_bump(a, b)
+           for _, kind, a, b in members]
+    return fns[0] if len(fns) == 1 else linear_combination([m[0] for m in members], fns)
+
+
+# members as functions of the first period: the modulated gaussian is
+# centred on it, the bump on the second
+_K_HATS = {"gaussian": lambda T: [(1.0, "gaussian", 1.0, 0.0)],
+           "modulated": lambda T: [(1.0, "gaussian", 1.0, T)],
+           "bump": lambda T: [(1.0, "bump", 2.0 * T, 0.5)],
+           "combination": lambda T: [(1.0, "gaussian", 1.0, 0.0),
+                                     (-0.5j, "gaussian", 1.5, 1.0)]}
+_K_GEOMETRIES = [(Torus(), 2.0), (Sphere(R=0.5), SQRT2), (Hyperbolic(R=1.0, genus=2), 1.2),
+                 (Katok(1.0 / math.sqrt(5.0)), SQRT2)]
+
+
+@pytest.mark.parametrize("k_max", ["small", "auto"])
+@pytest.mark.parametrize("hat", sorted(_K_HATS))
+@pytest.mark.parametrize("model,E", _K_GEOMETRIES,
+                         ids=["torus", "sphere", "hyperbolic", "katok"])
+def test_k_tail_dominates_brute_force(model, E, hat, k_max):
+    freq = model.k_frequency(E)
+    members = _K_HATS[hat](freq)
+    f = _build(members)
+    ctl = KSumControl(0) if k_max == "small" else KSumControl.for_function(f, freq, 1e-15)
+    k_tail = model.predict(40, EnergyLevel.from_E(E), f, ctl, 1e-12).k_tail
+    reach = (abs(f.hat_center) + f.hat_radius(1e-300)) / freq
+    ks = [k for k in range(-10 * int(reach) - 10, 10 * int(reach) + 11) if k]
+    with mpmath.workdps(40):
+        mp_E = mpmath.mpf(E)
+        if isinstance(model, Katok):
+            lo, hi = f.hat_support_interval(1e-12)
+            eps = mpmath.mpf(model.eps)
+            T = 2 * mpmath.pi * mpmath.sqrt(2) / (1 - eps * eps)
+            amp = 1 / (mpmath.sqrt(2) * (1 - eps * eps))
+            terms = [amp * abs(_mp_hat(members, k * T)[0])
+                     * (1 / abs(mpmath.sin(mpmath.pi * k / (1 - eps)))
+                        + 1 / abs(mpmath.sin(mpmath.pi * k / (1 + eps))))
+                     for k in ks if not lo <= k * freq <= hi]
+        else:
+            b, K = mpmath.mpf(model.field), mpmath.mpf(model.curvature)
+            c = mpmath.mpf(model.measure_coeff)
+            Q = mpmath.sqrt(b * b + K * (mp_E * mp_E - 1))
+            a2, a0 = mpmath.pi * mp_E * (b * b - K) / Q**3, mpmath.pi * K * mp_E / (4 * Q)
+            terms = []
+            for k in ks:
+                if abs(k) > ctl.k_max:
+                    h0, h1, h2 = _mp_hat(members, k * 2 * mpmath.pi * mp_E / Q)
+                    terms.append(c * (abs(mp_E * h0) + abs(h1 + a2 * k * h2 - a0 * k * h0)))
+        brute = mpmath.fsum(terms)
+    assert brute <= k_tail * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from magtrace import ValidationError, asymptotics, cli, katok_first_integral
+from magtrace import TestFunction, ValidationError, asymptotics, cli, katok_first_integral
 from magtrace.cli import _number, main
 
 SQRT2 = math.sqrt(2.0)
@@ -112,14 +112,16 @@ def test_residual_torus_sweep_passes(tmp_path):
 
 
 def test_katok_predict_guards_resonances_past_the_tail_walk(tmp_path):
-    # k=9 is exactly resonant, 2k/(1-eps) = 20, and its margin-capped term
-    # passes the guard's 1e-25; the k-tail walk from k_max=4 stops before it
-    cfg = _base_cfg(geometry={"kind": "katok", "eps": 0.1}, E=SQRT2, N={"value": 40},
-                    test_function={"kind": "gaussian_modulated", "s": 0.2,
-                                   "b": 26.926563261565853},
-                    tolerances={"k_max": 4, "support_tol": 1e-3})
-    path = _write_cfg(tmp_path, "cfg.json", cfg)
-    assert main(["predict", "--config", path, "--out", str(tmp_path / "out")]) == 4
+    # k=9 lies outside the support (k = 2..4) and is exactly resonant,
+    # 2k/(1-eps) = 20; its margin-capped term passes the guard's 1e-25
+    # whether k_max stops short of it, at it or past it
+    for k_max in (4, 9, 12):
+        cfg = _base_cfg(geometry={"kind": "katok", "eps": 0.1}, E=SQRT2, N={"value": 40},
+                        test_function={"kind": "gaussian_modulated", "s": 0.2,
+                                       "b": 26.926563261565853},
+                        tolerances={"k_max": k_max, "support_tol": 1e-3})
+        path = _write_cfg(tmp_path, "cfg.json", cfg)
+        assert main(["predict", "--config", path, "--out", str(tmp_path / "out")]) == 4
 
 
 def test_katok_command_passes(tmp_path):
@@ -423,7 +425,7 @@ def test_integral_floats_read_as_integers(tmp_path, sub, key, as_int, as_float):
             == [p.read_bytes() for p in sorted(outs[1].iterdir())])
 
 
-def _no_k_sum(k_max):
+def _no_k_sum(*args):
     raise AssertionError("the k-sum was built")
 
 
@@ -437,6 +439,21 @@ def test_k_max_over_cap_exits_2_before_allocating(tmp_path, capsys, monkeypatch,
     # a missing check would reach the patched term order, not allocate
     monkeypatch.setattr(asymptotics, "_k_order", _no_k_sum)
     assert "capped" in _exits_2_cleanly(tmp_path, capsys, cfg, "predict")
+
+
+def test_predict_refuses_an_unreachable_k_tail_before_any_bound(tmp_path, capsys, monkeypatch):
+    # phi_hat's amplitude, 2.5e-150, is below tail_tol, so k_max is 1; the
+    # hat reaches 1e-300 only 1.3e151 periods out, past the cap
+    calls = []
+    hat_abs_bound = TestFunction.hat_abs_bound
+
+    def counted(self, order, u):
+        calls.append(order)
+        return hat_abs_bound(self, order, u)
+    monkeypatch.setattr(TestFunction, "hat_abs_bound", counted)
+    cfg = _base_cfg(test_function={"kind": "gaussian", "s": 1e-150}, N={"value": 40})
+    assert "capped" in _exits_2_cleanly(tmp_path, capsys, cfg, "predict")
+    assert calls == []
 
 
 def test_k_max_at_cap_is_accepted():

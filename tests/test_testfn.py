@@ -357,6 +357,20 @@ def test_hat_envelope_and_radius():
     assert np.all(np.abs(f.phi_hat(2.0 + u)) <= np.asarray(f.hat_env(u)) * (1 + 1e-12))
 
 
+def test_gaussian_radii_past_one_over_dbl_max():
+    # 1/tol and amp/tol overflow at these tolerances; the radii do not
+    import mpmath
+    s = 0.5
+    f = make_gaussian(s)
+    amp = mpmath.sqrt(2 * mpmath.pi) * s
+    for tol in (1e-310, 5e-324):
+        assert f.radius(tol) == pytest.approx(
+            float(s * mpmath.sqrt(-2 * mpmath.log(tol))), rel=1e-14)
+    for tol in (1e-308, 5e-324):
+        assert f.hat_radius(tol) == pytest.approx(
+            float(mpmath.sqrt(2 * mpmath.log(amp / tol)) / s), rel=1e-14)
+
+
 def test_linear_combination_is_exact():
     f1 = make_gaussian(1.0)
     f2 = make_fourier_bump(0.0, 1.0)
