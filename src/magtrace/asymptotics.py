@@ -24,11 +24,11 @@ k 2pi E/Q, times exp(-2 pi i k j0), j0 = (E^2-1) N/(Q+b) - 1/2.
 
 Each ``k_tail`` bounds every period its k-sum leaves out, with no walk: the
 per-k bounds are summed at each omitted period out to the hat's reach at
-_HAT_FLOOR (``_k_reach``), and the first period past the reach counts once
-for every period up to twice its own, as the bounds fall with |k| there.
-Past that a compact hat is 0 and a Gaussian one below _HAT_FLOOR^4/amp^3,
-under 1e-700 for any width ``make_gaussian`` accepts; that remainder is
-left out as lying below double underflow.
+_HAT_FLOOR (``_k_reach``), and the first period past the reach, k_top,
+counts k_top times, for itself and each period below 2 k_top, as the bounds
+fall with |k| there.  Past that a compact hat is 0 and a Gaussian one below
+_HAT_FLOOR^4/amp^3, under 1e-700 for any width ``make_gaussian`` accepts;
+that remainder is left out as lying below double underflow.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from .testfn import TestFunction
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
-# Largest k_max of a k-sum (2 k_max + 1 terms, about 0.15 s and 26 MB at the
-# cap), and largest reach of a k-tail
+# Largest k_max and k-tail reach (2 k_max + 1 terms, about 0.15 s and 26 MB at the cap)
 MAX_K_MAX = 100_000
 _HAT_FLOOR = 1e-300  # the k-tails sum term by term out to the reach at this level
 
@@ -135,10 +134,11 @@ def poisson_c01(N: int, model, level: EnergyLevel, f: TestFunction,
     """c0 and c1 of a closed-form ladder at one N: its Poisson image.
 
     Sums fhat, fhat', fhat'' at k * freq, k = 0, +-1, ..., +-k_max, with the
-    summands, phases and per-k bounds of ``model.poisson_image``.  Refused before any evaluation: a hat whose reach passes MAX_K_MAX
-    periods, a sum whose largest squared k * freq (the tail's included),
-    phase argument or coefficient is not finite, and a hyperbolic energy at
-    or above the Mane level.
+    summands, phases and per-k bounds of ``model.poisson_image``.  Refused
+    before any evaluation: a hat whose reach passes MAX_K_MAX periods, a sum
+    whose largest squared k * freq (the tail's included), phase argument or
+    coefficient is not finite, and a hyperbolic energy at or above the Mane
+    level.
     """
     E = level.E
     freq = model.k_frequency(E)

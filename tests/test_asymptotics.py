@@ -357,14 +357,10 @@ def test_katok_mixed_support_rejected():
     f = make_fourier_bump(Tsharp / 2.0, Tsharp / 2.0 + 0.5)  # covers 0 and T#
     with pytest.raises(MixedSupportError):
         katok_c0(2, eps, f, KSumControl(4))
-
-
-def test_katok_mixed_support_message_is_one_short_line():
-    # the support holds about 54,000 nonzero periods; the message names
-    # their number and the first and last
-    f = make_gaussian(2e-5)
+    # a support of about 54,000 nonzero periods: the message names their
+    # number and the first and last, on one short line
     with pytest.raises(MixedSupportError) as exc:
-        katok_c0(3, 1.0 / math.sqrt(5.0), f, KSumControl(4))
+        katok_c0(3, eps, make_gaussian(2e-5), KSumControl(4))
     msg = str(exc.value)
     assert len(msg) < 300 and "\n" not in msg
     assert "53612 nonzero period(s)" in msg and "-26806 to 26806" in msg
@@ -375,7 +371,8 @@ def test_katok_k_tail_covers_the_periods_k_max_leaves_out():
     eps, f = 0.1001, make_gaussian_modulated(0.2, 26.926563261565853)
     Tsharp = TWO_PI * SQRT2 / (1.0 - eps * eps)
     amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
-    omitted = sum(amp * float(f.phi_hat(k * Tsharp)) / abs(math.sin(math.pi * k / (1.0 - b * eps)))
+    omitted = sum(amp * float(f.phi_hat(k * Tsharp))
+                  / abs(math.sin(math.pi * k / (1.0 - b * eps)))
                   for k in (1, 5) for b in (1, -1))
     tails = {katok_c0(40, eps, f, KSumControl(k_max), support_tol=1e-3).k_tail
              for k_max in (4, 9, 12)}

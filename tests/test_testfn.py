@@ -359,7 +359,6 @@ def test_hat_envelope_and_radius():
 
 def test_gaussian_radii_past_one_over_dbl_max():
     # 1/tol and amp/tol overflow at these tolerances; the radii do not
-    import mpmath
     s = 0.5
     f = make_gaussian(s)
     amp = mpmath.sqrt(2 * mpmath.pi) * s
