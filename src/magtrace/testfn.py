@@ -76,8 +76,9 @@ def _refuse_lost_phase(what: str, phase: float) -> None:
 # temporary to 8 MB.
 _BUMP_BLOCK = 2048
 
-# Points in the first block of a radius probe: a probe that fails is loud
-# near its start, so most probes stop after this block.
+# Points in the first block of a radius probe, and in each block of the
+# lattice scan after it: a probe that fails is loud near its start, and the
+# scan runs down to the radius, so most stop after a block or a few.
 _BUMP_PROBE_HEAD = 64
 
 
@@ -156,21 +157,24 @@ class PowerEnvelope:
 
 @dataclasses.dataclass(frozen=True)
 class SumEnvelope:
-    """|a1| env1 + |a2| env2 + ... for linear combinations."""
+    """|a1| env1(u - d1) + |a2| env2(u - d2) + ... for linear combinations:
+    each member's envelope is read from its own centre, d_i away (u - d_i
+    clipped at 0; the lattice sum and moment need start and a past d_i)."""
 
-    terms: tuple  # of (|coeff|, envelope)
+    terms: tuple  # of (|coeff|, envelope, distance d of the member's centre)
 
     def __call__(self, u):
         out = 0.0
-        for c, env in self.terms:
-            out = out + c * env(u)
+        for c, env, d in self.terms:
+            out = out + c * env(np.maximum(np.asarray(u, dtype=float) - d, 0.0))
         return out
 
     def lattice_sum(self, start, step):
-        return sum(c * env.lattice_sum(start, step) for c, env in self.terms)
+        return sum(c * env.lattice_sum(start - d, step) for c, env, d in self.terms)
 
     def halfline_moment(self, a, c0, c1):
-        return sum(c * env.halfline_moment(a, c0, c1) for c, env in self.terms)
+        # x = y + d: the member's moment from a - d, with c0 + c1 d
+        return sum(c * env.halfline_moment(a - d, c0 + c1 * d, c1) for c, env, d in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +386,10 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     complex-valued whenever tau0 != 0.  |phi| = |g(w x)| does not depend on
     tau0, so neither does ``radius``, which each instance memoizes per
     ``tol`` (instances never share radii).  The radius search probes
-    [u, 2u] at dyadic u, then bisects 10 times; each probe stops at its
-    first block of points where |g| exceeds ``tol``.
+    [u, 2u] at dyadic u until one is quiet (a probe stops at its first block
+    of points where |g| exceeds ``tol``), then scans the points
+    u/2 + k u/2048, k = 1024 down to 1, in blocks until one is loud; the
+    radius is the point just past the highest loud one.
     """
     if not (w > 0.0 and math.isfinite(w)):
         raise ValidationError(f"bump half-width w must be positive, got {w}")
@@ -446,14 +452,15 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
             u *= 2.0
         else:
             return _BUMP_U_CAP / w  # capped; envelope still certifies decay
-        lo, hi = u / 2.0, u
-        for _ in range(10):
-            mid = 0.5 * (lo + hi)
-            if _probe_quiet(mid, tol):
-                hi = mid
-            else:
-                lo = mid
-        return hi / w
+        # scan the lattice u/2 + k u/2048, k = 1024..1, top down in blocks:
+        # the radius is the point just past the highest loud one
+        step = u / 2048.0
+        for top in range(1024, 0, -_BUMP_PROBE_HEAD):
+            ks = np.arange(top, max(top - _BUMP_PROBE_HEAD, 0), -1)
+            loud = ~(np.abs(_bump_cosine_sum(u / 2.0 + ks * step, coeff)) <= tol)
+            if loud.any():
+                return (u / 2.0 + min(int(ks[loud.argmax()]) + 1, 1024) * step) / w
+        return (u / 2.0 + step) / w
 
     radii = {}
 
@@ -508,8 +515,8 @@ def linear_combination(coeffs, fns) -> TestFunction:
 
     # zero-coefficient members contribute exactly nothing to the decay data
     active = [(c, f) for c, f in zip(coeffs, fns) if abs(c) > 0.0]
-    time_env = SumEnvelope(tuple((abs(c), f.time_env) for c, f in active))
-    hat_env = SumEnvelope(tuple((abs(c), f.hat_env) for c, f in active))
+    time_env = SumEnvelope(tuple((abs(c), f.time_env, 0.0) for c, f in active))
+    hat_env = SumEnvelope(tuple((abs(c), f.hat_env, abs(f.hat_center)) for c, f in active))
 
     # each active member gets an equal share of the tolerance
     def radius(tol):

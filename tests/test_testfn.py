@@ -146,23 +146,29 @@ def test_bump_radius_does_not_depend_on_tau0():
     assert make_fourier_bump(KATOK_TSHARP, 1.0).radius(tol) == r1 < testfn._BUMP_U_CAP
 
 
-def test_bump_radius_is_memoized_per_instance(monkeypatch):
-    calls = []
+@pytest.fixture
+def cosine_rows(monkeypatch):
+    """The row count of each ``_bump_cosine_sum`` call the test makes."""
+    rows = []
     probe = testfn._bump_cosine_sum
 
     def counting(u, coeff):
-        calls.append(u.size)
+        rows.append(u.size)
         return probe(u, coeff)
     monkeypatch.setattr(testfn, "_bump_cosine_sum", counting)
+    return rows
+
+
+def test_bump_radius_is_memoized_per_instance(cosine_rows):
     f = make_fourier_bump(2.0, 0.5)
     r = f.radius(1e-10)
-    assert calls
-    calls.clear()
+    assert cosine_rows
+    cosine_rows.clear()
     assert f.radius(1e-10) == r
-    assert not calls
+    assert not cosine_rows
     # a fresh instance with the same parameters searches again
     assert make_fourier_bump(2.0, 0.5).radius(1e-10) == r
-    assert calls
+    assert cosine_rows
 
 
 def test_shipped_legendre_table_is_leggauss_bit_for_bit():
@@ -204,27 +210,49 @@ def test_bump_trace_never_builds_the_1024_rule(tmp_path):
     assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 3
 
 
-def _full_probe_radius(w, tol):
-    """The radius search with every probe evaluated in full, then compared to tol."""
+def _probe_max(w, u):
+    """max |g| over the dyadic probe [u, min(2u, cap)], evaluated in full."""
     coeff = w * testfn._bump_cosine_table()[1]
+    top = min(2.0 * u, testfn._BUMP_U_CAP)
+    n_probe = int(min(4096, max(64, 2.0 * (top - u) + 64)))
+    pts = np.linspace(u, top, n_probe)
+    return float(np.max(np.abs(testfn._bump_cosine_sum(pts, coeff))))
 
-    def probe_max(u):
-        top = min(2.0 * u, testfn._BUMP_U_CAP)
-        n_probe = int(min(4096, max(64, 2.0 * (top - u) + 64)))
-        pts = np.linspace(u, top, n_probe)
-        return float(np.max(np.abs(testfn._bump_cosine_sum(pts, coeff))))
 
+def _first_quiet_probe(w, tol):
+    """The dyadic u whose probe is the first quiet one, or None at the cap."""
     u = 1.0
     while u < testfn._BUMP_U_CAP:
-        if probe_max(u) <= tol:
-            break
+        if _probe_max(w, u) <= tol:
+            return u
         u *= 2.0
-    else:
+    return None
+
+
+def _full_lattice_radius(w, tol):
+    """The radius search with every probe and every lattice point
+    u/2 + k u/2048 (k = 1..1024) evaluated in full: the point past the
+    highest loud one, k = 1 if none is loud, u itself at most."""
+    u = _first_quiet_probe(w, tol)
+    if u is None:
+        return testfn._BUMP_U_CAP / w
+    coeff = w * testfn._bump_cosine_table()[1]
+    ks = np.arange(1, 1025)
+    loud = ks[~(np.abs(testfn._bump_cosine_sum(u / 2.0 + ks * (u / 2048.0), coeff)) <= tol)]
+    k = min(int(loud.max()) + 1, 1024) if loud.size else 1
+    return (u / 2.0 + k * (u / 2048.0)) / w
+
+
+def _full_probe_radius(w, tol):
+    """The bisection search: the first quiet dyadic probe, then 10
+    bisection steps, each probe evaluated in full and compared to tol."""
+    u = _first_quiet_probe(w, tol)
+    if u is None:
         return testfn._BUMP_U_CAP / w
     lo, hi = u / 2.0, u
     for _ in range(10):
         mid = 0.5 * (lo + hi)
-        if probe_max(mid) <= tol:
+        if _probe_max(w, mid) <= tol:
             hi = mid
         else:
             lo = mid
@@ -245,9 +273,25 @@ def test_bump_radius_equals_full_probe_search():
     capped = 0
     for tau0, w, tol in _radius_cases():
         r = make_fourier_bump(tau0, w).radius(tol)
-        assert r == _full_probe_radius(w, tol), (tau0, w, tol)
+        assert r == _full_lattice_radius(w, tol), (tau0, w, tol)
         capped += (r == testfn._BUMP_U_CAP / w)
     assert capped >= 1
+
+
+def test_bump_radius_equals_bisection_on_benchmark_bumps_and_cap():
+    # the lattice scan reaches the bisection's ends; on the benchmark's four
+    # bumps and the capped case it lands where the bisection did
+    cases = _radius_cases()
+    for tau0, w, tol in cases[:4] + cases[-1:]:
+        assert make_fourier_bump(tau0, w).radius(tol) == _full_probe_radius(w, tol)
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0])
+def test_bump_radius_search_work_is_bounded(cosine_rows, w):
+    # a 10-step bisection after the doubling evaluates 10,750 (w=0.5) and
+    # 8,220 (w=1) rows here: each of its probes re-covers almost [u, 2u]
+    make_fourier_bump(0.0, w).radius(1e-14)
+    assert 0 < sum(cosine_rows) <= 3000
 
 
 def test_bump_phi_dtype():
@@ -443,3 +487,20 @@ def test_poisson_summation_bump_and_modulated():
     assert rep.diff <= max(1e-10, 2 * (rep.lhs_tail + rep.rhs_tail))
     rep2 = poisson_check(make_gaussian_modulated(1.0, 1.5), P=2.0, t=0.4)
     assert rep2.diff <= 1e-11
+
+
+def test_poisson_rhs_tail_bounds_off_centre_combination():
+    # the member's transform is centred at b = 30, the combination's at 0
+    f = linear_combination([1.0], [make_gaussian_modulated(1.0, 30.0)])
+    P = math.pi
+    rep = poisson_check(f, P, 0.3)
+    step = 2.0 * math.pi / P
+    hr = f.hat_radius(1e-22)
+    k_hi = int(math.ceil(hr / step)) + 1
+    k_lo = int(math.floor(-hr / step)) - 1
+    omitted = [k for k in range(k_lo - 200, k_hi + 201) if not k_lo <= k <= k_hi]
+    with mpmath.workdps(30):
+        total = mpmath.fsum(mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(-(step * k - 30) ** 2 / 2)
+                            for k in omitted) / P
+    assert total > 1e-56
+    assert rep.rhs_tail >= total
