@@ -456,7 +456,7 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         # the radius is the point just past the highest loud one
         step = u / 2048.0
         for top in range(1024, 0, -_BUMP_PROBE_HEAD):
-            ks = np.arange(top, max(top - _BUMP_PROBE_HEAD, 0), -1)
+            ks = np.arange(top, top - _BUMP_PROBE_HEAD, -1)  # 64 divides 1024
             loud = ~(np.abs(_bump_cosine_sum(u / 2.0 + ks * step, coeff)) <= tol)
             if loud.any():
                 return (u / 2.0 + min(int(ks[loud.argmax()]) + 1, 1024) * step) / w
