@@ -28,7 +28,9 @@ _HAT_FLOOR (``_k_reach``), and the first period past the reach, k_top,
 counts k_top times, for itself and each period below 2 k_top, as the bounds
 fall with |k| there.  Past that a compact hat is 0 and a Gaussian one below
 _HAT_FLOOR^4/amp^3, under 1e-700 for any width ``make_gaussian`` accepts;
-that remainder is left out as lying below double underflow.
+that remainder is left out as lying below double underflow.  The same rule
+bounds the frequency side of ``poisson_check``, the Poisson-summation
+self-test of a test function.
 """
 
 from __future__ import annotations
@@ -160,6 +162,56 @@ def poisson_c01(N: int, model, level: EnergyLevel, f: TestFunction,
     return CoefficientPrediction(N=int(N), c0=_fsum_complex(c0_terms),
                                  c1=_fsum_complex(c1_terms), d=1.0,
                                  k_tail=math.fsum(weight * tail))
+
+
+@dataclasses.dataclass(frozen=True)
+class PoissonReport:
+    """Both sides of the summation identity with certified truncation tails."""
+
+    lhs: complex
+    rhs: complex
+    lhs_tail: float
+    rhs_tail: float
+
+    @property
+    def diff(self) -> float:
+        return abs(self.lhs - self.rhs)
+
+
+def poisson_check(f: TestFunction, P: float, t: float) -> PoissonReport:
+    """Evaluate sum_n phi(n P + t) against sum_k (1/P) phi_hat(2pi k/P) e^{2pi i k t/P}.
+
+    The lattice side runs one point past f.radius(1e-22) at each end; as the
+    time envelope falls, the points left out beyond an end sum to at most
+    env(a) + (1/P) int_a^inf env, a = |end| + P.  The frequency side sums
+    |k| <= k_max, one past the hat's reach at 1e-22, and bounds the periods
+    past it by the k-tail rule of the module docstring.  Refused before any
+    evaluation: a non-finite or non-positive P, a non-finite t, and either
+    side past MAX_K_MAX terms.
+    """
+    term_tol = 1e-22
+    if not (0.0 < P < math.inf and math.isfinite(t)):
+        raise ValidationError(f"Poisson check needs a positive finite period P and a "
+                              f"finite shift t, got P={P}, t={t}")
+    t = math.fmod(t, P)  # exact; both sides have period P in t
+    R = f.radius(term_tol)
+    n_pts = 2.0 * R / P + 5.0  # at least the lattice points summed
+    if not n_pts <= MAX_K_MAX:
+        raise ValidationError(f"the lattice side needs about {n_pts:.6g} points n*P + t to "
+                              f"bring |phi| below {term_tol:g}; capped at {MAX_K_MAX:,}")
+    step = TWO_PI / P
+    k_max = KSumControl.for_function(f, step, term_tol).k_max
+    tail_ks, weight = _tail_periods(k_max + 1, _k_reach(f, step, _HAT_FLOOR))
+
+    xs = t + P * np.arange(math.floor((-R - t) / P) - 1, math.ceil((R - t) / P) + 2)
+    env = f.time_env
+    lhs_tail = sum(float(env(a)) + env.halfline_moment(a, 1.0 / P, 0.0)
+                   for a in (abs(xs[0]) + P, abs(xs[-1]) + P))
+    ks = np.concatenate(([0], _k_order(1, k_max)))
+    terms = f.phi_hat(step * ks) * np.exp(2j * math.pi * ks * t / P) / P
+    rhs_tail = math.fsum(weight * f.hat_abs_bound(0, np.abs(tail_ks * step - f.hat_center))) / P
+    return PoissonReport(lhs=_fsum_complex(f.phi(xs)), rhs=_fsum_complex(terms),
+                         lhs_tail=lhs_tail, rhs_tail=rhs_tail)
 
 
 # ---------------------------------------------------------------------------

@@ -220,16 +220,12 @@ class ConstantCurvature(Geometry):
 class Torus(ConstantCurvature):
     """Flat torus R^2/Z^2 at the quantized field B = 2pi."""
 
-    B: float = TWO_PI
+    B: ClassVar[float] = TWO_PI
 
     kind: ClassVar[str] = "torus"
     curvature: ClassVar[float] = 0.0
-    field: ClassVar[float] = TWO_PI  # B, which no other value may take
+    field: ClassVar[float] = TWO_PI
     loop_periods: ClassVar[tuple] = (1.0, 1.0)  # the projected loop closes modulo the lattice
-
-    def __post_init__(self):
-        if self.B != TWO_PI:
-            raise ValidationError("TorusModel implements the quantized case B = 2pi only")
 
     # flow
     def hamiltonian(self, y):
@@ -265,7 +261,7 @@ class Sphere(ConstantCurvature):
     """Round sphere of radius R at the quantized field B = 1/2."""
 
     R: float
-    B: float = 0.5
+    B: ClassVar[float] = 0.5
 
     kind: ClassVar[str] = "sphere"
     params: ClassVar[dict] = {"R": float}
@@ -279,8 +275,6 @@ class Sphere(ConstantCurvature):
             raise ValidationError(f"sphere radius must be positive, got {self.R}")
         refuse_past_double_range(f"sphere radius R={self.R:g}, its R^2 and area",
                                  lambda: (1.0 / (self.R * self.R), self.area))
-        if self.B != 0.5:
-            raise ValidationError("SphereModel implements the quantized case B = 1/2 only")
 
     field = property(lambda self: self.B / (self.R * self.R))
     curvature = property(lambda self: 1.0 / (self.R * self.R))
@@ -377,7 +371,7 @@ class Hyperbolic(ConstantCurvature):
 
     R: float
     genus: int
-    B: float = 1.0
+    B: ClassVar[float] = 1.0
 
     kind: ClassVar[str] = "hyperbolic"
     params: ClassVar[dict] = {"R": float, "genus": int}
@@ -390,8 +384,6 @@ class Hyperbolic(ConstantCurvature):
         refuse_past_double_range(  # b = 1/R^2, the area and the flux c b = 2g - 2
             f"hyperbolic parameters R={self.R:g}, genus={self.genus}",
             lambda: (1.0 / (self.R * self.R), self.area, self.measure_coeff * self.field))
-        if self.B != 1.0:
-            raise ValidationError("HyperbolicModel implements the quantized case B = 1 only")
 
     @property
     def mane_E(self) -> float:

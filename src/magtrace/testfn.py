@@ -23,9 +23,11 @@ Three families are provided:
     table is built from them once per process, on the first bump.
     Complex-valued for tau0 != 0.
 
-Every instance also carries *certified decay envelopes* on both sides of
-the transform.  These envelopes are what the spectral-window truncation
-and the Poisson-summation self-test use to bound everything they omit.
+Every instance also carries a *certified decay envelope* of phi and bounds
+on |phi_hat| and its first two derivatives.  The envelope bounds what the
+spectral windows and the lattice side of the Poisson-summation self-test
+leave out; the hat bounds do the same for the k-sums, the self-test's
+frequency side among them.
 """
 
 from __future__ import annotations
@@ -97,20 +99,6 @@ class GaussianEnvelope:
         u = np.asarray(u, dtype=float)
         return self.amp * np.exp(-np.square(u) / (2.0 * self.scale**2))
 
-    def lattice_sum(self, start: float, step: float) -> float:
-        """Certified bound on sum_{m>=0} env(start+m*step).
-
-        Uses (start+m*step)^2 >= start^2 + 2*start*step*m, which turns the
-        tail into a geometric series.
-        """
-        if start <= 0.0 or step <= 0.0:
-            raise ValidationError("lattice_sum needs start > 0 and step > 0")
-        t0 = float(self(start))
-        r = math.exp(-start * step / self.scale**2)
-        if r >= 1.0:
-            raise ValidationError("lattice_sum ratio >= 1; start too small")
-        return t0 * (1.0 / (1.0 - r))
-
     def halfline_moment(self, a: float, c0: float, c1: float) -> float:
         """Exact integral_a^inf (c0 + c1*x) env(x) dx  (a > 0)."""
         s = self.scale
@@ -134,14 +122,6 @@ class PowerEnvelope:
             v4 = np.where(u > 0, self.c4 / np.square(np.square(u)), np.inf)
         return np.minimum(self.cap, np.minimum(v2, v4))
 
-    def lattice_sum(self, start: float, step: float) -> float:
-        if start <= 0.0 or step <= 0.0:
-            raise ValidationError("lattice_sum needs start > 0 and step > 0")
-        # first term + integral comparison with the monotone envelope
-        head = float(self(start))
-        tail = self.c4 / (3.0 * step * start**3)
-        return head + tail
-
     def halfline_moment(self, a: float, c0: float, c1: float) -> float:
         """integral_a^inf (c0 + c1*x) env(x) dx, leg by leg: cap up to
         sqrt(c2/cap), c2/u^2 up to sqrt(c4/c2), then c4/u^4 (exact when the
@@ -157,24 +137,15 @@ class PowerEnvelope:
 
 @dataclasses.dataclass(frozen=True)
 class SumEnvelope:
-    """|a1| env1(u - d1) + |a2| env2(u - d2) + ... for linear combinations:
-    each member's envelope is read from its own centre, d_i away (u - d_i
-    clipped at 0; the lattice sum and moment need start and a past d_i)."""
+    """|a1| env1(u) + |a2| env2(u) + ... for linear combinations."""
 
-    terms: tuple  # of (|coeff|, envelope, distance d of the member's centre)
+    terms: tuple  # of (|coeff|, envelope)
 
     def __call__(self, u):
-        out = 0.0
-        for c, env, d in self.terms:
-            out = out + c * env(np.maximum(np.asarray(u, dtype=float) - d, 0.0))
-        return out
-
-    def lattice_sum(self, start, step):
-        return sum(c * env.lattice_sum(start - d, step) for c, env, d in self.terms)
+        return sum(c * env(u) for c, env in self.terms)
 
     def halfline_moment(self, a, c0, c1):
-        # x = y + d: the member's moment from a - d, with c0 + c1 d
-        return sum(c * env.halfline_moment(a - d, c0 + c1 * d, c1) for c, env, d in self.terms)
+        return sum(c * env.halfline_moment(a, c0, c1) for c, env in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +172,9 @@ class TestFunction:
         Exact support interval of phi_hat when compact, else None.
     hat_center : float
         Center of mass of phi_hat's decay (b for modulated gaussians).
-    time_env, hat_env
-        Certified decay envelopes: |phi(x)| <= time_env(|x|) and
-        |phi_hat(xi)| <= hat_env(|xi - hat_center|).
+    time_env
+        Certified decay envelope, |phi(x)| <= time_env(|x|), nonincreasing.
+        The transform side is bounded by ``hat_abs_bound`` instead.
     """
 
     __test__ = False  # domain type, not a pytest collection target
@@ -216,7 +187,6 @@ class TestFunction:
     phi_hat_d1: Callable
     phi_hat_d2: Callable
     time_env: object
-    hat_env: object
     hat_center: float = 0.0
     hat_support: tuple | None = None
     _radius_fn: Callable = None
@@ -307,10 +277,10 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
             return 0.0
         return math.sqrt(2.0 * (math.log(amp) - math.log(tol))) / s
 
-    hat_env = GaussianEnvelope(amp, 1.0 / s)
+    hat_decay = GaussianEnvelope(amp, 1.0 / s)
 
     def hat_abs(order, u):
-        e = hat_env(u)
+        e = hat_decay(u)
         if order == 0:
             return e
         if order == 1:
@@ -321,7 +291,7 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
         kind="gaussian_modulated", complex_valued=(b != 0.0),
         params={"s": s, "b": b},
         phi=phi, phi_hat=phi_hat, phi_hat_d1=phi_hat_d1, phi_hat_d2=phi_hat_d2,
-        time_env=GaussianEnvelope(1.0, s), hat_env=hat_env,
+        time_env=GaussianEnvelope(1.0, s),
         hat_center=b,
         _radius_fn=radius, _hat_radius_fn=hat_radius, _hat_abs_fn=hat_abs,
     )
@@ -483,7 +453,7 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         kind="fourier_bump", complex_valued=(tau0 != 0.0),
         params={"tau0": tau0, "w": w},
         phi=phi, phi_hat=phi_hat, phi_hat_d1=phi_hat_d1, phi_hat_d2=phi_hat_d2,
-        time_env=env, hat_env=env,  # hat side never consulted past the support
+        time_env=env,
         hat_center=tau0, hat_support=(tau0 - w, tau0 + w),
         _radius_fn=radius, _hat_radius_fn=hat_radius, _hat_abs_fn=hat_abs,
     )
@@ -515,8 +485,7 @@ def linear_combination(coeffs, fns) -> TestFunction:
 
     # zero-coefficient members contribute exactly nothing to the decay data
     active = [(c, f) for c, f in zip(coeffs, fns) if abs(c) > 0.0]
-    time_env = SumEnvelope(tuple((abs(c), f.time_env, 0.0) for c, f in active))
-    hat_env = SumEnvelope(tuple((abs(c), f.hat_env, abs(f.hat_center)) for c, f in active))
+    time_env = SumEnvelope(tuple((abs(c), f.time_env) for c, f in active))
 
     # each active member gets an equal share of the tolerance
     def radius(tol):
@@ -548,7 +517,7 @@ def linear_combination(coeffs, fns) -> TestFunction:
         params={"n_terms": len(fns)},
         phi=lift("phi"), phi_hat=lift("phi_hat"),
         phi_hat_d1=lift("phi_hat_d1"), phi_hat_d2=lift("phi_hat_d2"),
-        time_env=time_env, hat_env=hat_env,
+        time_env=time_env,
         hat_center=0.0, hat_support=support,
         _radius_fn=radius, _hat_radius_fn=hat_radius, _hat_abs_fn=hat_abs,
     )
@@ -569,7 +538,7 @@ def from_config(spec: dict) -> TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# verification: transform-pair consistency and Poisson summation
+# verification: transform-pair consistency
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -642,56 +611,3 @@ def validate_pair(f: TestFunction, grid, tol: float) -> PairValidation:
         max_abs_dev=max_dev, truncation_bound=trunc, refinement_delta=delta,
         tol=tol, passed=bool(max_dev <= tol),
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class PoissonReport:
-    """Both sides of the summation identity with certified truncation tails."""
-
-    lhs: complex
-    rhs: complex
-    lhs_tail: float
-    rhs_tail: float
-
-    @property
-    def diff(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def poisson_check(f: TestFunction, P: float, t: float) -> PoissonReport:
-    """Evaluate sum_n phi(n P + t) against sum_k (1/P) phi_hat(2pi k/P) e^{2pi i k t/P}.
-
-    Both sides are truncated where the respective envelope falls below
-    1e-22 and the omitted lattice tails are bounded by the envelopes'
-    closed forms.
-    """
-    term_tol = 1e-22
-    if P <= 0:
-        raise ValidationError("Poisson period P must be positive")
-    # left side: lattice n*P + t
-    R = f.radius(term_tol)
-    n_lo = int(math.floor((-R - t) / P)) - 1
-    n_hi = int(math.ceil((R - t) / P)) + 1
-    xs = t + P * np.arange(n_lo, n_hi + 1)
-    vals = np.asarray(f.phi(xs), dtype=complex)
-    lhs = complex(math.fsum(vals.real), math.fsum(vals.imag))
-    lhs_tail = (f.time_env.lattice_sum(abs(xs[0]) + P, P)
-                + f.time_env.lattice_sum(abs(xs[-1]) + P, P))
-
-    # right side: frequencies 2 pi k / P
-    step = TWO_PI / P
-    hr = f.hat_radius(term_tol)
-    k_hi = int(math.ceil((f.hat_center + hr) / step)) + 1
-    k_lo = int(math.floor((f.hat_center - hr) / step)) - 1
-    ks = np.arange(k_lo, k_hi + 1)
-    terms = (np.asarray(f.phi_hat(step * ks), dtype=complex)
-             * np.exp(2j * math.pi * ks * t / P) / P)
-    rhs = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    if f.hat_support is not None:
-        rhs_tail = 0.0
-    else:
-        d_lo = abs(step * (k_lo - 1) - f.hat_center)
-        d_hi = abs(step * (k_hi + 1) - f.hat_center)
-        rhs_tail = (f.hat_env.lattice_sum(d_hi, step)
-                    + f.hat_env.lattice_sum(d_lo, step)) / P
-    return PoissonReport(lhs=lhs, rhs=rhs, lhs_tail=lhs_tail, rhs_tail=rhs_tail)

@@ -62,11 +62,12 @@ def test_hyperbolic_displayed_forms_agree(R):
 
 
 def test_model_validation():
-    with pytest.raises(ValidationError):
+    # the quantized field is a class constant, not a constructor argument
+    with pytest.raises(TypeError):
         Torus(B=1.0)
     with pytest.raises(ValidationError):
         Sphere(R=-1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):
         Sphere(R=1.0, B=1.0)
     with pytest.raises(ValidationError):
         Hyperbolic(R=1.0, genus=1)

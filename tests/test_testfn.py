@@ -13,9 +13,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from magtrace import (ValidationError, linear_combination, make_fourier_bump,
-                      make_gaussian, make_gaussian_modulated, poisson_check,
-                      validate_pair)
+from magtrace import (KSumControl, ValidationError, linear_combination,
+                      make_fourier_bump, make_gaussian, make_gaussian_modulated,
+                      poisson_check, validate_pair)
 from magtrace import testfn
 from magtrace.testfn import TestFunction
 
@@ -63,7 +63,7 @@ def test_validate_pair_reports_nonconvergent_quadrature():
         phi=lambda x: np.sign(np.asarray(x) - 0.123) * f.phi(x),
         phi_hat=f.phi_hat,
         phi_hat_d1=f.phi_hat_d1, phi_hat_d2=f.phi_hat_d2,
-        time_env=f.time_env, hat_env=f.hat_env,
+        time_env=f.time_env,
         _radius_fn=f._radius_fn, _hat_radius_fn=f._hat_radius_fn,
         _hat_abs_fn=f._hat_abs_fn)
     with pytest.raises(QuadratureError):
@@ -76,7 +76,7 @@ def test_validate_pair_detects_injected_error():
         kind="combination", complex_valued=False, params={},
         phi=f.phi, phi_hat=lambda xi: f.phi_hat(xi) + 1e-3,
         phi_hat_d1=f.phi_hat_d1, phi_hat_d2=f.phi_hat_d2,
-        time_env=f.time_env, hat_env=f.hat_env,
+        time_env=f.time_env,
         _radius_fn=f._radius_fn, _hat_radius_fn=f._hat_radius_fn,
         _hat_abs_fn=f._hat_abs_fn)
     rep = validate_pair(broken, [0.0, 1.0, 2.0], tol=1e-10)
@@ -398,7 +398,7 @@ def test_hat_envelope_and_radius():
     xs = np.linspace(2.0 + r, 2.0 + r + 10.0, 101)
     assert np.all(np.abs(f.phi_hat(xs)) <= 1e-9 * (1.0 + 1e-12))
     u = np.linspace(0.0, 8.0, 81)
-    assert np.all(np.abs(f.phi_hat(2.0 + u)) <= np.asarray(f.hat_env(u)) * (1 + 1e-12))
+    assert np.all(np.abs(f.phi_hat(2.0 + u)) <= f.hat_abs_bound(0, u) * (1 + 1e-12))
 
 
 def test_gaussian_radii_past_one_over_dbl_max():
@@ -504,3 +504,88 @@ def test_poisson_rhs_tail_bounds_off_centre_combination():
                             for k in omitted) / P
     assert total > 1e-56
     assert rep.rhs_tail >= total
+
+
+def _mp_omitted(term, env, start, sign):
+    """40-digit sum of |term(i)| for i = start, start + sign, ..., stopped once
+    the decreasing env(i) falls 45 digits below the sum."""
+    total, i = mpmath.mpf(0), start
+    while True:
+        total += abs(term(i))
+        if env(i) < total * mpmath.mpf(10) ** -45 or env(i) < mpmath.mpf(10) ** -10000:
+            return total
+        i += sign
+
+
+# (coeff, s, b) of each gaussian member, summed by linear_combination where
+# combo.  At the six single-member cases a geometric-series bound on the
+# lattice tail falls 2e-15 to 6e-14 short of the omitted sum.
+@pytest.mark.parametrize("members,P,combo", [
+    ([(1.0, 0.3, 0.0)], math.pi, False),
+    ([(1.0, 0.3, 7.0)], 1.0, False),
+    ([(1.0, 0.7, 1.5)], 5.0, False),
+    ([(1.0, 1.0, 30.0)], 5.0, False),
+    ([(1.0, 2.0, -12.0)], 8.0, False),
+    ([(1.0, 3.0, 0.0)], 8.0, False),
+    ([(1.0, 2.0, 30.0)], 0.5, True),
+    ([(2.0, 1.0, 0.0), (-0.5j, 0.3, 7.0)], 1.0, True),
+])
+def test_poisson_tails_dominate_omitted_sums(members, P, combo):
+    # both tails against 40-digit sums of |phi| and |phi_hat|/P over the
+    # lattice points and periods poisson_check leaves out; the frequency side
+    # is allowed the double rounding of |phi_hat| itself, which is its own
+    # per-period bound.  Sums below 1e-300 are skipped: the bounds underflow.
+    t = 0.3
+    fns = [make_gaussian_modulated(s, b) for _, s, b in members]
+    f = linear_combination([c for c, _, _ in members], fns) if combo else fns[0]
+    rep = poisson_check(f, P, t)
+    # the windows poisson_check sums
+    R = f.radius(1e-22)
+    n_lo, n_hi = math.floor((-R - t) / P) - 1, math.ceil((R - t) / P) + 1
+    k_max = KSumControl.for_function(f, 2.0 * math.pi / P, 1e-22).k_max
+    with mpmath.workdps(40):
+        mp_P, mp_step = mpmath.mpf(P), 2 * mpmath.pi / mpmath.mpf(P)
+
+        def phi(x):
+            return sum(c * mpmath.exp(-x * x / (2 * s * s)) * mpmath.expj(b * x)
+                       for c, s, b in members)
+
+        def phi_hat(xi):
+            return sum(c * s * mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(-(s * (xi - b)) ** 2 / 2)
+                       for c, s, b in members)
+
+        def x(n):
+            return t + n * mp_P
+
+        lhs = sum(_mp_omitted(lambda n: phi(x(n)),
+                              lambda n: sum(abs(c) * mpmath.exp(-x(n) ** 2 / (2 * s * s))
+                                            for c, s, _ in members), start, sign)
+                  for start, sign in ((n_hi + 1, 1), (n_lo - 1, -1)))
+        rhs = sum(_mp_omitted(lambda k: phi_hat(k * mp_step),
+                              lambda k: sum(abs(c) * mpmath.exp(-(s * (k * mp_step - b)) ** 2 / 2)
+                                            for c, s, b in members), start, sign)
+                  for start, sign in ((k_max + 1, 1), (-k_max - 1, -1))) / mp_P
+    assert lhs >= 1e-300 or rhs >= 1e-300
+    if lhs >= 1e-300:
+        assert rep.lhs_tail >= lhs
+    if rhs >= 1e-300:
+        assert rep.rhs_tail >= rhs * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("P,t", [(1e9, 0.3), (1e-9, 0.3), (math.nan, 0.3), (math.inf, 0.3),
+                                 (0.0, 0.3), (2.0, math.nan)])
+def test_poisson_check_refuses_hostile_arguments(P, t):
+    # each is refused before anything is allocated: a lattice or k-sum of
+    # ~1e9 terms, or a period or shift that is not a finite number
+    with pytest.raises(ValidationError):
+        poisson_check(make_gaussian(1.0), P, t)
+
+
+@pytest.mark.parametrize("t", [1e17, 1e300])
+def test_poisson_check_reduces_large_shifts(t):
+    # both sides have period P in t; unreduced, t + n P would keep no
+    # lattice offset and e^{2pi i k t/P} no phase
+    f = make_gaussian(1.0)
+    rep = poisson_check(f, 2.0, t)
+    assert rep == poisson_check(f, 2.0, math.fmod(t, 2.0))
+    assert rep.diff <= 1e-12
