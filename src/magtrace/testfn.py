@@ -27,7 +27,10 @@ Every instance also carries a *certified decay envelope* of phi and bounds
 on |phi_hat| and its first two derivatives.  The envelope bounds what the
 spectral windows and the lattice side of the Poisson-summation self-test
 leave out; the hat bounds do the same for the k-sums, the self-test's
-frequency side among them.
+frequency side among them.  Every radius is closed form: a gaussian's from
+its exponent, a bump's where its envelope, the least of the integration by
+parts bounds w D_k/(2pi (w|x|)^k), k = 0, 2, ..., 24, meets the tolerance.
+No radius samples phi.
 """
 
 from __future__ import annotations
@@ -43,22 +46,25 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureError, ValidationError, read_kind, refuse_past_double_range
 
 TWO_PI = 2.0 * math.pi
+_EPS = 2.0**-52
 
-# L1 norms D_m = int_{-1}^{1} |psi^(m)(t)| dt of the unit bump
-# psi(t) = exp(-1/(1-t^2)), computed offline from the exact symbolic
-# derivatives and rounded *up* (2% headroom): they only ever enter as
-# upper bounds.  |phi(x)| <= w^(1-m) * D_m / (2pi |x|^m) for the bump of
-# half-width w, by m-fold integration by parts.
-_BUMP_D0 = 0.4441
-_BUMP_D2 = 3.258
-_BUMP_D4 = 1098.0
+# L1 norms D_k = int_{-1}^{1} |psi^(k)(t)| dt of the unit bump
+# psi(t) = exp(-1/(1-t^2)), k = 0, 2, ..., 24, rounded *up* in the sixth
+# digit from their 40-digit values (the k >= 2 ones exact sums of
+# psi^(k-1) between the zeros of psi^(k)): they only ever enter as upper
+# bounds.  k-fold integration by parts bounds the bump of half-width w by
+# |phi(x)| <= w D_k / (2pi u^k), u = w|x|, for every k; ``PowerEnvelope``
+# takes the least of these legs.
+_BUMP_D = ((0, 0.443994), (2, 3.19372), (4, 1076.13), (6, 5.31659e6), (8, 1.26374e11),
+           (10, 9.21691e15), (12, 1.61037e21), (14, 5.75809e26), (16, 3.77755e32),
+           (18, 4.19636e38), (20, 7.42286e44), (22, 1.99162e51), (24, 7.79237e57))
 
 # Fixed Gauss-Legendre rule for the bump's inverse transform, shipped as the
 # positive half of ``leggauss(1024)`` in ``_legendre1024``.  The rule
 # resolves cos(t*w*x) on [-1, 1] while the node count exceeds w*|x|/2 plus a
 # margin for the bump itself; 1024 nodes keep full precision out to
 # w*|x| ~ 1600, past which the bump's phi is below double-precision
-# resolution anyway.  The dyadic radius search is capped there accordingly.
+# resolution anyway.  phi reads 0 past there, and no radius lies beyond it.
 _BUMP_U_CAP = 1600.0
 
 # Largest offset of a gaussian's phi: its radius at the smallest positive
@@ -77,11 +83,6 @@ def _refuse_lost_phase(what: str, phase: float) -> None:
 # Points per block of the bump's cosine sum: bounds the (block x 512)
 # temporary to 8 MB.
 _BUMP_BLOCK = 2048
-
-# Points in the first block of a radius probe, and in each block of the
-# lattice scan after it: a probe that fails is loud near its start, and the
-# scan runs down to the radius, so most stop after a block or a few.
-_BUMP_PROBE_HEAD = 64
 
 
 # ---------------------------------------------------------------------------
@@ -109,30 +110,52 @@ class GaussianEnvelope:
 
 @dataclasses.dataclass(frozen=True)
 class PowerEnvelope:
-    """Envelope min(cap, c2/u^2, c4/u^4) for compactly band-limited phi."""
+    """Envelope (w/2pi) min_k D_k/u^k, u = w|x|, of a band-limited phi.
 
-    cap: float
-    c2: float
-    c4: float
+    ``legs`` holds (k, D_k) with k increasing from 0, the cap.  Each leg
+    bounds |phi| on its own; the legs meet in order (the crossings
+    (D_j/D_i)^(1/(j-i)) of neighbours increase), so leg k is the least one
+    between its crossings with its neighbours, and only that leg is
+    evaluated.  The legs stay in u: no power of w is formed.
+    """
 
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
-            v2 = np.where(u > 0, self.c2 / np.square(u), np.inf)
-            v4 = np.where(u > 0, self.c4 / np.square(np.square(u)), np.inf)
-        return np.minimum(self.cap, np.minimum(v2, v4))
+    w: float
+    legs: tuple
+
+    @functools.cached_property
+    def _crossings(self) -> tuple:
+        return tuple((d2 / d1) ** (1.0 / (k2 - k1))
+                     for (k1, d1), (k2, d2) in zip(self.legs, self.legs[1:]))
+
+    def __call__(self, x):
+        # clipping |x| only raises the nonincreasing envelope, and keeps w|x| finite
+        u = self.w * np.minimum(np.abs(np.asarray(x, dtype=float)), 1e300 / self.w)
+        k, d = (np.array(c, dtype=float) for c in zip(*self.legs))
+        leg = np.searchsorted(self._crossings, u)
+        return self.w / TWO_PI * d[leg] * (1.0 / np.maximum(u, self._crossings[0])) ** k[leg]
 
     def halfline_moment(self, a: float, c0: float, c1: float) -> float:
-        """integral_a^inf (c0 + c1*x) env(x) dx, leg by leg: cap up to
-        sqrt(c2/cap), c2/u^2 up to sqrt(c4/c2), then c4/u^4 (exact when the
-        legs meet in that order; each leg dominates env, so a bound always)."""
+        """integral_a^inf (c0 + c1*x) env(x) dx, leg by leg over the stretch of
+        u = w x where each leg is the least (exact; a bound whatever the
+        stretches, as each leg dominates env)."""
         if a <= 0.0:
             raise ValidationError("halfline_moment needs a > 0")
-        p = max(a, math.sqrt(self.c2 / self.cap))
-        q = max(p, math.sqrt(self.c4 / self.c2))
-        return (self.cap * (c0 * (p - a) + c1 * (p - a) * (p + a) / 2.0)
-                + self.c2 * (c0 * (1.0 / p - 1.0 / q) + c1 * math.log(q / p))
-                + self.c4 * (c1 / (2.0 * q * q) + c0 / (3.0 * q**3)))
+        ua = self.w * a
+        m0 = m1 = 0.0  # integral of min_k D_k/u^k, and of u times it, past ua
+        ends = (0.0, *self._crossings, math.inf)
+        for (k, d), lo, hi in zip(self.legs, ends, ends[1:]):
+            p, q = max(lo, ua), max(hi, ua)
+            if p < q:
+                m0 += d * _power_integral(p, q, -k)
+                m1 += d * _power_integral(p, q, 1 - k)
+        return (c0 * m0 + c1 / self.w * m1) / TWO_PI
+
+
+def _power_integral(p: float, q: float, e: int) -> float:
+    """integral_p^q u^e du, 0 <= p < q <= inf (p > 0 if e = -1; q < inf unless e < -1)."""
+    if e == -1:
+        return math.log(q / p)
+    return (q ** (e + 1) - p ** (e + 1)) / (e + 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,10 +300,15 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
             return 0.0
         return math.sqrt(2.0 * (math.log(amp) - math.log(tol))) / s
 
-    hat_decay = GaussianEnvelope(amp, 1.0 / s)
+    half_s2, widen = 0.5 * s * s, 8.0 * _EPS * amp
 
     def hat_abs(order, u):
-        e = hat_decay(u)
+        # |phi_hat| widened outward by 8 eps (1 + arg): the three roundings of
+        # the exponent arg move exp by up to 1.5 eps arg, and the dozen or so
+        # around it, those of each order's factor included, by under 8 eps
+        u = np.asarray(u, dtype=float)
+        arg = half_s2 * np.square(u)
+        e = np.exp(-arg) * (amp + widen * (1.0 + arg))
         if order == 0:
             return e
         if order == 1:
@@ -353,19 +381,18 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     form phi(x) = exp(i tau0 x) g(w x) with 512 real cosines per point from
     the shared table of ``_bump_cosine_table``, which is built once per
     process, on the first bump, from the shipped nodes and weights; phi is
-    complex-valued whenever tau0 != 0.  |phi| = |g(w x)| does not depend on
-    tau0, so neither does ``radius``, which each instance memoizes per
-    ``tol`` (instances never share radii).  The radius search probes
-    [u, 2u] at dyadic u until one is quiet (a probe stops at its first block
-    of points where |g| exceeds ``tol``), then scans the points
-    u/2 + k u/2048, k = 1024 down to 1, in blocks until one is loud; the
-    radius is the point just past the highest loud one.
+    complex-valued whenever tau0 != 0.  The envelope is the least of the
+    legs w D_k/(2pi u^k), u = w|x|, k = 0, 2, ..., 24 (``_BUMP_D``), and
+    the radius is where it meets ``tol``, in closed form: the least over
+    k >= 2 of (w D_k/(2pi tol))^(1/k), at most ``_BUMP_U_CAP``, divided by
+    w.  It samples phi nowhere, and like |phi| = |g(w x)| it does not
+    depend on tau0.
     """
     if not (w > 0.0 and math.isfinite(w)):
         raise ValidationError(f"bump half-width w must be positive, got {w}")
-    # w^3 and 1/w^3 of the envelope, the largest phase tau0 x of phi
+    # w^2 and 1/w^2 of phi_hat'' and its cap, the largest phase tau0 x of phi
     refuse_past_double_range(f"bump parameters tau0={tau0:g}, w={w:g}",
-                             lambda: (w**3, 1.0 / w**3, tau0 * _BUMP_U_CAP / w))
+                             lambda: (w * w, 1.0 / (w * w), tau0 * _BUMP_U_CAP / w))
     _refuse_lost_phase(f"bump parameters tau0={tau0:g}, w={w:g}", tau0 * _BUMP_U_CAP / w)
 
     coeff = w * _bump_cosine_table()[1]
@@ -395,49 +422,10 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         return _bump_psi((np.asarray(xi, dtype=float) - tau0) / w,
                          lambda e, t, om: e * 2.0 * (3.0 * t**4 - 1.0) / (w * w * om**4))
 
-    env = PowerEnvelope(
-        cap=w * _BUMP_D0 / TWO_PI,
-        c2=_BUMP_D2 / (TWO_PI * w),
-        c4=_BUMP_D4 / (TWO_PI * w**3),
-    )
-
-    def _probe_quiet(u, tol):
-        # dense probe of [u, min(2u, cap)] on u = w*|x|, where |phi| = |g(u)|:
-        # is max |g| <= tol?  g is summed row by row, so a block's values are
-        # those of one call on all the points; the first loud block decides.
-        top = min(2.0 * u, _BUMP_U_CAP)
-        n_probe = int(min(4096, max(64, 2.0 * (top - u) + 64)))
-        pts = np.linspace(u, top, n_probe)
-        edges = [0, *range(_BUMP_PROBE_HEAD, n_probe, _BUMP_BLOCK), n_probe]
-        for lo, hi in zip(edges, edges[1:]):
-            if not np.max(np.abs(_bump_cosine_sum(pts[lo:hi], coeff))) <= tol:
-                return False
-        return True
-
-    def search(tol):
-        u = 1.0
-        while u < _BUMP_U_CAP:
-            if _probe_quiet(u, tol):
-                break
-            u *= 2.0
-        else:
-            return _BUMP_U_CAP / w  # capped; envelope still certifies decay
-        # scan the lattice u/2 + k u/2048, k = 1024..1, top down in blocks:
-        # the radius is the point just past the highest loud one
-        step = u / 2048.0
-        for top in range(1024, 0, -_BUMP_PROBE_HEAD):
-            ks = np.arange(top, top - _BUMP_PROBE_HEAD, -1)  # 64 divides 1024
-            loud = ~(np.abs(_bump_cosine_sum(u / 2.0 + ks * step, coeff)) <= tol)
-            if loud.any():
-                return (u / 2.0 + min(int(ks[loud.argmax()]) + 1, 1024) * step) / w
-        return (u / 2.0 + step) / w
-
-    radii = {}
-
     def radius(tol):
-        if tol not in radii:
-            radii[tol] = search(tol)
-        return radii[tol]
+        # each leg k >= 2 falls to tol at u = (w D_k/(2pi tol))^(1/k)
+        u = min((w * d / (TWO_PI * tol)) ** (1.0 / k) for k, d in _BUMP_D if k)
+        return min(u, _BUMP_U_CAP) / w
 
     def hat_radius(tol):
         # exact compact support around tau0, independent of the tolerance
@@ -453,7 +441,7 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         kind="fourier_bump", complex_valued=(tau0 != 0.0),
         params={"tau0": tau0, "w": w},
         phi=phi, phi_hat=phi_hat, phi_hat_d1=phi_hat_d1, phi_hat_d2=phi_hat_d2,
-        time_env=env,
+        time_env=PowerEnvelope(w, _BUMP_D),
         hat_center=tau0, hat_support=(tau0 - w, tau0 + w),
         _radius_fn=radius, _hat_radius_fn=hat_radius, _hat_abs_fn=hat_abs,
     )

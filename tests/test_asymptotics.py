@@ -482,7 +482,7 @@ def test_k_tail_dominates_brute_force(model, E, hat, k_max):
                     h0, h1, h2 = _mp_hat(members, k * 2 * mpmath.pi * mp_E / Q)
                     terms.append(c * (abs(mp_E * h0) + abs(h1 + a2 * k * h2 - a0 * k * h0)))
         brute = mpmath.fsum(terms)
-    assert brute <= k_tail * (1.0 + 1e-12)
+    assert brute <= k_tail
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def _upper_walk(model, N, E, env, j):
 
 
 # name -> (test function, tail_tol); at the loose tolerances the bump's omitted
-# rungs start on its envelope's cap and c2/u^2 legs
+# rungs start on its envelope's cap and D2/u^2 legs
 _FUNCTIONS = {"gauss_0.5": (lambda: make_gaussian(0.5), 1e-14),
               "gauss_1": (lambda: make_gaussian(1.0), 1e-14),
               "bump": (lambda: make_fourier_bump(2.0, 0.5), 1e-14),
@@ -317,7 +317,7 @@ def test_closed_form_tail_dominates_brute_force(model, E, fname, N):
     win = enumerate_window(model, N, EnergyLevel.from_E(E), f, tol)
     if isinstance(model, Hyperbolic) and N >= 400 and fname.startswith("gauss"):
         assert 0 < win.j[0] and win.j[-1] < N - 1  # rungs omitted on both sides
-    # the bump's 1/x^4 envelope is summed out to 2e6 torus rungs at N=3
+    # the bump's power-law envelope is summed out to 2e6 torus rungs at N=3
     reach = 1e4 if fname.startswith("bump") else 60.0
     brute = _brute_omitted(model, N, E, f, win, reach)
     assert brute <= win.tail_bound * (1.0 + 1e-12)
@@ -326,6 +326,15 @@ def test_closed_form_tail_dominates_brute_force(model, E, fname, N):
     assert win.tail_bound - model.chaotic_tail(N, E, f.time_env) <= 8.0 * brute
     reference = _sweep_reference(model, N, E, f, win)
     assert win.tail_bound <= 2.0 * reference
+
+
+def test_bump_tail_bound_at_large_N():
+    # the torus bump's omitted rungs at N=1e6 weighed 0.130 under the
+    # three-leg envelope min(cap, D2/u^2, D4/u^4); the legs up to u^-24 bound
+    # them 10^4 tighter at least
+    win = enumerate_window(Torus(), 10**6, EnergyLevel.from_E(2.0),
+                           make_fourier_bump(4.0, 0.5), 1e-14)
+    assert 0.0 < win.tail_bound <= 0.130e-4
 
 
 @pytest.mark.parametrize("N", [39, 40])

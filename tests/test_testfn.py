@@ -141,7 +141,7 @@ def test_bump_radius_does_not_depend_on_tau0():
     r = make_fourier_bump(2.0, 0.5).radius(tol)
     assert make_fourier_bump(4.0, 0.5).radius(tol) == r
     assert make_fourier_bump(math.pi, 0.5).radius(tol) == r
-    # the Katok bump's phi falls below tol well inside the search cap
+    # the Katok bump's phi falls below tol well inside the cap
     r1 = make_fourier_bump(0.0, 1.0).radius(tol)
     assert make_fourier_bump(KATOK_TSHARP, 1.0).radius(tol) == r1 < testfn._BUMP_U_CAP
 
@@ -159,16 +159,20 @@ def cosine_rows(monkeypatch):
     return rows
 
 
-def test_bump_radius_is_memoized_per_instance(cosine_rows):
-    f = make_fourier_bump(2.0, 0.5)
-    r = f.radius(1e-10)
-    assert cosine_rows
-    cosine_rows.clear()
-    assert f.radius(1e-10) == r
+def test_bump_radius_samples_nothing(cosine_rows):
+    # the radius is the envelope's closed-form crossing with tol: no tol, not
+    # even one below phi's rounding noise, evaluates phi
+    tols = [5e-324, 1e-300, 1e-18, 1e-14, 1e-10, 1e-6, 1e-2, 0.5, 0.999]
+    for w in (0.05, 0.5, 1.0, 3.0, 1e-100, 1e100):
+        f = make_fourier_bump(0.0, w)
+        radii = [f.radius(tol) for tol in tols]
+        assert all(0.0 < r <= testfn._BUMP_U_CAP / w for r in radii)
+        assert radii == sorted(radii, reverse=True), w
+        # the benchmark's w at its tail_tol stays inside the cap
+        if w in (0.5, 1.0):
+            assert f.radius(1e-14) < testfn._BUMP_U_CAP / w
+    assert make_fourier_bump(0.0, 1.0).radius(5e-324) == testfn._BUMP_U_CAP
     assert not cosine_rows
-    # a fresh instance with the same parameters searches again
-    assert make_fourier_bump(2.0, 0.5).radius(1e-10) == r
-    assert cosine_rows
 
 
 def test_shipped_legendre_table_is_leggauss_bit_for_bit():
@@ -210,55 +214,6 @@ def test_bump_trace_never_builds_the_1024_rule(tmp_path):
     assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 3
 
 
-def _probe_max(w, u):
-    """max |g| over the dyadic probe [u, min(2u, cap)], evaluated in full."""
-    coeff = w * testfn._bump_cosine_table()[1]
-    top = min(2.0 * u, testfn._BUMP_U_CAP)
-    n_probe = int(min(4096, max(64, 2.0 * (top - u) + 64)))
-    pts = np.linspace(u, top, n_probe)
-    return float(np.max(np.abs(testfn._bump_cosine_sum(pts, coeff))))
-
-
-def _first_quiet_probe(w, tol):
-    """The dyadic u whose probe is the first quiet one, or None at the cap."""
-    u = 1.0
-    while u < testfn._BUMP_U_CAP:
-        if _probe_max(w, u) <= tol:
-            return u
-        u *= 2.0
-    return None
-
-
-def _full_lattice_radius(w, tol):
-    """The radius search with every probe and every lattice point
-    u/2 + k u/2048 (k = 1..1024) evaluated in full: the point past the
-    highest loud one, k = 1 if none is loud, u itself at most."""
-    u = _first_quiet_probe(w, tol)
-    if u is None:
-        return testfn._BUMP_U_CAP / w
-    coeff = w * testfn._bump_cosine_table()[1]
-    ks = np.arange(1, 1025)
-    loud = ks[~(np.abs(testfn._bump_cosine_sum(u / 2.0 + ks * (u / 2048.0), coeff)) <= tol)]
-    k = min(int(loud.max()) + 1, 1024) if loud.size else 1
-    return (u / 2.0 + k * (u / 2048.0)) / w
-
-
-def _full_probe_radius(w, tol):
-    """The bisection search: the first quiet dyadic probe, then 10
-    bisection steps, each probe evaluated in full and compared to tol."""
-    u = _first_quiet_probe(w, tol)
-    if u is None:
-        return testfn._BUMP_U_CAP / w
-    lo, hi = u / 2.0, u
-    for _ in range(10):
-        mid = 0.5 * (lo + hi)
-        if _probe_max(w, mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi / w
-
-
 def _radius_cases():
     # the benchmark's four bumps, then a seeded grid of (w, tol)
     cases = [(2.0, 0.5, 1e-14), (4.0, 0.5, 1e-14), (math.pi, 0.5, 1e-14),
@@ -266,32 +221,70 @@ def _radius_cases():
     rng = np.random.default_rng(20261018)
     for w, e in zip(rng.uniform(0.05, 3.0, 40), rng.uniform(-16.5, -4.0, 40)):
         cases.append((0.0, float(w), float(10.0 ** e)))
-    return cases + [(0.0, 1.0, 1e-18)]  # below phi's rounding noise: the cap
+    return cases + [(0.0, 1.0, 1e-18)]  # below phi's rounding noise
 
 
-def test_bump_radius_equals_full_probe_search():
-    capped = 0
+@pytest.fixture(scope="module")
+def exact_bump_abs():
+    """|phi(x)| of the bump of half-width w to 40 digits, with no 1024-node rule.
+
+    The trapezoidal rule of step h = 1/1024 on [-1, 1] for the integral of
+    psi(t) cos(u t), u = w|x|, is exact up to the aliased transforms
+    Psi(2 pi m/h -+ u), m != 0, as psi vanishes to every order at +-1.  For
+    u <= 1600 they sit past 4,800, where |Psi| < 1e-32.
+    """
+    n = 1024
+    with mpmath.workdps(40):
+        h = mpmath.mpf(1) / n
+        psi = [mpmath.exp(-1 / (1 - (j * h) ** 2)) for j in range(n)]
+
+    def value(w, x):
+        with mpmath.workdps(40):
+            z, zj, terms = mpmath.expj(w * abs(mpmath.mpf(x)) * h), mpmath.mpf(1), []
+            for j in range(1, n):
+                zj *= z
+                terms.append(psi[j] * zj.real)
+            return abs(w * h * (psi[0] + 2 * mpmath.fsum(terms)) / (2 * mpmath.pi))
+    return value
+
+
+def test_bump_envelope_certifies_radius(exact_bump_abs):
+    # past each radius, |phi| on a 0.5 grid in u = w|x| out to the cap stays
+    # under the envelope, which is at most tol there: the 40-digit |phi| at
+    # the radius and where the double phi comes closest to the envelope, and
+    # the double phi up to 1e-15 w.  That phi is the 1024-node rule in
+    # double, which stands up to 5.7e-16 w off the integral near the cap (on
+    # a 0.05 grid)
     for tau0, w, tol in _radius_cases():
-        r = make_fourier_bump(tau0, w).radius(tol)
-        assert r == _full_lattice_radius(w, tol), (tau0, w, tol)
-        capped += (r == testfn._BUMP_U_CAP / w)
-    assert capped >= 1
+        f = make_fourier_bump(tau0, w)
+        r = f.radius(tol)
+        env = f.time_env
+        assert env(r) <= tol * (1.0 + 1e-12), (w, tol)
+        xs = np.arange(w * r, testfn._BUMP_U_CAP, 0.5) / w
+        bound = np.asarray(env(xs))
+        assert np.all(np.diff(bound) <= 0.0)
+        phi = np.abs(f.phi(xs))
+        assert np.all(phi <= bound + 1e-15 * w), (w, tol)
+        for x in (r, xs[np.argmax(phi / bound)]):
+            assert exact_bump_abs(w, x) <= env(x), (w, tol, x)
+    # case 11: past the sampled radius of the former search, u = 116.19,
+    # |phi| still passed tol on u in [118.83, 118.87], between its samples
+    tau0, w, tol = _radius_cases()[11]
+    f = make_fourier_bump(tau0, w)
+    assert exact_bump_abs(w, 118.85 / w) > tol and w * f.radius(tol) > 118.87
 
 
-def test_bump_radius_equals_bisection_on_benchmark_bumps_and_cap():
-    # the lattice scan reaches the bisection's ends; on the benchmark's four
-    # bumps and the capped case it lands where the bisection did
-    cases = _radius_cases()
-    for tau0, w, tol in cases[:4] + cases[-1:]:
-        assert make_fourier_bump(tau0, w).radius(tol) == _full_probe_radius(w, tol)
-
-
-@pytest.mark.parametrize("w", [0.5, 1.0])
-def test_bump_radius_search_work_is_bounded(cosine_rows, w):
-    # a 10-step bisection after the doubling evaluates 10,750 (w=0.5) and
-    # 8,220 (w=1) rows here: each of its probes re-covers almost [u, 2u]
-    make_fourier_bump(0.0, w).radius(1e-14)
-    assert 0 < sum(cosine_rows) <= 3000
+@pytest.mark.parametrize("w", [1e-150, 1e-3, 1.0, 1e3, 1e150])
+def test_bump_envelope_at_extreme_w_and_x(w):
+    # the legs stay in u = w|x| and past the cap leg only powers of 1/u < 1
+    # are formed, so nothing overflows (a RuntimeWarning fails the test)
+    f = make_fourier_bump(0.0, w)
+    xs = np.array([0.0, 5e-324, 1e-300, 1e-3, 1.0, 1e3, 1e150, 1e300, np.finfo(float).max])
+    v = f.time_env(xs)
+    assert np.all(np.isfinite(v)) and np.all(v >= 0.0) and np.all(np.diff(v) <= 0.0)
+    moments = [f.time_env.halfline_moment(float(a), 1.0, 1.0) for a in xs[1:]]
+    assert all(math.isfinite(m) for m in moments) and moments == sorted(moments, reverse=True)
+    assert all(0.0 < f.radius(tol) < math.inf for tol in (5e-324, 1e-14, 0.5))
 
 
 def test_bump_phi_dtype():
@@ -401,6 +394,22 @@ def test_hat_envelope_and_radius():
     assert np.all(np.abs(f.phi_hat(2.0 + u)) <= f.hat_abs_bound(0, u) * (1 + 1e-12))
 
 
+@pytest.mark.parametrize("tau0,w", [(0.0, 0.05), (2.0, 0.5), (KATOK_TSHARP, 1.0), (-3.0, 3.0),
+                                    (0.0, 40.0)])
+def test_bump_hat_abs_bound_covers_derivatives(tau0, w):
+    # the caps 0.3679, 1/w and 12/w^2 against the maxima e^-1, 0.7984/w and
+    # 7.7497/w^2 of |phi_hat|, |phi_hat'| and |phi_hat''|, and 0 past the support
+    f = make_fourier_bump(tau0, w)
+    xi = tau0 + w * np.linspace(-1.25, 1.25, 50_001)
+    u = np.abs(xi - tau0)
+    peaks = []
+    for order, h in enumerate((f.phi_hat, f.phi_hat_d1, f.phi_hat_d2)):
+        v = np.abs(h(xi))
+        assert np.all(v <= f.hat_abs_bound(order, u)), order
+        peaks.append(float(v.max()) * w**order)
+    assert peaks == pytest.approx([math.exp(-1.0), 0.7984, 7.7497], rel=1e-4)
+
+
 def test_gaussian_radii_past_one_over_dbl_max():
     # 1/tol and amp/tol overflow at these tolerances; the radii do not
     s = 0.5
@@ -424,43 +433,94 @@ def test_linear_combination_is_exact():
     assert np.all(combo.phi_hat(xs) == a * f1.phi_hat(xs) + b * f2.phi_hat(xs))
 
 
+def _bump_derivative_norms(k_top):
+    """40-digit D_k = int_{-1}^{1} |psi^(k)| dt, k = 2, 4, ..., k_top.
+
+    psi^(k) = p_k(t) (1-t^2)^(-2k) psi with integer polynomials
+    p_{k+1} = p_k' (1-t^2)^2 + (4kt(1-t^2) - 2t) p_k, so psi^(k) changes sign
+    only at zeros of p_k, and between consecutive ones (and +-1, where every
+    psi^(j) vanishes) int |psi^(k)| is the jump of psi^(k-1): no quadrature.
+    For even k, p_k(t) = q(t^2) and psi^(k-1) is odd, so the zeros are those
+    of q in (0, 1), isolated exactly by sympy and refined at 40 digits, and
+    D_k is twice the sum over [0, 1].
+    """
+    import sympy
+
+    t, s = sympy.symbols("t s")
+    p = [sympy.Poly(1, t)]
+    for k in range(k_top):
+        p.append(p[k].diff(t) * sympy.Poly((1 - t**2) ** 2, t)
+                 + sympy.Poly(4 * k * t * (1 - t**2) - 2 * t, t) * p[k])
+    norms = {}
+    with mpmath.workdps(40):
+        def refine(c, a, b):
+            # Newton inside the isolating interval, bisecting whenever a step leaves it
+            fa, x = mpmath.polyval(c, a), (a + b) / 2
+            while True:
+                fx, dfx = mpmath.polyval(c, x, derivative=True)
+                if fx == 0:
+                    return x
+                if (fx > 0) == (fa > 0):
+                    a, fa = x, fx
+                else:
+                    b = x
+                nx = x - fx / dfx
+                if not a < nx < b:
+                    nx = (a + b) / 2
+                if abs(nx - x) <= mpmath.mpf(10) ** -25:
+                    return nx
+                x = nx
+
+        for k in range(2, k_top + 1, 2):
+            q = sympy.Poly.from_list(p[k].all_coeffs()[::2], s)
+            c = [mpmath.mpf(int(v)) for v in q.all_coeffs()]
+            prev = [mpmath.mpf(int(v)) for v in p[k - 1].all_coeffs()]
+            zeros = []
+            for (a, b), _ in q.intervals(inf=0, sup=1):
+                a, b = mpmath.mpf(a.p) / a.q, mpmath.mpf(b.p) / b.q
+                zeros.append(a if a == b else refine(c, a, b))
+
+            def antiderivative(x):  # psi^(k-1)
+                if x >= 1:
+                    return mpmath.mpf(0)
+                om = 1 - x * x
+                return mpmath.polyval(prev, x) / om ** (2 * k - 2) * mpmath.exp(-1 / om)
+            ends = [mpmath.mpf(0), *sorted(mpmath.sqrt(z) for z in zeros if 0 < z < 1), 1]
+            norms[k] = 2 * mpmath.fsum(abs(antiderivative(b) - antiderivative(a))
+                                       for a, b in zip(ends, ends[1:]))
+    return norms
+
+
 def test_bump_envelope_constants_are_upper_bounds():
-    # closed-form derivatives of psi = exp(-1/(1-t^2)):
-    #   psi''  = (6 t^4 - 2) psi / (1-t^2)^4
-    #   psi'''' = (120 t^10 + 180 t^8 - 528 t^6 + 232 t^4 + 24 t^2 - 12) psi
-    #             / (1-t^2)^8
-    def psi(t):
-        return math.exp(-1.0 / (1.0 - t * t))
+    # each shipped D_k is at least its 40-digit value and within 1e-3 of it,
+    # and the legs meet in order: the crossings (D_j/D_i)^(1/(j-i)) increase
+    from magtrace.testfn import _BUMP_D, PowerEnvelope
 
-    def d2(t):
-        return (6 * t**4 - 2) * psi(t) / (1 - t * t) ** 4
-
-    def d4(t):
-        num = 120 * t**10 + 180 * t**8 - 528 * t**6 + 232 * t**4 + 24 * t**2 - 12
-        return num * psi(t) / (1 - t * t) ** 8
-
-    from magtrace.testfn import _BUMP_D0, _BUMP_D2, _BUMP_D4
-    D0, _ = quad(psi, -1, 1, limit=500)
-    D2, _ = quad(lambda t: abs(d2(t)), -1, 1, limit=800)
-    D4, _ = quad(lambda t: abs(d4(t)), -1, 1, limit=800)
-    assert D0 <= _BUMP_D0 <= 1.05 * D0
-    assert D2 <= _BUMP_D2 <= 1.05 * D2
-    assert D4 <= _BUMP_D4 <= 1.05 * D4
+    with mpmath.workdps(40):
+        exact = {0: mpmath.quad(lambda t: mpmath.exp(-1 / (1 - t * t)), [-1, 0, 1]),
+                 **_bump_derivative_norms(24)}
+    assert [k for k, _ in _BUMP_D] == list(exact) == list(range(0, 25, 2))
+    for k, d in _BUMP_D:
+        assert exact[k] <= d <= exact[k] * (1 + 1e-3), k
+    crossings = PowerEnvelope(1.0, _BUMP_D)._crossings
+    assert all(a < b for a, b in zip(crossings, crossings[1:]))
 
 
-@pytest.mark.parametrize("a", [2.0, 20.0, 60.0])
+@pytest.mark.parametrize("a", [2.0, 20.0, 60.0, 700.0, 3000.0, 5000.0])
 @pytest.mark.parametrize("c0,c1", [(1.0, 0.0), (0.0, 1.0), (50.0, 2.0)])
 def test_power_envelope_halfline_moment_is_exact(a, c0, c1):
-    # the w=0.5 bump's legs meet at u1 = sqrt(c2/cap) ~ 5.4 and
-    # u2 = sqrt(c4/c2) ~ 36.7: a = 2, 20, 60 start on each leg in turn
-    env = make_fourier_bump(2.0, 0.5).time_env
-    u1, u2 = math.sqrt(env.c2 / env.cap), math.sqrt(env.c4 / env.c2)
-    assert u1 < 20.0 < u2 < 60.0
+    # the w=0.5 bump's legs meet at x = 5.4, 36.7, 141, ..., 3956: a = 2, 20,
+    # 60, 700, 3000 and 5000 start on the legs k = 0, 2, 4, 12, 20 and 24
+    w = 0.5
+    env = make_fourier_bump(2.0, w).time_env
+    breaks = [u / w for u in env._crossings]
 
     def integrand(x):
-        return (c0 + c1 * x) * min(env.cap, env.c2 / x**2, env.c4 / x**4)
+        return (c0 + c1 * x) * w / (2 * mpmath.pi) * min(d * (w * x) ** -k
+                                                         for k, d in env.legs)
     with mpmath.workdps(30):
-        exact = mpmath.quad(integrand, [a, *(u for u in (u1, u2) if u > a), mpmath.inf])
+        exact = mpmath.quad(integrand, [a, *(x for x in breaks if x > a), mpmath.inf])
+        assert float(integrand(a)) == pytest.approx(float(env(a)) * (c0 + c1 * a), rel=1e-13)
     assert env.halfline_moment(a, c0, c1) == pytest.approx(float(exact), rel=1e-12)
 
 
@@ -471,6 +531,9 @@ def test_parameter_validation():
         make_gaussian(-1.0)
     with pytest.raises(ValidationError):
         make_fourier_bump(0.0, 0.0)
+    for w in (1e-300, 1e-160, 1e160, 1e300):  # phi_hat'' divides by w^2
+        with pytest.raises(ValidationError, match="leave the double range"):
+            make_fourier_bump(0.0, w)
     with pytest.raises(ValidationError):
         make_gaussian(1.0).radius(2.0)
 
@@ -532,9 +595,9 @@ def _mp_omitted(term, env, start, sign):
 ])
 def test_poisson_tails_dominate_omitted_sums(members, P, combo):
     # both tails against 40-digit sums of |phi| and |phi_hat|/P over the
-    # lattice points and periods poisson_check leaves out; the frequency side
-    # is allowed the double rounding of |phi_hat| itself, which is its own
-    # per-period bound.  Sums below 1e-300 are skipped: the bounds underflow.
+    # lattice points and periods poisson_check leaves out, both exactly: the
+    # per-period bound on the frequency side is |phi_hat| widened outward by
+    # its own rounding.  Sums below 1e-300 are skipped: the bounds underflow.
     t = 0.3
     fns = [make_gaussian_modulated(s, b) for _, s, b in members]
     f = linear_combination([c for c, _, _ in members], fns) if combo else fns[0]
@@ -569,7 +632,7 @@ def test_poisson_tails_dominate_omitted_sums(members, P, combo):
     if lhs >= 1e-300:
         assert rep.lhs_tail >= lhs
     if rhs >= 1e-300:
-        assert rep.rhs_tail >= rhs * (1 - 1e-12)
+        assert rep.rhs_tail >= rhs
 
 
 @pytest.mark.parametrize("P,t", [(1e9, 0.3), (1e-9, 0.3), (math.nan, 0.3), (math.inf, 0.3),
