@@ -159,19 +159,30 @@ def cosine_rows(monkeypatch):
     return rows
 
 
-def test_bump_radius_samples_nothing(cosine_rows):
+def test_bump_radius_is_memoized_per_instance(cosine_rows):
+    # the radius is closed form, so it needs no memo: a repeat call on one
+    # instance and a call on a fresh one agree, and neither evaluates phi
+    f = make_fourier_bump(2.0, 0.5)
+    r = f.radius(1e-10)
+    assert f.radius(1e-10) == r
+    assert make_fourier_bump(2.0, 0.5).radius(1e-10) == r
+    # a tol below phi's rounding noise gives the cap, still without sampling
+    assert make_fourier_bump(0.0, 1.0).radius(5e-324) == testfn._BUMP_U_CAP
+    assert not cosine_rows
+
+
+@pytest.mark.parametrize("w", [0.05, 0.5, 1.0, 3.0, 1e-100, 1e100])
+def test_bump_radius_search_work_is_bounded(cosine_rows, w):
     # the radius is the envelope's closed-form crossing with tol: no tol, not
     # even one below phi's rounding noise, evaluates phi
     tols = [5e-324, 1e-300, 1e-18, 1e-14, 1e-10, 1e-6, 1e-2, 0.5, 0.999]
-    for w in (0.05, 0.5, 1.0, 3.0, 1e-100, 1e100):
-        f = make_fourier_bump(0.0, w)
-        radii = [f.radius(tol) for tol in tols]
-        assert all(0.0 < r <= testfn._BUMP_U_CAP / w for r in radii)
-        assert radii == sorted(radii, reverse=True), w
-        # the benchmark's w at its tail_tol stays inside the cap
-        if w in (0.5, 1.0):
-            assert f.radius(1e-14) < testfn._BUMP_U_CAP / w
-    assert make_fourier_bump(0.0, 1.0).radius(5e-324) == testfn._BUMP_U_CAP
+    f = make_fourier_bump(0.0, w)
+    radii = [f.radius(tol) for tol in tols]
+    assert all(0.0 < r <= testfn._BUMP_U_CAP / w for r in radii)
+    assert radii == sorted(radii, reverse=True)
+    # the benchmark's w at its tail_tol stays inside the cap
+    if w in (0.5, 1.0):
+        assert f.radius(1e-14) < testfn._BUMP_U_CAP / w
     assert not cosine_rows
 
 
