@@ -382,6 +382,13 @@ class ResidualReport:
         return self.converged or (self.slope is not None and -1.6 <= self.slope <= -0.6)
 
 
+def _median(values) -> float:
+    """np.median's value, without the numpy.ma import np.median makes."""
+    s = sorted(values)
+    m = len(s) // 2
+    return float(s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2)
+
+
 def residual_report(traces: list, preds: list) -> ResidualReport:
     """Compute r_N = Y_N - c0 N^d - c1 N^{d-1} and its decay diagnostics.
 
@@ -420,7 +427,7 @@ def residual_report(traces: list, preds: list) -> ResidualReport:
     return ResidualReport(
         N=tuple(Ns), residual=tuple(res), scaled=tuple(scaled),
         noise_floor=tuple(floors),
-        max_scaled=float(max(scaled)), median_scaled=float(np.median(scaled)),
+        max_scaled=float(max(scaled)), median_scaled=_median(scaled),
         slope=slope, converged=converged, n_fit=len(usable), d=d,
     )
 

@@ -12,6 +12,7 @@ configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,11 +50,15 @@ def _fmt(x) -> str:
 
 
 def _csv(header, rows) -> str:
-    # an all-float row takes one format call; "{:.17g}" is _fmt's float format
-    line = ",".join(["{:.17g}"] * len(header))
-    return "".join([",".join(header) + "\n"] + [
-        (line.format(*row) if len(row) == len(header) and all(type(v) is float for v in row)
-         else ",".join(_fmt(v) for v in row)) + "\n" for row in rows])
+    return "".join([",".join(header) + "\n"] +
+                   [",".join(_fmt(v) for v in row) + "\n" for row in rows])
+
+
+def _float_csv(header, columns) -> str:
+    """A table of float64 columns in one format call; "%.17g" is _fmt's float format."""
+    values = np.column_stack(columns).ravel().tolist()
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + line * len(columns[0]) % tuple(values)
 
 
 def _load_config(path: str) -> dict:
@@ -231,7 +236,7 @@ def cmd_dynamics(cfg):
             "detIminusP": o.detIminusP,
         } for o in orbit_set.orbits],
     }
-    rows = []
+    outputs = {}
     if orbit_set.has_orbits:
         state, T = dynamics.canonical_orbit_state(geo, level.E, orientation)
         flow = dynamics.integrate(geo, state, level.E, t_periods * T, tol["ode_tol"])
@@ -250,14 +255,15 @@ def cmd_dynamics(cfg):
             numeric["action_identity_residual"] = dynamics.circle_distance(
                 inv.S, inv.L * level.c + hol_num)
         report["numeric"] = numeric
-        ts, ys, _ = flow.sample(n_samples)
-        columns = [ts, *ys, geo.hamiltonian(ys)]
-        header = ["t", "q1", "q2", "p1", "p2", "H"]
-        P = geo.first_integral(ys)
-        if P is not None:
-            columns.append(P)
-            header.append("P")
-        rows = list(zip(*(col.tolist() for col in columns)))
+        if n_samples:  # orbit_samples 0 writes no table
+            ts, ys, _ = flow.sample(n_samples)
+            columns = [ts, *ys, geo.hamiltonian(ys)]
+            header = ["t", "q1", "q2", "p1", "p2", "H"]
+            P = geo.first_integral(ys)
+            if P is not None:
+                columns.append(P)
+                header.append("P")
+            outputs["orbit.csv"] = _float_csv(header, columns)
     if mc_samples > 0:
         mc = dynamics.mc_liouville_volume(geo, level.E, mc_samples, seed)
         report["liouville_volume"] = {
@@ -268,7 +274,6 @@ def cmd_dynamics(cfg):
         report["liouville_volume"] = {
             "closed_form": dynamics.liouville_volume(geo, level.E)}
 
-    outputs = {"orbit.csv": _csv(header, rows)} if rows else {}
     outputs["invariants.json"] = json.dumps(report, indent=2) + "\n"
     return 0, outputs
 
@@ -358,7 +363,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="magtrace",
         description="Spectral and geometric sides of magnetic trace asymptotics")
@@ -367,7 +374,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         try:

@@ -81,36 +81,44 @@ D = np.array([
 ])
 
 
+def _horner(x, y_old, F):
+    """The degree-7 dense output at step fraction x, in SciPy's operation
+    order: one state for a scalar x, one row per row of an (n, 1) x, with
+    y_old and F gathered to match."""
+    y = np.zeros(np.shape(y_old))
+    one_minus_x = 1 - x
+    for i in range(7):
+        y += F[..., 6 - i, :]
+        y *= x if i % 2 == 0 else one_minus_x
+    y += y_old
+    return y
+
+
 class StepInterpolant:
-    """Degree-7 dense output over one step [t_old, t]."""
+    """Degree-7 dense output over one step [t_old, t], at a scalar time."""
 
     def __init__(self, t_old, t, y_old, F):
         self.t_old, self.h, self.y_old, self.F = t_old, t - t_old, y_old, F
 
     def __call__(self, t):
-        x = (t - self.t_old) / self.h
-        if np.ndim(t) == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old
-        return y.T
+        return _horner((t - self.t_old) / self.h, self.y_old, self.F)
 
 
 class DenseSolution:
     """The step interpolants of one run; ``interpolants[k]`` covers [ts[k], ts[k+1]].
 
     Callable on a scalar time, giving a state, or on an array of times,
-    giving one state per column.
+    giving one state per column.  An array is evaluated in one pass over the
+    steps' stacked data, elementwise as each step's interpolant would.
     """
 
     def __init__(self, ts, interpolants):
         self.ts = np.array(ts)
         self.interpolants = interpolants
+        self._t_old = np.array([p.t_old for p in interpolants])
+        self._h = np.array([p.h for p in interpolants])
+        self._y_old = np.array([p.y_old for p in interpolants])
+        self._F = np.array([p.F for p in interpolants])
 
     def _step(self, t):
         return np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.interpolants) - 1)
@@ -119,15 +127,9 @@ class DenseSolution:
         t = np.asarray(t)
         if t.ndim == 0:
             return self.interpolants[self._step(t)](t)
-        # sort, then call each step's interpolant once on its run of times
-        order = np.argsort(t)
-        t_sorted = t[order]
-        steps = self._step(t_sorted)
-        ys = np.empty((len(self.interpolants[0].y_old), len(t)))
-        cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1), len(t)]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            ys[:, order[lo:hi]] = self.interpolants[steps[lo]](t_sorted[lo:hi])
-        return ys
+        k = self._step(t)
+        x = (t - self._t_old[k]) / self._h[k]
+        return _horner(x[:, None], self._y_old[k], self._F[k]).T
 
 
 def _norm(x):

@@ -513,6 +513,19 @@ def test_residual_report_constructed_decay():
     assert rep.slope == pytest.approx(-1.0, abs=0.01)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_residual_report_median_matches_numpy(n):
+    # odd and even counts, with a tie among the middle values when n = 8
+    c0, c1 = 0.8, -0.3
+    bumps = np.random.default_rng(n).uniform(0.5, 2.0, n)
+    if n == 8:
+        bumps[3] = bumps[5]
+    pairs = [_fake_pair(N, c0, c1, c0 * N + c1 + b / N)
+             for N, b in zip([10 * 2**i for i in range(n)], bumps)]
+    rep = residual_report([t for t, _ in pairs], [p for _, p in pairs])
+    assert rep.median_scaled == float(np.median(rep.scaled))
+
+
 def test_residual_report_validation():
     pairs = [_fake_pair(N, 1.0, 0.0, N * 1.0) for N in (1, 2, 3)]
     with pytest.raises(ValidationError):

@@ -10,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from magtrace import TestFunction, ValidationError, asymptotics, cli, katok_first_integral
+from magtrace import (TestFunction, ValidationError, asymptotics, cli, dynamics,
+                      katok_first_integral)
 from magtrace.cli import _number, main
 
 SQRT2 = math.sqrt(2.0)
@@ -569,11 +570,15 @@ def test_config_number_rejects(value, kwargs):
 
 def test_write_csv_float_rows_match_per_value_format():
     tiny = 5e-324  # the smallest subnormal
-    rows = [
+    big = 1.7976931348623157e308  # the largest double
+    floats = [
         (float("nan"), float("inf"), float("-inf"), -0.0),
         (0.0, tiny, -tiny, 2.2250738585072014e-308 / 3.0),
         (1.0 / 3.0, -1e300, 123456789.0, 0.1),
-        (3, "x", True, 2.5),   # mixed: the per-value path
+        (big, -big, 1.0, -1.0),
+    ]
+    rows = floats + [
+        (3, "x", True, 2.5),   # mixed types
         (False, -7, np.float64(0.2), np.int64(4)),
     ]
     header = ["a", "b", "c", "d"]
@@ -581,3 +586,72 @@ def test_write_csv_float_rows_match_per_value_format():
     expected = "a,b,c,d\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
     assert text == expected
     assert text.splitlines()[1] == "nan,inf,-inf,-0"
+    # the whole-table writer of float64 columns gives the same bytes
+    columns = [np.array(col) for col in zip(*floats)]
+    assert cli._float_csv(header, columns) == "".join(text.splitlines(True)[:len(floats) + 1])
+
+
+@pytest.mark.parametrize("geometry,E", [
+    ({"kind": "katok", "eps": 1.0 / math.sqrt(5.0)}, SQRT2),
+    ({"kind": "torus"}, 2.0),
+])
+def test_dynamics_orbit_samples_zero_and_one(tmp_path, geometry, E):
+    outs = {}
+    for n in (0, 1):
+        cfg = {"schema": "magtrace/1", "geometry": geometry, "E": E, "orbit_samples": n}
+        outs[n] = tmp_path / f"out{n}"
+        path = _write_cfg(tmp_path, f"cfg{n}.json", cfg)
+        assert main(["dynamics", "--config", path, "--out", str(outs[n])]) == 0
+    # no header-only table for zero samples
+    assert sorted(p.name for p in outs[0].iterdir()) == ["invariants.json"]
+    assert (outs[0] / "invariants.json").read_bytes() == (outs[1] / "invariants.json").read_bytes()
+    # one sample is the orbit's initial state at t = 0
+    geo = cli._geometry(cfg)
+    state, _ = dynamics.canonical_orbit_state(geo, E, "+")
+    y = state.as_array()
+    row = [0.0, *y, geo.hamiltonian(y)]
+    header = "t,q1,q2,p1,p2,H"
+    if geo.first_integral(y) is not None:
+        row.append(geo.first_integral(y))
+        header += ",P"
+    lines = (outs[1] / "orbit.csv").read_text().splitlines()
+    assert lines == [header, ",".join(cli._fmt(float(v)) for v in row)]
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
+    # one process runs a command, a usage error, an unusable --out and another
+    # command; each matches a fresh ``python -m magtrace`` run
+    dyn = _write_cfg(tmp_path, "dyn.json", _TORUS_DYNAMICS_CFG)
+    res = _write_cfg(tmp_path, "res.json", _base_cfg(N={"start": 40, "stop": 400, "step": 40}))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    runs = [(["dynamics", "--config", dyn], 0), (["residual", "--config", res, "--threads", "2"], 2),
+            (["dynamics", "--config", dyn], 2), (["residual", "--config", res], 0)]
+    for i, (argv, code) in enumerate(runs):
+        outs = [blocker if i == 2 else tmp_path / f"{side}{i}" for side in ("warm", "fresh")]
+        try:
+            warm_code = main([*argv, "--out", str(outs[0])])
+        except SystemExit as exc:
+            warm_code = exc.code
+        warm = capsys.readouterr()
+        fresh = _run_cli([*argv, "--out", str(outs[1])])
+        assert warm_code == fresh.returncode == code
+        assert (warm.out, warm.err) == (fresh.stdout, fresh.stderr) and warm.err.count("\n") == (
+            0 if code == 0 else 2 if i == 1 else 1)
+        files = [{p.name: p.read_bytes() for p in d.iterdir()} if d.is_dir() else None
+                 for d in outs]
+        assert files[0] == files[1] and (files[0] is None) == (code != 0)
+    assert blocker.read_text() == "a file\n"
+
+
+def test_residual_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median would import numpy.ma in every cold residual process
+    path = _write_cfg(tmp_path, "cfg.json", _base_cfg(N={"start": 40, "stop": 400, "step": 40}))
+    argv = ["residual", "--config", path, "--out", str(tmp_path / "out")]
+    code = ("import sys; from magtrace import cli; "
+            f"code = cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+    assert (tmp_path / "out" / "residual.csv").exists()

@@ -65,7 +65,7 @@ def test_canonical_orbits_bit_identical(geo, E, orientation, periods):
     assert t_end == ref.t[-1]
     assert np.array_equal(y_end, ref.y[:, -1])
     ts = np.linspace(0.0, periods * T, 3001)
-    # shuffled times exercise the sort, the grouping by step and the restore
+    # unsorted times: each is evaluated on its own step, wherever it stands
     shuffled = np.random.default_rng(5).permutation(ts)
     assert np.array_equal(sol(shuffled), ref.sol(shuffled))
     assert np.array_equal(sol(ts), ref.sol(ts))
