@@ -26,7 +26,6 @@ import dataclasses
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import ode
 from .errors import IntegratorError, ResonanceError, ValidationError
@@ -79,7 +78,23 @@ class FlowResult:
             at = which == k
             if at.any():
                 ys[:, at] = seg.sol(np.clip(ts[at], seg.t0, seg.t1))
-        return ts, ys, [self.segments[k].chart for k in which]
+        names = [seg.chart for seg in self.segments]
+        return ts, ys, [names[k] for k in which.tolist()]
+
+
+def _on_floats(field):
+    """The right-hand side (tt, y) -> field(y) for ``ode.dop853``, run on y's
+    Python floats, on which the geometry's formulas use ``math`` and give the
+    values they give on the array.  Where the float arithmetic raises (a
+    division by zero, an overflow or a math-domain error), field runs on the
+    array y itself, so numpy gives its inf or nan and its warning as before."""
+
+    def rhs(tt, y):
+        try:
+            return field(y.tolist())
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return field(y)
+    return rhs
 
 
 def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
@@ -117,9 +132,9 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     segments = []
     switches = 0
     t_cur, y_cur = 0.0, y0
+    rhs = _on_floats(geo.flow)
     while t_cur < t:
-        t_end, y_cur, sol, status = ode.dop853(lambda tt, y: geo.flow(y), t_cur, y_cur, t,
-                                               tol, events)
+        t_end, y_cur, sol, status = ode.dop853(rhs, t_cur, y_cur, t, tol, events)
         if status < 0:
             raise IntegratorError(f"integration failed at t={t_end:.6g}: {ode.STEP_COLLAPSE}")
         segments.append(FlowSegment(chart=chart, t0=t_cur, t1=float(t_end), sol=sol))
@@ -200,6 +215,9 @@ def numeric_holonomy(geo: Geometry, flow: FlowResult) -> float:
     if gap > 1e-7:
         raise ValidationError(f"path is not closed: endpoint gap {gap:.3e} > 1.0e-07")
 
+    # numpy.polynomial is imported here, on the dynamics commands' path only
+    from numpy.polynomial.legendre import leggauss
+
     nodes, weights = leggauss(16)
     total = []
     for seg in flow.segments:
@@ -241,6 +259,17 @@ def _katok_jacobian(eps: float, E: float, y) -> np.ndarray:
     return J
 
 
+def _katok_variational(eps: float, E: float):
+    """The flow field of z = (y, M) with the 4x4 state-transition matrix M
+    riding along, as a list or as an array z, like ``Geometry.flow``."""
+    geo = Katok(eps)
+
+    def field(z):
+        y, M = z[:4], np.reshape(z[4:], (4, 4))
+        return np.concatenate([geo.flow(y), (_katok_jacobian(eps, E, y) @ M).ravel()])
+    return field
+
+
 def katok_monodromy_numeric(eps: float, E: float, orientation: str,
                             tol: float = 1e-11) -> np.ndarray:
     """Transverse monodromy by integrating the variational system one period.
@@ -249,16 +278,10 @@ def katok_monodromy_numeric(eps: float, E: float, orientation: str,
     the returned 2x2 block is its restriction to the invariant
     (Theta, P_theta) plane.
     """
-    geo = Katok(eps)
-    state, T = canonical_orbit_state(geo, E, orientation)
+    state, T = canonical_orbit_state(Katok(eps), E, orientation)
     y0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
-
-    def rhs(tt, z):
-        y = z[:4]
-        M = z[4:].reshape(4, 4)
-        return np.concatenate([geo.flow(y), (_katok_jacobian(eps, E, y) @ M).ravel()])
-
-    _, z, _, status = ode.dop853(rhs, 0.0, y0, T, tol, dense_output=False)
+    _, z, _, status = ode.dop853(_on_floats(_katok_variational(eps, E)), 0.0, y0, T, tol,
+                                 dense_output=False)
     if status < 0:
         raise IntegratorError(f"variational integration failed: {ode.STEP_COLLAPSE}")
     M = z[4:].reshape(4, 4)

@@ -95,9 +95,19 @@ def _circle_orbit(geo, E, c, T, L, hol, maslov=None, note=_NO_INDEX) -> ClosedOr
 # the geometries
 # ---------------------------------------------------------------------------
 
+def _xp(x):
+    """Where the flow formulas take sqrt, sin and cos from: ``math`` for a
+    Python float, numpy for anything else (an array or a numpy scalar)."""
+    return math if type(x) is float else np
+
+
 class Geometry:
     """What every example geometry provides; ``y`` is one state (q1, q2, p1, p2)
-    or a (4, n) batch of them."""
+    or a (4, n) batch of them.  ``y`` may also be four Python floats: then
+    ``hamiltonian`` and ``flow`` run on ``math`` and give the values they give
+    on a (4,) array, except where numpy would give inf or nan.  There a
+    division by zero, an overflow in ``**`` or a math-domain error raises, and
+    an overflow in a product gives inf without numpy's warning."""
 
     kind: ClassVar[str]
     params: ClassVar[dict] = {}              # config key -> int or float
@@ -230,7 +240,7 @@ class Torus(ConstantCurvature):
     # flow
     def hamiltonian(self, y):
         q1, q2, p1, p2 = y
-        return np.sqrt(p1 * p1 + p2 * p2 + 1.0)
+        return _xp(p1).sqrt(p1 * p1 + p2 * p2 + 1.0)
 
     def flow(self, y):
         q1, q2, p1, p2 = y
@@ -282,15 +292,17 @@ class Sphere(ConstantCurvature):
     # flow
     def hamiltonian(self, y):
         q1, q2, p1, p2 = y
-        s = np.sin(q1)
-        return np.sqrt((p1 * p1 + p2 * p2 / (s * s)) / (self.R * self.R) + 1.0)
+        xp = _xp(q1)
+        s = xp.sin(q1)
+        return xp.sqrt((p1 * p1 + p2 * p2 / (s * s)) / (self.R * self.R) + 1.0)
 
     def flow(self, y):
         q1, q2, p1, p2 = y
         H = self.hamiltonian(y)
         R2 = self.R * self.R
         B = self.B
-        s, c = np.sin(q1), np.cos(q1)
+        xp = _xp(q1)
+        s, c = xp.sin(q1), xp.cos(q1)
         return np.array([
             p1 / (R2 * H),
             p2 / (R2 * s * s * H),
@@ -425,7 +437,7 @@ class Hyperbolic(ConstantCurvature):
     # flow
     def hamiltonian(self, y):
         q1, q2, p1, p2 = y
-        return np.sqrt((q2 * q2 / (self.R * self.R)) * (p1 * p1 + p2 * p2) + 1.0)
+        return _xp(q2).sqrt((q2 * q2 / (self.R * self.R)) * (p1 * p1 + p2 * p2) + 1.0)
 
     def flow(self, y):
         q1, q2, p1, p2 = y
@@ -559,15 +571,17 @@ class Katok(Geometry):
 
     def hamiltonian(self, y):
         q1, q2, p1, p2 = y
-        s2 = np.sin(q1) ** 2
+        xp = _xp(q1)
+        s2 = xp.sin(q1) ** 2
         D = 1.0 - self.eps**2 * s2
-        return np.sqrt(D * p1 * p1 + (D * D / s2) * p2 * p2 + 1.0)
+        return xp.sqrt(D * p1 * p1 + (D * D / s2) * p2 * p2 + 1.0)
 
     def flow(self, y):
         q1, q2, p1, p2 = y
         H = self.hamiltonian(y)
         e = self.eps
-        s, c = np.sin(q1), np.cos(q1)
+        xp = _xp(q1)
+        s, c = xp.sin(q1), xp.cos(q1)
         D = 1.0 - e * e * s * s
         return np.array([
             D * p1 / H,
@@ -575,7 +589,7 @@ class Katok(Geometry):
             (e * e * s * c * p1 * p1
              + (c / s**3 - e**4 * s * c) * p2 * p2
              + 2.0 * e * (c / s) * p2) / H,
-            -(e * np.sin(2.0 * q1) / D) * p1 / H,
+            -(e * xp.sin(2.0 * q1) / D) * p1 / H,
         ])
 
     def connection(self, y):
@@ -624,9 +638,8 @@ class Katok(Geometry):
         return 4.0 * math.pi / (1.0 - self.eps * self.eps)
 
     def mc_area(self, rng, n):
-        th = rng.uniform(0.0, math.pi, n)
-        s2 = np.sin(th) ** 2
-        return np.sin(th) / (1.0 - self.eps**2 * s2) ** 1.5, math.pi * TWO_PI
+        s = np.sin(rng.uniform(0.0, math.pi, n))
+        return s / (1.0 - self.eps**2 * s**2) ** 1.5, math.pi * TWO_PI
 
 
 # config kind -> (class, param -> type), as testfn.KINDS

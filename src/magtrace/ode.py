@@ -7,10 +7,14 @@ step, two-norm error estimate, step control, degree-7 dense output and
 Brent root search for events, operation for operation.  Both take the same
 steps and return the same floats.  Integration runs forward in time only,
 with ``rtol = atol = tol``, both at least 100 eps: SciPy floors rtol there,
-and a far smaller atol overflows the error norm.  Imports only numpy.
+and a far smaller atol overflows the error norm.  Imports only numpy and
+``math``: the step-size bookkeeping runs on Python floats, the stage
+combinations on numpy arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,6 +62,9 @@ A = np.zeros((16, 16))
 for _i, _row in enumerate(_A_ROWS, start=1):
     A[_i, :len(_row)] = _row
 B = A[N_STAGES, :N_STAGES]
+# the rows A[s, :s] and the nodes C[s] the stage loops read
+_STAGE_ROWS = [A[s, :s] for s in range(16)]
+_C = C.tolist()
 # the order-5 and order-3 error estimators
 E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
                1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
@@ -132,8 +139,14 @@ class DenseSolution:
         return _horner(x[:, None], self._y_old[k], self._F[k]).T
 
 
+def _l2(x):
+    """np.linalg.norm of a 1-D real array, as numpy computes it: the square
+    root of x.dot(x), a numpy scalar."""
+    return np.sqrt(x.dot(x))
+
+
 def _norm(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return _l2(x) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
@@ -151,21 +164,22 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, length)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    K[0] = f
+def _rk_step(fun, t, y, f, h, K_ext, KT):
+    """One step of stages 0-12 into K_ext; KT[s] is the view K_ext[:s].T."""
+    K_ext[0] = f
     for s in range(1, N_STAGES):
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        K[s] = fun(t + C[s] * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
+        dy = np.dot(KT[s], _STAGE_ROWS[s]) * h
+        K_ext[s] = fun(t + _C[s] * h, y + dy)
+    y_new = y + h * np.dot(KT[N_STAGES], B)
     f_new = fun(t + h, y_new)
-    K[-1] = f_new
+    K_ext[N_STAGES] = f_new
     return y_new, f_new
 
 
-def _interpolant(fun, t_old, y_old, t, y, f, h, K_ext):
+def _interpolant(fun, t_old, y_old, t, y, f, h, K_ext, KT):
     for s in range(N_STAGES + 1, 16):
-        dy = np.dot(K_ext[:s].T, A[s, :s]) * h
-        K_ext[s] = fun(t_old + C[s] * h, y_old + dy)
+        dy = np.dot(KT[s], _STAGE_ROWS[s]) * h
+        K_ext[s] = fun(t_old + _C[s] * h, y_old + dy)
     F = np.empty((7, len(y)))
     f_old = K_ext[0]
     delta_y = y - y_old
@@ -230,13 +244,13 @@ def dop853(fun, t0, y0, t_bound, tol, events=(), dense_output=True):
     y = np.asarray(y0, dtype=float)
     rtol = atol = max(tol, 100 * EPS)
     t, f = t0, fun(t0, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
+    h_abs = float(_initial_step(fun, t, y, f, t_bound, rtol, atol))
     K_ext = np.empty((16, len(y)))
-    K = K_ext[:N_STAGES + 1]
+    KT = [K_ext[:s].T for s in range(17)]
     ts, interpolants = [t0], []
     g = [event(t, y) for event in events]
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -244,13 +258,16 @@ def dop853(fun, t0, y0, t_bound, tol, events=(), dense_output=True):
                 return t, y, DenseSolution(ts, interpolants) if dense_output else None, -1
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f, h, K)
+            h_abs = abs(h)
+            y_new, f_new = _rk_step(fun, t, y, f, h, K_ext, KT)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
-            e3 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
-            error_norm = (0.0 if e5 == 0 and e3 == 0
-                          else np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)))
+            # e5, e3 and the quotient stay numpy scalars: where they overflow
+            # or divide 0 by 0 they warn and give inf or nan, which rejects
+            # the step, as in SciPy, where Python floats would raise
+            e5 = _l2(np.dot(KT[N_STAGES + 1], E5) / scale) ** 2
+            e3 = _l2(np.dot(KT[N_STAGES + 1], E3) / scale) ** 2
+            error_norm = float(0.0 if e5 == 0 and e3 == 0
+                               else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale)))
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0
                           else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
@@ -262,7 +279,7 @@ def dop853(fun, t0, y0, t_bound, tol, events=(), dense_output=True):
         t, y, f = t_new, y_new, f_new
         status = 0 if t - t_bound >= 0 else None
         if dense_output:
-            interpolants.append(_interpolant(fun, t_old, y_old, t, y, f, h, K_ext))
+            interpolants.append(_interpolant(fun, t_old, y_old, t, y, f, h, K_ext, KT))
         if events:
             g_new = [event(t, y) for event in events]
             active = [k for k, (a, b) in enumerate(zip(g, g_new))

@@ -41,7 +41,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError, ValidationError, read_kind, refuse_past_double_range
 
@@ -554,6 +553,9 @@ def _fourier_quadrature(f: TestFunction, xi_grid, rel_floor: float):
     xi_max = float(np.max(np.abs(xi_grid))) if xi_grid.size else 0.0
     panel = min(1.0, math.pi / (2.0 * (xi_max + 1.0)))
     n_panels = max(8, int(math.ceil(2.0 * R / panel)))
+
+    # numpy.polynomial is imported here, off the spectral commands' path
+    from numpy.polynomial.legendre import leggauss
 
     def run(n_panels):
         edges = np.linspace(-R, R, n_panels + 1)

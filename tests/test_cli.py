@@ -655,3 +655,21 @@ def test_residual_leaves_numpy_ma_unloaded(tmp_path):
                          text=True, check=True)
     assert out.stdout.strip() == "0 []"
     assert (tmp_path / "out" / "residual.csv").exists()
+
+
+def test_spectral_commands_leave_numpy_polynomial_unloaded(tmp_path):
+    # leggauss is imported where the holonomy quadrature and validate_pair use
+    # it, not in every cold spectral process
+    bump = {"kind": "fourier_bump", "tau0": 2.0, "w": 0.5}
+    runs = [("residual", _base_cfg(N={"start": 40, "stop": 400, "step": 40})),
+            ("trace", _base_cfg(test_function=bump, N={"value": 200})),
+            ("predict", _base_cfg(test_function=bump, N={"value": 200}))]
+    argvs = [[sub, "--config", _write_cfg(tmp_path, f"{sub}.json", cfg),
+              "--out", str(tmp_path / sub)] for sub, cfg in runs]
+    code = ("import sys; from magtrace import cli; "
+            f"codes = [cli.main(argv) for argv in {argvs!r}]; "
+            "print(*codes, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0 0 0 []"
+    assert [len(list((tmp_path / sub).iterdir())) for sub, _ in runs] == [1, 1, 1]

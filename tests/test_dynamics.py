@@ -11,6 +11,7 @@ from magtrace import (ChartError, EnergyLevel, Hyperbolic, IntegratorError, Kato
                       katok_first_integral, katok_monodromy_numeric,
                       katok_poincare_analytic, liouville_volume, maslov_katok,
                       mc_liouville_volume, numeric_holonomy)
+from magtrace.dynamics import _on_floats
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -78,6 +79,62 @@ def test_flow_rhs_sphere_chart_regularity():
         p_phi = 0.4 * math.sin(th)
         st = PhaseState(q=(float(th), 0.0), p=(0.3, p_phi))
         assert np.all(np.isfinite(geo.flow(st.as_array())))
+
+
+def _float_path_states(geo, rng, n):
+    """n seeded states (4, n) of geo: a quarter with momenta scaled up by 1e6
+    to 1e88, and on the polar charts a quarter within 1e-2 of a pole margin."""
+    margin = geo.pole_margin
+    if margin is not None:
+        q1 = rng.uniform(1e-3, math.pi - 1e-3, n)
+        inside = margin + 10.0 ** rng.uniform(-15.0, -2.0, n // 4)
+        q1[n // 4:n // 2] = np.where(rng.random(n // 4) < 0.5, inside, math.pi - inside)
+    else:
+        q1 = rng.uniform(-3.0, 3.0, n)
+    q2 = (10.0 ** rng.uniform(-3.0, 3.0, n) if geo.kind == "hyperbolic"
+          else rng.uniform(-4.0, 4.0, n))
+    p = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (2, n))
+    p[:, :n // 4] *= 10.0 ** rng.uniform(6.0, 88.0, (2, n // 4))
+    return np.vstack([q1, q2, p])
+
+
+def _orbit_states(geo, E, orientation):
+    """The states a one-period run of the benchmark orbit passes through."""
+    st, T = canonical_orbit_state(geo, E, orientation)
+    res = integrate(geo, st, E, T, tol=1e-11)
+    return res.sample(500)[1]
+
+
+@pytest.mark.parametrize("geo,E", CANONICAL, ids=lambda v: getattr(v, "kind", None))
+def test_float_path_equals_array_path_bit_for_bit(geo, E):
+    # the integrator calls flow on four Python floats (math), the monitors on
+    # arrays (numpy): they must agree in every bit, never within a tolerance
+    states = [_float_path_states(geo, np.random.default_rng(20261019), 10_000),
+              _orbit_states(geo, E, "+")]
+    if geo.kind == "katok":
+        states.append(_orbit_states(geo, E, "-"))
+    for y in np.hstack(states).T:
+        floats = y.tolist()
+        H = geo.hamiltonian(floats)
+        assert type(H) is float
+        assert np.float64(H).tobytes() == geo.hamiltonian(y).tobytes(), floats
+        assert geo.flow(floats).tobytes() == geo.flow(y).tobytes(), floats
+
+
+def test_float_adapter_falls_back_to_the_array_path():
+    # at the pole the float path divides by zero; the adapter then runs the
+    # array path, which gives inf and nan with numpy's warnings, as before
+    geo = Sphere(1.0)
+    y = np.array([0.0, 0.3, 0.5, 0.2])
+    with pytest.raises(ZeroDivisionError):
+        geo.flow(y.tolist())
+    with np.errstate(all="ignore"):
+        want = geo.flow(y)
+        got = _on_floats(geo.flow)(0.0, y)
+    assert not np.all(np.isfinite(want))
+    assert got.tobytes() == want.tobytes()
+    with pytest.warns(RuntimeWarning):
+        _on_floats(geo.flow)(0.0, y)
 
 
 def test_integrate_off_shell_rejected():

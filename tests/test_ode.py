@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from magtrace import ode
-from magtrace.dynamics import (_katok_jacobian, canonical_orbit_state, integrate,
-                               katok_monodromy_numeric)
+from magtrace.dynamics import (_katok_jacobian, _katok_variational, _on_floats,
+                               canonical_orbit_state, integrate, katok_monodromy_numeric)
 from magtrace.geometry import Hyperbolic, Katok, PhaseState, Sphere, Torus
 
 pytest.importorskip("scipy")
@@ -73,6 +73,34 @@ def test_canonical_orbits_bit_identical(geo, E, orientation, periods):
         assert np.array_equal(sol(t), ref.sol(t))
 
 
+@pytest.mark.parametrize("periods", [1, 8])
+@pytest.mark.parametrize("geo,E,orientation", ORBITS,
+                         ids=lambda v: getattr(v, "kind", None))
+def test_float_rhs_matches_scipy_on_arrays(geo, E, orientation, periods):
+    # dynamics hands dop853 the flow on Python floats; SciPy gets it on arrays
+    state, T = canonical_orbit_state(geo, E, orientation)
+    ref = _solve_ivp(lambda tt, y: geo.flow(y), periods * T, state.as_array(), TOL,
+                     dense_output=True)
+    t_end, y_end, sol, status = ode.dop853(_on_floats(geo.flow), 0.0, state.as_array(),
+                                           periods * T, TOL)
+    assert status == ref.status == 0
+    assert np.array_equal(sol.ts, ref.t)
+    assert t_end == ref.t[-1]
+    assert np.array_equal(y_end, ref.y[:, -1])
+    ts = np.linspace(0.0, periods * T, 3001)
+    assert np.array_equal(sol(ts), ref.sol(ts))
+
+
+def test_l2_is_numpy_norm():
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 41):
+        for _ in range(50):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-150.0, 150.0, n)
+            got, want = ode._l2(x), np.linalg.norm(x)
+            assert type(got) is type(want)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_sphere_pole_guard_bit_identical():
     # an off-equator start that runs into the pole guard of chart z
     geo = Sphere(1.0)
@@ -129,6 +157,11 @@ def test_katok_variational_bit_identical(orientation):
     assert np.array_equal(y_end, ref.y[:, -1])
     block = ref.y[4:, -1].reshape(4, 4)[np.ix_([0, 2], [0, 2])]
     assert np.array_equal(katok_monodromy_numeric(EPS_K, SQRT2, orientation), block)
+    # the same system as katok_monodromy_numeric runs it, on Python floats
+    t_end, y_end, _, _ = ode.dop853(_on_floats(_katok_variational(EPS_K, SQRT2)), 0.0, z0, T,
+                                    TOL, dense_output=False)
+    assert t_end == ref.t[-1]
+    assert np.array_equal(y_end, ref.y[:, -1])
 
 
 @pytest.mark.parametrize("f,a,b", [
