@@ -9,10 +9,9 @@ diagnostics quantify their agreement as the tensor power N grows.
 
 from .errors import (ChartError, DegenerateOrbitError, IntegratorError,
                      MagtraceError, ManeLevelError, MixedSupportError,
-                     QuadratureError, ResonanceError, ValidationError)
-from .testfn import (PairValidation, TestFunction, linear_combination,
-                     make_fourier_bump, make_gaussian, make_gaussian_modulated,
-                     validate_pair)
+                     ResonanceError, ValidationError)
+from .testfn import (TestFunction, make_fourier_bump, make_gaussian,
+                     make_gaussian_modulated)
 # GeometrySpec and the *Model names are kept for perfbench/setup_probe.py and reference.py
 from .geometry import (ClosedOrbitSet, Geometry, GeometrySpec, Hyperbolic, Katok,
                        KatokMonodromy, OrbitInvariants, PhaseState, Sphere, Torus,
@@ -20,11 +19,9 @@ from .geometry import (ClosedOrbitSet, Geometry, GeometrySpec, Hyperbolic, Katok
 from .spectra import (EnergyLevel, HyperbolicModel, SphereModel, SpectrumEntry,
                       TorusModel, Window, enumerate_window, levels)
 from .tracesum import TraceValue, y_n
-from .asymptotics import (ClusterCheck, CoefficientPrediction, KSumControl,
-                          PoissonReport, ResidualReport, general_c0_nondegenerate,
-                          general_c0_volume, katok_c0, katok_term_closed,
-                          poisson_c01, poisson_check, residual_report,
-                          torus_cluster_check)
+from .asymptotics import (CoefficientPrediction, KSumControl, ResidualReport,
+                          general_c0_nondegenerate, general_c0_volume, katok_c0,
+                          katok_term_closed, poisson_c01, residual_report)
 from .dynamics import (FlowResult, MaslovData, MCVolume, canonical_orbit_state,
                        circle_distance, integrate, katok_monodromy_numeric,
                        liouville_volume, maslov_katok, mc_liouville_volume,

@@ -28,9 +28,7 @@ _HAT_FLOOR (``_k_reach``), and the first period past the reach, k_top,
 counts k_top times, for itself and each period below 2 k_top, as the bounds
 fall with |k| there.  Past that a compact hat is 0 and a Gaussian one below
 _HAT_FLOOR^4/amp^3, under 1e-700 for any width ``make_gaussian`` accepts;
-that remainder is left out as lying below double underflow.  The same rule
-bounds the frequency side of ``poisson_check``, the Poisson-summation
-self-test of a test function.
+that remainder is left out as lying below double underflow.
 """
 
 from __future__ import annotations
@@ -42,8 +40,8 @@ import numpy as np
 
 from .errors import (DegenerateOrbitError, MixedSupportError, ResonanceError,
                      ValidationError)
-from .geometry import Katok, Torus, half_lattice_distance, katok_maslov_closed
-from .spectra import EnergyLevel, levels
+from .geometry import Katok, half_lattice_distance, katok_maslov_closed
+from .spectra import EnergyLevel
 from .testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
@@ -162,56 +160,6 @@ def poisson_c01(N: int, model, level: EnergyLevel, f: TestFunction,
     return CoefficientPrediction(N=int(N), c0=_fsum_complex(c0_terms),
                                  c1=_fsum_complex(c1_terms), d=1.0,
                                  k_tail=math.fsum(weight * tail))
-
-
-@dataclasses.dataclass(frozen=True)
-class PoissonReport:
-    """Both sides of the summation identity with certified truncation tails."""
-
-    lhs: complex
-    rhs: complex
-    lhs_tail: float
-    rhs_tail: float
-
-    @property
-    def diff(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def poisson_check(f: TestFunction, P: float, t: float) -> PoissonReport:
-    """Evaluate sum_n phi(n P + t) against sum_k (1/P) phi_hat(2pi k/P) e^{2pi i k t/P}.
-
-    The lattice side runs one point past f.radius(1e-22) at each end; as the
-    time envelope falls, the points left out beyond an end sum to at most
-    env(a) + (1/P) int_a^inf env, a = |end| + P.  The frequency side sums
-    |k| <= k_max, one past the hat's reach at 1e-22, and bounds the periods
-    past it by the k-tail rule of the module docstring.  Refused before any
-    evaluation: a non-finite or non-positive P, a non-finite t, and either
-    side past MAX_K_MAX terms.
-    """
-    term_tol = 1e-22
-    if not (0.0 < P < math.inf and math.isfinite(t)):
-        raise ValidationError(f"Poisson check needs a positive finite period P and a "
-                              f"finite shift t, got P={P}, t={t}")
-    t = math.fmod(t, P)  # exact; both sides have period P in t
-    R = f.radius(term_tol)
-    n_pts = 2.0 * R / P + 5.0  # at least the lattice points summed
-    if not n_pts <= MAX_K_MAX:
-        raise ValidationError(f"the lattice side needs about {n_pts:.6g} points n*P + t to "
-                              f"bring |phi| below {term_tol:g}; capped at {MAX_K_MAX:,}")
-    step = TWO_PI / P
-    k_max = KSumControl.for_function(f, step, term_tol).k_max
-    tail_ks, weight = _tail_periods(k_max + 1, _k_reach(f, step, _HAT_FLOOR))
-
-    xs = t + P * np.arange(math.floor((-R - t) / P) - 1, math.ceil((R - t) / P) + 2)
-    env = f.time_env
-    lhs_tail = sum(float(env(a)) + env.halfline_moment(a, 1.0 / P, 0.0)
-                   for a in (abs(xs[0]) + P, abs(xs[-1]) + P))
-    ks = np.concatenate(([0], _k_order(1, k_max)))
-    terms = f.phi_hat(step * ks) * np.exp(2j * math.pi * ks * t / P) / P
-    rhs_tail = math.fsum(weight * f.hat_abs_bound(0, np.abs(tail_ks * step - f.hat_center))) / P
-    return PoissonReport(lhs=_fsum_complex(f.phi(xs)), rhs=_fsum_complex(terms),
-                         lhs_tail=lhs_tail, rhs_tail=rhs_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +302,7 @@ def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
 
 
 # ---------------------------------------------------------------------------
-# residual diagnostics and the Bohr-Sommerfeld cluster check
+# residual diagnostics
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -430,49 +378,3 @@ def residual_report(traces: list, preds: list) -> ResidualReport:
         max_scaled=float(max(scaled)), median_scaled=_median(scaled),
         slope=slope, converged=converged, n_fit=len(usable), d=d,
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class ClusterCheck:
-    """Bohr-Sommerfeld cluster localization on the torus."""
-
-    N: tuple
-    j_star: tuple
-    lam: tuple
-    formula_rel_dev: tuple   # lam vs sqrt(E^2 N^2 + 2 pi N)
-    scaled_gap: tuple        # N |lam - E N - pi/E|
-    bounded: bool
-
-
-def torus_cluster_check(level: EnergyLevel, N_list) -> ClusterCheck:
-    """Check the single-cluster localization at E = sqrt(1 + 4 pi m).
-
-    At these energies the action is a multiple of 2 pi and the nearest
-    eigenvalue to E N + pi/E is the j* = mN ladder rung, with
-    lam = sqrt(E^2 N^2 + 2 pi N) and N |lam - E N - pi/E| bounded.
-    """
-    E = level.E
-    m_real = (E * E - 1.0) / (4.0 * math.pi)
-    m = int(round(m_real))
-    if m < 1 or abs(m_real - m) > 1e-9:
-        raise ValidationError(
-            f"cluster check requires E = sqrt(1+4 pi m) for a positive integer m; "
-            f"E={E} gives m={m_real}"
-        )
-    N_list = list(N_list)
-    if not N_list:
-        raise ValidationError("N list must be nonempty")
-    Ns, js, lams, devs, gaps = [], [], [], [], []
-    for N in N_list:
-        j_star = m * N
-        entry = levels(Torus(), N, j_star)
-        lam_formula = math.sqrt(E * E * N * N + TWO_PI * N)
-        Ns.append(N)
-        js.append(j_star)
-        lams.append(entry.lam)
-        devs.append(abs(entry.lam - lam_formula) / lam_formula)
-        gaps.append(N * abs(entry.lam - E * N - math.pi / E))
-    bounded = max(gaps) <= 2.0 * gaps[-1] + 1.0
-    return ClusterCheck(N=tuple(Ns), j_star=tuple(js), lam=tuple(lams),
-                        formula_rel_dev=tuple(devs), scaled_gap=tuple(gaps),
-                        bounded=bounded)

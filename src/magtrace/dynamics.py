@@ -209,9 +209,9 @@ def numeric_holonomy(geo: Geometry, flow: FlowResult) -> float:
         return 0.0
     if flow.chart_switches:
         raise ValidationError("holonomy quadrature needs a single-chart path")
-    y_start = flow.segments[0].sol(flow.segments[0].t0)
-    y_end = flow.segments[-1].sol(flow.segments[-1].t1)
-    gap = geo.closure_gap(y_start, y_end)
+    # integrate makes one segment per chart switch plus one
+    (seg,) = flow.segments
+    gap = geo.closure_gap(seg.sol(seg.t0), seg.sol(seg.t1))
     if gap > 1e-7:
         raise ValidationError(f"path is not closed: endpoint gap {gap:.3e} > 1.0e-07")
 
@@ -219,18 +219,14 @@ def numeric_holonomy(geo: Geometry, flow: FlowResult) -> float:
     from numpy.polynomial.legendre import leggauss
 
     nodes, weights = leggauss(16)
-    total = []
-    for seg in flow.segments:
-        span = seg.t1 - seg.t0
-        n_panels = max(64, int(math.ceil(8.0 * span)))
-        edges = np.linspace(seg.t0, seg.t1, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        states = seg.sol((mid[:, None] + half[:, None] * nodes).ravel())
-        vals = geo.connection(states).reshape(n_panels, len(nodes))
-        # one dot per panel: a single vals @ weights product sums in another order
-        total += [h * float(np.dot(weights, v)) for h, v in zip(half, vals)]
-    return math.fsum(total)
+    n_panels = max(64, int(math.ceil(8.0 * (seg.t1 - seg.t0))))
+    edges = np.linspace(seg.t0, seg.t1, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    states = seg.sol((mid[:, None] + half[:, None] * nodes).ravel())
+    vals = geo.connection(states).reshape(n_panels, len(nodes))
+    # one dot per panel: a single vals @ weights product sums in another order
+    return math.fsum(h * float(np.dot(weights, v)) for h, v in zip(half, vals))
 
 
 # ---------------------------------------------------------------------------

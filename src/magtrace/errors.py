@@ -106,9 +106,3 @@ class IntegratorError(MagtraceError):
     """ODE integration failed or conservation drift exceeded its budget."""
 
     exit_code = 5
-
-
-class QuadratureError(MagtraceError):
-    """A quadrature did not converge to the requested tolerance."""
-
-    exit_code = 5

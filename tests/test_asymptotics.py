@@ -7,14 +7,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from labchecks import linear_combination
 from magtrace import (CoefficientPrediction, DegenerateOrbitError, EnergyLevel,
                       Hyperbolic, Katok, KSumControl, ManeLevelError,
                       MixedSupportError, ResonanceError, Sphere, Torus,
                       TraceValue, ValidationError, general_c0_nondegenerate,
-                      general_c0_volume, katok_c0, katok_term_closed,
-                      linear_combination, make_fourier_bump, make_gaussian,
-                      make_gaussian_modulated, maslov_katok, poisson_c01,
-                      residual_report, torus_cluster_check)
+                      general_c0_volume, katok_c0, katok_term_closed, levels,
+                      make_fourier_bump, make_gaussian, make_gaussian_modulated,
+                      maslov_katok, poisson_c01, residual_report)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -533,28 +533,24 @@ def test_residual_report_validation():
 
 
 def test_cluster_check_values():
+    # at E = sqrt(1 + 4 pi m) the Bohr-Sommerfeld cluster is the rung j* = m N,
+    # with lam = sqrt(E^2 N^2 + 2 pi N)
     E = math.sqrt(1.0 + 4.0 * math.pi)
-    lev = EnergyLevel.from_E(E)
-    rep = torus_cluster_check(lev, [10])
-    assert rep.j_star[0] == 10
-    assert rep.lam[0] == pytest.approx(math.sqrt(E * E * 100.0 + TWO_PI * 10.0),
-                                       rel=1e-15)
-    assert rep.formula_rel_dev[0] < 1e-14
+    m = round((E * E - 1.0) / (4.0 * math.pi))
+    entry = levels(Torus(), 10, m * 10)
+    assert entry.j == 10
+    lam_formula = math.sqrt(E * E * 100.0 + TWO_PI * 10.0)
+    assert entry.lam == pytest.approx(lam_formula, rel=1e-15)
+    assert abs(entry.lam - lam_formula) / lam_formula < 1e-14
     # smallest case: m = 1, N = 1
-    rep1 = torus_cluster_check(lev, [1])
-    assert rep1.j_star[0] == 1
+    assert levels(Torus(), 1, m * 1).j == 1
 
 
 def test_cluster_gap_limit():
     # N (lam - E N - pi/E) -> -pi^2/(2 E^3): arithmetic-expansion oracle
     E = math.sqrt(1.0 + 4.0 * math.pi)
-    lev = EnergyLevel.from_E(E)
-    rep = torus_cluster_check(lev, list(range(10, 201, 10)))
-    assert rep.bounded
+    gaps = [N * abs(levels(Torus(), N, N).lam - E * N - math.pi / E)
+            for N in range(10, 201, 10)]
+    assert max(gaps) <= 2.0 * gaps[-1] + 1.0
     limit = math.pi**2 / (2.0 * E**3)
-    assert rep.scaled_gap[-1] == pytest.approx(limit, rel=0.05)
-
-
-def test_cluster_check_requires_quantized_energy():
-    with pytest.raises(ValidationError):
-        torus_cluster_check(EnergyLevel.from_E(2.0), [10])
+    assert gaps[-1] == pytest.approx(limit, rel=0.05)

@@ -658,8 +658,8 @@ def test_residual_leaves_numpy_ma_unloaded(tmp_path):
 
 
 def test_spectral_commands_leave_numpy_polynomial_unloaded(tmp_path):
-    # leggauss is imported where the holonomy quadrature and validate_pair use
-    # it, not in every cold spectral process
+    # leggauss is imported where the holonomy quadrature uses it, not in every
+    # cold spectral process
     bump = {"kind": "fourier_bump", "tau0": 2.0, "w": 0.5}
     runs = [("residual", _base_cfg(N={"start": 40, "stop": 400, "step": 40})),
             ("trace", _base_cfg(test_function=bump, N={"value": 200})),

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 
-from magtrace import (EnergyLevel, Sphere, Torus, linear_combination,
-                      make_fourier_bump, make_gaussian, make_gaussian_modulated,
-                      y_n)
+from labchecks import linear_combination
+from magtrace import (EnergyLevel, Sphere, Torus, make_fourier_bump, make_gaussian,
+                      make_gaussian_modulated, y_n)
 
 TWO_PI = 2.0 * math.pi
 
