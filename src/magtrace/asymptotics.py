@@ -97,7 +97,7 @@ class CoefficientPrediction:
 
 
 def _fsum_complex(terms) -> complex:
-    arr = np.asarray(list(terms), dtype=complex)
+    arr = np.asarray(terms, dtype=complex)
     return complex(math.fsum(arr.real), math.fsum(arr.imag))
 
 
@@ -129,37 +129,48 @@ def _tail_periods(k_lo: int, k_reach: float):
 # coefficient sums of the closed-form ladders
 # ---------------------------------------------------------------------------
 
-def poisson_c01(N: int, model, level: EnergyLevel, f: TestFunction,
-                ctl: KSumControl) -> CoefficientPrediction:
-    """c0 and c1 of a closed-form ladder at one N: its Poisson image.
+def poisson_c01(Ns, model, level: EnergyLevel, f: TestFunction,
+                ctl: KSumControl) -> list:
+    """c0 and c1 of a closed-form ladder at each N of a grid: its Poisson image.
 
     Sums fhat, fhat', fhat'' at k * freq, k = 0, +-1, ..., +-k_max, with the
-    summands, phases and per-k bounds of ``model.poisson_image``.  Refused
-    before any evaluation: a hat whose reach passes MAX_K_MAX periods, a sum
-    whose largest squared k * freq (the tail's included), phase argument or
-    coefficient is not finite, and a hyperbolic energy at or above the Mane
-    level.
+    summands, phases and per-k bounds of ``model.poisson_image``, and returns
+    one prediction per N.  The hats, their bounds and ``k_tail`` do not depend
+    on N and are evaluated once per grid; only the phases and sums run per N.
+    Refused before any evaluation, at the first N in grid order that fails: a
+    hat whose reach passes MAX_K_MAX periods, a sum whose largest squared
+    k * freq (the tail's included), phase argument or coefficient is not
+    finite, and a hyperbolic energy at or above the Mane level.
     """
     E = level.E
     freq = model.k_frequency(E)
     tail_ks, weight = _tail_periods(ctl.k_max + 1, _k_reach(f, freq, _HAT_FLOOR))
-    try:
-        phase_scale, terms, bound = model.poisson_image(N, E)
-        top = abs(int(tail_ks[-1])) * freq
-        finite = math.isfinite(top * top) and math.isfinite(ctl.k_max * phase_scale)
-    except OverflowError:  # a coefficient power such as Q**3
-        finite = False
-    if not finite:
-        raise ValidationError(f"the k-sum at N={N}, E={E:.6g} leaves the double range")
+    top = abs(int(tail_ks[-1])) * freq
+    images = []
+    for N in Ns:
+        try:
+            phase_scale, terms, bound = model.poisson_image(N, E)
+            finite = math.isfinite(top * top) and math.isfinite(ctl.k_max * phase_scale)
+        except OverflowError:  # a coefficient power such as Q**3
+            finite = False
+        if not finite:
+            raise ValidationError(f"the k-sum at N={N}, E={E:.6g} leaves the double range")
+        images.append(terms)
+    if not images:
+        return []
     ks = np.concatenate(([0], _k_order(1, ctl.k_max)))
     xi = ks * freq
-    c0_terms, c1_terms = terms(ks, *(np.asarray(h(xi), dtype=complex)
-                                     for h in (f.phi_hat, f.phi_hat_d1, f.phi_hat_d2)))
+    hats = [np.asarray(h(xi), dtype=complex) for h in (f.phi_hat, f.phi_hat_d1, f.phi_hat_d2)]
     u = np.abs(tail_ks * freq - f.hat_center)
-    tail = bound(tail_ks, *(f.hat_abs_bound(order, u) for order in range(3)))
-    return CoefficientPrediction(N=int(N), c0=_fsum_complex(c0_terms),
-                                 c1=_fsum_complex(c1_terms), d=1.0,
-                                 k_tail=math.fsum(weight * tail))
+    # bound, unlike terms, is the same at every N
+    k_tail = math.fsum(weight * bound(tail_ks, *(f.hat_abs_bound(order, u)
+                                                 for order in range(3))))
+    preds = []
+    for N, terms in zip(Ns, images):
+        c0_terms, c1_terms = terms(ks, *hats)
+        preds.append(CoefficientPrediction(N=int(N), c0=_fsum_complex(c0_terms),
+                                           c1=_fsum_complex(c1_terms), d=1.0, k_tail=k_tail))
+    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +247,10 @@ def katok_term_closed(N: int, eps: float, k: int, branch: int,
     return amp * phase * complex(phi_hat_value) / denom
 
 
-def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
-             support_tol: float = 1e-12) -> CoefficientPrediction:
-    """Leading trace coefficient for the deformed-sphere example at E = sqrt(2).
+def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
+             support_tol: float = 1e-12) -> list:
+    """Leading trace coefficient for the deformed-sphere example at E = sqrt(2),
+    one prediction per N of a grid.
 
     Two disjoint regimes, selected by the (effective) support of phi_hat:
 
@@ -257,11 +269,13 @@ def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
     Windows containing both the zero and a nonzero period are rejected.
     ``k_tail`` bounds each nonzero period outside the support by amp |fhat|
     / max(|sin|, margin) per branch; the resonance guard sees each whose
-    bound passes 1e-25.
+    bound passes 1e-25.  Only the phases and sums depend on N: the support,
+    the hats, ``k_tail`` and its guard are evaluated once per grid.
     """
     Tsharp = Katok(eps).k_frequency(SQRT2)  # refuses eps outside (0, 1)
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise ValidationError(f"N must be a positive integer, got {N}")
+    for N in Ns:
+        if not (isinstance(N, (int, np.integer)) and N >= 1):
+            raise ValidationError(f"N must be a positive integer, got {N}")
     amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
     margin = ctl.resonance_margin
     lo, hi = f.hat_support_interval(support_tol)
@@ -292,13 +306,14 @@ def katok_c0(N: int, eps: float, f: TestFunction, ctl: KSumControl,
         vol = 8.0 * math.pi**2 * SQRT2 / (1.0 - eps * eps)
         c0 = general_c0_volume(complex(f.phi_hat(0.0)), vol, 2) if zero_in else 0.0 + 0.0j
         # the N^{d-1} coefficient is not part of the implemented display
-        return CoefficientPrediction(N=int(N), c0=c0, c1=0.0 + 0.0j, d=1.0 if zero_in else 0.0,
-                                     k_tail=k_tail)
+        return [CoefficientPrediction(N=int(N), c0=c0, c1=0.0 + 0.0j,
+                                      d=1.0 if zero_in else 0.0, k_tail=k_tail) for N in Ns]
 
-    terms = [katok_term_closed(N, eps, k, branch, complex(f.phi_hat(k * Tsharp)), margin)
-             for k in k_in for branch in (+1, -1)]
-    return CoefficientPrediction(N=int(N), c0=_fsum_complex(terms),
-                                 c1=0.0 + 0.0j, d=0.0, k_tail=k_tail)
+    hats = [complex(f.phi_hat(k * Tsharp)) for k in k_in]
+    return [CoefficientPrediction(
+        N=int(N), c0=_fsum_complex([katok_term_closed(N, eps, k, branch, hat, margin)
+                                    for k, hat in zip(k_in, hats) for branch in (+1, -1)]),
+        c1=0.0 + 0.0j, d=0.0, k_tail=k_tail) for N in Ns]
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def cmd_trace(cfg):
 def cmd_predict(cfg):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     ctl = _k_control(geo, level, f, tol)
-    preds = [geo.predict(N, level, f, ctl, tol["support_tol"]) for N in Ns]
+    preds = geo.predict(Ns, level, f, ctl, tol["support_tol"])
     header = ["N", "re_c0", "im_c0", "re_c1", "im_c1", "d", "k_tail"]
     rows = [[p.N, p.c0.real, p.c0.imag, p.c1.real, p.c1.imag, p.d, p.k_tail]
             for p in preds]
@@ -191,10 +191,8 @@ def cmd_predict(cfg):
 def cmd_residual(cfg):
     geo, level, f, tol, Ns = _ladder_run(cfg)
     ctl = _k_control(geo, level, f, tol)
-    traces, preds = [], []
-    for N in Ns:
-        traces.append(tracesum.y_n(geo, N, level, f, tol["tail_tol"]))
-        preds.append(geo.predict(N, level, f, ctl, tol["support_tol"]))
+    traces = [tracesum.y_n(geo, N, level, f, tol["tail_tol"]) for N in Ns]
+    preds = geo.predict(Ns, level, f, ctl, tol["support_tol"])
     report = asymptotics.residual_report(traces, preds)
     header = ["N", "re_c0", "im_c0", "re_c1", "im_c1", "re_r", "im_r",
               "scaled_residual", "noise_floor"]

@@ -354,12 +354,11 @@ def mc_liouville_volume(geo: Geometry, E: float, n_samples: int = 200_000,
     its closed form (Gauss-Bonnet) is reported without an estimate.
     """
     closed = liouville_volume(geo, E)
-    sample = geo.mc_area(np.random.default_rng(seed), n_samples)
-    if sample is None:
+    if geo.mc_area is None:  # no generator, so numpy.random stays unimported
         return MCVolume(estimate=None, stderr=None, closed_form=closed,
                         rel_dev=None,
                         note="fundamental domain not parameterized; closed form only")
-    vals, cell = sample
+    vals, cell = geo.mc_area(np.random.default_rng(seed), n_samples)
     area_est = cell * float(np.mean(vals))
     stderr = cell * float(np.std(vals, ddof=1) / math.sqrt(n_samples))
     est = TWO_PI * E * area_est

@@ -127,10 +127,9 @@ class Geometry:
         """A conserved quantity besides H, or None."""
         return None
 
-    def mc_area(self, rng, n):
-        """Monte Carlo samples of sqrt(det g) over a chart cell and the cell's
-        area, or None without a parameterized fundamental domain."""
-        return None
+    # mc_area(rng, n): Monte Carlo samples of sqrt(det g) over a chart cell and
+    # the cell's area; None without a parameterized fundamental domain
+    mc_area: ClassVar = None
 
     def closure_gap(self, y0, y1) -> float:
         """Largest coordinate difference of two states, modulo the loop periods."""
@@ -149,10 +148,11 @@ class ConstantCurvature(Geometry):
     dnu/dj = 2 mult/c (Guillemin and Uribe, Invent. Math. 96 (1989)).
     Subclasses state ``field`` b, ``curvature`` K and ``area`` A."""
 
-    def predict(self, N, level, f, ctl, support_tol):
-        """c0, c1 at one N: the Poisson k-sum of the ladder."""
+    def predict(self, Ns, level, f, ctl, support_tol):
+        """c0, c1 at each N of a grid: the Poisson k-sum of the ladder, its
+        N-independent part evaluated once per grid."""
         from .asymptotics import poisson_c01  # asymptotics builds on this module
-        return poisson_c01(N, self, level, f, ctl)
+        return poisson_c01(Ns, self, level, f, ctl)
 
     def check_energy(self, E):
         """Refuse energies the ladder's predictions do not cover (none by default)."""
@@ -562,9 +562,9 @@ class Katok(Geometry):
         if not (0.0 < self.eps < 1.0):
             raise ValidationError(f"deformation parameter must lie in (0,1), got {self.eps}")
 
-    def predict(self, N, level, f, ctl, support_tol):
+    def predict(self, Ns, level, f, ctl, support_tol):
         from .asymptotics import katok_c0
-        return katok_c0(N, self.eps, f, ctl, support_tol=support_tol)
+        return katok_c0(Ns, self.eps, f, ctl, support_tol=support_tol)
 
     def k_frequency(self, E):
         return TWO_PI * SQRT2 / (1.0 - self.eps * self.eps)  # the period T# at E = sqrt(2)

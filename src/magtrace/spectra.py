@@ -172,12 +172,13 @@ def _tail_bound(model, N, E, env, J, up):
     j_cap = model.j_cap(N)
     if J < 0 or (up and j_cap is not None and J > j_cap):
         return 0.0
-    nu, mult = model.ladder(N, np.array([J, J + 1 if up else J - 1], dtype=float))
-    lam = math.sqrt(nu[0] + N * N)
+    nu, mult = model.ladder(N, float(J))
+    mult_next = model.ladder(N, float(J + 1 if up else J - 1))[1]
+    lam = math.sqrt(nu + N * N)
     a = abs(lam - E * N)
-    d = max(0.0, mult[1] - mult[0])
+    d = max(0.0, mult_next - mult)
     moment = env.halfline_moment(a, E * N, 1.0) if up else env.halfline_moment(a, lam, 0.0)
-    return float(mult[0] * float(env(a)) + (1.0 + d / mult[0]) * (model.measure_coeff * moment))
+    return mult * float(env(a)) + (1.0 + d / mult) * (model.measure_coeff * moment)
 
 
 def _window_indices(model, N, E, radius):

@@ -79,8 +79,9 @@ def _refuse_lost_phase(what: str, phase: float) -> None:
 
 
 # Points per block of the bump's cosine sum: bounds the (block x 512)
-# temporary to 8 MB.
-_BUMP_BLOCK = 2048
+# temporary to 256 KB, about a core's L2 cache.  Each row is summed on its
+# own, so the block size does not change a bit of phi.
+_BUMP_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------

@@ -39,14 +39,14 @@ def _sweep_residuals(model, geo_pred, E, f=None):
     lev = EnergyLevel.from_E(E)
     f = f or make_gaussian(1.0)
     traces = [y_n(model, N, lev, f, tail_tol=1e-14) for N in SWEEP]
-    preds = [geo_pred(N, lev, f) for N in SWEEP]
+    preds = geo_pred(SWEEP, lev, f)
     return residual_report(traces, preds)
 
 
 def test_criterion_1_torus_trace_formula():
     t0 = time.perf_counter()
     ctl = KSumControl(12)
-    rep = _sweep_residuals(Torus(), lambda N, lev, f: poisson_c01(N, Torus(), lev, f, ctl),
+    rep = _sweep_residuals(Torus(), lambda Ns, lev, f: poisson_c01(Ns, Torus(), lev, f, ctl),
                            2.0)
     elapsed = time.perf_counter() - t0
     slope_ok = rep.converged or (-1.6 <= rep.slope <= -0.6)
@@ -60,7 +60,7 @@ def test_criterion_2_sphere_trace_formula():
     model = Sphere(R=0.5)
     ctl = KSumControl(12)
     rep = _sweep_residuals(model,
-                           lambda N, lev, f: poisson_c01(N, model, lev, f, ctl),
+                           lambda Ns, lev, f: poisson_c01(Ns, model, lev, f, ctl),
                            SQRT2)
     slope_ok = rep.converged or (-1.6 <= rep.slope <= -0.6)
     ratio = rep.max_scaled / rep.median_scaled
@@ -74,7 +74,7 @@ def test_criterion_2_sphere_trace_formula():
     max_dev = max_rel_c0 = 0.0
     with mpmath.workdps(40):
         for N in SWEEP:
-            p = poisson_c01(N, model, EnergyLevel.from_E(E), make_gaussian(1.0), ctl)
+            [p] = poisson_c01([N], model, EnergyLevel.from_E(E), make_gaussian(1.0), ctl)
             sums = [mpmath.mpc(0), mpmath.mpc(0)]
             allow = [0.0, 0.0]
             for k in range(-ctl.k_max, ctl.k_max + 1):
@@ -100,7 +100,7 @@ def test_criterion_3_hyperbolic_trace_formula():
     model = Hyperbolic(R=1.0, genus=2)
     ctl = KSumControl(12)
     rep = _sweep_residuals(model,
-                           lambda N, lev, f: poisson_c01(N, model, lev, f, ctl),
+                           lambda Ns, lev, f: poisson_c01(Ns, model, lev, f, ctl),
                            1.2)
     slope_ok = rep.converged or (-1.6 <= rep.slope <= -0.6)
     ratio = rep.max_scaled / rep.median_scaled if not rep.converged else 1.0
@@ -111,13 +111,13 @@ def test_criterion_3_hyperbolic_trace_formula():
     f = make_gaussian(1.0)
     from magtrace import make_fourier_bump
     f0 = make_fourier_bump(0.0, 1.0)
-    p0 = poisson_c01(3, model, lev, f0, ctl)
+    [p0] = poisson_c01([3], model, lev, f0, ctl)
     vol_term = complex(f0.phi_hat(0.0)) / TWO_PI**2 * (
         TWO_PI**2 * (2 * model.genus - 2) * lev.E * model.R**2)
     k0_ok = abs(p0.c0 - vol_term) <= 1e-13 * abs(vol_term)
 
     try:
-        poisson_c01(3, model, EnergyLevel.from_E(SQRT2), f, ctl)
+        poisson_c01([3], model, EnergyLevel.from_E(SQRT2), f, ctl)
         mane_ok = False
     except ManeLevelError:
         mane_ok = True

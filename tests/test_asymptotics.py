@@ -1,11 +1,15 @@
 """Coefficient predictions, general-form building blocks, diagnostics."""
 
 import cmath
+import dataclasses
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labchecks import linear_combination
 from magtrace import (CoefficientPrediction, DegenerateOrbitError, EnergyLevel,
@@ -29,7 +33,7 @@ def test_torus_single_term_window():
     E = 2.0
     lev = EnergyLevel.from_E(E)
     f = make_fourier_bump(0.0, min(E, math.pi) / 2.0)
-    p = poisson_c01(7, Torus(), lev, f, KSumControl(8))
+    [p] = poisson_c01([7], Torus(), lev, f, KSumControl(8))
     assert p.c0 == pytest.approx((E / TWO_PI) * complex(f.phi_hat(0.0)), rel=1e-15)
     # phi_hat is even here, so its derivative vanishes at 0 and c1 = 0
     assert p.c1 == 0.0
@@ -43,7 +47,7 @@ def test_torus_single_term_asymmetric_window():
     E = 2.0
     lev = EnergyLevel.from_E(E)
     f = make_fourier_bump(0.3, 0.4)
-    p = poisson_c01(5, Torus(), lev, f, KSumControl(8))
+    [p] = poisson_c01([5], Torus(), lev, f, KSumControl(8))
     assert p.c0 == pytest.approx((E / TWO_PI) * complex(f.phi_hat(0.0)), rel=1e-15)
     assert p.c1 == pytest.approx((1j / TWO_PI) * complex(f.phi_hat_d1(0.0)), rel=1e-14)
 
@@ -52,7 +56,7 @@ def test_torus_wide_k_oracle():
     E, N = 2.0, 7
     lev = EnergyLevel.from_E(E)
     f = make_gaussian(1.0)
-    p = poisson_c01(N, Torus(), lev, f, KSumControl(8))
+    [p] = poisson_c01([N], Torus(), lev, f, KSumControl(8))
     ks = np.arange(-50, 51)
     phase = np.exp(1j * math.pi * ks) * np.exp(-1j * ks * (E * E - 1.0) * N / 2.0)
     c0 = np.sum((E / TWO_PI) * f.phi_hat(ks * E) * phase)
@@ -74,7 +78,7 @@ def test_torus_c1_correction_is_forced_by_residuals():
     ctl = KSumControl(20)
     for N in (200, 400, 800):
         y = y_n(Torus(), N, lev, f, tail_tol=1e-15).value
-        p = poisson_c01(N, Torus(), lev, f, ctl)
+        [p] = poisson_c01([N], Torus(), lev, f, ctl)
         assert N * abs(y - p.c0 * N - p.c1) < 1.0
         ks = np.arange(-20, 21)
         published = -np.sum(
@@ -87,8 +91,8 @@ def test_torus_c1_correction_is_forced_by_residuals():
 def test_torus_k_truncation_soundness():
     lev = EnergyLevel.from_E(2.0)
     f = make_gaussian(1.0)
-    p1 = poisson_c01(9, Torus(), lev, f, KSumControl(6))
-    p2 = poisson_c01(9, Torus(), lev, f, KSumControl(12))
+    [p1] = poisson_c01([9], Torus(), lev, f, KSumControl(6))
+    [p2] = poisson_c01([9], Torus(), lev, f, KSumControl(12))
     assert abs(p2.c0 - p1.c0) <= p1.k_tail
     assert abs(p2.c1 - p1.c1) <= p1.k_tail
 
@@ -97,7 +101,7 @@ def test_torus_bohr_sommerfeld_phase_is_N_independent():
     E = math.sqrt(1.0 + 4.0 * math.pi)  # (E^2-1)/2 = 2 pi
     lev = EnergyLevel.from_E(E)
     f = make_gaussian(1.0)
-    preds = [poisson_c01(N, Torus(), lev, f, KSumControl(10)) for N in (3, 17, 64)]
+    preds = poisson_c01([3, 17, 64], Torus(), lev, f, KSumControl(10))
     for p in preds[1:]:
         assert p.c0 == pytest.approx(preds[0].c0, rel=1e-14)
         assert p.c1 == pytest.approx(preds[0].c1, rel=1e-14)
@@ -107,7 +111,7 @@ def test_real_test_function_gives_real_c0():
     lev = EnergyLevel.from_E(2.0)
     f = make_gaussian(1.0)
     for N in (1, 5, 23, 111):
-        p = poisson_c01(N, Torus(), lev, f, KSumControl(10))
+        [p] = poisson_c01([N], Torus(), lev, f, KSumControl(10))
         assert abs(p.c0.imag) <= 1e-13 * max(1.0, abs(p.c0))
         assert abs(p.c1.imag) <= 1e-13 * max(1.0, abs(p.c1))
 
@@ -120,7 +124,7 @@ def test_coefficient_boundedness_over_sweep():
         np.sum(np.abs(f.phi_hat(np.arange(-10, 11) * lev.E))))
     vals = []
     for N in range(1, 501, 7):
-        p = poisson_c01(N, Torus(), lev, f, ctl)
+        [p] = poisson_c01([N], Torus(), lev, f, ctl)
         vals.append(abs(p.c0))
         assert abs(p.c0) <= abs_bound + p.k_tail + 1e-12
     assert max(vals) < 10.0 * abs_bound
@@ -145,7 +149,7 @@ def test_sphere_specialization_agreement():
     lev = EnergyLevel.from_E(SQRT2)
     f = make_gaussian(1.0)
     for N in (1, 4, 9, 40):
-        p = poisson_c01(N, model, lev, f, KSumControl(12))
+        [p] = poisson_c01([N], model, lev, f, KSumControl(12))
         c0, c1 = _sphere_specialized_half(N, lev.E, f, 12)
         assert abs(p.c0 - c0) <= 1e-14 * abs(c0)
         assert abs(p.c1 - c1) <= 1e-14 * max(abs(c1), 1e-3)
@@ -155,7 +159,7 @@ def test_sphere_wide_k_oracle():
     model = Sphere(R=0.5)
     lev = EnergyLevel.from_E(SQRT2)
     f = make_gaussian(1.0)
-    p = poisson_c01(4, model, lev, f, KSumControl(10))
+    [p] = poisson_c01([4], model, lev, f, KSumControl(10))
     c0, c1 = _sphere_specialized_half(4, lev.E, f, 50)
     assert abs(p.c0 - c0) <= 1e-14 * abs(c0)
     assert abs(p.c1 - c1) <= 1e-14 * max(abs(c1), 1e-3)
@@ -171,7 +175,7 @@ def test_sphere_general_radius_residual_bounded():
     ctl = KSumControl(20)
     for N in (200, 400, 800):
         y = y_n(model, N, lev, f, tail_tol=1e-15).value
-        p = poisson_c01(N, model, lev, f, ctl)
+        [p] = poisson_c01([N], model, lev, f, ctl)
         assert N * abs(y - p.c0 * N - p.c1) < 1.0
 
 
@@ -181,7 +185,7 @@ def test_sphere_volume_term():
     E = 1.9
     lev = EnergyLevel.from_E(E)
     f = make_fourier_bump(0.0, 0.5)  # only k = 0 in the support
-    p = poisson_c01(3, model, lev, f, KSumControl(6))
+    [p] = poisson_c01([3], model, lev, f, KSumControl(6))
     vol = 8.0 * math.pi**2 * E * model.R**2
     assert p.c0 == pytest.approx(general_c0_volume(complex(f.phi_hat(0.0)), vol, 2),
                                  rel=1e-15)
@@ -195,14 +199,14 @@ def test_hyperbolic_volume_term_and_guard():
     model = Hyperbolic(R=1.0, genus=2)
     lev = EnergyLevel.from_E(1.2)
     f = make_fourier_bump(0.0, 1.0)
-    p = poisson_c01(6, model, lev, f, KSumControl(6))
+    [p] = poisson_c01([6], model, lev, f, KSumControl(6))
     vol = TWO_PI**2 * (2 * model.genus - 2) * lev.E * model.R**2
     assert p.c0 == pytest.approx(general_c0_volume(complex(f.phi_hat(0.0)), vol, 2),
                                  rel=1e-13)
     # boundary guard: 1.41 passes, sqrt(2) does not
-    poisson_c01(6, model, EnergyLevel.from_E(1.41), f, KSumControl(6))
+    poisson_c01([6], model, EnergyLevel.from_E(1.41), f, KSumControl(6))
     with pytest.raises(ManeLevelError) as exc:
-        poisson_c01(6, model, EnergyLevel.from_E(SQRT2), f, KSumControl(6))
+        poisson_c01([6], model, EnergyLevel.from_E(SQRT2), f, KSumControl(6))
     assert exc.value.boundary == pytest.approx(SQRT2, rel=1e-15)
 
 
@@ -211,7 +215,7 @@ def test_hyperbolic_wide_k_oracle():
     E = 1.2
     lev = EnergyLevel.from_E(E)
     f = make_gaussian(0.25)  # wide transform so k = +-1 terms matter
-    p = poisson_c01(6, model, lev, f, KSumControl(10))
+    [p] = poisson_c01([6], model, lev, f, KSumControl(10))
     q = math.sqrt(1.0 / model.R**2 + 1.0 - E * E)
     g2 = 2.0 * model.genus - 2.0
     ks = np.arange(-50, 51)
@@ -247,7 +251,7 @@ def test_torus_k0_term_equals_volume_route():
     E = 2.0
     lev = EnergyLevel.from_E(E)
     f = make_fourier_bump(0.0, 0.5)  # only k = 0 in the support
-    p = poisson_c01(4, Torus(), lev, f, KSumControl(4))
+    [p] = poisson_c01([4], Torus(), lev, f, KSumControl(4))
     assert p.c0 == pytest.approx(
         general_c0_volume(complex(f.phi_hat(0.0)), TWO_PI * E, 2), rel=1e-15)
 
@@ -314,7 +318,7 @@ def test_maslov_rotation_count_equals_closed_form(eps):
 def test_katok_zero_period_window():
     eps = 1.0 / math.sqrt(5.0)
     f = make_gaussian(1.0)  # effective hat support well inside (-T#, T#)
-    p = katok_c0(3, eps, f, KSumControl(4))
+    [p] = katok_c0([3], eps, f, KSumControl(4))
     assert p.d == 1.0
     # exact shell volume 2 pi E * 4 pi/(1 - eps^2); the published display
     # drops the (1-eps^2)^{-1} (valid only modulo eps^2)
@@ -328,7 +332,7 @@ def test_katok_isolated_orbit_window_matches_assembly():
     Tsharp = TWO_PI * SQRT2 / (1.0 - eps * eps)
     f = make_fourier_bump(Tsharp, 0.4)  # isolates k = 1 for both branches
     N = 4
-    p = katok_c0(N, eps, f, KSumControl(4))
+    [p] = katok_c0([N], eps, f, KSumControl(4))
     assert p.d == 0.0
     lev = EnergyLevel.from_E(SQRT2)
     inv = {o.orientation: o for o in Katok(eps).closed_orbits(lev.E, lev.c).orbits}
@@ -347,7 +351,7 @@ def test_katok_isolated_orbit_window_matches_assembly():
 def test_katok_empty_window():
     eps = 1.0 / math.sqrt(5.0)
     f = make_fourier_bump(5.0, 0.5)  # no period inside [4.5, 5.5]
-    p = katok_c0(2, eps, f, KSumControl(4))
+    [p] = katok_c0([2], eps, f, KSumControl(4))
     assert p.c0 == 0.0 and p.d == 0.0
 
 
@@ -356,11 +360,11 @@ def test_katok_mixed_support_rejected():
     Tsharp = TWO_PI * SQRT2 / (1.0 - eps * eps)
     f = make_fourier_bump(Tsharp / 2.0, Tsharp / 2.0 + 0.5)  # covers 0 and T#
     with pytest.raises(MixedSupportError):
-        katok_c0(2, eps, f, KSumControl(4))
+        katok_c0([2], eps, f, KSumControl(4))
     # a support of about 54,000 nonzero periods: the message names their
     # number and the first and last, on one short line
     with pytest.raises(MixedSupportError) as exc:
-        katok_c0(3, eps, make_gaussian(2e-5), KSumControl(4))
+        katok_c0([3], eps, make_gaussian(2e-5), KSumControl(4))
     msg = str(exc.value)
     assert len(msg) < 300 and "\n" not in msg
     assert "53612 nonzero period(s)" in msg and "-26806 to 26806" in msg
@@ -374,7 +378,7 @@ def test_katok_k_tail_covers_the_periods_k_max_leaves_out():
     omitted = sum(amp * float(f.phi_hat(k * Tsharp))
                   / abs(math.sin(math.pi * k / (1.0 - b * eps)))
                   for k in (1, 5) for b in (1, -1))
-    tails = {katok_c0(40, eps, f, KSumControl(k_max), support_tol=1e-3).k_tail
+    tails = {katok_c0([40], eps, f, KSumControl(k_max), support_tol=1e-3)[0].k_tail
              for k_max in (4, 9, 12)}
     assert len(tails) == 1 and tails.pop() >= omitted > 2e-3
 
@@ -382,8 +386,8 @@ def test_katok_k_tail_covers_the_periods_k_max_leaves_out():
 def test_katok_tiny_resonance_margin_is_accepted():
     # the guard's reach is taken at 1e-25 * margin / amp, below 1/DBL_MAX here
     eps, f = 1.0 / math.sqrt(5.0), make_gaussian(1.0)
-    p = katok_c0(3, eps, f, KSumControl(4, resonance_margin=1e-290))
-    assert p.k_tail == pytest.approx(katok_c0(3, eps, f, KSumControl(4)).k_tail, rel=1e-12)
+    [p] = katok_c0([3], eps, f, KSumControl(4, resonance_margin=1e-290))
+    assert p.k_tail == pytest.approx(katok_c0([3], eps, f, KSumControl(4))[0].k_tail, rel=1e-12)
 
 
 def test_katok_scan_past_the_k_cap_is_refused():
@@ -391,7 +395,7 @@ def test_katok_scan_past_the_k_cap_is_refused():
     # before the support is scanned, so no width makes that scan run long
     f = make_fourier_bump(1.5e6, 0.5e6)
     with pytest.raises(ValidationError, match="k is capped"):
-        katok_c0(4, 1.0 / math.sqrt(5.0), f, KSumControl(4))
+        katok_c0([4], 1.0 / math.sqrt(5.0), f, KSumControl(4))
 
 
 def test_katok_resonance_detection():
@@ -406,6 +410,97 @@ def test_katok_resonance_detection():
     # a generic irrational-like eps is clean on both branches
     for branch in (+1, -1):
         assert abs(katok_term_closed(1, 0.3, 1, branch, 1.0)) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# k-sums over an N grid
+# ---------------------------------------------------------------------------
+
+_LADDERS = [(Torus(), 2.0), (Sphere(R=0.5), SQRT2), (Hyperbolic(R=1.0, genus=2), 1.2)]
+_GRID_HATS = {"gaussian": lambda T: make_gaussian(1.0),
+              "modulated": lambda T: make_gaussian_modulated(1.0, 0.5),
+              "bump": lambda T: make_fourier_bump(T, 0.5)}
+_GRIDS = st.lists(st.integers(1, 10**6), min_size=1, max_size=10, unique=True).map(sorted)
+
+
+def _bits(p):
+    return (p.N, *(x.hex() for x in (p.c0.real, p.c0.imag, p.c1.real, p.c1.imag,
+                                     p.d, p.k_tail)))
+
+
+@pytest.mark.parametrize("hat", sorted(_GRID_HATS))
+@pytest.mark.parametrize("model,E", _LADDERS, ids=["torus", "sphere", "hyperbolic"])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(Ns=_GRIDS)
+def test_poisson_grid_equals_single_N_calls(model, E, hat, Ns):
+    lev = EnergyLevel.from_E(E)
+    freq = model.k_frequency(E)
+    f = _GRID_HATS[hat](freq)
+    ctl = KSumControl.for_function(f, freq, 1e-15)
+    grid = poisson_c01(Ns, model, lev, f, ctl)
+    assert [_bits(p) for p in grid] == [_bits(poisson_c01([N], model, lev, f, ctl)[0])
+                                        for N in Ns]
+
+
+@pytest.mark.parametrize("regime", ["zero_period", "tsharp"])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(Ns=_GRIDS)
+def test_katok_grid_equals_single_N_calls(regime, Ns):
+    eps = 1.0 / math.sqrt(5.0)
+    Tsharp = Katok(eps).k_frequency(SQRT2)
+    f = make_gaussian(1.0) if regime == "zero_period" else make_fourier_bump(Tsharp, 0.4)
+    grid = katok_c0(Ns, eps, f, KSumControl(4))
+    assert grid[0].d == (1.0 if regime == "zero_period" else 0.0)
+    assert [_bits(p) for p in grid] == [_bits(katok_c0([N], eps, f, KSumControl(4))[0])
+                                        for N in Ns]
+
+
+@pytest.mark.parametrize("model,E", _LADDERS, ids=["torus", "sphere", "hyperbolic"])
+def test_grid_past_double_range_is_refused_at_its_first_such_N(model, E):
+    # k_max * theta(N) overflows from N = 1e307; the first such N is named
+    lev, f, ctl = EnergyLevel.from_E(E), make_gaussian(1.0), KSumControl(100)
+    with pytest.raises(ValidationError) as single:
+        poisson_c01([10**307], model, lev, f, ctl)
+    with pytest.raises(ValidationError) as grid:
+        poisson_c01([5, 10**307, 10**308], model, lev, f, ctl)
+    assert str(grid.value) == str(single.value)
+    assert "N=" + str(10**307) in str(grid.value)
+
+
+def _counted(f, calls):
+    """f with every hat and hat-bound evaluation counted in calls."""
+    def count(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+    return dataclasses.replace(
+        f, phi_hat=count("phi_hat", f.phi_hat), phi_hat_d1=count("phi_hat_d1", f.phi_hat_d1),
+        phi_hat_d2=count("phi_hat_d2", f.phi_hat_d2),
+        _hat_abs_fn=lambda order, u: count(f"hat_abs_bound {order}", f._hat_abs_fn)(order, u))
+
+
+_EPS5 = 1.0 / math.sqrt(5.0)
+_TSHARP5 = Katok(_EPS5).k_frequency(SQRT2)
+_ALL_ONCE = {"phi_hat": 1, "phi_hat_d1": 1, "phi_hat_d2": 1,
+             "hat_abs_bound 0": 1, "hat_abs_bound 1": 1, "hat_abs_bound 2": 1}
+_KATOK_ONCE = {"phi_hat": 1, "hat_abs_bound 0": 1}
+
+
+@pytest.mark.parametrize("model,E,f,expect", [
+    (Torus(), 2.0, make_gaussian(1.0), _ALL_ONCE),
+    (Sphere(R=0.5), SQRT2, make_gaussian_modulated(1.0, 0.5), _ALL_ONCE),
+    (Hyperbolic(R=1.0, genus=2), 1.2, make_fourier_bump(0.0, 1.0), _ALL_ONCE),
+    (Katok(_EPS5), SQRT2, make_gaussian(1.0), _KATOK_ONCE),
+    (Katok(_EPS5), SQRT2, make_fourier_bump(_TSHARP5, 0.4), _KATOK_ONCE),
+], ids=["torus", "sphere", "hyperbolic", "katok-zero-period", "katok-tsharp"])
+def test_predict_evaluates_each_hat_once_per_grid(model, E, f, expect):
+    calls = Counter()
+    ctl = KSumControl.for_function(f, model.k_frequency(E), 1e-15)
+    preds = model.predict(list(range(100, 1001, 100)), EnergyLevel.from_E(E),
+                          _counted(f, calls), ctl, 1e-12)
+    assert [p.N for p in preds] == list(range(100, 1001, 100))
+    assert calls == expect
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +552,7 @@ def test_k_tail_dominates_brute_force(model, E, hat, k_max):
     members = _K_HATS[hat](freq)
     f = _build(members)
     ctl = KSumControl(0) if k_max == "small" else KSumControl.for_function(f, freq, 1e-15)
-    k_tail = model.predict(40, EnergyLevel.from_E(E), f, ctl, 1e-12).k_tail
+    k_tail = model.predict([40], EnergyLevel.from_E(E), f, ctl, 1e-12)[0].k_tail
     reach = (abs(f.hat_center) + f.hat_radius(1e-300)) / freq
     ks = [k for k in range(-10 * int(reach) - 10, 10 * int(reach) + 11) if k]
     with mpmath.workdps(40):

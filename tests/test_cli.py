@@ -673,3 +673,20 @@ def test_spectral_commands_leave_numpy_polynomial_unloaded(tmp_path):
                          text=True, check=True)
     assert out.stdout.strip() == "0 0 0 []"
     assert [len(list((tmp_path / sub).iterdir())) for sub, _ in runs] == [1, 1, 1]
+
+
+def test_hyperbolic_dynamics_leaves_numpy_random_unloaded(tmp_path):
+    # the hyperbolic surface has no Monte Carlo domain, so no generator is built
+    cfg = _base_cfg(geometry={"kind": "hyperbolic", "R": 1.0, "genus": 2}, E=1.2,
+                    mc_samples=100_000, orbit_samples=16)
+    del cfg["test_function"], cfg["N"]
+    argv = ["dynamics", "--config", _write_cfg(tmp_path, "cfg.json", cfg),
+            "--out", str(tmp_path / "out")]
+    code = ("import sys; from magtrace import cli; "
+            f"code = cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+    report = json.loads((tmp_path / "out" / "invariants.json").read_text())
+    assert report["liouville_volume"]["mc_estimate"] is None

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -298,6 +299,21 @@ def test_bump_phi_dtype():
     assert real.phi(xs).dtype == np.float64
     assert isinstance(real.phi(1.5), np.float64)
     assert make_fourier_bump(2.0, 0.5).phi(xs).dtype == np.complex128
+
+
+def test_bump_phi_peak_memory_is_cache_sized():
+    # the cosine sum runs in blocks of 64 rows (256 KB), so a 1000-point call
+    # never holds the whole (1000 x 512) table of cosines
+    f = make_fourier_bump(2.0, 0.5)
+    xs = np.linspace(-50.0, 50.0, 1000)
+    f.phi(xs[:1])  # builds the shared cosine table
+    tracemalloc.start()
+    try:
+        f.phi(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
