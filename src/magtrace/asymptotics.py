@@ -36,18 +36,19 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
 from .errors import (DegenerateOrbitError, MixedSupportError, ResonanceError,
                      ValidationError)
+from .floats import block, each, fsum_complex, maximum, nonzero, xp
 from .geometry import Katok, half_lattice_distance, katok_maslov_closed
-from .spectra import EnergyLevel
+from .spectra import EnergyLevel, _check_Nj
 from .testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
-# Largest k_max and k-tail reach (2 k_max + 1 terms, about 0.15 s and 26 MB at the cap)
+# Largest k_max and k-tail reach: 2 k_max + 1 terms, on numpy arrays past
+# floats.FLOAT_BLOCK of them.  At the cap a gaussian predict takes about 0.07 s
+# and 19 MB over a process with numpy loaded (2 cores of a Xeon, Python 3.11).
 MAX_K_MAX = 100_000
 _HAT_FLOOR = 1e-300  # the k-tails sum term by term out to the reach at this level
 
@@ -96,15 +97,10 @@ class CoefficientPrediction:
     k_tail: float
 
 
-def _fsum_complex(terms) -> complex:
-    arr = np.asarray(terms, dtype=complex)
-    return complex(math.fsum(arr.real), math.fsum(arr.imag))
-
-
 def _k_order(k_lo: int, k_hi: int):
     """The periods k_lo, -k_lo, k_lo + 1, ..., k_hi, -k_hi: the fixed order
-    of every k-sum and k-tail."""
-    return np.outer(np.arange(k_lo, k_hi + 1), [1, -1]).ravel()
+    of every k-tail, a list or an array by their count (``floats.block``)."""
+    return block(k_lo, k_hi, (1, -1))
 
 
 def _k_reach(f: TestFunction, freq: float, tol: float) -> float:
@@ -122,7 +118,7 @@ def _tail_periods(k_lo: int, k_reach: float):
     weight of each: 1, but k_top at +-k_top (the module docstring's rule)."""
     k_top = max(k_lo - 1, int(k_reach)) + 1
     ks = _k_order(k_lo, k_top)
-    return ks, np.where(np.abs(ks) == k_top, float(k_top), 1.0)
+    return ks, each(lambda k: 1.0 + (abs(k) == k_top) * (k_top - 1.0), ks)
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +154,19 @@ def poisson_c01(Ns, model, level: EnergyLevel, f: TestFunction,
         images.append(terms)
     if not images:
         return []
-    ks = np.concatenate(([0], _k_order(1, ctl.k_max)))
-    xi = ks * freq
-    hats = [np.asarray(h(xi), dtype=complex) for h in (f.phi_hat, f.phi_hat_d1, f.phi_hat_d2)]
-    u = np.abs(tail_ks * freq - f.hat_center)
-    # bound, unlike terms, is the same at every N
-    k_tail = math.fsum(weight * bound(tail_ks, *(f.hat_abs_bound(order, u)
-                                                 for order in range(3))))
+    ks = block(-ctl.k_max, ctl.k_max)  # in any order: the sums are exact
+    hats = [each(lambda k: h(k * freq), ks) for h in (f.phi_hat, f.phi_hat_d1, f.phi_hat_d2)]
+
+    def tail_term(k, wt):
+        # bound, unlike terms, is the same at every N
+        u = abs(k * freq - f.hat_center)
+        return wt * bound(k, *(f.hat_abs_bound(order, u) for order in range(3)))
+    k_tail = math.fsum(each(tail_term, tail_ks, weight))
     preds = []
     for N, terms in zip(Ns, images):
-        c0_terms, c1_terms = terms(ks, *hats)
-        preds.append(CoefficientPrediction(N=int(N), c0=_fsum_complex(c0_terms),
-                                           c1=_fsum_complex(c1_terms), d=1.0, k_tail=k_tail))
+        c0_terms, c1_terms = each(terms, ks, *hats, width=2)
+        preds.append(CoefficientPrediction(N=int(N), c0=fsum_complex(c0_terms),
+                                           c1=fsum_complex(c1_terms), d=1.0, k_tail=k_tail))
     return preds
 
 
@@ -274,8 +271,7 @@ def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
     """
     Tsharp = Katok(eps).k_frequency(SQRT2)  # refuses eps outside (0, 1)
     for N in Ns:
-        if not (isinstance(N, (int, np.integer)) and N >= 1):
-            raise ValidationError(f"N must be a positive integer, got {N}")
+        _check_Nj(N, 0)
     amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
     margin = ctl.resonance_margin
     lo, hi = f.hat_support_interval(support_tol)
@@ -289,16 +285,23 @@ def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
     # reach past the support and every period whose capped term can pass 1e-25
     ks, weight = _tail_periods(1, _k_reach(f, Tsharp, min(_HAT_FLOOR, support_tol,
                                                             1e-25 * margin / amp)))
-    in_support = (lo <= ks * Tsharp) & (ks * Tsharp <= hi)
-    k_in = ks[in_support].tolist()
-    # one column per branch: the guard takes the first hit in ks's order, + first
-    h = f.hat_abs_bound(0, np.abs(ks * Tsharp - f.hat_center))[:, None]
-    sin = np.abs(np.sin(np.pi * ks[:, None] / (1.0 - np.array([1.0, -1.0]) * eps)))
-    omitted = ~in_support[:, None]
-    hits = np.argwhere(omitted & (sin <= margin) & (amp * h / margin > 1e-25))
-    if hits.size:
-        _katok_resonance_guard(int(ks[hits[0, 0]]), (1, -1)[hits[0, 1]], eps, margin)
-    k_tail = math.fsum((omitted * weight[:, None] * amp * h / np.maximum(sin, margin)).ravel())
+    omitted = each(lambda k: (k * Tsharp < lo) | (k * Tsharp > hi), ks)
+    k_in = [int(k) for k, out in zip(ks, omitted) if not out]
+    h = each(lambda k: f.hat_abs_bound(0, abs(k * Tsharp - f.hat_center)), ks)
+    hits, bounds = [], []  # one column per branch, + first
+    for branch in (1.0, -1.0):
+        arg = each(lambda k: math.pi * k / (1.0 - branch * eps), ks)
+        sin = each(lambda t: abs(xp(t).sin(t)), arg)
+        hits.append(nonzero(each(lambda out, s, hk: out & (s <= margin)
+                                 & (amp * hk / margin > 1e-25), omitted, sin, h)))
+        bounds.append(each(lambda out, wt, hk, s: out * wt * amp * hk / maximum(s, margin),
+                           omitted, weight, h, sin))
+    # the guard takes the first hit in ks's order, + first
+    firsts = [(int(at[0]), n) for n, at in enumerate(hits) if len(at)]
+    if firsts:
+        i, n = min(firsts)
+        _katok_resonance_guard(int(ks[i]), (1, -1)[n], eps, margin)
+    k_tail = math.fsum(b for column in bounds for b in column)
 
     if zero_in or not k_in:
         # exact energy-shell volume 2 pi E * 4 pi/(1-eps^2); the published
@@ -311,8 +314,8 @@ def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
 
     hats = [complex(f.phi_hat(k * Tsharp)) for k in k_in]
     return [CoefficientPrediction(
-        N=int(N), c0=_fsum_complex([katok_term_closed(N, eps, k, branch, hat, margin)
-                                    for k, hat in zip(k_in, hats) for branch in (+1, -1)]),
+        N=int(N), c0=fsum_complex([katok_term_closed(N, eps, k, branch, hat, margin)
+                                   for k, hat in zip(k_in, hats) for branch in (+1, -1)]),
         c1=0.0 + 0.0j, d=0.0, k_tail=k_tail) for N in Ns]
 
 
@@ -346,10 +349,20 @@ class ResidualReport:
 
 
 def _median(values) -> float:
-    """np.median's value, without the numpy.ma import np.median makes."""
+    """np.median's value, on Python floats."""
     s = sorted(values)
     m = len(s) // 2
     return float(s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2)
+
+
+def _slope(points) -> float:
+    """Least-squares slope of log r against log N over (N, r) points: the
+    closed form of a degree-1 fit, with centred sums taken exactly."""
+    lx = [math.log(n) for n, _ in points]
+    ly = [math.log(r) for _, r in points]
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    return (math.fsum((x - mx) * (y - my) for x, y in zip(lx, ly))
+            / math.fsum((x - mx) ** 2 for x in lx))
 
 
 def residual_report(traces: list, preds: list) -> ResidualReport:
@@ -380,9 +393,7 @@ def residual_report(traces: list, preds: list) -> ResidualReport:
 
     usable = [(n, abs(r)) for n, r, fl in zip(Ns, res, floors) if abs(r) > fl]
     if len(usable) >= 2:
-        ln = np.log([u[0] for u in usable])
-        lr = np.log([u[1] for u in usable])
-        slope = float(np.polyfit(ln, lr, 1)[0])
+        slope = _slope(usable)
         converged = False
     else:
         slope = None

@@ -17,8 +17,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
+# dynamics is registered lazily by __init__: it, ode and numpy load on first use
 from . import asymptotics, dynamics, geometry, spectra, testfn, tracesum
 from .errors import MagtraceError, ValidationError, number as _number, read_kind
 
@@ -40,10 +39,10 @@ _MAX_MC_SAMPLES = 10_000_000
 def _fmt(x) -> str:
     if type(x) is float:
         return format(x, ".17g")
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     if isinstance(x, str):
         return x
     return format(float(x), ".17g")
@@ -56,6 +55,7 @@ def _csv(header, rows) -> str:
 
 def _float_csv(header, columns) -> str:
     """A table of float64 columns in one format call; "%.17g" is _fmt's float format."""
+    import numpy as np
     values = np.column_stack(columns).ravel().tolist()
     line = ",".join(["%.17g"] * len(header)) + "\n"
     return ",".join(header) + "\n" + line * len(columns[0]) % tuple(values)
@@ -290,6 +290,7 @@ def cmd_katok(cfg):
     k_list = [_number(k, "k_list entry", integer=True, signed=True, cap=_MAX_PERIODS)
               for k in k_list]
 
+    import numpy as np
     monodromy, analytic = {}, {}
     max_mono_dev = 0.0
     for label in ("+", "-"):

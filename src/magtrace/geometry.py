@@ -9,7 +9,11 @@ one Landau ladder and its Poisson image (``ConstantCurvature``: ``ladder``,
 Each class owns its magnetic flow with its charts and closed orbits
 (``dynamics``).  Each field is the quantized one its closed forms need: the
 chart constant B is 2pi on the torus, 1/2 on the sphere and 1 on the
-hyperbolic surface, so b = B/R^2 off the flat torus.
+hyperbolic surface, so b = B/R^2 off the flat torus.  The formulas take
+their functions from ``floats.xp``, so they run on Python floats or numpy
+arrays alike; numpy is imported only inside the methods that build arrays
+(the flow field, chart switches, Monte Carlo areas), which only the
+``dynamics`` and ``katok`` commands reach.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import dataclasses
 import math
 from typing import ClassVar
 
-import numpy as np
-
 from .errors import (ChartError, IntegratorError, ManeLevelError, ValidationError,
                      refuse_past_double_range)
+from .floats import cis
+from .floats import xp as _xp  # the flows name their module variable xp
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -44,6 +48,7 @@ class PhaseState:
     chart: str = "default"
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.q[0], self.q[1], self.p[0], self.p[1]], dtype=float)
 
 
@@ -95,12 +100,6 @@ def _circle_orbit(geo, E, c, T, L, hol, maslov=None, note=_NO_INDEX) -> ClosedOr
 # the geometries
 # ---------------------------------------------------------------------------
 
-def _xp(x):
-    """Where the flow formulas take sqrt, sin and cos from: ``math`` for a
-    Python float, numpy for anything else (an array or a numpy scalar)."""
-    return math if type(x) is float else np
-
-
 class Geometry:
     """What every example geometry provides; ``y`` is one state (q1, q2, p1, p2)
     or a (4, n) batch of them.  ``y`` may also be four Python floats: then
@@ -133,6 +132,7 @@ class Geometry:
 
     def closure_gap(self, y0, y1) -> float:
         """Largest coordinate difference of two states, modulo the loop periods."""
+        import numpy as np
         dq = np.array(y1[:2]) - np.array(y0[:2])
         dp = np.array(y1[2:]) - np.array(y0[2:])
         for i, period in enumerate(self.loop_periods):
@@ -170,11 +170,20 @@ class ConstantCurvature(Geometry):
         return self.area / TWO_PI
 
     def ladder(self, N, j):
+        """(nu, mult) of rung j at N (``ladder_at``)."""
+        return self.ladder_at(N)(j)
+
+    def ladder_at(self, N):
+        """The map j -> (nu, mult) of the ladder at N, for a number j or an
+        array of them, with its N-dependent constants formed once."""
         # c b (the flux per unit N) and c K (the Euler characteristic) are
         # integers, so mult is exact while c b N < 2^53
         b, K, c = self.field, self.curvature, self.measure_coeff
-        return (b * N * (2.0 * j + 1.0) + K * j * (j + 1.0),
-                round(c * b) * N + round(c * K) * (j + 0.5))
+        bN, flux, euler = b * N, round(c * b) * N, round(c * K)
+
+        def rung(j):
+            return bN * (2.0 * j + 1.0) + K * j * (j + 1.0), flux + euler * (j + 0.5)
+        return rung
 
     def j_of_lam(self, N, lam):
         """The root u of K u^2 + 2bN u + N^2 - K/4 - lam^2 = 0 that is regular at
@@ -200,10 +209,11 @@ class ConstantCurvature(Geometry):
     def poisson_image(self, N, E):
         """(bound on |phase argument|/|k|, terms, bound) of the k-sum at N, E.
 
-        terms(ks, h0, h1, h2) gives the c0 and c1 summands from phi_hat and its
-        two derivatives at ks * k_frequency(E), with the phase exp(-2pi i k j0),
+        terms(k, h0, h1, h2) gives the c0 and c1 summands from phi_hat and its
+        two derivatives at k * k_frequency(E), with the phase exp(-2pi i k j0),
         j0 = (E^2-1) N/(Q+b) - 1/2; bound(k, h0, h1, h2) bounds |summand k|
-        from bounds on them.
+        from bounds on them.  Both take one period k, on Python floats, or an
+        array of periods (``floats``).
         """
         b, K, c = self.field, self.curvature, self.measure_coeff
         w, s = self._circle_rate(E)
@@ -217,9 +227,9 @@ class ConstantCurvature(Geometry):
         a2 = math.pi * E * (1.0 - K / b / b) / (b * s**3)  # pi E (b^2 - K)/Q^3
         a0 = math.pi * K / b * E / (4.0 * s)  # pi K E/(4Q)
 
-        def terms(ks, h0, h1, h2):
-            phase = np.exp(1j * math.pi * half_turns * ks) * np.exp(-1j * ks * theta)
-            return c * E * h0 * phase, c * 1j * (h1 + a2 * ks * h2 - a0 * ks * h0) * phase
+        def terms(k, h0, h1, h2):
+            phase = cis(math.pi * half_turns * k) * cis(-k * theta)
+            return c * E * h0 * phase, c * 1j * (h1 + a2 * k * h2 - a0 * k * h0) * phase
 
         def bound(kk, h0, h1, h2):
             return c * (E * h0 + h1 + abs(a2 * kk) * h2 + abs(a0 * kk) * h0)
@@ -243,6 +253,7 @@ class Torus(ConstantCurvature):
         return _xp(p1).sqrt(p1 * p1 + p2 * p2 + 1.0)
 
     def flow(self, y):
+        import numpy as np
         q1, q2, p1, p2 = y
         H = self.hamiltonian(y)
         B = self.B
@@ -263,6 +274,7 @@ class Torus(ConstantCurvature):
     area: ClassVar[float] = 1.0
 
     def mc_area(self, rng, n):
+        import numpy as np
         return np.ones(n), 1.0
 
 
@@ -297,6 +309,7 @@ class Sphere(ConstantCurvature):
         return xp.sqrt((p1 * p1 + p2 * p2 / (s * s)) / (self.R * self.R) + 1.0)
 
     def flow(self, y):
+        import numpy as np
         q1, q2, p1, p2 = y
         H = self.hamiltonian(y)
         R2 = self.R * self.R
@@ -312,6 +325,7 @@ class Sphere(ConstantCurvature):
 
     def connection(self, y):
         """A = B (1 - cos theta) dphi, which trivializes the upper hemisphere only."""
+        import numpy as np
         if np.any(y[0] >= math.pi / 2.0):
             raise ValidationError(
                 "orbit leaves the upper hemisphere; the hemispheric "
@@ -325,6 +339,7 @@ class Sphere(ConstantCurvature):
 
     def _to_world(self, y, chart, H):
         """World position n and velocity dn/dt of a chart state."""
+        import numpy as np
         q1, q2, p1, p2 = y
         R = self.R
         s, c = math.sin(q1), math.cos(q1)
@@ -340,6 +355,7 @@ class Sphere(ConstantCurvature):
         return n, v
 
     def _from_world(self, n, v, chart, H):
+        import numpy as np
         R = self.R
         n_loc = n[self._axes(chart)]
         v_loc = v[self._axes(chart)]
@@ -373,6 +389,7 @@ class Sphere(ConstantCurvature):
         return 4.0 * math.pi * self.R * self.R
 
     def mc_area(self, rng, n):
+        import numpy as np
         th = rng.uniform(0.0, math.pi, n)
         return self.R * self.R * np.sin(th), math.pi * TWO_PI  # chart (0,pi) x (0,2pi)
 
@@ -440,6 +457,7 @@ class Hyperbolic(ConstantCurvature):
         return _xp(q2).sqrt((q2 * q2 / (self.R * self.R)) * (p1 * p1 + p2 * p2) + 1.0)
 
     def flow(self, y):
+        import numpy as np
         q1, q2, p1, p2 = y
         H = self.hamiltonian(y)
         R2 = self.R * self.R
@@ -490,6 +508,7 @@ class Hyperbolic(ConstantCurvature):
 
 def katok_first_integral(eps: float, y):
     """Conserved quantity P = p_phi + eps sin^2(theta)/(1 - eps^2 sin^2(theta))."""
+    import numpy as np
     s2 = np.sin(y[0]) ** 2
     return y[3] + eps * s2 / (1.0 - eps * eps * s2)
 
@@ -530,6 +549,7 @@ def katok_poincare_analytic(eps: float, E: float, orientation: str) -> KatokMono
     [[cos a, (1-e^2)/a sin a], [-a/(1-e^2) sin a, cos a]] (angle alpha),
     and |I - P| = 4 sin^2(alpha/2).
     """
+    import numpy as np
     Katok(eps)  # refuses eps outside (0, 1)
     if not E > 1.0:
         raise ValidationError(f"energy must exceed 1, got {E}")
@@ -577,6 +597,7 @@ class Katok(Geometry):
         return xp.sqrt(D * p1 * p1 + (D * D / s2) * p2 * p2 + 1.0)
 
     def flow(self, y):
+        import numpy as np
         q1, q2, p1, p2 = y
         H = self.hamiltonian(y)
         e = self.eps
@@ -595,6 +616,7 @@ class Katok(Geometry):
     def connection(self, y):
         """A = eps sin^2/(1-eps^2 sin^2) dphi (sign fixed by the branch pairing
         of the orbit actions)."""
+        import numpy as np
         s2 = np.sin(y[0]) ** 2
         return self.eps * s2 / (1.0 - self.eps**2 * s2) * self.flow(y)[1]
 
@@ -638,6 +660,7 @@ class Katok(Geometry):
         return 4.0 * math.pi / (1.0 - self.eps * self.eps)
 
     def mc_area(self, rng, n):
+        import numpy as np
         s = np.sin(rng.uniform(0.0, math.pi, n))
         return s / (1.0 - self.eps**2 * s**2) ** 1.5, math.pi * TWO_PI
 

@@ -28,21 +28,26 @@ dnu/dj = 2 mult/c).  One rule serves both sides of a window on every
 ladder: a rung's envelope is at most its mean over the unit step towards the
 window, so each tail compares with the integral of the envelope against
 c lam dlam, widened by the step of mult away from E N.
+
+A window's rungs are built on Python floats when its index block holds at
+most ``floats.FLOAT_BLOCK`` of them, as a gaussian's 4 to 35 do (s = 1), and
+on numpy arrays otherwise, as a bump's 700 to 1200 are; the formulas are the
+same for both.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 
-import numpy as np
-
 from .errors import ValidationError
+from .floats import block, each, xp
 from .geometry import ConstantCurvature, Hyperbolic, Sphere, Torus
 from .testfn import TestFunction
 
 # Largest ladder index range a window query may touch, checked before any
-# array is built: rungs 0..j_last, or j_first..N-1 on the finite hyperbolic
+# rung is built: rungs 0..j_last, or j_first..N-1 on the finite hyperbolic
 # ladder.  Only the window's own rungs are built and each tail bound costs
 # O(1), so the cap no longer guards memory; it keeps queries where the
 # offsets lam - E N, rounded to about eps E N, have been checked, until they
@@ -101,10 +106,22 @@ class SpectrumEntry:
 
 
 def _check_Nj(N, j):
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
+    # an int or a numpy integer, both of which have __index__
+    if not (hasattr(N, "__index__") and N >= 1):
         raise ValidationError(f"N must be a positive integer, got {N}")
-    if not (isinstance(j, (int, np.integer)) and j >= 0):
+    if not (hasattr(j, "__index__") and j >= 0):
         raise ValidationError(f"j must be a nonnegative integer, got {j}")
+
+
+def _rungs(model, N):
+    """The map j -> (nu, lam, mult) of the ladder at N, for an integer j or an
+    integer array of them."""
+    ladder = model.ladder_at(N)
+
+    def rung(j):
+        nu, mult = ladder(j)
+        return nu, xp(nu).sqrt(nu + N * N), mult
+    return rung
 
 
 def levels(model, N: int, j: int) -> SpectrumEntry:
@@ -121,9 +138,8 @@ def levels(model, N: int, j: int) -> SpectrumEntry:
             f"j={j} is outside the integrable range 0 <= j < N - 1/2 for N={N}; "
             "the requested eigenvalue belongs to the chaotic part of the spectrum"
         )
-    nu, mult = model.ladder(N, float(j))
-    return SpectrumEntry(N=int(N), j=int(j), nu=float(nu),
-                         lam=math.sqrt(nu + N * N), mult=int(mult))
+    nu, lam, mult = _rungs(model, N)(float(j))
+    return SpectrumEntry(N=int(N), j=int(j), nu=float(nu), lam=lam, mult=int(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +151,20 @@ class Window:
     """All eigenvalues with |lam - E N| <= radius, plus an omitted-tail bound.
 
     ``tail_bound`` dominates sum_{omitted} mult * |phi(lam - E N)| for the
-    test function the window was built for.
+    test function the window was built for.  The columns are lists of
+    Python numbers for a window built from at most ``floats.FLOAT_BLOCK``
+    rungs, numpy arrays for a larger one.
     """
 
     N: int
     E: float
     radius: float
-    j: np.ndarray
-    nu: np.ndarray
-    lam: np.ndarray
-    mult: np.ndarray
+    j: list
+    nu: list
+    lam: list
+    mult: list
+    x: list  # the offsets lam - E N
     tail_bound: float
-
-    @property
-    def x(self) -> np.ndarray:
-        """Window offsets lam - E*N."""
-        return self.lam - self.E * self.N
 
 
 def _tail_bound(model, N, E, env, J, up):
@@ -172,9 +186,8 @@ def _tail_bound(model, N, E, env, J, up):
     j_cap = model.j_cap(N)
     if J < 0 or (up and j_cap is not None and J > j_cap):
         return 0.0
-    nu, mult = model.ladder(N, float(J))
+    nu, lam, mult = _rungs(model, N)(float(J))
     mult_next = model.ladder(N, float(J + 1 if up else J - 1))[1]
-    lam = math.sqrt(nu + N * N)
     a = abs(lam - E * N)
     d = max(0.0, mult_next - mult)
     moment = env.halfline_moment(a, E * N, 1.0) if up else env.halfline_moment(a, lam, 0.0)
@@ -230,17 +243,15 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     env = f.time_env
     j_first, j_last = _window_indices(model, N, E, radius)
 
-    j = np.arange(j_first, j_last + 1, dtype=float)
-    nu, mult = model.ladder(N, j)
-    lam = np.sqrt(nu + N * N)
-    x = lam - E * N
-    kept = np.flatnonzero(np.abs(x) <= radius * (1.0 + 1e-15))
-    if kept.size:
-        sel = slice(int(kept[0]), int(kept[-1]) + 1)
-    else:
+    j = block(j_first, j_last)
+    nu, lam, mult = each(_rungs(model, N), j, width=3)
+    x = each(lambda lam: lam - E * N, lam)  # ascending, as lam is along a ladder
+    reach = radius * (1.0 + 1e-15)
+    sel = slice(bisect.bisect_left(x, -reach), bisect.bisect_right(x, reach))
+    if sel.start == sel.stop:
         # empty window: rungs with lam < E N go to the lower tail, the rest
         # (lam > E N, since none is kept) to the upper one
-        below = int(np.count_nonzero(x < 0.0))
+        below = bisect.bisect_left(x, 0.0)
         sel = slice(below, below)
     first_kept, last_kept = j_first + sel.start, j_first + sel.stop - 1
 
@@ -248,5 +259,5 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
             + _tail_bound(model, N, E, env, last_kept + 1, up=True)
             + model.chaotic_tail(N, E, env))
 
-    return Window(N=int(N), E=E, radius=radius, j=j[sel].astype(np.int64),
-                  nu=nu[sel], lam=lam[sel], mult=mult[sel], tail_bound=float(tail))
+    return Window(N=int(N), E=E, radius=radius, j=j[sel], nu=nu[sel], lam=lam[sel],
+                  mult=mult[sel], x=x[sel], tail_bound=float(tail))

@@ -39,9 +39,8 @@ import functools
 import math
 from typing import Callable
 
-import numpy as np
-
 from .errors import ValidationError, read_kind, refuse_past_double_range
+from .floats import as_floats, cis
 
 TWO_PI = 2.0 * math.pi
 _EPS = 2.0**-52
@@ -96,8 +95,8 @@ class GaussianEnvelope:
     scale: float
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.amp * np.exp(-np.square(u) / (2.0 * self.scale**2))
+        u, m = as_floats(u)
+        return self.amp * m.exp(-(u * u) / (2.0 * self.scale**2))
 
     def halfline_moment(self, a: float, c0: float, c1: float) -> float:
         """Exact integral_a^inf (c0 + c1*x) env(x) dx  (a > 0)."""
@@ -127,6 +126,7 @@ class PowerEnvelope:
                      for (k1, d1), (k2, d2) in zip(self.legs, self.legs[1:]))
 
     def __call__(self, x):
+        import numpy as np
         # clipping |x| only raises the nonincreasing envelope, and keeps w|x| finite
         u = self.w * np.minimum(np.abs(np.asarray(x, dtype=float)), 1e300 / self.w)
         k, d = (np.array(c, dtype=float) for c in zip(*self.legs))
@@ -165,8 +165,11 @@ def _power_integral(p: float, q: float, e: int) -> float:
 class TestFunction:
     """A Schwartz function with explicit evaluators for both transform sides.
 
-    All evaluators are pure, vectorized over numpy arrays, and safe to call
-    concurrently; instances are immutable after construction.
+    All evaluators are pure and safe to call concurrently, and take a Python
+    float or anything numpy reads as an array.  A gaussian's run on ``math``
+    for a Python float, so a gaussian command never imports numpy, and on
+    numpy otherwise (``floats.as_floats``); a bump's always run on numpy.
+    Instances are immutable after construction.
 
     Attributes
     ----------
@@ -260,21 +263,23 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
     amp = s * math.sqrt(TWO_PI)
 
     def phi(x):
-        x = np.asarray(x, dtype=float)
-        g = np.exp(-np.square(x) / (2.0 * s * s))
-        return g * np.exp(1j * b * x) if b != 0.0 else g
+        x, m = as_floats(x)
+        g = m.exp(-(x * x) / (2.0 * s * s))
+        return g * cis(b * x) if b != 0.0 else g
 
     def phi_hat(xi):
-        u = np.asarray(xi, dtype=float) - b
-        return amp * np.exp(-s * s * np.square(u) / 2.0)
+        xi, m = as_floats(xi)
+        u = xi - b
+        return amp * m.exp(-s * s * (u * u) / 2.0)
 
     def phi_hat_d1(xi):
-        u = np.asarray(xi, dtype=float) - b
-        return -s * s * u * phi_hat(xi)
+        xi, _ = as_floats(xi)
+        return -s * s * (xi - b) * phi_hat(xi)
 
     def phi_hat_d2(xi):
-        u = np.asarray(xi, dtype=float) - b
-        return (s**4 * np.square(u) - s * s) * phi_hat(xi)
+        xi, _ = as_floats(xi)
+        u = xi - b
+        return (s**4 * (u * u) - s * s) * phi_hat(xi)
 
     # -log(tol), not log(1/tol): 1/tol overflows for tol below 1/DBL_MAX
     def radius(tol):
@@ -291,14 +296,14 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
         # |phi_hat| widened outward by 8 eps (1 + arg): the three roundings of
         # the exponent arg move exp by up to 1.5 eps arg, and the dozen or so
         # around it, those of each order's factor included, by under 8 eps
-        u = np.asarray(u, dtype=float)
-        arg = half_s2 * np.square(u)
-        e = np.exp(-arg) * (amp + widen * (1.0 + arg))
+        u, m = as_floats(u)
+        arg = half_s2 * (u * u)
+        e = m.exp(-arg) * (amp + widen * (1.0 + arg))
         if order == 0:
             return e
         if order == 1:
-            return s * s * np.abs(u) * e
-        return (s**4 * np.square(u) + s * s) * e
+            return s * s * abs(u) * e
+        return (s**4 * (u * u) + s * s) * e
 
     return TestFunction(
         kind="gaussian_modulated", complex_valued=(b != 0.0),
@@ -313,6 +318,7 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
 def _bump_psi(t, form=lambda e, t, om: e):
     """form(psi(t), t, 1 - t^2) inside |t| < 1, for the unit bump
     psi(t) = exp(-1/(1-t^2)) (psi itself by default); exactly 0 outside."""
+    import numpy as np
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
@@ -346,6 +352,7 @@ def _bump_cosine_table():
 
 def _bump_cosine_sum(u, coeff):
     """g(u) = sum_m coeff_m cos(t_m u) over the shared positive nodes, u 1-D."""
+    import numpy as np
     t, _ = _bump_cosine_table()
     out = np.empty(u.shape)
     for i in range(0, u.size, _BUMP_BLOCK):
@@ -384,6 +391,7 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     real_valued = (tau0 == 0.0)
 
     def phi(x):
+        import numpy as np
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).ravel()
         out = np.zeros(flat.shape, dtype=(float if real_valued else complex))
@@ -396,15 +404,14 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         return out.reshape(np.shape(x)) if np.ndim(x) else out[0]
 
     def phi_hat(xi):
-        xi = np.asarray(xi, dtype=float)
-        return _bump_psi((xi - tau0) / w)
+        return _bump_psi((as_floats(xi)[0] - tau0) / w)
 
     def phi_hat_d1(xi):
-        return _bump_psi((np.asarray(xi, dtype=float) - tau0) / w,
+        return _bump_psi((as_floats(xi)[0] - tau0) / w,
                          lambda e, t, om: e * (-2.0 * t) / (w * om * om))
 
     def phi_hat_d2(xi):
-        return _bump_psi((np.asarray(xi, dtype=float) - tau0) / w,
+        return _bump_psi((as_floats(xi)[0] - tau0) / w,
                          lambda e, t, om: e * 2.0 * (3.0 * t**4 - 1.0) / (w * w * om**4))
 
     def radius(tol):
@@ -418,6 +425,7 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
 
     def hat_abs(order, u):
         # crude but safe sup-norm caps inside the support, exact zero outside
+        import numpy as np
         caps = (0.3679, 1.0 / w, 12.0 / (w * w))
         u = np.asarray(u, dtype=float)
         return np.where(u > w, 0.0, caps[order])

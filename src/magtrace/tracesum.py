@@ -5,15 +5,17 @@ accumulated with Shewchuk exact summation (``math.fsum``), which returns
 the correctly rounded value of the underlying real sum.  The result is
 therefore reproducible bit-for-bit regardless of summation order, which
 is stronger than the compensated-accumulation requirement it discharges.
+A window of a few rungs is summed on Python floats and a larger one on numpy
+arrays (``floats``), so a gaussian sum imports no numpy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
-import numpy as np
-
+from .floats import each, fsum_complex
 # the module-level name enumerate_window is also read by perfbench/test_checks.py
 from .spectra import EnergyLevel, enumerate_window
 from .testfn import TestFunction
@@ -37,8 +39,8 @@ def y_n(model, N: int, level: EnergyLevel, f: TestFunction,
         tail_tol: float = 1e-14) -> TraceValue:
     """Evaluate Y_N(phi) over the certified window around E*N."""
     window = enumerate_window(model, N, level, f, tail_tol)
-    weighted = window.mult * np.asarray(f.phi(window.x))
-    # a real array's .imag is zeros, whose fsum is 0.0, as is an empty one's
-    return TraceValue(N=int(N), value=complex(math.fsum(weighted.real), math.fsum(weighted.imag)),
-                      tail_bound=window.tail_bound, abs_sum=math.fsum(np.abs(weighted)))
+    weighted = each(operator.mul, window.mult, each(f.phi, window.x))
+    # a real value's .imag is 0.0, as is the fsum of an empty window
+    return TraceValue(N=int(N), value=fsum_complex(weighted), tail_bound=window.tail_bound,
+                      abs_sum=math.fsum(each(abs, weighted)))
 

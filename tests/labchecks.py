@@ -14,9 +14,10 @@ import math
 
 import numpy as np
 
-from magtrace.asymptotics import (_HAT_FLOOR, MAX_K_MAX, KSumControl, _fsum_complex,
-                                  _k_order, _k_reach, _tail_periods)
+from magtrace.asymptotics import (_HAT_FLOOR, MAX_K_MAX, KSumControl, _k_order, _k_reach,
+                                  _tail_periods)
 from magtrace.errors import ValidationError
+from magtrace.floats import fsum_complex
 from magtrace.testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
@@ -136,7 +137,7 @@ def poisson_check(f: TestFunction, P: float, t: float) -> PoissonReport:
                               f"bring |phi| below {term_tol:g}; capped at {MAX_K_MAX:,}")
     step = TWO_PI / P
     k_max = KSumControl.for_function(f, step, term_tol).k_max
-    tail_ks, weight = _tail_periods(k_max + 1, _k_reach(f, step, _HAT_FLOOR))
+    tail_ks, weight = map(np.asarray, _tail_periods(k_max + 1, _k_reach(f, step, _HAT_FLOOR)))
 
     xs = t + P * np.arange(math.floor((-R - t) / P) - 1, math.ceil((R - t) / P) + 2)
     env = f.time_env
@@ -145,5 +146,5 @@ def poisson_check(f: TestFunction, P: float, t: float) -> PoissonReport:
     ks = np.concatenate(([0], _k_order(1, k_max)))
     terms = f.phi_hat(step * ks) * np.exp(2j * math.pi * ks * t / P) / P
     rhs_tail = math.fsum(weight * f.hat_abs_bound(0, np.abs(tail_ks * step - f.hat_center))) / P
-    return PoissonReport(lhs=_fsum_complex(f.phi(xs)), rhs=_fsum_complex(terms),
+    return PoissonReport(lhs=fsum_complex(f.phi(xs)), rhs=fsum_complex(terms),
                          lhs_tail=lhs_tail, rhs_tail=rhs_tail)

@@ -468,10 +468,11 @@ def test_grid_past_double_range_is_refused_at_its_first_such_N(model, E):
 
 
 def _counted(f, calls):
-    """f with every hat and hat-bound evaluation counted in calls."""
+    """f with the points of every hat and hat-bound evaluation counted in calls:
+    one per Python float, one per element of an array."""
     def count(name, fn):
         def wrapped(*args):
-            calls[name] += 1
+            calls[name] += np.size(args[-1])
             return fn(*args)
         return wrapped
     return dataclasses.replace(
@@ -482,9 +483,9 @@ def _counted(f, calls):
 
 _EPS5 = 1.0 / math.sqrt(5.0)
 _TSHARP5 = Katok(_EPS5).k_frequency(SQRT2)
-_ALL_ONCE = {"phi_hat": 1, "phi_hat_d1": 1, "phi_hat_d2": 1,
-             "hat_abs_bound 0": 1, "hat_abs_bound 1": 1, "hat_abs_bound 2": 1}
-_KATOK_ONCE = {"phi_hat": 1, "hat_abs_bound 0": 1}
+_ALL_ONCE = ("phi_hat", "phi_hat_d1", "phi_hat_d2",
+             "hat_abs_bound 0", "hat_abs_bound 1", "hat_abs_bound 2")
+_KATOK_ONCE = ("phi_hat", "hat_abs_bound 0")
 
 
 @pytest.mark.parametrize("model,E,f,expect", [
@@ -495,12 +496,18 @@ _KATOK_ONCE = {"phi_hat": 1, "hat_abs_bound 0": 1}
     (Katok(_EPS5), SQRT2, make_fourier_bump(_TSHARP5, 0.4), _KATOK_ONCE),
 ], ids=["torus", "sphere", "hyperbolic", "katok-zero-period", "katok-tsharp"])
 def test_predict_evaluates_each_hat_once_per_grid(model, E, f, expect):
-    calls = Counter()
+    # a ten-N grid evaluates each hat at the points a one-N grid does, and
+    # phi_hat at each summed period once
     ctl = KSumControl.for_function(f, model.k_frequency(E), 1e-15)
-    preds = model.predict(list(range(100, 1001, 100)), EnergyLevel.from_E(E),
-                          _counted(f, calls), ctl, 1e-12)
-    assert [p.N for p in preds] == list(range(100, 1001, 100))
-    assert calls == expect
+    counts = []
+    for Ns in ([100], list(range(100, 1001, 100))):
+        calls = Counter()
+        preds = model.predict(Ns, EnergyLevel.from_E(E), _counted(f, calls), ctl, 1e-12)
+        assert [p.N for p in preds] == Ns
+        counts.append(calls)
+    assert counts[1] == counts[0] and set(counts[0]) == set(expect)
+    summed = 1 if isinstance(model, Katok) else 2 * ctl.k_max + 1
+    assert counts[0]["phi_hat"] == summed
 
 
 # ---------------------------------------------------------------------------

@@ -644,17 +644,74 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
     assert blocker.read_text() == "a file\n"
 
 
-def test_residual_leaves_numpy_ma_unloaded(tmp_path):
-    # np.median would import numpy.ma in every cold residual process
+_LADDERS = {"torus": ({"kind": "torus"}, 2.0), "sphere": ({"kind": "sphere", "R": 0.5}, SQRT2),
+            "hyperbolic": ({"kind": "hyperbolic", "R": 1.0, "genus": 2}, 1.2)}
+
+
+def test_gaussian_spectral_commands_leave_numpy_unloaded(tmp_path):
+    # a gaussian's windows and k-sums run on Python floats; in the same
+    # process a bump, the flow and the Katok report still load numpy and work
+    grid = {"start": 40, "stop": 400, "step": 40}
+    gaussian = [[sub, "--config", _write_cfg(tmp_path, f"{sub}-{name}.json",
+                                             _base_cfg(geometry=geo, E=E, N=grid)),
+                 "--out", str(tmp_path / f"{sub}-{name}")]
+                for sub in ("spectrum", "trace", "predict", "residual")
+                for name, (geo, E) in _LADDERS.items()]
+    bump = _base_cfg(test_function={"kind": "fourier_bump", "tau0": 2.0, "w": 0.5},
+                     N={"value": 200})
+    dyn = {"schema": "magtrace/1", "geometry": {"kind": "sphere", "R": 0.5}, "E": SQRT2,
+           "orbit_samples": 16}
+    katok = {"schema": "magtrace/1", "geometry": {"kind": "katok", "eps": 1.0 / math.sqrt(5.0)},
+             "E": SQRT2, "N": {"value": 3}}
+    numpy_runs = [[sub, "--config", _write_cfg(tmp_path, f"{sub}.json", cfg),
+                   "--out", str(tmp_path / sub)]
+                  for sub, cfg in (("trace", bump), ("predict", bump),
+                                   ("dynamics", dyn), ("katok", katok))]
+    code = ("import json, sys\n"
+            "def numpy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "import magtrace\n"
+            "on_import = numpy_modules()\n"
+            "from magtrace import cli\n"
+            f"codes = [cli.main(a) for a in {gaussian!r}]\n"
+            "after_gaussian = numpy_modules()\n"
+            f"later = [cli.main(a) for a in {numpy_runs!r}]\n"
+            "print(json.dumps([on_import, codes, after_gaussian, later, numpy_modules() != []]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    on_import, codes, after_gaussian, later, loaded = json.loads(out.stdout)
+    assert on_import == [] and after_gaussian == [] and loaded
+    assert codes == [0] * 12 and later == [0] * 4
+    assert all(len(os.listdir(argv[4])) == 1 for argv in gaussian)
+
+
+def test_fresh_tracer_install_after_a_gaussian_residual(tmp_path):
+    # in a fresh process, where no command has loaded dynamics, the benchmark's
+    # tracer patches the lazily registered module and puts everything back
     path = _write_cfg(tmp_path, "cfg.json", _base_cfg(N={"start": 40, "stop": 400, "step": 40}))
     argv = ["residual", "--config", path, "--out", str(tmp_path / "out")]
-    code = ("import sys; from magtrace import cli; "
-            f"code = cli.main({argv!r}); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "0 []"
-    assert (tmp_path / "out" / "residual.csv").exists()
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+    code = ("import sys\n"
+            f"sys.path.insert(0, {perfbench!r})\n"
+            "from magtrace import cli, spectra, tracesum\n"
+            f"code = cli.main({argv!r})\n"
+            "ode_after_residual = 'magtrace.ode' in sys.modules\n"
+            "from tracer import Tracer\n"
+            "owners = [(cli, 'main'), (spectra, 'enumerate_window'),\n"
+            "          (tracesum, 'enumerate_window')]\n"
+            "originals = [getattr(m, a) for m, a in owners]\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"  # reads dynamics, and so runs it, for the first time
+            "from magtrace import dynamics\n"
+            "patched = [getattr(m, a) is not o for (m, a), o in zip(owners, originals)]\n"
+            "patched.append(hasattr(dynamics.integrate, '__wrapped__'))\n"
+            "tracer.uninstall()\n"
+            "restored = [getattr(m, a) is o for (m, a), o in zip(owners, originals)]\n"
+            "restored.append(not hasattr(dynamics.integrate, '__wrapped__'))\n"
+            "print(code, ode_after_residual, all(patched), all(restored))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False", "True", "True"]
 
 
 def test_spectral_commands_leave_numpy_polynomial_unloaded(tmp_path):

@@ -204,9 +204,9 @@ def test_window_budget_admits_N_1e7(model, E):
 
 
 def test_window_budget_refuses_before_allocating(monkeypatch):
-    def no_arrays(*args, **kwargs):
+    def no_block(*args, **kwargs):
         raise AssertionError("a refused window allocated its ladder")
-    monkeypatch.setattr(spectra.np, "arange", no_arrays)
+    monkeypatch.setattr(spectra, "block", no_block)
     wide = make_gaussian(1e6)  # radius 8e6: about 1.3e10 torus rungs at N=400
     with pytest.raises(ValidationError, match="ladder rungs, over the budget"):
         enumerate_window(Torus(), 400, EnergyLevel.from_E(2.0), wide, 1e-14)
@@ -252,7 +252,7 @@ def _brute_omitted(model, N, E, f, win, reach):
         j_hi = int(math.ceil(model.j_of_lam(N, E * N + reach)))
     lam, mult = _rungs(model, N, j_hi)
     t = mult * np.asarray(f.time_env(np.abs(lam - E * N)), dtype=float)
-    if win.j.size:
+    if len(win.j):
         t[win.j[0]:win.j[-1] + 1] = 0.0
     return math.fsum(t)
 
@@ -271,7 +271,7 @@ def _sweep_reference(model, N, E, f, win):
         j_hi = int(math.ceil(model.j_of_lam(N, E * N))) + 2
     lam, mult = _rungs(model, N, j_hi)
     t = mult * np.asarray(env(np.abs(lam - E * N)), dtype=float)
-    if win.j.size:
+    if len(win.j):
         first, last = int(win.j[0]), int(win.j[-1])
     else:
         first = int(np.count_nonzero(lam < E * N))
@@ -344,7 +344,7 @@ def test_empty_window_tails_split_at_E_N(model, E, N):
     # cases, where rounding j(E N) would put a rung above E N in the lower tail
     f = make_gaussian(0.01)
     win = enumerate_window(model, N, EnergyLevel.from_E(E), f, 1e-14)
-    assert win.j.size == 0
+    assert len(win.j) == 0
     brute = _brute_omitted(model, N, E, f, win, reach=1.0)
     assert brute <= win.tail_bound * (1.0 + 1e-12)
     assert win.tail_bound <= 2.0 * _sweep_reference(model, N, E, f, win)
@@ -352,15 +352,15 @@ def test_empty_window_tails_split_at_E_N(model, E, N):
 
 @pytest.mark.parametrize("model,E", _LADDERS, ids=["torus", "sphere", "hyperbolic"])
 def test_window_cost_is_independent_of_N(model, E, monkeypatch):
-    arange = np.arange
+    block = spectra.block
 
-    def window_sized(start, stop, *args, **kwargs):
-        if stop - start > 10_000:
-            raise AssertionError(f"an array of {stop - start} rungs was built")
-        return arange(start, stop, *args, **kwargs)
-    monkeypatch.setattr(spectra.np, "arange", window_sized)
+    def window_sized(lo, hi, *args):
+        if hi - lo >= 10_000:
+            raise AssertionError(f"a block of {hi - lo + 1} rungs was built")
+        return block(lo, hi, *args)
+    monkeypatch.setattr(spectra, "block", window_sized)
     win = enumerate_window(model, 10**7, EnergyLevel.from_E(E), make_gaussian(1.0), 1e-14)
-    assert 0 < win.j.size < 100
+    assert 0 < len(win.j) < 100
     assert 0.0 < win.tail_bound < 1e-6
 
 
