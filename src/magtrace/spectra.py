@@ -49,11 +49,14 @@ from .testfn import TestFunction
 # Largest ladder index range a window query may touch, checked before any
 # rung is built: rungs 0..j_last, or j_first..N-1 on the finite hyperbolic
 # ladder.  Only the window's own rungs are built and each tail bound costs
-# O(1), so the cap no longer guards memory; it keeps queries where the
-# offsets lam - E N, rounded to about eps E N, have been checked, until they
-# are formed in compensated arithmetic.  A hyperbolic ladder has N rungs, so
-# N <= 1e7 always fits; a gaussian s=1 window at N = 1e7 reaches index 2.4e6
-# on the torus at E=2.
+# O(1), so the cap bounds memory only as far as a window's own block may
+# span all of it: a gaussian of s = 1395.856 on the torus at E=2, N=1 keeps
+# every rung of 0..9,999,999 and peaks at about 564 MB (about ten arrays of
+# 1e7 doubles).  The cap also keeps queries where the offsets lam - E N,
+# rounded to about eps E N, have been checked, until they are formed in
+# compensated arithmetic.  A hyperbolic ladder has N rungs, so N <= 1e7
+# always fits; a gaussian s=1 window at N = 1e7 reaches index 2.4e6 on the
+# torus at E=2.
 MAX_WINDOW_RUNGS = 10_000_000
 
 

@@ -20,8 +20,9 @@ Three families are provided:
     real cosine form phi(x) = exp(i tau0 x) g(w x), with g a sum of cosines
     over the positive nodes.  Those nodes and their weights ship as data
     (``_legendre1024``, bit-identical to ``leggauss(1024)``); the cosine
-    table is built from them once per process, on the first bump.
-    Complex-valued for tau0 != 0.
+    table is built from them once per process, on the first bump phi, so
+    building a bump and its k-sums need no numpy.  Complex-valued for
+    tau0 != 0.
 
 Every instance also carries a *certified decay envelope* of phi and bounds
 on |phi_hat| and its first two derivatives.  The envelope bounds what the
@@ -166,10 +167,11 @@ class TestFunction:
     """A Schwartz function with explicit evaluators for both transform sides.
 
     All evaluators are pure and safe to call concurrently, and take a Python
-    float or anything numpy reads as an array.  A gaussian's run on ``math``
-    for a Python float, so a gaussian command never imports numpy, and on
-    numpy otherwise (``floats.as_floats``); a bump's always run on numpy.
-    Instances are immutable after construction.
+    float or anything numpy reads as an array.  They run on ``math`` for a
+    Python float and on numpy otherwise (``floats.as_floats``), so a
+    gaussian command, and a bump's k-sums, never import numpy; a bump's phi,
+    512 cosines per point, and its envelope run on numpy whatever they are
+    given.  Instances are immutable after construction.
 
     Attributes
     ----------
@@ -317,14 +319,19 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
 
 def _bump_psi(t, form=lambda e, t, om: e):
     """form(psi(t), t, 1 - t^2) inside |t| < 1, for the unit bump
-    psi(t) = exp(-1/(1-t^2)) (psi itself by default); exactly 0 outside."""
-    import numpy as np
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
+    psi(t) = exp(-1/(1-t^2)) (psi itself by default); exactly 0 outside.
+    A Python float runs on ``math``, anything else on a float array."""
+    t, m = as_floats(t)
+    if m is math:
+        if not abs(t) < 1.0:
+            return 0.0
+        om = 1.0 - t * t
+        return form(math.exp(-1.0 / om), t, om)
+    out = m.zeros_like(t)
+    inside = m.abs(t) < 1.0
     ti = t[inside]
     om = 1.0 - ti * ti
-    out[inside] = form(np.exp(-1.0 / om), ti, om)
+    out[inside] = form(m.exp(-1.0 / om), ti, om)
     return out
 
 
@@ -339,13 +346,17 @@ def _bump_cosine_table():
         (w/2pi) sum_m W_m psi(t_m) exp(i (tau0 + w t_m) x)
             = exp(i tau0 x) * w * sum_{t_m > 0} c_m cos(t_m w x),
 
-    c_m = 2 W_m psi(t_m) / 2pi.  Built on the first bump, shared by all of
-    them; the arrays are read-only because every caller gets the same ones.
+    c_m = 2 W_m psi(t_m) / 2pi.  psi(t_m) is taken node by node on Python
+    floats, from libm's exp, so the table is the same whatever SIMD exp numpy
+    dispatches to.  Built on the first bump phi, shared by all bumps; the
+    arrays are read-only because every caller gets the same ones.
     """
+    import numpy as np
     from ._legendre1024 import positive_half
 
     t, weights = positive_half()  # read-only views of the shipped bytes
-    c = 2.0 * weights * _bump_psi(t) / TWO_PI
+    psi = np.array([_bump_psi(tm) for tm in t.tolist()])
+    c = 2.0 * weights * psi / TWO_PI
     c.flags.writeable = False
     return t, c
 
@@ -372,8 +383,10 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     support (the integrand is smooth there), evaluated in its exact cosine
     form phi(x) = exp(i tau0 x) g(w x) with 512 real cosines per point from
     the shared table of ``_bump_cosine_table``, which is built once per
-    process, on the first bump, from the shipped nodes and weights; phi is
-    complex-valued whenever tau0 != 0.  The envelope is the least of the
+    process, on the first call of any bump's phi, from the shipped nodes and
+    weights; phi is complex-valued whenever tau0 != 0.  phi_hat, its two
+    derivatives and the hat bounds take Python floats on ``math``, so a
+    bump's k-sums load no numpy.  The envelope is the least of the
     legs w D_k/(2pi u^k), u = w|x|, k = 0, 2, ..., 24 (``_BUMP_D``), and
     the radius is where it meets ``tol``, in closed form: the least over
     k >= 2 of (w D_k/(2pi tol))^(1/k), at most ``_BUMP_U_CAP``, divided by
@@ -387,8 +400,11 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
                              lambda: (w * w, 1.0 / (w * w), tau0 * _BUMP_U_CAP / w))
     _refuse_lost_phase(f"bump parameters tau0={tau0:g}, w={w:g}", tau0 * _BUMP_U_CAP / w)
 
-    coeff = w * _bump_cosine_table()[1]
     real_valued = (tau0 == 0.0)
+
+    @functools.cache
+    def coeff():
+        return w * _bump_cosine_table()[1]
 
     def phi(x):
         import numpy as np
@@ -399,7 +415,7 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         # there rather than quadrature aliasing noise
         ok = np.flatnonzero(np.abs(flat) * w <= _BUMP_U_CAP)
         xs = flat[ok]
-        g = _bump_cosine_sum(w * xs, coeff)
+        g = _bump_cosine_sum(w * xs, coeff())
         out[ok] = g if real_valued else np.exp(1j * tau0 * xs) * g
         return out.reshape(np.shape(x)) if np.ndim(x) else out[0]
 
@@ -411,8 +427,11 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
                          lambda e, t, om: e * (-2.0 * t) / (w * om * om))
 
     def phi_hat_d2(xi):
+        # powers as products, rounded alike on floats and arrays: numpy's pow
+        # and libm's may differ by an ulp, which 3 t^4 - 1 amplifies near 0
         return _bump_psi((as_floats(xi)[0] - tau0) / w,
-                         lambda e, t, om: e * 2.0 * (3.0 * t**4 - 1.0) / (w * w * om**4))
+                         lambda e, t, om: e * 2.0 * (3.0 * (t * t) * (t * t) - 1.0)
+                         / (w * w * (om * om) * (om * om)))
 
     def radius(tol):
         # each leg k >= 2 falls to tol at u = (w D_k/(2pi tol))^(1/k)
@@ -423,12 +442,15 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         # exact compact support around tau0, independent of the tolerance
         return w
 
+    caps = (0.3679, 1.0 / w, 12.0 / (w * w))
+
     def hat_abs(order, u):
-        # crude but safe sup-norm caps inside the support, exact zero outside
-        import numpy as np
-        caps = (0.3679, 1.0 / w, 12.0 / (w * w))
-        u = np.asarray(u, dtype=float)
-        return np.where(u > w, 0.0, caps[order])
+        # crude but safe sup-norm caps inside the support, exact zero on its
+        # edge, where the bump and its derivatives vanish, and outside
+        u, m = as_floats(u)
+        if m is math:
+            return 0.0 if u >= w else caps[order]
+        return m.where(u >= w, 0.0, caps[order])
 
     return TestFunction(
         kind="fourier_bump", complex_valued=(tau0 != 0.0),

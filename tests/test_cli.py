@@ -650,7 +650,7 @@ _LADDERS = {"torus": ({"kind": "torus"}, 2.0), "sphere": ({"kind": "sphere", "R"
 
 def test_gaussian_spectral_commands_leave_numpy_unloaded(tmp_path):
     # a gaussian's windows and k-sums run on Python floats; in the same
-    # process a bump, the flow and the Katok report still load numpy and work
+    # process a bump trace, the flow and the Katok report still load numpy and work
     grid = {"start": 40, "stop": 400, "step": 40}
     gaussian = [[sub, "--config", _write_cfg(tmp_path, f"{sub}-{name}.json",
                                              _base_cfg(geometry=geo, E=E, N=grid)),
@@ -665,8 +665,7 @@ def test_gaussian_spectral_commands_leave_numpy_unloaded(tmp_path):
              "E": SQRT2, "N": {"value": 3}}
     numpy_runs = [[sub, "--config", _write_cfg(tmp_path, f"{sub}.json", cfg),
                    "--out", str(tmp_path / sub)]
-                  for sub, cfg in (("trace", bump), ("predict", bump),
-                                   ("dynamics", dyn), ("katok", katok))]
+                  for sub, cfg in (("trace", bump), ("dynamics", dyn), ("katok", katok))]
     code = ("import json, sys\n"
             "def numpy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
@@ -681,8 +680,39 @@ def test_gaussian_spectral_commands_leave_numpy_unloaded(tmp_path):
     assert out.returncode == 0, out.stderr
     on_import, codes, after_gaussian, later, loaded = json.loads(out.stdout)
     assert on_import == [] and after_gaussian == [] and loaded
-    assert codes == [0] * 12 and later == [0] * 4
+    assert codes == [0] * 12 and later == [0] * 3
     assert all(len(os.listdir(argv[4])) == 1 for argv in gaussian)
+
+
+def test_bump_predicts_leave_numpy_unloaded(tmp_path):
+    # a bump's transform side runs on Python floats and its cosine table waits
+    # for the first phi: building a bump and its k-sums on the torus and at the
+    # Katok period T# load no numpy; a bump trace in the same process does
+    eps = 1.0 / math.sqrt(5.0)
+    tsharp = 2.0 * math.pi * SQRT2 / (1.0 - eps * eps)
+    bump = {"kind": "fourier_bump", "tau0": 4.0, "w": 0.5}
+    torus = _base_cfg(test_function=bump, N={"list": [200, 400]})
+    katok = _base_cfg(geometry={"kind": "katok", "eps": eps}, E=SQRT2, N={"list": [3, 400]},
+                      test_function={"kind": "fourier_bump", "tau0": tsharp, "w": 1.0})
+    argvs = [[sub, "--config", _write_cfg(tmp_path, f"{name}.json", cfg),
+              "--out", str(tmp_path / name)]
+             for sub, name, cfg in (("predict", "predict-torus", torus),
+                                    ("predict", "predict-katok", katok),
+                                    ("trace", "trace-torus", torus))]
+    code = ("import json, sys\n"
+            "def numpy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "from magtrace import cli, testfn\n"
+            f"testfn.from_config({bump!r})\n"
+            "after_build = numpy_modules()\n"
+            f"codes = [cli.main(a) for a in {argvs[:2]!r}]\n"
+            "after_predict = numpy_modules()\n"
+            f"trace = cli.main({argvs[2]!r})\n"
+            "print(json.dumps([after_build, codes, after_predict, trace, 'numpy' in sys.modules]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[], [0, 0], [], 0, True]
+    assert all(len(os.listdir(argv[4])) == 1 for argv in argvs)
 
 
 def test_fresh_tracer_install_after_a_gaussian_residual(tmp_path):

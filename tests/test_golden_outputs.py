@@ -19,6 +19,8 @@ files that changed and, in a CSV file, the columns that changed, e.g.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -95,6 +97,37 @@ def test_output_digests(name, tmp_path):
     sub, config = _commands()[name]
     run, want = _run(name, sub, config, tmp_path), golden["commands"][name]
     assert (run["exit"], run["files"]) == (want["exit"], want["files"])
+
+
+# numpy's AVX-512 loops, exp among them, that a host without AVX-512 lacks
+_AVX512_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def test_output_digests_hold_without_avx512_dispatch(tmp_path):
+    # every column comes from libm or from a numpy loop whose result does not
+    # depend on its SIMD width, so the digests hold on a host without AVX-512
+    golden = _golden()
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"digests come from numpy {golden['numpy']}, this is {np.__version__}")
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        pytest.skip("this numpy does not report its CPU features")
+    if not (__cpu_features__.get("AVX512_ICL") and __cpu_features__.get("AVX512_SPR")):
+        pytest.skip("this host has no AVX512_ICL or AVX512_SPR dispatch to switch off")
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import test_golden_outputs as g\n"
+            f"tmp = g.Path({str(tmp_path)!r})\n"
+            "print(json.dumps({name: g._run(name, sub, cfg, tmp)\n"
+            "                  for name, (sub, cfg) in g._commands().items()}))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, **_AVX512_OFF})
+    assert out.returncode == 0, out.stderr
+    runs = json.loads(out.stdout)
+    moved = [name for name, want in golden["commands"].items()
+             if (runs[name]["exit"], runs[name]["files"]) != (want["exit"], want["files"])]
+    assert moved == []
 
 
 def test_golden_covers_every_command():

@@ -193,7 +193,8 @@ def test_shipped_legendre_table_is_leggauss_bit_for_bit():
     assert np.array_equal(t, nodes[512:]) and np.array_equal(w, weights[512:])
     table_t, table_c = testfn._bump_cosine_table()
     assert np.array_equal(table_t, nodes[nodes > 0.0])
-    psi = np.exp(-1.0 / (1.0 - table_t * table_t))
+    # psi(t_m) from libm, one node at a time, whatever SIMD exp numpy dispatches to
+    psi = np.array([math.exp(-1.0 / (1.0 - t * t)) for t in table_t.tolist()])
     assert np.array_equal(table_c, 2.0 * weights[nodes > 0.0] * psi / (2.0 * math.pi))
     assert not table_t.flags.writeable and not table_c.flags.writeable
 
@@ -450,6 +451,32 @@ def test_hat_envelope_and_radius():
     assert np.all(np.abs(f.phi_hat(xs)) <= 1e-9 * (1.0 + 1e-12))
     u = np.linspace(0.0, 8.0, 81)
     assert np.all(np.abs(f.phi_hat(2.0 + u)) <= f.hat_abs_bound(0, u) * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("tau0,w", [(0.0, 1.0), (2.0, 0.5), (KATOK_TSHARP, 1.0), (-3.0, 3.0)])
+def test_bump_hat_side_agrees_on_floats_and_arrays(tau0, w):
+    # a Python float runs on libm's exp and an array on numpy's, which may
+    # differ by an ulp; the support's edge and all past it are exact zeros on both
+    f = make_fourier_bump(tau0, w)
+    hats = (f.phi_hat, f.phi_hat_d1, f.phi_hat_d2)
+    inside = tau0 + w * np.linspace(-0.999, 0.999, 2001)
+    edge = np.array([tau0 - w, tau0 + w])
+    outside = tau0 + w * np.array([-1e3, -2.0, -1.001, 1.001, 2.0, 1e3])
+    for h in hats:
+        on_array = h(inside)
+        on_floats = np.array([h(x) for x in inside.tolist()])
+        assert type(h(float(inside[0]))) is float
+        assert np.all(np.abs(on_floats - on_array)
+                      <= 4.0 * np.spacing(np.maximum(np.abs(on_floats), np.abs(on_array))))
+        for xi in (edge, outside):
+            assert np.all(h(xi) == 0.0) and all(h(x) == 0.0 for x in xi.tolist())
+    u_in, u_out = np.linspace(0.0, w, 101)[:-1], np.array([w, 1.001 * w, 2.0 * w, 1e3 * w])
+    for order in range(3):
+        caps = f.hat_abs_bound(order, u_in)
+        assert np.all(caps > 0.0)
+        assert [f.hat_abs_bound(order, u) for u in u_in.tolist()] == caps.tolist()
+        assert np.all(f.hat_abs_bound(order, u_out) == 0.0)
+        assert all(f.hat_abs_bound(order, u) == 0.0 for u in u_out.tolist())
 
 
 @pytest.mark.parametrize("tau0,w", [(0.0, 0.05), (2.0, 0.5), (KATOK_TSHARP, 1.0), (-3.0, 3.0),
