@@ -14,13 +14,12 @@ Three families are provided:
     one recentred at ``b``.  Complex-valued for b != 0.
 ``fourier_bump``
     phi_hat is the standard smooth bump exp(-1/(1-t^2)), t = (xi-tau0)/w,
-    identically zero outside [tau0-w, tau0+w]; phi is recovered by a fixed
-    Gauss-Legendre rule on the support.  The rule is symmetric and the bump
-    even, so the rule's sine half cancels exactly and phi is evaluated in its
-    real cosine form phi(x) = exp(i tau0 x) g(w x), with g a sum of cosines
-    over the positive nodes.  Those nodes and their weights ship as data
-    (``_legendre1024``, bit-identical to ``leggauss(1024)``); the cosine
-    table is built from them once per process, on the first bump phi, so
+    identically zero outside [tau0-w, tau0+w]; phi is recovered by the
+    trapezoid rule of step 1/512 on the support, exact up to aliasing that
+    the bump's envelope certifies below 7.9e-21 w out to the cap.  The rule
+    is symmetric and the bump even, so phi is evaluated in its real cosine
+    form phi(x) = exp(i tau0 x) g(w x), with g a sum of 512 cosines.  The
+    cosine table is built once per process, on the first bump phi, so
     building a bump and its k-sums need no numpy.  Complex-valued for
     tau0 != 0.
 
@@ -57,12 +56,14 @@ _BUMP_D = ((0, 0.443994), (2, 3.19372), (4, 1076.13), (6, 5.31659e6), (8, 1.2637
            (10, 9.21691e15), (12, 1.61037e21), (14, 5.75809e26), (16, 3.77755e32),
            (18, 4.19636e38), (20, 7.42286e44), (22, 1.99162e51), (24, 7.79237e57))
 
-# Fixed Gauss-Legendre rule for the bump's inverse transform, shipped as the
-# positive half of ``leggauss(1024)`` in ``_legendre1024``.  The rule
-# resolves cos(t*w*x) on [-1, 1] while the node count exceeds w*|x|/2 plus a
-# margin for the bump itself; 1024 nodes keep full precision out to
-# w*|x| ~ 1600, past which the bump's phi is below double-precision
-# resolution anyway.  phi reads 0 past there, and no radius lies beyond it.
+# Steps per unit of t of the trapezoid rule for the bump's inverse transform,
+# nodes t_m = m/_BUMP_M on [-1, 1].  Its error is the aliased transforms
+# (w/2pi) sum_{k>=1} [Psi(2pi k M - u) + Psi(2pi k M + u)], u = w|x|, which
+# the envelope legs bound by 7.9e-21 w for u <= _BUMP_U_CAP (M = 448 would
+# certify only 2e-18 w there).  Past the cap the bump's phi is below 1e-20 w,
+# under the rounding of the cosine sum; phi reads 0 there, and no radius
+# lies beyond it.
+_BUMP_M = 512
 _BUMP_U_CAP = 1600.0
 
 # Largest offset of a gaussian's phi: its radius at the smallest positive
@@ -169,9 +170,10 @@ class TestFunction:
     All evaluators are pure and safe to call concurrently, and take a Python
     float or anything numpy reads as an array.  They run on ``math`` for a
     Python float and on numpy otherwise (``floats.as_floats``), so a
-    gaussian command, and a bump's k-sums, never import numpy; a bump's phi,
-    512 cosines per point, and its envelope run on numpy whatever they are
-    given.  Instances are immutable after construction.
+    gaussian command, and a bump's k-sums, never import numpy; a bump's phi
+    (the trapezoid rule of step 1/512, aliasing below 7.9e-21 w) and its
+    envelope run on numpy whatever they are given.  Instances are immutable
+    after construction.
 
     Attributes
     ----------
@@ -337,32 +339,31 @@ def _bump_psi(t, form=lambda e, t, om: e):
 
 @functools.cache
 def _bump_cosine_table():
-    """Positive Gauss-Legendre nodes t_m and unit cosine coefficients c_m.
+    """Trapezoid nodes t_m = m/512, m = 0..511, and unit cosine coefficients c_m.
 
-    The shipped rule (``leggauss(1024)``, bit for bit) is exactly symmetric
-    about 0 and psi is even, so the inverse transform of the bump of
-    half-width w collapses to
+    The rule of step 1/512 is exactly symmetric about 0 and psi is even and
+    zero at +-1, so the inverse transform of the bump of half-width w
+    collapses to
 
-        (w/2pi) sum_m W_m psi(t_m) exp(i (tau0 + w t_m) x)
-            = exp(i tau0 x) * w * sum_{t_m > 0} c_m cos(t_m w x),
+        (w/2pi) sum_{|m| < 512} psi(t_m) exp(i (tau0 + w t_m) x) / 512
+            = exp(i tau0 x) * w * sum_{m >= 0} c_m cos(t_m w x),
 
-    c_m = 2 W_m psi(t_m) / 2pi.  psi(t_m) is taken node by node on Python
-    floats, from libm's exp, so the table is the same whatever SIMD exp numpy
-    dispatches to.  Built on the first bump phi, shared by all bumps; the
-    arrays are read-only because every caller gets the same ones.
+    c_m = 2 psi(t_m) / (512 * 2pi), halved at m = 0.  psi(t_m) is taken node
+    by node on Python floats, from libm's exp, so the table is the same
+    whatever SIMD exp numpy dispatches to.  Built on the first bump phi,
+    shared by all bumps; the arrays are read-only because every caller gets
+    the same ones.
     """
     import numpy as np
-    from ._legendre1024 import positive_half
-
-    t, weights = positive_half()  # read-only views of the shipped bytes
-    psi = np.array([_bump_psi(tm) for tm in t.tolist()])
-    c = 2.0 * weights * psi / TWO_PI
-    c.flags.writeable = False
+    t = np.arange(_BUMP_M) / _BUMP_M
+    c = 2.0 * np.array([_bump_psi(tm) for tm in t.tolist()]) / (_BUMP_M * TWO_PI)
+    c[0] *= 0.5
+    t.flags.writeable = c.flags.writeable = False
     return t, c
 
 
 def _bump_cosine_sum(u, coeff):
-    """g(u) = sum_m coeff_m cos(t_m u) over the shared positive nodes, u 1-D."""
+    """g(u) = sum_m coeff_m cos(t_m u) over the shared nodes, u 1-D."""
     import numpy as np
     t, _ = _bump_cosine_table()
     out = np.empty(u.shape)
@@ -379,15 +380,15 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
 
     phi_hat vanishes identically outside [tau0-w, tau0+w], so only the
     flow periods inside that interval can contribute to any k-sum built
-    on it.  phi itself is the fixed 1024-point Gauss-Legendre rule on the
-    support (the integrand is smooth there), evaluated in its exact cosine
-    form phi(x) = exp(i tau0 x) g(w x) with 512 real cosines per point from
-    the shared table of ``_bump_cosine_table``, which is built once per
-    process, on the first call of any bump's phi, from the shipped nodes and
-    weights; phi is complex-valued whenever tau0 != 0.  phi_hat, its two
-    derivatives and the hat bounds take Python floats on ``math``, so a
-    bump's k-sums load no numpy.  The envelope is the least of the
-    legs w D_k/(2pi u^k), u = w|x|, k = 0, 2, ..., 24 (``_BUMP_D``), and
+    on it.  phi itself is the trapezoid rule of step 1/512 on the support
+    (aliasing below 7.9e-21 w for w|x| <= 1600; its rounding measures up to
+    4.2e-16 w), evaluated in its exact cosine form phi(x) = exp(i tau0 x)
+    g(w x) with 512 real cosines per point from the shared table of
+    ``_bump_cosine_table``, which is built once per process, on the first
+    call of any bump's phi; phi is complex-valued whenever tau0 != 0.
+    phi_hat, its two derivatives and the hat bounds take Python floats on
+    ``math``, so a bump's k-sums load no numpy.  The envelope is the least
+    of the legs w D_k/(2pi u^k), u = w|x|, k = 0, 2, ..., 24 (``_BUMP_D``), and
     the radius is where it meets ``tol``, in closed form: the least over
     k >= 2 of (w D_k/(2pi tol))^(1/k), at most ``_BUMP_U_CAP``, divided by
     w.  It samples phi nowhere, and like |phi| = |g(w x)| it does not
@@ -411,8 +412,8 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).ravel()
         out = np.zeros(flat.shape, dtype=(float if real_valued else complex))
-        # past the rule's resolution the true |phi| is below 1e-16; report 0
-        # there rather than quadrature aliasing noise
+        # past the cap the true |phi| is below 1e-20 w, under the sum's
+        # rounding; report 0 there rather than that noise
         ok = np.flatnonzero(np.abs(flat) * w <= _BUMP_U_CAP)
         xs = flat[ok]
         g = _bump_cosine_sum(w * xs, coeff())

@@ -13,7 +13,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
 
 from labchecks import linear_combination, poisson_check
@@ -101,33 +100,43 @@ def test_bump_inverse_value_at_zero():
 
 
 @pytest.fixture(scope="module")
-def mp_bump_rule():
-    """The 1024-node rule in its exponential form, evaluated to 40 digits.
+def exact_bump_phi():
+    """phi(x) of the bump (tau0, w) to 40 digits: the exact inverse transform.
 
-    phi(x) = (w/2pi) sum_m W_m psi(t_m) exp(i (tau0 + w t_m) x) over the
-    double nodes and weights, with no use of the rule's symmetry.
+    The trapezoidal rule of step h = 1/1024 on [-1, 1] for the integral of
+    psi(t) cos(u t), u = w|x|, is exact up to the aliased transforms
+    Psi(2 pi m/h -+ u), m != 0, as psi vanishes to every order at +-1.  For
+    u <= 1600 they sit past 4,800, where |Psi| < 1e-32.  The phase
+    exp(i tau0 x) is taken at 40 digits of the double tau0 and x.
     """
-    nodes, weights = leggauss(1024)
+    n = 1024
     with mpmath.workdps(40):
-        ts = [mpmath.mpf(float(t)) for t in nodes]
-        cs = [mpmath.mpf(float(W)) * mpmath.exp(-1 / (1 - t * t))
-              for t, W in zip(ts, weights)]
+        h = mpmath.mpf(1) / n
+        psi = [mpmath.exp(-1 / (1 - (j * h) ** 2)) for j in range(n)]
 
     def value(tau0, w, x):
         with mpmath.workdps(40):
-            tau0, w, x = mpmath.mpf(tau0), mpmath.mpf(w), mpmath.mpf(x)
-            s = mpmath.fsum(c * mpmath.expj((tau0 + w * t) * x) for c, t in zip(cs, ts))
-            return complex(s * w / (2 * mpmath.pi))
+            x = mpmath.mpf(x)
+            z, zj, terms = mpmath.expj(w * abs(x) * h), mpmath.mpf(1), []
+            for j in range(1, n):
+                zj *= z
+                terms.append(psi[j] * zj.real)
+            g = w * h * (psi[0] + 2 * mpmath.fsum(terms)) / (2 * mpmath.pi)
+            return complex(mpmath.expj(tau0 * x) * g)
     return value
 
 
 @pytest.mark.parametrize("tau0,w", [(0.0, 1.0), (2.0, 0.5), (KATOK_TSHARP, 1.0)])
-def test_bump_phi_matches_40_digit_rule(mp_bump_rule, tau0, w):
+def test_bump_phi_matches_40_digit_rule(exact_bump_phi, tau0, w):
+    # the double phi against the exact inverse transform, out to the cap: the
+    # trapezoid rule's aliasing is below 1e-20 w, so what shows is the
+    # rounding of the cosine sum, its arguments t_m u and the phase tau0 x
     f = make_fourier_bump(tau0, w)
+    rng = np.random.default_rng(20261019)
     us = [0.0, 0.37, 3.1, -3.1, 25.0, 180.5, 700.0, 955.25, -1234.5, 1600.0]
-    for u in us:
+    for u in us + rng.uniform(-testfn._BUMP_U_CAP, testfn._BUMP_U_CAP, 20).tolist():
         x = u / w
-        assert abs(complex(f.phi(x)) - mp_bump_rule(tau0, w, x)) <= 5e-16, u
+        assert abs(complex(f.phi(x)) - exact_bump_phi(tau0, w, x)) <= 5e-16, u
 
 
 def test_bump_radius_does_not_depend_on_tau0():
@@ -181,44 +190,32 @@ def test_bump_radius_search_work_is_bounded(cosine_rows, w):
     assert not cosine_rows
 
 
-def test_shipped_legendre_table_is_leggauss_bit_for_bit():
-    from magtrace._legendre1024 import positive_half
-
-    nodes, weights = leggauss(1024)
-    # the full rule is exactly symmetric, which the cosine form relies on
-    assert np.array_equal(nodes[:512], -nodes[::-1][:512])
-    assert np.array_equal(weights[:512], weights[::-1][:512])
-    t, w = positive_half()
-    assert t.dtype == w.dtype == np.float64
-    assert np.array_equal(t, nodes[512:]) and np.array_equal(w, weights[512:])
-    table_t, table_c = testfn._bump_cosine_table()
-    assert np.array_equal(table_t, nodes[nodes > 0.0])
+def test_bump_cosine_table_is_the_512_step_trapezoid():
+    t, c = testfn._bump_cosine_table()
+    assert np.array_equal(t, np.arange(512) / 512)
     # psi(t_m) from libm, one node at a time, whatever SIMD exp numpy dispatches to
-    psi = np.array([math.exp(-1.0 / (1.0 - t * t)) for t in table_t.tolist()])
-    assert np.array_equal(table_c, 2.0 * weights[nodes > 0.0] * psi / (2.0 * math.pi))
-    assert not table_t.flags.writeable and not table_c.flags.writeable
+    psi = np.array([math.exp(-1.0 / (1.0 - tm * tm)) for tm in t.tolist()])
+    expected = 2.0 * psi / (512 * 2.0 * math.pi)
+    expected[0] /= 2.0
+    assert np.array_equal(c, expected)
+    assert not t.flags.writeable and not c.flags.writeable
 
 
-def test_bump_trace_never_builds_the_1024_rule(tmp_path):
-    cfg = {"schema": "magtrace/1", "geometry": {"kind": "torus"}, "E": 2.0,
-           "test_function": {"kind": "fourier_bump", "tau0": 2.0, "w": 0.5},
-           "N": {"list": [200, 300]}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    argv = ["trace", "--config", str(path), "--out", str(tmp_path / "out")]
-    code = ("import numpy.polynomial.legendre as L\n"
-            "real = L.leggauss\n"
-            "def guarded(deg):\n"
-            "    if deg > 64:\n"
-            "        raise RuntimeError(f'leggauss({deg}) called')\n"
-            "    return real(deg)\n"
-            "L.leggauss = guarded\n"
-            "from magtrace import cli\n"
-            f"print(cli.main({argv!r}))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "0"
-    assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 3
+def test_bump_trapezoid_aliasing_is_certified():
+    # Poisson summation: the rule of step 1/M misses the integral of
+    # psi(t) cos(u t) by the aliased transforms Psi(2 pi k M -+ u), k >= 1,
+    # each bounded (per unit w) by the envelope (1/2pi) min_j D_j/v^j; past
+    # k = K the leg j = 24 at v >= pi k M bounds their sum by
+    # (2/2pi) D_24 (pi M)^-24 K^-23/23
+    M, K = testfn._BUMP_M, 8
+    assert testfn._BUMP_U_CAP <= math.pi * M  # so 2 pi k M - u >= pi k M
+    env = testfn.PowerEnvelope(1.0, testfn._BUMP_D)
+    u = np.linspace(0.0, testfn._BUMP_U_CAP, 64001)
+    alias = sum(env(2.0 * math.pi * k * M - u) + env(2.0 * math.pi * k * M + u)
+                for k in range(1, K + 1))
+    d24 = dict(testfn._BUMP_D)[24]
+    alias += 2.0 * d24 / (2.0 * math.pi) * (math.pi * M) ** -24 * K**-23 / 23
+    assert alias.max() <= 1e-20
 
 
 def _radius_cases():
@@ -231,37 +228,13 @@ def _radius_cases():
     return cases + [(0.0, 1.0, 1e-18)]  # below phi's rounding noise
 
 
-@pytest.fixture(scope="module")
-def exact_bump_abs():
-    """|phi(x)| of the bump of half-width w to 40 digits, with no 1024-node rule.
-
-    The trapezoidal rule of step h = 1/1024 on [-1, 1] for the integral of
-    psi(t) cos(u t), u = w|x|, is exact up to the aliased transforms
-    Psi(2 pi m/h -+ u), m != 0, as psi vanishes to every order at +-1.  For
-    u <= 1600 they sit past 4,800, where |Psi| < 1e-32.
-    """
-    n = 1024
-    with mpmath.workdps(40):
-        h = mpmath.mpf(1) / n
-        psi = [mpmath.exp(-1 / (1 - (j * h) ** 2)) for j in range(n)]
-
-    def value(w, x):
-        with mpmath.workdps(40):
-            z, zj, terms = mpmath.expj(w * abs(mpmath.mpf(x)) * h), mpmath.mpf(1), []
-            for j in range(1, n):
-                zj *= z
-                terms.append(psi[j] * zj.real)
-            return abs(w * h * (psi[0] + 2 * mpmath.fsum(terms)) / (2 * mpmath.pi))
-    return value
-
-
-def test_bump_envelope_certifies_radius(exact_bump_abs):
+def test_bump_envelope_certifies_radius(exact_bump_phi):
     # past each radius, |phi| on a 0.5 grid in u = w|x| out to the cap stays
     # under the envelope, which is at most tol there: the 40-digit |phi| at
     # the radius and where the double phi comes closest to the envelope, and
-    # the double phi up to 1e-15 w.  That phi is the 1024-node rule in
-    # double, which stands up to 5.7e-16 w off the integral near the cap (on
-    # a 0.05 grid)
+    # the double phi up to 5e-16 w.  That phi is exact up to aliasing below
+    # 1e-20 w, so its excess is the rounding of the cosine sum and its
+    # arguments, at most 4.96e-16 w on this grid
     for tau0, w, tol in _radius_cases():
         f = make_fourier_bump(tau0, w)
         r = f.radius(tol)
@@ -271,14 +244,14 @@ def test_bump_envelope_certifies_radius(exact_bump_abs):
         bound = np.asarray(env(xs))
         assert np.all(np.diff(bound) <= 0.0)
         phi = np.abs(f.phi(xs))
-        assert np.all(phi <= bound + 1e-15 * w), (w, tol)
+        assert np.all(phi <= bound + 5e-16 * w), (w, tol)
         for x in (r, xs[np.argmax(phi / bound)]):
-            assert exact_bump_abs(w, x) <= env(x), (w, tol, x)
+            assert abs(exact_bump_phi(0.0, w, x)) <= env(x), (w, tol, x)
     # case 11: past the sampled radius of the former search, u = 116.19,
     # |phi| still passed tol on u in [118.83, 118.87], between its samples
     tau0, w, tol = _radius_cases()[11]
     f = make_fourier_bump(tau0, w)
-    assert exact_bump_abs(w, 118.85 / w) > tol and w * f.radius(tol) > 118.87
+    assert abs(exact_bump_phi(0.0, w, 118.85 / w)) > tol and w * f.radius(tol) > 118.87
 
 
 @pytest.mark.parametrize("w", [1e-150, 1e-3, 1.0, 1e3, 1e150])
