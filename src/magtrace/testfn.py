@@ -18,10 +18,10 @@ Three families are provided:
     trapezoid rule of step 1/512 on the support, exact up to aliasing that
     the bump's envelope certifies below 7.9e-21 w out to the cap.  The rule
     is symmetric and the bump even, so phi is evaluated in its real cosine
-    form phi(x) = exp(i tau0 x) g(w x), with g a sum of 512 cosines.  The
-    cosine table is built once per process, on the first bump phi, so
-    building a bump and its k-sums need no numpy.  Complex-valued for
-    tau0 != 0.
+    form phi(x) = exp(i tau0 x) g(w x), with g a sum of 512 cosines taken
+    by angle addition, 96 trig calls per point.  The cosine table is built
+    once per process, on the first bump phi, so building a bump and its
+    k-sums need no numpy.  Complex-valued for tau0 != 0.
 
 Every instance also carries a *certified decay envelope* of phi and bounds
 on |phi_hat| and its first two derivatives.  The envelope bounds what the
@@ -79,10 +79,11 @@ def _refuse_lost_phase(what: str, phase: float) -> None:
                               "reaches 2^53, where exp(i*phase) keeps no phase information")
 
 
-# Points per block of the bump's cosine sum: bounds the (block x 512)
-# temporary to 256 KB, about a core's L2 cache.  Each row is summed on its
-# own, so the block size does not change a bit of phi.
-_BUMP_BLOCK = 64
+# Points per block of the bump's cosine sum: bounds its temporaries, the
+# (2 x 32 x block) cosines and sines and the (2 x 2 x 16 x block) partial
+# sums, to about 400 KB, within a core's L2 cache.  Each point is summed on its own,
+# so the block size does not change a bit of phi.
+_BUMP_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +340,11 @@ def _bump_psi(t, form=lambda e, t, om: e):
 
 @functools.cache
 def _bump_cosine_table():
-    """Trapezoid nodes t_m = m/512, m = 0..511, and unit cosine coefficients c_m.
+    """Unit cosine coefficients c_m, m = 0..511, of the trapezoid rule of step 1/512.
 
-    The rule of step 1/512 is exactly symmetric about 0 and psi is even and
-    zero at +-1, so the inverse transform of the bump of half-width w
-    collapses to
+    The rule is exactly symmetric about 0 and psi is even and zero at +-1,
+    so with nodes t_m = m/512 the inverse transform of the bump of
+    half-width w collapses to
 
         (w/2pi) sum_{|m| < 512} psi(t_m) exp(i (tau0 + w t_m) x) / 512
             = exp(i tau0 x) * w * sum_{m >= 0} c_m cos(t_m w x),
@@ -351,27 +352,44 @@ def _bump_cosine_table():
     c_m = 2 psi(t_m) / (512 * 2pi), halved at m = 0.  psi(t_m) is taken node
     by node on Python floats, from libm's exp, so the table is the same
     whatever SIMD exp numpy dispatches to.  Built on the first bump phi,
-    shared by all bumps; the arrays are read-only because every caller gets
-    the same ones.
+    shared by all bumps; the array is read-only because every caller gets
+    the same one.
     """
     import numpy as np
-    t = np.arange(_BUMP_M) / _BUMP_M
-    c = 2.0 * np.array([_bump_psi(tm) for tm in t.tolist()]) / (_BUMP_M * TWO_PI)
+    c = 2.0 * np.array([_bump_psi(m / _BUMP_M) for m in range(_BUMP_M)]) / (_BUMP_M * TWO_PI)
     c[0] *= 0.5
-    t.flags.writeable = c.flags.writeable = False
-    return t, c
+    c.flags.writeable = False
+    return c
 
 
 def _bump_cosine_sum(u, coeff):
-    """g(u) = sum_m coeff_m cos(t_m u) over the shared nodes, u 1-D."""
+    """g(u) = sum_m coeff_m cos(m u/512), m = 0..511, u 1-D, by angle addition.
+
+    With m = 32a + b (a < 16, b < 32), g(u) = sum_a [cos(a u/16) P_a -
+    sin(a u/16) Q_a], where P_a and Q_a sum coeff_{32a+b} times cos and sin of
+    b u/512 over b: 96 trig calls per point, each argument a dyadic multiple
+    of u rounded once.  P and Q are multiply-adds over b in a fixed order
+    (no BLAS, whose order depends on the host), and each point is summed on
+    its own.  cos is even and sin odd, so g(-u) == g(u) bit for bit.
+    """
     import numpy as np
-    t, _ = _bump_cosine_table()
+    rows = coeff.reshape(_BUMP_M // 32, 32).T[:, :, None]  # rows[b][a] = coeff_{32a+b}
+    fine = (np.arange(32) / _BUMP_M)[:, None]
+    coarse = (np.arange(_BUMP_M // 32) * (32 / _BUMP_M))[:, None]
     out = np.empty(u.shape)
     for i in range(0, u.size, _BUMP_BLOCK):
-        arg = np.multiply.outer(u[i:i + _BUMP_BLOCK], t)
-        np.cos(arg, out=arg)
-        arg *= coeff
-        out[i:i + _BUMP_BLOCK] = arg.sum(axis=1)
+        ub = u[i:i + _BUMP_BLOCK]
+        arg = fine * ub  # b u/512, one row per b
+        cs = np.stack((np.cos(arg), np.sin(arg)))
+        pq, term = np.zeros((2, 2, len(coarse), ub.size))
+        for b, row in enumerate(rows):
+            pq += np.multiply(cs[:, b, None], row, out=term)
+        p, q = pq
+        arg = coarse * ub
+        p *= np.cos(arg)
+        q *= np.sin(arg)
+        p -= q
+        out[i:i + _BUMP_BLOCK] = p.sum(axis=0)
     return out
 
 
@@ -382,10 +400,11 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
     flow periods inside that interval can contribute to any k-sum built
     on it.  phi itself is the trapezoid rule of step 1/512 on the support
     (aliasing below 7.9e-21 w for w|x| <= 1600; its rounding measures up to
-    4.2e-16 w), evaluated in its exact cosine form phi(x) = exp(i tau0 x)
-    g(w x) with 512 real cosines per point from the shared table of
-    ``_bump_cosine_table``, which is built once per process, on the first
-    call of any bump's phi; phi is complex-valued whenever tau0 != 0.
+    4.5e-17 w), evaluated in its exact cosine form phi(x) = exp(i tau0 x)
+    g(w x): 512 real cosines from the shared table of
+    ``_bump_cosine_table``, summed by angle addition with 96 trig calls per
+    point.  The table is built once per process, on the first call of any
+    bump's phi; phi is complex-valued whenever tau0 != 0.
     phi_hat, its two derivatives and the hat bounds take Python floats on
     ``math``, so a bump's k-sums load no numpy.  The envelope is the least
     of the legs w D_k/(2pi u^k), u = w|x|, k = 0, 2, ..., 24 (``_BUMP_D``), and
@@ -405,7 +424,7 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
 
     @functools.cache
     def coeff():
-        return w * _bump_cosine_table()[1]
+        return w * _bump_cosine_table()
 
     def phi(x):
         import numpy as np

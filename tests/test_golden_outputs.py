@@ -99,6 +99,28 @@ def test_output_digests(name, tmp_path):
     assert (run["exit"], run["files"]) == (want["exit"], want["files"])
 
 
+def _moved_under(env: dict, names: list, tmp_path) -> list:
+    """The commands among ``names`` whose exit code or whole-file digests
+    differ from the golden ones when rerun in a fresh process with ``env``
+    added to its environment."""
+    golden = _golden()
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"digests come from numpy {golden['numpy']}, this is {np.__version__}")
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import test_golden_outputs as g\n"
+            f"tmp, names = g.Path({str(tmp_path)!r}), {names!r}\n"
+            "print(json.dumps({name: g._run(name, *g._commands()[name], tmp)\n"
+            "                  for name in names}))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, **env})
+    assert out.returncode == 0, out.stderr
+    runs = json.loads(out.stdout)
+    return [name for name in names
+            if (runs[name]["exit"], runs[name]["files"])
+            != (golden["commands"][name]["exit"], golden["commands"][name]["files"])]
+
+
 # numpy's AVX-512 loops, exp among them, that a host without AVX-512 lacks
 _AVX512_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
@@ -106,28 +128,33 @@ _AVX512_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 def test_output_digests_hold_without_avx512_dispatch(tmp_path):
     # every column comes from libm or from a numpy loop whose result does not
     # depend on its SIMD width, so the digests hold on a host without AVX-512
-    golden = _golden()
-    if golden["numpy"] != np.__version__:
-        pytest.skip(f"digests come from numpy {golden['numpy']}, this is {np.__version__}")
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:
         pytest.skip("this numpy does not report its CPU features")
     if not (__cpu_features__.get("AVX512_ICL") and __cpu_features__.get("AVX512_SPR")):
         pytest.skip("this host has no AVX512_ICL or AVX512_SPR dispatch to switch off")
-    code = ("import json, sys\n"
-            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-            "import test_golden_outputs as g\n"
-            f"tmp = g.Path({str(tmp_path)!r})\n"
-            "print(json.dumps({name: g._run(name, sub, cfg, tmp)\n"
-            "                  for name, (sub, cfg) in g._commands().items()}))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, **_AVX512_OFF})
-    assert out.returncode == 0, out.stderr
-    runs = json.loads(out.stdout)
-    moved = [name for name, want in golden["commands"].items()
-             if (runs[name]["exit"], runs[name]["files"]) != (want["exit"], want["files"])]
-    assert moved == []
+    assert _moved_under(_AVX512_OFF, list(_commands()), tmp_path) == []
+
+
+# a DYNAMIC_ARCH OpenBLAS picks its kernels by CPU when it loads; this one
+# names the kernels of an AVX2 host without AVX-512
+_BLAS_HASWELL = {"OPENBLAS_CORETYPE": "Haswell"}
+# the subcommands that integrate the flow: ode's stages, the holonomy
+# quadrature and the Katok variational system multiply through BLAS, whose
+# kernels sum in an order that depends on the host, so their outputs move
+# with the kernels
+_BLAS_SUBCOMMANDS = ("dynamics", "katok")
+
+
+def test_output_digests_hold_under_another_blas_kernel(tmp_path):
+    # no spectral, bump or predict output goes through BLAS, so its digests
+    # hold whichever kernels numpy's OpenBLAS dispatches to
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS, {blas.get('name')}, is no DYNAMIC_ARCH OpenBLAS")
+    names = [name for name, (sub, _) in _commands().items() if sub not in _BLAS_SUBCOMMANDS]
+    assert _moved_under(_BLAS_HASWELL, names, tmp_path) == []
 
 
 def test_golden_covers_every_command():

@@ -128,15 +128,25 @@ def exact_bump_phi():
 
 @pytest.mark.parametrize("tau0,w", [(0.0, 1.0), (2.0, 0.5), (KATOK_TSHARP, 1.0)])
 def test_bump_phi_matches_40_digit_rule(exact_bump_phi, tau0, w):
-    # the double phi against the exact inverse transform, out to the cap: the
-    # trapezoid rule's aliasing is below 1e-20 w, so what shows is the
-    # rounding of the cosine sum, its arguments t_m u and the phase tau0 x
+    # the double phi against the exact inverse transform at 40 points, out to
+    # the cap: the trapezoid rule's aliasing is below 1e-20 w, so what shows
+    # is the rounding of the cosine sum, its arguments m u/512 and the phase
+    # tau0 x, at most 7.8e-17 w at 400 seeded points (the phase, near u = 2)
     f = make_fourier_bump(tau0, w)
     rng = np.random.default_rng(20261019)
-    us = [0.0, 0.37, 3.1, -3.1, 25.0, 180.5, 700.0, 955.25, -1234.5, 1600.0]
-    for u in us + rng.uniform(-testfn._BUMP_U_CAP, testfn._BUMP_U_CAP, 20).tolist():
+    us = [0.0, 0.37, 1.85, 3.1, -3.1, 25.0, 180.5, 700.0, 955.25, -1234.5, 1600.0]
+    for u in us + rng.uniform(-testfn._BUMP_U_CAP, testfn._BUMP_U_CAP, 29).tolist():
         x = u / w
-        assert abs(complex(f.phi(x)) - exact_bump_phi(tau0, w, x)) <= 5e-16, u
+        assert abs(complex(f.phi(x)) - exact_bump_phi(tau0, w, x)) <= 1e-16 * w, u
+
+
+def test_bump_cosine_sum_is_even():
+    # cos is even and sin odd, so the angle addition keeps g(-u) == g(u) bit
+    # for bit, past the cap too
+    coeff = testfn._bump_cosine_table()
+    u = np.random.default_rng(20261020).uniform(0.0, 2.0 * testfn._BUMP_U_CAP, 1000)
+    u[:4] = 0.0, 5e-324, 1.0, testfn._BUMP_U_CAP
+    assert np.array_equal(testfn._bump_cosine_sum(-u, coeff), testfn._bump_cosine_sum(u, coeff))
 
 
 def test_bump_radius_does_not_depend_on_tau0():
@@ -191,14 +201,14 @@ def test_bump_radius_search_work_is_bounded(cosine_rows, w):
 
 
 def test_bump_cosine_table_is_the_512_step_trapezoid():
-    t, c = testfn._bump_cosine_table()
-    assert np.array_equal(t, np.arange(512) / 512)
-    # psi(t_m) from libm, one node at a time, whatever SIMD exp numpy dispatches to
-    psi = np.array([math.exp(-1.0 / (1.0 - tm * tm)) for tm in t.tolist()])
+    c = testfn._bump_cosine_table()
+    # psi(t_m) from libm, one node t_m = m/512 at a time, whatever SIMD exp
+    # numpy dispatches to
+    psi = np.array([math.exp(-1.0 / (1.0 - (m / 512) ** 2)) for m in range(512)])
     expected = 2.0 * psi / (512 * 2.0 * math.pi)
     expected[0] /= 2.0
     assert np.array_equal(c, expected)
-    assert not t.flags.writeable and not c.flags.writeable
+    assert not c.flags.writeable
 
 
 def test_bump_trapezoid_aliasing_is_certified():
@@ -232,9 +242,9 @@ def test_bump_envelope_certifies_radius(exact_bump_phi):
     # past each radius, |phi| on a 0.5 grid in u = w|x| out to the cap stays
     # under the envelope, which is at most tol there: the 40-digit |phi| at
     # the radius and where the double phi comes closest to the envelope, and
-    # the double phi up to 5e-16 w.  That phi is exact up to aliasing below
+    # the double phi up to 1e-16 w.  That phi is exact up to aliasing below
     # 1e-20 w, so its excess is the rounding of the cosine sum and its
-    # arguments, at most 4.96e-16 w on this grid
+    # arguments, at most 7.1e-17 w on this grid
     for tau0, w, tol in _radius_cases():
         f = make_fourier_bump(tau0, w)
         r = f.radius(tol)
@@ -244,7 +254,7 @@ def test_bump_envelope_certifies_radius(exact_bump_phi):
         bound = np.asarray(env(xs))
         assert np.all(np.diff(bound) <= 0.0)
         phi = np.abs(f.phi(xs))
-        assert np.all(phi <= bound + 5e-16 * w), (w, tol)
+        assert np.all(phi <= bound + 1e-16 * w), (w, tol)
         for x in (r, xs[np.argmax(phi / bound)]):
             assert abs(exact_bump_phi(0.0, w, x)) <= env(x), (w, tol, x)
     # case 11: past the sampled radius of the former search, u = 116.19,
@@ -276,8 +286,8 @@ def test_bump_phi_dtype():
 
 
 def test_bump_phi_peak_memory_is_cache_sized():
-    # the cosine sum runs in blocks of 64 rows (256 KB), so a 1000-point call
-    # never holds the whole (1000 x 512) table of cosines
+    # the cosine sum runs in blocks of 256 points (about 400 KB of cosines,
+    # sines and partial sums), so a 1000-point call never holds all of them
     f = make_fourier_bump(2.0, 0.5)
     xs = np.linspace(-50.0, 50.0, 1000)
     f.phi(xs[:1])  # builds the shared cosine table
