@@ -65,7 +65,8 @@ class KSumControl:
     resonance_margin: float = 1e-6
 
     def __post_init__(self):
-        if not (isinstance(self.k_max, int) and 0 <= self.k_max <= MAX_K_MAX):
+        if not (isinstance(self.k_max, int) and not isinstance(self.k_max, bool)
+                and 0 <= self.k_max <= MAX_K_MAX):
             raise ValidationError(f"k_max must be an integer in [0, {MAX_K_MAX:,}] "
                                   f"(capped), got {self.k_max}")
         if not (self.resonance_margin > 0.0):
@@ -178,7 +179,7 @@ def general_c0_volume(phi_hat_0: complex, volXE: float, n: int) -> complex:
     """Volume term (2pi)^{-n} fhat(0) Vol(X_E) of the zero-period window."""
     if not (volXE > 0.0):
         raise ValidationError(f"phase-space volume must be positive, got {volXE}")
-    if not (isinstance(n, int) and n >= 1):
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
         raise ValidationError(f"dimension n must be a positive integer, got {n}")
     return complex(phi_hat_0) * volXE / TWO_PI**n
 

@@ -283,7 +283,9 @@ def cmd_katok(cfg):
     level = _energy(cfg, geo)
     tol = _tolerances(cfg)
     eps = geo.eps
-    N = _N_list(cfg, level)[0] if "N" in cfg else 1
+    N, *more = _N_list(cfg, level) if "N" in cfg else [1]
+    if more:
+        raise ValidationError(f"the katok command takes one N ({{value}}), got {len(more) + 1}")
     k_list = cfg.get("k_list", [1, 2, 3, -1, -2, -3])
     if not isinstance(k_list, list) or not k_list or 0 in k_list:
         raise ValidationError("k_list must be a nonempty list of nonzero integers")

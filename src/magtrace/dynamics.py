@@ -297,14 +297,14 @@ class MaslovData:
 
 def maslov_katok(k: int, eps: float, orientation: str,
                  resonance_margin: float = 1e-6) -> MaslovData:
-    """Maslov index of the k-th iterate by rotation counting, at E = sqrt(2).
+    """Maslov index of the k-th iterate at E = sqrt(2), from the rotation
+    angle x = 2k/(1 -+ eps) in units of pi alone; no flow is integrated.
 
-    kappa counts the transverse rotation angle k*alpha through the windows
-    ((2 kappa - 1) pi/2, (2 kappa + 1) pi/2); sgn R follows the two-interval
-    rule in the fractional part of x = 2k/(1 -+ eps).  The combination
-    equals the closed form 2*floor(x) + 2*sign(k) + 1 (see the tests).
+    kappa = round(x) and sgn R follows the two-interval rule in the
+    fractional part of x.  m = sgn R + 2 kappa equals the closed form
+    ``katok_maslov_closed``, 2*floor(x) + 2*sign(k) + 1 (see the tests).
     """
-    if not (isinstance(k, (int, np.integer)) and k != 0):
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k != 0):
         raise ValidationError(f"iterate index k must be a nonzero integer, got {k}")
     Katok(eps)  # refuses eps outside (0, 1)
     sg = branch_sign(orientation)

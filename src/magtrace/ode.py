@@ -90,8 +90,8 @@ D = np.array([
 
 def _horner(x, y_old, F):
     """The degree-7 dense output at step fraction x, in SciPy's operation
-    order: one state for a scalar x, one row per row of an (n, 1) x, with
-    y_old and F gathered to match."""
+    order: one state for a scalar or one-element x, one row per row of an
+    (m, 1) x, with y_old and F gathered to match."""
     y = np.zeros(np.shape(y_old))
     one_minus_x = 1 - x
     for i in range(7):
@@ -101,42 +101,23 @@ def _horner(x, y_old, F):
     return y
 
 
-class StepInterpolant:
-    """Degree-7 dense output over one step [t_old, t], at a scalar time."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old, self.h, self.y_old, self.F = t_old, t - t_old, y_old, F
-
-    def __call__(self, t):
-        return _horner((t - self.t_old) / self.h, self.y_old, self.F)
-
-
 class DenseSolution:
-    """The step interpolants of one run; ``interpolants[k]`` covers [ts[k], ts[k+1]].
-
-    Callable on a scalar time, giving a state, or on an array of times,
-    giving one state per column.  An array is evaluated in one pass over the
-    steps' stacked data, elementwise as each step's interpolant would.
-    """
+    """The dense output of one run.  Step k's row ``interpolants[k] = (h,
+    y_old, F)`` covers [ts[k], ts[k+1]] (after an event ts[-1] is a root in
+    the last step, whose row keeps the full h).  A scalar time gives a state,
+    an array of times one state per column, both from the stacked rows."""
 
     def __init__(self, ts, interpolants):
         self.ts = np.array(ts)
         self.interpolants = interpolants
-        self._t_old = np.array([p.t_old for p in interpolants])
-        self._h = np.array([p.h for p in interpolants])
-        self._y_old = np.array([p.y_old for p in interpolants])
-        self._F = np.array([p.F for p in interpolants])
-
-    def _step(self, t):
-        return np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.interpolants) - 1)
+        self._h, self._y_old, self._F = (np.array([row[i] for row in interpolants])
+                                         for i in range(3))
 
     def __call__(self, t):
         t = np.asarray(t)
-        if t.ndim == 0:
-            return self.interpolants[self._step(t)](t)
-        k = self._step(t)
-        x = (t - self._t_old[k]) / self._h[k]
-        return _horner(x[:, None], self._y_old[k], self._F[k]).T
+        k = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.interpolants) - 1)
+        x = (t - self.ts[k]) / self._h[k]
+        return _horner(x[..., None], self._y_old[k], self._F[k]).T
 
 
 def _l2(x):
@@ -164,22 +145,26 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, length)
 
 
-def _rk_step(fun, t, y, f, h, K_ext, KT):
-    """One step of stages 0-12 into K_ext; KT[s] is the view K_ext[:s].T."""
-    K_ext[0] = f
-    for s in range(1, N_STAGES):
+def _stages(fun, t, y, h, K_ext, KT, stages):
+    """Fill K_ext[s] for s in stages; KT[s] is the view K_ext[:s].T."""
+    for s in stages:
         dy = np.dot(KT[s], _STAGE_ROWS[s]) * h
         K_ext[s] = fun(t + _C[s] * h, y + dy)
+
+
+def _rk_step(fun, t, y, f, h, K_ext, KT):
+    """One step of stages 0-12 into K_ext."""
+    K_ext[0] = f
+    _stages(fun, t, y, h, K_ext, KT, range(1, N_STAGES))
     y_new = y + h * np.dot(KT[N_STAGES], B)
     f_new = fun(t + h, y_new)
     K_ext[N_STAGES] = f_new
     return y_new, f_new
 
 
-def _interpolant(fun, t_old, y_old, t, y, f, h, K_ext, KT):
-    for s in range(N_STAGES + 1, 16):
-        dy = np.dot(KT[s], _STAGE_ROWS[s]) * h
-        K_ext[s] = fun(t_old + _C[s] * h, y_old + dy)
+def _interpolant(fun, t_old, y_old, y, f, h, K_ext, KT):
+    """The step's dense-output row (h, y_old, F), after stages 13-15."""
+    _stages(fun, t_old, y_old, h, K_ext, KT, range(N_STAGES + 1, 16))
     F = np.empty((7, len(y)))
     f_old = K_ext[0]
     delta_y = y - y_old
@@ -187,7 +172,7 @@ def _interpolant(fun, t_old, y_old, t, y, f, h, K_ext, KT):
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(D, K_ext)
-    return StepInterpolant(t_old, t, y_old, F)
+    return h, y_old, F
 
 
 def brentq(f, xa, xb):
@@ -279,13 +264,16 @@ def dop853(fun, t0, y0, t_bound, tol, events=(), dense_output=True):
         t, y, f = t_new, y_new, f_new
         status = 0 if t - t_bound >= 0 else None
         if dense_output:
-            interpolants.append(_interpolant(fun, t_old, y_old, t, y, f, h, K_ext, KT))
+            interpolants.append(_interpolant(fun, t_old, y_old, y, f, h, K_ext, KT))
         if events:
             g_new = [event(t, y) for event in events]
             active = [k for k, (a, b) in enumerate(zip(g, g_new))
                       if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
             if active:
-                sol = interpolants[-1]
+                F = interpolants[-1][2]
+
+                def sol(tt):
+                    return _horner((tt - t_old) / h, y_old, F)
                 t = min(brentq(lambda tt: events[k](tt, sol(tt)), t_old, t) for k in active)
                 y, status = sol(t), 1
             g = g_new

@@ -109,10 +109,10 @@ class SpectrumEntry:
 
 
 def _check_Nj(N, j):
-    # an int or a numpy integer, both of which have __index__
-    if not (hasattr(N, "__index__") and N >= 1):
+    # an int or a numpy integer, both of which have __index__; not a bool
+    if not (hasattr(N, "__index__") and not isinstance(N, bool) and N >= 1):
         raise ValidationError(f"N must be a positive integer, got {N}")
-    if not (hasattr(j, "__index__") and j >= 0):
+    if not (hasattr(j, "__index__") and not isinstance(j, bool) and j >= 0):
         raise ValidationError(f"j must be a nonnegative integer, got {j}")
 
 

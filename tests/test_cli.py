@@ -10,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from magtrace import (TestFunction, ValidationError, asymptotics, cli, dynamics,
-                      katok_first_integral)
+from magtrace import (EnergyLevel, TestFunction, Torus, ValidationError, asymptotics, cli,
+                      dynamics, enumerate_window, katok_first_integral, levels,
+                      make_gaussian)
 from magtrace.cli import _number, main
 
 SQRT2 = math.sqrt(2.0)
@@ -149,6 +150,18 @@ def test_katok_rejects_wrong_energy(tmp_path):
     }
     path = _write_cfg(tmp_path, "cfg.json", cfg)
     assert main(["katok", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("N", [{"list": [3, 5]}, {"start": 1, "stop": 2, "step": 1}])
+def test_katok_refuses_an_N_grid(tmp_path, capsys, N):
+    # the report reads one N; a grid is refused, not cut to its first value
+    cfg = {"schema": "magtrace/1", "geometry": {"kind": "katok", "eps": 0.3}, "N": N}
+    out = tmp_path / "out"
+    assert main(["katok", "--config", _write_cfg(tmp_path, "cfg.json", cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the katok command takes one N") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_dynamics_command_katok(tmp_path):
@@ -455,6 +468,22 @@ def test_predict_refuses_an_unreachable_k_tail_before_any_bound(tmp_path, capsys
     cfg = _base_cfg(test_function={"kind": "gaussian", "s": 1e-150}, N={"value": 40})
     assert "capped" in _exits_2_cleanly(tmp_path, capsys, cfg, "predict")
     assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: asymptotics.KSumControl(k_max=True),
+    lambda: asymptotics.general_c0_volume(1.0, 1.0, n=True),
+    lambda: dynamics.maslov_katok(True, 0.3, "+"),
+    lambda: levels(Torus(), True, 0),
+    lambda: levels(Torus(), 1, False),
+    lambda: enumerate_window(Torus(), True, EnergyLevel.from_E(2.0),
+                             make_gaussian(1.0), 1e-14),
+], ids=["KSumControl", "general_c0_volume", "maslov_katok", "levels_N", "levels_j",
+        "enumerate_window"])
+def test_library_integer_checks_refuse_bools(call):
+    # as the config reader does (_number): True is not the integer 1
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_k_max_at_cap_is_accepted():

@@ -202,3 +202,21 @@ def test_step_size_collapse_matches_scipy():
     assert ref.message == ode.STEP_COLLAPSE
     assert t_end == ref.t[-1]
     assert np.array_equal(y_end, ref.y[:, -1])
+
+
+def test_step_size_collapse_on_the_first_step_matches_scipy():
+    # y' = y^2 from 1e20 overflows at once; every step is rejected until the
+    # step size collapses, so no step is accepted and the solution is empty
+    def fun(tt, y):
+        return y * y
+
+    from scipy.integrate import solve_ivp
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = solve_ivp(fun, (1.0, 2.0), np.array([1e20]), method="DOP853", rtol=1e-9,
+                        atol=1e-9, dense_output=True)
+        t_end, y_end, sol, status = ode.dop853(fun, 1.0, np.array([1e20]), 2.0, 1e-9)
+    assert status == ref.status == -1
+    assert t_end == ref.t[-1] == 1.0
+    assert np.array_equal(y_end, ref.y[:, -1])
+    assert np.array_equal(sol.ts, ref.t)
+    assert len(sol.interpolants) == len(ref.sol.interpolants) == 0
