@@ -4,9 +4,10 @@ Every command of the three ``perfbench/workloads.py`` workloads (seed 1),
 plus one ``spectrum`` and one gaussian ``predict`` run on each closed-form
 ladder and a Katok ``predict`` that leaves periods inside ``k_max`` out of
 its sum, runs in-process through ``cli.main``; each exit code and the sha256
-of each output file must match ``golden_outputs.json``.  Beside each CSV
-file's digest the file stores a sha256 per column, so a recapture can name
-the columns that moved; the test compares the whole-file digests.  The
+of each output file must match ``golden_outputs.json``.  Beside each file's
+digest the file stores a sha256 per CSV column or per JSON leaf, so a
+recapture can name the columns and fields that moved; the test compares the
+whole-file digests.  The
 digests hold for the numpy version recorded there; another version may move
 the last bits of some floats, so the comparison is skipped under one.
 
@@ -14,7 +15,9 @@ the last bits of some floats, so the comparison is skipped under one.
 
 ``--write`` prints each command whose exit code or digests changed, with the
 files that changed and, in a CSV file, the columns that changed, e.g.
-``changed: spectrum/sphere (exit 0 -> 0) spectrum.csv: tail_bound``.
+``changed: spectrum/sphere (exit 0 -> 0) spectrum.csv: tail_bound``, or, in
+a JSON file, the leaves that changed by their key paths, e.g.
+``invariants.json: numeric.energy_drift``.
 """
 
 import hashlib
@@ -69,8 +72,8 @@ def _run(name, sub, config, tmp: Path) -> dict:
     paths = sorted(out.iterdir()) if out.is_dir() else []
     return {"exit": code,
             "files": {p.name: _sha256(p.read_bytes()) for p in paths},
-            "columns": {p.name: _column_digests(p.read_text())
-                        for p in paths if p.suffix == ".csv"}}
+            "columns": {p.name: _PART_DIGESTS[p.suffix](p.read_text())
+                        for p in paths if p.suffix in _PART_DIGESTS}}
 
 
 def _sha256(data: bytes) -> str:
@@ -83,6 +86,25 @@ def _column_digests(text: str) -> dict:
     names = header.split(",")
     columns = zip(*(row.split(",") for row in rows)) if rows else [()] * len(names)
     return {name: _sha256("\n".join(col).encode()) for name, col in zip(names, columns)}
+
+
+def _leaf_digests(text: str) -> dict:
+    """key path -> sha256 of that leaf's JSON, for each leaf of a JSON
+    document; the keys and list indices of a path are joined by dots, as
+    in ``numeric.energy_drift`` or ``orbits.0.T``."""
+    out = {}
+
+    def walk(node, path):
+        if isinstance(node, (dict, list)) and node:
+            for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+                walk(child, (*path, str(key)))
+        else:
+            out[".".join(path)] = _sha256(json.dumps(node).encode())
+    walk(json.loads(text), ())
+    return out
+
+
+_PART_DIGESTS = {".csv": _column_digests, ".json": _leaf_digests}
 
 
 def _golden() -> dict:
