@@ -246,7 +246,6 @@ def cmd_dynamics(cfg):
             "period": T,
             "energy_drift": flow.energy_drift,
             "first_integral_drift": flow.first_integral_drift,
-            "chart_switches": flow.chart_switches,
             "numeric_holonomy": hol_num,
         }
         if hol_num is not None:
@@ -254,7 +253,7 @@ def cmd_dynamics(cfg):
                 inv.S, inv.L * level.c + hol_num)
         report["numeric"] = numeric
         if n_samples:  # orbit_samples 0 writes no table
-            ts, ys, _ = flow.sample(n_samples)
+            ts, ys = flow.sample(n_samples)
             columns = [ts, *ys, geo.hamiltonian(ys)]
             header = ["t", "q1", "q2", "p1", "p2", "H"]
             P = geo.first_integral(ys)

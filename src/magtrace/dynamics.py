@@ -11,9 +11,9 @@ closed forms its coefficient predictions are built on.  A trajectory's
 action S = L sqrt(E^2-1) + hol is defined modulo 2 pi; forward-time
 primitive orbits always take the plus sign on the length term.
 
-Each geometry's Hamiltonian, flow field, connection form, charts and
-closed-form orbit data are methods of its class in ``geometry``; this
-module integrates the flow and measures along it.
+Each geometry's Hamiltonian, flow field, connection form and closed-form
+orbit data are methods of its class in ``geometry``; this module integrates
+the flow in one chart and measures along it.
 
 Orientation labels: the deformed sphere carries two equatorial orbits,
 "+" (increasing phi) and "-"; the unique closed orbits of the other
@@ -42,7 +42,6 @@ TWO_PI = 2.0 * math.pi
 
 @dataclasses.dataclass(frozen=True)
 class FlowSegment:
-    chart: str
     t0: float
     t1: float
     sol: ode.DenseSolution  # dense output over [t0, t1]
@@ -54,8 +53,8 @@ class FlowResult:
 
     ``energy_drift`` is max |H - E| over dense samples; for the deformed
     sphere ``first_integral_drift`` additionally monitors the conserved
-    quantity of the integrable structure.  Sampling across chart switches
-    reports each sample's own chart.
+    quantity of the integrable structure.  ``segments`` holds the one
+    FlowSegment of the run, none for a run of time 0.
     """
 
     geo: Geometry
@@ -64,22 +63,13 @@ class FlowResult:
     final: PhaseState
     energy_drift: float
     first_integral_drift: float | None
-    chart_switches: int
     segments: tuple
 
     def sample(self, n: int) -> tuple:
-        """n states at uniform times: (t, y[4, n], charts list)."""
+        """n states at uniform times: (t, y[4, n])."""
         ts = np.linspace(0.0, self.t_final, n)
-        ys = np.empty((4, n))
-        # each time belongs to the first segment that ends at or after it
-        which = np.minimum(np.searchsorted([seg.t1 for seg in self.segments], ts),
-                           len(self.segments) - 1)
-        for k, seg in enumerate(self.segments):
-            at = which == k
-            if at.any():
-                ys[:, at] = seg.sol(np.clip(ts[at], seg.t0, seg.t1))
-        names = [seg.chart for seg in self.segments]
-        return ts, ys, [names[k] for k in which.tolist()]
+        (seg,) = self.segments
+        return ts, seg.sol(ts)
 
 
 def _on_floats(field):
@@ -103,14 +93,12 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
 
     Local tolerance ``tol`` drives both rtol and atol; energy drift (and,
     for the deformed sphere, first-integral drift) above 100*tol raises.
-    The round sphere switches between its two polar charts when theta
-    leaves (0.1, pi - 0.1), at most 64 times; the deformed sphere's chart
-    has no isometric rotation, so its trajectories must keep clear of the
-    poles.
+    The run stays in one chart: on the two spheres a path that crosses a
+    pole margin, theta = pole_margin or pi - pole_margin, raises
+    IntegratorError, while a path wholly inside a margin runs.
     """
     y0 = s0.as_array()
-    chart = s0.chart if s0.chart != "default" else geo.default_chart
-    geo.check_chart(y0, s0.chart)
+    geo.check_state(y0)
     H0 = float(geo.hamiltonian(y0))
     if abs(H0 - E) > 1e-10 * max(1.0, abs(E)):
         raise ValidationError(f"initial state off-shell: H={H0!r}, E={E!r}")
@@ -118,54 +106,36 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     fdrift = None if P0 is None else 0.0
     if t == 0.0:
         return FlowResult(geo=geo, E=E, t_final=0.0, final=s0, energy_drift=0.0,
-                          first_integral_drift=fdrift,
-                          chart_switches=0, segments=())
+                          first_integral_drift=fdrift, segments=())
     if t < 0.0:
         raise ValidationError("integration time must be nonnegative")
 
-    events = ()
+    t_end, y_end, sol, status = ode.dop853(_on_floats(geo.flow), 0.0, y0, t, tol)
+    if status < 0:
+        raise IntegratorError(f"integration failed at t={t_end:.6g}: {ode.STEP_COLLAPSE}")
+
+    # pole crossings and conservation monitors over dense samples
+    ys = sol(np.linspace(0.0, t, 256))
     margin = geo.pole_margin
     if margin is not None:
-        events = (lambda tt, y: y[0] - margin,
-                  lambda tt, y: y[0] - (math.pi - margin))
-
-    segments = []
-    switches = 0
-    t_cur, y_cur = 0.0, y0
-    rhs = _on_floats(geo.flow)
-    while t_cur < t:
-        t_end, y_cur, sol, status = ode.dop853(rhs, t_cur, y_cur, t, tol, events)
-        if status < 0:
-            raise IntegratorError(f"integration failed at t={t_end:.6g}: {ode.STEP_COLLAPSE}")
-        segments.append(FlowSegment(chart=chart, t0=t_cur, t1=float(t_end), sol=sol))
-        t_cur = float(t_end)
-        if status == 1:  # hit a pole guard
-            y_cur, chart = geo.switch_chart(y_cur, chart)
-            switches += 1
-            if switches > 64:
-                raise IntegratorError("too many chart switches; step-size collapse suspected")
-
-    # conservation monitors over dense samples
-    n_mon = 256
-    drift = 0.0
-    for seg in segments:
-        ys = seg.sol(np.linspace(seg.t0, seg.t1,
-                                 max(2, int(n_mon * (seg.t1 - seg.t0) / t))))
-        drift = max(drift, float(np.max(np.abs(geo.hamiltonian(ys) - E))))
-        if P0 is not None:
-            fdrift = max(fdrift, float(np.max(np.abs(geo.first_integral(ys) - P0))))
+        for edge, pole in ((margin, "0"), (math.pi - margin, "pi")):
+            if np.any((ys[0] < edge) != (ys[0][0] < edge)):
+                raise IntegratorError(f"path crossed theta = {edge:.6g}, the margin of the "
+                                      f"pole theta = {pole}; the run keeps to one chart")
+    drift = float(np.max(np.abs(geo.hamiltonian(ys) - E)))
+    if P0 is not None:
+        fdrift = float(np.max(np.abs(geo.first_integral(ys) - P0)))
     budget = 100.0 * tol
     if drift > budget:
         raise IntegratorError(f"energy drift {drift:.3e} exceeds budget {budget:.3e}")
     if fdrift is not None and fdrift > budget:
         raise IntegratorError(f"first-integral drift {fdrift:.3e} exceeds budget {budget:.3e}")
 
-    final = PhaseState(q=(float(y_cur[0]), float(y_cur[1])),
-                       p=(float(y_cur[2]), float(y_cur[3])),
-                       chart=chart)
+    final = PhaseState(q=(float(y_end[0]), float(y_end[1])),
+                       p=(float(y_end[2]), float(y_end[3])))
     return FlowResult(geo=geo, E=E, t_final=t, final=final, energy_drift=drift,
-                      first_integral_drift=fdrift, chart_switches=switches,
-                      segments=tuple(segments))
+                      first_integral_drift=fdrift,
+                      segments=(FlowSegment(t0=0.0, t1=float(t_end), sol=sol),))
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +173,10 @@ def numeric_holonomy(geo: Geometry, flow: FlowResult) -> float:
     is canonically defined modulo 2 pi and returned unreduced.  Paths that
     fail to close within 1e-7 are rejected, as are sphere paths
     leaving the upper hemisphere (the sphere's trivialization is only the
-    hemispheric one) and paths that switched charts.
+    hemispheric one).
     """
     if not flow.segments:
         return 0.0
-    if flow.chart_switches:
-        raise ValidationError("holonomy quadrature needs a single-chart path")
-    # integrate makes one segment per chart switch plus one
     (seg,) = flow.segments
     gap = geo.closure_gap(seg.sol(seg.t0), seg.sol(seg.t1))
     if gap > 1e-7:

@@ -6,14 +6,14 @@ one Landau ladder and its Poisson image (``ConstantCurvature``: ``ladder``,
 ``j_of_lam``, ``k_frequency``, ``poisson_image``, summed by
 ``asymptotics.poisson_c01``) and state only b, K and their area.
 ``Katok(eps)`` is the deformed sphere, which has no closed-form spectrum.
-Each class owns its magnetic flow with its charts and closed orbits
+Each class owns its magnetic flow, in one chart, and its closed orbits
 (``dynamics``).  Each field is the quantized one its closed forms need: the
 chart constant B is 2pi on the torus, 1/2 on the sphere and 1 on the
 hyperbolic surface, so b = B/R^2 off the flat torus.  The formulas take
 their functions from ``floats.xp``, so they run on Python floats or numpy
 arrays alike; numpy is imported only inside the methods that build arrays
-(the flow field, chart switches, Monte Carlo areas), which only the
-``dynamics`` and ``katok`` commands reach.
+(the flow field, Monte Carlo areas), which only the ``dynamics`` and
+``katok`` commands reach.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import dataclasses
 import math
 from typing import ClassVar
 
-from .errors import (ChartError, IntegratorError, ManeLevelError, ValidationError,
-                     refuse_past_double_range)
+from .errors import ChartError, ManeLevelError, ValidationError, refuse_past_double_range
 from .floats import cis
 from .floats import xp as _xp  # the flows name their module variable xp
 
@@ -37,15 +36,12 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclasses.dataclass(frozen=True)
 class PhaseState:
-    """Chart coordinates (q1, q2) and momenta (p1, p2).
-
-    chart is "default" except on the round sphere, where "z" and "x" name
-    the polar charts about the corresponding axes.
-    """
+    """Coordinates (q1, q2) and momenta (p1, p2) in the geometry's one chart:
+    (x, y) on the torus and the half-plane, polar (theta, phi) on the two
+    spheres."""
 
     q: tuple
     p: tuple
-    chart: str = "default"
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -111,16 +107,13 @@ class Geometry:
     kind: ClassVar[str]
     params: ClassVar[dict] = {}              # config key -> int or float
     stated_E: ClassVar[float | None] = None  # the one energy the example is stated at
-    pole_margin: ClassVar[float | None] = None  # polar charts stop this far from a pole
-    charts: ClassVar[tuple] = ("default",)
-    default_chart: ClassVar[str] = "default"
+    pole_margin: ClassVar[float | None] = None  # a path may not cross this far from a pole
     loop_periods: ClassVar[tuple] = (None, None)  # coordinate periods of a closed loop
 
-    def check_chart(self, y, chart: str) -> None:
+    def check_state(self, y) -> None:
+        """Refuse a state outside the chart: theta outside (0, pi) on the spheres."""
         if self.pole_margin is not None and not 0.0 < y[0] < math.pi:
             raise ChartError(f"polar angle theta={y[0]:.6g} outside (0, pi)")
-        if chart not in self.charts:
-            raise ChartError(f"geometry {self.kind} has no chart {chart!r}")
 
     def first_integral(self, y):
         """A conserved quantity besides H, or None."""
@@ -288,8 +281,6 @@ class Sphere(ConstantCurvature):
     kind: ClassVar[str] = "sphere"
     params: ClassVar[dict] = {"R": float}
     pole_margin: ClassVar[float] = 0.1
-    charts: ClassVar[tuple] = ("z", "x", "default")
-    default_chart: ClassVar[str] = "z"
     loop_periods: ClassVar[tuple] = (None, TWO_PI)
 
     def __post_init__(self):
@@ -332,47 +323,6 @@ class Sphere(ConstantCurvature):
                 "trivialization does not cover it")
         return self.B * (1.0 - np.cos(y[0])) * self.flow(y)[1]
 
-    @staticmethod
-    def _axes(chart):
-        # chart "x" relabels the axes cyclically: its (x, y, z) are world (y, z, x)
-        return [0, 1, 2] if chart == "z" else [1, 2, 0]
-
-    def _to_world(self, y, chart, H):
-        """World position n and velocity dn/dt of a chart state."""
-        import numpy as np
-        q1, q2, p1, p2 = y
-        R = self.R
-        s, c = math.sin(q1), math.cos(q1)
-        n_loc = np.array([s * math.cos(q2), s * math.sin(q2), c])
-        dth = p1 / (R * R * H)
-        dph = p2 / (R * R * s * s * H)
-        v_loc = (dth * np.array([c * math.cos(q2), c * math.sin(q2), -s])
-                 + dph * np.array([-s * math.sin(q2), s * math.cos(q2), 0.0]))
-        n = np.empty(3)
-        v = np.empty(3)
-        n[self._axes(chart)] = n_loc
-        v[self._axes(chart)] = v_loc
-        return n, v
-
-    def _from_world(self, n, v, chart, H):
-        import numpy as np
-        R = self.R
-        n_loc = n[self._axes(chart)]
-        v_loc = v[self._axes(chart)]
-        q1 = math.acos(max(-1.0, min(1.0, n_loc[2])))
-        q2 = math.atan2(n_loc[1], n_loc[0])
-        s = math.sin(q1)
-        dth = -v_loc[2] / s
-        dph = (v_loc[1] * n_loc[0] - n_loc[1] * v_loc[0]) / (n_loc[0] ** 2 + n_loc[1] ** 2)
-        return np.array([q1, q2, R * R * H * dth, R * R * s * s * H * dph])
-
-    def switch_chart(self, y, chart):
-        """The same state in the other polar chart, through the rotation isometry."""
-        H = self.hamiltonian(y)
-        n, v = self._to_world(y, chart, H)
-        new_chart = "x" if chart == "z" else "z"
-        return self._from_world(n, v, new_chart, H), new_chart
-
     def closed_orbits(self, E, c):
         B, R = self.B, self.R
         w = math.sqrt(c * c + B * B / (R * R))
@@ -381,7 +331,7 @@ class Sphere(ConstantCurvature):
 
     def orbit_state(self, E, c, orientation):
         theta0 = math.atan2(c * self.R, self.B)  # northern latitude circle
-        return (PhaseState(q=(theta0, 0.0), p=(0.0, -c * self.R * math.sin(theta0)), chart="z"),
+        return (PhaseState(q=(theta0, 0.0), p=(0.0, -c * self.R * math.sin(theta0))),
                 self.closed_orbits(E, c).orbits[0].T)
 
     @property
@@ -473,10 +423,9 @@ class Hyperbolic(ConstantCurvature):
         """A = (B/y) dx on the upper half-plane."""
         return (self.B / y[1]) * self.flow(y)[0]
 
-    def check_chart(self, y, chart):
+    def check_state(self, y):
         if not y[1] > 0.0:
             raise ChartError(f"half-plane chart needs y > 0, got y={y[1]:.6g}")
-        super().check_chart(y, chart)
 
     def closed_orbits(self, E, c):
         R = self.R
@@ -622,11 +571,6 @@ class Katok(Geometry):
 
     def first_integral(self, y):
         return katok_first_integral(self.eps, y)
-
-    def switch_chart(self, y, chart):
-        raise IntegratorError(
-            f"trajectory approached a coordinate pole (theta={y[0]:.4g}) "
-            "of the deformed-sphere chart; no rotated chart exists for this metric")
 
     def closed_orbits(self, E, c):
         e = self.eps

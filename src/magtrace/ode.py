@@ -1,11 +1,11 @@
-"""Adaptive DOP853 integration with dense output and terminal events.
+"""Adaptive DOP853 integration with dense output.
 
 The explicit Runge-Kutta method of order 8(5,3) of Hairer, Norsett and
 Wanner (Solving Ordinary Differential Equations I, Sec. II.5), run the way
 SciPy's ``solve_ivp(method="DOP853")`` runs it: the same tableau, initial
-step, two-norm error estimate, step control, degree-7 dense output and
-Brent root search for events, operation for operation.  Both take the same
-steps and return the same floats.  Integration runs forward in time only,
+step, two-norm error estimate, step control and degree-7 dense output,
+operation for operation.  Both take the same steps and return the same
+floats.  Integration runs forward in time only,
 with ``rtol = atol = tol``, both at least 100 eps: SciPy floors rtol there,
 and a far smaller atol overflows the error norm.  Imports only numpy and
 ``math``: the step-size bookkeeping runs on Python floats, the stage
@@ -90,8 +90,8 @@ D = np.array([
 
 def _horner(x, y_old, F):
     """The degree-7 dense output at step fraction x, in SciPy's operation
-    order: one state for a scalar or one-element x, one row per row of an
-    (m, 1) x, with y_old and F gathered to match."""
+    order: one state for a one-element x, one row per row of an (m, 1) x,
+    with y_old and F gathered to match."""
     y = np.zeros(np.shape(y_old))
     one_minus_x = 1 - x
     for i in range(7):
@@ -103,9 +103,8 @@ def _horner(x, y_old, F):
 
 class DenseSolution:
     """The dense output of one run.  Step k's row ``interpolants[k] = (h,
-    y_old, F)`` covers [ts[k], ts[k+1]] (after an event ts[-1] is a root in
-    the last step, whose row keeps the full h).  A scalar time gives a state,
-    an array of times one state per column, both from the stacked rows."""
+    y_old, F)`` covers [ts[k], ts[k+1]].  A scalar time gives a state, an
+    array of times one state per column, both from the stacked rows."""
 
     def __init__(self, ts, interpolants):
         self.ts = np.array(ts)
@@ -175,56 +174,13 @@ def _interpolant(fun, t_old, y_old, y, f, h, K_ext, KT):
     return h, y_old, F
 
 
-def brentq(f, xa, xb):
-    """A root of f in [xa, xb], as SciPy's C ``brentq`` finds it with
-    ``xtol = rtol = 4 eps`` and at most 100 iterations."""
-    xtol = rtol = 4 * EPS
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
-
-
-def dop853(fun, t0, y0, t_bound, tol, events=(), dense_output=True):
+def dop853(fun, t0, y0, t_bound, tol, dense_output=True):
     """Integrate y' = fun(t, y) from t0 towards t_bound > t0.
 
     Returns (t, y, sol, status): the time and state where the run stopped,
     its DenseSolution (None without ``dense_output``) and a status, 0 at
-    t_bound, 1 on an event, -1 when the step size collapsed (t and y are
-    then those of the last step).  Each event g(t, y) is terminal: the run
-    stops at the first root of any of them, found on the dense output (so
-    events need ``dense_output``).
+    t_bound, -1 when the step size collapsed (t and y are then those of the
+    last step).
     """
     y = np.asarray(y0, dtype=float)
     rtol = atol = max(tol, 100 * EPS)
@@ -233,7 +189,6 @@ def dop853(fun, t0, y0, t_bound, tol, events=(), dense_output=True):
     K_ext = np.empty((16, len(y)))
     KT = [K_ext[:s].T for s in range(17)]
     ts, interpolants = [t0], []
-    g = [event(t, y) for event in events]
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -262,24 +217,8 @@ def dop853(fun, t0, y0, t_bound, tol, events=(), dense_output=True):
             rejected = True
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
-        status = 0 if t - t_bound >= 0 else None
         if dense_output:
             interpolants.append(_interpolant(fun, t_old, y_old, y, f, h, K_ext, KT))
-        if events:
-            g_new = [event(t, y) for event in events]
-            active = [k for k, (a, b) in enumerate(zip(g, g_new))
-                      if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
-            if active:
-                F = interpolants[-1][2]
-
-                def sol(tt):
-                    return _horner((tt - t_old) / h, y_old, F)
-                t = min(brentq(lambda tt: events[k](tt, sol(tt)), t_old, t) for k in active)
-                y, status = sol(t), 1
-            g = g_new
-        if ts[-1] == t and len(ts) > 1:  # an event root at the step's start
-            interpolants.pop()
-        else:
-            ts.append(t)
-        if status is not None:
-            return t, y, DenseSolution(ts, interpolants) if dense_output else None, status
+        ts.append(t)
+        if t - t_bound >= 0:
+            return t, y, DenseSolution(ts, interpolants) if dense_output else None, 0

@@ -1,8 +1,8 @@
 """Fuzz of config input through ``cli.main``, in-process.
 
-Each example takes a small valid config, replaces one of its numbers (or the
-object holding it) with a hostile value, and runs every command that reads
-that config.  Whatever the value, a run either succeeds or fails with exit
+Each example takes a small valid config, replaces one or two of its numbers
+(or the objects holding them) with hostile values, and runs every command
+that reads that config.  Whatever the value, a run either succeeds or fails with exit
 code 1..5 and exactly one ``error:`` line, leaves no output behind after a
 failure and raises no ``RuntimeWarning``.  The one other outcome is
 ``residual``'s exit 1, a failed slope check: it writes ``residual.csv`` and
@@ -75,12 +75,16 @@ def _paths(cfg):
 def _mutations(draw):
     cfg, commands = draw(st.sampled_from(BASES))
     cfg = json.loads(json.dumps(cfg))
-    path = draw(st.sampled_from(_paths(cfg)))
-    value = draw(st.sampled_from(HOSTILE))
-    holder = cfg
-    for key in path[:-1]:
-        holder = holder[key]
-    holder[path[-1]] = value
+    replaced = []
+    for path in draw(st.lists(st.sampled_from(_paths(cfg)), min_size=1, max_size=2,
+                              unique=True)):
+        if any(path[:len(done)] == done for done in replaced):
+            continue  # an earlier mutation replaced the object holding it
+        holder = cfg
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = draw(st.sampled_from(HOSTILE))
+        replaced.append(path)
     return cfg, commands
 
 

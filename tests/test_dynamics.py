@@ -48,9 +48,9 @@ def test_hamiltonian_values():
 
 def test_chart_violations():
     with pytest.raises(ChartError):
-        Sphere(1.0).check_chart(np.array([0.0, 0.0, 0.0, 0.0]), "default")
+        Sphere(1.0).check_state(np.array([0.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ChartError):
-        Hyperbolic(1.0, 2).check_chart(np.array([0.0, -1.0, 0.0, 0.0]), "default")
+        Hyperbolic(1.0, 2).check_state(np.array([0.0, -1.0, 0.0, 0.0]))
 
 
 def test_flow_rhs_torus_example():
@@ -83,7 +83,7 @@ def test_flow_rhs_sphere_chart_regularity():
 
 def _float_path_states(geo, rng, n):
     """n seeded states (4, n) of geo: a quarter with momenta scaled up by 1e6
-    to 1e88, and on the polar charts a quarter within 1e-2 of a pole margin."""
+    to 1e88, and on the two spheres a quarter within 1e-2 of a pole margin."""
     margin = geo.pole_margin
     if margin is not None:
         q1 = rng.uniform(1e-3, math.pi - 1e-3, n)
@@ -176,7 +176,7 @@ def test_hyperbolic_orbit_stays_on_circle():
     c = math.sqrt(E * E - 1.0)
     r = math.atanh(c * geo.R)
     center_y, radius = math.cosh(r), math.sinh(r)  # Euclidean data of the circle
-    _, ys, _ = res.sample(400)
+    _, ys = res.sample(400)
     dist = np.hypot(ys[0], ys[1] - center_y)
     assert np.max(np.abs(dist - radius)) < 1e-7
     gap = np.max(np.abs(res.final.as_array() - st.as_array()))
@@ -196,40 +196,38 @@ def test_torus_and_sphere_orbits_close():
         assert res.energy_drift < 1e-9
 
 
-def test_sphere_chart_switching_over_pole():
+def test_sphere_path_crossing_the_pole_margin_is_refused():
     geo = Sphere(1.0)
-    # aim straight at the north pole: a great-circle-ish magnetic orbit
-    st = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0), chart="z")
+    # aim straight at the north pole: the path crosses theta = 0.1, and the
+    # run keeps to one chart
+    st = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0))
     E = geo.hamiltonian(st.as_array())
-    res = integrate(geo, st, E, 4.0, tol=1e-10)
-    assert res.chart_switches >= 1
-    assert res.energy_drift < 1e-8
-    final_H = geo.hamiltonian(res.final.as_array())
-    assert final_H == pytest.approx(E, abs=1e-8)
+    with pytest.raises(IntegratorError, match="pole"):
+        integrate(geo, st, E, 4.0, tol=1e-10)
 
 
-def test_sample_across_chart_switch_matches_per_point():
-    geo = Sphere(1.0)
-    st = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0), chart="z")
-    res = integrate(geo, st, geo.hamiltonian(st.as_array()), 4.0, tol=1e-10)
-    assert [seg.chart for seg in res.segments] == ["z", "x"]
+def test_sphere_latitude_circle_inside_the_pole_margin_runs():
+    # at E = 1.0013 the latitude circle sits at theta0 = 0.051, inside the
+    # margin 0.1: a path wholly inside a margin crosses none
+    geo, E = Sphere(0.5), 1.0013
+    st, T = canonical_orbit_state(geo, E)
+    assert st.q[0] < geo.pole_margin
+    res = integrate(geo, st, E, 3.0 * T, tol=1e-11)
+    _, ys = res.sample(400)
+    assert np.max(np.abs(ys[0] - st.q[0])) < 1e-8
+    assert res.energy_drift < 1e-9
+
+
+@pytest.mark.parametrize("geo,E", CANONICAL)
+def test_sample_matches_per_point(geo, E):
+    st, T = canonical_orbit_state(geo, E, "+")
+    res = integrate(geo, st, E, T, tol=1e-11)
+    (seg,) = res.segments
     n = 401
-    ts, ys, charts = res.sample(n)
-    # per-point reference: each time in the first segment that ends at or
-    # after it, clipped into that segment, one dense-output call per time
-    ref = np.empty((4, n))
-    ref_charts = []
-    k = 0
-    for i, t in enumerate(ts):
-        while k + 1 < len(res.segments) and t > res.segments[k].t1:
-            k += 1
-        seg = res.segments[k]
-        ref[:, i] = seg.sol(min(max(t, seg.t0), seg.t1))
-        ref_charts.append(seg.chart)
-    assert np.array_equal(ts, np.linspace(0.0, 4.0, n))
-    assert np.array_equal(ys, ref)
-    assert charts == ref_charts
-    assert charts[0] == "z" and charts[-1] == "x"
+    ts, ys = res.sample(n)
+    # per-point reference: one dense-output call per time
+    assert np.array_equal(ts, np.linspace(0.0, T, n))
+    assert np.array_equal(ys, np.array([seg.sol(t) for t in ts]).T)
 
 
 @pytest.mark.parametrize("geo,E", CANONICAL)
@@ -370,16 +368,13 @@ def test_holonomy_open_path_rejected():
 
 
 def test_holonomy_rejects_path_leaving_upper_hemisphere():
-    # the canonical latitude circle theta = pi/4, seen from chart "x", spans
-    # theta in [pi/4, 3pi/4] and keeps clear of that chart's poles
+    # the canonical latitude circle theta = pi/4 run with p_phi negated is the
+    # same-size circle turning the other way, about a point of the equator:
+    # it spans theta in [pi/4, 3pi/4] and crosses no pole margin
     geo = Sphere(0.5)
     st, T = canonical_orbit_state(geo, SQRT2)
-    y, chart = geo.switch_chart(st.as_array(), st.chart)
-    assert chart == "x"
-    res = integrate(geo, PhaseState(q=tuple(y[:2]), p=tuple(y[2:]), chart=chart),
-                    SQRT2, T, tol=1e-11)
-    assert res.chart_switches == 0
-    _, ys, _ = res.sample(400)
+    res = integrate(geo, PhaseState(q=st.q, p=(st.p[0], -st.p[1])), SQRT2, T, tol=1e-11)
+    _, ys = res.sample(400)
     assert ys[0].min() < math.pi / 4.0 + 1e-3 and ys[0].max() > 3.0 * math.pi / 4.0 - 1e-3
     with pytest.raises(ValidationError, match="upper hemisphere"):
         numeric_holonomy(geo, res)

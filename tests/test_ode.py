@@ -13,8 +13,8 @@ import pytest
 
 from magtrace import ode
 from magtrace.dynamics import (_katok_jacobian, _katok_variational, _on_floats,
-                               canonical_orbit_state, integrate, katok_monodromy_numeric)
-from magtrace.geometry import Hyperbolic, Katok, PhaseState, Sphere, Torus
+                               canonical_orbit_state, katok_monodromy_numeric)
+from magtrace.geometry import Hyperbolic, Katok, Sphere, Torus
 
 pytest.importorskip("scipy")
 
@@ -33,13 +33,6 @@ ORBITS = [
 def _solve_ivp(fun, t1, y0, tol, **kwargs):
     from scipy.integrate import solve_ivp
     return solve_ivp(fun, (0.0, t1), y0, method="DOP853", rtol=tol, atol=tol, **kwargs)
-
-
-def _pole_guards(margin):
-    guards = (lambda tt, y: y[0] - margin, lambda tt, y: y[0] - (math.pi - margin))
-    for g in guards:
-        g.terminal = True
-    return guards
 
 
 def test_tableau_matches_scipy():
@@ -101,45 +94,6 @@ def test_l2_is_numpy_norm():
             assert got.tobytes() == want.tobytes()
 
 
-def test_sphere_pole_guard_bit_identical():
-    # an off-equator start that runs into the pole guard of chart z
-    geo = Sphere(1.0)
-    state = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0), chart="z")
-
-    def fun(tt, y):
-        return geo.flow(y)
-
-    guards = _pole_guards(geo.pole_margin)
-    ref = _solve_ivp(fun, 4.0, state.as_array(), 1e-10, dense_output=True, events=guards)
-    t_end, y_end, sol, status = ode.dop853(fun, 0.0, state.as_array(), 4.0, 1e-10, guards)
-    assert status == ref.status == 1
-    assert t_end == ref.t[-1] == ref.t_events[0][0]
-    assert np.array_equal(y_end, ref.y[:, -1])
-    assert np.array_equal(sol.ts, ref.t)
-    ts = np.linspace(0.0, t_end, 501)
-    assert np.array_equal(sol(ts), ref.sol(ts))
-    # integrate switches charts at that very state
-    flow = integrate(geo, state, geo.hamiltonian(state.as_array()), 4.0, tol=1e-10)
-    assert flow.segments[0].t1 == t_end
-    assert np.array_equal(flow.segments[0].sol(t_end), y_end)
-
-
-def test_katok_pole_guard_matches_scipy_event():
-    geo = Katok(0.3)
-    s2 = math.sin(0.6) ** 2
-    state = PhaseState(q=(0.6, 0.0), p=(-2.0, -0.3 * s2 / (1.0 - 0.09 * s2)))
-
-    def fun(tt, y):
-        return geo.flow(y)
-
-    guards = _pole_guards(geo.pole_margin)
-    ref = _solve_ivp(fun, 6.0, state.as_array(), 1e-9, dense_output=True, events=guards)
-    t_end, y_end, sol, status = ode.dop853(fun, 0.0, state.as_array(), 6.0, 1e-9, guards)
-    assert status == ref.status == 1
-    assert t_end == ref.t[-1]
-    assert np.array_equal(y_end, ref.y[:, -1])
-
-
 @pytest.mark.parametrize("orientation", ["+", "-"])
 def test_katok_variational_bit_identical(orientation):
     geo = Katok(EPS_K)
@@ -162,33 +116,6 @@ def test_katok_variational_bit_identical(orientation):
                                     TOL, dense_output=False)
     assert t_end == ref.t[-1]
     assert np.array_equal(y_end, ref.y[:, -1])
-
-
-@pytest.mark.parametrize("f,a,b", [
-    (math.cos, 0.0, 3.0),
-    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: math.exp(x) - 2.0, -1.0, 4.0),
-    (lambda x: math.atan(x - 0.3), -10.0, 50.0),
-    (lambda x: x * x - 2.0, 0.0, 3.0),
-    (lambda x: math.tanh(40.0 * (x - 0.7)), -2.0, 5.0),
-    (lambda x: x, -1.0, 0.0),
-])
-def test_brentq_matches_scipy(f, a, b):
-    from scipy.optimize import brentq
-    tol = 4.0 * np.finfo(float).eps
-    assert ode.brentq(f, a, b) == brentq(f, a, b, xtol=tol, rtol=tol)
-
-
-def test_brentq_fails_where_scipy_fails():
-    from scipy.optimize import brentq
-    tol = 4.0 * np.finfo(float).eps
-    with pytest.raises(ValueError):
-        ode.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-    # the flat fifth-order root exhausts 100 iterations in both
-    with pytest.raises(RuntimeError):
-        brentq(lambda x: (x - 1.0) ** 5, 0.0, 1.7, xtol=tol, rtol=tol)
-    with pytest.raises(RuntimeError):
-        ode.brentq(lambda x: (x - 1.0) ** 5, 0.0, 1.7)
 
 
 def test_step_size_collapse_matches_scipy():
