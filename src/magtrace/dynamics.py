@@ -93,9 +93,10 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
 
     Local tolerance ``tol`` drives both rtol and atol; energy drift (and,
     for the deformed sphere, first-integral drift) above 100*tol raises.
-    The run stays in one chart: on the two spheres a path that crosses a
-    pole margin, theta = pole_margin or pi - pole_margin, raises
-    IntegratorError, while a path wholly inside a margin runs.
+    The run stays in one chart: on the two spheres a path whose 256
+    monitor samples cross a pole margin, theta = pole_margin or
+    pi - pole_margin, raises IntegratorError, while a path wholly inside a
+    margin runs.
     """
     y0 = s0.as_array()
     geo.check_state(y0)
@@ -119,7 +120,7 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     margin = geo.pole_margin
     if margin is not None:
         for edge, pole in ((margin, "0"), (math.pi - margin, "pi")):
-            if np.any((ys[0] < edge) != (ys[0][0] < edge)):
+            if np.any((ys[0] < edge) != (y0[0] < edge)):
                 raise IntegratorError(f"path crossed theta = {edge:.6g}, the margin of the "
                                       f"pole theta = {pole}; the run keeps to one chart")
     drift = float(np.max(np.abs(geo.hamiltonian(ys) - E)))

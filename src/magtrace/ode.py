@@ -5,11 +5,10 @@ Wanner (Solving Ordinary Differential Equations I, Sec. II.5), run the way
 SciPy's ``solve_ivp(method="DOP853")`` runs it: the same tableau, initial
 step, two-norm error estimate, step control and degree-7 dense output,
 operation for operation.  Both take the same steps and return the same
-floats.  Integration runs forward in time only,
-with ``rtol = atol = tol``, both at least 100 eps: SciPy floors rtol there,
-and a far smaller atol overflows the error norm.  Imports only numpy and
-``math``: the step-size bookkeeping runs on Python floats, the stage
-combinations on numpy arrays.
+floats.  Integration runs forward in time only, with ``rtol = atol = tol``,
+both at least 100 eps: SciPy floors rtol there, and a far smaller atol
+overflows the error norm.  Imports only numpy and ``math``: the step-size
+bookkeeping runs on Python floats, the stage combinations on numpy arrays.
 """
 
 from __future__ import annotations
