@@ -5,6 +5,14 @@ The spectral side sums closed-form Landau-level ladders; the geometric
 side evaluates coefficient predictions from classical orbit data
 (periods, actions, holonomies, Maslov indices, return maps); residual
 diagnostics quantify their agreement as the tensor power N grows.
+
+``import magtrace`` runs only this file and ``errors``.  The submodules
+``geometry``, ``testfn``, ``spectra``, ``tracesum``, ``asymptotics``,
+``dynamics`` and ``cli`` are registered in ``sys.modules`` at import, but
+each one's code runs on its first attribute read.  A public name such as
+``magtrace.y_n`` is read from its module when it is used (``_EXPORTS``), so
+a command runs only the modules it calls: a ``dynamics`` command runs
+``errors``, ``floats``, ``geometry``, ``dynamics``, ``ode`` and ``cli``.
 """
 
 import importlib.util
@@ -13,18 +21,6 @@ import sys
 from .errors import (ChartError, DegenerateOrbitError, IntegratorError,
                      MagtraceError, ManeLevelError, MixedSupportError,
                      ResonanceError, ValidationError)
-from .testfn import (TestFunction, make_fourier_bump, make_gaussian,
-                     make_gaussian_modulated)
-# GeometrySpec and the *Model names are kept for perfbench/setup_probe.py and reference.py
-from .geometry import (ClosedOrbitSet, Geometry, GeometrySpec, Hyperbolic, Katok,
-                       KatokMonodromy, OrbitInvariants, PhaseState, Sphere, Torus,
-                       katok_first_integral, katok_poincare_analytic)
-from .spectra import (EnergyLevel, HyperbolicModel, SphereModel, SpectrumEntry,
-                      TorusModel, Window, enumerate_window, levels)
-from .tracesum import TraceValue, y_n
-from .asymptotics import (CoefficientPrediction, KSumControl, ResidualReport,
-                          general_c0_nondegenerate, general_c0_volume, katok_c0,
-                          katok_term_closed, poisson_c01, residual_report)
 
 __version__ = "0.1.0"
 
@@ -40,18 +36,35 @@ def _lazy(name: str):
     return module
 
 
-# The flow integrator and its orbit measurements, with ``ode`` and numpy,
-# which they import, load only for the dynamics and katok commands: the
-# module object is in place for ``from magtrace import dynamics`` (and a
-# tracer that patches it), but its code runs on first use.
-dynamics = _lazy(__name__ + ".dynamics")
-_DYNAMICS_NAMES = {"FlowResult", "MaslovData", "MCVolume", "canonical_orbit_state",
-                   "circle_distance", "integrate", "katok_monodromy_numeric",
-                   "liouville_volume", "maslov_katok", "mc_liouville_volume",
-                   "numeric_holonomy"}
+# The module objects are in place for ``from magtrace import dynamics`` and
+# for a tracer that looks them up in sys.modules and patches them.
+geometry, testfn, spectra, tracesum, asymptotics, dynamics, cli = (
+    _lazy(f"{__name__}.{name}") for name in
+    ("geometry", "testfn", "spectra", "tracesum", "asymptotics", "dynamics", "cli"))
+
+# module -> the public names it defines.  GeometrySpec and the *Model names
+# are kept for perfbench/setup_probe.py and reference.py.
+_EXPORTS = {
+    "testfn": ("TestFunction", "make_fourier_bump", "make_gaussian",
+               "make_gaussian_modulated"),
+    "geometry": ("ClosedOrbitSet", "EnergyLevel", "Geometry", "GeometrySpec",
+                 "Hyperbolic", "HyperbolicModel", "Katok", "KatokMonodromy",
+                 "OrbitInvariants", "PhaseState", "Sphere", "SphereModel", "Torus",
+                 "TorusModel", "katok_first_integral", "katok_poincare_analytic"),
+    "spectra": ("SpectrumEntry", "Window", "enumerate_window", "levels"),
+    "tracesum": ("TraceValue", "y_n"),
+    "asymptotics": ("CoefficientPrediction", "KSumControl", "ResidualReport",
+                    "general_c0_nondegenerate", "general_c0_volume", "katok_c0",
+                    "katok_term_closed", "poisson_c01", "residual_report"),
+    "dynamics": ("FlowResult", "MaslovData", "MCVolume", "canonical_orbit_state",
+                 "circle_distance", "integrate", "katok_monodromy_numeric",
+                 "liouville_volume", "maslov_katok", "mc_liouville_volume",
+                 "numeric_holonomy"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name in _DYNAMICS_NAMES:
-        return getattr(dynamics, name)
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,5 +1,7 @@
-import sys
+"""``python -m magtrace``: the command line, ended by ``cli.run`` without
+interpreter teardown."""
 
-from .cli import main
+if __name__ == "__main__":
+    from .cli import run
 
-sys.exit(main())
+    run()

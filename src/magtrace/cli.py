@@ -17,7 +17,8 @@ import json
 import os
 import sys
 
-# dynamics is registered lazily by __init__: it, ode and numpy load on first use
+# __init__ registers these modules lazily: each runs on first use, so a
+# command runs only the ones it calls (and numpy loads only where one needs it)
 from . import asymptotics, dynamics, geometry, spectra, testfn, tracesum
 from .errors import MagtraceError, ValidationError, number as _number, read_kind
 
@@ -83,7 +84,7 @@ def _geometry(cfg: dict) -> geometry.Geometry:
     return read_kind(cfg.get("geometry"), "geometry", geometry.KINDS)
 
 
-def _energy(cfg: dict, geo) -> spectra.EnergyLevel:
+def _energy(cfg: dict, geo) -> geometry.EnergyLevel:
     stated = geo.stated_E
     if stated is None and "E" not in cfg:
         raise ValidationError("config needs an energy E")
@@ -93,10 +94,10 @@ def _energy(cfg: dict, geo) -> spectra.EnergyLevel:
             raise ValidationError(
                 f"geometry {type(geo).__name__} is stated at E = {stated:.12g} only")
         E = stated
-    return spectra.EnergyLevel.from_E(E)
+    return geometry.EnergyLevel.from_E(E)
 
 
-def _N_list(cfg: dict, level: spectra.EnergyLevel) -> list:
+def _N_list(cfg: dict, level: geometry.EnergyLevel) -> list:
     """The ascending N grid, refused up front if it is too long or (E N)^2
     overflows at its top."""
     spec = cfg.get("N")
@@ -401,5 +402,14 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """Entry point of ``python -m magtrace`` and the ``magtrace`` script: run
+    ``main()``, flush the standard streams and end the process with main's
+    code through ``os._exit``, skipping interpreter teardown.  Every output
+    is closed before main returns, and magtrace registers no atexit handler.
+    An argparse ``SystemExit`` or an exception that escapes main exits
+    normally, with its message or traceback."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

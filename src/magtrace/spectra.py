@@ -43,7 +43,9 @@ import math
 
 from .errors import ValidationError
 from .floats import block, each, xp
-from .geometry import ConstantCurvature, Hyperbolic, Sphere, Torus
+# EnergyLevel lives in geometry, so that the orbit commands load no spectra;
+# spectra.EnergyLevel stays its other name
+from .geometry import ConstantCurvature, EnergyLevel
 from .testfn import TestFunction
 
 # Largest ladder index range a window query may touch, checked before any
@@ -61,41 +63,8 @@ MAX_WINDOW_RUNGS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
-# energy bookkeeping and models
+# single rungs
 # ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class EnergyLevel:
-    """Energy pair (E, c) with c^2 = E^2 - 1."""
-
-    E: float
-    c: float
-
-    @classmethod
-    def from_E(cls, E: float) -> "EnergyLevel":
-        c2 = E * E - 1.0
-        if not (E > 1.0 and math.isfinite(c2)):
-            raise ValidationError(f"energy E must exceed 1 and have a finite square, got {E}")
-        return cls(E=E, c=math.sqrt(c2))
-
-    def check_N(self, N: int) -> None:
-        """Refuse an N whose (E N)^2 overflows a double.
-
-        Windows square lam ~ E N and the k-sums multiply E^2 N, so such an N
-        only yields overflow warnings and a late failure.
-        """
-        try:
-            EN = self.E * N
-        except OverflowError:  # an integer N past the float range
-            EN = math.inf
-        if not math.isfinite(EN * EN):
-            raise ValidationError(
-                f"N={N} is too large at E={self.E:.6g}: (E*N)^2 overflows a double")
-
-
-# the closed-form ladders' old names, kept for perfbench/setup_probe.py and reference.py
-TorusModel, SphereModel, HyperbolicModel = Torus, Sphere, Hyperbolic
-
 
 @dataclasses.dataclass(frozen=True)
 class SpectrumEntry:

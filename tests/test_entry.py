@@ -1,0 +1,185 @@
+"""The process entry points and what a fresh process runs.
+
+``python -m magtrace`` and the ``magtrace`` script both end through
+``cli.run``, which ends the process with ``os._exit`` once ``main`` returns;
+these tests run it in fresh processes and check that every output, exit
+code and message survives the skipped teardown.  A module that ``import
+magtrace`` registered but no code has read yet is a lazy module:
+``type(sys.modules[name]) is types.ModuleType`` holds only once it has run,
+and testing that runs nothing.
+"""
+
+import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import test_golden_outputs as golden
+from magtrace import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# a snippet for `python -c`: the magtrace modules whose code has run
+_RAN = ("import sys, types\n"
+        "def ran():\n"
+        "    return sorted(n for n, m in sys.modules.items()\n"
+        "                  if n.split('.')[0] == 'magtrace' and type(m) is types.ModuleType)\n")
+
+
+def _python(code, env=None):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+
+
+def _magtrace(*args):
+    return subprocess.run([sys.executable, "-m", "magtrace", *args],
+                          capture_output=True, text=True)
+
+
+def _write_cfg(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_console_script_is_the_function_main_module_calls(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["magtrace"]
+    assert entry == "magtrace.cli:run"
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    runpy.run_module("magtrace", run_name="__main__")
+    assert calls == ["run"]
+
+
+@pytest.mark.parametrize("name", [
+    "ladder_sweep/residual-torus-small",
+    "bump_window/trace-torus-sweep",
+    "orbit_dynamics/dynamics-torus-1period",
+    "orbit_dynamics/katok-report",
+    "ladder_sweep/residual-torus-large",  # exits 1: its residual fails the gate
+])
+def test_cold_outputs_match_golden_digests(name, tmp_path):
+    want = golden._golden()
+    if want["numpy"] != np.__version__:
+        pytest.skip(f"digests come from numpy {want['numpy']}, this is {np.__version__}")
+    want = want["commands"][name]
+    sub, config = golden._commands()[name]
+    out = tmp_path / "out"
+    proc = _magtrace(sub, "--config", _write_cfg(tmp_path, config), "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (want["exit"], "", "")
+    assert {p.name: golden._sha256(p.read_bytes()) for p in out.iterdir()} == want["files"]
+
+
+def test_cold_exit_2_keeps_its_error_line(tmp_path):
+    bad = _write_cfg(tmp_path, {"schema": "magtrace/1", "geometry": {"kind": "torus"},
+                                "E": 2.0, "colour": "blue"})
+    proc = _magtrace("dynamics", "--config", bad, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: unknown config keys: ['colour']\n"
+    assert not (tmp_path / "out").exists()
+
+    good = _write_cfg(tmp_path, {"schema": "magtrace/1", "geometry": {"kind": "torus"},
+                                 "E": 2.0, "orbit_samples": 16})
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    proc = _magtrace("dynamics", "--config", good, "--out", str(blocker))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot use --out {blocker} as a directory")
+    assert proc.stderr.count("\n") == 1 and blocker.read_text() == "a file\n"
+
+
+def test_cold_usage_error_keeps_argparse_message():
+    proc = _magtrace("dynamics")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: magtrace dynamics")
+    assert proc.stderr.endswith(
+        "error: the following arguments are required: --config\n")
+
+
+def test_cold_exit_5_keeps_its_error_line(tmp_path):
+    # a thousand torus periods overrun the energy-drift budget at the default
+    # ode_tol, a known limit of dynamics.integrate
+    cfg = _write_cfg(tmp_path, {"schema": "magtrace/1", "geometry": {"kind": "torus"},
+                                "E": 2.0, "t_periods": 1000, "orbit_samples": 0})
+    proc = _magtrace("dynamics", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("error: energy drift ") and proc.stderr.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_run_flushes_what_main_wrote():
+    # with block-buffered streams, the text main leaves in their buffers is
+    # written before os._exit ends the process, and main's code is the exit code
+    code = ("import runpy, sys\n"
+            "from magtrace import cli\n"
+            "def main():\n"
+            "    print('out', end='')\n"
+            "    print('err', end='', file=sys.stderr)\n"
+            "    return 3\n"
+            "cli.main = main\n"
+            "runpy.run_module('magtrace', run_name='__main__')\n"
+            "print('not reached')\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = _python(code, env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "out", "err")
+
+
+def test_exception_escaping_main_keeps_traceback_and_exit_1():
+    code = ("import runpy\n"
+            "from magtrace import cli\n"
+            "def main():\n"
+            "    raise RuntimeError('escaped main')\n"
+            "cli.main = main\n"
+            "runpy.run_module('magtrace', run_name='__main__')\n")
+    proc = _python(code)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("RuntimeError: escaped main\n")
+
+
+def test_import_and_setup_work_leave_the_commands_unrun():
+    # what perfbench/setup_probe.py does: a geometry, an energy level and a
+    # gaussian, and no spectral, coefficient, flow or CLI code
+    code = (_RAN + "import json, magtrace\n"
+            "from magtrace import testfn\n"
+            "on_import = ran()\n"
+            "magtrace.Torus()\n"
+            "magtrace.EnergyLevel.from_E(2.0)\n"
+            "testfn.from_config({'kind': 'gaussian', 's': 1.0})\n"
+            "print(json.dumps([on_import, ran(), 'numpy' in sys.modules]))\n")
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    on_import, after_setup, numpy_loaded = json.loads(proc.stdout)
+    assert on_import == ["magtrace", "magtrace.errors"]
+    assert after_setup == ["magtrace", "magtrace.errors", "magtrace.floats",
+                           "magtrace.geometry", "magtrace.testfn"]
+    assert not numpy_loaded
+
+
+def test_cold_dynamics_runs_no_spectral_module(tmp_path):
+    # `python -m magtrace dynamics`, with os._exit wrapped to report the
+    # modules that have run just before the process ends
+    cfg = _write_cfg(tmp_path, golden._commands()["orbit_dynamics/dynamics-torus-1period"][1])
+    argv = ["magtrace", "dynamics", "--config", cfg, "--out", str(tmp_path / "out")]
+    code = (_RAN + "import json, os, runpy\n"
+            "real_exit = os._exit\n"
+            "def report(code):\n"
+            "    print(json.dumps([code, ran()]), flush=True)\n"
+            "    real_exit(code)\n"
+            "os._exit = report\n"
+            f"sys.argv = {argv!r}\n"
+            "runpy.run_module('magtrace', run_name='__main__')\n")
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [
+        "magtrace", "magtrace.cli", "magtrace.dynamics", "magtrace.errors",
+        "magtrace.floats", "magtrace.geometry", "magtrace.ode"]]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "invariants.json", "orbit.csv"]
