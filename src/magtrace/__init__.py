@@ -50,16 +50,15 @@ _EXPORTS = {
     "geometry": ("ClosedOrbitSet", "EnergyLevel", "Geometry", "GeometrySpec",
                  "Hyperbolic", "HyperbolicModel", "Katok", "KatokMonodromy",
                  "OrbitInvariants", "PhaseState", "Sphere", "SphereModel", "Torus",
-                 "TorusModel", "katok_first_integral", "katok_poincare_analytic"),
+                 "TorusModel"),
     "spectra": ("SpectrumEntry", "Window", "enumerate_window", "levels"),
     "tracesum": ("TraceValue", "y_n"),
     "asymptotics": ("CoefficientPrediction", "KSumControl", "ResidualReport",
                     "general_c0_nondegenerate", "general_c0_volume", "katok_c0",
-                    "katok_term_closed", "poisson_c01", "residual_report"),
-    "dynamics": ("FlowResult", "MaslovData", "MCVolume", "canonical_orbit_state",
-                 "circle_distance", "integrate", "katok_monodromy_numeric",
-                 "liouville_volume", "maslov_katok", "mc_liouville_volume",
-                 "numeric_holonomy"),
+                    "poisson_c01", "residual_report"),
+    "dynamics": ("FlowResult", "MCVolume", "canonical_orbit_state", "circle_distance",
+                 "integrate", "katok_monodromy_numeric", "liouville_volume",
+                 "mc_liouville_volume", "numeric_holonomy"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

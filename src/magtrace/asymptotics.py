@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import TYPE_CHECKING
 
-from .errors import (DegenerateOrbitError, MixedSupportError, ResonanceError,
-                     ValidationError)
-from .floats import block, each, fsum_complex, maximum, nonzero, xp
-from .geometry import Katok, half_lattice_distance, katok_maslov_closed
-from .spectra import EnergyLevel, _check_Nj
-from .testfn import TestFunction
+from .errors import DegenerateOrbitError, MixedSupportError, ValidationError, check_Nj
+from .floats import block, each, fsum_complex, maximum, nonzero
+from .geometry import EnergyLevel, Katok
+
+if TYPE_CHECKING:  # read in annotations only, so katok runs no testfn code
+    from .testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -207,45 +208,7 @@ def general_c0_nondegenerate(Tsharp: float, m: int, S: float, detIminusP: float,
             * complex(phi_hat_at_Tgamma))
 
 
-def _katok_resonance_guard(k: int, branch: int, eps: float, margin: float):
-    x = 2.0 * k / (1.0 - branch * eps)
-    s = abs(math.sin(math.pi * k / (1.0 - branch * eps)))
-    # distance to the half-integer lattice covers both floor discontinuities
-    d = half_lattice_distance(x)
-    if s <= margin or 2.0 * d <= margin:
-        sign = "+" if branch > 0 else "-"
-        raise ResonanceError(
-            f"k={k}, branch {sign}: 2k/(1{'-' if branch > 0 else '+'}eps)={x:.9g} "
-            f"is resonant (|sin|={s:.3e}, lattice distance {d:.3e})"
-        )
-
-
-def katok_term_closed(N: int, eps: float, k: int, branch: int,
-                      phi_hat_value: complex,
-                      resonance_margin: float = 1e-6) -> complex:
-    """One (k, branch) term of the deformed-sphere isolated-orbit display.
-
-        (1/(sqrt(2)(1-eps^2))) e^{i pi m/4} e^{-2 pi i N k/(1 -+ eps)}
-        / |sin(pi k/(1 -+ eps))| * phi_hat_value
-
-    with m the closed-form Maslov index of the iterate.  branch is +1 for
-    the "+" equator (denominators 1-eps) and -1 for the "-" one.
-    """
-    if branch not in (+1, -1):
-        raise ValidationError(f"branch must be +1 or -1, got {branch}")
-    if k == 0:
-        raise ValidationError("closed-form orbit terms need k != 0")
-    _katok_resonance_guard(k, branch, eps, resonance_margin)
-    m = katok_maslov_closed(k, branch, eps)
-    amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
-    denom = abs(math.sin(math.pi * k / (1.0 - branch * eps)))
-    phase = (complex(math.cos(math.pi * m / 4.0), math.sin(math.pi * m / 4.0))
-             * complex(math.cos(TWO_PI * N * k / (1.0 - branch * eps)),
-                       -math.sin(TWO_PI * N * k / (1.0 - branch * eps))))
-    return amp * phase * complex(phi_hat_value) / denom
-
-
-def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
+def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
              support_tol: float = 1e-12) -> list:
     """Leading trace coefficient for the deformed-sphere example at E = sqrt(2),
     one prediction per N of a grid.
@@ -260,9 +223,9 @@ def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
           (1/(sqrt(2)(1-eps^2))) e^{i pi m_{k,+-}/4} e^{-2 pi i N k/(1 -+ eps)}
           / |sin(pi k/(1 -+ eps))| * fhat(2 pi sqrt(2) k / (1-eps^2)),
 
-      with Maslov indices m_{k,+-} = 2 floor(2k/(1 -+ eps)) + 2 sign k + 1.
-      (Each term is exactly the nondegenerate-orbit formula evaluated on the
-      equators' closed-form invariants.)
+      with Maslov indices m_{k,+-} = 2 floor(2k/(1 -+ eps)) + 2 sign k + 1
+      (``Katok.term``).  Each term is exactly the nondegenerate-orbit formula
+      evaluated on the equators' closed-form invariants.
 
     Windows containing both the zero and a nonzero period are rejected.
     ``k_tail`` bounds each nonzero period outside the support by amp |fhat|
@@ -270,10 +233,10 @@ def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
     bound passes 1e-25.  Only the phases and sums depend on N: the support,
     the hats, ``k_tail`` and its guard are evaluated once per grid.
     """
-    Tsharp = Katok(eps).k_frequency(SQRT2)  # refuses eps outside (0, 1)
+    Tsharp = geo.k_frequency(SQRT2)
     for N in Ns:
-        _check_Nj(N, 0)
-    amp = 1.0 / (SQRT2 * (1.0 - eps * eps))
+        check_Nj(N, 0)
+    amp = geo.amplitude
     margin = ctl.resonance_margin
     lo, hi = f.hat_support_interval(support_tol)
     zero_in = lo <= 0.0 <= hi
@@ -290,9 +253,8 @@ def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
     k_in = [int(k) for k, out in zip(ks, omitted) if not out]
     h = each(lambda k: f.hat_abs_bound(0, abs(k * Tsharp - f.hat_center)), ks)
     hits, bounds = [], []  # one column per branch, + first
-    for branch in (1.0, -1.0):
-        arg = each(lambda k: math.pi * k / (1.0 - branch * eps), ks)
-        sin = each(lambda t: abs(xp(t).sin(t)), arg)
+    for branch in (1, -1):
+        sin = each(lambda k: geo.sine(k, branch), ks)
         hits.append(nonzero(each(lambda out, s, hk: out & (s <= margin)
                                  & (amp * hk / margin > 1e-25), omitted, sin, h)))
         bounds.append(each(lambda out, wt, hk, s: out * wt * amp * hk / maximum(s, margin),
@@ -301,13 +263,13 @@ def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
     firsts = [(int(at[0]), n) for n, at in enumerate(hits) if len(at)]
     if firsts:
         i, n = min(firsts)
-        _katok_resonance_guard(int(ks[i]), (1, -1)[n], eps, margin)
+        geo.check_resonance(int(ks[i]), (1, -1)[n], margin)
     k_tail = math.fsum(b for column in bounds for b in column)
 
     if zero_in or not k_in:
         # exact energy-shell volume 2 pi E * 4 pi/(1-eps^2); the published
         # display drops the (1-eps^2)^{-1}, valid only modulo eps^2
-        vol = 8.0 * math.pi**2 * SQRT2 / (1.0 - eps * eps)
+        vol = 8.0 * math.pi**2 * SQRT2 / (1.0 - geo.eps * geo.eps)
         c0 = general_c0_volume(complex(f.phi_hat(0.0)), vol, 2) if zero_in else 0.0 + 0.0j
         # the N^{d-1} coefficient is not part of the implemented display
         return [CoefficientPrediction(N=int(N), c0=c0, c1=0.0 + 0.0j,
@@ -315,7 +277,7 @@ def katok_c0(Ns, eps: float, f: TestFunction, ctl: KSumControl,
 
     hats = [complex(f.phi_hat(k * Tsharp)) for k in k_in]
     return [CoefficientPrediction(
-        N=int(N), c0=fsum_complex([katok_term_closed(N, eps, k, branch, hat, margin)
+        N=int(N), c0=fsum_complex([geo.term(N, k, branch, hat, margin)
                                    for k, hat in zip(k_in, hats) for branch in (+1, -1)]),
         c1=0.0 + 0.0j, d=0.0, k_tail=k_tail) for N in Ns]
 

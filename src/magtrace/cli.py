@@ -282,7 +282,6 @@ def cmd_katok(cfg):
         raise ValidationError("the katok command needs geometry kind 'katok'")
     level = _energy(cfg, geo)
     tol = _tolerances(cfg)
-    eps = geo.eps
     N, *more = _N_list(cfg, level) if "N" in cfg else [1]
     if more:
         raise ValidationError(f"the katok command takes one N ({{value}}), got {len(more) + 1}")
@@ -295,9 +294,9 @@ def cmd_katok(cfg):
     import numpy as np
     monodromy, analytic = {}, {}
     max_mono_dev = 0.0
-    for label in ("+", "-"):
-        ana = analytic[label] = geometry.katok_poincare_analytic(eps, level.E, label)
-        num = dynamics.katok_monodromy_numeric(eps, level.E, label, tol["ode_tol"])
+    for label, branch in (("+", 1), ("-", -1)):
+        ana = analytic[label] = geo.return_map(level.E, branch)
+        num = dynamics.katok_monodromy_numeric(geo, level.E, label, tol["ode_tol"])
         dev = float(np.max(np.abs(num - ana.matrix)))
         max_mono_dev = max(max_mono_dev, dev)
         monodromy[label] = {
@@ -314,15 +313,14 @@ def cmd_katok(cfg):
     max_assembly_dev = 0.0
     for k in k_list:
         for label, branch in (("+", +1), ("-", -1)):
-            ms = dynamics.maslov_katok(k, eps, label, tol["resonance_margin"])
-            maslov_rows.append({"k": k, "branch": label, "m": ms.m,
-                                "kappa": ms.kappa, "sgn_r": ms.sgn_r})
-            closed = asymptotics.katok_term_closed(N, eps, k, branch, 1.0,
-                                                   tol["resonance_margin"])
+            closed = geo.term(N, k, branch, 1.0, tol["resonance_margin"])
+            m, kappa = geo.maslov(k, branch), round(geo.rotation(k, branch))
+            maslov_rows.append({"k": k, "branch": label, "m": m,
+                                "kappa": kappa, "sgn_r": m - 2 * kappa})
             det_k = float(np.linalg.det(
                 np.eye(2) - np.linalg.matrix_power(analytic[label].matrix, k)))
             assembled = asymptotics.general_c0_nondegenerate(
-                Tsharp=inv[label].Tsharp, m=ms.m, S=k * inv[label].S,
+                Tsharp=inv[label].Tsharp, m=m, S=k * inv[label].S,
                 detIminusP=abs(det_k), Tgamma=k * inv[label].Tsharp,
                 phi_hat_at_Tgamma=1.0, N=N,
                 resonance_margin=tol["resonance_margin"])
@@ -337,7 +335,7 @@ def cmd_katok(cfg):
 
     passed = max_assembly_dev < 1e-12 and max_mono_dev < 1e-6
     report = {
-        "eps": eps, "E": level.E, "N": N,
+        "eps": geo.eps, "E": level.E, "N": N,
         "monodromy": monodromy,
         "maslov": maslov_rows,
         "assembly": assembly_rows,

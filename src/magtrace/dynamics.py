@@ -28,8 +28,8 @@ import math
 import numpy as np
 
 from . import ode
-from .errors import IntegratorError, ResonanceError, ValidationError
-from .geometry import Geometry, Katok, PhaseState, branch_sign, half_lattice_distance
+from .errors import IntegratorError, ValidationError
+from .geometry import EnergyLevel, Geometry, Katok, PhaseState
 # dynamics.GeometrySpec is read by perfbench/reference.py
 from .geometry import GeometrySpec  # noqa: F401
 
@@ -143,12 +143,6 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
 # the canonical closed orbit
 # ---------------------------------------------------------------------------
 
-def _speed(E: float) -> float:
-    if not (E > 1.0 and math.isfinite(E)):
-        raise ValidationError(f"energy must exceed 1, got {E}")
-    return math.sqrt(E * E - 1.0)
-
-
 # also called by perfbench/reference.py
 def canonical_orbit_state(geo: Geometry, E: float,
                           orientation: str = "+") -> tuple:
@@ -158,7 +152,7 @@ def canonical_orbit_state(geo: Geometry, E: float,
     cR < 1 (below the Mane level); only the deformed sphere, with its two
     equatorial orbits, reads ``orientation``.
     """
-    return geo.orbit_state(E, _speed(E), orientation)
+    return geo.orbit_state(E, EnergyLevel.from_E(E).c, orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +192,7 @@ def numeric_holonomy(geo: Geometry, flow: FlowResult) -> float:
 
 
 # ---------------------------------------------------------------------------
-# deformed-sphere monodromy and Maslov data
+# deformed-sphere monodromy
 # ---------------------------------------------------------------------------
 
 def _katok_jacobian(eps: float, E: float, y) -> np.ndarray:
@@ -223,18 +217,17 @@ def _katok_jacobian(eps: float, E: float, y) -> np.ndarray:
     return J
 
 
-def _katok_variational(eps: float, E: float):
+def _katok_variational(geo: Katok, E: float):
     """The flow field of z = (y, M) with the 4x4 state-transition matrix M
     riding along, as a list or as an array z, like ``Geometry.flow``."""
-    geo = Katok(eps)
 
     def field(z):
         y, M = z[:4], np.reshape(z[4:], (4, 4))
-        return np.concatenate([geo.flow(y), (_katok_jacobian(eps, E, y) @ M).ravel()])
+        return np.concatenate([geo.flow(y), (_katok_jacobian(geo.eps, E, y) @ M).ravel()])
     return field
 
 
-def katok_monodromy_numeric(eps: float, E: float, orientation: str,
+def katok_monodromy_numeric(geo: Katok, E: float, orientation: str,
                             tol: float = 1e-11) -> np.ndarray:
     """Transverse monodromy by integrating the variational system one period.
 
@@ -242,50 +235,14 @@ def katok_monodromy_numeric(eps: float, E: float, orientation: str,
     the returned 2x2 block is its restriction to the invariant
     (Theta, P_theta) plane.
     """
-    state, T = canonical_orbit_state(Katok(eps), E, orientation)
+    state, T = canonical_orbit_state(geo, E, orientation)
     y0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
-    _, z, _, status = ode.dop853(_on_floats(_katok_variational(eps, E)), 0.0, y0, T, tol,
+    _, z, _, status = ode.dop853(_on_floats(_katok_variational(geo, E)), 0.0, y0, T, tol,
                                  dense_output=False)
     if status < 0:
         raise IntegratorError(f"variational integration failed: {ode.STEP_COLLAPSE}")
     M = z[4:].reshape(4, 4)
     return M[np.ix_([0, 2], [0, 2])]
-
-
-@dataclasses.dataclass(frozen=True)
-class MaslovData:
-    """Index m = sgn R + 2 kappa of an equatorial orbit iterate at E = sqrt(2)."""
-
-    k: int
-    orientation: str
-    m: int
-    kappa: int
-    sgn_r: int
-
-
-def maslov_katok(k: int, eps: float, orientation: str,
-                 resonance_margin: float = 1e-6) -> MaslovData:
-    """Maslov index of the k-th iterate at E = sqrt(2), from the rotation
-    angle x = 2k/(1 -+ eps) in units of pi alone; no flow is integrated.
-
-    kappa = round(x) and sgn R follows the two-interval rule in the
-    fractional part of x.  m = sgn R + 2 kappa equals the closed form
-    ``katok_maslov_closed``, 2*floor(x) + 2*sign(k) + 1 (see the tests).
-    """
-    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k != 0):
-        raise ValidationError(f"iterate index k must be a nonzero integer, got {k}")
-    Katok(eps)  # refuses eps outside (0, 1)
-    sg = branch_sign(orientation)
-    x = 2.0 * k / (1.0 - sg * eps)  # rotation angle in units of pi
-    if 2.0 * half_lattice_distance(x) <= resonance_margin:
-        raise ResonanceError(
-            f"k={k}, branch {orientation}: 2k/(1{'-' if sg > 0 else '+'}eps)={x:.9g} "
-            "is too close to the half-integer lattice; the index is ill-defined there")
-    kappa = int(round(x))
-    frac = x - math.floor(x)
-    sgn_r = (1 if frac < 0.5 else -1) + 2 * (1 if k > 0 else -1)
-    return MaslovData(k=int(k), orientation=orientation, m=sgn_r + 2 * kappa,
-                      kappa=kappa, sgn_r=sgn_r)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +256,7 @@ def liouville_volume(geo: Geometry, E: float) -> float:
     modulo eps^2; the exact area 4 pi/(1-eps^2) is used here (the Monte
     Carlo cross-check agrees with this value, not the display).
     """
-    _speed(E)  # refuses E <= 1
+    EnergyLevel.from_E(E)  # refuses E <= 1
     return TWO_PI * E * geo.area
 
 

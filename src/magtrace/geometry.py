@@ -22,7 +22,8 @@ import dataclasses
 import math
 from typing import ClassVar
 
-from .errors import ChartError, ManeLevelError, ValidationError, refuse_past_double_range
+from .errors import (ChartError, ManeLevelError, ResonanceError, ValidationError,
+                     refuse_past_double_range)
 from .floats import cis
 from .floats import xp as _xp  # the flows name their module variable xp
 
@@ -484,13 +485,6 @@ class Hyperbolic(ConstantCurvature):
 # the deformed sphere
 # ---------------------------------------------------------------------------
 
-def katok_first_integral(eps: float, y):
-    """Conserved quantity P = p_phi + eps sin^2(theta)/(1 - eps^2 sin^2(theta))."""
-    import numpy as np
-    s2 = np.sin(y[0]) ** 2
-    return y[3] + eps * s2 / (1.0 - eps * eps * s2)
-
-
 @dataclasses.dataclass(frozen=True)
 class KatokMonodromy:
     """Transverse return map of an equatorial orbit in (Theta, P_theta)."""
@@ -506,47 +500,22 @@ def half_lattice_distance(x: float) -> float:
     return abs(x - round(2.0 * x) / 2.0)
 
 
-def katok_maslov_closed(k: int, branch: int, eps: float) -> int:
-    """Closed-form Maslov index 2*floor(2k/(1 -+ eps)) + 2*sign(k) + 1, branch +-1."""
-    x = 2.0 * k / (1.0 - branch * eps)
-    return 2 * int(math.floor(x)) + 2 * (1 if k > 0 else -1) + 1
-
-
 def branch_sign(orientation: str) -> int:
     if orientation not in ("+", "-"):
         raise ValidationError(f"orientation must be '+' or '-', got {orientation!r}")
     return 1 if orientation == "+" else -1
 
 
-def katok_poincare_analytic(eps: float, E: float, orientation: str) -> KatokMonodromy:
-    """Closed-form linearized return map of the equatorial orbits.
-
-    With a = [(E^2-1)(1+eps^2) +- 2 eps sqrt(E^2-1)]^{1/2} and rotation
-    angle alpha = (2 pi/(1-eps^2)) [1+eps^2 +- 2 eps/sqrt(E^2-1)]^{1/2},
-    the map is the rotation-like matrix
-    [[cos a, (1-e^2)/a sin a], [-a/(1-e^2) sin a, cos a]] (angle alpha),
-    and |I - P| = 4 sin^2(alpha/2).
-    """
-    import numpy as np
-    Katok(eps)  # refuses eps outside (0, 1)
-    if not E > 1.0:
-        raise ValidationError(f"energy must exceed 1, got {E}")
-    sg = branch_sign(orientation)
-    c = math.sqrt(E * E - 1.0)
-    a = math.sqrt((E * E - 1.0) * (1.0 + eps * eps) + sg * 2.0 * eps * c)
-    alpha = (TWO_PI / (1.0 - eps * eps)) * math.sqrt(1.0 + eps * eps + sg * 2.0 * eps / c)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    mat = np.array([[ca, (1.0 - eps * eps) / a * sa],
-                    [-a / (1.0 - eps * eps) * sa, ca]])
-    return KatokMonodromy(matrix=mat, a=a, alpha=alpha,
-                          det_i_minus_p=4.0 * math.sin(alpha / 2.0) ** 2)
-
-
 @dataclasses.dataclass(frozen=True)
 class Katok(Geometry):
     """Katok's deformed sphere, stated at E = sqrt(2): inverse metric
     diag(D, D^2/sin^2 theta) with D = 1 - eps^2 sin^2 theta.  Its flow has no
-    closed-form spectrum; two isolated equatorial orbits, "+" and "-"."""
+    closed-form spectrum; two isolated equatorial orbits, "+" and "-".
+
+    The equators' data are its methods, with the "+" orbit as branch +1
+    (denominators 1 - eps) and the "-" one as branch -1: the rotation x_k of
+    iterate k, its Maslov index, the display's amplitude, denominator, term and
+    resonance guard, and the return map."""
 
     eps: float
 
@@ -562,7 +531,7 @@ class Katok(Geometry):
 
     def predict(self, Ns, level, f, ctl, support_tol):
         from .asymptotics import katok_c0
-        return katok_c0(Ns, self.eps, f, ctl, support_tol=support_tol)
+        return katok_c0(Ns, self, f, ctl, support_tol=support_tol)
 
     def k_frequency(self, E):
         return TWO_PI * SQRT2 / (1.0 - self.eps * self.eps)  # the period T# at E = sqrt(2)
@@ -599,7 +568,80 @@ class Katok(Geometry):
         return self.eps * s2 / (1.0 - self.eps**2 * s2) * self.flow(y)[1]
 
     def first_integral(self, y):
-        return katok_first_integral(self.eps, y)
+        """Conserved quantity P = p_phi + eps sin^2(theta)/(1 - eps^2 sin^2(theta))."""
+        import numpy as np
+        s2 = np.sin(y[0]) ** 2
+        return y[3] + self.eps * s2 / (1.0 - self.eps * self.eps * s2)
+
+    # the equators at E = sqrt(2)
+
+    def rotation(self, k, branch: int):
+        """x_k = 2k/(1 -+ eps): the return-map angle of iterate k of a branch, in
+        units of pi."""
+        return 2.0 * k / (1.0 - branch * self.eps)
+
+    def maslov(self, k: int, branch: int) -> int:
+        """Closed-form Maslov index 2 floor(x_k) + 2 sign(k) + 1 of iterate k."""
+        # an int or a numpy integer, both of which have __index__; not a bool
+        if not (hasattr(k, "__index__") and not isinstance(k, bool) and k != 0):
+            raise ValidationError(f"iterate index k must be a nonzero integer, got {k}")
+        return 2 * math.floor(self.rotation(k, branch)) + 2 * (1 if k > 0 else -1) + 1
+
+    @property
+    def amplitude(self) -> float:
+        """1/(sqrt(2)(1 - eps^2)), the amplitude of every display term."""
+        return 1.0 / (SQRT2 * (1.0 - self.eps * self.eps))
+
+    def sine(self, k, branch: int):
+        """|sin(pi k/(1 -+ eps))|, the display's denominator, for a number k or
+        an array of them."""
+        t = math.pi * k / (1.0 - branch * self.eps)
+        return abs(_xp(t).sin(t))
+
+    def check_resonance(self, k: int, branch: int, margin: float) -> None:
+        """Refuse iterate k of a branch where the denominator ``sine`` or twice
+        the distance of x_k to the half-integer lattice, where the index jumps
+        (both floor discontinuities), is at most margin."""
+        x, s = self.rotation(k, branch), self.sine(k, branch)
+        d = half_lattice_distance(x)
+        if s <= margin or 2.0 * d <= margin:
+            raise ResonanceError(
+                f"k={k}, branch {'+' if branch > 0 else '-'}: "
+                f"2k/(1{'-' if branch > 0 else '+'}eps)={x:.9g} "
+                f"is resonant (|sin|={s:.3e}, lattice distance {d:.3e})")
+
+    def term(self, N: int, k: int, branch: int, hat: complex, margin: float) -> complex:
+        """Term (k, branch) of the isolated-orbit display, refused near a
+        resonance (``check_resonance``):
+
+            amplitude e^{i pi m/4} e^{-2 pi i N k/(1 -+ eps)} / |sin(pi k/(1 -+ eps))| * hat
+
+        with m the Maslov index of the iterate (``maslov``)."""
+        m = self.maslov(k, branch)
+        self.check_resonance(k, branch, margin)
+        turn = TWO_PI * N * k / (1.0 - branch * self.eps)
+        phase = (complex(math.cos(math.pi * m / 4.0), math.sin(math.pi * m / 4.0))
+                 * complex(math.cos(turn), -math.sin(turn)))
+        return self.amplitude * phase * complex(hat) / self.sine(k, branch)
+
+    def return_map(self, E: float, branch: int) -> KatokMonodromy:
+        """Closed-form linearized return map of a branch's equator at energy E.
+
+        With a = [(E^2-1)(1+eps^2) +- 2 eps sqrt(E^2-1)]^{1/2} and rotation
+        angle alpha = (2 pi/(1-eps^2)) [1+eps^2 +- 2 eps/sqrt(E^2-1)]^{1/2},
+        the map is the rotation-like matrix
+        [[cos a, (1-e^2)/a sin a], [-a/(1-e^2) sin a, cos a]] (angle alpha),
+        and |I - P| = 4 sin^2(alpha/2).
+        """
+        import numpy as np
+        e, c = self.eps, EnergyLevel.from_E(E).c
+        a = math.sqrt((E * E - 1.0) * (1.0 + e * e) + branch * 2.0 * e * c)
+        alpha = (TWO_PI / (1.0 - e * e)) * math.sqrt(1.0 + e * e + branch * 2.0 * e / c)
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        mat = np.array([[ca, (1.0 - e * e) / a * sa],
+                        [-a / (1.0 - e * e) * sa, ca]])
+        return KatokMonodromy(matrix=mat, a=a, alpha=alpha,
+                              det_i_minus_p=4.0 * math.sin(alpha / 2.0) ** 2)
 
     def closed_orbits(self, E, c):
         e = self.eps
@@ -609,16 +651,15 @@ class Katok(Geometry):
         at_sqrt2 = abs(E - SQRT2) < 1e-12
         for branch, label in ((+1, "+"), (-1, "-")):
             hol = branch * TWO_PI * e / (1.0 - e * e)
-            kat = katok_poincare_analytic(e, E, label)
             maslov, note = None, "index formula stated only at E = sqrt(2)"
-            if at_sqrt2 and half_lattice_distance(2.0 / (1.0 - branch * e)) <= 1e-9:
+            if at_sqrt2 and half_lattice_distance(self.rotation(1, branch)) <= 1e-9:
                 note = "index ill-defined at this resonant deformation"
             elif at_sqrt2:
-                maslov, note = katok_maslov_closed(1, branch, e), ""
+                maslov, note = self.maslov(1, branch), ""
             orbits.append(OrbitInvariants(
                 geometry=self.kind, orientation=label, E=E, L=L, T=T, Tsharp=T,
                 S=L * c + hol, hol=hol, maslov=maslov, maslov_note=note,
-                detIminusP=kat.det_i_minus_p))
+                detIminusP=self.return_map(E, branch).det_i_minus_p))
         return ClosedOrbitSet(orbits=tuple(orbits))
 
     def orbit_state(self, E, c, orientation):

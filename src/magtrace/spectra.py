@@ -41,7 +41,7 @@ import bisect
 import dataclasses
 import math
 
-from .errors import ValidationError
+from .errors import ValidationError, check_Nj
 from .floats import block, each, xp
 # EnergyLevel lives in geometry, so that the orbit commands load no spectra;
 # spectra.EnergyLevel stays its other name
@@ -77,14 +77,6 @@ class SpectrumEntry:
     mult: int
 
 
-def _check_Nj(N, j):
-    # an int or a numpy integer, both of which have __index__; not a bool
-    if not (hasattr(N, "__index__") and not isinstance(N, bool) and N >= 1):
-        raise ValidationError(f"N must be a positive integer, got {N}")
-    if not (hasattr(j, "__index__") and not isinstance(j, bool) and j >= 0):
-        raise ValidationError(f"j must be a nonnegative integer, got {j}")
-
-
 def _rungs(model, N):
     """The map j -> (nu, lam, mult) of the ladder at N, for an integer j or an
     integer array of them."""
@@ -103,7 +95,7 @@ def levels(model, N: int, j: int) -> SpectrumEntry:
     0 <= j < N - 1/2: those indices belong to the non-integrable part of the
     spectrum, which this module does not model.
     """
-    _check_Nj(N, j)
+    check_Nj(N, j)
     cap = model.j_cap(N)
     if cap is not None and j > cap:
         raise ValidationError(
@@ -208,7 +200,7 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     if not isinstance(model, ConstantCurvature):
         raise ValidationError(f"geometry {model.kind} has no closed-form spectrum; spectral "
                               "commands support torus, sphere and hyperbolic geometries only")
-    _check_Nj(N, 0)
+    check_Nj(N, 0)
     E = level.E
     model.check_energy(E)
     radius = f.radius(tail_tol)

@@ -1,9 +1,11 @@
 """Reference self-checks of the lab, used only by the tests.
 
-The Poisson-summation self-test of a test function (``poisson_check``) and
+The Poisson-summation self-test of a test function (``poisson_check``),
 formal linear combinations of test functions (``linear_combination``, with
-their summed envelope ``SumEnvelope``).  No command reaches either, so they
-live beside the tests rather than in the package.  The file name keeps
+their summed envelope ``SumEnvelope``) and the rotation-counting Maslov
+index of the deformed sphere's equators (``maslov_two_interval``).  No
+command reaches them, so they live beside the tests rather than in the
+package.  The file name keeps
 pytest from collecting it; tests import it from their own directory.
 """
 
@@ -148,3 +150,17 @@ def poisson_check(f: TestFunction, P: float, t: float) -> PoissonReport:
     rhs_tail = math.fsum(weight * f.hat_abs_bound(0, np.abs(tail_ks * step - f.hat_center))) / P
     return PoissonReport(lhs=fsum_complex(f.phi(xs)), rhs=fsum_complex(terms),
                          lhs_tail=lhs_tail, rhs_tail=rhs_tail)
+
+
+def maslov_two_interval(k: int, eps: float, branch: int) -> tuple:
+    """(m, kappa, sgn R) of iterate k of a deformed-sphere equator at E = sqrt(2)
+    by rotation counting, the reference for ``Katok.maslov``.
+
+    x = 2k/(1 -+ eps) is the return map's angle in units of pi (branch +-1);
+    kappa = round(x), sgn R follows the two-interval rule in the fractional
+    part of x, and m = sgn R + 2 kappa.
+    """
+    x = 2.0 * k / (1.0 - branch * eps)
+    kappa = round(x)
+    sgn_r = (1 if x - math.floor(x) < 0.5 else -1) + 2 * (1 if k > 0 else -1)
+    return sgn_r + 2 * kappa, kappa, sgn_r

@@ -14,13 +14,12 @@ import time
 import mpmath
 import numpy as np
 
-from labchecks import poisson_check
+from labchecks import maslov_two_interval, poisson_check
 from magtrace import (EnergyLevel, Hyperbolic, Katok, KSumControl,
                       ManeLevelError, Sphere, Torus,
                       canonical_orbit_state, circle_distance,
                       general_c0_nondegenerate, integrate, katok_monodromy_numeric,
-                      katok_poincare_analytic, katok_term_closed, levels, make_gaussian,
-                      maslov_katok, numeric_holonomy, poisson_c01,
+                      levels, make_gaussian, numeric_holonomy, poisson_c01,
                       residual_report, y_n)
 
 TWO_PI = 2.0 * math.pi
@@ -144,8 +143,8 @@ def test_criterion_4_katok_dynamics():
         drift = max(res.energy_drift, res.first_integral_drift)
         worst["drift"] = max(worst["drift"], drift)
         drift_ok &= drift < 1e-9
-        num = katok_monodromy_numeric(EPS5, SQRT2, orientation, tol=1e-11)
-        ana = katok_poincare_analytic(EPS5, SQRT2, orientation)
+        num = katok_monodromy_numeric(geo, SQRT2, orientation, tol=1e-11)
+        ana = geo.return_map(SQRT2, sign)
         dev = float(np.max(np.abs(num - ana.matrix)))
         worst["mono"] = max(worst["mono"], dev)
         mono_ok &= dev < 1e-6
@@ -170,16 +169,14 @@ def test_criterion_5_katok_assembly():
     maslov_ok = True
     for k in (1, 2, 3, -1, -2, -3):
         for label, branch in (("+", +1), ("-", -1)):
-            closed = katok_term_closed(N, EPS5, k, branch, 1.0)
-            ms = maslov_katok(k, EPS5, label)
-            x = 2.0 * k / (1.0 - branch * EPS5)
-            maslov_ok &= (ms.sgn_r + 2 * ms.kappa
-                          == 2 * math.floor(x) + 2 * (1 if k > 0 else -1) + 1)
-            ana = katok_poincare_analytic(EPS5, SQRT2, label)
+            closed = geo.term(N, k, branch, 1.0, 1e-6)
+            m = maslov_two_interval(k, EPS5, branch)[0]
+            maslov_ok &= m == geo.maslov(k, branch)
+            ana = geo.return_map(SQRT2, branch)
             det_k = abs(float(np.linalg.det(
                 np.eye(2) - np.linalg.matrix_power(ana.matrix, k))))
             assembled = general_c0_nondegenerate(
-                Tsharp=inv[label].Tsharp, m=ms.m, S=k * inv[label].S,
+                Tsharp=inv[label].Tsharp, m=m, S=k * inv[label].S,
                 detIminusP=det_k, Tgamma=k * inv[label].Tsharp,
                 phi_hat_at_Tgamma=1.0, N=N)
             max_dev = max(max_dev, abs(closed - assembled) / abs(closed))

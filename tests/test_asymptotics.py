@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labchecks import linear_combination
+from labchecks import linear_combination, maslov_two_interval
 from magtrace import (CoefficientPrediction, DegenerateOrbitError, EnergyLevel,
                       Hyperbolic, Katok, KSumControl, ManeLevelError,
                       MixedSupportError, ResonanceError, Sphere, Torus,
                       TraceValue, ValidationError, general_c0_nondegenerate,
-                      general_c0_volume, katok_c0, katok_term_closed, levels,
-                      make_fourier_bump, make_gaussian, make_gaussian_modulated,
-                      maslov_katok, poisson_c01, residual_report)
+                      general_c0_volume, katok_c0, levels, make_fourier_bump,
+                      make_gaussian, make_gaussian_modulated, poisson_c01,
+                      residual_report)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -281,44 +281,50 @@ def test_general_nondegenerate_formula_value():
 # deformed sphere (Katok example)
 # ---------------------------------------------------------------------------
 
+def _report_maslov(geo, k, branch):
+    # the katok report's (m, kappa, sgn_r): the closed form, kappa = round(x_k)
+    m, kappa = geo.maslov(k, branch), round(geo.rotation(k, branch))
+    return m, kappa, m - 2 * kappa
+
+
 def test_maslov_index_examples():
-    assert maslov_katok(1, 0.3, "+").m == 7
-    assert maslov_katok(1, 0.3, "-").m == 5
-    assert maslov_katok(-1, 0.3, "+").m == -7
-    d = maslov_katok(1, 0.3, "+")
-    assert (d.kappa, d.sgn_r) == (3, 1)
-    d = maslov_katok(1, 0.3, "-")
-    assert (d.kappa, d.sgn_r) == (2, 1)
+    geo = Katok(0.3)
+    assert geo.maslov(1, +1) == 7
+    assert geo.maslov(1, -1) == 5
+    assert geo.maslov(-1, +1) == -7
+    assert _report_maslov(geo, 1, +1) == maslov_two_interval(1, 0.3, +1) == (7, 3, 1)
+    assert _report_maslov(geo, 1, -1) == maslov_two_interval(1, 0.3, -1) == (5, 2, 1)
 
 
 def test_maslov_rotation_counting_consistency():
     rng = np.random.default_rng(7)
     for eps in rng.uniform(0.05, 0.92, 12):
+        geo = Katok(float(eps))
         for k in (1, 2, 3, -1, -2, -3, 5, -5):
-            for orientation in ("+", "-"):
-                x = 2.0 * k / (1.0 - (1 if orientation == "+" else -1) * eps)
+            for branch in (1, -1):
+                x = 2.0 * k / (1.0 - branch * eps)
                 if abs(x - round(2.0 * x) / 2.0) < 1e-3:
                     continue
-                d = maslov_katok(k, eps, orientation)
-                assert d.m == d.sgn_r + 2 * d.kappa
+                m, kappa, sgn_r = maslov_two_interval(k, eps, branch)
+                assert m == sgn_r + 2 * kappa == geo.maslov(k, branch)
 
 
 @pytest.mark.parametrize("eps", np.linspace(0.013, 0.947, 48).tolist())
 def test_maslov_rotation_count_equals_closed_form(eps):
-    # m = sgn R + 2 kappa by rotation counting is the closed form
-    # 2 floor(2k/(1 -+ eps)) + 2 sign(k) + 1 on both branches
+    # (m, kappa, sgn R) by rotation counting is the report's: the closed form
+    # m = 2 floor(2k/(1 -+ eps)) + 2 sign(k) + 1 on both branches
+    geo = Katok(eps)
     for k in [*range(1, 13), *range(-12, 0)]:
-        for orientation, sg in (("+", 1), ("-", -1)):
-            x = 2.0 * k / (1.0 - sg * eps)
+        for branch in (1, -1):
+            x = 2.0 * k / (1.0 - branch * eps)
             assert abs(x - round(2.0 * x) / 2.0) > 1e-4  # the grid is non-resonant
-            m = maslov_katok(k, eps, orientation).m
-            assert m == 2 * math.floor(x) + 2 * (1 if k > 0 else -1) + 1
+            assert _report_maslov(geo, k, branch) == maslov_two_interval(k, eps, branch)
 
 
 def test_katok_zero_period_window():
     eps = 1.0 / math.sqrt(5.0)
     f = make_gaussian(1.0)  # effective hat support well inside (-T#, T#)
-    [p] = katok_c0([3], eps, f, KSumControl(4))
+    [p] = katok_c0([3], Katok(eps), f, KSumControl(4))
     assert p.d == 1.0
     # exact shell volume 2 pi E * 4 pi/(1 - eps^2); the published display
     # drops the (1-eps^2)^{-1} (valid only modulo eps^2)
@@ -327,20 +333,20 @@ def test_katok_zero_period_window():
 
 
 def test_katok_isolated_orbit_window_matches_assembly():
-    from magtrace import katok_poincare_analytic
     eps = 1.0 / math.sqrt(5.0)
     Tsharp = TWO_PI * SQRT2 / (1.0 - eps * eps)
     f = make_fourier_bump(Tsharp, 0.4)  # isolates k = 1 for both branches
     N = 4
-    [p] = katok_c0([N], eps, f, KSumControl(4))
+    geo = Katok(eps)
+    [p] = katok_c0([N], geo, f, KSumControl(4))
     assert p.d == 0.0
     lev = EnergyLevel.from_E(SQRT2)
-    inv = {o.orientation: o for o in Katok(eps).closed_orbits(lev.E, lev.c).orbits}
+    inv = {o.orientation: o for o in geo.closed_orbits(lev.E, lev.c).orbits}
     total = 0.0 + 0.0j
     hat = complex(f.phi_hat(Tsharp))
-    for label in ("+", "-"):
-        ana = katok_poincare_analytic(eps, SQRT2, label)
-        m = maslov_katok(1, eps, label).m
+    for label, branch in (("+", 1), ("-", -1)):
+        ana = geo.return_map(SQRT2, branch)
+        m = maslov_two_interval(1, eps, branch)[0]
         total += general_c0_nondegenerate(
             Tsharp=inv[label].Tsharp, m=m, S=inv[label].S,
             detIminusP=ana.det_i_minus_p, Tgamma=inv[label].Tsharp,
@@ -351,7 +357,7 @@ def test_katok_isolated_orbit_window_matches_assembly():
 def test_katok_empty_window():
     eps = 1.0 / math.sqrt(5.0)
     f = make_fourier_bump(5.0, 0.5)  # no period inside [4.5, 5.5]
-    [p] = katok_c0([2], eps, f, KSumControl(4))
+    [p] = katok_c0([2], Katok(eps), f, KSumControl(4))
     assert p.c0 == 0.0 and p.d == 0.0
 
 
@@ -360,11 +366,11 @@ def test_katok_mixed_support_rejected():
     Tsharp = TWO_PI * SQRT2 / (1.0 - eps * eps)
     f = make_fourier_bump(Tsharp / 2.0, Tsharp / 2.0 + 0.5)  # covers 0 and T#
     with pytest.raises(MixedSupportError):
-        katok_c0([2], eps, f, KSumControl(4))
+        katok_c0([2], Katok(eps), f, KSumControl(4))
     # a support of about 54,000 nonzero periods: the message names their
     # number and the first and last, on one short line
     with pytest.raises(MixedSupportError) as exc:
-        katok_c0([3], eps, make_gaussian(2e-5), KSumControl(4))
+        katok_c0([3], Katok(eps), make_gaussian(2e-5), KSumControl(4))
     msg = str(exc.value)
     assert len(msg) < 300 and "\n" not in msg
     assert "53612 nonzero period(s)" in msg and "-26806 to 26806" in msg
@@ -378,7 +384,7 @@ def test_katok_k_tail_covers_the_periods_k_max_leaves_out():
     omitted = sum(amp * float(f.phi_hat(k * Tsharp))
                   / abs(math.sin(math.pi * k / (1.0 - b * eps)))
                   for k in (1, 5) for b in (1, -1))
-    tails = {katok_c0([40], eps, f, KSumControl(k_max), support_tol=1e-3)[0].k_tail
+    tails = {katok_c0([40], Katok(eps), f, KSumControl(k_max), support_tol=1e-3)[0].k_tail
              for k_max in (4, 9, 12)}
     assert len(tails) == 1 and tails.pop() >= omitted > 2e-3
 
@@ -386,8 +392,9 @@ def test_katok_k_tail_covers_the_periods_k_max_leaves_out():
 def test_katok_tiny_resonance_margin_is_accepted():
     # the guard's reach is taken at 1e-25 * margin / amp, below 1/DBL_MAX here
     eps, f = 1.0 / math.sqrt(5.0), make_gaussian(1.0)
-    [p] = katok_c0([3], eps, f, KSumControl(4, resonance_margin=1e-290))
-    assert p.k_tail == pytest.approx(katok_c0([3], eps, f, KSumControl(4))[0].k_tail, rel=1e-12)
+    geo = Katok(eps)
+    [p] = katok_c0([3], geo, f, KSumControl(4, resonance_margin=1e-290))
+    assert p.k_tail == pytest.approx(katok_c0([3], geo, f, KSumControl(4))[0].k_tail, rel=1e-12)
 
 
 def test_katok_scan_past_the_k_cap_is_refused():
@@ -395,21 +402,21 @@ def test_katok_scan_past_the_k_cap_is_refused():
     # before the support is scanned, so no width makes that scan run long
     f = make_fourier_bump(1.5e6, 0.5e6)
     with pytest.raises(ValidationError, match="k is capped"):
-        katok_c0([4], 1.0 / math.sqrt(5.0), f, KSumControl(4))
+        katok_c0([4], Katok(1.0 / math.sqrt(5.0)), f, KSumControl(4))
 
 
 def test_katok_resonance_detection():
     # eps = 1/2: sin(pi k/(1-eps)) = sin(2 pi k) = 0 at k = 1
     with pytest.raises(ResonanceError):
-        katok_term_closed(1, 0.5, 1, +1, 1.0)
+        Katok(0.5).term(1, 1, +1, 1.0, 1e-6)
     # eps = 1/3, "+" branch: the sine is -1 (no determinant degeneracy) but
     # 2k/(1-eps) = 3 sits exactly on the index-formula discontinuity
     with pytest.raises(ResonanceError) as exc:
-        katok_term_closed(1, 1.0 / 3.0, 1, +1, 1.0)
+        Katok(1.0 / 3.0).term(1, 1, +1, 1.0, 1e-6)
     assert "lattice" in str(exc.value)
     # a generic irrational-like eps is clean on both branches
     for branch in (+1, -1):
-        assert abs(katok_term_closed(1, 0.3, 1, branch, 1.0)) > 0.0
+        assert abs(Katok(0.3).term(1, 1, branch, 1.0, 1e-6)) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +453,12 @@ def test_poisson_grid_equals_single_N_calls(model, E, hat, Ns):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(Ns=_GRIDS)
 def test_katok_grid_equals_single_N_calls(regime, Ns):
-    eps = 1.0 / math.sqrt(5.0)
-    Tsharp = Katok(eps).k_frequency(SQRT2)
+    geo = Katok(1.0 / math.sqrt(5.0))
+    Tsharp = geo.k_frequency(SQRT2)
     f = make_gaussian(1.0) if regime == "zero_period" else make_fourier_bump(Tsharp, 0.4)
-    grid = katok_c0(Ns, eps, f, KSumControl(4))
+    grid = katok_c0(Ns, geo, f, KSumControl(4))
     assert grid[0].d == (1.0 if regime == "zero_period" else 0.0)
-    assert [_bits(p) for p in grid] == [_bits(katok_c0([N], eps, f, KSumControl(4))[0])
+    assert [_bits(p) for p in grid] == [_bits(katok_c0([N], geo, f, KSumControl(4))[0])
                                         for N in Ns]
 
 

@@ -10,9 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from magtrace import (EnergyLevel, TestFunction, Torus, ValidationError, asymptotics, cli,
-                      dynamics, enumerate_window, katok_first_integral, levels,
-                      make_gaussian)
+from labchecks import maslov_two_interval
+from magtrace import (EnergyLevel, Katok, TestFunction, Torus, ValidationError, asymptotics,
+                      cli, dynamics, enumerate_window, levels, make_gaussian)
 from magtrace.cli import _number, main
 
 SQRT2 = math.sqrt(2.0)
@@ -140,6 +140,23 @@ def test_katok_command_passes(tmp_path):
     assert rep["max_assembly_rel_dev"] < 1e-12
     assert rep["max_monodromy_dev"] < 1e-6
     assert rep["passed"] is True
+    # the report's (m, kappa, sgn_r) are those of rotation counting
+    assert [(row["k"], row["branch"], row["m"], row["kappa"], row["sgn_r"])
+            for row in rep["maslov"]] == [
+        (k, label, *maslov_two_interval(k, 1.0 / math.sqrt(5.0), branch))
+        for k in (1, 2, -1) for label, branch in (("+", 1), ("-", -1))]
+
+
+def test_katok_resonant_iterate_exits_4(tmp_path, capsys):
+    # eps = 1/2: 2k/(1-eps) = 4 lies on the half-integer lattice at k = 1
+    cfg = {"schema": "magtrace/1", "geometry": {"kind": "katok", "eps": 0.5}, "k_list": [1]}
+    out = tmp_path / "out"
+    assert main(["katok", "--config", _write_cfg(tmp_path, "cfg.json", cfg),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: k=1, branch +: 2k/(1-eps)=4 is resonant")
+    assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_katok_rejects_wrong_energy(tmp_path):
@@ -271,7 +288,7 @@ def test_dynamics_orbit_csv_matches_per_row_formulas(tmp_path, geometry, E):
         y = np.array(y)
         row = [t, *y, geo.hamiltonian(y)]
         if katok:
-            row.append(katok_first_integral(geo.eps, y))
+            row.append(geo.first_integral(y))
         assert line == ",".join(format(float(v), ".17g") for v in row)
 
 
@@ -473,12 +490,12 @@ def test_predict_refuses_an_unreachable_k_tail_before_any_bound(tmp_path, capsys
 @pytest.mark.parametrize("call", [
     lambda: asymptotics.KSumControl(k_max=True),
     lambda: asymptotics.general_c0_volume(1.0, 1.0, n=True),
-    lambda: dynamics.maslov_katok(True, 0.3, "+"),
+    lambda: Katok(0.3).maslov(True, +1),
     lambda: levels(Torus(), True, 0),
     lambda: levels(Torus(), 1, False),
     lambda: enumerate_window(Torus(), True, EnergyLevel.from_E(2.0),
                              make_gaussian(1.0), 1e-14),
-], ids=["KSumControl", "general_c0_volume", "maslov_katok", "levels_N", "levels_j",
+], ids=["KSumControl", "general_c0_volume", "Katok.maslov", "levels_N", "levels_j",
         "enumerate_window"])
 def test_library_integer_checks_refuse_bools(call):
     # as the config reader does (_number): True is not the integer 1

@@ -8,9 +8,8 @@ import pytest
 from magtrace import (ChartError, EnergyLevel, Hyperbolic, IntegratorError, Katok,
                       PhaseState, ResonanceError, Sphere, Torus, ValidationError,
                       canonical_orbit_state, circle_distance, integrate,
-                      katok_first_integral, katok_monodromy_numeric,
-                      katok_poincare_analytic, liouville_volume, maslov_katok,
-                      mc_liouville_volume, numeric_holonomy)
+                      katok_monodromy_numeric, liouville_volume, mc_liouville_volume,
+                      numeric_holonomy)
 from magtrace.dynamics import _on_floats
 
 TWO_PI = 2.0 * math.pi
@@ -235,14 +234,14 @@ def test_drift_monitors_match_per_point(geo, E):
     st, T = canonical_orbit_state(geo, E, "+")
     res = integrate(geo, st, E, T, tol=1e-11)
     katok = geo.kind == "katok"
-    P0 = katok_first_integral(geo.eps, st.as_array()) if katok else None
+    P0 = geo.first_integral(st.as_array())
     drift, fdrift = 0.0, 0.0
     for seg in res.segments:
         for t in np.linspace(seg.t0, seg.t1, max(2, int(256 * (seg.t1 - seg.t0) / T))):
             y = seg.sol(t)
             drift = max(drift, abs(geo.hamiltonian(y) - E))
             if katok:
-                fdrift = max(fdrift, abs(katok_first_integral(geo.eps, y) - P0))
+                fdrift = max(fdrift, abs(geo.first_integral(y) - P0))
     assert res.energy_drift == drift
     assert res.first_integral_drift == (fdrift if katok else None)
 
@@ -413,7 +412,7 @@ def test_katok_general_energy_orbit():
     eps, E = 0.3, 1.8
     geo = Katok(eps)
     c = math.sqrt(E * E - 1.0)
-    for orientation, sign in (("+", 1.0), ("-", -1.0)):
+    for orientation, sign in (("+", 1), ("-", -1)):
         st, T = canonical_orbit_state(geo, E, orientation)
         assert T == pytest.approx(TWO_PI * E / ((1.0 - eps * eps) * c), rel=1e-15)
         res = integrate(geo, st, E, T, tol=1e-11)
@@ -421,8 +420,8 @@ def test_katok_general_energy_orbit():
         gap = max(abs(y1[0] - y0[0]), abs(y1[1] - y0[1] - sign * TWO_PI),
                   abs(y1[2] - y0[2]), abs(y1[3] - y0[3]))
         assert gap < 1e-8
-        num = katok_monodromy_numeric(eps, E, orientation, tol=1e-11)
-        ana = katok_poincare_analytic(eps, E, orientation)
+        num = katok_monodromy_numeric(geo, E, orientation, tol=1e-11)
+        ana = geo.return_map(E, sign)
         assert np.max(np.abs(num - ana.matrix)) < 1e-6
         hol = numeric_holonomy(geo, res)
         inv = next(o for o in geo.closed_orbits(E, math.sqrt(E * E - 1.0)).orbits
@@ -432,20 +431,21 @@ def test_katok_general_energy_orbit():
 
 
 def test_poincare_analytic_values():
-    ana = katok_poincare_analytic(0.3, SQRT2, "+")
+    ana = Katok(0.3).return_map(SQRT2, +1)
     assert ana.alpha == pytest.approx(TWO_PI / 0.7, rel=1e-14)
     assert ana.a == pytest.approx(1.3, rel=1e-14)  # sqrt((1+eps)^2) at E=sqrt2
     assert ana.det_i_minus_p == pytest.approx(4.0 * math.sin(math.pi / 0.7) ** 2,
                                               rel=1e-13)
-    ana_m = katok_poincare_analytic(0.3, SQRT2, "-")
+    ana_m = Katok(0.3).return_map(SQRT2, -1)
     assert ana_m.alpha == pytest.approx(TWO_PI / 1.3, rel=1e-14)
     assert ana_m.a == pytest.approx(0.7, rel=1e-13)
 
 
 def test_monodromy_numeric_matches_analytic():
-    for orientation in ("+", "-"):
-        num = katok_monodromy_numeric(EPS5, SQRT2, orientation, tol=1e-11)
-        ana = katok_poincare_analytic(EPS5, SQRT2, orientation)
+    geo = Katok(EPS5)
+    for orientation, branch in (("+", 1), ("-", -1)):
+        num = katok_monodromy_numeric(geo, SQRT2, orientation, tol=1e-11)
+        ana = geo.return_map(SQRT2, branch)
         assert np.max(np.abs(num - ana.matrix)) < 1e-6
         assert abs(np.linalg.det(num) - 1.0) < 1e-9
         det_num = float(np.linalg.det(np.eye(2) - num))
@@ -455,16 +455,17 @@ def test_monodromy_numeric_matches_analytic():
 def test_monodromy_small_deformation_limit():
     # eps -> 0: the return map approaches the round-sphere rotation
     eps = 1e-4
-    for orientation in ("+", "-"):
-        num = katok_monodromy_numeric(eps, SQRT2, orientation, tol=1e-11)
-        ana = katok_poincare_analytic(eps, SQRT2, orientation)
+    geo = Katok(eps)
+    for orientation, branch in (("+", 1), ("-", -1)):
+        num = katok_monodromy_numeric(geo, SQRT2, orientation, tol=1e-11)
+        ana = geo.return_map(SQRT2, branch)
         assert np.max(np.abs(num - ana.matrix)) < 1e-6
         assert ana.alpha == pytest.approx(TWO_PI, rel=2.5 * eps)
 
 
 def test_maslov_resonance_guard():
-    with pytest.raises(ResonanceError):
-        maslov_katok(1, 0.5, "+")  # 2/(1-eps) = 4 on the lattice
+    with pytest.raises(ResonanceError, match="lattice distance 0.000e"):
+        Katok(0.5).check_resonance(1, +1, 1e-6)  # 2/(1-eps) = 4 on the lattice
 
 
 def test_metric_areas_and_volumes():

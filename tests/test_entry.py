@@ -163,11 +163,13 @@ def test_import_and_setup_work_leave_the_commands_unrun():
     assert not numpy_loaded
 
 
-def test_cold_dynamics_runs_no_spectral_module(tmp_path):
-    # `python -m magtrace dynamics`, with os._exit wrapped to report the
-    # modules that have run just before the process ends
-    cfg = _write_cfg(tmp_path, golden._commands()["orbit_dynamics/dynamics-torus-1period"][1])
-    argv = ["magtrace", "dynamics", "--config", cfg, "--out", str(tmp_path / "out")]
+def _cold_run(tmp_path, name):
+    """`python -m magtrace` on the golden command ``name``, with os._exit
+    wrapped to report the modules that have run just before the process
+    ends: [exit code, modules run] and the names of the outputs."""
+    sub, config = golden._commands()[name]
+    argv = ["magtrace", sub, "--config", _write_cfg(tmp_path, config),
+            "--out", str(tmp_path / "out")]
     code = (_RAN + "import json, os, runpy\n"
             "real_exit = os._exit\n"
             "def report(code):\n"
@@ -178,8 +180,18 @@ def test_cold_dynamics_runs_no_spectral_module(tmp_path):
             "runpy.run_module('magtrace', run_name='__main__')\n")
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, [
+    return json.loads(proc.stdout), sorted(p.name for p in (tmp_path / "out").iterdir())
+
+
+def test_cold_dynamics_runs_no_spectral_module(tmp_path):
+    assert _cold_run(tmp_path, "orbit_dynamics/dynamics-torus-1period") == ([0, [
         "magtrace", "magtrace.cli", "magtrace.dynamics", "magtrace.errors",
-        "magtrace.floats", "magtrace.geometry", "magtrace.ode"]]
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-        "invariants.json", "orbit.csv"]
+        "magtrace.floats", "magtrace.geometry", "magtrace.ode"]],
+        ["invariants.json", "orbit.csv"])
+
+
+def test_cold_katok_runs_no_spectral_module(tmp_path):
+    assert _cold_run(tmp_path, "orbit_dynamics/katok-report") == ([0, [
+        "magtrace", "magtrace.asymptotics", "magtrace.cli", "magtrace.dynamics",
+        "magtrace.errors", "magtrace.floats", "magtrace.geometry", "magtrace.ode"]],
+        ["katok_report.csv", "katok_report.json"])

@@ -110,9 +110,9 @@ def test_katok_variational_bit_identical(orientation):
     assert t_end == ref.t[-1]
     assert np.array_equal(y_end, ref.y[:, -1])
     block = ref.y[4:, -1].reshape(4, 4)[np.ix_([0, 2], [0, 2])]
-    assert np.array_equal(katok_monodromy_numeric(EPS_K, SQRT2, orientation), block)
+    assert np.array_equal(katok_monodromy_numeric(geo, SQRT2, orientation), block)
     # the same system as katok_monodromy_numeric runs it, on Python floats
-    t_end, y_end, _, _ = ode.dop853(_on_floats(_katok_variational(EPS_K, SQRT2)), 0.0, z0, T,
+    t_end, y_end, _, _ = ode.dop853(_on_floats(_katok_variational(geo, SQRT2)), 0.0, z0, T,
                                     TOL, dense_output=False)
     assert t_end == ref.t[-1]
     assert np.array_equal(y_end, ref.y[:, -1])
