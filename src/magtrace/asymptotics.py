@@ -33,11 +33,11 @@ that remainder is left out as lying below double underflow.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateOrbitError, MixedSupportError, ValidationError, check_Nj
+from .errors import (DegenerateOrbitError, MixedSupportError, ValidationError, check_Nj,
+                     record)
 from .floats import block, each, fsum_complex, maximum, nonzero
 from .geometry import EnergyLevel, Katok
 
@@ -54,7 +54,7 @@ MAX_K_MAX = 100_000
 _HAT_FLOOR = 1e-300  # the k-tails sum term by term out to the reach at this level
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class KSumControl:
     """Truncation and resonance policy for the coefficient k-sums.
 
@@ -83,7 +83,7 @@ class KSumControl:
                    resonance_margin=resonance_margin)
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class CoefficientPrediction:
     """Leading coefficients of the trace expansion at one N.
 
@@ -286,7 +286,7 @@ def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
 # residual diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@record
 class ResidualReport:
     """Remainder analysis of Y_N against c0 N^d + c1 N^{d-1}.
 

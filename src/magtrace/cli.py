@@ -291,6 +291,10 @@ def cmd_katok(cfg):
     k_list = [_number(k, "k_list entry", integer=True, signed=True, cap=_MAX_PERIODS)
               for k in k_list]
 
+    for k in k_list:  # refused before the monodromy runs, in the assembly's order
+        for branch in (1, -1):
+            geo.check_resonance(k, branch, tol["resonance_margin"])
+
     import numpy as np
     monodromy, analytic = {}, {}
     max_mono_dev = 0.0

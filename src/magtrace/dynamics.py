@@ -22,13 +22,12 @@ geometries circulate clockwise and are labelled "-".
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
 from . import ode
-from .errors import IntegratorError, ValidationError
+from .errors import IntegratorError, ValidationError, record
 from .geometry import EnergyLevel, Geometry, Katok, PhaseState
 # dynamics.GeometrySpec is read by perfbench/reference.py
 from .geometry import GeometrySpec  # noqa: F401
@@ -40,14 +39,14 @@ TWO_PI = 2.0 * math.pi
 # integration
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@record
 class FlowSegment:
     t0: float
     t1: float
     sol: ode.DenseSolution  # dense output over [t0, t1]
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class FlowResult:
     """An integrated trajectory with conservation monitors.
 
@@ -260,7 +259,7 @@ def liouville_volume(geo: Geometry, E: float) -> float:
     return TWO_PI * E * geo.area
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class MCVolume:
     """Monte Carlo cross-check of the Liouville volume (reported, not asserted)."""
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy and input checks shared across the package.
+"""Exception hierarchy, input checks and the record decorator shared across
+the package.
 
 Each error family carries a distinct process exit code so the CLI can
 signal validation problems, energy-range violations, resonances and
@@ -6,6 +7,7 @@ integrator failures separately.
 """
 
 import math
+import operator
 import sys
 
 
@@ -115,3 +117,61 @@ class IntegratorError(MagtraceError):
     """ODE integration failed or conservation drift exceeded its budget."""
 
     exit_code = 5
+
+
+class FrozenRecordError(AttributeError):
+    """An assignment to, or a deletion from, a ``record`` instance."""
+
+
+def record(cls):
+    """Make cls an immutable record, as ``dataclasses.dataclass(frozen=True)``
+    does, from closures instead of generated source.  The fields are cls's own
+    annotations that are not ``ClassVar`` (objects or strings), taken by
+    position or keyword; a class attribute of a field's name is its default;
+    ``__post_init__`` runs after them if the class has one.  ``__eq__`` (same
+    class only), ``__hash__`` and ``__repr__`` go by the tuple of field values."""
+    names = tuple(name for name, ann in vars(cls).get("__annotations__", {}).items()
+                  if str(ann).partition("[")[0].removeprefix("typing.") != "ClassVar")
+    fields, post_init = frozenset(names), getattr(cls, "__post_init__", None)
+    setter = object.__setattr__  # sets a field past the refusing __setattr__
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    values = (operator.attrgetter(*names) if len(names) > 1
+              else lambda self: tuple(getattr(self, name) for name in names))
+
+    def __init__(self, *args, **kwargs):
+        given = kwargs
+        if args:
+            given = dict(zip(names, args), **kwargs)
+            if len(given) < len(args) + len(kwargs):
+                raise TypeError(f"{cls.__name__}() got too many or repeated arguments")
+        if given.keys() != fields:  # defaults to fill in, or a bad argument
+            given = {**defaults, **given}
+            if given.keys() != fields:
+                raise TypeError(f"{cls.__name__}() takes {names}, got {tuple(given)}")
+        # field by field, as a dataclass does: self.__dict__.update would give
+        # each instance a dict of its own, and slower method lookups
+        for name in names:
+            setter(self, name, given[name])
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return (values(self) == values(other) if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{type(self).__qualname__}({pairs})"
+
+    for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
+        setattr(cls, method.__name__, method)
+    return cls

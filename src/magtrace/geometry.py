@@ -18,11 +18,10 @@ arrays alike; numpy is imported only inside the methods that build arrays
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import ClassVar
 
-from .errors import (ChartError, ManeLevelError, ResonanceError, ValidationError,
+from .errors import (ChartError, ManeLevelError, ResonanceError, ValidationError, record,
                      refuse_past_double_range)
 from .floats import cis
 from .floats import xp as _xp  # the flows name their module variable xp
@@ -35,7 +34,7 @@ SQRT2 = math.sqrt(2.0)
 # energy, phase-space and orbit records
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@record
 class EnergyLevel:
     """Energy pair (E, c) with c^2 = E^2 - 1."""
 
@@ -64,7 +63,7 @@ class EnergyLevel:
                 f"N={N} is too large at E={self.E:.6g}: (E*N)^2 overflows a double")
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class PhaseState:
     """Coordinates (q1, q2) and momenta (p1, p2) in the geometry's one chart:
     (x, y) on the torus and the half-plane, polar (theta, phi) on the two
@@ -78,7 +77,7 @@ class PhaseState:
         return np.array([self.q[0], self.q[1], self.p[0], self.p[1]], dtype=float)
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class OrbitInvariants:
     """Closed-form invariants of one primitive closed orbit.
 
@@ -100,7 +99,7 @@ class OrbitInvariants:
     detIminusP: float
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class ClosedOrbitSet:
     """Closed orbits of the flow at one energy (possibly none)."""
 
@@ -259,7 +258,7 @@ class ConstantCurvature(Geometry):
         return math.pi * half_turns + abs(theta), terms, bound
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Torus(ConstantCurvature):
     """Flat torus R^2/Z^2 at the quantized field B = 2pi."""
 
@@ -301,7 +300,7 @@ class Torus(ConstantCurvature):
         return np.ones(n), 1.0
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Sphere(ConstantCurvature):
     """Round sphere of radius R at the quantized field B = 1/2."""
 
@@ -374,7 +373,7 @@ class Sphere(ConstantCurvature):
         return self.R * self.R * np.sin(th), math.pi * TWO_PI  # chart (0,pi) x (0,2pi)
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Hyperbolic(ConstantCurvature):
     """Compact hyperbolic surface of genus g >= 2, curvature -1/R^2, at B = 1."""
 
@@ -485,7 +484,7 @@ class Hyperbolic(ConstantCurvature):
 # the deformed sphere
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@record
 class KatokMonodromy:
     """Transverse return map of an equatorial orbit in (Theta, P_theta)."""
 
@@ -506,7 +505,7 @@ def branch_sign(orientation: str) -> int:
     return 1 if orientation == "+" else -1
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Katok(Geometry):
     """Katok's deformed sphere, stated at E = sqrt(2): inverse metric
     diag(D, D^2/sin^2 theta) with D = 1 - eps^2 sin^2 theta.  Its flow has no

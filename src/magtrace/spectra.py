@@ -38,10 +38,9 @@ same for both.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 
-from .errors import ValidationError, check_Nj
+from .errors import ValidationError, check_Nj, record
 from .floats import block, each, xp
 # EnergyLevel lives in geometry, so that the orbit commands load no spectra;
 # spectra.EnergyLevel stays its other name
@@ -66,7 +65,7 @@ MAX_WINDOW_RUNGS = 10_000_000
 # single rungs
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@record
 class SpectrumEntry:
     """One eigenvalue datum: lam = sqrt(nu + N^2) taken with multiplicity."""
 
@@ -110,7 +109,7 @@ def levels(model, N: int, j: int) -> SpectrumEntry:
 # window enumeration with certified truncation
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Window:
     """All eigenvalues with |lam - E N| <= radius, plus an omitted-tail bound.
 

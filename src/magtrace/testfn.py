@@ -39,7 +39,7 @@ import functools
 import math
 from typing import Callable
 
-from .errors import ValidationError, read_kind, refuse_past_double_range
+from .errors import ValidationError, read_kind, record, refuse_past_double_range
 from .floats import as_floats, cis
 
 TWO_PI = 2.0 * math.pi
@@ -90,7 +90,7 @@ _BUMP_BLOCK = 256
 # decay envelopes
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@record
 class GaussianEnvelope:
     """Envelope amp*exp(-u^2/(2 scale^2)) for u = distance past the center."""
 
@@ -109,7 +109,7 @@ class GaussianEnvelope:
         return self.amp * (c0 * gauss_tail + c1 * exp_term)
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class PowerEnvelope:
     """Envelope (w/2pi) min_k D_k/u^k, u = w|x|, of a band-limited phi.
 
@@ -164,6 +164,9 @@ def _power_integral(p: float, q: float, e: int) -> float:
 # the test function record
 # ---------------------------------------------------------------------------
 
+# A real dataclass, not an errors.record like the package's other records:
+# make_gaussian, perfbench/tracer.py and the tests derive variants with
+# dataclasses.replace.
 @dataclasses.dataclass(frozen=True)
 class TestFunction:
     """A Schwartz function with explicit evaluators for both transform sides.

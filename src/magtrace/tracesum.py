@@ -11,17 +11,17 @@ arrays (``floats``), so a gaussian sum imports no numpy.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 
+from .errors import record
 from .floats import each, fsum_complex
 # the module-level name enumerate_window is also read by perfbench/test_checks.py
 from .spectra import EnergyLevel, enumerate_window
 from .testfn import TestFunction
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class TraceValue:
     """One evaluated trace sum with its certified truncation bound.
 

@@ -147,16 +147,35 @@ def test_katok_command_passes(tmp_path):
         for k in (1, 2, -1) for label, branch in (("+", 1), ("-", -1))]
 
 
-def test_katok_resonant_iterate_exits_4(tmp_path, capsys):
-    # eps = 1/2: 2k/(1-eps) = 4 lies on the half-integer lattice at k = 1
-    cfg = {"schema": "magtrace/1", "geometry": {"kind": "katok", "eps": 0.5}, "k_list": [1]}
+def _katok_refusal(tmp_path, monkeypatch, eps, k_list):
+    """main's exit code on a katok config, the monodromy runs it made and its --out."""
+    runs = []
+    monkeypatch.setattr(dynamics, "katok_monodromy_numeric",
+                        lambda *args: runs.append(args))
+    cfg = {"schema": "magtrace/1", "geometry": {"kind": "katok", "eps": eps},
+           "k_list": k_list}
     out = tmp_path / "out"
-    assert main(["katok", "--config", _write_cfg(tmp_path, "cfg.json", cfg),
-                 "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: k=1, branch +: 2k/(1-eps)=4 is resonant")
-    assert err.count("\n") == 1
+    return main(["katok", "--config", _write_cfg(tmp_path, "cfg.json", cfg),
+                 "--out", str(out)]), runs, out
+
+
+def test_katok_resonant_iterate_exits_4(tmp_path, capsys, monkeypatch):
+    # eps = 1/2: 2k/(1-eps) = 4 lies on the half-integer lattice at k = 1;
+    # the entry is refused before either monodromy run
+    code, runs, out = _katok_refusal(tmp_path, monkeypatch, 0.5, [1])
+    assert (code, runs) == (4, [])
+    assert capsys.readouterr().err == ("error: k=1, branch +: 2k/(1-eps)=4 is resonant "
+                                       "(|sin|=2.449e-16, lattice distance 0.000e+00)\n")
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_katok_later_resonant_entry_is_refused_before_the_monodromy_runs(
+        tmp_path, capsys, monkeypatch):
+    # eps = 1/4: k = 1 and 2 are clear, and 2k/(1+eps) = 8 at k = 5 on the "-" branch
+    code, runs, out = _katok_refusal(tmp_path, monkeypatch, 0.25, [1, 2, 5])
+    assert (code, runs) == (4, [])
+    assert capsys.readouterr().err == ("error: k=5, branch -: 2k/(1+eps)=8 is resonant "
+                                       "(|sin|=4.899e-16, lattice distance 0.000e+00)\n")
 
 
 def test_katok_rejects_wrong_energy(tmp_path):

@@ -163,17 +163,30 @@ def test_import_and_setup_work_leave_the_commands_unrun():
     assert not numpy_loaded
 
 
+def test_geometry_setup_loads_no_dataclasses():
+    # what perfbench/setup_probe.py builds for the orbit configs; the records
+    # are errors.record classes, so dataclasses (and its inspect, ast and dis)
+    # stays unimported
+    code = ("import sys, magtrace\n"
+            "magtrace.Torus()\n"
+            "magtrace.Katok(0.4)\n"
+            "magtrace.EnergyLevel.from_E(2.0)\n"
+            "print('dataclasses' in sys.modules)\n")
+    proc = _python(code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def _cold_run(tmp_path, name):
     """`python -m magtrace` on the golden command ``name``, with os._exit
-    wrapped to report the modules that have run just before the process
-    ends: [exit code, modules run] and the names of the outputs."""
+    wrapped to report just before the process ends: [exit code, modules run,
+    whether dataclasses was imported] and the names of the outputs."""
     sub, config = golden._commands()[name]
     argv = ["magtrace", sub, "--config", _write_cfg(tmp_path, config),
             "--out", str(tmp_path / "out")]
     code = (_RAN + "import json, os, runpy\n"
             "real_exit = os._exit\n"
             "def report(code):\n"
-            "    print(json.dumps([code, ran()]), flush=True)\n"
+            "    print(json.dumps([code, ran(), 'dataclasses' in sys.modules]), flush=True)\n"
             "    real_exit(code)\n"
             "os._exit = report\n"
             f"sys.argv = {argv!r}\n"
@@ -186,12 +199,12 @@ def _cold_run(tmp_path, name):
 def test_cold_dynamics_runs_no_spectral_module(tmp_path):
     assert _cold_run(tmp_path, "orbit_dynamics/dynamics-torus-1period") == ([0, [
         "magtrace", "magtrace.cli", "magtrace.dynamics", "magtrace.errors",
-        "magtrace.floats", "magtrace.geometry", "magtrace.ode"]],
+        "magtrace.floats", "magtrace.geometry", "magtrace.ode"], False],
         ["invariants.json", "orbit.csv"])
 
 
 def test_cold_katok_runs_no_spectral_module(tmp_path):
     assert _cold_run(tmp_path, "orbit_dynamics/katok-report") == ([0, [
         "magtrace", "magtrace.asymptotics", "magtrace.cli", "magtrace.dynamics",
-        "magtrace.errors", "magtrace.floats", "magtrace.geometry", "magtrace.ode"]],
+        "magtrace.errors", "magtrace.floats", "magtrace.geometry", "magtrace.ode"], False],
         ["katok_report.csv", "katok_report.json"])
