@@ -58,7 +58,7 @@ _EXPORTS = {
                     "poisson_c01", "residual_report"),
     "dynamics": ("FlowResult", "MCVolume", "canonical_orbit_state", "circle_distance",
                  "integrate", "katok_monodromy_numeric", "liouville_volume",
-                 "mc_liouville_volume", "numeric_holonomy"),
+                 "mc_liouville_volume", "numeric_holonomy", "tangent_flow"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

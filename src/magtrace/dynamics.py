@@ -5,15 +5,16 @@ All four example geometries run through the same Hamiltonian system
     dq/dt = (1/H) g^{-1} p,
     dp/dt = (1/H) [ -(1/2) <d(g^{-1}) p, p> + F p^sharp ],
 
-with H = sqrt(g^{-1}(p,p) + 1); the field-strength signs are fixed so that
-each geometry's orbit invariants (holonomies, actions) reproduce the
-closed forms its coefficient predictions are built on.  A trajectory's
-action S = L sqrt(E^2-1) + hol is defined modulo 2 pi; forward-time
-primitive orbits always take the plus sign on the length term.
+with H = sqrt(g^{-1}(p,p) + 1), written once in ``geometry.Geometry``; the
+field-strength signs are fixed so that each geometry's orbit invariants
+(holonomies, actions) reproduce the closed forms its coefficient
+predictions are built on.  A trajectory's action S = L sqrt(E^2-1) + hol is
+defined modulo 2 pi; forward-time primitive orbits always take the plus
+sign on the length term.
 
-Each geometry's Hamiltonian, flow field, connection form and closed-form
-orbit data are methods of its class in ``geometry``; this module integrates
-the flow in one chart and measures along it.
+This module integrates the flow and its tangent flow in one chart and
+measures along them; the chart coefficients, connection form and orbit
+data are methods of each geometry's class.
 
 Orientation labels: the deformed sphere carries two equatorial orbits,
 "+" (increasing phi) and "-"; the unique closed orbits of the other
@@ -72,18 +73,34 @@ class FlowResult:
 
 
 def _on_floats(field):
-    """The right-hand side (tt, y) -> field(y) for ``ode.dop853``, run on y's
-    Python floats, on which the geometry's formulas use ``math`` and give the
-    values they give on the array.  Where the float arithmetic raises (a
-    division by zero, an overflow or a math-domain error), field runs on the
-    array y itself, so numpy gives its inf or nan and its warning as before."""
+    """The right-hand side (tt, y) -> field(y), as an array, for ``ode.dop853``,
+    run on y's Python floats, on which the formulas use ``math`` and give the
+    array's values.  Where float arithmetic raises (a division by zero, an
+    overflow or a math-domain error), field runs on the array y, so numpy
+    gives its inf or nan and its warning."""
 
     def rhs(tt, y):
         try:
-            return field(y.tolist())
+            return np.array(field(y.tolist()))
         except (ZeroDivisionError, OverflowError, ValueError):
-            return field(y)
+            return np.array(field(y))
     return rhs
+
+
+def _goes_negative(b) -> bool:
+    """Whether a polynomial on [0, 1], one per row of Bernstein coefficients
+    b, goes negative: one with a negative end does, one with no negative
+    coefficient does not, and the rest are halved (de Casteljau) until one
+    or the other holds, or, after 60 halvings, touch 0 only to rounding."""
+    for _ in range(60):
+        rows = [b[b.min(axis=1) < 0.0]]
+        if not len(rows[0]) or np.any(rows[0][:, [0, -1]] < 0.0):
+            return len(rows[0]) > 0
+        while rows[-1].shape[1] > 1:
+            rows.append(0.5 * (rows[-1][:, :-1] + rows[-1][:, 1:]))
+        b = np.vstack([np.stack([r[:, 0] for r in rows], axis=1),
+                       np.stack([r[:, -1] for r in rows[::-1]], axis=1)])
+    return False
 
 
 def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
@@ -91,11 +108,11 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     """Integrate the flow for time t with adaptive 8th-order Runge-Kutta.
 
     Local tolerance ``tol`` drives both rtol and atol; energy drift (and,
-    for the deformed sphere, first-integral drift) above 100*tol raises.
-    The run stays in one chart: on the two spheres a path whose 256
-    monitor samples cross a pole margin, theta = pole_margin or
-    pi - pole_margin, raises IntegratorError, while a path wholly inside a
-    margin runs.
+    for the deformed sphere, first-integral drift) at 256 dense samples
+    above 100*tol raises.  The run stays in one chart: on the two spheres a
+    path that crosses a pole margin, theta = pole_margin or pi - pole_margin,
+    anywhere in a step (seen by its theta polynomial's Bernstein hull)
+    raises IntegratorError, while a path wholly inside a margin runs.
     """
     y0 = s0.as_array()
     geo.check_state(y0)
@@ -110,18 +127,19 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     if t < 0.0:
         raise ValidationError("integration time must be nonnegative")
 
-    t_end, y_end, sol, status = ode.dop853(_on_floats(geo.flow), 0.0, y0, t, tol)
+    t_end, y_end, sol, status = ode.dop853(_on_floats(lambda y: geo.flow_terms(y)[1]),
+                                           0.0, y0, t, tol)
     if status < 0:
         raise IntegratorError(f"integration failed at t={t_end:.6g}: {ode.STEP_COLLAPSE}")
 
-    # pole crossings and conservation monitors over dense samples
-    ys = sol(np.linspace(0.0, t, 256))
     margin = geo.pole_margin
     if margin is not None:
+        theta = sol.bernstein(0)
         for edge, pole in ((margin, "0"), (math.pi - margin, "pi")):
-            if np.any((ys[0] < edge) != (y0[0] < edge)):
+            if _goes_negative(theta - edge if y0[0] >= edge else edge - theta):
                 raise IntegratorError(f"path crossed theta = {edge:.6g}, the margin of the "
                                       f"pole theta = {pole}; the run keeps to one chart")
+    ys = sol(np.linspace(0.0, t, 256))
     drift = float(np.max(np.abs(geo.hamiltonian(ys) - E)))
     if P0 is not None:
         fdrift = float(np.max(np.abs(geo.first_integral(ys) - P0)))
@@ -191,57 +209,51 @@ def numeric_holonomy(geo: Geometry, flow: FlowResult) -> float:
 
 
 # ---------------------------------------------------------------------------
-# deformed-sphere monodromy
+# the tangent flow and the monodromy
 # ---------------------------------------------------------------------------
 
-def _katok_jacobian(eps: float, E: float, y) -> np.ndarray:
-    """Jacobian of the reduced constant-E flow field, for variational runs."""
-    th, _, pth, pph = y
-    s, c = math.sin(th), math.cos(th)
-    D = 1.0 - eps * eps * s * s
-    Dp = -2.0 * eps * eps * s * c
-    J = np.zeros((4, 4))
-    J[0, 0] = Dp * pth / E
-    J[0, 2] = D / E
-    J[1, 0] = -(2.0 * c * D / (E * s**3)) * (2.0 * eps * eps * s * s + D) * pph
-    J[1, 3] = D * D / (E * s * s)
-    J[2, 0] = (eps * eps / E) * math.cos(2.0 * th) * pth * pth \
-        + (1.0 / E) * ((-s * s - 3.0 * c * c) / s**4 - eps**4 * math.cos(2.0 * th)) * pph * pph \
-        - (2.0 * eps / E) * pph / (s * s)
-    J[2, 2] = (2.0 * eps * eps / E) * s * c * pth
-    J[2, 3] = (2.0 / E) * (c / s**3 - eps**4 * s * c) * pph + (2.0 * eps / E) * (c / s)
-    J[3, 0] = -(eps / E) * pth * (2.0 * math.cos(2.0 * th) * D
-                                  - math.sin(2.0 * th) * Dp) / (D * D)
-    J[3, 2] = -(eps / E) * math.sin(2.0 * th) / D
-    return J
-
-
-def _katok_variational(geo: Katok, E: float):
-    """The flow field of z = (y, M) with the 4x4 state-transition matrix M
-    riding along, as a list or as an array z, like ``Geometry.flow``."""
+def _variational(geo: Geometry):
+    """The flow field of z = (y, M), M' = Df(y) M, as a list, on a list or an
+    array z like ``Geometry.flow``.  f = n/H reads only s, p1 and p2, so
+    d f_i = (d n_i - f_i dH)/H has three columns; Df M sums three products."""
+    k = geo.s_index
 
     def field(z):
-        y, M = z[:4], np.reshape(z[4:], (4, 4))
-        return np.concatenate([geo.flow(y), (_katok_jacobian(geo.eps, E, y) @ M).ravel()])
+        p1, p2 = z[2], z[3]
+        H, f, (a, b, F, da, db) = geo.flow_terms(z[:4])
+        dF, dda, ddb = geo.coefficients(z[k], True)
+        # d n_i/d(s, p1, p2) of n = H f = (a p1, b p2, F b p2, -F a p1) - G e_s,
+        # G = (a' p1^2 + b' p2^2)/2 = H dH/ds; dH/dp = (f_1, f_2)
+        dn = [(da * p1, a, 0.0), (db * p2, 0.0, b),
+              ((dF * b + F * db) * p2, 0.0, F * b), (-(dF * a + F * da) * p1, -F * a, 0.0)]
+        dG = ((dda * p1 * p1 + ddb * p2 * p2) / 2.0, da * p1, db * p2)
+        dn[2 + k] = [n - g for n, g in zip(dn[2 + k], dG)]
+        Hs = (da * p1 * p1 + db * p2 * p2) / (2.0 * H)
+        Ms, M1, M2 = z[4 + 4 * k:8 + 4 * k], z[12:16], z[16:20]
+        out = list(f)
+        for fi, (ns, n1, n2) in zip(f, dn):
+            js, j1, j2 = (ns - fi * Hs) / H, (n1 - fi * f[0]) / H, (n2 - fi * f[1]) / H
+            out += [js * u + j1 * v + j2 * w for u, v, w in zip(Ms, M1, M2)]
+        return out
     return field
+
+
+def tangent_flow(geo: Geometry, state: PhaseState, t: float, tol: float = 1e-11) -> np.ndarray:
+    """The 4x4 state-transition matrix M of the flow over time t from state, M(0) = I."""
+    z0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
+    _, z, _, status = ode.dop853(_on_floats(_variational(geo)), 0.0, z0, t, tol,
+                                 dense_output=False)
+    if status < 0:
+        raise IntegratorError(f"variational integration failed: {ode.STEP_COLLAPSE}")
+    return z[4:].reshape(4, 4)
 
 
 def katok_monodromy_numeric(geo: Katok, E: float, orientation: str,
                             tol: float = 1e-11) -> np.ndarray:
-    """Transverse monodromy by integrating the variational system one period.
-
-    The full 4x4 state-transition matrix rides along the equatorial orbit;
-    the returned 2x2 block is its restriction to the invariant
-    (Theta, P_theta) plane.
-    """
+    """Transverse monodromy of a deformed-sphere equator: the one-period
+    ``tangent_flow`` restricted to the invariant (Theta, P_theta) plane."""
     state, T = canonical_orbit_state(geo, E, orientation)
-    y0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
-    _, z, _, status = ode.dop853(_on_floats(_katok_variational(geo, E)), 0.0, y0, T, tol,
-                                 dense_output=False)
-    if status < 0:
-        raise IntegratorError(f"variational integration failed: {ode.STEP_COLLAPSE}")
-    M = z[4:].reshape(4, 4)
-    return M[np.ix_([0, 2], [0, 2])]
+    return tangent_flow(geo, state, T, tol)[np.ix_([0, 2], [0, 2])]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ one Landau ladder and its Poisson image (``ConstantCurvature``: ``ladder``,
 ``j_of_lam``, ``k_frequency``, ``poisson_image``, summed by
 ``asymptotics.poisson_c01``) and state only b, K and their area.
 ``Katok(eps)`` is the deformed sphere, which has no closed-form spectrum.
-Each class owns its magnetic flow, in one chart, and its closed orbits
+All four share one magnetic flow (``Geometry``); each class states its
+chart's coefficients and owns its connection form and closed orbits
 (``dynamics``).  Each field is the quantized one its closed forms need: the
 chart constant B is 2pi on the torus, 1/2 on the sphere and 1 on the
 hyperbolic surface, so b = B/R^2 off the flat torus.  The formulas take
@@ -127,17 +128,38 @@ def _circle_orbit(geo, E, c, T, L, hol, maslov=None, note=_NO_INDEX) -> ClosedOr
 
 class Geometry:
     """What every example geometry provides; ``y`` is one state (q1, q2, p1, p2)
-    or a (4, n) batch of them.  ``y`` may also be four Python floats: then
-    ``hamiltonian`` and ``flow`` run on ``math`` and give the values they give
-    on a (4,) array, except where numpy would give inf or nan.  There a
-    division by zero, an overflow in ``**`` or a math-domain error raises, and
-    an overflow in a product gives inf without numpy's warning."""
+    or a (4, n) batch of them.  Every flow is the one of ``dynamics``: in the
+    one chart g^{-1} = diag(a, b) and the field density F depend on one
+    coordinate s = q[s_index], each geometry states ``coefficients(s)`` =
+    (a, b, F, a', b') and, for the tangent field, ``coefficients(s, True)`` =
+    (F', a'', b''); with H = sqrt(a p1^2 + b p2^2 + 1), dq/dt = (a p1, b p2)/H
+    and dp/dt = (F b p2, -F a p1)/H - (a' p1^2 + b' p2^2)/(2H) e_s.
+    On four Python floats ``hamiltonian`` and ``flow`` run on ``math`` and give
+    a (4,) array's values, except where numpy gives inf or nan: there a
+    division by zero or a math-domain error raises, an overflow gives inf."""
 
     kind: ClassVar[str]
     params: ClassVar[dict] = {}              # config key -> int or float
     stated_E: ClassVar[float | None] = None  # the one energy the example is stated at
     pole_margin: ClassVar[float | None] = None  # a path may not cross this far from a pole
     loop_periods: ClassVar[tuple] = (None, None)  # coordinate periods of a closed loop
+    s_index: ClassVar[int] = 0  # the coefficients' coordinate s is q[s_index]
+
+    def hamiltonian(self, y):
+        return self.flow_terms(y)[0]
+
+    def flow(self, y):
+        import numpy as np
+        return np.array(self.flow_terms(y)[1])
+
+    def flow_terms(self, y):
+        """(H, dy/dt, coefficients at s), which the tangent field reuses."""
+        q1, q2, p1, p2 = y
+        co = a, b, F, da, db = self.coefficients(q2 if self.s_index else q1)
+        H = _xp(p1).sqrt(a * p1 * p1 + b * p2 * p2 + 1.0)
+        dp = [F * b * p2 / H, -F * a * p1 / H]
+        dp[self.s_index] -= (da * p1 * p1 + db * p2 * p2) / (2.0 * H)
+        return H, (a * p1 / H, b * p2 / H, dp[0], dp[1]), co
 
     def check_state(self, y) -> None:
         """Refuse a state outside the chart: theta outside (0, pi) on the spheres."""
@@ -269,17 +291,8 @@ class Torus(ConstantCurvature):
     field: ClassVar[float] = TWO_PI
     loop_periods: ClassVar[tuple] = (1.0, 1.0)  # the projected loop closes modulo the lattice
 
-    # flow
-    def hamiltonian(self, y):
-        q1, q2, p1, p2 = y
-        return _xp(p1).sqrt(p1 * p1 + p2 * p2 + 1.0)
-
-    def flow(self, y):
-        import numpy as np
-        q1, q2, p1, p2 = y
-        H = self.hamiltonian(y)
-        B = self.B
-        return np.array([p1 / H, p2 / H, B * p2 / H, -B * p1 / H])
+    def coefficients(self, s, slopes=False):  # a = b = 1, F = B
+        return (0.0, 0.0, 0.0) if slopes else (1.0, 1.0, self.B, 0.0, 0.0)
 
     def connection(self, y):
         """A = B x dy on the universal cover, pulled back along the flow."""
@@ -321,27 +334,12 @@ class Sphere(ConstantCurvature):
     field = property(lambda self: self.B / (self.R * self.R))
     curvature = property(lambda self: 1.0 / (self.R * self.R))
 
-    # flow
-    def hamiltonian(self, y):
-        q1, q2, p1, p2 = y
-        xp = _xp(q1)
-        s = xp.sin(q1)
-        return xp.sqrt((p1 * p1 + p2 * p2 / (s * s)) / (self.R * self.R) + 1.0)
-
-    def flow(self, y):
-        import numpy as np
-        q1, q2, p1, p2 = y
-        H = self.hamiltonian(y)
-        R2 = self.R * self.R
-        B = self.B
-        xp = _xp(q1)
-        s, c = xp.sin(q1), xp.cos(q1)
-        return np.array([
-            p1 / (R2 * H),
-            p2 / (R2 * s * s * H),
-            (c / (R2 * s**3)) * p2 * p2 / H + B * p2 / (R2 * s * H),
-            -B * s * p1 / (R2 * H),
-        ])
+    def coefficients(self, s, slopes=False):  # s = theta: a = 1/R^2, b = 1/(R^2 sin^2), F = B sin
+        xp, R2 = _xp(s), self.R * self.R
+        sn, cs = xp.sin(s), xp.cos(s)
+        b = 1.0 / (R2 * sn * sn)
+        return ((self.B * cs, 0.0, (2.0 + 6.0 * cs * cs / (sn * sn)) * b) if slopes
+                else (1.0 / R2, b, self.B * sn, 0.0, -2.0 * cs / sn * b))
 
     def connection(self, y):
         """A = B (1 - cos theta) dphi, which trivializes the upper hemisphere only."""
@@ -430,23 +428,12 @@ class Hyperbolic(ConstantCurvature):
         boundary = W * ((N * N + 0.25) / R2) * float(env(x0))
         return boundary + 2.0 * W * env.halfline_moment(x0, E * N, 1.0)
 
-    # flow
-    def hamiltonian(self, y):
-        q1, q2, p1, p2 = y
-        return _xp(q2).sqrt((q2 * q2 / (self.R * self.R)) * (p1 * p1 + p2 * p2) + 1.0)
+    s_index: ClassVar[int] = 1
 
-    def flow(self, y):
-        import numpy as np
-        q1, q2, p1, p2 = y
-        H = self.hamiltonian(y)
-        R2 = self.R * self.R
-        B = self.B
-        return np.array([
-            q2 * q2 * p1 / (R2 * H),
-            q2 * q2 * p2 / (R2 * H),
-            B * p2 / (R2 * H),
-            -(q2 / R2) * (p1 * p1 + p2 * p2) / H - B * p1 / (R2 * H),
-        ])
+    def coefficients(self, s, slopes=False):  # s = y: a = b = y^2/R^2, F = B/y^2
+        R2, B = self.R * self.R, self.B
+        return ((-2.0 * B / (s * s * s), 2.0 / R2, 2.0 / R2) if slopes
+                else (s * s / R2, s * s / R2, B / (s * s), 2.0 * s / R2, 2.0 * s / R2))
 
     def connection(self, y):
         """A = (B/y) dx on the upper half-plane."""
@@ -535,29 +522,18 @@ class Katok(Geometry):
     def k_frequency(self, E):
         return TWO_PI * SQRT2 / (1.0 - self.eps * self.eps)  # the period T# at E = sqrt(2)
 
-    def hamiltonian(self, y):
-        q1, q2, p1, p2 = y
-        xp = _xp(q1)
-        s2 = xp.sin(q1) ** 2
-        D = 1.0 - self.eps**2 * s2
-        return xp.sqrt(D * p1 * p1 + (D * D / s2) * p2 * p2 + 1.0)
-
-    def flow(self, y):
-        import numpy as np
-        q1, q2, p1, p2 = y
-        H = self.hamiltonian(y)
-        e = self.eps
-        xp = _xp(q1)
-        s, c = xp.sin(q1), xp.cos(q1)
-        D = 1.0 - e * e * s * s
-        return np.array([
-            D * p1 / H,
-            (D * D / (s * s)) * p2 / H,
-            (e * e * s * c * p1 * p1
-             + (c / s**3 - e**4 * s * c) * p2 * p2
-             + 2.0 * e * (c / s) * p2) / H,
-            -(e * xp.sin(2.0 * q1) / D) * p1 / H,
-        ])
+    def coefficients(self, s, slopes=False):
+        # s = theta: a = D, b = D^2/sin^2 and F = 2 eps sin cos/D^2
+        xp, e2 = _xp(s), self.eps * self.eps
+        sn, cs = xp.sin(s), xp.cos(s)
+        D, dD, cot = 1.0 - e2 * sn * sn, -2.0 * e2 * sn * cs, cs / sn
+        b = D * D / (sn * sn)
+        if not slopes:
+            return D, b, 2.0 * self.eps * sn * cs / (D * D), dD, 2.0 * (dD / D - cot) * b
+        c2 = cs * cs - sn * sn  # b'' = (D^2)'' u + 2 (D^2)' u' + D^2 u'', u = 1/sin^2
+        return (2.0 * self.eps / (D * D) * (c2 - 2.0 * sn * cs * dD / D), -2.0 * e2 * c2,
+                (2.0 * dD * dD - 4.0 * e2 * c2 * D - 8.0 * D * dD * cot) / (sn * sn)
+                + (2.0 + 6.0 * cot * cot) * b)
 
     def connection(self, y):
         """A = eps sin^2/(1-eps^2 sin^2) dphi (sign fixed by the branch pairing

@@ -117,6 +117,17 @@ class DenseSolution:
         x = (t - self.ts[k]) / self._h[k]
         return _horner(x[..., None], self._y_old[k], self._F[k]).T
 
+    def bernstein(self, i):
+        """Component i on each step in the degree-7 Bernstein basis of the step
+        fraction x, one row per step, built as ``_horner`` builds a value: a
+        row's hull bounds the step's values, its ends are those at x = 0, 1."""
+        F, b = self._F[:, :, i], np.zeros((len(self._F), 1))
+        for j in range(7):
+            b, d, zero = b + F[:, 6 - j, None], b.shape[1], np.zeros((len(F), 1))
+            w = np.arange(1, d + 1) / d
+            b = np.hstack([zero, b * w] if j % 2 == 0 else [b * w[::-1], zero])
+        return b + self._y_old[:, i, None]
+
 
 def _l2(x):
     """np.linalg.norm of a 1-D real array, as numpy computes it: the square

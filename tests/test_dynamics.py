@@ -10,7 +10,7 @@ from magtrace import (ChartError, EnergyLevel, Hyperbolic, IntegratorError, Kato
                       canonical_orbit_state, circle_distance, integrate,
                       katok_monodromy_numeric, liouville_volume, mc_liouville_volume,
                       numeric_holonomy)
-from magtrace.dynamics import _on_floats
+from magtrace.dynamics import _on_floats, _variational, tangent_flow
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -136,6 +136,28 @@ def test_float_adapter_falls_back_to_the_array_path():
         _on_floats(geo.flow)(0.0, y)
 
 
+@pytest.mark.parametrize("geo,E", CANONICAL, ids=lambda v: getattr(v, "kind", None))
+def test_tangent_field_matches_central_differences(geo, E):
+    # the variational field's M' at M = I is Df; central differences of the
+    # flow with steps h = 1e-6 agree with it to about h^2 times the third
+    # derivative, far below 1e-8
+    rng = np.random.default_rng(20261020)
+    field = _variational(geo)
+    n = 100  # theta in [0.3, pi - 0.3], y in [0.3, 3]
+    states = np.vstack([rng.uniform(0.3, math.pi - 0.3, n), rng.uniform(0.3, 3.0, n),
+                        rng.standard_normal((2, n))])
+    for y in states.T:
+        z = np.concatenate([y, np.eye(4).ravel()])
+        out = np.array(field(z.tolist()))
+        assert out[:4].tobytes() == geo.flow(y).tobytes()
+        assert np.array(field(z)).tobytes() == out.tobytes()
+        J = out[4:].reshape(4, 4)
+        h = 1e-6 * np.maximum(1.0, np.abs(y))
+        fd = np.array([(geo.flow(y + e) - geo.flow(y - e)) / (2.0 * e[j])
+                       for j, e in enumerate(np.diag(h))]).T
+        assert np.max(np.abs(J - fd)) <= 1e-8 * max(1.0, np.max(np.abs(J))), y
+
+
 def test_integrate_off_shell_rejected():
     st = PhaseState(q=(0.0, 0.0), p=(1.0, 0.0))  # H = sqrt(2)
     with pytest.raises(ValidationError, match="off-shell"):
@@ -203,6 +225,19 @@ def test_sphere_path_crossing_the_pole_margin_is_refused():
     E = geo.hamiltonian(st.as_array())
     with pytest.raises(IntegratorError, match="pole"):
         integrate(geo, st, E, 4.0, tol=1e-10)
+
+
+@pytest.mark.parametrize("t", [20.0, 200.0, 1000.0])
+def test_sphere_dip_across_the_margin_between_steps_is_refused(t):
+    # this path dips to theta = 0.09996 below the margin 0.1 inside steps
+    # whose ends all lie above it (the lowest end is at 0.10004), so neither
+    # the step ends nor fixed samples see the crossing; the step's theta
+    # polynomial does
+    geo = Sphere(1.0)
+    st = PhaseState(q=(0.6, 0.0), p=(-0.8, -0.005))
+    E = float(geo.hamiltonian(st.as_array()))
+    with pytest.raises(IntegratorError, match="crossed theta = 0.1"):
+        integrate(geo, st, E, t)
 
 
 def test_sphere_latitude_circle_inside_the_pole_margin_runs():
@@ -450,6 +485,21 @@ def test_monodromy_numeric_matches_analytic():
         assert abs(np.linalg.det(num) - 1.0) < 1e-9
         det_num = float(np.linalg.det(np.eye(2) - num))
         assert abs(det_num - ana.det_i_minus_p) < 1e-8
+
+
+@pytest.mark.parametrize("geo,E", CANONICAL[:3], ids=lambda v: getattr(v, "kind", None))
+def test_one_period_tangent_flow_fixes_the_energy_shell(geo, E):
+    # every orbit at energy E closes after the same period T, so the period
+    # map is the identity on the energy shell and M v = v for every v with
+    # dH v = 0; the variational run meets that to 1e-8 (2.6e-11, 1.8e-11 and
+    # 1.4e-9 on the torus, the sphere and the hyperbolic surface)
+    st, T = canonical_orbit_state(geo, E)
+    M = tangent_flow(geo, st, T, tol=1e-11)
+    y = st.as_array()
+    dH = [(geo.hamiltonian(y + e) - geo.hamiltonian(y - e)) / 2e-7 for e in np.eye(4) * 1e-7]
+    shell = np.linalg.svd(np.array([dH]))[2][1:].T  # an orthonormal basis of dH v = 0
+    assert np.max(np.abs(M @ shell - shell)) < 1e-8
+    assert abs(np.linalg.det(M) - 1.0) < 1e-9  # the flow preserves volume
 
 
 def test_monodromy_small_deformation_limit():

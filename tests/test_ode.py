@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from magtrace import ode
-from magtrace.dynamics import (_katok_jacobian, _katok_variational, _on_floats,
-                               canonical_orbit_state, katok_monodromy_numeric)
+from magtrace.dynamics import (_on_floats, _variational, canonical_orbit_state,
+                               katok_monodromy_numeric, tangent_flow)
 from magtrace.geometry import Hyperbolic, Katok, Sphere, Torus
 
 pytest.importorskip("scipy")
@@ -94,28 +94,57 @@ def test_l2_is_numpy_norm():
             assert got.tobytes() == want.tobytes()
 
 
+def _variational_run_matches_scipy(geo, E, orientation):
+    """The variational system run on arrays by SciPy, and by ``dop853`` on
+    arrays and, as ``tangent_flow`` runs it, on Python floats: the same
+    steps and the same final z, bit for bit.  Returns SciPy's final M."""
+    state, T = canonical_orbit_state(geo, E, orientation)
+    field = _variational(geo)
+    z0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
+    ref = _solve_ivp(lambda tt, z: np.array(field(z)), T, z0, TOL)
+    for fun in (lambda tt, z: np.array(field(z)), _on_floats(field)):
+        t_end, y_end, sol, status = ode.dop853(fun, 0.0, z0, T, TOL, dense_output=False)
+        assert sol is None
+        assert t_end == ref.t[-1]
+        assert np.array_equal(y_end, ref.y[:, -1])
+    M = ref.y[4:, -1].reshape(4, 4)
+    assert np.array_equal(tangent_flow(geo, state, T, TOL), M)
+    return M
+
+
 @pytest.mark.parametrize("orientation", ["+", "-"])
 def test_katok_variational_bit_identical(orientation):
     geo = Katok(EPS_K)
-    state, T = canonical_orbit_state(geo, SQRT2, orientation)
-
-    def rhs(tt, z):
-        y, M = z[:4], z[4:].reshape(4, 4)
-        return np.concatenate([geo.flow(y), (_katok_jacobian(EPS_K, SQRT2, y) @ M).ravel()])
-
-    z0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
-    ref = _solve_ivp(rhs, T, z0, TOL)
-    t_end, y_end, sol, status = ode.dop853(rhs, 0.0, z0, T, TOL, dense_output=False)
-    assert sol is None
-    assert t_end == ref.t[-1]
-    assert np.array_equal(y_end, ref.y[:, -1])
-    block = ref.y[4:, -1].reshape(4, 4)[np.ix_([0, 2], [0, 2])]
+    M = _variational_run_matches_scipy(geo, SQRT2, orientation)
+    block = M[np.ix_([0, 2], [0, 2])]
     assert np.array_equal(katok_monodromy_numeric(geo, SQRT2, orientation), block)
-    # the same system as katok_monodromy_numeric runs it, on Python floats
-    t_end, y_end, _, _ = ode.dop853(_on_floats(_katok_variational(geo, SQRT2)), 0.0, z0, T,
-                                    TOL, dense_output=False)
-    assert t_end == ref.t[-1]
-    assert np.array_equal(y_end, ref.y[:, -1])
+
+
+@pytest.mark.parametrize("geo,E,orientation", ORBITS[:3],
+                         ids=lambda v: getattr(v, "kind", None))
+def test_ladder_variational_bit_identical(geo, E, orientation):
+    _variational_run_matches_scipy(geo, E, orientation)
+
+
+@pytest.mark.parametrize("geo,E,orientation", ORBITS[1::2],
+                         ids=lambda v: getattr(v, "kind", None))
+def test_bernstein_rows_bound_the_dense_output(geo, E, orientation):
+    # each step's hull holds its dense values, and its end coefficients are
+    # the values at the step's ends
+    state, T = canonical_orbit_state(geo, E, orientation)
+    _, _, sol, _ = ode.dop853(lambda tt, y: geo.flow(y), 0.0, state.as_array(), T, TOL)
+    for i in range(4):
+        b = sol.bernstein(i)
+        assert b.shape == (len(sol.interpolants), 8)
+        assert np.array_equal(b[:, 0], sol._y_old[:, i])
+        ends = sol(sol.ts[1:])[i]
+        assert np.allclose(b[:, -1], ends, rtol=0.0, atol=1e-15 * max(1.0, np.max(np.abs(ends))))
+        x = np.linspace(0.0, 1.0, 33)
+        t = sol.ts[:-1, None] + x * sol._h[:, None]
+        vals = sol(t.ravel())[i].reshape(t.shape)
+        slack = 1e-14 * max(1.0, np.max(np.abs(b)))
+        assert np.all(vals >= b.min(axis=1)[:, None] - slack)
+        assert np.all(vals <= b.max(axis=1)[:, None] + slack)
 
 
 def test_step_size_collapse_matches_scipy():
