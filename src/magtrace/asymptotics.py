@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (DegenerateOrbitError, MixedSupportError, ValidationError, check_Nj,
                      record)
-from .floats import block, each, fsum_complex, maximum, nonzero
+from .floats import block, each, fsum_complex
 from .geometry import EnergyLevel, Katok
 
 if TYPE_CHECKING:  # read in annotations only, so katok runs no testfn code
@@ -249,22 +249,18 @@ def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
     # reach past the support and every period whose capped term can pass 1e-25
     ks, weight = _tail_periods(1, _k_reach(f, Tsharp, min(_HAT_FLOOR, support_tol,
                                                             1e-25 * margin / amp)))
-    omitted = each(lambda k: (k * Tsharp < lo) | (k * Tsharp > hi), ks)
-    k_in = [int(k) for k, out in zip(ks, omitted) if not out]
-    h = each(lambda k: f.hat_abs_bound(0, abs(k * Tsharp - f.hat_center)), ks)
-    hits, bounds = [], []  # one column per branch, + first
-    for branch in (1, -1):
-        sin = each(lambda k: geo.sine(k, branch), ks)
-        hits.append(nonzero(each(lambda out, s, hk: out & (s <= margin)
-                                 & (amp * hk / margin > 1e-25), omitted, sin, h)))
-        bounds.append(each(lambda out, wt, hk, s: out * wt * amp * hk / maximum(s, margin),
-                           omitted, weight, h, sin))
-    # the guard takes the first hit in ks's order, + first
-    firsts = [(int(at[0]), n) for n, at in enumerate(hits) if len(at)]
-    if firsts:
-        i, n = min(firsts)
-        geo.check_resonance(int(ks[i]), (1, -1)[n], margin)
-    k_tail = math.fsum(b for column in bounds for b in column)
+    k_in, bounds = [], []
+    for k, wt in zip(map(int, ks), map(float, weight)):
+        if lo <= k * Tsharp <= hi:
+            k_in.append(k)
+            continue
+        hk = f.hat_abs_bound(0, abs(k * Tsharp - f.hat_center))
+        for branch in (1, -1):  # the guard refuses the first hit in ks's order, + first
+            s = geo.sine(k, branch)
+            if s <= margin and amp * hk / margin > 1e-25:
+                geo.check_resonance(k, branch, margin)
+            bounds.append(wt * amp * hk / max(s, margin))
+    k_tail = math.fsum(bounds)
 
     if zero_in or not k_in:
         # exact energy-shell volume 2 pi E * 4 pi/(1-eps^2); the published

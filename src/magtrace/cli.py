@@ -230,21 +230,20 @@ def cmd_dynamics(cfg):
         "E": level.E,
         "note": orbit_set.note,
         "orbits": [{
-            "orientation": o.orientation, "L": o.L, "T": o.T, "Tsharp": o.Tsharp,
+            "orientation": o.orientation, "L": o.L, "T": o.T, "Tsharp": o.T,
             "S": o.S, "hol": o.hol, "maslov": o.maslov, "maslov_note": o.maslov_note,
             "detIminusP": o.detIminusP,
         } for o in orbit_set.orbits],
     }
     outputs = {}
     if orbit_set.has_orbits:
-        state, T = dynamics.canonical_orbit_state(geo, level.E, orientation)
-        flow = dynamics.integrate(geo, state, level.E, t_periods * T, tol["ode_tol"])
+        inv = orbit_set.pick(orientation)
+        flow = dynamics.integrate(geo, geo.orbit_state(level.c, orientation), level.E,
+                                  t_periods * inv.T, tol["ode_tol"])
         hol_num = dynamics.numeric_holonomy(geo, flow) if t_periods == 1.0 else None
-        inv = next(o for o in orbit_set.orbits
-                   if o.orientation == orientation or len(orbit_set.orbits) == 1)
         numeric = {
             "orientation": orientation,
-            "period": T,
+            "period": inv.T,
             "energy_drift": flow.energy_drift,
             "first_integral_drift": flow.first_integral_drift,
             "numeric_holonomy": hol_num,
@@ -274,6 +273,16 @@ def cmd_dynamics(cfg):
 
     outputs["invariants.json"] = json.dumps(report, indent=2) + "\n"
     return 0, outputs
+
+
+def _det_i_minus_power(m, k: int) -> float:
+    """det(I - P^k), P^k = P^(k-1) P on Python floats; with det P = 1,
+    det(I - P^-k) = det(I - P^k)."""
+    (a, b), (c, d) = m.tolist()
+    pa, pb, pc, pd = a, b, c, d
+    for _ in range(abs(k) - 1):
+        pa, pb, pc, pd = pa * a + pb * c, pa * b + pb * d, pc * a + pd * c, pc * b + pd * d
+    return (1.0 - pa) * (1.0 - pd) - pb * pc
 
 
 def cmd_katok(cfg):
@@ -308,7 +317,7 @@ def cmd_katok(cfg):
             "max_entry_dev": dev,
             "alpha": ana.alpha, "a": ana.a,
             "det_analytic": ana.det_i_minus_p,
-            "det_numeric": float(np.linalg.det(np.eye(2) - num)),
+            "det_numeric": _det_i_minus_power(num, 1),
         }
 
     inv = {o.orientation: o for o in geo.closed_orbits(level.E, level.c).orbits}
@@ -321,11 +330,10 @@ def cmd_katok(cfg):
             m, kappa = geo.maslov(k, branch), round(geo.rotation(k, branch))
             maslov_rows.append({"k": k, "branch": label, "m": m,
                                 "kappa": kappa, "sgn_r": m - 2 * kappa})
-            det_k = float(np.linalg.det(
-                np.eye(2) - np.linalg.matrix_power(analytic[label].matrix, k)))
+            det_k = _det_i_minus_power(analytic[label].matrix, k)
             assembled = asymptotics.general_c0_nondegenerate(
-                Tsharp=inv[label].Tsharp, m=m, S=k * inv[label].S,
-                detIminusP=abs(det_k), Tgamma=k * inv[label].Tsharp,
+                Tsharp=inv[label].T, m=m, S=k * inv[label].S,
+                detIminusP=abs(det_k), Tgamma=k * inv[label].T,
                 phi_hat_at_Tgamma=1.0, N=N,
                 resonance_margin=tol["resonance_margin"])
             dev = abs(closed - assembled) / abs(closed)

@@ -13,8 +13,10 @@ defined modulo 2 pi; forward-time primitive orbits always take the plus
 sign on the length term.
 
 This module integrates the flow and its tangent flow in one chart and
-measures along them; the chart coefficients, connection form and orbit
-data are methods of each geometry's class.
+measures along them; the chart coefficients, connection form, closed
+orbits (``closed_orbits``) and their start points (``orbit_state``) are
+methods of each geometry's class, and a run takes its period from the
+closed orbit it starts on.
 
 Orientation labels: the deformed sphere carries two equatorial orbits,
 "+" (increasing phi) and "-"; the unique closed orbits of the other
@@ -165,11 +167,16 @@ def canonical_orbit_state(geo: Geometry, E: float,
                           orientation: str = "+") -> tuple:
     """An on-shell initial state on the canonical closed orbit, with its period.
 
-    Returns (PhaseState, T).  For the hyperbolic flow this requires
-    cR < 1 (below the Mane level); only the deformed sphere, with its two
-    equatorial orbits, reads ``orientation``.
+    Returns (PhaseState, T), T the orbit's from ``closed_orbits``; a geometry
+    with no closed orbit at E (the hyperbolic one at or above the Mane level)
+    is refused.  Only the deformed sphere, with its two equatorial orbits,
+    reads ``orientation``.
     """
-    return geo.orbit_state(E, EnergyLevel.from_E(E).c, orientation)
+    c = EnergyLevel.from_E(E).c
+    orbits = geo.closed_orbits(E, c)
+    if not orbits.has_orbits:
+        raise ValidationError(orbits.note)
+    return geo.orbit_state(c, orientation), orbits.pick(orientation).T
 
 
 # ---------------------------------------------------------------------------

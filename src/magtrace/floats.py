@@ -67,18 +67,6 @@ def each(fn, *columns, width=0):
     return values
 
 
-def nonzero(flags):
-    """Indices of the true entries of a list or a 1-D array."""
-    if type(flags) is list:
-        return [i for i, flag in enumerate(flags) if flag]
-    return flags.nonzero()[0]
-
-
-def maximum(x, floor: float):
-    """max(x, floor) of a Python float, elementwise of an array."""
-    return max(x, floor) if type(x) is float else xp(x).maximum(x, floor)
-
-
 def fsum_complex(values) -> complex:
     """Correctly rounded sum of a list or an array of real or complex values."""
     if type(values) is list:

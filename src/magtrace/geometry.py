@@ -7,10 +7,14 @@ one Landau ladder and its Poisson image (``ConstantCurvature``: ``ladder``,
 ``asymptotics.poisson_c01``) and state only b, K and their area.
 ``Katok(eps)`` is the deformed sphere, which has no closed-form spectrum.
 All four share one magnetic flow (``Geometry``); each class states its
-chart's coefficients and owns its connection form and closed orbits
-(``dynamics``).  Each field is the quantized one its closed forms need: the
-chart constant B is 2pi on the torus, 1/2 on the sphere and 1 on the
-hyperbolic surface, so b = B/R^2 off the flat torus.  The formulas take
+chart's coefficients, its connection form and the start point of its closed
+orbit (``dynamics``).  The closed orbits of the three constant-curvature
+surfaces are one family of circles, stated once from the ladder's own
+(w, s) (``ConstantCurvature.closed_orbits``): their period is the
+k-frequency and their action the Poisson image's phase per N; only the
+torus states a Maslov index.  Each field is the quantized one its closed
+forms need: the chart constant B is 2pi on the torus, 1/2 on the sphere and
+1 on the hyperbolic surface, so b = B/R^2 off the flat torus.  The formulas take
 their functions from ``floats.xp``, so they run on Python floats or numpy
 arrays alike; numpy is imported only inside the methods that build arrays
 (the flow field, Monte Carlo areas), which only the ``dynamics`` and
@@ -87,12 +91,9 @@ class OrbitInvariants:
     an index (see maslov_note).
     """
 
-    geometry: str
     orientation: str
-    E: float
     L: float
     T: float
-    Tsharp: float
     S: float
     hol: float
     maslov: int | None
@@ -111,20 +112,19 @@ class ClosedOrbitSet:
     def has_orbits(self) -> bool:
         return len(self.orbits) > 0
 
-
-_NO_INDEX = "no stated index for this orbit family"
-
-
-def _circle_orbit(geo, E, c, T, L, hol, maslov=None, note=_NO_INDEX) -> ClosedOrbitSet:
-    """The one clockwise orbit family of a periodic flow."""
-    return ClosedOrbitSet(orbits=(OrbitInvariants(
-        geometry=geo.kind, orientation="-", E=E, L=L, T=T, Tsharp=T, S=L * c + hol,
-        hol=hol, maslov=maslov, maslov_note=note, detIminusP=0.0),))
+    def pick(self, orientation: str) -> OrbitInvariants:
+        """The orbit labelled orientation, or the only one."""
+        return next(o for o in self.orbits
+                    if o.orientation == orientation or len(self.orbits) == 1)
 
 
 # ---------------------------------------------------------------------------
 # the geometries
 # ---------------------------------------------------------------------------
+
+def _energy(a, b, p1, p2):  # H where g^{-1} = diag(a, b)
+    return _xp(p1).sqrt(a * p1 * p1 + b * p2 * p2 + 1.0)
+
 
 class Geometry:
     """What every example geometry provides; ``y`` is one state (q1, q2, p1, p2)
@@ -145,8 +145,8 @@ class Geometry:
     loop_periods: ClassVar[tuple] = (None, None)  # coordinate periods of a closed loop
     s_index: ClassVar[int] = 0  # the coefficients' coordinate s is q[s_index]
 
-    def hamiltonian(self, y):
-        return self.flow_terms(y)[0]
+    def hamiltonian(self, y):  # H from a and b alone, as flow_terms forms it
+        return _energy(*self.coefficients(y[self.s_index])[:2], y[2], y[3])
 
     def flow(self, y):
         import numpy as np
@@ -154,9 +154,9 @@ class Geometry:
 
     def flow_terms(self, y):
         """(H, dy/dt, coefficients at s), which the tangent field reuses."""
-        q1, q2, p1, p2 = y
-        co = a, b, F, da, db = self.coefficients(q2 if self.s_index else q1)
-        H = _xp(p1).sqrt(a * p1 * p1 + b * p2 * p2 + 1.0)
+        p1, p2 = y[2], y[3]
+        co = a, b, F, da, db = self.coefficients(y[self.s_index])
+        H = _energy(a, b, p1, p2)
         dp = [F * b * p2 / H, -F * a * p1 / H]
         dp[self.s_index] -= (da * p1 * p1 + db * p2 * p2) / (2.0 * H)
         return H, (a * p1 / H, b * p2 / H, dp[0], dp[1]), co
@@ -243,12 +243,32 @@ class ConstantCurvature(Geometry):
         w = (E - 1.0) * (E + 1.0) / self.field  # (E-1)(E+1) rounds less than E*E-1
         s2 = 1.0 + self.curvature / self.field * w
         if not 0.0 < s2 < math.inf:
-            raise ValidationError(f"the k-sum at E={E:.6g} needs a finite positive "
+            raise ValidationError(f"the circle family at E={E:.6g} needs a finite positive "
                                   f"Q^2 = b^2 + K(E^2-1); Q^2/b^2 is {s2:.3g}")
         return w, math.sqrt(s2)
 
     def k_frequency(self, E):
         return TWO_PI / (self.field * self._circle_rate(E)[1]) * E
+
+    # (Maslov index, note) of the circle family; only the torus states one
+    circle_maslov: ClassVar[tuple] = (None, "no stated index for this orbit family")
+
+    def closed_orbits(self, E, c):
+        """The one clockwise family of circles, none at or above the Mane level:
+        period T = 2pi E/Q (``k_frequency``), length L = 2pi c/Q, holonomy
+        hol = -2pi b c^2/(Q (Q+b)) and action S = L c + hol = 2pi (E^2-1)/(Q+b),
+        the Poisson image's phase theta/N."""
+        try:
+            w, s = self._circle_rate(E)
+        except ManeLevelError as exc:
+            return ClosedOrbitSet(orbits=(), note=f"E >= {exc.boundary:.6g}, the Mane level: no "
+                                  "periodic trajectories (horocycles at it, Anosov above)")
+        turn = TWO_PI / (self.field * s)  # 2pi/Q
+        L, hol = turn * c, -TWO_PI * w / (s * (1.0 + s))
+        maslov, note = self.circle_maslov
+        return ClosedOrbitSet(orbits=(OrbitInvariants(
+            orientation="-", L=L, T=turn * E, S=L * c + hol, hol=hol, maslov=maslov,
+            maslov_note=note, detIminusP=0.0),))
 
     def poisson_image(self, N, E):
         """(bound on |phase argument|/|k|, terms, bound) of the k-sum at N, E.
@@ -298,13 +318,10 @@ class Torus(ConstantCurvature):
         """A = B x dy on the universal cover, pulled back along the flow."""
         return self.B * y[0] * self.flow(y)[1]
 
-    def closed_orbits(self, E, c):
-        B = self.B
-        return _circle_orbit(self, E, c, T=TWO_PI * E / B, L=TWO_PI * c / B,
-                             hol=-math.pi * (E * E - 1.0) / B, maslov=4, note="")
+    circle_maslov: ClassVar[tuple] = (4, "")
 
-    def orbit_state(self, E, c, orientation):
-        return PhaseState(q=(0.0, 0.0), p=(c, 0.0)), E
+    def orbit_state(self, c, orientation):
+        return PhaseState(q=(0.0, 0.0), p=(c, 0.0))
 
     area: ClassVar[float] = 1.0
 
@@ -350,16 +367,9 @@ class Sphere(ConstantCurvature):
                 "trivialization does not cover it")
         return self.B * (1.0 - np.cos(y[0])) * self.flow(y)[1]
 
-    def closed_orbits(self, E, c):
-        B, R = self.B, self.R
-        w = math.sqrt(c * c + B * B / (R * R))
-        return _circle_orbit(self, E, c, T=TWO_PI * E * R / w, L=TWO_PI * c * R / w,
-                             hol=-TWO_PI * B * (1.0 - (B / R) / w))
-
-    def orbit_state(self, E, c, orientation):
+    def orbit_state(self, c, orientation):
         theta0 = math.atan2(c * self.R, self.B)  # northern latitude circle
-        return (PhaseState(q=(theta0, 0.0), p=(0.0, -c * self.R * math.sin(theta0))),
-                self.closed_orbits(E, c).orbits[0].T)
+        return PhaseState(q=(theta0, 0.0), p=(0.0, -c * self.R * math.sin(theta0)))
 
     @property
     def area(self):
@@ -443,24 +453,14 @@ class Hyperbolic(ConstantCurvature):
         if not y[1] > 0.0:
             raise ChartError(f"half-plane chart needs y > 0, got y={y[1]:.6g}")
 
-    def closed_orbits(self, E, c):
+    def orbit_state(self, c, orientation):
         R = self.R
-        if c * R >= 1.0:
-            return ClosedOrbitSet(orbits=(), note=(
-                f"cR = {c * R:.6g} >= 1: at or above the Mane level the flow has "
-                "no periodic trajectories (horocycles at cR = 1, Anosov above)"))
-        root = math.sqrt(1.0 - c * c * R * R)
-        return _circle_orbit(self, E, c, T=TWO_PI * E * R * R / root,
-                             L=TWO_PI * c * R * R / root, hol=-TWO_PI * (1.0 / root - 1.0))
-
-    def orbit_state(self, E, c, orientation):
-        R = self.R
-        if c * R >= 1.0:
-            raise ValidationError(
-                f"cR = {c * R:.6g} >= 1: no closed hyperbolic orbit to start on")
-        y_bottom = math.exp(-math.atanh(c * R))  # lowest point of the circle about (0, 1)
-        return (PhaseState(q=(0.0, y_bottom), p=(-c * R / y_bottom, 0.0)),
-                self.closed_orbits(E, c).orbits[0].T)
+        try:
+            y_bottom = math.exp(-math.atanh(c * R))  # lowest point of the circle about (0, 1)
+        except ValueError:  # cR rounds to 1 or more within a few ulps below mane_E
+            raise ValidationError(f"cR = {c * R!r} rounds to 1 or more below the Mane level: "
+                                  "the start point exp(-atanh(cR)) is not representable") from None
+        return PhaseState(q=(0.0, y_bottom), p=(-c * R / y_bottom, 0.0))
 
     @property
     def area(self):
@@ -632,16 +632,13 @@ class Katok(Geometry):
             elif at_sqrt2:
                 maslov, note = self.maslov(1, branch), ""
             orbits.append(OrbitInvariants(
-                geometry=self.kind, orientation=label, E=E, L=L, T=T, Tsharp=T,
-                S=L * c + hol, hol=hol, maslov=maslov, maslov_note=note,
-                detIminusP=self.return_map(E, branch).det_i_minus_p))
+                orientation=label, L=L, T=T, S=L * c + hol, hol=hol, maslov=maslov,
+                maslov_note=note, detIminusP=self.return_map(E, branch).det_i_minus_p))
         return ClosedOrbitSet(orbits=tuple(orbits))
 
-    def orbit_state(self, E, c, orientation):
-        sign = float(branch_sign(orientation))
-        e = self.eps
-        return (PhaseState(q=(math.pi / 2.0, 0.0), p=(0.0, sign * c / (1.0 - e * e))),
-                TWO_PI * E / ((1.0 - e * e) * c))
+    def orbit_state(self, c, orientation):
+        sign, e = float(branch_sign(orientation)), self.eps
+        return PhaseState(q=(math.pi / 2.0, 0.0), p=(0.0, sign * c / (1.0 - e * e)))
 
     @property
     def area(self):

@@ -176,8 +176,8 @@ def test_criterion_5_katok_assembly():
             det_k = abs(float(np.linalg.det(
                 np.eye(2) - np.linalg.matrix_power(ana.matrix, k))))
             assembled = general_c0_nondegenerate(
-                Tsharp=inv[label].Tsharp, m=m, S=k * inv[label].S,
-                detIminusP=det_k, Tgamma=k * inv[label].Tsharp,
+                Tsharp=inv[label].T, m=m, S=k * inv[label].S,
+                detIminusP=det_k, Tgamma=k * inv[label].T,
                 phi_hat_at_Tgamma=1.0, N=N)
             max_dev = max(max_dev, abs(closed - assembled) / abs(closed))
     ok = max_dev <= 1e-12 and maslov_ok
@@ -203,9 +203,7 @@ def test_criterion_6_holonomy_and_action():
         hol = numeric_holonomy(geo, res)
         max_hol_dev = max(max_hol_dev, abs(hol - hol_closed))
         c = math.sqrt(E * E - 1.0)
-        out = geo.closed_orbits(E, c)
-        inv = next(o for o in out.orbits
-                   if o.orientation == "+" or len(out.orbits) == 1)
+        inv = geo.closed_orbits(E, c).pick("+")
         max_act_dev = max(max_act_dev, circle_distance(inv.S, inv.L * c + hol))
     ok = max_hol_dev < 1e-6 and max_act_dev < 1e-8
     _report(6, ok, f"holonomy dev={max_hol_dev:.1e}, "

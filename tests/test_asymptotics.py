@@ -348,8 +348,8 @@ def test_katok_isolated_orbit_window_matches_assembly():
         ana = geo.return_map(SQRT2, branch)
         m = maslov_two_interval(1, eps, branch)[0]
         total += general_c0_nondegenerate(
-            Tsharp=inv[label].Tsharp, m=m, S=inv[label].S,
-            detIminusP=ana.det_i_minus_p, Tgamma=inv[label].Tsharp,
+            Tsharp=inv[label].T, m=m, S=inv[label].S,
+            detIminusP=ana.det_i_minus_p, Tgamma=inv[label].T,
             phi_hat_at_Tgamma=hat, N=N)
     assert abs(p.c0 - total) <= 1e-12 * abs(total)
 
@@ -403,6 +403,15 @@ def test_katok_scan_past_the_k_cap_is_refused():
     f = make_fourier_bump(1.5e6, 0.5e6)
     with pytest.raises(ValidationError, match="k is capped"):
         katok_c0([4], Katok(1.0 / math.sqrt(5.0)), f, KSumControl(4))
+
+
+def test_katok_tail_guard_refuses_the_first_hit_plus_branch_first():
+    # at margin 0.99 both branches of k = 1 hit (|sin| 0.975 and 0.663 at
+    # eps = 0.3), and k = 1 lies outside the support around k = 3
+    geo = Katok(0.3)
+    f = make_gaussian_modulated(0.2, 3.0 * geo.k_frequency(SQRT2))
+    with pytest.raises(ResonanceError, match=r"^k=1, branch \+"):
+        katok_c0([40], geo, f, KSumControl(4, resonance_margin=0.99), support_tol=1e-3)
 
 
 def test_katok_resonance_detection():

@@ -147,6 +147,16 @@ def test_katok_command_passes(tmp_path):
         for k in (1, 2, -1) for label, branch in (("+", 1), ("-", -1))]
 
 
+def test_katok_det_i_minus_power_matches_numpy():
+    # the report's det(I - P^k) on Python floats against numpy's matrix power
+    # and LU determinant, within rounding grown over |k| products
+    for eps, branch in ((1.0 / math.sqrt(5.0), 1), (1.0 / math.sqrt(5.0), -1), (0.3, 1)):
+        P = Katok(eps).return_map(SQRT2, branch).matrix
+        for k in (1, 2, 3, 7, 40, -1, -2, -3, -7, -40):
+            want = np.linalg.det(np.eye(2) - np.linalg.matrix_power(P, k))
+            assert abs(cli._det_i_minus_power(P, k) - want) <= 1e-14 * abs(k), (eps, branch, k)
+
+
 def _katok_refusal(tmp_path, monkeypatch, eps, k_list):
     """main's exit code on a katok config, the monodromy runs it made and its --out."""
     runs = []
@@ -580,6 +590,23 @@ def test_predict_without_a_circle_rate_exits_2(tmp_path, capsys):
     cfg = _base_cfg(geometry={"kind": "hyperbolic", "R": 0.9741785401533375, "genus": 2},
                     E=1.4330786169778382, tolerances={"k_max": 12})
     assert "needs a finite positive Q^2" in _exits_2_cleanly(tmp_path, capsys, cfg, "predict")
+
+
+def test_dynamics_without_a_circle_rate_exits_2(tmp_path, capsys):
+    # the same geometry and energy as a one-period dynamics run: cR rounds to
+    # 0.9999999999999999 < 1, which gave an orbit of period 8.1e8 to integrate
+    cfg = _base_cfg(geometry={"kind": "hyperbolic", "R": 0.9741785401533375, "genus": 2},
+                    E=1.4330786169778382, t_periods=1)
+    assert _exits_2_cleanly(tmp_path, capsys, cfg, "dynamics") == (
+        "error: the circle family at E=1.43308 needs a finite positive "
+        "Q^2 = b^2 + K(E^2-1); Q^2/b^2 is 0\n")
+
+
+def test_dynamics_with_an_unrepresentable_start_point_exits_2(tmp_path, capsys):
+    # below the Mane level with Q^2/b^2 > 0, but cR rounds to 1
+    cfg = _base_cfg(geometry={"kind": "hyperbolic", "R": 0.7, "genus": 2},
+                    E=1.743793659390529, t_periods=1)
+    assert "is not representable" in _exits_2_cleanly(tmp_path, capsys, cfg, "dynamics")
 
 
 @pytest.mark.parametrize("sub", ["predict", "residual"])

@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from magtrace import (ChartError, EnergyLevel, Hyperbolic, IntegratorError, Katok,
-                      PhaseState, ResonanceError, Sphere, Torus, ValidationError,
+                      ManeLevelError, PhaseState, ResonanceError, Sphere, Torus, ValidationError,
                       canonical_orbit_state, circle_distance, integrate,
                       katok_monodromy_numeric, liouville_volume, mc_liouville_volume,
                       numeric_holonomy)
@@ -43,6 +44,17 @@ def test_hamiltonian_values():
     p_phi = 1.0 / (1.0 - eps * eps)  # c = 1 at E = sqrt(2)
     st = PhaseState(q=(math.pi / 2.0, 0.0), p=(0.0, p_phi))
     assert Katok(eps).hamiltonian(st.as_array()) == pytest.approx(SQRT2, rel=1e-15)
+
+
+@pytest.mark.parametrize("geo,E", CANONICAL, ids=lambda v: getattr(v, "kind", None))
+def test_hamiltonian_is_the_flows_H_bit_for_bit(geo, E):
+    # hamiltonian forms H from a and b alone; flow_terms forms it beside the field
+    st, _ = canonical_orbit_state(geo, E)
+    batch = st.as_array()[:, None] + np.random.default_rng(7).uniform(-0.05, 0.05, (4, 64))
+    assert np.array_equal(geo.hamiltonian(batch), geo.flow_terms(batch)[0])
+    for y in batch.T.tolist():
+        assert type(geo.hamiltonian(y)) is float
+        assert geo.hamiltonian(y) == geo.flow_terms(y)[0]
 
 
 def test_chart_violations():
@@ -345,6 +357,71 @@ def test_hyperbolic_invariants_and_trichotomy():
         assert "no periodic trajectories" in res.note
 
 
+def _circle_reference(geo, E) -> dict:
+    """T, L, hol and S of the circle family by each surface's own closed form,
+    at 40 digits: the torus at B = 2pi, the sphere at B = 1/2 with
+    w = sqrt(c^2 + B^2/R^2), the hyperbolic surface at B = 1 with
+    r = sqrt(1 - c^2 R^2)."""
+    with mpmath.workdps(40):
+        E = mpmath.mpf(E)
+        c, tp = mpmath.sqrt(E * E - 1), 2 * mpmath.pi
+        if geo.kind == "torus":
+            T, L, hol = E, c, -(E * E - 1) / 2
+        elif geo.kind == "sphere":
+            B, R = mpmath.mpf(0.5), mpmath.mpf(geo.R)
+            w = mpmath.sqrt(c * c + B * B / (R * R))
+            T, L, hol = tp * E * R / w, tp * c * R / w, -tp * B * (1 - (B / R) / w)
+        else:
+            R = mpmath.mpf(geo.R)
+            r = mpmath.sqrt(1 - c * c * R * R)
+            T, L, hol = tp * E * R * R / r, tp * c * R * R / r, -tp * (1 / r - 1)
+        return {"T": T, "L": L, "hol": hol, "S": L * c + hol}
+
+
+@pytest.mark.parametrize("geo,Es", [
+    (Torus(), (1.1, 2.0, 3.0, 10.0)),
+    (Sphere(0.5), (1.05, SQRT2, 2.5, 7.0)),
+    (Sphere(1.3), (1.05, SQRT2, 2.5, 7.0)),
+    (Hyperbolic(1.0, 2), (1.05, 1.2, 1.3, 1.4)),
+    (Hyperbolic(0.7, 3), (1.1, 1.3, 1.6, 1.7)),
+], ids=lambda v: getattr(v, "kind", None))
+def test_circle_family_matches_each_surfaces_closed_form(geo, Es):
+    # the one formula of ConstantCurvature against the per-surface ones at 40
+    # digits: within 10 ulps of the reference (8.2 at most, L on the
+    # hyperbolic R = 0.7 at E = 1.7, where Q^2 = b^2 (1 - 0.93) cancels)
+    for E in Es:
+        (o,) = geo.closed_orbits(E, EnergyLevel.from_E(E).c).orbits
+        ref = _circle_reference(geo, E)
+        for key, want in ref.items():
+            got = getattr(o, key)
+            assert abs(got - want) <= 10 * math.ulp(float(want)), (E, key, got, float(want))
+        assert o.T == geo.k_frequency(E)  # the frequency the k-sum is evaluated at
+
+
+@pytest.mark.parametrize("R", [1.0, 0.7, 0.9741785401533375])
+def test_no_hyperbolic_orbit_exactly_where_check_energy_refuses(R):
+    # one Mane test: closed_orbits notes "no periodic trajectories" at each E
+    # check_energy refuses, and below it gives an orbit or refuses an energy
+    # whose Q^2/b^2 rounds to 0
+    geo = Hyperbolic(R, 2)
+    m = geo.mane_E
+    for E in (m, math.nextafter(m, 2.0), m + 1e-9, math.nextafter(m, 1.0), m - 1e-6, 1.01):
+        try:
+            geo.check_energy(E)
+            refused = False
+        except ManeLevelError:
+            refused = True
+        try:
+            out = geo.closed_orbits(E, EnergyLevel.from_E(E).c)
+        except ValidationError as exc:
+            assert not refused and "needs a finite positive Q^2" in str(exc)
+            continue
+        assert out.has_orbits is not refused
+        assert refused is ("no periodic trajectories" in (out.note or ""))
+    with pytest.raises(ValidationError, match="no periodic trajectories"):
+        canonical_orbit_state(geo, math.nextafter(m, 2.0))
+
+
 def test_katok_invariants_closed_forms():
     eps = 0.3
     lev = EnergyLevel.from_E(SQRT2)
@@ -372,9 +449,7 @@ def test_holonomy_and_action_identity(geo, E):
     st, T = canonical_orbit_state(geo, E, orientation)
     res = integrate(geo, st, E, T, tol=1e-12)
     hol = numeric_holonomy(geo, res)
-    out = geo.closed_orbits(E, math.sqrt(E * E - 1.0))
-    inv = next(o for o in out.orbits
-               if o.orientation == orientation or len(out.orbits) == 1)
+    inv = geo.closed_orbits(E, math.sqrt(E * E - 1.0)).pick(orientation)
     assert hol == pytest.approx(inv.hol, abs=1e-6)
     c = math.sqrt(E * E - 1.0)
     assert circle_distance(inv.S, inv.L * c + hol) < 1e-8

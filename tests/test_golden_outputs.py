@@ -162,11 +162,11 @@ def test_output_digests_hold_without_avx512_dispatch(tmp_path):
 # a DYNAMIC_ARCH OpenBLAS picks its kernels by CPU when it loads; this one
 # names the kernels of an AVX2 host without AVX-512
 _BLAS_HASWELL = {"OPENBLAS_CORETYPE": "Haswell"}
-# the subcommands that integrate the flow: ode's stage sums, the holonomy
-# quadrature's panel dots and the katok assembly's matrix powers multiply
-# through BLAS, whose kernels sum in an order that depends on the host, so
-# all seven of their outputs move with the kernels (the variational field
-# sums on Python floats, but its run takes ode's stage sums)
+# the subcommands that integrate the flow: ode's stage sums and the holonomy
+# quadrature's panel dots multiply through BLAS, whose kernels sum in an
+# order that depends on the host, so all seven of their outputs move with the
+# kernels (the variational field and the katok assembly's det(I - P^k) run on
+# Python floats, but the monodromy's run takes ode's stage sums)
 _BLAS_SUBCOMMANDS = ("dynamics", "katok")
 
 
