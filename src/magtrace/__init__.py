@@ -7,12 +7,20 @@ side evaluates coefficient predictions from classical orbit data
 diagnostics quantify their agreement as the tensor power N grows.
 
 ``import magtrace`` runs only this file and ``errors``.  The submodules
-``geometry``, ``testfn``, ``spectra``, ``tracesum``, ``asymptotics``,
-``dynamics`` and ``cli`` are registered in ``sys.modules`` at import, but
-each one's code runs on its first attribute read.  A public name such as
-``magtrace.y_n`` is read from its module when it is used (``_EXPORTS``), so
-a command runs only the modules it calls: a ``dynamics`` command runs
-``errors``, ``floats``, ``geometry``, ``dynamics``, ``ode`` and ``cli``.
+``geometry``, ``katok``, ``testfn``, ``bump``, ``spectra``, ``tracesum``,
+``asymptotics``, ``dynamics`` and ``cli`` are registered in ``sys.modules``
+at import, but each one's code runs on its first attribute read.  A public
+name such as ``magtrace.y_n`` is read from its module when it is used
+(``_EXPORTS``), so a command runs only the modules it calls.  Besides
+``magtrace``, ``errors``, ``floats``, ``geometry`` and ``cli``:
+
+* a gaussian ``spectrum`` runs ``testfn`` and ``spectra``, ``trace`` adds
+  ``tracesum``, ``predict`` runs ``testfn`` and ``asymptotics``, and
+  ``residual`` all four;
+* a ``fourier_bump`` test function adds ``bump``, and a deformed sphere
+  ``katok``;
+* ``dynamics`` runs ``dynamics`` and ``ode``;
+* ``katok`` runs ``katok``, ``dynamics``, ``ode`` and ``asymptotics``.
 """
 
 import importlib.util
@@ -38,19 +46,20 @@ def _lazy(name: str):
 
 # The module objects are in place for ``from magtrace import dynamics`` and
 # for a tracer that looks them up in sys.modules and patches them.
-geometry, testfn, spectra, tracesum, asymptotics, dynamics, cli = (
+geometry, katok, testfn, bump, spectra, tracesum, asymptotics, dynamics, cli = (
     _lazy(f"{__name__}.{name}") for name in
-    ("geometry", "testfn", "spectra", "tracesum", "asymptotics", "dynamics", "cli"))
+    ("geometry", "katok", "testfn", "bump", "spectra", "tracesum", "asymptotics", "dynamics",
+     "cli"))
 
 # module -> the public names it defines.  GeometrySpec and the *Model names
 # are kept for perfbench/setup_probe.py and reference.py.
 _EXPORTS = {
-    "testfn": ("TestFunction", "make_fourier_bump", "make_gaussian",
-               "make_gaussian_modulated"),
+    "testfn": ("TestFunction", "make_gaussian", "make_gaussian_modulated"),
+    "bump": ("make_fourier_bump",),
     "geometry": ("ClosedOrbitSet", "EnergyLevel", "Geometry", "GeometrySpec",
-                 "Hyperbolic", "HyperbolicModel", "Katok", "KatokMonodromy",
-                 "OrbitInvariants", "PhaseState", "Sphere", "SphereModel", "Torus",
-                 "TorusModel"),
+                 "Hyperbolic", "HyperbolicModel", "OrbitInvariants", "PhaseState", "Sphere",
+                 "SphereModel", "Torus", "TorusModel"),
+    "katok": ("Katok", "KatokMonodromy"),
     "spectra": ("SpectrumEntry", "Window", "enumerate_window", "levels"),
     "tracesum": ("TraceValue", "y_n"),
     "asymptotics": ("CoefficientPrediction", "KSumControl", "ResidualReport",

@@ -39,9 +39,10 @@ from typing import TYPE_CHECKING
 from .errors import (DegenerateOrbitError, MixedSupportError, ValidationError, check_Nj,
                      record)
 from .floats import block, each, fsum_complex
-from .geometry import EnergyLevel, Katok
+from .geometry import EnergyLevel
 
 if TYPE_CHECKING:  # read in annotations only, so katok runs no testfn code
+    from .katok import Katok
     from .testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi

@@ -1,18 +1,19 @@
 """Command-line front end.
 
-Subcommands: spectrum | trace | predict | residual | dynamics | katok.
-Every run is driven by a JSON config (schema "magtrace/1"); unknown keys
-are rejected so archived configs replay byte-identically.  A command renders
-its outputs in memory; they are written at the end, once no directory takes
-an output's name, so only a failing write can leave output behind.  Floats
-are rendered with 17 significant digits and LF line endings so identical
-configs produce byte-identical outputs.
+Subcommands: spectrum | trace | predict | residual | dynamics | katok; the
+last two are ``dynamics.cmd_dynamics`` and ``dynamics.cmd_katok``, so only
+they load the flow.  The command line is ``magtrace SUB --config PATH
+[--out DIR]``, read by ``_read_argv`` with argparse's messages but without
+its import.  Every run is driven by a JSON config (schema "magtrace/1");
+unknown keys are rejected so archived configs replay byte-identically.  A
+command renders its outputs in memory; they are written at the end, once
+no directory takes an output's name, so only a failing write can leave
+output behind.  Floats are rendered with 17 significant digits and LF line
+endings so identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
@@ -29,12 +30,10 @@ _TOP_KEYS = {"schema", "geometry", "E", "test_function", "N", "tolerances",
              "orbit_samples"}
 _TOL_DEFAULTS = {"tail_tol": 1e-14, "ode_tol": 1e-11, "k_max": None,
                  "resonance_margin": 1e-6, "support_tol": 1e-12}
-# caps on an N grid and on a dynamics run, checked before anything is
-# allocated or integrated
+# caps on an N grid and on the periods of a dynamics run, checked before
+# anything is allocated or integrated
 _MAX_N_VALUES = 10_000
 _MAX_PERIODS = 1_000  # also the largest |k| of a katok k_list
-_MAX_ORBIT_SAMPLES = 1_000_000
-_MAX_MC_SAMPLES = 10_000_000
 
 
 def _fmt(x) -> str:
@@ -52,14 +51,6 @@ def _fmt(x) -> str:
 def _csv(header, rows) -> str:
     return "".join([",".join(header) + "\n"] +
                    [",".join(_fmt(v) for v in row) + "\n" for row in rows])
-
-
-def _float_csv(header, columns) -> str:
-    """A table of float64 columns in one format call; "%.17g" is _fmt's float format."""
-    import numpy as np
-    values = np.column_stack(columns).ravel().tolist()
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + line * len(columns[0]) % tuple(values)
 
 
 def _load_config(path: str) -> dict:
@@ -208,204 +199,90 @@ def cmd_residual(cfg):
     return (0 if report.passed else 1), {"residual.csv": _csv(header, rows + [trailer])}
 
 
-def cmd_dynamics(cfg):
-    geo = _geometry(cfg)
-    level = _energy(cfg, geo)
-    tol = _tolerances(cfg)
-    orientation = cfg.get("orientation", "+")
-    geometry.branch_sign(orientation)  # refuses all but "+" and "-"
-    t_periods = _number(cfg.get("t_periods", 1.0), "t_periods", positive=True,
-                        cap=_MAX_PERIODS)
-    n_samples = _number(cfg.get("orbit_samples", 1024), "orbit_samples", integer=True,
-                        cap=_MAX_ORBIT_SAMPLES)
-    mc_samples = _number(cfg.get("mc_samples", 0), "mc_samples", integer=True,
-                         cap=_MAX_MC_SAMPLES)
-    if mc_samples == 1:  # a standard error needs two points
-        raise ValidationError("mc_samples must be 0 or at least 2, got 1")
-    seed = _number(cfg.get("seed", 0), "seed", integer=True)
-
-    orbit_set = geo.closed_orbits(level.E, level.c)
-    report = {
-        "geometry": geo.kind,
-        "E": level.E,
-        "note": orbit_set.note,
-        "orbits": [{
-            "orientation": o.orientation, "L": o.L, "T": o.T, "Tsharp": o.T,
-            "S": o.S, "hol": o.hol, "maslov": o.maslov, "maslov_note": o.maslov_note,
-            "detIminusP": o.detIminusP,
-        } for o in orbit_set.orbits],
-    }
-    outputs = {}
-    if orbit_set.has_orbits:
-        inv = orbit_set.pick(orientation)
-        flow = dynamics.integrate(geo, geo.orbit_state(level.c, orientation), level.E,
-                                  t_periods * inv.T, tol["ode_tol"])
-        hol_num = dynamics.numeric_holonomy(geo, flow) if t_periods == 1.0 else None
-        numeric = {
-            "orientation": orientation,
-            "period": inv.T,
-            "energy_drift": flow.energy_drift,
-            "first_integral_drift": flow.first_integral_drift,
-            "numeric_holonomy": hol_num,
-        }
-        if hol_num is not None:
-            numeric["action_identity_residual"] = dynamics.circle_distance(
-                inv.S, inv.L * level.c + hol_num)
-        report["numeric"] = numeric
-        if n_samples:  # orbit_samples 0 writes no table
-            ts, ys = flow.sample(n_samples)
-            columns = [ts, *ys, geo.hamiltonian(ys)]
-            header = ["t", "q1", "q2", "p1", "p2", "H"]
-            P = geo.first_integral(ys)
-            if P is not None:
-                columns.append(P)
-                header.append("P")
-            outputs["orbit.csv"] = _float_csv(header, columns)
-    if mc_samples > 0:
-        mc = dynamics.mc_liouville_volume(geo, level.E, mc_samples, seed)
-        report["liouville_volume"] = {
-            "closed_form": mc.closed_form, "mc_estimate": mc.estimate,
-            "mc_stderr": mc.stderr, "rel_dev": mc.rel_dev, "note": mc.note,
-        }
-    else:
-        report["liouville_volume"] = {
-            "closed_form": dynamics.liouville_volume(geo, level.E)}
-
-    outputs["invariants.json"] = json.dumps(report, indent=2) + "\n"
-    return 0, outputs
-
-
-def _det_i_minus_power(m, k: int) -> float:
-    """det(I - P^k), P^k = P^(k-1) P on Python floats; with det P = 1,
-    det(I - P^-k) = det(I - P^k)."""
-    (a, b), (c, d) = m.tolist()
-    pa, pb, pc, pd = a, b, c, d
-    for _ in range(abs(k) - 1):
-        pa, pb, pc, pd = pa * a + pb * c, pa * b + pb * d, pc * a + pd * c, pc * b + pd * d
-    return (1.0 - pa) * (1.0 - pd) - pb * pc
-
-
-def cmd_katok(cfg):
-    geo = _geometry(cfg)
-    if not isinstance(geo, geometry.Katok):
-        raise ValidationError("the katok command needs geometry kind 'katok'")
-    level = _energy(cfg, geo)
-    tol = _tolerances(cfg)
-    N, *more = _N_list(cfg, level) if "N" in cfg else [1]
-    if more:
-        raise ValidationError(f"the katok command takes one N ({{value}}), got {len(more) + 1}")
-    k_list = cfg.get("k_list", [1, 2, 3, -1, -2, -3])
-    if not isinstance(k_list, list) or not k_list or 0 in k_list:
-        raise ValidationError("k_list must be a nonempty list of nonzero integers")
-    k_list = [_number(k, "k_list entry", integer=True, signed=True, cap=_MAX_PERIODS)
-              for k in k_list]
-
-    for k in k_list:  # refused before the monodromy runs, in the assembly's order
-        for branch in (1, -1):
-            geo.check_resonance(k, branch, tol["resonance_margin"])
-
-    import numpy as np
-    monodromy, analytic = {}, {}
-    max_mono_dev = 0.0
-    for label, branch in (("+", 1), ("-", -1)):
-        ana = analytic[label] = geo.return_map(level.E, branch)
-        num = dynamics.katok_monodromy_numeric(geo, level.E, label, tol["ode_tol"])
-        dev = float(np.max(np.abs(num - ana.matrix)))
-        max_mono_dev = max(max_mono_dev, dev)
-        monodromy[label] = {
-            "analytic": ana.matrix.tolist(), "numeric": num.tolist(),
-            "max_entry_dev": dev,
-            "alpha": ana.alpha, "a": ana.a,
-            "det_analytic": ana.det_i_minus_p,
-            "det_numeric": _det_i_minus_power(num, 1),
-        }
-
-    inv = {o.orientation: o for o in geo.closed_orbits(level.E, level.c).orbits}
-    maslov_rows = []
-    assembly_rows = []
-    max_assembly_dev = 0.0
-    for k in k_list:
-        for label, branch in (("+", +1), ("-", -1)):
-            closed = geo.term(N, k, branch, 1.0, tol["resonance_margin"])
-            m, kappa = geo.maslov(k, branch), round(geo.rotation(k, branch))
-            maslov_rows.append({"k": k, "branch": label, "m": m,
-                                "kappa": kappa, "sgn_r": m - 2 * kappa})
-            det_k = _det_i_minus_power(analytic[label].matrix, k)
-            assembled = asymptotics.general_c0_nondegenerate(
-                Tsharp=inv[label].T, m=m, S=k * inv[label].S,
-                detIminusP=abs(det_k), Tgamma=k * inv[label].T,
-                phi_hat_at_Tgamma=1.0, N=N,
-                resonance_margin=tol["resonance_margin"])
-            dev = abs(closed - assembled) / abs(closed)
-            max_assembly_dev = max(max_assembly_dev, dev)
-            assembly_rows.append({
-                "k": k, "branch": label,
-                "re_closed": closed.real, "im_closed": closed.imag,
-                "re_assembled": assembled.real, "im_assembled": assembled.imag,
-                "rel_dev": dev,
-            })
-
-    passed = max_assembly_dev < 1e-12 and max_mono_dev < 1e-6
-    report = {
-        "eps": geo.eps, "E": level.E, "N": N,
-        "monodromy": monodromy,
-        "maslov": maslov_rows,
-        "assembly": assembly_rows,
-        "max_monodromy_dev": max_mono_dev,
-        "max_assembly_rel_dev": max_assembly_dev,
-        "passed": passed,
-    }
-    # one row per (k, branch): its maslov row, then its assembly row past k, branch
-    header = [*maslov_rows[0], *list(assembly_rows[0])[2:]]
-    rows = [[*m.values(), *list(a.values())[2:]] for m, a in zip(maslov_rows, assembly_rows)]
-    rows += [[key, *[""] * 8, report[key]]
-             for key in ("max_monodromy_dev", "max_assembly_rel_dev")]
-    return (0 if passed else 1), {"katok_report.csv": _csv(header, rows),
-                                  "katok_report.json": json.dumps(report, indent=2) + "\n"}
-
-
+# the orbit commands live with the flow they report on, which only they load
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "trace": cmd_trace,
     "predict": cmd_predict,
     "residual": cmd_residual,
-    "dynamics": cmd_dynamics,
-    "katok": cmd_katok,
+    "dynamics": lambda cfg: dynamics.cmd_dynamics(cfg),
+    "katok": lambda cfg: dynamics.cmd_katok(cfg),
 }
 
+_CHOICES = "{" + ",".join(_COMMANDS) + "}"
+_USAGE = f"usage: magtrace [-h] {_CHOICES} ..."
+_HELP = (f"{_USAGE}\n\nSpectral and geometric sides of magnetic trace asymptotics\n\n"
+         f"positional arguments:\n  {_CHOICES}\n\noptions:\n"
+         "  -h, --help            show this help message and exit\n")
+_SUB_OPTIONS = ("\n\noptions:\n"
+                "  -h, --help       show this help message and exit\n"
+                "  --config CONFIG  JSON run configuration\n"
+                "  --out OUT        output directory\n")
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
-        prog="magtrace",
-        description="Spectral and geometric sides of magnetic trace asymptotics")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=".", help="output directory")
-    return parser
+
+def _usage_exit(usage: str, prog: str, message: str):
+    print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read_argv(argv) -> tuple:
+    """(command, config path, output directory) of ``SUB --config PATH [--out DIR]``.
+
+    An option takes its value as the next argument or after ``=``, and the
+    last of a repeated option wins.  ``-h`` or ``--help`` prints the usage and
+    ends with SystemExit(0); a usage error prints the usage and one
+    ``error:`` line, as argparse words them, and ends with SystemExit(2).
+    """
+    if not argv:
+        _usage_exit(_USAGE, "magtrace", "the following arguments are required: command")
+    sub, *rest = argv
+    if sub in ("-h", "--help"):
+        print(_HELP, end="")
+        raise SystemExit(0)
+    if sub not in _COMMANDS:
+        _usage_exit(_USAGE, "magtrace", f"argument command: invalid choice: {sub!r} "
+                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    usage, prog = f"usage: magtrace {sub} [-h] --config CONFIG [--out OUT]", f"magtrace {sub}"
+    values, unknown = {"--out": "."}, []
+    args = iter(rest)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(usage + _SUB_OPTIONS, end="")
+            raise SystemExit(0)
+        name, inline, value = arg.partition("=")
+        if name not in ("--config", "--out"):
+            unknown.append(arg)
+            continue
+        if not inline:
+            value = next(args, None)
+            if value is None or (value.startswith("-") and value != "-"):  # an option
+                _usage_exit(usage, prog, f"argument {name}: expected one argument")
+        values[name] = value
+    if "--config" not in values:
+        _usage_exit(usage, prog, "the following arguments are required: --config")
+    if unknown:
+        _usage_exit(_USAGE, "magtrace", f"unrecognized arguments: {' '.join(unknown)}")
+    return sub, values["--config"], values["--out"]
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    sub, config, out = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(config)
         try:
-            os.makedirs(args.out, exist_ok=True)
+            os.makedirs(out, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission
-            raise ValidationError(f"cannot use --out {args.out} as a directory: {exc}") from exc
-        code, outputs = _COMMANDS[args.command](cfg)
-        for path in (os.path.join(args.out, name) for name in outputs):
+            raise ValidationError(f"cannot use --out {out} as a directory: {exc}") from exc
+        code, outputs = _COMMANDS[sub](cfg)
+        for path in (os.path.join(out, name) for name in outputs):
             if os.path.isdir(path):
                 raise ValidationError(f"cannot write {path}: a directory is in the way")
         try:
             for name, text in outputs.items():
-                with open(os.path.join(args.out, name), "w", newline="") as fh:
+                with open(os.path.join(out, name), "w", newline="") as fh:
                     fh.write(text)
         except OSError as exc:  # no space or no permission
-            raise ValidationError(f"cannot write the outputs to {args.out}: {exc}") from exc
+            raise ValidationError(f"cannot write the outputs to {out}: {exc}") from exc
         return code
     except MagtraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -417,8 +294,8 @@ def run() -> None:
     ``main()``, flush the standard streams and end the process with main's
     code through ``os._exit``, skipping interpreter teardown.  Every output
     is closed before main returns, and magtrace registers no atexit handler.
-    An argparse ``SystemExit`` or an exception that escapes main exits
-    normally, with its message or traceback."""
+    The ``SystemExit`` of a usage error or of ``--help``, or an exception
+    that escapes main, exits normally, with its message or traceback."""
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

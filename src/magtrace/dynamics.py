@@ -16,7 +16,9 @@ This module integrates the flow and its tangent flow in one chart and
 measures along them; the chart coefficients, connection form, closed
 orbits (``closed_orbits``) and their start points (``orbit_state``) are
 methods of each geometry's class, and a run takes its period from the
-closed orbit it starts on.
+closed orbit it starts on.  ``cmd_dynamics`` and ``cmd_katok`` render the
+``dynamics`` and ``katok`` commands' outputs, so no other command runs
+this module.
 
 Orientation labels: the deformed sphere carries two equatorial orbits,
 "+" (increasing phi) and "-"; the unique closed orbits of the other
@@ -25,13 +27,14 @@ geometries circulate clockwise and are labelled "-".
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from . import ode
-from .errors import IntegratorError, ValidationError, record
-from .geometry import EnergyLevel, Geometry, Katok, PhaseState
+from .errors import IntegratorError, ValidationError, number, record
+from .geometry import EnergyLevel, Geometry, PhaseState, branch_sign
 # dynamics.GeometrySpec is read by perfbench/reference.py
 from .geometry import GeometrySpec  # noqa: F401
 
@@ -183,6 +186,22 @@ def canonical_orbit_state(geo: Geometry, E: float,
 # holonomy quadrature along integrated paths
 # ---------------------------------------------------------------------------
 
+# The 16-point Gauss-Legendre rule on [-1, 1]: the doubles that
+# numpy.polynomial.legendre.leggauss(16) gives, which are symmetric bit for
+# bit.  The nodes are within 0.32 ulp of the true ones; leggauss renormalises
+# the weights to sum to 2 exactly, which leaves them up to 63 ulp off.
+_GL16_HALF = ((0.09501250983763744, 0.18945061045506864),
+              (0.2816035507792589, 0.18260341504492364),
+              (0.45801677765722737, 0.16915651939500265),
+              (0.6178762444026438, 0.1495959888165767),
+              (0.755404408355003, 0.12462897125553407),
+              (0.8656312023878318, 0.0951585116824926),
+              (0.9445750230732326, 0.062253523938647456),
+              (0.9894009349916499, 0.027152459411754176))
+_GL16_NODES = tuple(-x for x, _ in reversed(_GL16_HALF)) + tuple(x for x, _ in _GL16_HALF)
+_GL16_WEIGHTS = tuple(w for _, w in reversed(_GL16_HALF)) + tuple(w for _, w in _GL16_HALF)
+
+
 def numeric_holonomy(geo: Geometry, flow: FlowResult) -> float:
     """Line integral of the connection form along a closed integrated orbit.
 
@@ -201,10 +220,7 @@ def numeric_holonomy(geo: Geometry, flow: FlowResult) -> float:
     if gap > 1e-7:
         raise ValidationError(f"path is not closed: endpoint gap {gap:.3e} > 1.0e-07")
 
-    # numpy.polynomial is imported here, on the dynamics commands' path only
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(16)
+    nodes, weights = np.array(_GL16_NODES), np.array(_GL16_WEIGHTS)
     n_panels = max(64, int(math.ceil(8.0 * (seg.t1 - seg.t0))))
     edges = np.linspace(seg.t0, seg.t1, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -255,10 +271,11 @@ def tangent_flow(geo: Geometry, state: PhaseState, t: float, tol: float = 1e-11)
     return z[4:].reshape(4, 4)
 
 
-def katok_monodromy_numeric(geo: Katok, E: float, orientation: str,
+def katok_monodromy_numeric(geo: Geometry, E: float, orientation: str,
                             tol: float = 1e-11) -> np.ndarray:
-    """Transverse monodromy of a deformed-sphere equator: the one-period
-    ``tangent_flow`` restricted to the invariant (Theta, P_theta) plane."""
+    """Transverse monodromy of an equator of the deformed sphere ``katok.Katok``:
+    the one-period ``tangent_flow`` restricted to the invariant (Theta, P_theta)
+    plane."""
     state, T = canonical_orbit_state(geo, E, orientation)
     return tangent_flow(geo, state, T, tol)[np.ix_([0, 2], [0, 2])]
 
@@ -312,3 +329,184 @@ def mc_liouville_volume(geo: Geometry, E: float, n_samples: int = 200_000,
 def circle_distance(a: float, b: float) -> float:
     """Distance between angles modulo 2 pi."""
     return abs(math.remainder(a - b, TWO_PI))
+
+
+# ---------------------------------------------------------------------------
+# the dynamics and katok commands
+# ---------------------------------------------------------------------------
+
+# caps on a dynamics run, checked before anything is allocated or integrated
+_MAX_ORBIT_SAMPLES = 1_000_000
+_MAX_MC_SAMPLES = 10_000_000
+
+
+def _float_csv(header, columns) -> str:
+    """A table of float64 columns in one format call; "%.17g" is ``cli._fmt``'s float format."""
+    values = np.column_stack(columns).ravel().tolist()
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + line * len(columns[0]) % tuple(values)
+
+
+def cmd_dynamics(cfg):
+    """The ``dynamics`` command: the closed-orbit invariants at E, one run of
+    the flow from the canonical orbit with its drifts, holonomy and samples,
+    and the Liouville volume."""
+    from .cli import _MAX_PERIODS, _energy, _geometry, _tolerances
+    geo = _geometry(cfg)
+    level = _energy(cfg, geo)
+    tol = _tolerances(cfg)
+    orientation = cfg.get("orientation", "+")
+    branch_sign(orientation)  # refuses all but "+" and "-"
+    t_periods = number(cfg.get("t_periods", 1.0), "t_periods", positive=True,
+                       cap=_MAX_PERIODS)
+    n_samples = number(cfg.get("orbit_samples", 1024), "orbit_samples", integer=True,
+                       cap=_MAX_ORBIT_SAMPLES)
+    mc_samples = number(cfg.get("mc_samples", 0), "mc_samples", integer=True,
+                        cap=_MAX_MC_SAMPLES)
+    if mc_samples == 1:  # a standard error needs two points
+        raise ValidationError("mc_samples must be 0 or at least 2, got 1")
+    seed = number(cfg.get("seed", 0), "seed", integer=True)
+
+    orbit_set = geo.closed_orbits(level.E, level.c)
+    report = {
+        "geometry": geo.kind,
+        "E": level.E,
+        "note": orbit_set.note,
+        "orbits": [{
+            "orientation": o.orientation, "L": o.L, "T": o.T, "Tsharp": o.T,
+            "S": o.S, "hol": o.hol, "maslov": o.maslov, "maslov_note": o.maslov_note,
+            "detIminusP": o.detIminusP,
+        } for o in orbit_set.orbits],
+    }
+    outputs = {}
+    if orbit_set.has_orbits:
+        inv = orbit_set.pick(orientation)
+        flow = integrate(geo, geo.orbit_state(level.c, orientation), level.E,
+                         t_periods * inv.T, tol["ode_tol"])
+        hol_num = numeric_holonomy(geo, flow) if t_periods == 1.0 else None
+        numeric = {
+            "orientation": orientation,
+            "period": inv.T,
+            "energy_drift": flow.energy_drift,
+            "first_integral_drift": flow.first_integral_drift,
+            "numeric_holonomy": hol_num,
+        }
+        if hol_num is not None:
+            numeric["action_identity_residual"] = circle_distance(
+                inv.S, inv.L * level.c + hol_num)
+        report["numeric"] = numeric
+        if n_samples:  # orbit_samples 0 writes no table
+            ts, ys = flow.sample(n_samples)
+            columns = [ts, *ys, geo.hamiltonian(ys)]
+            header = ["t", "q1", "q2", "p1", "p2", "H"]
+            P = geo.first_integral(ys)
+            if P is not None:
+                columns.append(P)
+                header.append("P")
+            outputs["orbit.csv"] = _float_csv(header, columns)
+    if mc_samples > 0:
+        mc = mc_liouville_volume(geo, level.E, mc_samples, seed)
+        report["liouville_volume"] = {
+            "closed_form": mc.closed_form, "mc_estimate": mc.estimate,
+            "mc_stderr": mc.stderr, "rel_dev": mc.rel_dev, "note": mc.note,
+        }
+    else:
+        report["liouville_volume"] = {
+            "closed_form": liouville_volume(geo, level.E)}
+
+    outputs["invariants.json"] = json.dumps(report, indent=2) + "\n"
+    return 0, outputs
+
+
+def _det_i_minus_power(m, k: int) -> float:
+    """det(I - P^k), P^k = P^(k-1) P on Python floats; with det P = 1,
+    det(I - P^-k) = det(I - P^k)."""
+    (a, b), (c, d) = m.tolist()
+    pa, pb, pc, pd = a, b, c, d
+    for _ in range(abs(k) - 1):
+        pa, pb, pc, pd = pa * a + pb * c, pa * b + pb * d, pc * a + pd * c, pc * b + pd * d
+    return (1.0 - pa) * (1.0 - pd) - pb * pc
+
+
+def cmd_katok(cfg):
+    """The ``katok`` command: the isolated-orbit display's terms against the
+    general nondegenerate-orbit formula, and the closed-form return maps
+    against the integrated monodromy."""
+    from .asymptotics import general_c0_nondegenerate
+    from .cli import _MAX_PERIODS, _N_list, _csv, _energy, _geometry, _tolerances
+    geo = _geometry(cfg)
+    if geo.kind != "katok":
+        raise ValidationError("the katok command needs geometry kind 'katok'")
+    level = _energy(cfg, geo)
+    tol = _tolerances(cfg)
+    N, *more = _N_list(cfg, level) if "N" in cfg else [1]
+    if more:
+        raise ValidationError(f"the katok command takes one N ({{value}}), got {len(more) + 1}")
+    k_list = cfg.get("k_list", [1, 2, 3, -1, -2, -3])
+    if not isinstance(k_list, list) or not k_list or 0 in k_list:
+        raise ValidationError("k_list must be a nonempty list of nonzero integers")
+    k_list = [number(k, "k_list entry", integer=True, signed=True, cap=_MAX_PERIODS)
+              for k in k_list]
+
+    for k in k_list:  # refused before the monodromy runs, in the assembly's order
+        for branch in (1, -1):
+            geo.check_resonance(k, branch, tol["resonance_margin"])
+
+    monodromy, analytic = {}, {}
+    max_mono_dev = 0.0
+    for label, branch in (("+", 1), ("-", -1)):
+        ana = analytic[label] = geo.return_map(level.E, branch)
+        num = katok_monodromy_numeric(geo, level.E, label, tol["ode_tol"])
+        dev = float(np.max(np.abs(num - ana.matrix)))
+        max_mono_dev = max(max_mono_dev, dev)
+        monodromy[label] = {
+            "analytic": ana.matrix.tolist(), "numeric": num.tolist(),
+            "max_entry_dev": dev,
+            "alpha": ana.alpha, "a": ana.a,
+            "det_analytic": ana.det_i_minus_p,
+            "det_numeric": _det_i_minus_power(num, 1),
+        }
+
+    inv = {o.orientation: o for o in geo.closed_orbits(level.E, level.c).orbits}
+    maslov_rows = []
+    assembly_rows = []
+    max_assembly_dev = 0.0
+    for k in k_list:
+        for label, branch in (("+", +1), ("-", -1)):
+            closed = geo.term(N, k, branch, 1.0, tol["resonance_margin"])
+            m, kappa = geo.maslov(k, branch), round(geo.rotation(k, branch))
+            maslov_rows.append({"k": k, "branch": label, "m": m,
+                                "kappa": kappa, "sgn_r": m - 2 * kappa})
+            det_k = _det_i_minus_power(analytic[label].matrix, k)
+            assembled = general_c0_nondegenerate(
+                Tsharp=inv[label].T, m=m, S=k * inv[label].S,
+                detIminusP=abs(det_k), Tgamma=k * inv[label].T,
+                phi_hat_at_Tgamma=1.0, N=N,
+                resonance_margin=tol["resonance_margin"])
+            dev = abs(closed - assembled) / abs(closed)
+            max_assembly_dev = max(max_assembly_dev, dev)
+            assembly_rows.append({
+                "k": k, "branch": label,
+                "re_closed": closed.real, "im_closed": closed.imag,
+                "re_assembled": assembled.real, "im_assembled": assembled.imag,
+                "rel_dev": dev,
+            })
+
+    passed = max_assembly_dev < 1e-12 and max_mono_dev < 1e-6
+    report = {
+        "eps": geo.eps, "E": level.E, "N": N,
+        "monodromy": monodromy,
+        "maslov": maslov_rows,
+        "assembly": assembly_rows,
+        "max_monodromy_dev": max_mono_dev,
+        "max_assembly_rel_dev": max_assembly_dev,
+        "passed": passed,
+    }
+    # one row per (k, branch): its maslov row, then its assembly row past k, branch
+    header = [*maslov_rows[0], *list(assembly_rows[0])[2:]]
+    rows = [[*m.values(), *list(a.values())[2:]] for m, a in zip(maslov_rows, assembly_rows)]
+    rows += [[key, *[""] * 8, report[key]]
+             for key in ("max_monodromy_dev", "max_assembly_rel_dev")]
+    return (0 if passed else 1), {"katok_report.csv": _csv(header, rows),
+                                  "katok_report.json": json.dumps(report, indent=2) + "\n"}
+

@@ -1,11 +1,13 @@
-"""The four example geometries, one frozen class each.
+"""The example geometries: the shared magnetic flow and the three ladders.
 
 ``Torus()``, ``Sphere(R)`` and ``Hyperbolic(R, genus)`` are closed surfaces of
 constant Gaussian curvature K carrying a constant magnetic field b; they share
 one Landau ladder and its Poisson image (``ConstantCurvature``: ``ladder``,
 ``j_of_lam``, ``k_frequency``, ``poisson_image``, summed by
-``asymptotics.poisson_c01``) and state only b, K and their area.
-``Katok(eps)`` is the deformed sphere, which has no closed-form spectrum.
+``asymptotics.poisson_c01``) and state only b, K and their area.  The
+deformed sphere ``Katok(eps)``, which has no closed-form spectrum, is a
+``Geometry`` of its own module, ``katok``, which ``KINDS`` and
+``GeometrySpec.katok`` load on first use.
 All four share one magnetic flow (``Geometry``); each class states its
 chart's coefficients, its connection form and the start point of its closed
 orbit (``dynamics``).  The closed orbits of the three constant-curvature
@@ -26,13 +28,12 @@ from __future__ import annotations
 import math
 from typing import ClassVar
 
-from .errors import (ChartError, ManeLevelError, ResonanceError, ValidationError, record,
+from .errors import (ChartError, ManeLevelError, ValidationError, record,
                      refuse_past_double_range)
 from .floats import cis
 from .floats import xp as _xp  # the flows name their module variable xp
 
 TWO_PI = 2.0 * math.pi
-SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,198 +468,27 @@ class Hyperbolic(ConstantCurvature):
         return TWO_PI * self.R * self.R * (2 * self.genus - 2)  # Gauss-Bonnet
 
 
-# ---------------------------------------------------------------------------
-# the deformed sphere
-# ---------------------------------------------------------------------------
-
-@record
-class KatokMonodromy:
-    """Transverse return map of an equatorial orbit in (Theta, P_theta)."""
-
-    matrix: np.ndarray
-    a: float
-    alpha: float
-    det_i_minus_p: float
-
-
-def half_lattice_distance(x: float) -> float:
-    """Distance from x to the half-integer lattice Z/2."""
-    return abs(x - round(2.0 * x) / 2.0)
-
-
 def branch_sign(orientation: str) -> int:
     if orientation not in ("+", "-"):
         raise ValidationError(f"orientation must be '+' or '-', got {orientation!r}")
     return 1 if orientation == "+" else -1
 
 
-@record
-class Katok(Geometry):
-    """Katok's deformed sphere, stated at E = sqrt(2): inverse metric
-    diag(D, D^2/sin^2 theta) with D = 1 - eps^2 sin^2 theta.  Its flow has no
-    closed-form spectrum; two isolated equatorial orbits, "+" and "-".
-
-    The equators' data are its methods, with the "+" orbit as branch +1
-    (denominators 1 - eps) and the "-" one as branch -1: the rotation x_k of
-    iterate k, its Maslov index, the display's amplitude, denominator, term and
-    resonance guard, and the return map."""
-
-    eps: float
-
-    kind: ClassVar[str] = "katok"
-    params: ClassVar[dict] = {"eps": float}
-    stated_E: ClassVar[float] = SQRT2
-    pole_margin: ClassVar[float] = 0.05
-    loop_periods: ClassVar[tuple] = (None, TWO_PI)
-
-    def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise ValidationError(f"deformation parameter must lie in (0,1), got {self.eps}")
-
-    def predict(self, Ns, level, f, ctl, support_tol):
-        from .asymptotics import katok_c0
-        return katok_c0(Ns, self, f, ctl, support_tol=support_tol)
-
-    def k_frequency(self, E):
-        return TWO_PI * SQRT2 / (1.0 - self.eps * self.eps)  # the period T# at E = sqrt(2)
-
-    def coefficients(self, s, slopes=False):
-        # s = theta: a = D, b = D^2/sin^2 and F = 2 eps sin cos/D^2
-        xp, e2 = _xp(s), self.eps * self.eps
-        sn, cs = xp.sin(s), xp.cos(s)
-        D, dD, cot = 1.0 - e2 * sn * sn, -2.0 * e2 * sn * cs, cs / sn
-        b = D * D / (sn * sn)
-        if not slopes:
-            return D, b, 2.0 * self.eps * sn * cs / (D * D), dD, 2.0 * (dD / D - cot) * b
-        c2 = cs * cs - sn * sn  # b'' = (D^2)'' u + 2 (D^2)' u' + D^2 u'', u = 1/sin^2
-        return (2.0 * self.eps / (D * D) * (c2 - 2.0 * sn * cs * dD / D), -2.0 * e2 * c2,
-                (2.0 * dD * dD - 4.0 * e2 * c2 * D - 8.0 * D * dD * cot) / (sn * sn)
-                + (2.0 + 6.0 * cot * cot) * b)
-
-    def connection(self, y):
-        """A = eps sin^2/(1-eps^2 sin^2) dphi (sign fixed by the branch pairing
-        of the orbit actions)."""
-        import numpy as np
-        s2 = np.sin(y[0]) ** 2
-        return self.eps * s2 / (1.0 - self.eps**2 * s2) * self.flow(y)[1]
-
-    def first_integral(self, y):
-        """Conserved quantity P = p_phi + eps sin^2(theta)/(1 - eps^2 sin^2(theta))."""
-        import numpy as np
-        s2 = np.sin(y[0]) ** 2
-        return y[3] + self.eps * s2 / (1.0 - self.eps * self.eps * s2)
-
-    # the equators at E = sqrt(2)
-
-    def rotation(self, k, branch: int):
-        """x_k = 2k/(1 -+ eps): the return-map angle of iterate k of a branch, in
-        units of pi."""
-        return 2.0 * k / (1.0 - branch * self.eps)
-
-    def maslov(self, k: int, branch: int) -> int:
-        """Closed-form Maslov index 2 floor(x_k) + 2 sign(k) + 1 of iterate k."""
-        # an int or a numpy integer, both of which have __index__; not a bool
-        if not (hasattr(k, "__index__") and not isinstance(k, bool) and k != 0):
-            raise ValidationError(f"iterate index k must be a nonzero integer, got {k}")
-        return 2 * math.floor(self.rotation(k, branch)) + 2 * (1 if k > 0 else -1) + 1
-
-    @property
-    def amplitude(self) -> float:
-        """1/(sqrt(2)(1 - eps^2)), the amplitude of every display term."""
-        return 1.0 / (SQRT2 * (1.0 - self.eps * self.eps))
-
-    def sine(self, k, branch: int):
-        """|sin(pi k/(1 -+ eps))|, the display's denominator, for a number k or
-        an array of them."""
-        t = math.pi * k / (1.0 - branch * self.eps)
-        return abs(_xp(t).sin(t))
-
-    def check_resonance(self, k: int, branch: int, margin: float) -> None:
-        """Refuse iterate k of a branch where the denominator ``sine`` or twice
-        the distance of x_k to the half-integer lattice, where the index jumps
-        (both floor discontinuities), is at most margin."""
-        x, s = self.rotation(k, branch), self.sine(k, branch)
-        d = half_lattice_distance(x)
-        if s <= margin or 2.0 * d <= margin:
-            raise ResonanceError(
-                f"k={k}, branch {'+' if branch > 0 else '-'}: "
-                f"2k/(1{'-' if branch > 0 else '+'}eps)={x:.9g} "
-                f"is resonant (|sin|={s:.3e}, lattice distance {d:.3e})")
-
-    def term(self, N: int, k: int, branch: int, hat: complex, margin: float) -> complex:
-        """Term (k, branch) of the isolated-orbit display, refused near a
-        resonance (``check_resonance``):
-
-            amplitude e^{i pi m/4} e^{-2 pi i N k/(1 -+ eps)} / |sin(pi k/(1 -+ eps))| * hat
-
-        with m the Maslov index of the iterate (``maslov``)."""
-        m = self.maslov(k, branch)
-        self.check_resonance(k, branch, margin)
-        turn = TWO_PI * N * k / (1.0 - branch * self.eps)
-        phase = (complex(math.cos(math.pi * m / 4.0), math.sin(math.pi * m / 4.0))
-                 * complex(math.cos(turn), -math.sin(turn)))
-        return self.amplitude * phase * complex(hat) / self.sine(k, branch)
-
-    def return_map(self, E: float, branch: int) -> KatokMonodromy:
-        """Closed-form linearized return map of a branch's equator at energy E.
-
-        With a = [(E^2-1)(1+eps^2) +- 2 eps sqrt(E^2-1)]^{1/2} and rotation
-        angle alpha = (2 pi/(1-eps^2)) [1+eps^2 +- 2 eps/sqrt(E^2-1)]^{1/2},
-        the map is the rotation-like matrix
-        [[cos a, (1-e^2)/a sin a], [-a/(1-e^2) sin a, cos a]] (angle alpha),
-        and |I - P| = 4 sin^2(alpha/2).
-        """
-        import numpy as np
-        e, c = self.eps, EnergyLevel.from_E(E).c
-        a = math.sqrt((E * E - 1.0) * (1.0 + e * e) + branch * 2.0 * e * c)
-        alpha = (TWO_PI / (1.0 - e * e)) * math.sqrt(1.0 + e * e + branch * 2.0 * e / c)
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        mat = np.array([[ca, (1.0 - e * e) / a * sa],
-                        [-a / (1.0 - e * e) * sa, ca]])
-        return KatokMonodromy(matrix=mat, a=a, alpha=alpha,
-                              det_i_minus_p=4.0 * math.sin(alpha / 2.0) ** 2)
-
-    def closed_orbits(self, E, c):
-        e = self.eps
-        T = TWO_PI * E / ((1.0 - e * e) * c)
-        L = TWO_PI / (1.0 - e * e)
-        orbits = []
-        at_sqrt2 = abs(E - SQRT2) < 1e-12
-        for branch, label in ((+1, "+"), (-1, "-")):
-            hol = branch * TWO_PI * e / (1.0 - e * e)
-            maslov, note = None, "index formula stated only at E = sqrt(2)"
-            if at_sqrt2 and half_lattice_distance(self.rotation(1, branch)) <= 1e-9:
-                note = "index ill-defined at this resonant deformation"
-            elif at_sqrt2:
-                maslov, note = self.maslov(1, branch), ""
-            orbits.append(OrbitInvariants(
-                orientation=label, L=L, T=T, S=L * c + hol, hol=hol, maslov=maslov,
-                maslov_note=note, detIminusP=self.return_map(E, branch).det_i_minus_p))
-        return ClosedOrbitSet(orbits=tuple(orbits))
-
-    def orbit_state(self, c, orientation):
-        sign, e = float(branch_sign(orientation)), self.eps
-        return PhaseState(q=(math.pi / 2.0, 0.0), p=(0.0, sign * c / (1.0 - e * e)))
-
-    @property
-    def area(self):
-        # int sqrt(det g) = 2 pi int sin/(1-eps^2 sin^2)^{3/2} = 4 pi/(1-eps^2)
-        return 4.0 * math.pi / (1.0 - self.eps * self.eps)
-
-    def mc_area(self, rng, n):
-        import numpy as np
-        s = np.sin(rng.uniform(0.0, math.pi, n))
-        return s / (1.0 - self.eps**2 * s**2) ** 1.5, math.pi * TWO_PI
+def _katok(eps):
+    """The deformed sphere ``katok.Katok(eps)``: its module loads on the first one."""
+    from .katok import Katok
+    return Katok(eps)
 
 
-# config kind -> (class, param -> type), as testfn.KINDS
-KINDS = {cls.kind: (cls, cls.params) for cls in (Torus, Sphere, Hyperbolic, Katok)}
+# config kind -> (class or factory, param -> type), as testfn.KINDS
+KINDS = {**{cls.kind: (cls, cls.params) for cls in (Torus, Sphere, Hyperbolic)},
+         "katok": (_katok, {"eps": float})}
 
 
 class GeometrySpec:
     """The constructor names of earlier releases: ``GeometrySpec.sphere(R)`` is ``Sphere(R)``."""
 
-    torus, sphere, hyperbolic, katok = Torus, Sphere, Hyperbolic, Katok
+    torus, sphere, hyperbolic, katok = Torus, Sphere, Hyperbolic, staticmethod(_katok)
 
 
 # the closed-form ladders' old names, kept for perfbench/setup_probe.py and reference.py

@@ -154,7 +154,7 @@ def test_katok_det_i_minus_power_matches_numpy():
         P = Katok(eps).return_map(SQRT2, branch).matrix
         for k in (1, 2, 3, 7, 40, -1, -2, -3, -7, -40):
             want = np.linalg.det(np.eye(2) - np.linalg.matrix_power(P, k))
-            assert abs(cli._det_i_minus_power(P, k) - want) <= 1e-14 * abs(k), (eps, branch, k)
+            assert abs(dynamics._det_i_minus_power(P, k) - want) <= 1e-14 * abs(k), (eps, branch, k)
 
 
 def _katok_refusal(tmp_path, monkeypatch, eps, k_list):
@@ -280,6 +280,59 @@ def test_format_flag_is_gone(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
     assert not out.exists()
+
+
+_USAGE = "usage: magtrace [-h] {spectrum,trace,predict,residual,dynamics,katok} ...\n"
+_TRACE_USAGE = "usage: magtrace trace [-h] --config CONFIG [--out OUT]\n"
+_TRACE_HELP = (_TRACE_USAGE + "\noptions:\n"
+               "  -h, --help       show this help message and exit\n"
+               "  --config CONFIG  JSON run configuration\n"
+               "  --out OUT        output directory\n")
+
+
+# (argv with {cfg} and {out} to fill in, exit code, stdout, stderr): the
+# usage, help and error lines are argparse's
+@pytest.mark.parametrize("argv,code,stdout,stderr", [
+    ([], 2, "", _USAGE + "magtrace: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "", _USAGE + "magtrace: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'spectrum', 'trace', 'predict', 'residual', 'dynamics', 'katok')\n"),
+    (["-h"], 0, _USAGE + "\nSpectral and geometric sides of magnetic trace asymptotics\n\n"
+     "positional arguments:\n  {spectrum,trace,predict,residual,dynamics,katok}\n\n"
+     "options:\n  -h, --help            show this help message and exit\n", ""),
+    (["trace", "-h"], 0, _TRACE_HELP, ""),
+    (["trace", "--config", "{cfg}", "--help"], 0, _TRACE_HELP, ""),
+    (["trace", "--config={cfg}", "--out", "{out}"], 0, "", ""),
+    (["trace", "--config", "{cfg}", "--out", "{out}-first", "--out={out}"], 0, "", ""),
+    (["trace", "--config"], 2, "",
+     _TRACE_USAGE + "magtrace trace: error: argument --config: expected one argument\n"),
+    (["trace", "--config", "{cfg}", "--out", "--bogus"], 2, "",
+     _TRACE_USAGE + "magtrace trace: error: argument --out: expected one argument\n"),
+    (["trace", "--out", "{out}"], 2, "",
+     _TRACE_USAGE + "magtrace trace: error: the following arguments are required: --config\n"),
+    (["trace", "--config", "{cfg}", "--out", "{out}", "--bogus", "1"], 2, "",
+     _USAGE + "magtrace: error: unrecognized arguments: --bogus 1\n"),
+    # argparse took an unambiguous prefix for its option; the reader does not
+    (["trace", "--conf", "{cfg}"], 2, "",
+     _TRACE_USAGE + "magtrace trace: error: the following arguments are required: --config\n"),
+], ids=["none", "unknown-command", "help", "sub-h", "sub-help", "config=", "out-twice",
+        "no-config-value", "no-out-value", "no-config", "unknown-option", "prefix"])
+def test_argv_reader_matches_warm_and_cold(tmp_path, capsys, argv, code, stdout, stderr):
+    cfg = _write_cfg(tmp_path, "cfg.json", _base_cfg())
+    outs = {side: tmp_path / side for side in ("warm", "cold")}
+    runs = {side: [a.format(cfg=cfg, out=out) for a in argv] for side, out in outs.items()}
+    try:
+        warm_code = main(runs["warm"])
+    except SystemExit as exc:
+        warm_code = exc.code
+    warm = capsys.readouterr()
+    cold = _run_cli(runs["cold"])
+    assert (warm_code, warm.out, warm.err) == (code, stdout, stderr)
+    assert (cold.returncode, cold.stdout, cold.stderr) == (code, stdout, stderr)
+    ran = code == 0 and stdout == ""  # not a usage error, nor help
+    for out in outs.values():  # a run writes to its last --out only
+        assert sorted(p.name for p in tmp_path.glob(f"{out.name}*")) == ([out.name] if ran else [])
+        if ran:
+            assert [p.name for p in out.iterdir()] == ["trace.csv"]
 
 
 @pytest.mark.parametrize("sub", ["trace", "dynamics"])
@@ -680,7 +733,7 @@ def test_write_csv_float_rows_match_per_value_format():
     assert text.splitlines()[1] == "nan,inf,-inf,-0"
     # the whole-table writer of float64 columns gives the same bytes
     columns = [np.array(col) for col in zip(*floats)]
-    assert cli._float_csv(header, columns) == "".join(text.splitlines(True)[:len(floats) + 1])
+    assert dynamics._float_csv(header, columns) == "".join(text.splitlines(True)[:len(floats) + 1])
 
 
 @pytest.mark.parametrize("geometry,E", [
@@ -837,12 +890,17 @@ def test_fresh_tracer_install_after_a_gaussian_residual(tmp_path):
 
 
 def test_spectral_commands_leave_numpy_polynomial_unloaded(tmp_path):
-    # leggauss is imported where the holonomy quadrature uses it, not in every
-    # cold spectral process
+    # the holonomy quadrature's Gauss-Legendre rule is a literal table, so no
+    # command, dynamics and katok included, imports numpy.polynomial
     bump = {"kind": "fourier_bump", "tau0": 2.0, "w": 0.5}
+    katok = {"schema": "magtrace/1", "geometry": {"kind": "katok", "eps": 1.0 / math.sqrt(5.0)},
+             "E": SQRT2, "N": {"value": 3}}
     runs = [("residual", _base_cfg(N={"start": 40, "stop": 400, "step": 40})),
             ("trace", _base_cfg(test_function=bump, N={"value": 200})),
-            ("predict", _base_cfg(test_function=bump, N={"value": 200}))]
+            ("predict", _base_cfg(test_function=bump, N={"value": 200})),
+            ("spectrum", _base_cfg(test_function=bump, N={"value": 200})),
+            ("dynamics", _TORUS_DYNAMICS_CFG),
+            ("katok", katok)]
     argvs = [[sub, "--config", _write_cfg(tmp_path, f"{sub}.json", cfg),
               "--out", str(tmp_path / sub)] for sub, cfg in runs]
     code = ("import sys; from magtrace import cli; "
@@ -850,8 +908,8 @@ def test_spectral_commands_leave_numpy_polynomial_unloaded(tmp_path):
             "print(*codes, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "0 0 0 []"
-    assert [len(list((tmp_path / sub).iterdir())) for sub, _ in runs] == [1, 1, 1]
+    assert out.stdout.strip() == "0 0 0 0 0 0 []"
+    assert [len(list((tmp_path / sub).iterdir())) for sub, _ in runs] == [1, 1, 1, 1, 2, 2]
 
 
 def test_hyperbolic_dynamics_leaves_numpy_random_unloaded(tmp_path):

@@ -293,6 +293,24 @@ def test_drift_monitors_match_per_point(geo, E):
     assert res.first_integral_drift == (fdrift if katok else None)
 
 
+def test_gauss_legendre_table_is_leggauss_and_near_the_40_digit_rule():
+    # the holonomy's literal 16-point rule holds numpy's leggauss(16) doubles;
+    # against a 40-digit rule its nodes are correctly rounded, and its
+    # weights, which leggauss renormalises to sum to 2, lie within 64 ulp
+    from magtrace.dynamics import _GL16_NODES, _GL16_WEIGHTS
+
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert _GL16_NODES == tuple(nodes.tolist()) and _GL16_WEIGHTS == tuple(weights.tolist())
+    assert math.fsum(_GL16_WEIGHTS) == 2.0
+    with mpmath.workdps(40):
+        for x0, w0 in zip(_GL16_NODES, _GL16_WEIGHTS):
+            x = mpmath.findroot(lambda t: mpmath.legendre(16, t), mpmath.mpf(x0))
+            dp = 16 * (x * mpmath.legendre(16, x) - mpmath.legendre(15, x)) / (x * x - 1)
+            w = 2 / ((1 - x * x) * dp * dp)
+            assert abs(x0 - x) <= 0.5 * math.ulp(x0), x0
+            assert abs(w0 - w) <= 64 * math.ulp(w0), x0
+
+
 @pytest.mark.parametrize("geo,E", CANONICAL)
 def test_holonomy_matches_per_point(geo, E):
     st, T = canonical_orbit_state(geo, E, "+")

@@ -176,17 +176,23 @@ def test_geometry_setup_loads_no_dataclasses():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+# imports a cold command is checked for: dataclasses (with its inspect, ast
+# and dis), argparse, and numpy.polynomial
+_WATCHED = ("dataclasses", "argparse", "numpy.polynomial")
+
+
 def _cold_run(tmp_path, name):
     """`python -m magtrace` on the golden command ``name``, with os._exit
     wrapped to report just before the process ends: [exit code, modules run,
-    whether dataclasses was imported] and the names of the outputs."""
+    the ``_WATCHED`` modules imported] and the names of the outputs."""
     sub, config = golden._commands()[name]
     argv = ["magtrace", sub, "--config", _write_cfg(tmp_path, config),
             "--out", str(tmp_path / "out")]
     code = (_RAN + "import json, os, runpy\n"
             "real_exit = os._exit\n"
             "def report(code):\n"
-            "    print(json.dumps([code, ran(), 'dataclasses' in sys.modules]), flush=True)\n"
+            f"    watched = [n for n in {_WATCHED!r} if n in sys.modules]\n"
+            "    print(json.dumps([code, ran(), watched]), flush=True)\n"
             "    real_exit(code)\n"
             "os._exit = report\n"
             f"sys.argv = {argv!r}\n"
@@ -196,15 +202,31 @@ def _cold_run(tmp_path, name):
     return json.loads(proc.stdout), sorted(p.name for p in (tmp_path / "out").iterdir())
 
 
+def test_cold_gaussian_residual_runs_only_its_modules(tmp_path):
+    # no deformed sphere, no bump, no orbit code, and no argparse
+    assert _cold_run(tmp_path, "ladder_sweep/residual-torus-small") == ([0, [
+        "magtrace", "magtrace.asymptotics", "magtrace.cli", "magtrace.errors",
+        "magtrace.floats", "magtrace.geometry", "magtrace.spectra", "magtrace.testfn",
+        "magtrace.tracesum"], ["dataclasses"]], ["residual.csv"])
+
+
+def test_cold_bump_trace_runs_bump_but_not_katok(tmp_path):
+    (code, ran, watched), outputs = _cold_run(tmp_path, "bump_window/trace-torus-sweep")
+    assert (code, outputs) == (0, ["trace.csv"])
+    assert "magtrace.bump" in ran and "magtrace.katok" not in ran
+    assert "argparse" not in watched
+
+
 def test_cold_dynamics_runs_no_spectral_module(tmp_path):
+    # nor the deformed sphere, the bump, argparse or numpy.polynomial
     assert _cold_run(tmp_path, "orbit_dynamics/dynamics-torus-1period") == ([0, [
         "magtrace", "magtrace.cli", "magtrace.dynamics", "magtrace.errors",
-        "magtrace.floats", "magtrace.geometry", "magtrace.ode"], False],
+        "magtrace.floats", "magtrace.geometry", "magtrace.ode"], []],
         ["invariants.json", "orbit.csv"])
 
 
 def test_cold_katok_runs_no_spectral_module(tmp_path):
     assert _cold_run(tmp_path, "orbit_dynamics/katok-report") == ([0, [
         "magtrace", "magtrace.asymptotics", "magtrace.cli", "magtrace.dynamics",
-        "magtrace.errors", "magtrace.floats", "magtrace.geometry", "magtrace.ode"], False],
-        ["katok_report.csv", "katok_report.json"])
+        "magtrace.errors", "magtrace.floats", "magtrace.geometry", "magtrace.katok",
+        "magtrace.ode"], []], ["katok_report.csv", "katok_report.json"])

@@ -14,7 +14,8 @@ import pytest
 from magtrace import ode
 from magtrace.dynamics import (_on_floats, _variational, canonical_orbit_state,
                                katok_monodromy_numeric, tangent_flow)
-from magtrace.geometry import Hyperbolic, Katok, Sphere, Torus
+from magtrace.geometry import Hyperbolic, Sphere, Torus
+from magtrace.katok import Katok
 
 pytest.importorskip("scipy")
 

@@ -12,17 +12,19 @@ import typing
 
 import pytest
 
-from magtrace import asymptotics, dynamics, geometry, spectra, testfn, tracesum
+from magtrace import asymptotics, bump, dynamics, geometry, katok, spectra, testfn, tracesum
 from magtrace.errors import FrozenRecordError, ValidationError, record
 
 RECORDS = {
     geometry: ("EnergyLevel", "PhaseState", "OrbitInvariants", "ClosedOrbitSet", "Torus",
-               "Sphere", "Hyperbolic", "KatokMonodromy", "Katok"),
+               "Sphere", "Hyperbolic"),
+    katok: ("KatokMonodromy", "Katok"),
     spectra: ("SpectrumEntry", "Window"),
     tracesum: ("TraceValue",),
     asymptotics: ("KSumControl", "CoefficientPrediction", "ResidualReport"),
     dynamics: ("FlowSegment", "FlowResult", "MCVolume"),
-    testfn: ("GaussianEnvelope", "PowerEnvelope"),
+    testfn: ("GaussianEnvelope",),
+    bump: ("PowerEnvelope",),
 }
 CLASSES = [getattr(module, name) for module, names in RECORDS.items() for name in names]
 
@@ -125,8 +127,8 @@ def test_defaults_and_class_vars_as_in_the_twin():
     lambda: geometry.Sphere(R=0.0),
     lambda: geometry.Sphere(-1.0),
     lambda: geometry.Hyperbolic(R=1.0, genus=1),
-    lambda: geometry.Katok(eps=0.0),
-    lambda: geometry.Katok(1.0),
+    lambda: katok.Katok(eps=0.0),
+    lambda: katok.Katok(1.0),
     lambda: asymptotics.KSumControl(k_max=-1),
     lambda: asymptotics.KSumControl(k_max=asymptotics.MAX_K_MAX + 1),
 ], ids=["sphere-R0", "sphere-R-1", "genus-1", "katok-eps0", "katok-eps1",

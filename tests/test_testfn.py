@@ -18,7 +18,7 @@ from scipy.integrate import IntegrationWarning, quad
 from labchecks import linear_combination, poisson_check
 from magtrace import (KSumControl, ValidationError, make_fourier_bump, make_gaussian,
                       make_gaussian_modulated)
-from magtrace import testfn
+from magtrace import bump, testfn
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # period of the Katok equator that the isolated-orbit bump is centred on
@@ -135,7 +135,7 @@ def test_bump_phi_matches_40_digit_rule(exact_bump_phi, tau0, w):
     f = make_fourier_bump(tau0, w)
     rng = np.random.default_rng(20261019)
     us = [0.0, 0.37, 1.85, 3.1, -3.1, 25.0, 180.5, 700.0, 955.25, -1234.5, 1600.0]
-    for u in us + rng.uniform(-testfn._BUMP_U_CAP, testfn._BUMP_U_CAP, 29).tolist():
+    for u in us + rng.uniform(-bump._BUMP_U_CAP, bump._BUMP_U_CAP, 29).tolist():
         x = u / w
         assert abs(complex(f.phi(x)) - exact_bump_phi(tau0, w, x)) <= 1e-16 * w, u
 
@@ -143,10 +143,10 @@ def test_bump_phi_matches_40_digit_rule(exact_bump_phi, tau0, w):
 def test_bump_cosine_sum_is_even():
     # cos is even and sin odd, so the angle addition keeps g(-u) == g(u) bit
     # for bit, past the cap too
-    coeff = testfn._bump_cosine_table()
-    u = np.random.default_rng(20261020).uniform(0.0, 2.0 * testfn._BUMP_U_CAP, 1000)
-    u[:4] = 0.0, 5e-324, 1.0, testfn._BUMP_U_CAP
-    assert np.array_equal(testfn._bump_cosine_sum(-u, coeff), testfn._bump_cosine_sum(u, coeff))
+    coeff = bump._bump_cosine_table()
+    u = np.random.default_rng(20261020).uniform(0.0, 2.0 * bump._BUMP_U_CAP, 1000)
+    u[:4] = 0.0, 5e-324, 1.0, bump._BUMP_U_CAP
+    assert np.array_equal(bump._bump_cosine_sum(-u, coeff), bump._bump_cosine_sum(u, coeff))
 
 
 def test_bump_radius_does_not_depend_on_tau0():
@@ -157,19 +157,19 @@ def test_bump_radius_does_not_depend_on_tau0():
     assert make_fourier_bump(math.pi, 0.5).radius(tol) == r
     # the Katok bump's phi falls below tol well inside the cap
     r1 = make_fourier_bump(0.0, 1.0).radius(tol)
-    assert make_fourier_bump(KATOK_TSHARP, 1.0).radius(tol) == r1 < testfn._BUMP_U_CAP
+    assert make_fourier_bump(KATOK_TSHARP, 1.0).radius(tol) == r1 < bump._BUMP_U_CAP
 
 
 @pytest.fixture
 def cosine_rows(monkeypatch):
     """The row count of each ``_bump_cosine_sum`` call the test makes."""
     rows = []
-    probe = testfn._bump_cosine_sum
+    probe = bump._bump_cosine_sum
 
     def counting(u, coeff):
         rows.append(u.size)
         return probe(u, coeff)
-    monkeypatch.setattr(testfn, "_bump_cosine_sum", counting)
+    monkeypatch.setattr(bump, "_bump_cosine_sum", counting)
     return rows
 
 
@@ -181,7 +181,7 @@ def test_bump_radius_is_memoized_per_instance(cosine_rows):
     assert f.radius(1e-10) == r
     assert make_fourier_bump(2.0, 0.5).radius(1e-10) == r
     # a tol below phi's rounding noise gives the cap, still without sampling
-    assert make_fourier_bump(0.0, 1.0).radius(5e-324) == testfn._BUMP_U_CAP
+    assert make_fourier_bump(0.0, 1.0).radius(5e-324) == bump._BUMP_U_CAP
     assert not cosine_rows
 
 
@@ -192,16 +192,16 @@ def test_bump_radius_search_work_is_bounded(cosine_rows, w):
     tols = [5e-324, 1e-300, 1e-18, 1e-14, 1e-10, 1e-6, 1e-2, 0.5, 0.999]
     f = make_fourier_bump(0.0, w)
     radii = [f.radius(tol) for tol in tols]
-    assert all(0.0 < r <= testfn._BUMP_U_CAP / w for r in radii)
+    assert all(0.0 < r <= bump._BUMP_U_CAP / w for r in radii)
     assert radii == sorted(radii, reverse=True)
     # the benchmark's w at its tail_tol stays inside the cap
     if w in (0.5, 1.0):
-        assert f.radius(1e-14) < testfn._BUMP_U_CAP / w
+        assert f.radius(1e-14) < bump._BUMP_U_CAP / w
     assert not cosine_rows
 
 
 def test_bump_cosine_table_is_the_512_step_trapezoid():
-    c = testfn._bump_cosine_table()
+    c = bump._bump_cosine_table()
     # psi(t_m) from libm, one node t_m = m/512 at a time, whatever SIMD exp
     # numpy dispatches to
     psi = np.array([math.exp(-1.0 / (1.0 - (m / 512) ** 2)) for m in range(512)])
@@ -217,13 +217,13 @@ def test_bump_trapezoid_aliasing_is_certified():
     # each bounded (per unit w) by the envelope (1/2pi) min_j D_j/v^j; past
     # k = K the leg j = 24 at v >= pi k M bounds their sum by
     # (2/2pi) D_24 (pi M)^-24 K^-23/23
-    M, K = testfn._BUMP_M, 8
-    assert testfn._BUMP_U_CAP <= math.pi * M  # so 2 pi k M - u >= pi k M
-    env = testfn.PowerEnvelope(1.0, testfn._BUMP_D)
-    u = np.linspace(0.0, testfn._BUMP_U_CAP, 64001)
+    M, K = bump._BUMP_M, 8
+    assert bump._BUMP_U_CAP <= math.pi * M  # so 2 pi k M - u >= pi k M
+    env = bump.PowerEnvelope(1.0, bump._BUMP_D)
+    u = np.linspace(0.0, bump._BUMP_U_CAP, 64001)
     alias = sum(env(2.0 * math.pi * k * M - u) + env(2.0 * math.pi * k * M + u)
                 for k in range(1, K + 1))
-    d24 = dict(testfn._BUMP_D)[24]
+    d24 = dict(bump._BUMP_D)[24]
     alias += 2.0 * d24 / (2.0 * math.pi) * (math.pi * M) ** -24 * K**-23 / 23
     assert alias.max() <= 1e-20
 
@@ -250,7 +250,7 @@ def test_bump_envelope_certifies_radius(exact_bump_phi):
         r = f.radius(tol)
         env = f.time_env
         assert env(r) <= tol * (1.0 + 1e-12), (w, tol)
-        xs = np.arange(w * r, testfn._BUMP_U_CAP, 0.5) / w
+        xs = np.arange(w * r, bump._BUMP_U_CAP, 0.5) / w
         bound = np.asarray(env(xs))
         assert np.all(np.diff(bound) <= 0.0)
         phi = np.abs(f.phi(xs))
@@ -365,7 +365,7 @@ _SELF_CHECKS = ("poisson_check", "PoissonReport", "torus_cluster_check", "Cluste
                 "linear_combination", "SumEnvelope", "QuadratureError")
 
 
-# the deformed sphere's equator data, now methods of geometry.Katok, and the
+# the deformed sphere's equator data, now methods of katok.Katok, and the
 # second Maslov rule, now labchecks.maslov_two_interval
 _KATOK_FUNCTIONS = ("maslov_katok", "MaslovData", "katok_poincare_analytic",
                     "katok_maslov_closed", "katok_first_integral", "katok_term_closed")
@@ -569,7 +569,7 @@ def _bump_derivative_norms(k_top):
 def test_bump_envelope_constants_are_upper_bounds():
     # each shipped D_k is at least its 40-digit value and within 1e-3 of it,
     # and the legs meet in order: the crossings (D_j/D_i)^(1/(j-i)) increase
-    from magtrace.testfn import _BUMP_D, PowerEnvelope
+    from magtrace.bump import _BUMP_D, PowerEnvelope
 
     with mpmath.workdps(40):
         exact = {0: mpmath.quad(lambda t: mpmath.exp(-1 / (1 - t * t)), [-1, 0, 1]),
