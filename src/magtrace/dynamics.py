@@ -27,6 +27,7 @@ geometries circulate clockwise and are labelled "-".
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -77,21 +78,6 @@ class FlowResult:
         return ts, seg.sol(ts)
 
 
-def _on_floats(field):
-    """The right-hand side (tt, y) -> field(y), as an array, for ``ode.dop853``,
-    run on y's Python floats, on which the formulas use ``math`` and give the
-    array's values.  Where float arithmetic raises (a division by zero, an
-    overflow or a math-domain error), field runs on the array y, so numpy
-    gives its inf or nan and its warning."""
-
-    def rhs(tt, y):
-        try:
-            return np.array(field(y.tolist()))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return np.array(field(y))
-    return rhs
-
-
 def _goes_negative(b) -> bool:
     """Whether a polynomial on [0, 1], one per row of Bernstein coefficients
     b, goes negative: one with a negative end does, one with no negative
@@ -132,8 +118,7 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     if t < 0.0:
         raise ValidationError("integration time must be nonnegative")
 
-    t_end, y_end, sol, status = ode.dop853(_on_floats(lambda y: geo.flow_terms(y)[1]),
-                                           0.0, y0, t, tol)
+    t_end, y_end, sol, status = ode.dop853(lambda y: geo.flow_terms(y)[1], 0.0, y0, t, tol)
     if status < 0:
         raise IntegratorError(f"integration failed at t={t_end:.6g}: {ode.STEP_COLLAPSE}")
 
@@ -264,8 +249,7 @@ def _variational(geo: Geometry):
 def tangent_flow(geo: Geometry, state: PhaseState, t: float, tol: float = 1e-11) -> np.ndarray:
     """The 4x4 state-transition matrix M of the flow over time t from state, M(0) = I."""
     z0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
-    _, z, _, status = ode.dop853(_on_floats(_variational(geo)), 0.0, z0, t, tol,
-                                 dense_output=False)
+    _, z, _, status = ode.dop853(_variational(geo), 0.0, z0, t, tol, dense_output=False)
     if status < 0:
         raise IntegratorError(f"variational integration failed: {ode.STEP_COLLAPSE}")
     return z[4:].reshape(4, 4)
@@ -314,11 +298,17 @@ def mc_liouville_volume(geo: Geometry, E: float, n_samples: int = 200_000,
     its closed form (Gauss-Bonnet) is reported without an estimate.
     """
     closed = liouville_volume(geo, E)
-    if geo.mc_area is None:  # no generator, so numpy.random stays unimported
+    if geo.mc_area is None:
         return MCVolume(estimate=None, stderr=None, closed_form=closed,
                         rel_dev=None,
                         note="fundamental domain not parameterized; closed form only")
-    vals, cell = geo.mc_area(np.random.default_rng(seed), n_samples)
+    rng = []
+
+    def uniform(low, high, n):  # the generator, and numpy.random, on the first draw
+        if not rng:
+            rng.append(np.random.default_rng(seed))
+        return rng[0].uniform(low, high, n)
+    vals, cell = geo.mc_area(uniform, n_samples)
     area_est = cell * float(np.mean(vals))
     stderr = cell * float(np.std(vals, ddof=1) / math.sqrt(n_samples))
     est = TWO_PI * E * area_est
@@ -340,11 +330,117 @@ _MAX_ORBIT_SAMPLES = 1_000_000
 _MAX_MC_SAMPLES = 10_000_000
 
 
+# the orbit table printer: each value is one 40-byte cell, laid out as
+#   0: sign, 1-5: "0." and the zeros before the digits of an |x| below 1,
+#   6-38: digit j at byte 6 + 2j and the slot for a point after it at 7 + 2j,
+#   39: the separator, in the slot after the last digit;
+# what a value does not use is the pad byte, which no "%.17g" output holds
+_PAD, _CELL = ord(" "), 40
+_BLOCK_VALUES = 1 << 12  # values per block, so the temporaries stay small
+_POW10 = 10.0 ** np.arange(23)  # exact doubles
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, Numer. Math.
+    18 (1971)), elementwise, for products far from overflow and underflow."""
+    def split(x):
+        c = _SPLIT * x
+        hi = c - (c - x)
+        return hi, x - hi
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _digits17(a):
+    """(X, n) for 1e-4 <= a < 1e17: a rounded to 17 significant digits, half
+    to even, is n 10^(X-16) with 10^16 <= n < 10^17."""
+    def digits(a, X):
+        hi, lo = _two_prod(a, _POW10[16 - X])  # exact: 0 <= 16 - X <= 21
+        # hi >= 1e16 > 2^53 is an even integer, so rounding hi + lo half to
+        # even is rounding lo half to even
+        return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    X = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    n = digits(a, X)
+    wrong = n < 10**16  # log10 rounded up across a power of ten
+    X[wrong] -= 1
+    n[wrong] = digits(a[wrong], X[wrong])
+    wrong = n >= 10**17  # log10 rounded down, or the digits rounded up to 10^17
+    X[wrong] += 1
+    n[wrong] = digits(a[wrong], X[wrong])
+    return X, n
+
+
+@functools.cache
+def _cell_tables():
+    """The tables of the printer: the cell of each (sign, X, last kept digit)
+    with "0" for each kept digit, the digits of each 4-digit chunk spread to
+    bytes 0, 2, 4, 6 of a little-endian word, and each chunk's trailing zeros."""
+    X, keep, col = np.ix_(range(-4, 17), range(17), range(_CELL))
+    j, odd = np.divmod(col - 6, 2)  # the digit at a digit byte, or at its slot
+    body = col >= 6
+    cells = np.full((2, 21, 17, _CELL), _PAD, np.uint8)
+    np.copyto(cells, np.uint8(ord("0")), where=(X < 0) & ((col == 1) | (col >= 3) & (col <= 1 - X))
+              | body & (odd == 0) & (j <= keep))
+    np.copyto(cells, np.uint8(ord(".")), where=(X < 0) & (col == 2)
+              | body & (odd == 1) & (j == X) & (X < keep))
+    cells[1, ..., 0] = ord("-")
+    # the chunk 1000 a + 100 b + 10 c + d at [a, b, c, d]
+    a, b, c, d = np.ix_(*[np.arange(10, dtype="<u8")] * 4)
+    spread = a | b << 16 | c << 32 | d << 48
+    a, b, c, d = (digit == 0 for digit in (a, b, c, d))
+    zeros = (d * (1 + c * (1 + b * (1 + a)))).astype(np.int8)
+    return cells.reshape(-1, _CELL).view("<u8"), spread.ravel(), zeros.ravel()
+
+
+def _cells(block, seps):
+    """The "%.17g" text of a 2-D block of floats, with seps[i] after a value
+    in column i: each cell is a template plus its digits, and the pad goes."""
+    cells_of, spread, zeros = _cell_tables()
+    x = block.ravel()
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)  # where "%.17g" writes no exponent
+    X, n = _digits17(np.where(fixed, a, 1.0))
+    # n = d0 10^16 + the 4-digit chunks c0 10^12 + c1 10^8 + c2 10^4 + c3
+    hi8 = n // 10**8
+    d0 = hi8 // 10**8
+    chunks = np.stack([hi8 - d0 * 10**8, n - hi8 * 10**8])
+    chunks = np.stack([chunks // 10**4, chunks % 10**4], axis=1).reshape(4, -1)
+    tz = zeros[chunks[3]]  # n's trailing zeros: a chunk counts if all after it are 0
+    for k in (2, 1, 0):
+        tz += (tz == 4 * (3 - k)) * zeros[chunks[k]]
+    keep = np.maximum(16 - tz, X)  # the last digit printed
+    words = np.take(cells_of, ((x < 0) * 21 + X + 4) * 17 + keep, axis=0)
+    digits = np.empty_like(words)
+    digits[:, 0] = d0 << 48
+    digits[:, 1:] = np.take(spread, chunks.T)
+    words += digits
+    out = words.view(np.uint8)
+    out.reshape(*block.shape, _CELL)[..., -1] = seps
+    rest = np.flatnonzero(~fixed)  # 0, inf, nan and the values with an exponent
+    text = ("%39.17g" * len(rest) % tuple(x[rest].tolist())).encode()
+    out[rest, :-1] = np.frombuffer(text, np.uint8).reshape(-1, _CELL - 1)
+    return out.tobytes().translate(None, bytes([_PAD])).decode()
+
+
 def _float_csv(header, columns) -> str:
-    """A table of float64 columns in one format call; "%.17g" is ``cli._fmt``'s float format."""
-    values = np.column_stack(columns).ravel().tolist()
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + line * len(columns[0]) % tuple(values)
+    """A table of float64 columns, each value as "%.17g" (``cli._fmt``'s float
+    format) writes it, in row blocks of at most ``_BLOCK_VALUES`` values.
+
+    Where "%.17g" writes no exponent, 1e-4 <= |x| < 1e17 with 10^X <= |x| <
+    10^(X+1), Dekker's exact product (Numer. Math. 18 (1971)) splits
+    |x| 10^(16-X) into hi + lo with no rounding error.  As hi >= 1e16 > 2^53
+    is an even integer, hi + rint(lo) is that product rounded half to even,
+    the 17 digits "%.17g" prints; every other value is printed by "%.17g"
+    itself."""
+    table = np.column_stack(columns)
+    seps = np.full(len(header), ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    step = max(1, _BLOCK_VALUES // len(header))
+    return ",".join(header) + "\n" + "".join(
+        _cells(table[i:i + step], seps) for i in range(0, len(table), step))
 
 
 def cmd_dynamics(cfg):

@@ -171,8 +171,9 @@ class Geometry:
         """A conserved quantity besides H, or None."""
         return None
 
-    # mc_area(rng, n): Monte Carlo samples of sqrt(det g) over a chart cell and
-    # the cell's area; None without a parameterized fundamental domain
+    # mc_area(uniform, n): Monte Carlo samples of sqrt(det g) over a chart cell,
+    # drawn with uniform(low, high, n), and the cell's area; None without a
+    # parameterized fundamental domain
     mc_area: ClassVar = None
 
     def closure_gap(self, y0, y1) -> float:
@@ -326,7 +327,7 @@ class Torus(ConstantCurvature):
 
     area: ClassVar[float] = 1.0
 
-    def mc_area(self, rng, n):
+    def mc_area(self, uniform, n):  # draws nothing: sqrt(det g) = 1
         import numpy as np
         return np.ones(n), 1.0
 
@@ -376,9 +377,9 @@ class Sphere(ConstantCurvature):
     def area(self):
         return 4.0 * math.pi * self.R * self.R
 
-    def mc_area(self, rng, n):
+    def mc_area(self, uniform, n):
         import numpy as np
-        th = rng.uniform(0.0, math.pi, n)
+        th = uniform(0.0, math.pi, n)
         return self.R * self.R * np.sin(th), math.pi * TWO_PI  # chart (0,pi) x (0,2pi)
 
 

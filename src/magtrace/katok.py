@@ -191,7 +191,7 @@ class Katok(Geometry):
         # int sqrt(det g) = 2 pi int sin/(1-eps^2 sin^2)^{3/2} = 4 pi/(1-eps^2)
         return 4.0 * math.pi / (1.0 - self.eps * self.eps)
 
-    def mc_area(self, rng, n):
+    def mc_area(self, uniform, n):
         import numpy as np
-        s = np.sin(rng.uniform(0.0, math.pi, n))
+        s = np.sin(uniform(0.0, math.pi, n))
         return s / (1.0 - self.eps**2 * s**2) ** 1.5, math.pi * TWO_PI

@@ -7,8 +7,12 @@ step, two-norm error estimate, step control and degree-7 dense output,
 operation for operation.  Both take the same steps and return the same
 floats.  Integration runs forward in time only, with ``rtol = atol = tol``,
 both at least 100 eps: SciPy floors rtol there, and a far smaller atol
-overflows the error norm.  Imports only numpy and ``math``: the step-size
-bookkeeping runs on Python floats, the stage combinations on numpy arrays.
+overflows the error norm.  Imports only numpy and ``math``.  The step-size
+bookkeeping and each stage state y + h sum_j a_sj k_j run on Python floats,
+the same IEEE operations numpy would perform; numpy runs only the stage
+sums sum_j a_sj k_j (``np.dot``, as SciPy forms them), the error norm and
+the dense output.  The flow field is autonomous: a function of a list of
+Python floats that returns a sequence of floats.
 """
 
 from __future__ import annotations
@@ -25,10 +29,7 @@ SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 8
 N_STAGES = 12
 
 # the tableau: stages 0-11 make a step, stage 12 is f at its end, 13-15
-# feed the dense output
-C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-              0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-              0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778])
+# feed the dense output; the field is autonomous, so the nodes c are unused
 _A_ROWS = (
     [0.05260015195876773], [0.0197250569845379, 0.0591751709536137],
     [0.02958758547680685, 0, 0.08876275643042054],
@@ -61,9 +62,8 @@ A = np.zeros((16, 16))
 for _i, _row in enumerate(_A_ROWS, start=1):
     A[_i, :len(_row)] = _row
 B = A[N_STAGES, :N_STAGES]
-# the rows A[s, :s] and the nodes C[s] the stage loops read
+# the rows A[s, :s] the stage loops read
 _STAGE_ROWS = [A[s, :s] for s in range(16)]
-_C = C.tolist()
 # the order-5 and order-3 error estimators
 E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
                1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
@@ -139,13 +139,23 @@ def _norm(x):
     return _l2(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
-    length = abs(t_bound - t0)
+def _evaluate(field, y):
+    """field at the state y, a list of Python floats, on which its formulas
+    use ``math``.  Where float arithmetic raises (a division by zero, an
+    overflow or a math-domain error), field runs on the array of y instead,
+    so numpy gives its inf or nan and its warning, as on SciPy's arrays."""
+    try:
+        return field(y)
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return field(np.array(y))
+
+
+def _initial_step(field, y0, f0, length, rtol, atol):
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _norm(y0 / scale), _norm(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
+    f1 = np.array(_evaluate(field, (y0 + h0 * f0).tolist()))
     d2 = _norm((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -154,26 +164,28 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, length)
 
 
-def _stages(fun, t, y, h, K_ext, KT, stages):
-    """Fill K_ext[s] for s in stages; KT[s] is the view K_ext[:s].T."""
+def _stages(field, y, h, K_ext, KT, stages):
+    """Fill K_ext[s] for s in stages; KT[s] is the view K_ext[:s].T.  Each
+    state y + d h is formed on floats, d the stage sum numpy forms."""
+    y = y.tolist()
     for s in stages:
-        dy = np.dot(KT[s], _STAGE_ROWS[s]) * h
-        K_ext[s] = fun(t + _C[s] * h, y + dy)
+        d = np.dot(KT[s], _STAGE_ROWS[s]).tolist()
+        K_ext[s] = _evaluate(field, [a + b * h for a, b in zip(y, d)])
 
 
-def _rk_step(fun, t, y, f, h, K_ext, KT):
+def _rk_step(field, y, f, h, K_ext, KT):
     """One step of stages 0-12 into K_ext."""
     K_ext[0] = f
-    _stages(fun, t, y, h, K_ext, KT, range(1, N_STAGES))
+    _stages(field, y, h, K_ext, KT, range(1, N_STAGES))
     y_new = y + h * np.dot(KT[N_STAGES], B)
-    f_new = fun(t + h, y_new)
+    f_new = np.array(_evaluate(field, y_new.tolist()))
     K_ext[N_STAGES] = f_new
     return y_new, f_new
 
 
-def _interpolant(fun, t_old, y_old, y, f, h, K_ext, KT):
+def _interpolant(field, y_old, y, f, h, K_ext, KT):
     """The step's dense-output row (h, y_old, F), after stages 13-15."""
-    _stages(fun, t_old, y_old, h, K_ext, KT, range(N_STAGES + 1, 16))
+    _stages(field, y_old, h, K_ext, KT, range(N_STAGES + 1, 16))
     F = np.empty((7, len(y)))
     f_old = K_ext[0]
     delta_y = y - y_old
@@ -184,8 +196,8 @@ def _interpolant(fun, t_old, y_old, y, f, h, K_ext, KT):
     return h, y_old, F
 
 
-def dop853(fun, t0, y0, t_bound, tol, dense_output=True):
-    """Integrate y' = fun(t, y) from t0 towards t_bound > t0.
+def dop853(field, t0, y0, t_bound, tol, dense_output=True):
+    """Integrate y' = field(y) from t0 towards t_bound > t0.
 
     Returns (t, y, sol, status): the time and state where the run stopped,
     its DenseSolution (None without ``dense_output``) and a status, 0 at
@@ -194,8 +206,8 @@ def dop853(fun, t0, y0, t_bound, tol, dense_output=True):
     """
     y = np.asarray(y0, dtype=float)
     rtol = atol = max(tol, 100 * EPS)
-    t, f = t0, fun(t0, y)
-    h_abs = float(_initial_step(fun, t, y, f, t_bound, rtol, atol))
+    t, f = t0, np.array(_evaluate(field, y.tolist()))
+    h_abs = float(_initial_step(field, y, f, abs(t_bound - t0), rtol, atol))
     K_ext = np.empty((16, len(y)))
     KT = [K_ext[:s].T for s in range(17)]
     ts, interpolants = [t0], []
@@ -209,7 +221,7 @@ def dop853(fun, t0, y0, t_bound, tol, dense_output=True):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f, h, K_ext, KT)
+            y_new, f_new = _rk_step(field, y, f, h, K_ext, KT)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             # e5, e3 and the quotient stay numpy scalars: where they overflow
             # or divide 0 by 0 they warn and give inf or nan, which rejects
@@ -228,7 +240,7 @@ def dop853(fun, t0, y0, t_bound, tol, dense_output=True):
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         if dense_output:
-            interpolants.append(_interpolant(fun, t_old, y_old, y, f, h, K_ext, KT))
+            interpolants.append(_interpolant(field, y_old, y, f, h, K_ext, KT))
         ts.append(t)
         if t - t_bound >= 0:
             return t, y, DenseSolution(ts, interpolants) if dense_output else None, 0

@@ -736,6 +736,42 @@ def test_write_csv_float_rows_match_per_value_format():
     assert dynamics._float_csv(header, columns) == "".join(text.splitlines(True)[:len(floats) + 1])
 
 
+def _percent_17g(header, columns):
+    """The table as one "%.17g" format call, the printer's reference."""
+    values = np.column_stack(columns).ravel().tolist()
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + line * len(columns[0]) % tuple(values)
+
+
+def test_float_csv_is_percent_17g_on_a_million_doubles():
+    # most values in the range the printer writes itself, 1e-4 <= |x| < 1e17
+    rng = np.random.default_rng(20261021)
+    signs = rng.choice([-1.0, 1.0], 1_000_000)
+    # every bit pattern: NaN payloads, subnormals, infinities, both signs
+    bits = rng.integers(0, 2**64, 40_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    # every decimal exponent from -30 to 30
+    decades = np.concatenate([rng.uniform(1.0, 10.0, 30_000 if -4 <= k < 17 else 3_000)
+                              * float(f"1e{k}") for k in range(-30, 31)])
+    # x 10^(16-X) lands on a half-integer: ties, rounded half to even
+    ties = (np.floor(10.0 ** rng.uniform(13.0, 16.0, 70_000))[:, None]
+            + [0.25, 0.5, 0.75]).ravel()
+    powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-4, -1e-4, 1e17, -1e17]])
+    values = np.concatenate([bits, (np.concatenate([decades, ties])
+                                    * signs[:len(decades) + len(ties)]), edges, -edges])
+    assert len(values) >= 1_000_000
+    columns = list(values[:len(values) // 7 * 7].reshape(-1, 7).T)
+    header = list("abcdefg")
+    assert dynamics._float_csv(header, columns) == _percent_17g(header, columns)
+    # a table of one column, and tables of one row
+    assert dynamics._float_csv(["x"], [edges]) == _percent_17g(["x"], [edges])
+    for row in (edges, ties[:9], decades[::60_000]):
+        columns = [np.array([v]) for v in row]
+        header = [f"c{i}" for i in range(len(row))]
+        assert dynamics._float_csv(header, columns) == _percent_17g(header, columns)
+
+
 @pytest.mark.parametrize("geometry,E", [
     ({"kind": "katok", "eps": 1.0 / math.sqrt(5.0)}, SQRT2),
     ({"kind": "torus"}, 2.0),

@@ -11,7 +11,8 @@ from magtrace import (ChartError, EnergyLevel, Hyperbolic, IntegratorError, Kato
                       canonical_orbit_state, circle_distance, integrate,
                       katok_monodromy_numeric, liouville_volume, mc_liouville_volume,
                       numeric_holonomy)
-from magtrace.dynamics import _on_floats, _variational, tangent_flow
+from magtrace import ode
+from magtrace.dynamics import _variational, tangent_flow
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -133,19 +134,19 @@ def test_float_path_equals_array_path_bit_for_bit(geo, E):
 
 
 def test_float_adapter_falls_back_to_the_array_path():
-    # at the pole the float path divides by zero; the adapter then runs the
-    # array path, which gives inf and nan with numpy's warnings, as before
+    # at the pole the float path divides by zero; the integrator then runs
+    # the array path, which gives inf and nan with numpy's warnings, as SciPy
     geo = Sphere(1.0)
     y = np.array([0.0, 0.3, 0.5, 0.2])
     with pytest.raises(ZeroDivisionError):
         geo.flow(y.tolist())
     with np.errstate(all="ignore"):
         want = geo.flow(y)
-        got = _on_floats(geo.flow)(0.0, y)
+        got = ode._evaluate(geo.flow, y.tolist())
     assert not np.all(np.isfinite(want))
     assert got.tobytes() == want.tobytes()
     with pytest.warns(RuntimeWarning):
-        _on_floats(geo.flow)(0.0, y)
+        ode._evaluate(geo.flow, y.tolist())
 
 
 @pytest.mark.parametrize("geo,E", CANONICAL, ids=lambda v: getattr(v, "kind", None))

@@ -177,8 +177,8 @@ def test_geometry_setup_loads_no_dataclasses():
 
 
 # imports a cold command is checked for: dataclasses (with its inspect, ast
-# and dis), argparse, and numpy.polynomial
-_WATCHED = ("dataclasses", "argparse", "numpy.polynomial")
+# and dis), argparse, numpy.polynomial and numpy.random
+_WATCHED = ("dataclasses", "argparse", "numpy.polynomial", "numpy.random")
 
 
 def _cold_run(tmp_path, name):
@@ -223,6 +223,15 @@ def test_cold_dynamics_runs_no_spectral_module(tmp_path):
         "magtrace", "magtrace.cli", "magtrace.dynamics", "magtrace.errors",
         "magtrace.floats", "magtrace.geometry", "magtrace.ode"], []],
         ["invariants.json", "orbit.csv"])
+
+
+@pytest.mark.parametrize("name,watched", [("dynamics-torus-1period", []),
+                                          ("dynamics-sphere-1period", ["numpy.random"])])
+def test_cold_dynamics_imports_numpy_random_only_to_draw(tmp_path, name, watched):
+    # the torus's Monte Carlo area draws nothing, so no generator is built;
+    # the sphere's draws its polar angles
+    (code, _, got), _ = _cold_run(tmp_path, f"orbit_dynamics/{name}")
+    assert (code, got) == (0, watched)
 
 
 def test_cold_katok_runs_no_spectral_module(tmp_path):

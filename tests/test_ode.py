@@ -2,8 +2,10 @@
 
 ``magtrace.ode`` repeats the arithmetic of ``solve_ivp(method="DOP853")``
 operation for operation, so every comparison here is exact
-(``np.array_equal`` or ``==``), never a tolerance.  SciPy is imported only
-inside the tests: the package itself must not need it.
+(``np.array_equal`` or ``==``), never a tolerance.  ``ode.dop853`` takes the
+flow field on a list of Python floats, SciPy the right-hand side
+``fun(t, y)`` on arrays.  SciPy is imported only inside the tests: the
+package itself must not need it.
 """
 
 import math
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 from magtrace import ode
-from magtrace.dynamics import (_on_floats, _variational, canonical_orbit_state,
-                               katok_monodromy_numeric, tangent_flow)
+from magtrace.dynamics import (_variational, canonical_orbit_state, katok_monodromy_numeric,
+                               tangent_flow)
 from magtrace.geometry import Hyperbolic, Sphere, Torus
 from magtrace.katok import Katok
 
@@ -38,7 +40,7 @@ def _solve_ivp(fun, t1, y0, tol, **kwargs):
 
 def test_tableau_matches_scipy():
     from scipy.integrate._ivp import dop853_coefficients as ref
-    for name in ("A", "B", "C", "E3", "E5", "D"):
+    for name in ("A", "B", "E3", "E5", "D"):
         assert np.array_equal(getattr(ode, name), getattr(ref, name)), name
 
 
@@ -47,12 +49,9 @@ def test_tableau_matches_scipy():
                          ids=lambda v: getattr(v, "kind", None))
 def test_canonical_orbits_bit_identical(geo, E, orientation, periods):
     state, T = canonical_orbit_state(geo, E, orientation)
-
-    def fun(tt, y):
-        return geo.flow(y)
-
-    ref = _solve_ivp(fun, periods * T, state.as_array(), TOL, dense_output=True)
-    t_end, y_end, sol, status = ode.dop853(fun, 0.0, state.as_array(), periods * T, TOL)
+    ref = _solve_ivp(lambda tt, y: geo.flow(y), periods * T, state.as_array(), TOL,
+                     dense_output=True)
+    t_end, y_end, sol, status = ode.dop853(geo.flow, 0.0, state.as_array(), periods * T, TOL)
     assert status == ref.status == 0
     assert np.array_equal(sol.ts, ref.t)
     assert len(sol.interpolants) == len(ref.sol.interpolants)
@@ -71,12 +70,13 @@ def test_canonical_orbits_bit_identical(geo, E, orientation, periods):
 @pytest.mark.parametrize("geo,E,orientation", ORBITS,
                          ids=lambda v: getattr(v, "kind", None))
 def test_float_rhs_matches_scipy_on_arrays(geo, E, orientation, periods):
-    # dynamics hands dop853 the flow on Python floats; SciPy gets it on arrays
+    # dynamics hands dop853 the flow's tuple of Python floats; SciPy gets the
+    # flow on arrays
     state, T = canonical_orbit_state(geo, E, orientation)
     ref = _solve_ivp(lambda tt, y: geo.flow(y), periods * T, state.as_array(), TOL,
                      dense_output=True)
-    t_end, y_end, sol, status = ode.dop853(_on_floats(geo.flow), 0.0, state.as_array(),
-                                           periods * T, TOL)
+    t_end, y_end, sol, status = ode.dop853(lambda y: geo.flow_terms(y)[1], 0.0,
+                                           state.as_array(), periods * T, TOL)
     assert status == ref.status == 0
     assert np.array_equal(sol.ts, ref.t)
     assert t_end == ref.t[-1]
@@ -96,18 +96,17 @@ def test_l2_is_numpy_norm():
 
 
 def _variational_run_matches_scipy(geo, E, orientation):
-    """The variational system run on arrays by SciPy, and by ``dop853`` on
-    arrays and, as ``tangent_flow`` runs it, on Python floats: the same
-    steps and the same final z, bit for bit.  Returns SciPy's final M."""
+    """The variational system run on arrays by SciPy, and by ``dop853``, as
+    ``tangent_flow`` runs it, on Python floats: the same steps and the same
+    final z, bit for bit.  Returns SciPy's final M."""
     state, T = canonical_orbit_state(geo, E, orientation)
     field = _variational(geo)
     z0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
     ref = _solve_ivp(lambda tt, z: np.array(field(z)), T, z0, TOL)
-    for fun in (lambda tt, z: np.array(field(z)), _on_floats(field)):
-        t_end, y_end, sol, status = ode.dop853(fun, 0.0, z0, T, TOL, dense_output=False)
-        assert sol is None
-        assert t_end == ref.t[-1]
-        assert np.array_equal(y_end, ref.y[:, -1])
+    t_end, y_end, sol, status = ode.dop853(field, 0.0, z0, T, TOL, dense_output=False)
+    assert sol is None
+    assert t_end == ref.t[-1]
+    assert np.array_equal(y_end, ref.y[:, -1])
     M = ref.y[4:, -1].reshape(4, 4)
     assert np.array_equal(tangent_flow(geo, state, T, TOL), M)
     return M
@@ -133,7 +132,7 @@ def test_bernstein_rows_bound_the_dense_output(geo, E, orientation):
     # each step's hull holds its dense values, and its end coefficients are
     # the values at the step's ends
     state, T = canonical_orbit_state(geo, E, orientation)
-    _, _, sol, _ = ode.dop853(lambda tt, y: geo.flow(y), 0.0, state.as_array(), T, TOL)
+    _, _, sol, _ = ode.dop853(geo.flow, 0.0, state.as_array(), T, TOL)
     for i in range(4):
         b = sol.bernstein(i)
         assert b.shape == (len(sol.interpolants), 8)
@@ -148,13 +147,14 @@ def test_bernstein_rows_bound_the_dense_output(geo, E, orientation):
         assert np.all(vals <= b.max(axis=1)[:, None] + slack)
 
 
+def _square(y):
+    return [y[0] * y[0]]
+
+
 def test_step_size_collapse_matches_scipy():
     # y' = y^2 blows up at t = 1; the steps shrink until they cannot
-    def fun(tt, y):
-        return y * y
-
-    ref = _solve_ivp(fun, 2.0, np.array([1.0]), 1e-9)
-    t_end, y_end, sol, status = ode.dop853(fun, 0.0, np.array([1.0]), 2.0, 1e-9)
+    ref = _solve_ivp(lambda tt, y: y * y, 2.0, np.array([1.0]), 1e-9)
+    t_end, y_end, sol, status = ode.dop853(_square, 0.0, np.array([1.0]), 2.0, 1e-9)
     assert status == ref.status == -1
     assert ref.message == ode.STEP_COLLAPSE
     assert t_end == ref.t[-1]
@@ -164,14 +164,11 @@ def test_step_size_collapse_matches_scipy():
 def test_step_size_collapse_on_the_first_step_matches_scipy():
     # y' = y^2 from 1e20 overflows at once; every step is rejected until the
     # step size collapses, so no step is accepted and the solution is empty
-    def fun(tt, y):
-        return y * y
-
     from scipy.integrate import solve_ivp
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = solve_ivp(fun, (1.0, 2.0), np.array([1e20]), method="DOP853", rtol=1e-9,
-                        atol=1e-9, dense_output=True)
-        t_end, y_end, sol, status = ode.dop853(fun, 1.0, np.array([1e20]), 2.0, 1e-9)
+        ref = solve_ivp(lambda tt, y: y * y, (1.0, 2.0), np.array([1e20]), method="DOP853",
+                        rtol=1e-9, atol=1e-9, dense_output=True)
+        t_end, y_end, sol, status = ode.dop853(_square, 1.0, np.array([1e20]), 2.0, 1e-9)
     assert status == ref.status == -1
     assert t_end == ref.t[-1] == 1.0
     assert np.array_equal(y_end, ref.y[:, -1])
