@@ -60,7 +60,7 @@ _EXPORTS = {
                  "Hyperbolic", "HyperbolicModel", "OrbitInvariants", "PhaseState", "Sphere",
                  "SphereModel", "Torus", "TorusModel"),
     "katok": ("Katok", "KatokMonodromy"),
-    "spectra": ("SpectrumEntry", "Window", "enumerate_window", "levels"),
+    "spectra": ("Window", "enumerate_window"),
     "tracesum": ("TraceValue", "y_n"),
     "asymptotics": ("CoefficientPrediction", "KSumControl", "ResidualReport",
                     "general_c0_nondegenerate", "general_c0_volume", "katok_c0",

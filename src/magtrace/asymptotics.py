@@ -162,8 +162,7 @@ def poisson_c01(Ns, model, level: EnergyLevel, f: TestFunction,
 
     def tail_term(k, wt):
         # bound, unlike terms, is the same at every N
-        u = abs(k * freq - f.hat_center)
-        return wt * bound(k, *(f.hat_abs_bound(order, u) for order in range(3)))
+        return wt * bound(k, *f.hat_abs_bounds(abs(k * freq - f.hat_center)))
     k_tail = math.fsum(each(tail_term, tail_ks, weight))
     preds = []
     for N, terms in zip(Ns, images):

@@ -252,13 +252,13 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
 
     caps = (0.3679, 1.0 / w, 12.0 / (w * w))
 
-    def hat_abs(order, u):
+    def hat_abs(u):
         # crude but safe sup-norm caps inside the support, exact zero on its
         # edge, where the bump and its derivatives vanish, and outside
         u, m = as_floats(u)
         if m is math:
-            return 0.0 if u >= w else caps[order]
-        return m.where(u >= w, 0.0, caps[order])
+            return (0.0, 0.0, 0.0) if u >= w else caps
+        return tuple(m.where(u >= w, 0.0, cap) for cap in caps)
 
     return TestFunction(
         kind="fourier_bump", complex_valued=(tau0 != 0.0),

@@ -1,23 +1,29 @@
 """Short blocks on Python floats, long ones on numpy arrays.
 
 A gaussian's spectral window spans 4 to 35 rungs and its k-sums 13 to 40
-periods (s = 1, tail_tol 1e-14, on the three ladders).  A command that builds no array never imports numpy, which is
-most of the time a cold gaussian command takes; warm, such blocks cost
-about the same either way (a window's rungs cost more one at a time than
-in one array call, a k-sum's periods less).  So each formula over rungs,
-periods or flow states is written once, on a Python float or an array
-alike, and takes its functions from ``xp``.  ``block`` picks the container
-by its length alone, and ``each`` runs a formula over either.
+periods (s = 1, tail_tol 1e-14, on the three ladders).  A command that
+builds no array never imports numpy, which is most of the time a cold
+gaussian command takes.  Warm, a rung of ``tracesum.y_n`` costs about
+1 us one at a time and 0.1 us in one array call, whose fixed cost is some
+10 us more (torus, N = 1e4), so past about ten rungs a float window is the
+slower one warm; a k-sum's periods cost less one at a time.  So each
+formula over rungs, periods or flow states is written once, on a Python
+float or an array alike, and takes its functions from ``xp`` per call or,
+as a window's rungs do, once per block.  ``block`` picks the container by
+its length alone, and ``each`` runs a formula over either.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 # The most numbers a block holds as a list; a longer one is a numpy array.
 # Those gaussian blocks fit, and a bump's windows, of 700 to 1200 rungs,
 # stay arrays.
 FLOAT_BLOCK = 100
+
+_REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 def xp(x):
@@ -61,14 +67,20 @@ def each(fn, *columns, width=0):
     tuple of ``width`` lists."""
     if type(columns[0]) is not list:
         return fn(*columns)
-    values = [fn(*v) for v in zip(*columns)]
+    values = list(map(fn, *columns))
     if width:
         return tuple(map(list, zip(*values))) if values else ([],) * width
     return values
 
 
+def fsum(values) -> float:
+    """Correctly rounded sum of a list or an array of reals; an array's as
+    Python floats, which fsum reads faster than numpy scalars."""
+    return math.fsum(values if type(values) is list else values.tolist())
+
+
 def fsum_complex(values) -> complex:
     """Correctly rounded sum of a list or an array of real or complex values."""
     if type(values) is list:
-        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+        return complex(math.fsum(map(_REAL, values)), math.fsum(map(_IMAG, values)))
+    return complex(fsum(values.real), fsum(values.imag))

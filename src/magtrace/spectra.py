@@ -29,10 +29,13 @@ ladder: a rung's envelope is at most its mean over the unit step towards the
 window, so each tail compares with the integral of the envelope against
 c lam dlam, widened by the step of mult away from E N.
 
-A window's rungs are built on Python floats when its index block holds at
-most ``floats.FLOAT_BLOCK`` of them, as a gaussian's 4 to 35 do (s = 1), and
-on numpy arrays otherwise, as a bump's 700 to 1200 are; the formulas are the
-same for both.
+A window builds its ladder (``model.ladder_at``) once.  One formula
+(``_rungs``) forms each rung's nu, lam, mult and offset x = lam - E N, and
+the two tails read the same ladder and rung function.  A window's rungs are
+built on Python floats when its index block holds at most
+``floats.FLOAT_BLOCK`` of them, as a gaussian's 4 to 35 do (s = 1), and on
+numpy arrays otherwise, as a bump's 700 to 1200 are; sqrt comes from
+``math`` or numpy once per block, so an empty block loads no numpy.
 """
 
 from __future__ import annotations
@@ -61,48 +64,17 @@ from .testfn import TestFunction
 MAX_WINDOW_RUNGS = 10_000_000
 
 
-# ---------------------------------------------------------------------------
-# single rungs
-# ---------------------------------------------------------------------------
-
-@record
-class SpectrumEntry:
-    """One eigenvalue datum: lam = sqrt(nu + N^2) taken with multiplicity."""
-
-    N: int
-    j: int
-    nu: float
-    lam: float
-    mult: int
-
-
-def _rungs(model, N):
-    """The map j -> (nu, lam, mult) of the ladder at N, for an integer j or an
-    integer array of them."""
-    ladder = model.ladder_at(N)
+def _rungs(ladder, N, E, sqrt):
+    """The map j -> (nu, lam, mult, x), x = lam - E N, of ``ladder``, the ladder
+    at N (``model.ladder_at(N)``): for an integer j with ``math.sqrt``, or for
+    an integer array with numpy's."""
+    NN, EN = N * N, E * N
 
     def rung(j):
         nu, mult = ladder(j)
-        return nu, xp(nu).sqrt(nu + N * N), mult
+        lam = sqrt(nu + NN)
+        return nu, lam, mult, lam - EN
     return rung
-
-
-def levels(model, N: int, j: int) -> SpectrumEntry:
-    """Rung j of the ladder at N, with lam = sqrt(nu + N^2).
-
-    Raises a range error past the hyperbolic ladder's integrable branch
-    0 <= j < N - 1/2: those indices belong to the non-integrable part of the
-    spectrum, which this module does not model.
-    """
-    check_Nj(N, j)
-    cap = model.j_cap(N)
-    if cap is not None and j > cap:
-        raise ValidationError(
-            f"j={j} is outside the integrable range 0 <= j < N - 1/2 for N={N}; "
-            "the requested eigenvalue belongs to the chaotic part of the spectrum"
-        )
-    nu, lam, mult = _rungs(model, N)(float(j))
-    return SpectrumEntry(N=int(N), j=int(j), nu=float(nu), lam=lam, mult=int(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +102,10 @@ class Window:
     tail_bound: float
 
 
-def _tail_bound(model, N, E, env, J, up):
+def _tail_bound(model, N, E, env, J, up, rung, ladder):
     """Certified bound on sum mult_j env(|x_j|) over rung J and every rung above
-    it (``up``) or below it, for a rung J on that side of E N.
+    it (``up``) or below it, for a rung J on that side of E N, read from the
+    window's ``ladder`` and its ``rung`` on floats (``_rungs``).
 
     Away from E N the envelope falls, so a rung's env is at most its mean over
     the unit step towards x_J, and there mult, affine in j, exceeds the rung's
@@ -149,9 +122,9 @@ def _tail_bound(model, N, E, env, J, up):
     j_cap = model.j_cap(N)
     if J < 0 or (up and j_cap is not None and J > j_cap):
         return 0.0
-    nu, lam, mult = _rungs(model, N)(float(J))
-    mult_next = model.ladder(N, float(J + 1 if up else J - 1))[1]
-    a = abs(lam - E * N)
+    nu, lam, mult, x = rung(J)
+    mult_next = ladder(J + 1 if up else J - 1)[1]  # no lam: rung -1 may have nu < -N^2
+    a = abs(x)
     d = max(0.0, mult_next - mult)
     moment = env.halfline_moment(a, E * N, 1.0) if up else env.halfline_moment(a, lam, 0.0)
     return mult * float(env(a)) + (1.0 + d / mult) * (model.measure_coeff * moment)
@@ -165,6 +138,9 @@ def _window_indices(model, N, E, radius):
     0..j_last, or j_first..N-1 on the hyperbolic ladder) spans more than
     ``MAX_WINDOW_RUNGS`` rungs.
     """
+    def where():  # formatted only to refuse
+        return f"the window E*N +- {radius:.6g} at N={N}, E={E:.6g}"
+
     lam_lo = E * N - radius
     lam_hi = E * N + radius
     j_cap = model.j_cap(N)
@@ -172,16 +148,15 @@ def _window_indices(model, N, E, radius):
         return 0, -1  # empty window
     lo_real = model.j_of_lam(N, max(lam_lo, 0.0)) if lam_lo > 0 else 0.0
     hi_real = model.j_of_lam(N, lam_hi)
-    where = f"the window E*N +- {radius:.6g} at N={N}, E={E:.6g}"
     if not (math.isfinite(lo_real) and math.isfinite(hi_real)):
-        raise ValidationError(f"{where} has no finite ladder index bounds")
+        raise ValidationError(f"{where()} has no finite ladder index bounds")
     j_first = max(0, int(math.floor(lo_real)) - 2)
     j_last = int(math.ceil(hi_real)) + 2
     if j_cap is not None:
         j_last = min(j_last, j_cap)
     rungs = max(j_last + 1, 0 if j_cap is None else j_cap - j_first + 1)
     if rungs > MAX_WINDOW_RUNGS:
-        raise ValidationError(f"{where} needs {rungs:.3g} ladder rungs, over the "
+        raise ValidationError(f"{where()} needs {rungs:.3g} ladder rungs, over the "
                               f"budget of {MAX_WINDOW_RUNGS:.3g}")
     return j_first, j_last
 
@@ -193,8 +168,8 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     The returned ``tail_bound`` is a rigorous upper bound (through the test
     function's decay envelope) on the omitted eigenvalues' total
     contribution sum mult * |phi(lam - E N)|.  Only the window's rungs are
-    built: the rungs below it and the rungs above it each go to one
-    ``_tail_bound``, at a cost that does not grow with N.
+    built, and the ladder once: the rungs below it and the rungs above it
+    each go to one ``_tail_bound``, at a cost that does not grow with N.
     """
     if not isinstance(model, ConstantCurvature):
         raise ValidationError(f"geometry {model.kind} has no closed-form spectrum; spectral "
@@ -206,9 +181,11 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     env = f.time_env
     j_first, j_last = _window_indices(model, N, E, radius)
 
+    ladder = model.ladder_at(N)
+    rung = _rungs(ladder, N, E, math.sqrt)  # the tails' and a float block's
     j = block(j_first, j_last)
-    nu, lam, mult = each(_rungs(model, N), j, width=3)
-    x = each(lambda lam: lam - E * N, lam)  # ascending, as lam is along a ladder
+    rows = rung if type(j) is list else _rungs(ladder, N, E, xp(j).sqrt)
+    nu, lam, mult, x = each(rows, j, width=4)  # x ascends, as lam does along a ladder
     reach = radius * (1.0 + 1e-15)
     sel = slice(bisect.bisect_left(x, -reach), bisect.bisect_right(x, reach))
     if sel.start == sel.stop:
@@ -218,8 +195,8 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
         sel = slice(below, below)
     first_kept, last_kept = j_first + sel.start, j_first + sel.stop - 1
 
-    tail = (_tail_bound(model, N, E, env, first_kept - 1, up=False)
-            + _tail_bound(model, N, E, env, last_kept + 1, up=True)
+    tail = (_tail_bound(model, N, E, env, first_kept - 1, False, rung, ladder)
+            + _tail_bound(model, N, E, env, last_kept + 1, True, rung, ladder)
             + model.chaotic_tail(N, E, env))
 
     return Window(N=int(N), E=E, radius=radius, j=j[sel], nu=nu[sel], lam=lam[sel],

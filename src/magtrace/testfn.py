@@ -133,7 +133,11 @@ class TestFunction:
         """
         if order not in (0, 1, 2):
             raise ValidationError(f"hat_abs_bound supports orders 0..2, got {order}")
-        return self._hat_abs_fn(order, u)
+        return self._hat_abs_fn(u)[order]
+
+    def hat_abs_bounds(self, u) -> tuple:
+        """The three ``hat_abs_bound`` orders at u, from one envelope."""
+        return self._hat_abs_fn(u)
 
     def radius(self, tol: float) -> float:
         """Smallest reported r with |phi(x)| <= tol for all |x| >= r."""
@@ -213,18 +217,14 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
 
     half_s2, widen = 0.5 * s * s, 8.0 * _EPS * amp
 
-    def hat_abs(order, u):
+    def hat_abs(u):
         # |phi_hat| widened outward by 8 eps (1 + arg): the three roundings of
         # the exponent arg move exp by up to 1.5 eps arg, and the dozen or so
         # around it, those of each order's factor included, by under 8 eps
         u, m = as_floats(u)
         arg = half_s2 * (u * u)
         e = m.exp(-arg) * (amp + widen * (1.0 + arg))
-        if order == 0:
-            return e
-        if order == 1:
-            return s * s * abs(u) * e
-        return (s**4 * (u * u) + s * s) * e
+        return e, s * s * abs(u) * e, (s**4 * (u * u) + s * s) * e
 
     return TestFunction(
         kind="gaussian_modulated", complex_valued=(b != 0.0),

@@ -11,11 +11,8 @@ arrays (``floats``), so a gaussian sum imports no numpy.
 
 from __future__ import annotations
 
-import math
-import operator
-
 from .errors import record
-from .floats import each, fsum_complex
+from .floats import each, fsum, fsum_complex
 # the module-level name enumerate_window is also read by perfbench/test_checks.py
 from .spectra import EnergyLevel, enumerate_window
 from .testfn import TestFunction
@@ -39,8 +36,9 @@ def y_n(model, N: int, level: EnergyLevel, f: TestFunction,
         tail_tol: float = 1e-14) -> TraceValue:
     """Evaluate Y_N(phi) over the certified window around E*N."""
     window = enumerate_window(model, N, level, f, tail_tol)
-    weighted = each(operator.mul, window.mult, each(f.phi, window.x))
+    phi = f.phi
+    weighted = each(lambda mult, x: mult * phi(x), window.mult, window.x)
     # a real value's .imag is 0.0, as is the fsum of an empty window
     return TraceValue(N=int(N), value=fsum_complex(weighted), tail_bound=window.tail_bound,
-                      abs_sum=math.fsum(each(abs, weighted)))
+                      abs_sum=fsum(each(abs, weighted)))
 

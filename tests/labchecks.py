@@ -81,13 +81,13 @@ def linear_combination(coeffs, fns) -> TestFunction:
     else:
         support = None
 
-    def hat_abs(order, u):
+    def hat_abs(u):
         u = np.asarray(u, dtype=float)
-        out = 0.0
+        out = (0.0, 0.0, 0.0)
         for c, f in zip(coeffs, fns):
             # shrinking the distance by |center| keeps each bound valid
-            out = out + abs(c) * f.hat_abs_bound(
-                order, np.maximum(u - abs(f.hat_center), 0.0))
+            hats = f.hat_abs_bounds(np.maximum(u - abs(f.hat_center), 0.0))
+            out = tuple(o + abs(c) * h for o, h in zip(out, hats))
         return out
 
     return TestFunction(

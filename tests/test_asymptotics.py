@@ -16,7 +16,7 @@ from magtrace import (CoefficientPrediction, DegenerateOrbitError, EnergyLevel,
                       Hyperbolic, Katok, KSumControl, ManeLevelError,
                       MixedSupportError, ResonanceError, Sphere, Torus,
                       TraceValue, ValidationError, general_c0_nondegenerate,
-                      general_c0_volume, katok_c0, levels, make_fourier_bump,
+                      general_c0_volume, katok_c0, make_fourier_bump,
                       make_gaussian, make_gaussian_modulated, poisson_c01,
                       residual_report)
 
@@ -494,14 +494,15 @@ def _counted(f, calls):
     return dataclasses.replace(
         f, phi_hat=count("phi_hat", f.phi_hat), phi_hat_d1=count("phi_hat_d1", f.phi_hat_d1),
         phi_hat_d2=count("phi_hat_d2", f.phi_hat_d2),
-        _hat_abs_fn=lambda order, u: count(f"hat_abs_bound {order}", f._hat_abs_fn)(order, u))
+        _hat_abs_fn=count("hat_abs_bounds", f._hat_abs_fn))
 
 
 _EPS5 = 1.0 / math.sqrt(5.0)
 _TSHARP5 = Katok(_EPS5).k_frequency(SQRT2)
-_ALL_ONCE = ("phi_hat", "phi_hat_d1", "phi_hat_d2",
-             "hat_abs_bound 0", "hat_abs_bound 1", "hat_abs_bound 2")
-_KATOK_ONCE = ("phi_hat", "hat_abs_bound 0")
+# every hat bound, of one order (katok) or of all three (the k-tails), is
+# one call of the all-orders envelope, counted as "hat_abs_bounds"
+_ALL_ONCE = ("phi_hat", "phi_hat_d1", "phi_hat_d2", "hat_abs_bounds")
+_KATOK_ONCE = ("phi_hat", "hat_abs_bounds")
 
 
 @pytest.mark.parametrize("model,E,f,expect", [
@@ -655,19 +656,17 @@ def test_cluster_check_values():
     # with lam = sqrt(E^2 N^2 + 2 pi N)
     E = math.sqrt(1.0 + 4.0 * math.pi)
     m = round((E * E - 1.0) / (4.0 * math.pi))
-    entry = levels(Torus(), 10, m * 10)
-    assert entry.j == 10
+    assert m == 1  # so j* = N
+    lam = math.sqrt(Torus().ladder(10, m * 10)[0] + 10 * 10)
     lam_formula = math.sqrt(E * E * 100.0 + TWO_PI * 10.0)
-    assert entry.lam == pytest.approx(lam_formula, rel=1e-15)
-    assert abs(entry.lam - lam_formula) / lam_formula < 1e-14
-    # smallest case: m = 1, N = 1
-    assert levels(Torus(), 1, m * 1).j == 1
+    assert lam == pytest.approx(lam_formula, rel=1e-15)
+    assert abs(lam - lam_formula) / lam_formula < 1e-14
 
 
 def test_cluster_gap_limit():
     # N (lam - E N - pi/E) -> -pi^2/(2 E^3): arithmetic-expansion oracle
     E = math.sqrt(1.0 + 4.0 * math.pi)
-    gaps = [N * abs(levels(Torus(), N, N).lam - E * N - math.pi / E)
+    gaps = [N * abs(math.sqrt(Torus().ladder(N, N)[0] + N * N) - E * N - math.pi / E)
             for N in range(10, 201, 10)]
     assert max(gaps) <= 2.0 * gaps[-1] + 1.0
     limit = math.pi**2 / (2.0 * E**3)

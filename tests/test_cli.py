@@ -12,7 +12,7 @@ import pytest
 
 from labchecks import maslov_two_interval
 from magtrace import (EnergyLevel, Katok, TestFunction, Torus, ValidationError, asymptotics,
-                      cli, dynamics, enumerate_window, levels, make_gaussian)
+                      cli, dynamics, enumerate_window, errors, make_gaussian)
 from magtrace.cli import _number, main
 
 SQRT2 = math.sqrt(2.0)
@@ -558,12 +558,17 @@ def test_predict_refuses_an_unreachable_k_tail_before_any_bound(tmp_path, capsys
     # phi_hat's amplitude, 2.5e-150, is below tail_tol, so k_max is 1; the
     # hat reaches 1e-300 only 1.3e151 periods out, past the cap
     calls = []
-    hat_abs_bound = TestFunction.hat_abs_bound
+    hat_abs_bound, hat_abs_bounds = TestFunction.hat_abs_bound, TestFunction.hat_abs_bounds
 
     def counted(self, order, u):
         calls.append(order)
         return hat_abs_bound(self, order, u)
+
+    def counted_all(self, u):
+        calls.append("all")
+        return hat_abs_bounds(self, u)
     monkeypatch.setattr(TestFunction, "hat_abs_bound", counted)
+    monkeypatch.setattr(TestFunction, "hat_abs_bounds", counted_all)
     cfg = _base_cfg(test_function={"kind": "gaussian", "s": 1e-150}, N={"value": 40})
     assert "capped" in _exits_2_cleanly(tmp_path, capsys, cfg, "predict")
     assert calls == []
@@ -573,8 +578,9 @@ def test_predict_refuses_an_unreachable_k_tail_before_any_bound(tmp_path, capsys
     lambda: asymptotics.KSumControl(k_max=True),
     lambda: asymptotics.general_c0_volume(1.0, 1.0, n=True),
     lambda: Katok(0.3).maslov(True, +1),
-    lambda: levels(Torus(), True, 0),
-    lambda: levels(Torus(), 1, False),
+    # the rung checks the removed spectra.levels made, kept under its ids
+    lambda: errors.check_Nj(True, 0),
+    lambda: errors.check_Nj(1, False),
     lambda: enumerate_window(Torus(), True, EnergyLevel.from_E(2.0),
                              make_gaussian(1.0), 1e-14),
 ], ids=["KSumControl", "general_c0_volume", "Katok.maslov", "levels_N", "levels_j",

@@ -1,6 +1,8 @@
 """Eigenvalue ladders and certified window queries."""
 
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -8,46 +10,52 @@ import pytest
 
 from magtrace import spectra
 from magtrace import (EnergyLevel, Hyperbolic, ManeLevelError, Sphere,
-                      Torus, ValidationError, enumerate_window, levels,
-                      make_fourier_bump, make_gaussian)
+                      Torus, ValidationError, enumerate_window, make_fourier_bump,
+                      make_gaussian, y_n)
+from magtrace.geometry import ConstantCurvature
 
 TWO_PI = 2.0 * math.pi
 
 
+def _rung(model, N, j):
+    """(nu, lam, mult) of rung j of the ladder at N, lam = sqrt(nu + N^2)."""
+    nu, mult = model.ladder(N, j)
+    return nu, math.sqrt(nu + N * N), mult
+
+
 def test_torus_level_values():
-    e = levels(Torus(), 1, 0)
-    assert e.nu == pytest.approx(TWO_PI, abs=1e-14)
-    assert e.mult == 1
-    e = levels(Torus(), 3, 2)
-    assert e.nu == pytest.approx(30.0 * math.pi, rel=1e-15)
-    assert e.mult == 3
+    nu, _, mult = _rung(Torus(), 1, 0)
+    assert nu == pytest.approx(TWO_PI, abs=1e-14)
+    assert mult == 1
+    nu, _, mult = _rung(Torus(), 3, 2)
+    assert nu == pytest.approx(30.0 * math.pi, rel=1e-15)
+    assert mult == 3
     # frozen arithmetic oracle: sqrt(25 + 10 pi)
-    assert levels(Torus(), 5, 0).lam == pytest.approx(7.511053623553618, abs=1e-14)
+    assert _rung(Torus(), 5, 0)[1] == pytest.approx(7.511053623553618, abs=1e-14)
 
 
 def test_sphere_level_values():
     m = Sphere(R=0.5)
-    e = levels(m, 1, 0)
-    assert e.nu == pytest.approx(2.0, abs=1e-14)
-    assert e.mult == 2
+    nu, _, mult = _rung(m, 1, 0)
+    assert nu == pytest.approx(2.0, abs=1e-14)
+    assert mult == 2
     m1 = Sphere(R=1.0)
-    e = levels(m1, 2, 1)
-    assert e.nu == pytest.approx(5.0, abs=1e-14)
-    assert e.mult == 5
-    e = levels(m1, 1, 0)
-    assert e.lam == pytest.approx(math.sqrt(1.5), abs=1e-15)
+    nu, _, mult = _rung(m1, 2, 1)
+    assert nu == pytest.approx(5.0, abs=1e-14)
+    assert mult == 5
+    assert _rung(m1, 1, 0)[1] == pytest.approx(math.sqrt(1.5), abs=1e-15)
 
 
 def test_hyperbolic_level_values_and_range():
     m = Hyperbolic(R=1.0, genus=2)
-    e = levels(m, 2, 0)
-    assert e.nu == pytest.approx(2.0, abs=1e-13)
-    assert e.mult == 3
-    e = levels(m, 2, 1)
-    assert e.nu == pytest.approx(4.0, abs=1e-13)
-    assert e.mult == 1
-    with pytest.raises(ValidationError):
-        levels(m, 2, 2)
+    nu, _, mult = _rung(m, 2, 0)
+    assert nu == pytest.approx(2.0, abs=1e-13)
+    assert mult == 3
+    nu, _, mult = _rung(m, 2, 1)
+    assert nu == pytest.approx(4.0, abs=1e-13)
+    assert mult == 1
+    # the integrable branch 0 <= j < N - 1/2 ends at j = 1 for N = 2
+    assert m.j_cap(2) == 1
 
 
 @pytest.mark.parametrize("R", [0.3, 1.0, 2.5])
@@ -56,7 +64,7 @@ def test_hyperbolic_displayed_forms_agree(R):
     m = Hyperbolic(R=R, genus=3)
     for N in (1, 2, 7, 40, 1_000, 123_457, 10**7):
         for j in sorted({0, min(1, N - 1), N // 3, N // 2, N - 1}):
-            nu = levels(m, N, j).nu
+            nu = m.ladder(N, j)[0]
             alt = ((2 * j + 1.0) * N - j * (j + 1.0)) / (R * R)
             assert abs(nu - alt) <= 1e-15 * max(1.0, abs(nu)), (N, j)
 
@@ -81,8 +89,8 @@ def test_energy_level_relations():
 
 
 @pytest.mark.parametrize("maker", [
-    lambda j: levels(Torus(), 7, j).nu,
-    lambda j: levels(Sphere(R=0.5), 7, j).nu,
+    lambda j: Torus().ladder(7, j)[0],
+    lambda j: Sphere(R=0.5).ladder(7, j)[0],
 ])
 def test_monotonicity_in_j(maker):
     nus = np.array([maker(j) for j in range(0, 10_001, 250)])
@@ -96,10 +104,10 @@ def test_hyperbolic_monotone_and_bounded():
     nus = (0.25 + N * N - (js + 0.5 - N) ** 2) / m.R**2
     assert np.all(np.diff(nus) > 0)
     lam_cap = math.sqrt(N * N + (N * N + 0.25) / m.R**2)
-    entries = [levels(m, N, int(j)) for j in (0, N // 2, N - 1)]
-    assert all(e.lam > N for e in entries)
-    assert all(e.lam < lam_cap for e in entries)
-    mults = [e.mult for e in entries]
+    entries = [_rung(m, N, j) for j in (0, N // 2, N - 1)]
+    assert all(lam > N for _, lam, _ in entries)
+    assert all(lam < lam_cap for _, lam, _ in entries)
+    mults = [mult for _, _, mult in entries]
     assert mults[0] > mults[1] > mults[2] >= 1
 
 
@@ -362,6 +370,46 @@ def test_window_cost_is_independent_of_N(model, E, monkeypatch):
     win = enumerate_window(model, 10**7, EnergyLevel.from_E(E), make_gaussian(1.0), 1e-14)
     assert 0 < len(win.j) < 100
     assert 0.0 < win.tail_bound < 1e-6
+
+
+@pytest.mark.parametrize("model,E,block_rungs", [
+    (Torus(), 2.0, {11}), (Sphere(R=0.5), math.sqrt(2.0), {14}),
+    (Hyperbolic(R=1.0, genus=2), 1.2, {31, 32})], ids=["torus", "sphere", "hyperbolic"])
+def test_y_n_work_is_set_by_its_window_not_by_N(model, E, block_rungs, monkeypatch):
+    # counted, not timed, so the same on every host: a gaussian y_n builds its
+    # ladder once, evaluates its block of rungs (each alone, on floats) and
+    # at most four more for the two tails, as many at N = 1e6 as at N = 1e2
+    ladder_at = ConstantCurvature.ladder_at
+    builds, evaluated = [], []
+
+    def counted_ladder_at(self, N):
+        builds.append(N)
+        ladder = ladder_at(self, N)
+
+        def counted(j):
+            evaluated.append(np.size(j))
+            return ladder(j)
+        return counted
+    monkeypatch.setattr(ConstantCurvature, "ladder_at", counted_ladder_at)
+    totals = []
+    for N in (10**2, 10**6):
+        builds.clear()
+        evaluated.clear()
+        y_n(model, N, EnergyLevel.from_E(E), make_gaussian(1.0), 1e-14)
+        assert builds == [N]
+        assert set(evaluated) == {1} and len(evaluated) - 4 in block_rungs
+        totals.append(len(evaluated))
+    assert abs(totals[1] - totals[0]) <= 1
+
+
+def test_window_without_a_rung_loads_no_numpy():
+    # every rung of the block lies outside the radius, 0.08, of a narrow gaussian
+    code = ("import sys; from magtrace import EnergyLevel, Torus, make_gaussian, y_n\n"
+            "t = y_n(Torus(), 1, EnergyLevel.from_E(2.0), make_gaussian(0.01), 1e-14)\n"
+            "print(t.value, t.abs_sum, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["0j", "0.0", "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,6 @@ def test_src_never_imports_scipy():
 
 # top-level definitions of src/ that no src/ code uses, each with its reason
 _UNREACHED_ALLOWED = {
-    "levels": "the single-rung query of the README, kept as public API",
     "GeometrySpec": "old constructor names; dynamics re-exports it for perfbench/reference.py",
 }
 
