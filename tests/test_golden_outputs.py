@@ -2,14 +2,16 @@
 
 Every command of the three ``perfbench/workloads.py`` workloads (seed 1),
 plus one ``spectrum`` and one gaussian ``predict`` run on each closed-form
-ladder and a Katok ``predict`` that leaves periods inside ``k_max`` out of
-its sum, runs in-process through ``cli.main``; each exit code and the sha256
-of each output file must match ``golden_outputs.json``.  Beside each file's
-digest the file stores a sha256 per CSV column or per JSON leaf, so a
-recapture can name the columns and fields that moved; the test compares the
-whole-file digests.  The
-digests hold for the numpy version recorded there; another version may move
-the last bits of some floats, so the comparison is skipped under one.
+ladder, a Katok ``predict`` that leaves periods inside ``k_max`` out of its
+sum and five runs that reach branches no other command does (the Katok
+shell volume, the hyperbolic phase's half turns, a bump's hats and hat
+bounds on arrays, an empty window), runs in-process through ``cli.main``;
+each exit code and the sha256 of each output file must match
+``golden_outputs.json``.  Beside each file's digest the file stores a sha256
+per CSV column or per JSON leaf, so a recapture can name the columns and
+fields that moved; the test compares the whole-file digests.  The digests
+hold for the numpy version recorded there; another version may move the
+last bits of some floats, so the comparison is skipped under one.
 
     python tests/test_golden_outputs.py --write   # recapture the digests
 
@@ -59,6 +61,30 @@ def _commands() -> dict:
         "E": workloads.SQRT2, "N": {"list": [40, 400]},
         "test_function": {"kind": "gaussian_modulated", "s": 0.2, "b": 26.926563261565853},
         "tolerances": {**workloads.TOL, "k_max": 9, "support_tol": 1e-3}})
+    # branches no command above reaches
+    torus, katok = workloads.LADDERS["torus"][0], workloads.DYNAMICS_GEOMETRIES["katok"][0]
+    extras = {
+        # a hat around the zero period only: the shell-volume regime
+        "predict/katok-zero-period": (katok, workloads.SQRT2, workloads.GAUSSIAN, {}),
+        # (E^2-1) R^2 > 3/4, so Q < b/2 and the phase takes its half turns
+        "predict/hyperbolic-half-turn": ({"kind": "hyperbolic", "R": 1.0, "genus": 2}, 1.35,
+                                         workloads.GAUSSIAN, {}),
+        # 121 summed periods: phi_hat on arrays
+        "predict/torus-bump-array-hats": (torus, 2.0, {"kind": "fourier_bump", "tau0": 2.0,
+                                                       "w": 0.5}, {"k_max": 60}),
+        # the k-tail out to k = 61: the hat bounds on arrays
+        "predict/torus-bump-array-tail": (torus, 2.0, {"kind": "fourier_bump", "tau0": 0.0,
+                                                       "w": 120.0}, {"k_max": 0}),
+    }
+    for name, (geo, E, tf, tol) in extras.items():
+        out[name] = ("predict", {
+            "schema": workloads.SCHEMA, "geometry": geo, "E": E, "test_function": tf,
+            "N": {"list": [40, 400]}, "tolerances": {**workloads.TOL, **tol}})
+    # no rung within the radius at N = 1, 2: the tails split at E N
+    out["trace/torus-empty-window"] = ("trace", {
+        "schema": workloads.SCHEMA, "geometry": torus, "E": 2.0,
+        "test_function": {"kind": "gaussian", "s": 0.01}, "N": {"list": [1, 2]},
+        "tolerances": dict(workloads.TOL)})
     return out
 
 
