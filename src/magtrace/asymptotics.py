@@ -254,7 +254,7 @@ def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
         if lo <= k * Tsharp <= hi:
             k_in.append(k)
             continue
-        hk = f.hat_abs_bound(0, abs(k * Tsharp - f.hat_center))
+        hk = f.hat_abs_bounds(abs(k * Tsharp - f.hat_center))[0]
         for branch in (1, -1):  # the guard refuses the first hit in ks's order, + first
             s = geo.sine(k, branch)
             if s <= margin and amp * hk / margin > 1e-25:

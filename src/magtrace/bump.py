@@ -264,7 +264,6 @@ def make_fourier_bump(tau0: float, w: float) -> TestFunction:
         kind="fourier_bump", complex_valued=(tau0 != 0.0),
         params={"tau0": tau0, "w": w},
         phi=phi, phi_hat=phi_hat, phi_hat_d1=phi_hat_d1, phi_hat_d2=phi_hat_d2,
-        time_env=PowerEnvelope(w, _BUMP_D),
-        hat_center=tau0, hat_support=(tau0 - w, tau0 + w),
-        _radius_fn=radius, _hat_radius_fn=hat_radius, _hat_abs_fn=hat_abs,
+        hat_abs_bounds=hat_abs, time_env=PowerEnvelope(w, _BUMP_D), hat_center=tau0,
+        _radius_fn=radius, _hat_radius_fn=hat_radius,
     )

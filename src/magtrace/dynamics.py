@@ -63,8 +63,6 @@ class FlowResult:
     FlowSegment of the run, none for a run of time 0.
     """
 
-    geo: Geometry
-    E: float
     t_final: float
     final: PhaseState
     energy_drift: float
@@ -113,8 +111,8 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     P0 = geo.first_integral(y0)
     fdrift = None if P0 is None else 0.0
     if t == 0.0:
-        return FlowResult(geo=geo, E=E, t_final=0.0, final=s0, energy_drift=0.0,
-                          first_integral_drift=fdrift, segments=())
+        return FlowResult(t_final=0.0, final=s0, energy_drift=0.0, first_integral_drift=fdrift,
+                          segments=())
     if t < 0.0:
         raise ValidationError("integration time must be nonnegative")
 
@@ -141,8 +139,7 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
 
     final = PhaseState(q=(float(y_end[0]), float(y_end[1])),
                        p=(float(y_end[2]), float(y_end[3])))
-    return FlowResult(geo=geo, E=E, t_final=t, final=final, energy_drift=drift,
-                      first_integral_drift=fdrift,
+    return FlowResult(t_final=t, final=final, energy_drift=drift, first_integral_drift=fdrift,
                       segments=(FlowSegment(t0=0.0, t1=float(t_end), sol=sol),))
 
 

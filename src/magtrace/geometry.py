@@ -2,7 +2,7 @@
 
 ``Torus()``, ``Sphere(R)`` and ``Hyperbolic(R, genus)`` are closed surfaces of
 constant Gaussian curvature K carrying a constant magnetic field b; they share
-one Landau ladder and its Poisson image (``ConstantCurvature``: ``ladder``,
+one Landau ladder and its Poisson image (``ConstantCurvature``: ``ladder_at``,
 ``j_of_lam``, ``k_frequency``, ``poisson_image``, summed by
 ``asymptotics.poisson_c01``) and state only b, K and their area.  The
 deformed sphere ``Katok(eps)``, which has no closed-form spectrum, is a
@@ -215,20 +215,25 @@ class ConstantCurvature(Geometry):
     def measure_coeff(self):
         return self.area / TWO_PI
 
-    def ladder(self, N, j):
-        """(nu, mult) of rung j at N (``ladder_at``)."""
-        return self.ladder_at(N)(j)
+    @property
+    def euler(self):
+        """c K, the Euler characteristic: an integer, mult's step per rung."""
+        return round(self.measure_coeff * self.curvature)
 
-    def ladder_at(self, N):
-        """The map j -> (nu, mult) of the ladder at N, for a number j or an
-        array of them, with its N-dependent constants formed once."""
-        # c b (the flux per unit N) and c K (the Euler characteristic) are
-        # integers, so mult is exact while c b N < 2^53
-        b, K, c = self.field, self.curvature, self.measure_coeff
-        bN, flux, euler = b * N, round(c * b) * N, round(c * K)
+    def ladder_at(self, N, E, sqrt):
+        """The map j -> (nu, lam, mult, x) of the ladder at N, x = lam - E N,
+        for a number j with ``math.sqrt`` or an array of them with numpy's,
+        with its N-dependent constants formed once."""
+        # c b (the flux per unit N) and c K are integers, so mult is exact
+        # while c b N < 2^53
+        b, K = self.field, self.curvature
+        bN, flux, euler = b * N, round(self.measure_coeff * b) * N, self.euler
+        NN, EN = N * N, E * N
 
         def rung(j):
-            return bN * (2.0 * j + 1.0) + K * j * (j + 1.0), flux + euler * (j + 0.5)
+            nu = bN * (2.0 * j + 1.0) + K * j * (j + 1.0)
+            lam = sqrt(nu + NN)
+            return nu, lam, flux + euler * (j + 0.5), lam - EN
         return rung
 
     def j_of_lam(self, N, lam):

@@ -29,13 +29,13 @@ ladder: a rung's envelope is at most its mean over the unit step towards the
 window, so each tail compares with the integral of the envelope against
 c lam dlam, widened by the step of mult away from E N.
 
-A window builds its ladder (``model.ladder_at``) once.  One formula
-(``_rungs``) forms each rung's nu, lam, mult and offset x = lam - E N, and
-the two tails read the same ladder and rung function.  A window's rungs are
-built on Python floats when its index block holds at most
-``floats.FLOAT_BLOCK`` of them, as a gaussian's 4 to 35 do (s = 1), and on
-numpy arrays otherwise, as a bump's 700 to 1200 are; sqrt comes from
-``math`` or numpy once per block, so an empty block loads no numpy.
+One formula, ``model.ladder_at(N, E, sqrt)``, forms each rung's nu, lam,
+mult and offset x = lam - E N.  A window builds that map once on ``math``
+for its two tails, which take mult's step from the ladder's integer c K
+rather than from a neighbour rung.  Its rungs are built on that map when
+its index block holds at most ``floats.FLOAT_BLOCK`` of them, as a
+gaussian's 4 to 35 do (s = 1), and on a second map with numpy's sqrt
+otherwise, as a bump's 700 to 1200 are; so an empty block loads no numpy.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ import math
 
 from .errors import ValidationError, check_Nj, record
 from .floats import block, each, xp
-# EnergyLevel lives in geometry, so that the orbit commands load no spectra;
-# spectra.EnergyLevel stays its other name
 from .geometry import ConstantCurvature, EnergyLevel
 from .testfn import TestFunction
 
@@ -62,19 +60,6 @@ from .testfn import TestFunction
 # always fits; a gaussian s=1 window at N = 1e7 reaches index 2.4e6 on the
 # torus at E=2.
 MAX_WINDOW_RUNGS = 10_000_000
-
-
-def _rungs(ladder, N, E, sqrt):
-    """The map j -> (nu, lam, mult, x), x = lam - E N, of ``ladder``, the ladder
-    at N (``model.ladder_at(N)``): for an integer j with ``math.sqrt``, or for
-    an integer array with numpy's."""
-    NN, EN = N * N, E * N
-
-    def rung(j):
-        nu, mult = ladder(j)
-        lam = sqrt(nu + NN)
-        return nu, lam, mult, lam - EN
-    return rung
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +87,16 @@ class Window:
     tail_bound: float
 
 
-def _tail_bound(model, N, E, env, J, up, rung, ladder):
+def _tail_bound(model, N, E, env, J, up, rung):
     """Certified bound on sum mult_j env(|x_j|) over rung J and every rung above
     it (``up``) or below it, for a rung J on that side of E N, read from the
-    window's ``ladder`` and its ``rung`` on floats (``_rungs``).
+    window's ``rung`` map on floats (``model.ladder_at``).
 
     Away from E N the envelope falls, so a rung's env is at most its mean over
     the unit step towards x_J, and there mult, affine in j, exceeds the rung's
-    own value by at most d = max(0, mult_{J+-1} - mult_J), the step of mult away
-    from E N (0 on the torus, c K above E N on the sphere, 2(g-1) below it on
-    the hyperbolic surface).  Where d > 0, mult >= mult_J on the tail, so with
+    own value by at most d = max(0, +-c K), the step of mult away from E N
+    (0 on the torus, c K = 2 above E N on the sphere, 2g - 2 below it on the
+    hyperbolic surface).  Where d > 0, mult >= mult_J on the tail, so with
     mult dj = c lam dlam the tail is at most
 
         t_J + (1 + d/mult_J) c M,   t_J = mult_J env(|x_J|),
@@ -123,9 +108,8 @@ def _tail_bound(model, N, E, env, J, up, rung, ladder):
     if J < 0 or (up and j_cap is not None and J > j_cap):
         return 0.0
     nu, lam, mult, x = rung(J)
-    mult_next = ladder(J + 1 if up else J - 1)[1]  # no lam: rung -1 may have nu < -N^2
     a = abs(x)
-    d = max(0.0, mult_next - mult)
+    d = max(0, model.euler if up else -model.euler)
     moment = env.halfline_moment(a, E * N, 1.0) if up else env.halfline_moment(a, lam, 0.0)
     return mult * float(env(a)) + (1.0 + d / mult) * (model.measure_coeff * moment)
 
@@ -168,8 +152,9 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     The returned ``tail_bound`` is a rigorous upper bound (through the test
     function's decay envelope) on the omitted eigenvalues' total
     contribution sum mult * |phi(lam - E N)|.  Only the window's rungs are
-    built, and the ladder once: the rungs below it and the rungs above it
-    each go to one ``_tail_bound``, at a cost that does not grow with N.
+    built, and its rung map once on floats: the rungs below it and those
+    above it each go to one ``_tail_bound``, at a cost that does not grow
+    with N.
     """
     if not isinstance(model, ConstantCurvature):
         raise ValidationError(f"geometry {model.kind} has no closed-form spectrum; spectral "
@@ -181,10 +166,9 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     env = f.time_env
     j_first, j_last = _window_indices(model, N, E, radius)
 
-    ladder = model.ladder_at(N)
-    rung = _rungs(ladder, N, E, math.sqrt)  # the tails' and a float block's
+    rung = model.ladder_at(N, E, math.sqrt)  # the tails' and a float block's
     j = block(j_first, j_last)
-    rows = rung if type(j) is list else _rungs(ladder, N, E, xp(j).sqrt)
+    rows = rung if type(j) is list else model.ladder_at(N, E, xp(j).sqrt)
     nu, lam, mult, x = each(rows, j, width=4)  # x ascends, as lam does along a ladder
     reach = radius * (1.0 + 1e-15)
     sel = slice(bisect.bisect_left(x, -reach), bisect.bisect_right(x, reach))
@@ -195,8 +179,8 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
         sel = slice(below, below)
     first_kept, last_kept = j_first + sel.start, j_first + sel.stop - 1
 
-    tail = (_tail_bound(model, N, E, env, first_kept - 1, False, rung, ladder)
-            + _tail_bound(model, N, E, env, last_kept + 1, True, rung, ladder)
+    tail = (_tail_bound(model, N, E, env, first_kept - 1, False, rung)
+            + _tail_bound(model, N, E, env, last_kept + 1, True, rung)
             + model.chaotic_tail(N, E, env))
 
     return Window(N=int(N), E=E, radius=radius, j=j[sel], nu=nu[sel], lam=lam[sel],

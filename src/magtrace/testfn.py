@@ -100,13 +100,15 @@ class TestFunction:
         Whether phi takes complex values.
     params : dict
         Defining parameters, for reports and CLI round-trips.
-    hat_support : tuple or None
-        Exact support interval of phi_hat when compact, else None.
-    hat_center : float
-        Center of mass of phi_hat's decay (b for modulated gaussians).
+    hat_abs_bounds
+        Upper bounds (on |phi_hat|, |phi_hat'|, |phi_hat''|) at distance u
+        from hat_center, from one envelope; they certify the truncations of
+        the k-sums built on phi_hat and its first two derivatives.
     time_env
         Certified decay envelope, |phi(x)| <= time_env(|x|), nonincreasing.
-        The transform side is bounded by ``hat_abs_bound`` instead.
+    hat_center : float
+        Center of mass of phi_hat's decay (b for modulated gaussians, tau0
+        for bumps).
     """
 
     __test__ = False  # domain type, not a pytest collection target
@@ -118,26 +120,11 @@ class TestFunction:
     phi_hat: Callable
     phi_hat_d1: Callable
     phi_hat_d2: Callable
+    hat_abs_bounds: Callable
     time_env: object
     hat_center: float = 0.0
-    hat_support: tuple | None = None
     _radius_fn: Callable = None
     _hat_radius_fn: Callable = None
-    _hat_abs_fn: Callable = None
-
-    def hat_abs_bound(self, order: int, u) -> float:
-        """Upper bound for |phi_hat^{(order)}| at distance u from hat_center.
-
-        order is 0, 1 or 2; used to certify truncations of k-sums built on
-        phi_hat and its first two derivatives.
-        """
-        if order not in (0, 1, 2):
-            raise ValidationError(f"hat_abs_bound supports orders 0..2, got {order}")
-        return self._hat_abs_fn(u)[order]
-
-    def hat_abs_bounds(self, u) -> tuple:
-        """The three ``hat_abs_bound`` orders at u, from one envelope."""
-        return self._hat_abs_fn(u)
 
     def radius(self, tol: float) -> float:
         """Smallest reported r with |phi(x)| <= tol for all |x| >= r."""
@@ -152,9 +139,7 @@ class TestFunction:
         return self._hat_radius_fn(tol)
 
     def hat_support_interval(self, tol: float) -> tuple:
-        """Interval outside which |phi_hat| <= tol (exact for bumps)."""
-        if self.hat_support is not None:
-            return self.hat_support
+        """Interval outside which |phi_hat| <= tol (a bump's exact support)."""
         r = self.hat_radius(tol)
         return (self.hat_center - r, self.hat_center + r)
 
@@ -230,9 +215,8 @@ def make_gaussian_modulated(s: float, b: float) -> TestFunction:
         kind="gaussian_modulated", complex_valued=(b != 0.0),
         params={"s": s, "b": b},
         phi=phi, phi_hat=phi_hat, phi_hat_d1=phi_hat_d1, phi_hat_d2=phi_hat_d2,
-        time_env=GaussianEnvelope(1.0, s),
-        hat_center=b,
-        _radius_fn=radius, _hat_radius_fn=hat_radius, _hat_abs_fn=hat_abs,
+        hat_abs_bounds=hat_abs, time_env=GaussianEnvelope(1.0, s), hat_center=b,
+        _radius_fn=radius, _hat_radius_fn=hat_radius,
     )
 
 

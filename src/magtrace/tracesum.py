@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from .errors import record
 from .floats import each, fsum, fsum_complex
+from .geometry import EnergyLevel
 # the module-level name enumerate_window is also read by perfbench/test_checks.py
-from .spectra import EnergyLevel, enumerate_window
+from .spectra import enumerate_window
 from .testfn import TestFunction
 
 

@@ -2,8 +2,9 @@
 
 The Poisson-summation self-test of a test function (``poisson_check``),
 formal linear combinations of test functions (``linear_combination``, with
-their summed envelope ``SumEnvelope``) and the rotation-counting Maslov
-index of the deformed sphere's equators (``maslov_two_interval``).  No
+their summed envelope ``SumEnvelope``), the rotation-counting Maslov
+index of the deformed sphere's equators (``maslov_two_interval``) and one
+rung of a closed-form ladder (``rung``).  No
 command reaches them, so they live beside the tests rather than in the
 package.  The file name keeps
 pytest from collecting it; tests import it from their own directory.
@@ -23,6 +24,13 @@ from magtrace.floats import fsum_complex
 from magtrace.testfn import TestFunction
 
 TWO_PI = 2.0 * math.pi
+
+
+def rung(model, N, j):
+    """(nu, lam, mult) of rung j of ``model``'s ladder at N, lam = sqrt(nu + N^2),
+    from ``ladder_at``: for a number j on ``math``, for an array of them on numpy."""
+    sqrt = np.sqrt if isinstance(j, np.ndarray) else math.sqrt
+    return model.ladder_at(N, 0.0, sqrt)(j)[:3]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,12 +83,6 @@ def linear_combination(coeffs, fns) -> TestFunction:
         return max((abs(f.hat_center) + f.hat_radius(min(0.5, tol / (len(active) * abs(c))))
                     for c, f in active), default=1.0)
 
-    supports = [f.hat_support for f in fns]
-    if all(s is not None for s in supports):
-        support = (min(s[0] for s in supports), max(s[1] for s in supports))
-    else:
-        support = None
-
     def hat_abs(u):
         u = np.asarray(u, dtype=float)
         out = (0.0, 0.0, 0.0)
@@ -96,9 +98,8 @@ def linear_combination(coeffs, fns) -> TestFunction:
         params={"n_terms": len(fns)},
         phi=lift("phi"), phi_hat=lift("phi_hat"),
         phi_hat_d1=lift("phi_hat_d1"), phi_hat_d2=lift("phi_hat_d2"),
-        time_env=time_env,
-        hat_center=0.0, hat_support=support,
-        _radius_fn=radius, _hat_radius_fn=hat_radius, _hat_abs_fn=hat_abs,
+        hat_abs_bounds=hat_abs, time_env=time_env, hat_center=0.0,
+        _radius_fn=radius, _hat_radius_fn=hat_radius,
     )
 
 
@@ -147,7 +148,7 @@ def poisson_check(f: TestFunction, P: float, t: float) -> PoissonReport:
                    for a in (abs(xs[0]) + P, abs(xs[-1]) + P))
     ks = np.concatenate(([0], _k_order(1, k_max)))
     terms = f.phi_hat(step * ks) * np.exp(2j * math.pi * ks * t / P) / P
-    rhs_tail = math.fsum(weight * f.hat_abs_bound(0, np.abs(tail_ks * step - f.hat_center))) / P
+    rhs_tail = math.fsum(weight * f.hat_abs_bounds(np.abs(tail_ks * step - f.hat_center))[0]) / P
     return PoissonReport(lhs=fsum_complex(f.phi(xs)), rhs=fsum_complex(terms),
                          lhs_tail=lhs_tail, rhs_tail=rhs_tail)
 

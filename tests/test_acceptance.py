@@ -14,7 +14,7 @@ import time
 import mpmath
 import numpy as np
 
-from labchecks import maslov_two_interval, poisson_check
+from labchecks import maslov_two_interval, poisson_check, rung
 from magtrace import (EnergyLevel, Hyperbolic, Katok, KSumControl,
                       ManeLevelError, Sphere, Torus,
                       canonical_orbit_state, circle_distance,
@@ -222,7 +222,7 @@ def test_criterion_8_torus_cluster():
     E = math.sqrt(1.0 + 4.0 * math.pi)
     m = round((E * E - 1.0) / (4.0 * math.pi))
     Ns = list(range(10, 201, 10))
-    lams = [math.sqrt(Torus().ladder(N, m * N)[0] + N * N) for N in Ns]
+    lams = [rung(Torus(), N, m * N)[1] for N in Ns]
     lam_formula = [math.sqrt(E * E * N * N + TWO_PI * N) for N in Ns]
     devs = [abs(lam - lf) / lf for lam, lf in zip(lams, lam_formula)]
     gaps = [N * abs(lam - E * N - math.pi / E) for lam, N in zip(lams, Ns)]

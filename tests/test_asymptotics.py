@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labchecks import linear_combination, maslov_two_interval
+from labchecks import linear_combination, maslov_two_interval, rung
 from magtrace import (CoefficientPrediction, DegenerateOrbitError, EnergyLevel,
                       Hyperbolic, Katok, KSumControl, ManeLevelError,
                       MixedSupportError, ResonanceError, Sphere, Torus,
@@ -494,13 +494,13 @@ def _counted(f, calls):
     return dataclasses.replace(
         f, phi_hat=count("phi_hat", f.phi_hat), phi_hat_d1=count("phi_hat_d1", f.phi_hat_d1),
         phi_hat_d2=count("phi_hat_d2", f.phi_hat_d2),
-        _hat_abs_fn=count("hat_abs_bounds", f._hat_abs_fn))
+        hat_abs_bounds=count("hat_abs_bounds", f.hat_abs_bounds))
 
 
 _EPS5 = 1.0 / math.sqrt(5.0)
 _TSHARP5 = Katok(_EPS5).k_frequency(SQRT2)
 # every hat bound, of one order (katok) or of all three (the k-tails), is
-# one call of the all-orders envelope, counted as "hat_abs_bounds"
+# one call of the all-orders envelope, hat_abs_bounds
 _ALL_ONCE = ("phi_hat", "phi_hat_d1", "phi_hat_d2", "hat_abs_bounds")
 _KATOK_ONCE = ("phi_hat", "hat_abs_bounds")
 
@@ -657,7 +657,7 @@ def test_cluster_check_values():
     E = math.sqrt(1.0 + 4.0 * math.pi)
     m = round((E * E - 1.0) / (4.0 * math.pi))
     assert m == 1  # so j* = N
-    lam = math.sqrt(Torus().ladder(10, m * 10)[0] + 10 * 10)
+    lam = rung(Torus(), 10, m * 10)[1]
     lam_formula = math.sqrt(E * E * 100.0 + TWO_PI * 10.0)
     assert lam == pytest.approx(lam_formula, rel=1e-15)
     assert abs(lam - lam_formula) / lam_formula < 1e-14
@@ -666,7 +666,7 @@ def test_cluster_check_values():
 def test_cluster_gap_limit():
     # N (lam - E N - pi/E) -> -pi^2/(2 E^3): arithmetic-expansion oracle
     E = math.sqrt(1.0 + 4.0 * math.pi)
-    gaps = [N * abs(math.sqrt(Torus().ladder(N, N)[0] + N * N) - E * N - math.pi / E)
+    gaps = [N * abs(rung(Torus(), N, N)[1] - E * N - math.pi / E)
             for N in range(10, 201, 10)]
     assert max(gaps) <= 2.0 * gaps[-1] + 1.0
     limit = math.pi**2 / (2.0 * E**3)

@@ -1,5 +1,6 @@
 """CLI behavior: config validation, exit codes, outputs, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from labchecks import maslov_two_interval
-from magtrace import (EnergyLevel, Katok, TestFunction, Torus, ValidationError, asymptotics,
-                      cli, dynamics, enumerate_window, errors, make_gaussian)
+from magtrace import (EnergyLevel, Katok, Torus, ValidationError, asymptotics, cli, dynamics,
+                      enumerate_window, errors, make_gaussian, testfn)
 from magtrace.cli import _number, main
 
 SQRT2 = math.sqrt(2.0)
@@ -558,17 +559,16 @@ def test_predict_refuses_an_unreachable_k_tail_before_any_bound(tmp_path, capsys
     # phi_hat's amplitude, 2.5e-150, is below tail_tol, so k_max is 1; the
     # hat reaches 1e-300 only 1.3e151 periods out, past the cap
     calls = []
-    hat_abs_bound, hat_abs_bounds = TestFunction.hat_abs_bound, TestFunction.hat_abs_bounds
+    from_config = testfn.from_config
 
-    def counted(self, order, u):
-        calls.append(order)
-        return hat_abs_bound(self, order, u)
+    def counted(spec):  # the command's test function, its hat bounds counted
+        f = from_config(spec)
 
-    def counted_all(self, u):
-        calls.append("all")
-        return hat_abs_bounds(self, u)
-    monkeypatch.setattr(TestFunction, "hat_abs_bound", counted)
-    monkeypatch.setattr(TestFunction, "hat_abs_bounds", counted_all)
+        def hat_abs_bounds(u):
+            calls.append(u)
+            return f.hat_abs_bounds(u)
+        return dataclasses.replace(f, hat_abs_bounds=hat_abs_bounds)
+    monkeypatch.setattr(testfn, "from_config", counted)
     cfg = _base_cfg(test_function={"kind": "gaussian", "s": 1e-150}, N={"value": 40})
     assert "capped" in _exits_2_cleanly(tmp_path, capsys, cfg, "predict")
     assert calls == []

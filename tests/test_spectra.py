@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from labchecks import rung
 from magtrace import spectra
 from magtrace import (EnergyLevel, Hyperbolic, ManeLevelError, Sphere,
                       Torus, ValidationError, enumerate_window, make_fourier_bump,
@@ -17,41 +18,35 @@ from magtrace.geometry import ConstantCurvature
 TWO_PI = 2.0 * math.pi
 
 
-def _rung(model, N, j):
-    """(nu, lam, mult) of rung j of the ladder at N, lam = sqrt(nu + N^2)."""
-    nu, mult = model.ladder(N, j)
-    return nu, math.sqrt(nu + N * N), mult
-
-
 def test_torus_level_values():
-    nu, _, mult = _rung(Torus(), 1, 0)
+    nu, _, mult = rung(Torus(), 1, 0)
     assert nu == pytest.approx(TWO_PI, abs=1e-14)
     assert mult == 1
-    nu, _, mult = _rung(Torus(), 3, 2)
+    nu, _, mult = rung(Torus(), 3, 2)
     assert nu == pytest.approx(30.0 * math.pi, rel=1e-15)
     assert mult == 3
     # frozen arithmetic oracle: sqrt(25 + 10 pi)
-    assert _rung(Torus(), 5, 0)[1] == pytest.approx(7.511053623553618, abs=1e-14)
+    assert rung(Torus(), 5, 0)[1] == pytest.approx(7.511053623553618, abs=1e-14)
 
 
 def test_sphere_level_values():
     m = Sphere(R=0.5)
-    nu, _, mult = _rung(m, 1, 0)
+    nu, _, mult = rung(m, 1, 0)
     assert nu == pytest.approx(2.0, abs=1e-14)
     assert mult == 2
     m1 = Sphere(R=1.0)
-    nu, _, mult = _rung(m1, 2, 1)
+    nu, _, mult = rung(m1, 2, 1)
     assert nu == pytest.approx(5.0, abs=1e-14)
     assert mult == 5
-    assert _rung(m1, 1, 0)[1] == pytest.approx(math.sqrt(1.5), abs=1e-15)
+    assert rung(m1, 1, 0)[1] == pytest.approx(math.sqrt(1.5), abs=1e-15)
 
 
 def test_hyperbolic_level_values_and_range():
     m = Hyperbolic(R=1.0, genus=2)
-    nu, _, mult = _rung(m, 2, 0)
+    nu, _, mult = rung(m, 2, 0)
     assert nu == pytest.approx(2.0, abs=1e-13)
     assert mult == 3
-    nu, _, mult = _rung(m, 2, 1)
+    nu, _, mult = rung(m, 2, 1)
     assert nu == pytest.approx(4.0, abs=1e-13)
     assert mult == 1
     # the integrable branch 0 <= j < N - 1/2 ends at j = 1 for N = 2
@@ -64,7 +59,7 @@ def test_hyperbolic_displayed_forms_agree(R):
     m = Hyperbolic(R=R, genus=3)
     for N in (1, 2, 7, 40, 1_000, 123_457, 10**7):
         for j in sorted({0, min(1, N - 1), N // 3, N // 2, N - 1}):
-            nu = m.ladder(N, j)[0]
+            nu = rung(m, N, j)[0]
             alt = ((2 * j + 1.0) * N - j * (j + 1.0)) / (R * R)
             assert abs(nu - alt) <= 1e-15 * max(1.0, abs(nu)), (N, j)
 
@@ -89,8 +84,8 @@ def test_energy_level_relations():
 
 
 @pytest.mark.parametrize("maker", [
-    lambda j: Torus().ladder(7, j)[0],
-    lambda j: Sphere(R=0.5).ladder(7, j)[0],
+    lambda j: rung(Torus(), 7, j)[0],
+    lambda j: rung(Sphere(R=0.5), 7, j)[0],
 ])
 def test_monotonicity_in_j(maker):
     nus = np.array([maker(j) for j in range(0, 10_001, 250)])
@@ -104,7 +99,7 @@ def test_hyperbolic_monotone_and_bounded():
     nus = (0.25 + N * N - (js + 0.5 - N) ** 2) / m.R**2
     assert np.all(np.diff(nus) > 0)
     lam_cap = math.sqrt(N * N + (N * N + 0.25) / m.R**2)
-    entries = [_rung(m, N, j) for j in (0, N // 2, N - 1)]
+    entries = [rung(m, N, j) for j in (0, N // 2, N - 1)]
     assert all(lam > N for _, lam, _ in entries)
     assert all(lam < lam_cap for _, lam, _ in entries)
     mults = [mult for _, _, mult in entries]
@@ -297,8 +292,8 @@ def _upper_walk(model, N, E, env, j):
     t_J + c int_{x_J}^inf (x + E N) env(x) dx."""
     total = 0.0
     while True:
-        nu, mult = model.ladder(N, np.array([j, j + 1, j + 2], dtype=float))
-        x = np.sqrt(nu + N * N) - E * N
+        _, lam, mult = rung(model, N, np.array([j, j + 1, j + 2], dtype=float))
+        x = lam - E * N
         t = mult * np.asarray(env(np.abs(x)), dtype=float)
         if x[0] > 0.0 and t[1] <= t[0] and t[2] <= t[1]:
             return (total + t[0]
@@ -377,18 +372,18 @@ def test_window_cost_is_independent_of_N(model, E, monkeypatch):
     (Hyperbolic(R=1.0, genus=2), 1.2, {31, 32})], ids=["torus", "sphere", "hyperbolic"])
 def test_y_n_work_is_set_by_its_window_not_by_N(model, E, block_rungs, monkeypatch):
     # counted, not timed, so the same on every host: a gaussian y_n builds its
-    # ladder once, evaluates its block of rungs (each alone, on floats) and
-    # at most four more for the two tails, as many at N = 1e6 as at N = 1e2
+    # rung map once, evaluates its block of rungs (each alone, on floats) and
+    # one more for each tail, as many at N = 1e6 as at N = 1e2
     ladder_at = ConstantCurvature.ladder_at
     builds, evaluated = [], []
 
-    def counted_ladder_at(self, N):
+    def counted_ladder_at(self, N, E, sqrt):
         builds.append(N)
-        ladder = ladder_at(self, N)
+        rung_at = ladder_at(self, N, E, sqrt)
 
         def counted(j):
             evaluated.append(np.size(j))
-            return ladder(j)
+            return rung_at(j)
         return counted
     monkeypatch.setattr(ConstantCurvature, "ladder_at", counted_ladder_at)
     totals = []
@@ -397,7 +392,7 @@ def test_y_n_work_is_set_by_its_window_not_by_N(model, E, block_rungs, monkeypat
         evaluated.clear()
         y_n(model, N, EnergyLevel.from_E(E), make_gaussian(1.0), 1e-14)
         assert builds == [N]
-        assert set(evaluated) == {1} and len(evaluated) - 4 in block_rungs
+        assert set(evaluated) == {1} and len(evaluated) - 2 in block_rungs
         totals.append(len(evaluated))
     assert abs(totals[1] - totals[0]) <= 1
 
@@ -532,19 +527,19 @@ def _family_rungs(geo, N):
 @pytest.mark.parametrize("geo,ref", _FAMILY, ids=_FAMILY_IDS)
 def test_family_ladder_matches_the_displays(geo, ref, N):
     j = _family_rungs(geo, N)
-    nu, mult = geo.ladder(N, j)
+    nu, _, mult = rung(geo, N, j)
     nu_ref, mult_ref = ref.ladder(N, j)
     np.testing.assert_allclose(nu, nu_ref, rtol=4 * EPS, atol=0)
     assert np.array_equal(mult, mult_ref)  # integers, formed exactly
     assert geo.measure_coeff == pytest.approx(ref.measure_coeff, rel=4 * EPS)
     # the measure identity: nu is quadratic in j, so its central difference
     # is dnu/dj up to the rounding of nu, and dnu/dj = 2 mult / c
-    dnu = (geo.ladder(N, j + 1.0)[0] - geo.ladder(N, j - 1.0)[0]) / 2.0
+    dnu = (rung(geo, N, j + 1.0)[0] - rung(geo, N, j - 1.0)[0]) / 2.0
     np.testing.assert_allclose(dnu, 2.0 * mult / geo.measure_coeff, rtol=8 * EPS,
                                atol=8 * EPS * float(np.max(nu)))
     # below the top of the ladder, rungs and the points between them invert alike
     for jj in np.concatenate([j, j[:-1] + 0.5]):
-        lam = math.sqrt(geo.ladder(N, jj)[0] + N * N)
+        lam = rung(geo, N, jj)[1]
         assert abs(geo.j_of_lam(N, lam) - ref.j_of_lam(N, lam)) <= 1e-12 * (1 + N) ** 2
         assert abs(geo.j_of_lam(N, lam) - jj) <= 1e-12 * (1 + N) ** 2
 

@@ -439,7 +439,7 @@ def test_hat_envelope_and_radius():
     xs = np.linspace(2.0 + r, 2.0 + r + 10.0, 101)
     assert np.all(np.abs(f.phi_hat(xs)) <= 1e-9 * (1.0 + 1e-12))
     u = np.linspace(0.0, 8.0, 81)
-    assert np.all(np.abs(f.phi_hat(2.0 + u)) <= f.hat_abs_bound(0, u) * (1 + 1e-12))
+    assert np.all(np.abs(f.phi_hat(2.0 + u)) <= f.hat_abs_bounds(u)[0] * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("tau0,w", [(0.0, 1.0), (2.0, 0.5), (KATOK_TSHARP, 1.0), (-3.0, 3.0)])
@@ -460,12 +460,11 @@ def test_bump_hat_side_agrees_on_floats_and_arrays(tau0, w):
         for xi in (edge, outside):
             assert np.all(h(xi) == 0.0) and all(h(x) == 0.0 for x in xi.tolist())
     u_in, u_out = np.linspace(0.0, w, 101)[:-1], np.array([w, 1.001 * w, 2.0 * w, 1e3 * w])
-    for order in range(3):
-        caps = f.hat_abs_bound(order, u_in)
+    for order, caps in enumerate(f.hat_abs_bounds(u_in)):
         assert np.all(caps > 0.0)
-        assert [f.hat_abs_bound(order, u) for u in u_in.tolist()] == caps.tolist()
-        assert np.all(f.hat_abs_bound(order, u_out) == 0.0)
-        assert all(f.hat_abs_bound(order, u) == 0.0 for u in u_out.tolist())
+        assert [f.hat_abs_bounds(u)[order] for u in u_in.tolist()] == caps.tolist()
+        assert np.all(f.hat_abs_bounds(u_out)[order] == 0.0)
+        assert all(f.hat_abs_bounds(u)[order] == 0.0 for u in u_out.tolist())
 
 
 @pytest.mark.parametrize("tau0,w", [(0.0, 0.05), (2.0, 0.5), (KATOK_TSHARP, 1.0), (-3.0, 3.0),
@@ -477,9 +476,10 @@ def test_bump_hat_abs_bound_covers_derivatives(tau0, w):
     xi = tau0 + w * np.linspace(-1.25, 1.25, 50_001)
     u = np.abs(xi - tau0)
     peaks = []
-    for order, h in enumerate((f.phi_hat, f.phi_hat_d1, f.phi_hat_d2)):
+    for order, (h, cap) in enumerate(zip((f.phi_hat, f.phi_hat_d1, f.phi_hat_d2),
+                                         f.hat_abs_bounds(u))):
         v = np.abs(h(xi))
-        assert np.all(v <= f.hat_abs_bound(order, u)), order
+        assert np.all(v <= cap), order
         peaks.append(float(v.max()) * w**order)
     assert peaks == pytest.approx([math.exp(-1.0), 0.7984, 7.7497], rel=1e-4)
 
