@@ -118,7 +118,7 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
 
     t_end, y_end, sol, status = ode.dop853(lambda y: geo.flow_terms(y)[1], 0.0, y0, t, tol)
     if status < 0:
-        raise IntegratorError(f"integration failed at t={t_end:.6g}: {ode.STEP_COLLAPSE}")
+        raise IntegratorError(f"integration failed at t={t_end:.6g}: {ode.failure(status)}")
 
     margin = geo.pole_margin
     if margin is not None:
@@ -248,7 +248,7 @@ def tangent_flow(geo: Geometry, state: PhaseState, t: float, tol: float = 1e-11)
     z0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
     _, z, _, status = ode.dop853(_variational(geo), 0.0, z0, t, tol, dense_output=False)
     if status < 0:
-        raise IntegratorError(f"variational integration failed: {ode.STEP_COLLAPSE}")
+        raise IntegratorError(f"variational integration failed: {ode.failure(status)}")
     return z[4:].reshape(4, 4)
 
 

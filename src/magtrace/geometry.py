@@ -191,7 +191,8 @@ class ConstantCurvature(Geometry):
     """A closed surface of constant curvature K and area A in the constant
     field b, with c = A/2pi: rung j of its Landau ladder at tensor power N has
     nu = b N (2j+1) + K j(j+1) and mult = c (b N + K (j + 1/2)), so
-    dnu/dj = 2 mult/c (Guillemin and Uribe, Invent. Math. 96 (1989)).
+    dnu/dj = 2 mult/c (Guillemin and Uribe, Invent. Math. 96 (1989)); one
+    formula, ``ladder_at``, forms every rung a window or its tails read.
     Subclasses state ``field`` b, ``curvature`` K and ``area`` A."""
 
     def predict(self, Ns, level, f, ctl, support_tol):

@@ -23,6 +23,9 @@ import numpy as np
 
 EPS = np.finfo(float).eps
 STEP_COLLAPSE = "Required step size is less than spacing between numbers."
+# The most steps a run may accept, refused as it passes them since no run's
+# step count is known before it runs: 2^19 rows of dense output, 0.36 GB.
+MAX_STEPS = 1 << 19
 # step control: safety factor, largest cut and largest growth of a step, and
 # the exponent -1/(order of the error estimator + 1)
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 8
@@ -200,9 +203,9 @@ def dop853(field, t0, y0, t_bound, tol, dense_output=True):
     """Integrate y' = field(y) from t0 towards t_bound > t0.
 
     Returns (t, y, sol, status): the time and state where the run stopped,
-    its DenseSolution (None without ``dense_output``) and a status, 0 at
-    t_bound, -1 when the step size collapsed (t and y are then those of the
-    last step).
+    its DenseSolution (None without ``dense_output`` or past the budget)
+    and a status: 0 at t_bound, -1 when the step size collapsed and -2 after
+    MAX_STEPS steps short of it (t and y are then those of the last step).
     """
     y = np.asarray(y0, dtype=float)
     rtol = atol = max(tol, 100 * EPS)
@@ -211,7 +214,7 @@ def dop853(field, t0, y0, t_bound, tol, dense_output=True):
     K_ext = np.empty((16, len(y)))
     KT = [K_ext[:s].T for s in range(17)]
     ts, interpolants = [t0], []
-    while True:
+    for _ in range(MAX_STEPS):
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -244,3 +247,9 @@ def dop853(field, t0, y0, t_bound, tol, dense_output=True):
         ts.append(t)
         if t - t_bound >= 0:
             return t, y, DenseSolution(ts, interpolants) if dense_output else None, 0
+    return t, y, None, -2
+
+
+def failure(status: int) -> str:
+    """Why a run with a negative status stopped short of t_bound."""
+    return STEP_COLLAPSE if status == -1 else f"over the budget of {MAX_STEPS:,} accepted steps"

@@ -11,9 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
+import test_golden_outputs as golden
 from labchecks import maslov_two_interval
 from magtrace import (EnergyLevel, Katok, Torus, ValidationError, asymptotics, cli, dynamics,
-                      enumerate_window, errors, make_gaussian, testfn)
+                      enumerate_window, errors, make_gaussian, ode, testfn)
 from magtrace.cli import _number, main
 
 SQRT2 = math.sqrt(2.0)
@@ -437,6 +438,22 @@ def _exits_2_cleanly(tmp_path, capsys, cfg, sub):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())
     return err
+
+
+@pytest.mark.parametrize("name", ["orbit_dynamics/dynamics-katok-1period",
+                                  "orbit_dynamics/katok-report"])
+def test_a_run_past_the_step_budget_exits_5(tmp_path, capsys, monkeypatch, name):
+    # a period of the katok equator takes more than 4 steps, on the flow and
+    # on its tangent flow alike: a budget of 4 ends either run with one error
+    # line and no output
+    monkeypatch.setattr(ode, "MAX_STEPS", 4)
+    sub, cfg = golden._commands()[name]
+    out = tmp_path / "out"
+    code = main([sub, "--config", _write_cfg(tmp_path, "cfg.json", cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 5 and err.startswith("error: ") and err.count("\n") == 1
+    assert "integration failed" in err and err.endswith(": over the budget of 4 accepted steps\n")
+    assert not out.exists() or not any(out.iterdir())
 
 
 _KATOK_CFG = {"schema": "magtrace/1", "geometry": {"kind": "katok", "eps": 0.3},

@@ -6,9 +6,15 @@ these tests run it in fresh processes and check that every output, exit
 code and message survives the skipped teardown.  A module that ``import
 magtrace`` registered but no code has read yet is a lazy module:
 ``type(sys.modules[name]) is types.ModuleType`` holds only once it has run,
-and testing that runs nothing.
+and testing that runs nothing.  The last tests check that every package
+name the benchmark's scripts under ``perfbench/`` read still resolves: its
+tracer skips a name it cannot find, so a missing one would fail nothing.
 """
 
+import ast
+import dataclasses
+import importlib
+import importlib.util
 import json
 import os
 import runpy
@@ -19,8 +25,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import magtrace
 import test_golden_outputs as golden
-from magtrace import cli
+from magtrace import Torus, cli, dynamics, testfn
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -239,3 +246,91 @@ def test_cold_katok_runs_no_spectral_module(tmp_path):
         "magtrace", "magtrace.asymptotics", "magtrace.cli", "magtrace.dynamics",
         "magtrace.errors", "magtrace.floats", "magtrace.geometry", "magtrace.katok",
         "magtrace.ode"], []], ["katok_report.csv", "katok_report.json"])
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark reads
+# ---------------------------------------------------------------------------
+
+PERFBENCH = ROOT / "perfbench"
+
+# tracer entries naming functions the package no longer has, which the
+# tracer skips; the benchmark's next change drops or renames them
+_STALE_TRACER_ENTRIES = {("magtrace.testfn", "make_fourier_bump"),
+                         ("magtrace.asymptotics", "torus_c01"),
+                         ("magtrace.asymptotics", "sphere_c01"),
+                         ("magtrace.asymptotics", "hyperbolic_c01")}
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether a dotted name under magtrace, like magtrace.dynamics.integrate, exists."""
+    obj = magtrace
+    for part in dotted.split(".")[1:]:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_entry_the_tracer_wraps_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = {(module, attr) for module, attr, *_ in tracer.FUNCTIONS
+               if not _resolves(f"{module}.{attr}")}
+    assert missing == _STALE_TRACER_ENTRIES
+    assert [(cls, attr) for module, cls, attr, *_ in tracer.METHODS
+            if not _resolves(f"{module}.{cls}.{attr}")] == []
+
+
+def _package_names(path) -> set:
+    """The dotted magtrace names a script reads, as magtrace.GeometrySpec.torus:
+    each attribute chain on a name it imported from the package."""
+    tree = ast.parse(path.read_text())
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update({a.asname or a.name: a.name for a in node.names
+                          if a.name == "magtrace"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "magtrace":
+            roots.update({a.asname or a.name: f"magtrace.{a.name}" for a in node.names})
+    names = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in roots:
+            names.add(".".join([roots[node.id], *reversed(parts)]))
+    return names
+
+
+@pytest.mark.parametrize("script,some", [
+    ("setup_probe.py", "magtrace.GeometrySpec.katok"),
+    ("reference.py", "magtrace.dynamics.canonical_orbit_state")])
+def test_every_package_name_a_benchmark_script_reads_resolves(script, some):
+    names = _package_names(PERFBENCH / script)
+    assert some in names
+    assert sorted(n for n in names if not _resolves(n)) == []
+
+
+@pytest.mark.parametrize("spec", [{"kind": "gaussian", "s": 1.0},
+                                  {"kind": "gaussian_modulated", "s": 1.0, "b": 0.5},
+                                  {"kind": "fourier_bump", "tau0": 2.0, "w": 0.5}])
+def test_the_tracer_can_swap_a_test_functions_phi(spec):
+    f = testfn.from_config(spec)
+    g = dataclasses.replace(f, phi=abs)
+    assert g.phi is abs and g.phi_hat is f.phi_hat
+
+
+def test_an_integration_keeps_the_dense_output_the_tracer_counts():
+    geo = Torus()
+    state, T = dynamics.canonical_orbit_state(geo, 2.0)
+    flow = dynamics.integrate(geo, state, 2.0, T)
+    assert len(flow.segments[0].sol.interpolants) > 0
+    assert flow.sample(3)[1].shape == (4, 3)
+
+
+def test_every_package_export_resolves():
+    assert [n for names in magtrace._EXPORTS.values() for n in names
+            if not _resolves(f"magtrace.{n}")] == []

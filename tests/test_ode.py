@@ -147,6 +147,22 @@ def test_bernstein_rows_bound_the_dense_output(geo, E, orientation):
         assert np.all(vals <= b.max(axis=1)[:, None] + slack)
 
 
+def test_step_budget_ends_a_run_past_it(monkeypatch):
+    # a run of n steps ends under a budget of n, and stops short, with no
+    # dense output, under a budget of n - 1
+    geo, E, orientation = ORBITS[2]
+    state, T = canonical_orbit_state(geo, E, orientation)
+
+    def run():
+        return ode.dop853(geo.flow, 0.0, state.as_array(), T, TOL)
+    steps = len(run()[2].interpolants)
+    monkeypatch.setattr(ode, "MAX_STEPS", steps)
+    assert run()[3] == 0
+    monkeypatch.setattr(ode, "MAX_STEPS", steps - 1)
+    t_end, _, sol, status = run()
+    assert (status, sol) == (-2, None) and t_end < T
+
+
 def _square(y):
     return [y[0] * y[0]]
 
