@@ -2,12 +2,11 @@
 
 The Poisson-summation self-test of a test function (``poisson_check``),
 formal linear combinations of test functions (``linear_combination``, with
-their summed envelope ``SumEnvelope``), the rotation-counting Maslov
-index of the deformed sphere's equators (``maslov_two_interval``) and one
-rung of a closed-form ladder (``rung``).  No
-command reaches them, so they live beside the tests rather than in the
-package.  The file name keeps
-pytest from collecting it; tests import it from their own directory.
+their summed envelope ``SumEnvelope``), the rotation-counting Maslov index
+of the deformed sphere's equators (``maslov_two_interval``) and one rung of
+a closed-form ladder (``rung``).  No command reaches them, so they live
+beside the tests rather than in the package.  The file name keeps pytest
+from collecting it; tests import it from their own directory.
 """
 
 from __future__ import annotations
