@@ -57,7 +57,7 @@ _EXPORTS = {
     "testfn": ("TestFunction", "make_gaussian", "make_gaussian_modulated"),
     "bump": ("make_fourier_bump",),
     "geometry": ("ClosedOrbitSet", "EnergyLevel", "Geometry", "GeometrySpec",
-                 "Hyperbolic", "HyperbolicModel", "OrbitInvariants", "PhaseState", "Sphere",
+                 "Hyperbolic", "HyperbolicModel", "OrbitInvariants", "Sphere",
                  "SphereModel", "Torus", "TorusModel"),
     "katok": ("Katok", "KatokMonodromy"),
     "spectra": ("Window", "enumerate_window"),
@@ -66,8 +66,8 @@ _EXPORTS = {
                     "general_c0_nondegenerate", "general_c0_volume", "katok_c0",
                     "poisson_c01", "residual_report"),
     "dynamics": ("FlowResult", "MCVolume", "canonical_orbit_state", "circle_distance",
-                 "integrate", "katok_monodromy_numeric", "liouville_volume",
-                 "mc_liouville_volume", "numeric_holonomy", "tangent_flow"),
+                 "integrate", "katok_monodromy_numeric", "mc_liouville_volume",
+                 "numeric_holonomy", "tangent_flow"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

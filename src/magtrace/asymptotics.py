@@ -38,14 +38,13 @@ from typing import TYPE_CHECKING
 
 from .errors import (DegenerateOrbitError, MixedSupportError, ValidationError, check_Nj,
                      record)
-from .floats import block, each, fsum_complex
+from .floats import TWO_PI, block, each, fsum_complex
 from .geometry import EnergyLevel
 
 if TYPE_CHECKING:  # read in annotations only, so katok runs no testfn code
     from .katok import Katok
     from .testfn import TestFunction
 
-TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
 # Largest k_max and k-tail reach: 2 k_max + 1 terms, on numpy arrays past
@@ -215,9 +214,11 @@ def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
 
     Two disjoint regimes, selected by the (effective) support of phi_hat:
 
-    * support containing only the zero period: d = 1 and
-      c0 = 2 sqrt(2) fhat(0)  (the phase-space volume term);
-    * support containing only nonzero periods k T# (T# = 2 pi sqrt(2)/(1-eps^2)):
+    * support containing only the zero period: d = 1 and c0 is the volume
+      term (2pi)^-2 fhat(0) Vol(X_E) (``general_c0_volume``) of the shell
+      volume ``geo.liouville_volume(sqrt(2))``, 2 sqrt(2) fhat(0)/(1-eps^2);
+    * support containing only nonzero periods k T#, T# = 2 pi sqrt(2)/(1-eps^2)
+      the equators' period (``geo.k_frequency``):
       d = 0 and c0 sums the two equatorial orbits' iterate contributions
 
           (1/(sqrt(2)(1-eps^2))) e^{i pi m_{k,+-}/4} e^{-2 pi i N k/(1 -+ eps)}
@@ -263,10 +264,8 @@ def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
     k_tail = math.fsum(bounds)
 
     if zero_in or not k_in:
-        # exact energy-shell volume 2 pi E * 4 pi/(1-eps^2); the published
-        # display drops the (1-eps^2)^{-1}, valid only modulo eps^2
-        vol = 8.0 * math.pi**2 * SQRT2 / (1.0 - geo.eps * geo.eps)
-        c0 = general_c0_volume(complex(f.phi_hat(0.0)), vol, 2) if zero_in else 0.0 + 0.0j
+        c0 = (general_c0_volume(complex(f.phi_hat(0.0)), geo.liouville_volume(SQRT2), 2)
+              if zero_in else 0.0 + 0.0j)
         # the N^{d-1} coefficient is not part of the implemented display
         return [CoefficientPrediction(N=int(N), c0=c0, c1=0.0 + 0.0j,
                                       d=1.0 if zero_in else 0.0, k_tail=k_tail) for N in Ns]

@@ -26,8 +26,8 @@ import functools
 import math
 
 from .errors import ValidationError, record, refuse_past_double_range
-from .floats import as_floats
-from .testfn import TWO_PI, TestFunction, _refuse_lost_phase
+from .floats import TWO_PI, as_floats
+from .testfn import TestFunction, _refuse_lost_phase
 
 # L1 norms D_k = int_{-1}^{1} |psi^(k)(t)| dt of the unit bump
 # psi(t) = exp(-1/(1-t^2)), k = 0, 2, ..., 24, rounded *up* in the sixth

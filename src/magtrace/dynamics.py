@@ -35,11 +35,10 @@ import numpy as np
 
 from . import ode
 from .errors import IntegratorError, ValidationError, number, record
-from .geometry import EnergyLevel, Geometry, PhaseState, branch_sign
+from .floats import TWO_PI
+from .geometry import EnergyLevel, Geometry, branch_sign
 # dynamics.GeometrySpec is read by perfbench/reference.py
 from .geometry import GeometrySpec  # noqa: F401
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +58,13 @@ class FlowResult:
 
     ``energy_drift`` is max |H - E| over dense samples; for the deformed
     sphere ``first_integral_drift`` additionally monitors the conserved
-    quantity of the integrable structure.  ``segments`` holds the one
+    quantity of the integrable structure.  ``final`` is the end state
+    (q1, q2, p1, p2) as a tuple of floats, and ``segments`` holds the one
     FlowSegment of the run, none for a run of time 0.
     """
 
     t_final: float
-    final: PhaseState
+    final: tuple
     energy_drift: float
     first_integral_drift: float | None
     segments: tuple
@@ -92,9 +92,9 @@ def _goes_negative(b) -> bool:
     return False
 
 
-def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
-              tol: float = 1e-11) -> FlowResult:
-    """Integrate the flow for time t with adaptive 8th-order Runge-Kutta.
+def integrate(geo: Geometry, s0, E: float, t: float, tol: float = 1e-11) -> FlowResult:
+    """Integrate the flow for time t from the state s0, any sequence
+    (q1, q2, p1, p2), with adaptive 8th-order Runge-Kutta.
 
     Local tolerance ``tol`` drives both rtol and atol; energy drift (and,
     for the deformed sphere, first-integral drift) at 256 dense samples
@@ -103,7 +103,7 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     anywhere in a step (seen by its theta polynomial's Bernstein hull)
     raises IntegratorError, while a path wholly inside a margin runs.
     """
-    y0 = s0.as_array()
+    y0 = np.array(s0, dtype=float)
     geo.check_state(y0)
     H0 = float(geo.hamiltonian(y0))
     if abs(H0 - E) > 1e-10 * max(1.0, abs(E)):
@@ -111,8 +111,8 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     P0 = geo.first_integral(y0)
     fdrift = None if P0 is None else 0.0
     if t == 0.0:
-        return FlowResult(t_final=0.0, final=s0, energy_drift=0.0, first_integral_drift=fdrift,
-                          segments=())
+        return FlowResult(t_final=0.0, final=tuple(y0.tolist()), energy_drift=0.0,
+                          first_integral_drift=fdrift, segments=())
     if t < 0.0:
         raise ValidationError("integration time must be nonnegative")
 
@@ -137,9 +137,8 @@ def integrate(geo: Geometry, s0: PhaseState, E: float, t: float,
     if fdrift is not None and fdrift > budget:
         raise IntegratorError(f"first-integral drift {fdrift:.3e} exceeds budget {budget:.3e}")
 
-    final = PhaseState(q=(float(y_end[0]), float(y_end[1])),
-                       p=(float(y_end[2]), float(y_end[3])))
-    return FlowResult(t_final=t, final=final, energy_drift=drift, first_integral_drift=fdrift,
+    return FlowResult(t_final=t, final=tuple(y_end.tolist()), energy_drift=drift,
+                      first_integral_drift=fdrift,
                       segments=(FlowSegment(t0=0.0, t1=float(t_end), sol=sol),))
 
 
@@ -152,9 +151,9 @@ def canonical_orbit_state(geo: Geometry, E: float,
                           orientation: str = "+") -> tuple:
     """An on-shell initial state on the canonical closed orbit, with its period.
 
-    Returns (PhaseState, T), T the orbit's from ``closed_orbits``; a geometry
-    with no closed orbit at E (the hyperbolic one at or above the Mane level)
-    is refused.  Only the deformed sphere, with its two equatorial orbits,
+    Returns (state, T): the tuple (q1, q2, p1, p2) of ``orbit_state`` and T
+    the orbit's period from ``closed_orbits``; a geometry with no closed
+    orbit at E (the hyperbolic one at or above the Mane level) is refused.  Only the deformed sphere, with its two equatorial orbits,
     reads ``orientation``.
     """
     c = EnergyLevel.from_E(E).c
@@ -243,9 +242,10 @@ def _variational(geo: Geometry):
     return field
 
 
-def tangent_flow(geo: Geometry, state: PhaseState, t: float, tol: float = 1e-11) -> np.ndarray:
-    """The 4x4 state-transition matrix M of the flow over time t from state, M(0) = I."""
-    z0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
+def tangent_flow(geo: Geometry, state, t: float, tol: float = 1e-11) -> np.ndarray:
+    """The 4x4 state-transition matrix M of the flow over time t from state,
+    any sequence (q1, q2, p1, p2), M(0) = I."""
+    z0 = np.concatenate([np.array(state, dtype=float), np.eye(4).ravel()])
     _, z, _, status = ode.dop853(_variational(geo), 0.0, z0, t, tol, dense_output=False)
     if status < 0:
         raise IntegratorError(f"variational integration failed: {ode.failure(status)}")
@@ -265,17 +265,6 @@ def katok_monodromy_numeric(geo: Geometry, E: float, orientation: str,
 # phase-space volumes
 # ---------------------------------------------------------------------------
 
-def liouville_volume(geo: Geometry, E: float) -> float:
-    """Liouville volume of the energy shell, Vol(X_E) = 2 pi E Area(M).
-
-    Note the deformed sphere: the published display 8 pi^2 E holds only
-    modulo eps^2; the exact area 4 pi/(1-eps^2) is used here (the Monte
-    Carlo cross-check agrees with this value, not the display).
-    """
-    EnergyLevel.from_E(E)  # refuses E <= 1
-    return TWO_PI * E * geo.area
-
-
 @record
 class MCVolume:
     """Monte Carlo cross-check of the Liouville volume (reported, not asserted)."""
@@ -294,7 +283,7 @@ def mc_liouville_volume(geo: Geometry, E: float, n_samples: int = 200_000,
     The hyperbolic surface has no parameterized fundamental domain here;
     its closed form (Gauss-Bonnet) is reported without an estimate.
     """
-    closed = liouville_volume(geo, E)
+    closed = geo.liouville_volume(E)
     if geo.mc_area is None:
         return MCVolume(estimate=None, stderr=None, closed_form=closed,
                         rel_dev=None,
@@ -478,7 +467,7 @@ def cmd_dynamics(cfg):
                          t_periods * inv.T, tol["ode_tol"])
         hol_num = numeric_holonomy(geo, flow) if t_periods == 1.0 else None
         numeric = {
-            "orientation": orientation,
+            "orientation": inv.orientation,
             "period": inv.T,
             "energy_drift": flow.energy_drift,
             "first_integral_drift": flow.first_integral_drift,
@@ -505,7 +494,7 @@ def cmd_dynamics(cfg):
         }
     else:
         report["liouville_volume"] = {
-            "closed_form": liouville_volume(geo, level.E)}
+            "closed_form": geo.liouville_volume(level.E)}
 
     outputs["invariants.json"] = json.dumps(report, indent=2) + "\n"
     return 0, outputs

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import operator
 
+TWO_PI = 2.0 * math.pi  # every module that states 2pi loads this one
+
 # The most numbers a block holds as a list; a longer one is a numpy array.
 # Those gaussian blocks fit, and a bump's windows, of 700 to 1200 rungs,
 # stay arrays.

@@ -30,14 +30,12 @@ from typing import ClassVar
 
 from .errors import (ChartError, ManeLevelError, ValidationError, record,
                      refuse_past_double_range)
-from .floats import cis
+from .floats import TWO_PI, cis
 from .floats import xp as _xp  # the flows name their module variable xp
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# energy, phase-space and orbit records
+# energy and orbit records
 # ---------------------------------------------------------------------------
 
 @record
@@ -67,20 +65,6 @@ class EnergyLevel:
         if not math.isfinite(EN * EN):
             raise ValidationError(
                 f"N={N} is too large at E={self.E:.6g}: (E*N)^2 overflows a double")
-
-
-@record
-class PhaseState:
-    """Coordinates (q1, q2) and momenta (p1, p2) in the geometry's one chart:
-    (x, y) on the torus and the half-plane, polar (theta, phi) on the two
-    spheres."""
-
-    q: tuple
-    p: tuple
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([self.q[0], self.q[1], self.p[0], self.p[1]], dtype=float)
 
 
 @record
@@ -128,9 +112,11 @@ def _energy(a, b, p1, p2):  # H where g^{-1} = diag(a, b)
 
 
 class Geometry:
-    """What every example geometry provides; ``y`` is one state (q1, q2, p1, p2)
-    or a (4, n) batch of them.  Every flow is the one of ``dynamics``: in the
-    one chart g^{-1} = diag(a, b) and the field density F depend on one
+    """What every example geometry provides; ``y`` is one state (q1, q2, p1, p2),
+    coordinates and momenta in the one chart ((x, y) on the torus and the
+    half-plane, polar (theta, phi) on the two spheres), or a (4, n) batch of
+    them.  Every flow is the one of ``dynamics``: in the one chart
+    g^{-1} = diag(a, b) and the field density F depend on one
     coordinate s = q[s_index], each geometry states ``coefficients(s)`` =
     (a, b, F, a', b') and, for the tangent field, ``coefficients(s, True)`` =
     (F', a'', b''); with H = sqrt(a p1^2 + b p2^2 + 1), dq/dt = (a p1, b p2)/H
@@ -170,6 +156,16 @@ class Geometry:
     def first_integral(self, y):
         """A conserved quantity besides H, or None."""
         return None
+
+    def liouville_volume(self, E):
+        """Vol(X_E) = 2pi E area, the Liouville volume of the energy shell at
+        E > 1 (refused otherwise): the one statement of it, which the c0 of a
+        zero-period window and the Monte Carlo check read.  On the deformed
+        sphere the area is the exact 4pi/(1-eps^2); the published display
+        8pi^2 E holds only modulo eps^2, and the Monte Carlo estimate agrees
+        with this value, not the display."""
+        EnergyLevel.from_E(E)
+        return TWO_PI * E * self.area
 
     # mc_area(uniform, n): Monte Carlo samples of sqrt(det g) over a chart cell,
     # drawn with uniform(low, high, n), and the cell's area; None without a
@@ -329,7 +325,7 @@ class Torus(ConstantCurvature):
     circle_maslov: ClassVar[tuple] = (4, "")
 
     def orbit_state(self, c, orientation):
-        return PhaseState(q=(0.0, 0.0), p=(c, 0.0))
+        return 0.0, 0.0, c, 0.0
 
     area: ClassVar[float] = 1.0
 
@@ -377,7 +373,7 @@ class Sphere(ConstantCurvature):
 
     def orbit_state(self, c, orientation):
         theta0 = math.atan2(c * self.R, self.B)  # northern latitude circle
-        return PhaseState(q=(theta0, 0.0), p=(0.0, -c * self.R * math.sin(theta0)))
+        return theta0, 0.0, 0.0, -c * self.R * math.sin(theta0)
 
     @property
     def area(self):
@@ -468,7 +464,7 @@ class Hyperbolic(ConstantCurvature):
         except ValueError:  # cR rounds to 1 or more within a few ulps below mane_E
             raise ValidationError(f"cR = {c * R!r} rounds to 1 or more below the Mane level: "
                                   "the start point exp(-atanh(cR)) is not representable") from None
-        return PhaseState(q=(0.0, y_bottom), p=(-c * R / y_bottom, 0.0))
+        return 0.0, y_bottom, -c * R / y_bottom, 0.0
 
     @property
     def area(self):

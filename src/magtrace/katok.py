@@ -2,9 +2,10 @@
 Uribe's case of two nondegenerate closed orbits).
 
 ``Katok(eps)`` is a ``geometry.Geometry``: it states its chart's coefficients,
-connection form, first integral and closed orbits like the three ladders,
-and it also owns its two equators' data (``rotation``, ``maslov``, the
-display's ``term`` and its resonance guard, the closed-form ``return_map``).
+connection form, first integral, period (``k_frequency``) and closed orbits
+like the three ladders, and it also owns its two equators' data
+(``rotation``, ``maslov``, the display's ``term`` and its resonance guard,
+the closed-form ``return_map``).
 It has no closed-form spectrum.
 
 ``geometry.KINDS``, ``geometry.GeometrySpec.katok`` and ``magtrace.Katok``
@@ -17,9 +18,9 @@ import math
 from typing import ClassVar
 
 from .errors import ResonanceError, ValidationError, record
+from .floats import TWO_PI
 from .floats import xp as _xp
-from .geometry import (TWO_PI, ClosedOrbitSet, EnergyLevel, Geometry, OrbitInvariants, PhaseState,
-                       branch_sign)
+from .geometry import ClosedOrbitSet, EnergyLevel, Geometry, OrbitInvariants, branch_sign
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,7 +67,8 @@ class Katok(Geometry):
         return katok_c0(Ns, self, f, ctl, support_tol=support_tol)
 
     def k_frequency(self, E):
-        return TWO_PI * SQRT2 / (1.0 - self.eps * self.eps)  # the period T# at E = sqrt(2)
+        """T = 2pi E/((1-eps^2) c), c = sqrt(E^2-1): the equators' one period."""
+        return TWO_PI * E / ((1.0 - self.eps * self.eps) * EnergyLevel.from_E(E).c)
 
     def coefficients(self, s, slopes=False):
         # s = theta: a = D, b = D^2/sin^2 and F = 2 eps sin cos/D^2
@@ -81,18 +83,19 @@ class Katok(Geometry):
                 (2.0 * dD * dD - 4.0 * e2 * c2 * D - 8.0 * D * dD * cot) / (sn * sn)
                 + (2.0 + 6.0 * cot * cot) * b)
 
-    def connection(self, y):
-        """A = eps sin^2/(1-eps^2 sin^2) dphi (sign fixed by the branch pairing
-        of the orbit actions)."""
+    def _a_phi(self, theta):
+        """A_phi = eps sin^2(theta)/(1 - eps^2 sin^2(theta))."""
         import numpy as np
-        s2 = np.sin(y[0]) ** 2
-        return self.eps * s2 / (1.0 - self.eps**2 * s2) * self.flow(y)[1]
+        s2 = np.sin(theta) ** 2
+        return self.eps * s2 / (1.0 - self.eps * self.eps * s2)
+
+    def connection(self, y):
+        """A = A_phi dphi (sign fixed by the branch pairing of the orbit actions)."""
+        return self._a_phi(y[0]) * self.flow(y)[1]
 
     def first_integral(self, y):
-        """Conserved quantity P = p_phi + eps sin^2(theta)/(1 - eps^2 sin^2(theta))."""
-        import numpy as np
-        s2 = np.sin(y[0]) ** 2
-        return y[3] + self.eps * s2 / (1.0 - self.eps * self.eps * s2)
+        """Conserved quantity P = p_phi + A_phi."""
+        return y[3] + self._a_phi(y[0])
 
     # the equators at E = sqrt(2)
 
@@ -165,8 +168,7 @@ class Katok(Geometry):
                               det_i_minus_p=4.0 * math.sin(alpha / 2.0) ** 2)
 
     def closed_orbits(self, E, c):
-        e = self.eps
-        T = TWO_PI * E / ((1.0 - e * e) * c)
+        e, T = self.eps, self.k_frequency(E)
         L = TWO_PI / (1.0 - e * e)
         orbits = []
         at_sqrt2 = abs(E - SQRT2) < 1e-12
@@ -184,7 +186,7 @@ class Katok(Geometry):
 
     def orbit_state(self, c, orientation):
         sign, e = float(branch_sign(orientation)), self.eps
-        return PhaseState(q=(math.pi / 2.0, 0.0), p=(0.0, sign * c / (1.0 - e * e)))
+        return math.pi / 2.0, 0.0, 0.0, sign * c / (1.0 - e * e)
 
     @property
     def area(self):

@@ -32,9 +32,7 @@ import math
 from typing import Callable
 
 from .errors import ValidationError, read_kind, record, refuse_past_double_range
-from .floats import as_floats, cis
-
-TWO_PI = 2.0 * math.pi
+from .floats import TWO_PI, as_floats, cis
 _EPS = 2.0**-52
 
 # Largest offset of a gaussian's phi: its radius at the smallest positive

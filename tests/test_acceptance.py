@@ -135,7 +135,7 @@ def test_criterion_4_katok_dynamics():
     for orientation, sign in (("+", 1.0), ("-", -1.0)):
         st, T = canonical_orbit_state(geo, SQRT2, orientation)
         res = integrate(geo, st, SQRT2, T, tol=1e-11)
-        y0, y1 = st.as_array(), res.final.as_array()
+        y0, y1 = st, res.final
         gap = max(abs(y1[0] - y0[0]), abs(y1[1] - y0[1] - sign * TWO_PI),
                   abs(y1[2] - y0[2]), abs(y1[3] - y0[3]))
         worst["closure"] = max(worst["closure"], gap)

@@ -322,14 +322,18 @@ def test_maslov_rotation_count_equals_closed_form(eps):
 
 
 def test_katok_zero_period_window():
-    eps = 1.0 / math.sqrt(5.0)
     f = make_gaussian(1.0)  # effective hat support well inside (-T#, T#)
-    [p] = katok_c0([3], Katok(eps), f, KSumControl(4))
-    assert p.d == 1.0
-    # exact shell volume 2 pi E * 4 pi/(1 - eps^2); the published display
-    # drops the (1-eps^2)^{-1} (valid only modulo eps^2)
-    expect = 2.0 * SQRT2 * complex(f.phi_hat(0.0)) / (1.0 - eps * eps)
-    assert p.c0 == pytest.approx(expect, rel=1e-14)
+    for eps in (1.0 / math.sqrt(5.0), 0.1001, 0.3):
+        geo = Katok(eps)
+        [p] = katok_c0([3], geo, f, KSumControl(4))
+        assert p.d == 1.0
+        # exact shell volume 2 pi E * 4 pi/(1 - eps^2); the published display
+        # drops the (1-eps^2)^{-1} (valid only modulo eps^2)
+        expect = 2.0 * SQRT2 * complex(f.phi_hat(0.0)) / (1.0 - eps * eps)
+        assert p.c0 == pytest.approx(expect, rel=1e-14)
+        # the one statement of the shell volume, bit for bit; at eps = 0.3 the
+        # closed form 8 pi^2 sqrt(2)/(1-eps^2) differs from it in the last bit
+        assert p.c0 == general_c0_volume(complex(f.phi_hat(0.0)), geo.liouville_volume(SQRT2), 2)
 
 
 def test_katok_isolated_orbit_window_matches_assembly():

@@ -232,6 +232,29 @@ def test_dynamics_command_katok(tmp_path):
     assert orbit[0] == "t,q1,q2,p1,p2,H,P"
 
 
+@pytest.mark.parametrize("geometry,E,orientation,label", [
+    ({"kind": "torus"}, 2.0, "+", "-"),
+    ({"kind": "sphere", "R": 0.5}, SQRT2, "+", "-"),
+    ({"kind": "hyperbolic", "R": 1.0, "genus": 2}, 1.2, "+", "-"),
+    ({"kind": "hyperbolic", "R": 1.0, "genus": 2}, 1.2, "-", "-"),
+    ({"kind": "katok", "eps": 1.0 / math.sqrt(5.0)}, SQRT2, "+", "+"),
+    ({"kind": "katok", "eps": 1.0 / math.sqrt(5.0)}, SQRT2, "-", "-"),
+], ids=lambda v: v.get("kind") if isinstance(v, dict) else None)
+def test_dynamics_numeric_orientation_labels_the_integrated_orbit(tmp_path, geometry, E,
+                                                                 orientation, label):
+    # a ladder's one orbit is "-" whichever orientation the config names, so
+    # numeric.orientation is the label of the orbit in orbits whose period ran
+    cfg = {"schema": "magtrace/1", "geometry": geometry, "E": E,
+           "orientation": orientation, "orbit_samples": 0}
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", _write_cfg(tmp_path, "cfg.json", cfg),
+                 "--out", str(out)]) == 0
+    rep = json.loads((out / "invariants.json").read_text())
+    (ran,) = [o for o in rep["orbits"] if o["orientation"] == rep["numeric"]["orientation"]]
+    assert rep["numeric"]["orientation"] == label
+    assert rep["numeric"]["period"] == ran["T"]
+
+
 def test_dynamics_command_hyperbolic_above_mane(tmp_path):
     cfg = {
         "schema": "magtrace/1",
@@ -812,7 +835,7 @@ def test_dynamics_orbit_samples_zero_and_one(tmp_path, geometry, E):
     # one sample is the orbit's initial state at t = 0
     geo = cli._geometry(cfg)
     state, _ = dynamics.canonical_orbit_state(geo, E, "+")
-    y = state.as_array()
+    y = np.array(state)
     row = [0.0, *y, geo.hamiltonian(y)]
     header = "t,q1,q2,p1,p2,H"
     if geo.first_integral(y) is not None:

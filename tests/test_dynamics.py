@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from magtrace import (ChartError, EnergyLevel, Hyperbolic, IntegratorError, Katok,
-                      ManeLevelError, PhaseState, ResonanceError, Sphere, Torus, ValidationError,
+                      ManeLevelError, ResonanceError, Sphere, Torus, ValidationError,
                       canonical_orbit_state, circle_distance, integrate,
-                      katok_monodromy_numeric, liouville_volume, mc_liouville_volume,
-                      numeric_holonomy)
+                      katok_monodromy_numeric, mc_liouville_volume, numeric_holonomy)
 from magtrace import ode
 from magtrace.dynamics import _variational, tangent_flow
 
@@ -35,7 +34,7 @@ def test_hamiltonian_rest_states():
                    (Sphere(1.0), (1.0, 0.5)),
                    (Hyperbolic(1.0, 2), (0.1, 2.0)),
                    (Katok(0.3), (1.2, 0.0))):
-        assert geo.hamiltonian(PhaseState(q=q, p=(0.0, 0.0)).as_array()) == 1.0
+        assert geo.hamiltonian(np.array([*q, 0.0, 0.0])) == 1.0
 
 
 def test_hamiltonian_values():
@@ -43,15 +42,15 @@ def test_hamiltonian_values():
         math.sqrt(3.0), rel=1e-15)
     eps = 0.3
     p_phi = 1.0 / (1.0 - eps * eps)  # c = 1 at E = sqrt(2)
-    st = PhaseState(q=(math.pi / 2.0, 0.0), p=(0.0, p_phi))
-    assert Katok(eps).hamiltonian(st.as_array()) == pytest.approx(SQRT2, rel=1e-15)
+    st = np.array([math.pi / 2.0, 0.0, 0.0, p_phi])
+    assert Katok(eps).hamiltonian(st) == pytest.approx(SQRT2, rel=1e-15)
 
 
 @pytest.mark.parametrize("geo,E", CANONICAL, ids=lambda v: getattr(v, "kind", None))
 def test_hamiltonian_is_the_flows_H_bit_for_bit(geo, E):
     # hamiltonian forms H from a and b alone; flow_terms forms it beside the field
     st, _ = canonical_orbit_state(geo, E)
-    batch = st.as_array()[:, None] + np.random.default_rng(7).uniform(-0.05, 0.05, (4, 64))
+    batch = np.array(st)[:, None] + np.random.default_rng(7).uniform(-0.05, 0.05, (4, 64))
     assert np.array_equal(geo.hamiltonian(batch), geo.flow_terms(batch)[0])
     for y in batch.T.tolist():
         assert type(geo.hamiltonian(y)) is float
@@ -66,8 +65,7 @@ def test_chart_violations():
 
 
 def test_flow_rhs_torus_example():
-    st = PhaseState(q=(0.0, 0.0), p=(math.sqrt(3.0), 0.0))
-    dx, dy, dpx, dpy = Torus().flow(st.as_array())
+    dx, dy, dpx, dpy = Torus().flow(np.array([0.0, 0.0, math.sqrt(3.0), 0.0]))
     assert dx == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-15)
     assert dy == 0.0
     assert dpx == 0.0
@@ -77,8 +75,8 @@ def test_flow_rhs_torus_example():
 def test_flow_rhs_katok_equator():
     eps = 0.3
     for sign in (1.0, -1.0):
-        st = PhaseState(q=(math.pi / 2.0, 0.1), p=(0.0, sign / (1.0 - eps * eps)))
-        dth, dph, dpth, dpph = Katok(eps).flow(st.as_array())
+        st = np.array([math.pi / 2.0, 0.1, 0.0, sign / (1.0 - eps * eps)])
+        dth, dph, dpth, dpph = Katok(eps).flow(st)
         assert dth == 0.0
         assert dph == pytest.approx(sign * (1.0 / SQRT2) * (1.0 - eps * eps), rel=1e-14)
         assert abs(dpth) < 1e-15  # cos(pi/2) is machine-zero, not exact zero
@@ -89,8 +87,7 @@ def test_flow_rhs_sphere_chart_regularity():
     geo = Sphere(1.0)
     for th in np.linspace(0.1, math.pi - 0.1, 9):
         p_phi = 0.4 * math.sin(th)
-        st = PhaseState(q=(float(th), 0.0), p=(0.3, p_phi))
-        assert np.all(np.isfinite(geo.flow(st.as_array())))
+        assert np.all(np.isfinite(geo.flow(np.array([th, 0.0, 0.3, p_phi]))))
 
 
 def _float_path_states(geo, rng, n):
@@ -172,7 +169,7 @@ def test_tangent_field_matches_central_differences(geo, E):
 
 
 def test_integrate_off_shell_rejected():
-    st = PhaseState(q=(0.0, 0.0), p=(1.0, 0.0))  # H = sqrt(2)
+    st = (0.0, 0.0, 1.0, 0.0)  # H = sqrt(2)
     with pytest.raises(ValidationError, match="off-shell"):
         integrate(Torus(), st, 3.0, 1.0)
 
@@ -185,7 +182,7 @@ def test_integrate_time_zero_is_identity():
     geo = Katok(EPS5)
     st, _ = canonical_orbit_state(geo, SQRT2, "+")
     res = integrate(geo, st, SQRT2, 0.0)
-    assert res.final.q == st.q and res.final.p == st.p
+    assert res.final == st and type(res.final) is tuple
 
 
 def test_katok_equator_closes_after_one_period():
@@ -194,7 +191,7 @@ def test_katok_equator_closes_after_one_period():
         st, T = canonical_orbit_state(geo, SQRT2, orientation)
         assert T == pytest.approx(TWO_PI * SQRT2 / (1.0 - EPS5**2), rel=1e-15)
         res = integrate(geo, st, SQRT2, T, tol=1e-11)
-        y0, y1 = st.as_array(), res.final.as_array()
+        y0, y1 = st, res.final
         gap = max(abs(y1[0] - y0[0]), abs(y1[1] - y0[1] - sign * TWO_PI),
                   abs(y1[2] - y0[2]), abs(y1[3] - y0[3]))
         assert gap < 1e-8
@@ -213,7 +210,7 @@ def test_hyperbolic_orbit_stays_on_circle():
     _, ys = res.sample(400)
     dist = np.hypot(ys[0], ys[1] - center_y)
     assert np.max(np.abs(dist - radius)) < 1e-7
-    gap = np.max(np.abs(res.final.as_array() - st.as_array()))
+    gap = np.max(np.abs(np.subtract(res.final, st)))
     assert gap < 1e-8
 
 
@@ -221,7 +218,7 @@ def test_torus_and_sphere_orbits_close():
     for geo, E in ((Torus(), 2.0), (Sphere(0.5), SQRT2)):
         st, T = canonical_orbit_state(geo, E, "+")
         res = integrate(geo, st, E, T, tol=1e-11)
-        y0, y1 = st.as_array(), res.final.as_array()
+        y0, y1 = np.array(st), np.array(res.final)
         dq = y1[:2] - y0[:2]
         if geo.kind == "sphere":
             dq[1] -= TWO_PI * round(dq[1] / TWO_PI)
@@ -234,8 +231,8 @@ def test_sphere_path_crossing_the_pole_margin_is_refused():
     geo = Sphere(1.0)
     # aim straight at the north pole: the path crosses theta = 0.1, and the
     # run keeps to one chart
-    st = PhaseState(q=(0.8, 0.3), p=(-1.7, 0.0))
-    E = geo.hamiltonian(st.as_array())
+    st = (0.8, 0.3, -1.7, 0.0)
+    E = geo.hamiltonian(np.array(st))
     with pytest.raises(IntegratorError, match="pole"):
         integrate(geo, st, E, 4.0, tol=1e-10)
 
@@ -247,8 +244,8 @@ def test_sphere_dip_across_the_margin_between_steps_is_refused(t):
     # the step ends nor fixed samples see the crossing; the step's theta
     # polynomial does
     geo = Sphere(1.0)
-    st = PhaseState(q=(0.6, 0.0), p=(-0.8, -0.005))
-    E = float(geo.hamiltonian(st.as_array()))
+    st = (0.6, 0.0, -0.8, -0.005)
+    E = float(geo.hamiltonian(np.array(st)))
     with pytest.raises(IntegratorError, match="crossed theta = 0.1"):
         integrate(geo, st, E, t)
 
@@ -258,10 +255,10 @@ def test_sphere_latitude_circle_inside_the_pole_margin_runs():
     # margin 0.1: a path wholly inside a margin crosses none
     geo, E = Sphere(0.5), 1.0013
     st, T = canonical_orbit_state(geo, E)
-    assert st.q[0] < geo.pole_margin
+    assert st[0] < geo.pole_margin
     res = integrate(geo, st, E, 3.0 * T, tol=1e-11)
     _, ys = res.sample(400)
-    assert np.max(np.abs(ys[0] - st.q[0])) < 1e-8
+    assert np.max(np.abs(ys[0] - st[0])) < 1e-8
     assert res.energy_drift < 1e-9
 
 
@@ -282,7 +279,7 @@ def test_drift_monitors_match_per_point(geo, E):
     st, T = canonical_orbit_state(geo, E, "+")
     res = integrate(geo, st, E, T, tol=1e-11)
     katok = geo.kind == "katok"
-    P0 = geo.first_integral(st.as_array())
+    P0 = geo.first_integral(np.array(st))
     drift, fdrift = 0.0, 0.0
     for seg in res.segments:
         for t in np.linspace(seg.t0, seg.t1, max(2, int(256 * (seg.t1 - seg.t0) / T))):
@@ -335,8 +332,8 @@ def test_katok_pole_guard():
     s2 = math.sin(th0) ** 2
     D = 1.0 - 0.09 * s2
     p_phi = -0.3 * s2 / D  # makes the first integral vanish
-    st = PhaseState(q=(th0, 0.0), p=(-2.0, p_phi))
-    E = geo.hamiltonian(st.as_array())
+    st = (th0, 0.0, -2.0, p_phi)
+    E = geo.hamiltonian(np.array(st))
     with pytest.raises(IntegratorError):
         integrate(geo, st, E, 6.0, tol=1e-9)
 
@@ -376,11 +373,12 @@ def test_hyperbolic_invariants_and_trichotomy():
         assert "no periodic trajectories" in res.note
 
 
-def _circle_reference(geo, E) -> dict:
-    """T, L, hol and S of the circle family by each surface's own closed form,
+def _orbit_reference(geo, E, orientation) -> dict:
+    """T, L, hol and S of a closed orbit by each surface's own closed form,
     at 40 digits: the torus at B = 2pi, the sphere at B = 1/2 with
     w = sqrt(c^2 + B^2/R^2), the hyperbolic surface at B = 1 with
-    r = sqrt(1 - c^2 R^2)."""
+    r = sqrt(1 - c^2 R^2), and the deformed sphere's equator ``orientation``
+    with T = 2pi E/((1-eps^2) c), L = 2pi/(1-eps^2) and hol = +-eps L."""
     with mpmath.workdps(40):
         E = mpmath.mpf(E)
         c, tp = mpmath.sqrt(E * E - 1), 2 * mpmath.pi
@@ -390,6 +388,10 @@ def _circle_reference(geo, E) -> dict:
             B, R = mpmath.mpf(0.5), mpmath.mpf(geo.R)
             w = mpmath.sqrt(c * c + B * B / (R * R))
             T, L, hol = tp * E * R / w, tp * c * R / w, -tp * B * (1 - (B / R) / w)
+        elif geo.kind == "katok":
+            e = mpmath.mpf(geo.eps)
+            L = tp / (1 - e * e)
+            T, hol = L * E / c, (e if orientation == "+" else -e) * L
         else:
             R = mpmath.mpf(geo.R)
             r = mpmath.sqrt(1 - c * c * R * R)
@@ -403,18 +405,22 @@ def _circle_reference(geo, E) -> dict:
     (Sphere(1.3), (1.05, SQRT2, 2.5, 7.0)),
     (Hyperbolic(1.0, 2), (1.05, 1.2, 1.3, 1.4)),
     (Hyperbolic(0.7, 3), (1.1, 1.3, 1.6, 1.7)),
+    (Katok(EPS5), (SQRT2, 1.8)),
 ], ids=lambda v: getattr(v, "kind", None))
 def test_circle_family_matches_each_surfaces_closed_form(geo, Es):
-    # the one formula of ConstantCurvature against the per-surface ones at 40
-    # digits: within 10 ulps of the reference (8.2 at most, L on the
-    # hyperbolic R = 0.7 at E = 1.7, where Q^2 = b^2 (1 - 0.93) cancels)
+    # the one formula of ConstantCurvature, and the deformed sphere's two
+    # equators, against the per-surface ones at 40 digits: within 10 ulps of
+    # the reference (8.2 at most, L on the hyperbolic R = 0.7 at E = 1.7,
+    # where Q^2 = b^2 (1 - 0.93) cancels)
     for E in Es:
-        (o,) = geo.closed_orbits(E, EnergyLevel.from_E(E).c).orbits
-        ref = _circle_reference(geo, E)
-        for key, want in ref.items():
-            got = getattr(o, key)
-            assert abs(got - want) <= 10 * math.ulp(float(want)), (E, key, got, float(want))
-        assert o.T == geo.k_frequency(E)  # the frequency the k-sum is evaluated at
+        orbits = geo.closed_orbits(E, EnergyLevel.from_E(E).c).orbits
+        assert len(orbits) == (2 if geo.kind == "katok" else 1)
+        for o in orbits:
+            ref = _orbit_reference(geo, E, o.orientation)
+            for key, want in ref.items():
+                got = getattr(o, key)
+                assert abs(got - want) <= 10 * math.ulp(float(want)), (E, key, got, float(want))
+            assert o.T == geo.k_frequency(E)  # the frequency the k-sum is evaluated at
 
 
 @pytest.mark.parametrize("R", [1.0, 0.7, 0.9741785401533375])
@@ -501,7 +507,7 @@ def test_holonomy_rejects_path_leaving_upper_hemisphere():
     # it spans theta in [pi/4, 3pi/4] and crosses no pole margin
     geo = Sphere(0.5)
     st, T = canonical_orbit_state(geo, SQRT2)
-    res = integrate(geo, PhaseState(q=st.q, p=(st.p[0], -st.p[1])), SQRT2, T, tol=1e-11)
+    res = integrate(geo, (*st[:3], -st[3]), SQRT2, T, tol=1e-11)
     _, ys = res.sample(400)
     assert ys[0].min() < math.pi / 4.0 + 1e-3 and ys[0].max() > 3.0 * math.pi / 4.0 - 1e-3
     with pytest.raises(ValidationError, match="upper hemisphere"):
@@ -526,7 +532,7 @@ def test_hyperbolic_general_radius_orbit():
         geo = Hyperbolic(R, 2)
         st, T = canonical_orbit_state(geo, E, "+")
         res = integrate(geo, st, E, T, tol=1e-12)
-        gap = np.max(np.abs(res.final.as_array() - st.as_array()))
+        gap = np.max(np.abs(np.subtract(res.final, st)))
         assert gap < 1e-8
         hol = numeric_holonomy(geo, res)
         (inv,) = geo.closed_orbits(E, math.sqrt(E * E - 1.0)).orbits
@@ -545,7 +551,7 @@ def test_katok_general_energy_orbit():
         st, T = canonical_orbit_state(geo, E, orientation)
         assert T == pytest.approx(TWO_PI * E / ((1.0 - eps * eps) * c), rel=1e-15)
         res = integrate(geo, st, E, T, tol=1e-11)
-        y0, y1 = st.as_array(), res.final.as_array()
+        y0, y1 = st, res.final
         gap = max(abs(y1[0] - y0[0]), abs(y1[1] - y0[1] - sign * TWO_PI),
                   abs(y1[2] - y0[2]), abs(y1[3] - y0[3]))
         assert gap < 1e-8
@@ -589,7 +595,7 @@ def test_one_period_tangent_flow_fixes_the_energy_shell(geo, E):
     # 1.4e-9 on the torus, the sphere and the hyperbolic surface)
     st, T = canonical_orbit_state(geo, E)
     M = tangent_flow(geo, st, T, tol=1e-11)
-    y = st.as_array()
+    y = np.array(st)
     dH = [(geo.hamiltonian(y + e) - geo.hamiltonian(y - e)) / 2e-7 for e in np.eye(4) * 1e-7]
     shell = np.linalg.svd(np.array([dH]))[2][1:].T  # an orthonormal basis of dH v = 0
     assert np.max(np.abs(M @ shell - shell)) < 1e-8
@@ -613,29 +619,37 @@ def test_maslov_resonance_guard():
 
 
 def test_metric_areas_and_volumes():
-    assert liouville_volume(Torus(), 2.0) == pytest.approx(
+    assert Torus().liouville_volume(2.0) == pytest.approx(
         4.0 * math.pi, rel=1e-15)
-    assert liouville_volume(Sphere(0.5), SQRT2) == pytest.approx(
+    assert Sphere(0.5).liouville_volume(SQRT2) == pytest.approx(
         2.0 * math.pi**2 * SQRT2, rel=1e-14)
-    assert liouville_volume(Hyperbolic(1.0, 2), 1.2) == pytest.approx(
+    assert Hyperbolic(1.0, 2).liouville_volume(1.2) == pytest.approx(
         TWO_PI**2 * 2.0 * 1.2, rel=1e-14)
     # deformed sphere: exact area 4 pi/(1-eps^2)
     eps = EPS5
     geo = Katok(eps)
     assert geo.area == pytest.approx(4.0 * math.pi / (1.0 - eps * eps),
                                              rel=1e-14)
-    vol = liouville_volume(geo, SQRT2)
+    vol = geo.liouville_volume(SQRT2)
     assert vol / TWO_PI**2 == pytest.approx(2.0 * SQRT2 / (1.0 - eps * eps),
                                             rel=1e-14)
 
 
 def test_katok_area_integral_oracle():
+    # sqrt(det g) = 1/sqrt(a b) from the chart coefficients the flow runs on,
+    # integrated over s in (lo, hi) times the other coordinate's period, is
+    # the area the shell volume reads
     from scipy.integrate import quad
-    eps = 0.37
-    val, _ = quad(lambda th: math.sin(th) / (1.0 - eps**2 * math.sin(th) ** 2) ** 1.5,
-                  0.0, math.pi, epsabs=1e-13)
-    assert TWO_PI * val == pytest.approx(Katok(eps).area,
-                                         rel=1e-11)
+    for geo, lo, hi, period in ((Torus(), 0.0, 1.0, 1.0),
+                                (Sphere(0.5), 0.0, math.pi, TWO_PI),
+                                (Sphere(1.3), 0.0, math.pi, TWO_PI),
+                                (Katok(0.37), 0.0, math.pi, TWO_PI),
+                                (Katok(EPS5), 0.0, math.pi, TWO_PI)):
+        def density(s):
+            a, b = geo.coefficients(s)[:2]
+            return 1.0 / math.sqrt(a * b)
+        val, _ = quad(density, lo, hi, epsabs=1e-13)
+        assert period * val == pytest.approx(geo.area, rel=1e-11), geo
 
 
 def test_mc_volume_cross_check():

@@ -188,17 +188,17 @@ def test_geometry_setup_loads_no_dataclasses():
 _WATCHED = ("dataclasses", "argparse", "numpy.polynomial", "numpy.random")
 
 
-def _cold_run(tmp_path, name):
+def _cold_run(tmp_path, name, watch=_WATCHED):
     """`python -m magtrace` on the golden command ``name``, with os._exit
     wrapped to report just before the process ends: [exit code, modules run,
-    the ``_WATCHED`` modules imported] and the names of the outputs."""
+    the ``watch`` modules imported] and the names of the outputs."""
     sub, config = golden._commands()[name]
     argv = ["magtrace", sub, "--config", _write_cfg(tmp_path, config),
             "--out", str(tmp_path / "out")]
     code = (_RAN + "import json, os, runpy\n"
             "real_exit = os._exit\n"
             "def report(code):\n"
-            f"    watched = [n for n in {_WATCHED!r} if n in sys.modules]\n"
+            f"    watched = [n for n in {tuple(watch)!r} if n in sys.modules]\n"
             "    print(json.dumps([code, ran(), watched]), flush=True)\n"
             "    real_exit(code)\n"
             "os._exit = report\n"
@@ -246,6 +246,16 @@ def test_cold_katok_runs_no_spectral_module(tmp_path):
         "magtrace", "magtrace.asymptotics", "magtrace.cli", "magtrace.dynamics",
         "magtrace.errors", "magtrace.floats", "magtrace.geometry", "magtrace.katok",
         "magtrace.ode"], []], ["katok_report.csv", "katok_report.json"])
+
+
+def test_cold_katok_volume_predict_runs_no_flow_code_and_no_numpy(tmp_path):
+    # the zero-period c0 reads the shell volume from Geometry.liouville_volume,
+    # so a gaussian predict on the deformed sphere runs no dynamics or ode code
+    # and imports no numpy
+    assert _cold_run(tmp_path, "predict/katok-zero-period", ("numpy",)) == ([0, [
+        "magtrace", "magtrace.asymptotics", "magtrace.cli", "magtrace.errors",
+        "magtrace.floats", "magtrace.geometry", "magtrace.katok", "magtrace.testfn"], []],
+        ["predict.csv"])
 
 
 # ---------------------------------------------------------------------------

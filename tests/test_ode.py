@@ -49,9 +49,9 @@ def test_tableau_matches_scipy():
                          ids=lambda v: getattr(v, "kind", None))
 def test_canonical_orbits_bit_identical(geo, E, orientation, periods):
     state, T = canonical_orbit_state(geo, E, orientation)
-    ref = _solve_ivp(lambda tt, y: geo.flow(y), periods * T, state.as_array(), TOL,
+    ref = _solve_ivp(lambda tt, y: geo.flow(y), periods * T, state, TOL,
                      dense_output=True)
-    t_end, y_end, sol, status = ode.dop853(geo.flow, 0.0, state.as_array(), periods * T, TOL)
+    t_end, y_end, sol, status = ode.dop853(geo.flow, 0.0, state, periods * T, TOL)
     assert status == ref.status == 0
     assert np.array_equal(sol.ts, ref.t)
     assert len(sol.interpolants) == len(ref.sol.interpolants)
@@ -73,10 +73,10 @@ def test_float_rhs_matches_scipy_on_arrays(geo, E, orientation, periods):
     # dynamics hands dop853 the flow's tuple of Python floats; SciPy gets the
     # flow on arrays
     state, T = canonical_orbit_state(geo, E, orientation)
-    ref = _solve_ivp(lambda tt, y: geo.flow(y), periods * T, state.as_array(), TOL,
+    ref = _solve_ivp(lambda tt, y: geo.flow(y), periods * T, state, TOL,
                      dense_output=True)
     t_end, y_end, sol, status = ode.dop853(lambda y: geo.flow_terms(y)[1], 0.0,
-                                           state.as_array(), periods * T, TOL)
+                                           state, periods * T, TOL)
     assert status == ref.status == 0
     assert np.array_equal(sol.ts, ref.t)
     assert t_end == ref.t[-1]
@@ -101,7 +101,7 @@ def _variational_run_matches_scipy(geo, E, orientation):
     final z, bit for bit.  Returns SciPy's final M."""
     state, T = canonical_orbit_state(geo, E, orientation)
     field = _variational(geo)
-    z0 = np.concatenate([state.as_array(), np.eye(4).ravel()])
+    z0 = np.concatenate([state, np.eye(4).ravel()])
     ref = _solve_ivp(lambda tt, z: np.array(field(z)), T, z0, TOL)
     t_end, y_end, sol, status = ode.dop853(field, 0.0, z0, T, TOL, dense_output=False)
     assert sol is None
@@ -132,7 +132,7 @@ def test_bernstein_rows_bound_the_dense_output(geo, E, orientation):
     # each step's hull holds its dense values, and its end coefficients are
     # the values at the step's ends
     state, T = canonical_orbit_state(geo, E, orientation)
-    _, _, sol, _ = ode.dop853(geo.flow, 0.0, state.as_array(), T, TOL)
+    _, _, sol, _ = ode.dop853(geo.flow, 0.0, state, T, TOL)
     for i in range(4):
         b = sol.bernstein(i)
         assert b.shape == (len(sol.interpolants), 8)
@@ -154,7 +154,7 @@ def test_step_budget_ends_a_run_past_it(monkeypatch):
     state, T = canonical_orbit_state(geo, E, orientation)
 
     def run():
-        return ode.dop853(geo.flow, 0.0, state.as_array(), T, TOL)
+        return ode.dop853(geo.flow, 0.0, state, T, TOL)
     steps = len(run()[2].interpolants)
     monkeypatch.setattr(ode, "MAX_STEPS", steps)
     assert run()[3] == 0

@@ -16,7 +16,7 @@ from magtrace import asymptotics, bump, dynamics, geometry, katok, spectra, test
 from magtrace.errors import FrozenRecordError, ValidationError, record
 
 RECORDS = {
-    geometry: ("EnergyLevel", "PhaseState", "OrbitInvariants", "ClosedOrbitSet", "Torus",
+    geometry: ("EnergyLevel", "OrbitInvariants", "ClosedOrbitSet", "Torus",
                "Sphere", "Hyperbolic"),
     katok: ("KatokMonodromy", "Katok"),
     spectra: ("Window",),
@@ -71,7 +71,7 @@ def test_the_table_names_every_record_class():
     found = {obj.__name__ for module in RECORDS for obj in vars(module).values()
              if isinstance(obj, type) and obj.__module__ == module.__name__
              and _is_record(obj)}
-    assert found == {cls.__name__ for cls in CLASSES} and len(found) == 19
+    assert found == {cls.__name__ for cls in CLASSES} and len(found) == 18
     assert not _is_record(testfn.TestFunction)  # a real dataclass, for dataclasses.replace
 
 
