@@ -36,16 +36,14 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import (DegenerateOrbitError, MixedSupportError, ValidationError, check_Nj,
-                     record)
-from .floats import TWO_PI, block, each, fsum_complex
+from .errors import (DegenerateOrbitError, MixedSupportError, ValidationError,
+                     check_tensor_power, record)
+from .floats import TWO_PI, block, cis, each, fsum_complex
 from .geometry import EnergyLevel
 
 if TYPE_CHECKING:  # read in annotations only, so katok runs no testfn code
     from .katok import Katok
     from .testfn import TestFunction
-
-SQRT2 = math.sqrt(2.0)
 
 # Largest k_max and k-tail reach: 2 k_max + 1 terms, on numpy arrays past
 # floats.FLOAT_BLOCK of them.  At the cap a gaussian predict takes about 0.07 s
@@ -202,9 +200,7 @@ def general_c0_nondegenerate(Tsharp: float, m: int, S: float, detIminusP: float,
             f"{resonance_margin:.1e}; the nondegeneracy hypothesis fails numerically"
         )
     amp = Tsharp / (TWO_PI * math.sqrt(detIminusP))
-    return (amp * complex(math.cos(math.pi * m / 4.0), math.sin(math.pi * m / 4.0))
-            * complex(math.cos(N * S), -math.sin(N * S))
-            * complex(phi_hat_at_Tgamma))
+    return amp * cis(math.pi * m / 4.0) * cis(-(N * S)) * complex(phi_hat_at_Tgamma)
 
 
 def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
@@ -216,7 +212,7 @@ def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
 
     * support containing only the zero period: d = 1 and c0 is the volume
       term (2pi)^-2 fhat(0) Vol(X_E) (``general_c0_volume``) of the shell
-      volume ``geo.liouville_volume(sqrt(2))``, 2 sqrt(2) fhat(0)/(1-eps^2);
+      volume at ``geo.stated_E``, 2 sqrt(2) fhat(0)/(1-eps^2);
     * support containing only nonzero periods k T#, T# = 2 pi sqrt(2)/(1-eps^2)
       the equators' period (``geo.k_frequency``):
       d = 0 and c0 sums the two equatorial orbits' iterate contributions
@@ -234,9 +230,10 @@ def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
     bound passes 1e-25.  Only the phases and sums depend on N: the support,
     the hats, ``k_tail`` and its guard are evaluated once per grid.
     """
-    Tsharp = geo.k_frequency(SQRT2)
+    E = geo.stated_E
+    Tsharp = geo.k_frequency(E)
     for N in Ns:
-        check_Nj(N, 0)
+        check_tensor_power(N)
     amp = geo.amplitude
     margin = ctl.resonance_margin
     lo, hi = f.hat_support_interval(support_tol)
@@ -264,7 +261,7 @@ def katok_c0(Ns, geo: Katok, f: TestFunction, ctl: KSumControl,
     k_tail = math.fsum(bounds)
 
     if zero_in or not k_in:
-        c0 = (general_c0_volume(complex(f.phi_hat(0.0)), geo.liouville_volume(SQRT2), 2)
+        c0 = (general_c0_volume(complex(f.phi_hat(0.0)), geo.liouville_volume(E), 2)
               if zero_in else 0.0 + 0.0j)
         # the N^{d-1} coefficient is not part of the implemented display
         return [CoefficientPrediction(N=int(N), c0=c0, c1=0.0 + 0.0j,

@@ -500,14 +500,10 @@ def cmd_dynamics(cfg):
     return 0, outputs
 
 
-def _det_i_minus_power(m, k: int) -> float:
-    """det(I - P^k), P^k = P^(k-1) P on Python floats; with det P = 1,
-    det(I - P^-k) = det(I - P^k)."""
+def _det_i_minus(m) -> float:
+    """det(I - M) of a 2x2 block on Python floats."""
     (a, b), (c, d) = m.tolist()
-    pa, pb, pc, pd = a, b, c, d
-    for _ in range(abs(k) - 1):
-        pa, pb, pc, pd = pa * a + pb * c, pa * b + pb * d, pc * a + pd * c, pc * b + pd * d
-    return (1.0 - pa) * (1.0 - pd) - pb * pc
+    return (1.0 - a) * (1.0 - d) - b * c
 
 
 def cmd_katok(cfg):
@@ -545,8 +541,8 @@ def cmd_katok(cfg):
             "analytic": ana.matrix.tolist(), "numeric": num.tolist(),
             "max_entry_dev": dev,
             "alpha": ana.alpha, "a": ana.a,
-            "det_analytic": ana.det_i_minus_p,
-            "det_numeric": _det_i_minus_power(num, 1),
+            "det_analytic": ana.det_i_minus_p(),
+            "det_numeric": _det_i_minus(num),
         }
 
     inv = {o.orientation: o for o in geo.closed_orbits(level.E, level.c).orbits}
@@ -559,10 +555,9 @@ def cmd_katok(cfg):
             m, kappa = geo.maslov(k, branch), round(geo.rotation(k, branch))
             maslov_rows.append({"k": k, "branch": label, "m": m,
                                 "kappa": kappa, "sgn_r": m - 2 * kappa})
-            det_k = _det_i_minus_power(analytic[label].matrix, k)
             assembled = general_c0_nondegenerate(
                 Tsharp=inv[label].T, m=m, S=k * inv[label].S,
-                detIminusP=abs(det_k), Tgamma=k * inv[label].T,
+                detIminusP=analytic[label].det_i_minus_p(k), Tgamma=k * inv[label].T,
                 phi_hat_at_Tgamma=1.0, N=N,
                 resonance_margin=tol["resonance_margin"])
             dev = abs(closed - assembled) / abs(closed)

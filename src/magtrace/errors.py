@@ -54,13 +54,11 @@ def number(value, name, *, integer=False, positive=False, signed=False, cap=None
     return int(value) if integer else float(value)
 
 
-def check_Nj(N, j) -> None:
-    """Refuse a tensor power N below 1 or a ladder index j below 0."""
+def check_tensor_power(N) -> None:
+    """Refuse a tensor power N that is not an integer of at least 1."""
     # an int or a numpy integer, both of which have __index__; not a bool
     if not (hasattr(N, "__index__") and not isinstance(N, bool) and N >= 1):
         raise ValidationError(f"N must be a positive integer, got {N}")
-    if not (hasattr(j, "__index__") and not isinstance(j, bool) and j >= 0):
-        raise ValidationError(f"j must be a nonnegative integer, got {j}")
 
 
 def read_kind(spec, what: str, kinds: dict):

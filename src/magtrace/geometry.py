@@ -38,6 +38,11 @@ from .floats import xp as _xp  # the flows name their module variable xp
 # energy and orbit records
 # ---------------------------------------------------------------------------
 
+def momentum_sq(E):
+    """c^2 = E^2 - 1 as (E-1)(E+1), whose E - 1 is exact near 1, where E*E - 1 cancels."""
+    return (E - 1.0) * (E + 1.0)
+
+
 @record
 class EnergyLevel:
     """Energy pair (E, c) with c^2 = E^2 - 1."""
@@ -47,7 +52,8 @@ class EnergyLevel:
 
     @classmethod
     def from_E(cls, E: float) -> "EnergyLevel":
-        c2 = E * E - 1.0
+        """The level at E > 1 with a finite c^2 (``momentum_sq``), c its root."""
+        c2 = momentum_sq(E)
         if not (E > 1.0 and math.isfinite(c2)):
             raise ValidationError(f"energy E must exceed 1 and have a finite square, got {E}")
         return cls(E=E, c=math.sqrt(c2))
@@ -241,15 +247,16 @@ class ConstantCurvature(Geometry):
         return -t / (1.0 + math.sqrt(max(1.0 - K * t / bN, 0.0))) - 0.5
 
     def _circle_rate(self, E):
-        """(w, s) = ((E^2-1)/b, Q/b), Q = sqrt(b^2 + K(E^2-1)): the flow's circles
-        close after time 2pi E/Q.  Scaled by b, so no b^2 is formed."""
+        """(w, s, S) = ((E^2-1)/b, Q/b, 2pi w/(1+s)), Q = sqrt(b^2 + K(E^2-1)): the
+        circles close after time 2pi E/Q with action S.  Scaled by b: no b^2 is formed."""
         self.check_energy(E)
-        w = (E - 1.0) * (E + 1.0) / self.field  # (E-1)(E+1) rounds less than E*E-1
+        w = momentum_sq(E) / self.field
         s2 = 1.0 + self.curvature / self.field * w
         if not 0.0 < s2 < math.inf:
             raise ValidationError(f"the circle family at E={E:.6g} needs a finite positive "
                                   f"Q^2 = b^2 + K(E^2-1); Q^2/b^2 is {s2:.3g}")
-        return w, math.sqrt(s2)
+        s = math.sqrt(s2)
+        return w, s, TWO_PI / (1.0 + s) * w
 
     def k_frequency(self, E):
         return TWO_PI / (self.field * self._circle_rate(E)[1]) * E
@@ -260,10 +267,10 @@ class ConstantCurvature(Geometry):
     def closed_orbits(self, E, c):
         """The one clockwise family of circles, none at or above the Mane level:
         period T = 2pi E/Q (``k_frequency``), length L = 2pi c/Q, holonomy
-        hol = -2pi b c^2/(Q (Q+b)) and action S = L c + hol = 2pi (E^2-1)/(Q+b),
-        the Poisson image's phase theta/N."""
+        hol = -2pi b c^2/(Q (Q+b)) and action S = 2pi (E^2-1)/(Q+b) = L c + hol,
+        formed as the Poisson image's phase per N (``_circle_rate``)."""
         try:
-            w, s = self._circle_rate(E)
+            w, s, S = self._circle_rate(E)
         except ManeLevelError as exc:
             return ClosedOrbitSet(orbits=(), note=f"E >= {exc.boundary:.6g}, the Mane level: no "
                                   "periodic trajectories (horocycles at it, Anosov above)")
@@ -271,7 +278,7 @@ class ConstantCurvature(Geometry):
         L, hol = turn * c, -TWO_PI * w / (s * (1.0 + s))
         maslov, note = self.circle_maslov
         return ClosedOrbitSet(orbits=(OrbitInvariants(
-            orientation="-", L=L, T=turn * E, S=L * c + hol, hol=hol, maslov=maslov,
+            orientation="-", L=L, T=turn * E, S=S, hol=hol, maslov=maslov,
             maslov_note=note, detIminusP=0.0),))
 
     def poisson_image(self, N, E):
@@ -284,11 +291,11 @@ class ConstantCurvature(Geometry):
         array of periods (``floats``).
         """
         b, K, c = self.field, self.curvature, self.measure_coeff
-        w, s = self._circle_rate(E)
+        w, s, S = self._circle_rate(E)
         # the phase is exp(i pi k half_turns) exp(-i k theta), theta = 2pi (j0 + 1/2)
-        # = 2pi N (Q-b)/K; where 2N b/K is an integer, these half turns may go
-        # to the first factor, leaving 2pi N Q/K, the smaller where Q < b/2
-        half_turns, theta = 1.0, TWO_PI / (1.0 + s) * w * N
+        # = N S = 2pi N (Q-b)/K; where 2N b/K is an integer, these half turns may
+        # go to the first factor, leaving 2pi N Q/K, the smaller where Q < b/2
+        half_turns, theta = 1.0, S * N
         if 2.0 * s < 1.0 and (2.0 * N * (b / K)).is_integer():
             half_turns = (1.0 + 2.0 * N * (b / K)) % 2.0
             theta = TWO_PI * N * (b / K) * s

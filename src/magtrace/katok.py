@@ -18,11 +18,12 @@ import math
 from typing import ClassVar
 
 from .errors import ResonanceError, ValidationError, record
-from .floats import TWO_PI
+from .floats import TWO_PI, cis
 from .floats import xp as _xp
-from .geometry import ClosedOrbitSet, EnergyLevel, Geometry, OrbitInvariants, branch_sign
+from .geometry import (ClosedOrbitSet, EnergyLevel, Geometry, OrbitInvariants, branch_sign,
+                       momentum_sq)
 
-SQRT2 = math.sqrt(2.0)
+SQRT2 = math.sqrt(2.0)  # every module that states sqrt(2) loads this one
 
 
 @record
@@ -32,7 +33,10 @@ class KatokMonodromy:
     matrix: np.ndarray
     a: float
     alpha: float
-    det_i_minus_p: float
+
+    def det_i_minus_p(self, k: int = 1) -> float:
+        """det(I - P^k) = 4 sin^2(k alpha/2), for any iterate k."""
+        return 4.0 * math.sin(k * self.alpha / 2.0) ** 2
 
 
 def half_lattice_distance(x: float) -> float:
@@ -144,9 +148,8 @@ class Katok(Geometry):
         m = self.maslov(k, branch)
         self.check_resonance(k, branch, margin)
         turn = TWO_PI * N * k / (1.0 - branch * self.eps)
-        phase = (complex(math.cos(math.pi * m / 4.0), math.sin(math.pi * m / 4.0))
-                 * complex(math.cos(turn), -math.sin(turn)))
-        return self.amplitude * phase * complex(hat) / self.sine(k, branch)
+        return (self.amplitude * (cis(math.pi * m / 4.0) * cis(-turn)) * complex(hat)
+                / self.sine(k, branch))
 
     def return_map(self, E: float, branch: int) -> KatokMonodromy:
         """Closed-form linearized return map of a branch's equator at energy E.
@@ -154,18 +157,17 @@ class Katok(Geometry):
         With a = [(E^2-1)(1+eps^2) +- 2 eps sqrt(E^2-1)]^{1/2} and rotation
         angle alpha = (2 pi/(1-eps^2)) [1+eps^2 +- 2 eps/sqrt(E^2-1)]^{1/2},
         the map is the rotation-like matrix
-        [[cos a, (1-e^2)/a sin a], [-a/(1-e^2) sin a, cos a]] (angle alpha),
-        and |I - P| = 4 sin^2(alpha/2).
+        [[cos alpha, (1-e^2)/a sin alpha], [-a/(1-e^2) sin alpha, cos alpha]],
+        whose iterate k has det(I - P^k) = 4 sin^2(k alpha/2) (``det_i_minus_p``).
         """
         import numpy as np
         e, c = self.eps, EnergyLevel.from_E(E).c
-        a = math.sqrt((E * E - 1.0) * (1.0 + e * e) + branch * 2.0 * e * c)
+        a = math.sqrt(momentum_sq(E) * (1.0 + e * e) + branch * 2.0 * e * c)
         alpha = (TWO_PI / (1.0 - e * e)) * math.sqrt(1.0 + e * e + branch * 2.0 * e / c)
         ca, sa = math.cos(alpha), math.sin(alpha)
         mat = np.array([[ca, (1.0 - e * e) / a * sa],
                         [-a / (1.0 - e * e) * sa, ca]])
-        return KatokMonodromy(matrix=mat, a=a, alpha=alpha,
-                              det_i_minus_p=4.0 * math.sin(alpha / 2.0) ** 2)
+        return KatokMonodromy(matrix=mat, a=a, alpha=alpha)
 
     def closed_orbits(self, E, c):
         e, T = self.eps, self.k_frequency(E)
@@ -181,7 +183,7 @@ class Katok(Geometry):
                 maslov, note = self.maslov(1, branch), ""
             orbits.append(OrbitInvariants(
                 orientation=label, L=L, T=T, S=L * c + hol, hol=hol, maslov=maslov,
-                maslov_note=note, detIminusP=self.return_map(E, branch).det_i_minus_p))
+                maslov_note=note, detIminusP=self.return_map(E, branch).det_i_minus_p()))
         return ClosedOrbitSet(orbits=tuple(orbits))
 
     def orbit_state(self, c, orientation):

@@ -43,7 +43,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .errors import ValidationError, check_Nj, record
+from .errors import ValidationError, check_tensor_power, record
 from .floats import block, each, xp
 from .geometry import ConstantCurvature, EnergyLevel
 from .testfn import TestFunction
@@ -159,7 +159,7 @@ def enumerate_window(model, N: int, level: EnergyLevel, f: TestFunction,
     if not isinstance(model, ConstantCurvature):
         raise ValidationError(f"geometry {model.kind} has no closed-form spectrum; spectral "
                               "commands support torus, sphere and hyperbolic geometries only")
-    check_Nj(N, 0)
+    check_tensor_power(N)
     E = level.E
     model.check_energy(E)
     radius = f.radius(tail_tol)

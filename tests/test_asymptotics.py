@@ -353,7 +353,7 @@ def test_katok_isolated_orbit_window_matches_assembly():
         m = maslov_two_interval(1, eps, branch)[0]
         total += general_c0_nondegenerate(
             Tsharp=inv[label].T, m=m, S=inv[label].S,
-            detIminusP=ana.det_i_minus_p, Tgamma=inv[label].T,
+            detIminusP=ana.det_i_minus_p(), Tgamma=inv[label].T,
             phi_hat_at_Tgamma=hat, N=N)
     assert abs(p.c0 - total) <= 1e-12 * abs(total)
 

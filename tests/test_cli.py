@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -149,14 +150,25 @@ def test_katok_command_passes(tmp_path):
         for k in (1, 2, -1) for label, branch in (("+", 1), ("-", -1))]
 
 
-def test_katok_det_i_minus_power_matches_numpy():
-    # the report's det(I - P^k) on Python floats against numpy's matrix power
-    # and LU determinant, within rounding grown over |k| products
-    for eps, branch in ((1.0 / math.sqrt(5.0), 1), (1.0 / math.sqrt(5.0), -1), (0.3, 1)):
-        P = Katok(eps).return_map(SQRT2, branch).matrix
-        for k in (1, 2, 3, 7, 40, -1, -2, -3, -7, -40):
-            want = np.linalg.det(np.eye(2) - np.linalg.matrix_power(P, k))
-            assert abs(dynamics._det_i_minus_power(P, k) - want) <= 1e-14 * abs(k), (eps, branch, k)
+def test_katok_det_i_minus_p_is_one_closed_form_at_every_iterate():
+    # det(I - P^k) = 4 sin^2(k alpha/2) against 40 digits at the double alpha,
+    # within 2 ulps plus what rounding k alpha to a double moves it by,
+    # |2 sin(k alpha)| ulp(k alpha)/2 (63 ulps at eps = 0.3, branch -, k = 40);
+    # and against numpy's matrix power and LU determinant within rounding
+    # grown over |k| products
+    for eps in (1.0 / math.sqrt(5.0), 0.3):
+        for branch in (1, -1):
+            ana = Katok(eps).return_map(SQRT2, branch)
+            for k in (1, 2, 3, 7, 40, -1, -2, -3, -7, -40):
+                got = ana.det_i_minus_p(k)
+                with mpmath.workdps(40):
+                    x = k * mpmath.mpf(ana.alpha)
+                    want = 4 * mpmath.sin(x / 2) ** 2
+                    err = float(abs(got - want))
+                    slack = float(abs(2 * mpmath.sin(x))) * math.ulp(float(x)) / 2
+                assert err <= 2 * math.ulp(float(want)) + slack, (eps, branch, k)
+                power = np.linalg.matrix_power(ana.matrix, k)
+                assert abs(got - np.linalg.det(np.eye(2) - power)) <= 1e-14 * abs(k)
 
 
 def _katok_refusal(tmp_path, monkeypatch, eps, k_list):
@@ -618,13 +630,11 @@ def test_predict_refuses_an_unreachable_k_tail_before_any_bound(tmp_path, capsys
     lambda: asymptotics.KSumControl(k_max=True),
     lambda: asymptotics.general_c0_volume(1.0, 1.0, n=True),
     lambda: Katok(0.3).maslov(True, +1),
-    # the rung checks the removed spectra.levels made, kept under its ids
-    lambda: errors.check_Nj(True, 0),
-    lambda: errors.check_Nj(1, False),
+    # the N check the removed spectra.levels made, kept under its id
+    lambda: errors.check_tensor_power(True),
     lambda: enumerate_window(Torus(), True, EnergyLevel.from_E(2.0),
                              make_gaussian(1.0), 1e-14),
-], ids=["KSumControl", "general_c0_volume", "Katok.maslov", "levels_N", "levels_j",
-        "enumerate_window"])
+], ids=["KSumControl", "general_c0_volume", "Katok.maslov", "levels_N", "enumerate_window"])
 def test_library_integer_checks_refuse_bools(call):
     # as the config reader does (_number): True is not the integer 1
     with pytest.raises(ValidationError):

@@ -16,6 +16,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -344,3 +345,36 @@ def test_an_integration_keeps_the_dense_output_the_tracer_counts():
 def test_every_package_export_resolves():
     assert [n for names in magtrace._EXPORTS.values() for n in names
             if not _resolves(f"magtrace.{n}")] == []
+
+
+def _squares_less_one(tree) -> list:
+    """Each x * x - 1 or x ** 2 - 1 in a parsed module, as source text."""
+    def square(n):
+        return isinstance(n, ast.BinOp) and (
+            (isinstance(n.op, ast.Mult) and ast.dump(n.left) == ast.dump(n.right))
+            or (isinstance(n.op, ast.Pow) and getattr(n.right, "value", None) == 2))
+    return [ast.unparse(n) for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub) and square(n.left)
+            and getattr(n.right, "value", None) == 1]
+
+
+def test_two_pi_sqrt2_and_e_squared_less_one_are_each_stated_once():
+    # a module-level name bound to a value of numbers and math alone is 2pi
+    # only in floats and sqrt(2) only in katok; E^2 - 1 is formed only as
+    # geometry.momentum_sq's (E-1)(E+1), never as E * E - 1, which cancels
+    stated, squares = {}, []
+    for path in sorted((ROOT / "src" / "magtrace").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                try:
+                    value = eval(compile(ast.Expression(node.value), str(path), "eval"),
+                                 {"__builtins__": {}, "math": math})
+                except NameError:  # reads a name besides math
+                    continue
+                for name, want in (("2pi", 2.0 * math.pi), ("sqrt2", math.sqrt(2.0))):
+                    if type(value) is float and value == want:
+                        stated.setdefault(name, []).append(path.stem)
+        squares += [f"{path.stem}: {text}" for text in _squares_less_one(tree)]
+    assert stated == {"2pi": ["floats"], "sqrt2": ["katok"]}
+    assert squares == []

@@ -81,6 +81,12 @@ def test_model_validation():
 def test_energy_level_relations():
     lev = EnergyLevel.from_E(2.0)
     assert lev.c**2 == pytest.approx(lev.E**2 - 1.0, rel=1e-15)
+    # c within 1 ulp of 40 digits, also near E = 1, where E*E - 1 cancels
+    for E in (1.0 + 1e-8, 1.0 + 1e-6, 1.0001, 1.2, math.sqrt(2.0), 1.8, 2.0, 10.0):
+        with mpmath.workdps(40):
+            want = mpmath.sqrt(mpmath.mpf(E) ** 2 - 1)
+            err = float(abs(EnergyLevel.from_E(E).c - want))
+        assert err <= math.ulp(float(want)), (E, err / math.ulp(float(want)))
 
 
 @pytest.mark.parametrize("maker", [
